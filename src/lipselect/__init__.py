@@ -5,8 +5,6 @@ surjections built from them."""
 from .bartle_graves import (
     RightInverse,
     build_right_inverse,
-    evaluate_right_inverse,
-    openness_constant,
     sphere_sample,
     verify_right_inverse,
 )
@@ -36,14 +34,13 @@ from .errors import (
 )
 from .iteration import (
     IterationConfig,
-    LimitSelection,
     RoundRecord,
     Selection,
     SelectionSequence,
+    as_table,
     blend_round,
     bump_weight,
     compute_delta,
-    limit_selection,
     run_iteration,
     verify_round_properties,
     verify_sequence,
@@ -63,10 +60,8 @@ from .lipschitz import (
 from .metric import (
     SampledMetricSpace,
     SeparationHierarchy,
-    ball_points,
     build_separation_hierarchy,
     covering_radius,
-    distance,
     greedy_maximal_separation,
 )
 

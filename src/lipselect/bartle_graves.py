@@ -1,6 +1,6 @@
 """End-to-end construction of positively homogeneous right inverses.
 
-For a full-row-rank ``T`` the pipeline is: compute the openness constant
+For a full-row-rank ``T`` the pipeline is: take the openness constant
 ``gamma`` (the smallest singular value, so that ``gamma``-balls of the
 codomain are covered by images of unit balls), sample the codomain unit
 sphere, form the inverse-image correspondence over the sample, run the
@@ -18,7 +18,7 @@ verification reports those residuals separately instead of hiding them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,13 +28,7 @@ from .correspondence import (
     inverse_image_correspondence,
 )
 from .errors import ConfigurationError, ParameterError, PreconditionError
-from .iteration import (
-    IterationConfig,
-    Selection,
-    SelectionSequence,
-    limit_selection,
-    run_iteration,
-)
+from .iteration import IterationConfig, SelectionSequence, run_iteration
 from .lipschitz import (
     HomogeneousPlipReport,
     SphereTable,
@@ -45,13 +39,6 @@ from .lipschitz import (
 from .metric import SampledMetricSpace, covering_radius
 
 COORD_SNAP = 1e-12
-
-
-def openness_constant(T: LinearSurjection) -> float:
-    """Largest ``gamma`` with ``gamma * B_codomain`` inside the image of the
-    unit ball, for Euclidean norms on both sides: the smallest singular
-    value.  The derived anchored-selection rate is its inverse."""
-    return T.sigma_min
 
 
 def sphere_sample(m: int, count: int, seed: int = 0, dedup_tol: float = 1e-6) -> SampledMetricSpace:
@@ -118,7 +105,9 @@ class RightInverse:
     sequence: SelectionSequence
 
     def __call__(self, y) -> np.ndarray:
-        return evaluate_right_inverse(self, y)
+        """Positively homogeneous extension of the sphere table at ``y``
+        (zero at the origin, nearest sampled direction off-sample)."""
+        return homogeneous_extension(self.table, y)
 
 
 def build_right_inverse(
@@ -132,7 +121,7 @@ def build_right_inverse(
     tol: float = 1e-9,
 ) -> RightInverse:
     """Run the whole pipeline.  ``beta`` must exceed ``1 / gamma``."""
-    gamma = openness_constant(T)
+    gamma = T.sigma_min
     alpha = 1.0 / gamma
     if not beta > alpha:
         raise ParameterError(
@@ -140,10 +129,7 @@ def build_right_inverse(
         )
     sphere = sphere_sample(T.codomain_dim, sphere_count, seed=seed)
     phi = inverse_image_correspondence(T, sphere)
-    f0 = Selection(
-        values={a: T.minimum_norm_solution(sphere.coordinate(a)) for a in sphere.point_ids},
-        round_index=0,
-    )
+    f0 = np.array([T.minimum_norm_solution(y) for y in sphere.coords])
     config = IterationConfig(
         alpha=alpha,
         beta=beta,
@@ -153,13 +139,8 @@ def build_right_inverse(
         tol=tol,
     )
     seq = run_iteration(phi, f0, config)
-    limit = limit_selection(seq)
-    table = SphereTable.from_table(sphere, limit.selection)
+    table = SphereTable.from_table(sphere, seq.final)
     eta = 2.0 * beta + table.sup_norm()
-    pinv_gap = max(
-        float(np.linalg.norm(limit.selection.values[a] - f0.values[a]))
-        for a in sphere.point_ids
-    )
     return RightInverse(
         T=T,
         sphere=sphere,
@@ -169,16 +150,10 @@ def build_right_inverse(
         beta=beta,
         eta=eta,
         dense_set=tuple(seq.hierarchy.rounds[-1].members),
-        tail_bound=limit.tail_bound,
-        pinv_gap=pinv_gap,
+        tail_bound=seq.tail_bound,
+        pinv_gap=float(np.linalg.norm(table.values - f0, axis=1).max()),
         sequence=seq,
     )
-
-
-def evaluate_right_inverse(ri: RightInverse, y) -> np.ndarray:
-    """Positively homogeneous extension of the sphere table at ``y`` (zero
-    at the origin, nearest sampled direction off-sample)."""
-    return homogeneous_extension(ri.table, y)
 
 
 @dataclass(frozen=True)
@@ -284,11 +259,11 @@ def verify_right_inverse(
     homogeneity_rows: List[HomogeneityRow] = []
     for k in directions:
         d = ri.sphere.coordinate(k)
-        base = evaluate_right_inverse(ri, d)
+        base = ri(d)
         exact_coords = bool(np.all(d == np.round(d)))
         for scale in (1.0, *scales):
             y = scale * d
-            residual = float(np.linalg.norm(ri.T.apply(evaluate_right_inverse(ri, y)) - y))
+            residual = float(np.linalg.norm(ri.T.apply(ri(y)) - y))
             identity_rows.append(
                 IdentityRow(
                     direction_index=int(k),
@@ -298,7 +273,7 @@ def verify_right_inverse(
                 )
             )
         for scale in scales:
-            lhs = evaluate_right_inverse(ri, scale * d)
+            lhs = ri(scale * d)
             rhs = scale * base
             homogeneity_rows.append(
                 HomogeneityRow(
@@ -324,7 +299,7 @@ def verify_right_inverse(
             if any(np.array_equal(u, c) for c in coords):
                 continue
             k = nearest_direction_index(ri.table, u)
-            value = evaluate_right_inverse(ri, u)
+            value = ri(u)
             # the extension returns ||u|| * table[k], so T maps it to
             # ||u|| * (nearest sampled direction), not to u itself
             u_norm = float(np.linalg.norm(u))

@@ -6,19 +6,14 @@ ratio profiles of a stored table), ``bartle-graves`` (the right-inverse
 pipeline), ``verify`` (re-check a stored selection sequence).
 
 Exit status: 0 all requested checks pass, 1 a check failed, 2 input
-document/schema problem, 3 numeric precondition violation, 4 internal
-convergence or degeneracy failure.
-
-Parallelism: LIPSELECT_THREADS caps worker threads (0 = sequential).  The
-current implementation is sequential throughout, which satisfies any cap;
-the variable is validated and recorded in reports.
+document/schema problem, 3 numeric precondition violation (including
+non-finite numbers), 4 internal convergence or degeneracy failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -46,15 +41,10 @@ from .formats import (
     selection_csv_text,
     sequence_from_dict,
     sequence_to_dict,
+    table_from_dict,
     write_report,
 )
-from .iteration import (
-    IterationConfig,
-    Selection,
-    limit_selection,
-    run_iteration,
-    verify_sequence,
-)
+from .iteration import IterationConfig, run_iteration, verify_sequence
 from .lipschitz import default_radii, plip_profile
 from .metric import (
     SampledMetricSpace,
@@ -79,17 +69,6 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("LIPSELECT_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ParameterError(f"LIPSELECT_THREADS must be an integer, got {raw!r}")
-    if cap < 0:
-        raise ParameterError("LIPSELECT_THREADS must be nonnegative")
-    return cap
 
 
 def _merge_config(args: argparse.Namespace, keys) -> dict:
@@ -122,7 +101,7 @@ def _cmd_separate(args) -> int:
     if "space" not in opts:
         raise SchemaError("separate requires a space document (--space)")
     space = SampledMetricSpace.from_json_dict(_load_json(opts["space"]))
-    report: dict = {"command": "separate", "threads": _thread_cap()}
+    report: dict = {"command": "separate"}
     if opts.get("rounds"):
         hierarchy = build_separation_hierarchy(space, int(opts["rounds"]))
         report["hierarchy"] = hierarchy.to_json_dict()
@@ -140,18 +119,6 @@ def _cmd_separate(args) -> int:
     return EXIT_OK
 
 
-def _canonical_point(body) -> np.ndarray:
-    from .convex import AffineFlat, Ball, Polytope
-
-    if isinstance(body, AffineFlat):
-        return body.base.copy()
-    if isinstance(body, Ball):
-        return body.center.copy()
-    if isinstance(body, Polytope):
-        return body.witness.copy()
-    raise SchemaError(f"no canonical point for {type(body).__name__}")
-
-
 def _cmd_select(args) -> int:
     keys = {"correspondence", "iteration", "f0", "out", "tables_dir"}
     opts = _merge_config(args, keys)
@@ -159,41 +126,17 @@ def _cmd_select(args) -> int:
         if required not in opts:
             raise SchemaError(f"select requires --{required}")
     phi = Correspondence.from_json_dict(_load_json(opts["correspondence"]))
-    cfg_doc = _load_json(opts["iteration"])
-    if not isinstance(cfg_doc, dict) or "alpha" not in cfg_doc or "beta" not in cfg_doc:
-        raise SchemaError("iteration config must carry at least alpha and beta")
-    config = IterationConfig(
-        alpha=cfg_doc["alpha"],
-        beta=cfg_doc["beta"],
-        epsilon=cfg_doc.get("epsilon"),
-        rounds=cfg_doc.get("rounds", 4),
-        delta_min=cfg_doc.get("delta_min", 1e-9),
-        tol=cfg_doc.get("tol", 1e-9),
-    )
-    if "f0" in opts and opts["f0"]:
-        raw = _load_json(opts["f0"])
-        if not isinstance(raw, dict) or "values" not in raw:
-            raise SchemaError("f0 document must carry a 'values' table")
-        values = {}
-        by_str = {str(a): a for a in phi.space.point_ids}
-        for key, vec in raw["values"].items():
-            if key not in by_str:
-                raise SchemaError(f"f0 names unknown point {key}")
-            values[by_str[key]] = np.asarray(vec, dtype=float)
-        f0 = Selection(values=values, round_index=0)
+    config = IterationConfig.from_json_dict(_load_json(opts["iteration"]))
+    if opts.get("f0"):
+        f0 = table_from_dict(_load_json(opts["f0"]), phi.space, phi.ambient_dim)
     else:
-        f0 = Selection(
-            values={a: _canonical_point(phi.body(a)) for a in phi.space.point_ids},
-            round_index=0,
-        )
+        f0 = np.array([body.canonical_point() for body in phi.bodies.values()])
     seq = run_iteration(phi, f0, config)
     audit = verify_sequence(seq)
-    limit = limit_selection(seq)
     report = {
         "command": "select",
-        "threads": _thread_cap(),
         "sequence": sequence_to_dict(seq),
-        "tail_bound": limit.tail_bound,
+        "tail_bound": seq.tail_bound,
         "checks": {
             **{
                 f"round_{r.n}": {
@@ -215,7 +158,7 @@ def _cmd_select(args) -> int:
         tables_dir.mkdir(parents=True, exist_ok=True)
         for sel in seq.selections:
             path = tables_dir / f"f{sel.round_index}.csv"
-            path.write_text(selection_csv_text(phi.space, sel), encoding="ascii")
+            path.write_text(selection_csv_text(phi.space, sel.table), encoding="ascii")
         print(f"selection tables written to {tables_dir}")
     return EXIT_OK if audit.passed else EXIT_CHECK_FAILED
 
@@ -227,15 +170,8 @@ def _cmd_plip(args) -> int:
         if required not in opts:
             raise SchemaError(f"plip requires --{required}")
     space = SampledMetricSpace.from_json_dict(_load_json(opts["space"]))
-    raw = _load_json(opts["table"])
-    if not isinstance(raw, dict) or "values" not in raw:
-        raise SchemaError("table document must carry a 'values' table")
+    values = table_from_dict(_load_json(opts["table"]), space)
     by_str = {str(a): a for a in space.point_ids}
-    values = {}
-    for key, vec in raw["values"].items():
-        if key not in by_str:
-            raise SchemaError(f"table names unknown point {key}")
-        values[by_str[key]] = np.asarray(vec, dtype=float)
     if opts.get("radii"):
         radii = [float(x) for x in str(opts["radii"]).split(",")]
     else:
@@ -250,7 +186,6 @@ def _cmd_plip(args) -> int:
     profiles = [plip_profile(values, space, b, radii) for b in points]
     report = {
         "command": "plip",
-        "threads": _thread_cap(),
         "radii": radii,
         "estimates": {str(p.point): p.estimate for p in profiles},
     }
@@ -283,7 +218,6 @@ def _cmd_bartle_graves(args) -> int:
     )
     report = {
         "command": "bartle-graves",
-        "threads": _thread_cap(),
         "gamma": ri.gamma,
         "alpha": ri.alpha,
         "beta": ri.beta,
@@ -336,9 +270,8 @@ def _cmd_bartle_graves(args) -> int:
     }
     _emit(args, report)
     if opts.get("tau_csv"):
-        final = ri.sequence.final
         Path(opts["tau_csv"]).write_text(
-            selection_csv_text(ri.sphere, final), encoding="ascii"
+            selection_csv_text(ri.sphere, ri.sequence.final.table), encoding="ascii"
         )
         print(f"sphere table written to {opts['tau_csv']}")
     return EXIT_OK if report_obj.passed else EXIT_CHECK_FAILED
@@ -355,7 +288,6 @@ def _cmd_verify(args) -> int:
     audit = verify_sequence(seq)
     report = {
         "command": "verify",
-        "threads": _thread_cap(),
         "rounds": [
             {
                 "n": r.n,
@@ -444,7 +376,7 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except _INTERNAL_ERRORS as exc:
+    except (*_INTERNAL_ERRORS, np.linalg.LinAlgError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except LipselectError as exc:

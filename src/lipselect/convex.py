@@ -21,6 +21,7 @@ from .errors import (
     PreconditionError,
     SchemaError,
     ShapeError,
+    as_finite_array,
 )
 
 ORTHONORMALITY_TOL = 1e-10
@@ -41,6 +42,10 @@ class ConvexBody:
     dim: int
 
     def project(self, y) -> np.ndarray:
+        raise NotImplementedError
+
+    def canonical_point(self) -> np.ndarray:
+        """A fixed member of the body, the default starting selection."""
         raise NotImplementedError
 
     def distance_to(self, y) -> float:
@@ -83,14 +88,13 @@ class AffineFlat(ConvexBody):
     """
 
     def __init__(self, base, basis=()):
-        self.base = np.asarray(base, dtype=float)
+        self.base = as_finite_array(base, "flat base")
         if self.base.ndim != 1:
             raise ShapeError("flat base must be a vector")
         self.dim = self.base.shape[0]
-        rows = [np.asarray(v, dtype=float) for v in basis]
-        if rows:
-            self.basis = np.stack(rows)
-            if self.basis.shape[1] != self.dim:
+        if len(basis):
+            self.basis = as_finite_array(basis, "flat basis")
+            if self.basis.ndim != 2 or self.basis.shape[1] != self.dim:
                 raise ShapeError("basis vectors must match the base dimension")
             gram = self.basis @ self.basis.T
             if np.max(np.abs(gram - np.eye(self.basis.shape[0]))) > ORTHONORMALITY_TOL:
@@ -102,6 +106,9 @@ class AffineFlat(ConvexBody):
         y = _as_vector(y, self.dim, "query point")
         rel = y - self.base
         return self.base + self.basis.T @ (self.basis @ rel)
+
+    def canonical_point(self) -> np.ndarray:
+        return self.base.copy()
 
     def distance_to(self, y) -> float:
         y = _as_vector(y, self.dim, "query point")
@@ -120,11 +127,11 @@ class Ball(ConvexBody):
     """Closed Euclidean ball with positive radius."""
 
     def __init__(self, center, radius):
-        self.center = np.asarray(center, dtype=float)
+        self.center = as_finite_array(center, "ball center")
         if self.center.ndim != 1:
             raise ShapeError("ball center must be a vector")
         self.dim = self.center.shape[0]
-        self.radius = float(radius)
+        self.radius = float(as_finite_array(radius, "ball radius"))
         if not self.radius > 0:
             raise PreconditionError("ball radius must be positive")
 
@@ -135,6 +142,9 @@ class Ball(ConvexBody):
         if nrm <= self.radius:
             return y.copy()
         return self.center + (self.radius / nrm) * rel
+
+    def canonical_point(self) -> np.ndarray:
+        return self.center.copy()
 
     def distance_to(self, y) -> float:
         y = _as_vector(y, self.dim, "query point")
@@ -156,8 +166,8 @@ class Polytope(ConvexBody):
     """
 
     def __init__(self, normals, offsets, witness, witness_tol: float = 1e-9):
-        self.normals = np.asarray(normals, dtype=float)
-        self.offsets = np.asarray(offsets, dtype=float)
+        self.normals = as_finite_array(normals, "polytope normals")
+        self.offsets = as_finite_array(offsets, "polytope offsets")
         if self.normals.ndim != 2 or self.offsets.ndim != 1:
             raise ShapeError("polytope needs a normal matrix and an offset vector")
         if self.normals.shape[0] != self.offsets.shape[0]:
@@ -169,7 +179,7 @@ class Polytope(ConvexBody):
         if np.any(self._sq_norms == 0.0):
             raise PreconditionError("halfspace normals must be nonzero")
         self._row_norms = np.sqrt(self._sq_norms)
-        self.witness = _as_vector(witness, self.dim, "witness")
+        self.witness = _as_vector(as_finite_array(witness, "witness"), self.dim, "witness")
         slack = self.normals @ self.witness - self.offsets
         if np.any(slack > witness_tol * np.maximum(1.0, self._row_norms)):
             raise PreconditionError("witness point is not feasible for the polytope")
@@ -209,6 +219,9 @@ class Polytope(ConvexBody):
             f"{DYKSTRA_MAX_SWEEPS} sweeps",
             residual=residual,
         )
+
+    def canonical_point(self) -> np.ndarray:
+        return self.witness.copy()
 
     def to_json_dict(self) -> dict:
         return {

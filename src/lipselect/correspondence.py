@@ -28,6 +28,7 @@ from .errors import (
     RateError,
     SchemaError,
     ShapeError,
+    as_finite_array,
 )
 from .metric import PointId, SampledMetricSpace
 
@@ -37,12 +38,16 @@ RANK_TOLERANCE = 1e-12
 class LinearSurjection:
     """Full-row-rank matrix ``m x n`` (``m <= n``) viewed as a surjection.
 
-    The smallest singular value is the rank certificate; construction fails
-    if it is not safely positive.
+    The smallest singular value ``sigma_min`` is the rank certificate;
+    construction fails if it is not safely positive.  It is also the
+    openness constant ``gamma``: for Euclidean norms on both sides,
+    ``gamma * B_codomain`` is the largest ball inside the image of the unit
+    ball, and the anchored-selection rate of the right inverse is
+    ``1 / gamma``.
     """
 
     def __init__(self, matrix, rank_tol: float = RANK_TOLERANCE):
-        self.matrix = np.asarray(matrix, dtype=float)
+        self.matrix = as_finite_array(matrix, "matrix")
         if self.matrix.ndim != 2:
             raise ShapeError("a linear surjection is given by a 2-d matrix")
         m, n = self.matrix.shape
@@ -113,6 +118,17 @@ class Correspondence:
     def body(self, a) -> ConvexBody:
         self.space.index(a)  # raises IdentifierError for unknown ids
         return self.bodies[a]
+
+    def distances_to(self, table) -> np.ndarray:
+        """Distance from row ``i`` of the ``(N, d)`` table to the body at
+        the ``i``-th point."""
+        table = np.asarray(table, dtype=float)
+        if table.shape != (len(self.space), self.ambient_dim):
+            raise ShapeError(
+                f"expected a ({len(self.space)}, {self.ambient_dim}) table, "
+                f"got shape {table.shape}"
+            )
+        return np.array([body.distance_to(row) for body, row in zip(self.bodies.values(), table)])
 
     def to_json_dict(self) -> dict:
         # the space schema carries no ids, so bodies are keyed by position
@@ -192,20 +208,15 @@ def check_lower_ptlip(
     y = np.asarray(y, dtype=float)
     if not phi.body(b).contains(y, tol):
         raise PreconditionError(f"anchor value is not in the body at {b!r}")
-    dist_row = phi.space.distance_row(b)
-    worst_slack = -np.inf
-    witness = b
-    for i, a in enumerate(phi.space.point_ids):
-        slack = phi.body(a).distance_to(y) - rate * float(dist_row[i])
-        if slack > worst_slack:
-            worst_slack = slack
-            witness = a
+    dist = np.array([body.distance_to(y) for body in phi.bodies.values()])
+    slack = dist - rate * phi.space.distance_row(b)
+    i = int(np.argmax(slack))
     return LowerPtlipCheck(
-        passed=bool(worst_slack <= tol),
+        passed=bool(slack[i] <= tol),
         rate=float(rate),
         anchor=b,
-        witness=witness,
-        slack=float(worst_slack),
+        witness=phi.space.point_ids[i],
+        slack=float(slack[i]),
     )
 
 
@@ -215,8 +226,9 @@ def local_strong_selection(
     y,
     rate: float,
     tol: float = 1e-9,
-) -> Dict[PointId, np.ndarray]:
-    """Selection table anchored at ``(b, y)``: ``g(a) = project(phi(a), y)``.
+) -> np.ndarray:
+    """Selection table anchored at ``(b, y)``: ``g(a) = project(phi(a), y)``,
+    one row per point in ``space.point_ids`` order.
 
     Because projection realizes the distance, ``||g(a) - y||`` equals
     ``dist(phi(a), y)``, so the table is strongly pointwise Lipschitz at
@@ -227,23 +239,16 @@ def local_strong_selection(
     y = np.asarray(y, dtype=float)
     if not phi.body(b).contains(y, tol):
         raise PreconditionError(f"anchor value is not in the body at {b!r}")
-    dist_row = phi.space.distance_row(b)
-    table: Dict[PointId, np.ndarray] = {}
-    worst_excess = -np.inf
-    worst_point = b
-    for i, a in enumerate(phi.space.point_ids):
-        g = phi.body(a).project(y)
-        table[a] = g
-        excess = float(np.linalg.norm(g - y)) - rate * float(dist_row[i])
-        if excess > worst_excess:
-            worst_excess = excess
-            worst_point = a
-    if worst_excess > tol:
+    table = np.array([body.project(y) for body in phi.bodies.values()])
+    excess = np.linalg.norm(table - y, axis=1) - rate * phi.space.distance_row(b)
+    i = int(np.argmax(excess))
+    if excess[i] > tol:
+        worst_point = phi.space.point_ids[i]
         raise RateError(
             f"strong pointwise bound at rate {rate} fails at {worst_point!r} "
-            f"by {worst_excess:.3e}",
+            f"by {excess[i]:.3e}",
             witness=worst_point,
-            excess=worst_excess,
+            excess=excess[i],
         )
-    table[b] = y.copy()
+    table[phi.space.index(b)] = y
     return table

@@ -1,9 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the finite-number check
+every constructor of outside input calls.
 
 The CLI maps these onto its exit-status contract: document/schema problems,
 numeric precondition violations, and internal convergence or degeneracy
 failures are distinguishable by type.
 """
+
+import numpy as np
 
 
 class LipselectError(Exception):
@@ -70,3 +73,17 @@ class ResolutionError(LipselectError):
 class InvariantViolationError(LipselectError):
     """A structural invariant that the construction should guarantee was
     found violated (e.g. overlapping adjustment supports)."""
+
+
+def as_finite_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array.  Entries that are not numbers, or rows
+    of unequal length, are a :class:`SchemaError`; NaN or infinite entries
+    are a :class:`PreconditionError`.  (Python's ``json`` parses ``NaN`` and
+    ``Infinity``, so documents can carry them.)"""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{what} must be an array of numbers") from None
+    if not np.all(np.isfinite(arr)):
+        raise PreconditionError(f"{what} must be finite")
+    return arr

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, List
+from typing import Any, List, Optional
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .iteration import (
     RoundRecord,
     Selection,
     SelectionSequence,
+    as_table,
 )
 from .metric import SampledMetricSpace, SeparationHierarchy, SeparationRound
 
@@ -75,14 +76,30 @@ def write_report(path, obj: Any) -> None:
         fh.write(dumps_canonical(obj))
 
 
-def selection_csv_text(space: SampledMetricSpace, selection: Selection) -> str:
-    dim = len(next(iter(selection.values.values())))
-    header = "point_id," + ",".join(f"x{j + 1}" for j in range(dim))
+def selection_csv_text(space: SampledMetricSpace, table: np.ndarray) -> str:
+    header = "point_id," + ",".join(f"x{j + 1}" for j in range(table.shape[1]))
     lines = [header]
-    for a in space.point_ids:
-        row = selection.values[a]
+    for a, row in zip(space.point_ids, table):
         lines.append(str(a) + "," + ",".join(format_float(x) for x in row))
     return "\n".join(lines) + "\n"
+
+
+def table_from_dict(doc, space: SampledMetricSpace, dim: Optional[int] = None) -> np.ndarray:
+    """Parse a selection-table document ``{"values": {"<id>": [x1, ...]}}``
+    (as written by ``select --f0``, ``plip --table`` and stored sequences)
+    into the ``(N, d)`` table of ``space``; ``dim``, when given, is the
+    required row width."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("values"), dict):
+        raise SchemaError("table document must carry a 'values' object")
+    raw = doc["values"]
+    keys = [str(a) for a in space.point_ids]
+    unknown = sorted(set(raw) - set(keys))
+    missing = [k for k in keys if k not in raw]
+    if unknown or missing:
+        raise SchemaError(
+            f"table names unknown points {unknown[:3]} or lacks points {missing[:3]}"
+        )
+    return as_table([raw[k] for k in keys], space, dim)
 
 
 def profile_csv_text(profiles) -> str:
@@ -112,7 +129,13 @@ def sequence_to_dict(seq: SelectionSequence) -> dict:
             }
             for record in seq.rounds
         ],
-        "selections": [sel.to_json_dict() for sel in seq.selections],
+        "selections": [
+            {
+                "round": sel.round_index,
+                "values": {str(a): row for a, row in zip(seq.space.point_ids, sel.table.tolist())},
+            }
+            for sel in seq.selections
+        ],
     }
 
 
@@ -130,58 +153,46 @@ def _resolve_ids(space: SampledMetricSpace, raw_ids) -> list:
 def sequence_from_dict(doc: dict, correspondence) -> SelectionSequence:
     """Rebuild a stored sequence against its correspondence for re-checking.
 
-    Local anchored selections are not stored, so records carry empty tables;
-    the verification checks do not need them.
+    Anchored tables are not stored; the verification checks do not need
+    them.  A missing field, a ragged row or a value of the wrong type is a
+    :class:`SchemaError`.
     """
-    for key in ("config", "hierarchy", "rounds", "selections"):
-        if key not in doc:
-            raise SchemaError(f"sequence document is missing {key!r}")
+    if not isinstance(doc, dict):
+        raise SchemaError("sequence document must be a JSON object")
     space = correspondence.space
-    cfg = doc["config"]
-    config = IterationConfig(
-        alpha=cfg["alpha"],
-        beta=cfg["beta"],
-        epsilon=cfg.get("epsilon"),
-        rounds=cfg["rounds"],
-        delta_min=cfg.get("delta_min", 1e-9),
-        tol=cfg.get("tol", 1e-9),
-    )
-    hierarchy = SeparationHierarchy(
-        rounds=tuple(
-            SeparationRound(
-                n=rd["n"], r=rd["r"], members=tuple(_resolve_ids(space, rd["B"]))
-            )
-            for rd in doc["hierarchy"]["rounds"]
-        )
-    )
-    rounds = []
-    for rd in doc["rounds"]:
-        members = tuple(_resolve_ids(space, rd["B"]))
-        new_points = tuple(_resolve_ids(space, rd["new"]))
-        deltas_raw = rd["deltas"]
-        deltas = {
-            b: float(deltas_raw[str(b)]) for b in new_points
-        }
-        rounds.append(
-            RoundRecord(
-                n=int(rd["n"]),
-                members=members,
-                new_points=new_points,
-                deltas=deltas,
-                local_selections={},
-                sup_change=float(rd["sup_change"]),
+    try:
+        config = IterationConfig.from_json_dict(doc["config"], complete=True)
+        hierarchy = SeparationHierarchy(
+            rounds=tuple(
+                SeparationRound(
+                    n=rd["n"], r=rd["r"], members=tuple(_resolve_ids(space, rd["B"]))
+                )
+                for rd in doc["hierarchy"]["rounds"]
             )
         )
-    selections = []
-    for sel_doc in doc["selections"]:
-        raw = sel_doc["values"]
-        values: Dict = {}
-        for a in space.point_ids:
-            key = str(a)
-            if key not in raw:
-                raise SchemaError(f"stored selection is missing point {key}")
-            values[a] = np.asarray(raw[key], dtype=float)
-        selections.append(Selection(values=values, round_index=int(sel_doc["round"])))
+        rounds = []
+        for rd in doc["rounds"]:
+            new_points = tuple(_resolve_ids(space, rd["new"]))
+            rounds.append(
+                RoundRecord(
+                    n=int(rd["n"]),
+                    members=tuple(_resolve_ids(space, rd["B"])),
+                    new_points=new_points,
+                    deltas={b: float(rd["deltas"][str(b)]) for b in new_points},
+                    sup_change=float(rd["sup_change"]),
+                )
+            )
+        selections = [
+            Selection(
+                table=table_from_dict(sel_doc, space, correspondence.ambient_dim),
+                round_index=int(sel_doc["round"]),
+            )
+            for sel_doc in doc["selections"]
+        ]
+    except KeyError as exc:
+        raise SchemaError(f"sequence document is missing {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed sequence document: {exc}") from None
     if len(selections) != len(rounds) + 1:
         raise SchemaError("stored sequence must hold one selection per round plus f0")
     return SelectionSequence(

@@ -10,9 +10,11 @@ those members, while moving nowhere by more than ``2^-n * epsilon``:
 2. For each new anchor ``b``, an anchored selection ``g_b`` is built by
    projecting ``f_{n-1}(b)`` onto every value (strongly pointwise
    ``alpha``-Lipschitz at ``b``).
-3. A radius ``delta_b < min(2^-(n+1), r_b)`` is found by halving so that
+3. A radius ``delta_b < 2^-(n+1)`` is found by halving so that
    ``f_{n-1}`` and ``g_b`` differ by less than ``2^-n * epsilon`` on the
-   open ``2 delta_b``-ball.
+   open ``2 delta_b``-ball.  (``g_b`` is certified on the whole sample, so
+   the locality radius ``r_b`` of the lower pointwise Lipschitz hypothesis
+   is infinite and drops out of the bound.)
 4. ``f_n`` blends ``f_{n-1}`` with ``g_b`` through a trapezoid bump that is
    identically 1 on the closed ``delta_b``-ball and 0 outside the open
    ``2 delta_b``-ball.  The separation spacing makes the supports pairwise
@@ -23,12 +25,16 @@ The per-round displacement bound makes the sequence uniformly Cauchy with
 geometric tail ``2^-N * epsilon``; equality of consecutive tables on
 ``2^-n``-balls around earlier anchors is exact by construction and is
 checked bitwise.
+
+Every table is one ``(N, d)`` float array whose rows follow
+``space.point_ids``; :func:`as_table` is the one entry point for tables
+given in another form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -40,6 +46,9 @@ from .errors import (
     ParameterError,
     PreconditionError,
     RateError,
+    SchemaError,
+    ShapeError,
+    as_finite_array,
 )
 from .metric import (
     PointId,
@@ -54,28 +63,47 @@ STRICTNESS_MARGIN = 1e-12
 
 @dataclass
 class Selection:
-    """A table-valued map: one vector of the target space per sampled point."""
+    """A sampled map: row ``i`` of ``table`` is the value at the ``i``-th
+    point of the space, in ``space.point_ids`` order."""
 
-    values: Dict[PointId, np.ndarray]
+    table: np.ndarray
     round_index: int = 0
 
-    def __getitem__(self, a) -> np.ndarray:
-        return self.values[a]
+    def sup_distance(self, other: "Selection") -> float:
+        if self.table.shape != other.table.shape:
+            raise ShapeError(
+                f"tables of shapes {self.table.shape} and {other.table.shape} differ"
+            )
+        return float(np.linalg.norm(self.table - other.table, axis=1).max())
 
-    def vector(self, a) -> np.ndarray:
-        return self.values[a]
 
-    def sup_distance(self, other: Union["Selection", Mapping]) -> float:
-        other_values = other.values if isinstance(other, Selection) else other
-        return max(
-            float(np.linalg.norm(v - other_values[a])) for a, v in self.values.items()
+TableLike = Union[Selection, Mapping, np.ndarray]
+
+
+def as_table(
+    values: TableLike, space: SampledMetricSpace, dim: Optional[int] = None
+) -> np.ndarray:
+    """The ``(N, d)`` table of a sampled map given as a :class:`Selection`,
+    a mapping from point ids to vectors, or an array with one row per point.
+    Scalar values count as 1-vectors; every entry must be finite.  When
+    ``dim`` is given, rows of any other width are a :class:`ShapeError`."""
+    if isinstance(values, Selection):
+        values = values.table
+    elif isinstance(values, Mapping):
+        missing = [a for a in space.point_ids if a not in values]
+        if missing:
+            raise PreconditionError(f"table is not defined at {missing[:3]!r}")
+        values = [np.atleast_1d(values[a]) for a in space.point_ids]
+    table = as_finite_array(values, "selection table")
+    if table.ndim == 1:
+        table = table[:, None]
+    if table.ndim != 2 or table.shape[0] != len(space):
+        raise ShapeError(
+            f"a table needs one row per point ({len(space)}), got shape {table.shape}"
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "round": self.round_index,
-            "values": {str(a): [float(x) for x in v] for a, v in self.values.items()},
-        }
+    if dim is not None and table.shape[1] != dim:
+        raise ShapeError(f"table rows have width {table.shape[1]}, expected {dim}")
+    return table
 
 
 @dataclass
@@ -86,7 +114,6 @@ class RoundRecord:
     members: Tuple[PointId, ...]
     new_points: Tuple[PointId, ...]
     deltas: Dict[PointId, float]
-    local_selections: Dict[PointId, Selection]
     sup_change: float = 0.0
 
 
@@ -96,8 +123,7 @@ class IterationConfig:
 
     ``epsilon`` defaults to ``(beta - alpha) / 3``, the largest value for
     which the final pointwise rate stays below ``beta``; callers may pass a
-    smaller one but never a larger one.  ``locality_radii`` bounds the
-    anchored-adjustment radius per anchor (default: unbounded).
+    smaller one but never a larger one.
     """
 
     alpha: float
@@ -106,16 +132,19 @@ class IterationConfig:
     rounds: int = 4
     delta_min: float = 1e-9
     tol: float = 1e-9
-    locality_radii: Union[float, Mapping[PointId, float]] = math.inf
 
     def __post_init__(self):
+        cap = (self.beta - self.alpha) / 3.0
+        if self.epsilon is None:
+            self.epsilon = cap
+        as_finite_array(
+            [self.alpha, self.beta, self.epsilon, self.delta_min, self.tol],
+            "iteration parameters",
+        )
         if self.alpha < 0:
             raise ParameterError("alpha must be nonnegative")
         if not self.beta > self.alpha:
             raise ParameterError("beta must exceed alpha")
-        cap = (self.beta - self.alpha) / 3.0
-        if self.epsilon is None:
-            self.epsilon = cap
         if not 0.0 < self.epsilon <= cap:
             raise ParameterError(
                 f"epsilon must lie in (0, (beta - alpha)/3 = {cap}]"
@@ -127,20 +156,29 @@ class IterationConfig:
         if self.tol < 0:
             raise ParameterError("tol must be nonnegative")
 
-    def locality_radius(self, b) -> float:
-        if isinstance(self.locality_radii, Mapping):
-            return float(self.locality_radii.get(b, math.inf))
-        return float(self.locality_radii)
+    @classmethod
+    def from_json_dict(cls, doc, complete: bool = False) -> "IterationConfig":
+        """Parse an iteration document.  Input documents need ``alpha`` and
+        ``beta``; a stored config (``complete``) must carry every field."""
+        if not isinstance(doc, dict):
+            raise SchemaError("iteration config must be a JSON object")
+        names = [f.name for f in fields(cls)]
+        unknown = sorted(set(doc) - set(names))
+        missing = [k for k in (names if complete else ("alpha", "beta")) if k not in doc]
+        if unknown or missing:
+            raise SchemaError(
+                f"iteration config has unknown keys {unknown} or lacks {missing}"
+            )
+        for key, value in doc.items():
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if key == "rounds":
+                number = number and isinstance(value, int)
+            if not (number or (key == "epsilon" and value is None)):
+                raise SchemaError(f"iteration config field {key!r} has value {value!r}")
+        return cls(**doc)
 
     def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "epsilon": self.epsilon,
-            "rounds": self.rounds,
-            "delta_min": self.delta_min,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -161,6 +199,12 @@ class SelectionSequence:
     def final(self) -> Selection:
         return self.selections[-1]
 
+    @property
+    def tail_bound(self) -> float:
+        """Continuing the construction past ``f_N`` could move it by at most
+        ``sum_{j>N} 2^-j eps = 2^-N eps``."""
+        return 2.0 ** (-self.rounds[-1].n) * self.config.epsilon
+
     def entry_round(self, b) -> int:
         """First round whose separation contains ``b``."""
         for record in self.rounds:
@@ -174,6 +218,10 @@ class SelectionSequence:
         return record.deltas[b]
 
 
+def _trapezoid(delta: float, dist):
+    return np.clip((2.0 * delta - dist) / delta, 0.0, 1.0)
+
+
 def bump_weight(b, delta: float, a, space: SampledMetricSpace) -> float:
     """Trapezoid bump ``clamp((2 delta - d(a, b)) / delta, 0, 1)``.
 
@@ -182,43 +230,38 @@ def bump_weight(b, delta: float, a, space: SampledMetricSpace) -> float:
     """
     if delta <= 0:
         raise PreconditionError("bump radius must be positive")
-    w = (2.0 * delta - space.distance(b, a)) / delta
-    return min(1.0, max(0.0, w))
+    return float(_trapezoid(delta, space.distance(b, a)))
 
 
 def compute_delta(
-    f_prev: Union[Selection, Mapping],
-    g_b: Union[Selection, Mapping],
+    f_prev: np.ndarray,
+    g_b: np.ndarray,
     b,
     n: int,
     epsilon: float,
-    r_b: float,
     space: SampledMetricSpace,
     delta_min: float = 1e-9,
     tol: float = 1e-9,
 ) -> float:
     """First radius in the halving schedule that confines the adjustment.
 
-    Starting at ``min(2^-(n+1), r_b) / 2`` and halving, accept the first
-    ``delta`` with ``max ||f_prev - g_b|| < 2^-n * epsilon`` over the open
+    ``f_prev`` and ``g_b`` are ``(N, d)`` tables.  Starting at
+    ``2^-(n+2)`` and halving, accept the first ``delta`` with
+    ``max ||f_prev - g_b|| < 2^-n * epsilon`` over the open
     ``2 delta``-ball around ``b`` (strictness realized by a fixed margin).
     Radii below ``delta_min`` abort: the sample is too coarse or ``g_b``
     strayed too far from ``f_prev``.
     """
-    f_values = f_prev.values if isinstance(f_prev, Selection) else f_prev
-    g_values = g_b.values if isinstance(g_b, Selection) else g_b
-    anchor_gap = float(np.linalg.norm(np.asarray(f_values[b]) - np.asarray(g_values[b])))
+    diffs = np.linalg.norm(f_prev - g_b, axis=1)
+    anchor_gap = float(diffs[space.index(b)])
     if anchor_gap > tol:
         raise PreconditionError(
             f"anchored selection must coincide with the previous selection at "
             f"{b!r} (gap {anchor_gap:.3e})"
         )
-    diffs = np.array(
-        [np.linalg.norm(f_values[a] - g_values[a]) for a in space.point_ids]
-    )
     dist_row = space.distance_row(b)
     threshold = 2.0 ** (-n) * epsilon - STRICTNESS_MARGIN
-    delta = min(2.0 ** (-(n + 1)), r_b) / 2.0
+    delta = 2.0 ** (-(n + 2))
     while delta >= delta_min:
         sup = float(diffs[dist_row < 2.0 * delta].max())
         if sup <= threshold:
@@ -232,45 +275,43 @@ def compute_delta(
 def blend_round(
     f_prev: Selection,
     record: RoundRecord,
+    anchored: Mapping[PointId, np.ndarray],
     space: SampledMetricSpace,
 ) -> Selection:
-    """One blending step: mix ``f_prev`` with the anchored selections.
+    """One blending step: mix ``f_prev`` with the anchored tables of the
+    round's new anchors.
 
-    Points inside the closed ``delta_b``-ball of a new anchor take the
-    anchored value exactly; points outside every open ``2 delta_b``-ball
-    keep the previous value (same array, so later equality checks are
-    bitwise); in between, a convex combination.  A point covered by two
-    supports violates the disjointness invariant and raises.
+    Rows inside the closed ``delta_b``-ball of a new anchor take the
+    anchored value exactly; rows outside every open ``2 delta_b``-ball are
+    copied bit for bit, so later equality checks are bitwise; in between, a
+    convex combination.  A point covered by two supports violates the
+    disjointness invariant and raises.
     """
-    new_values: Dict[PointId, np.ndarray] = {}
-    covers = {
-        b: space.distance_row(b) for b in record.new_points
+    supports = {
+        b: space.distance_row(b) < 2.0 * record.deltas[b] for b in record.new_points
     }
-    for i, a in enumerate(space.point_ids):
-        owners = [b for b in record.new_points if covers[b][i] < 2.0 * record.deltas[b]]
-        if len(owners) > 1:
+    if supports:
+        covered = np.sum(list(supports.values()), axis=0)
+        if covered.max() > 1:
+            i = int(np.argmax(covered > 1))
+            owners = [b for b, support in supports.items() if support[i]]
             raise InvariantViolationError(
-                f"adjustment supports overlap at {a!r}: anchors {owners!r}"
+                f"adjustment supports overlap at {space.point_ids[i]!r}: anchors {owners!r}"
             )
-        if not owners:
-            new_values[a] = f_prev.values[a]
-            continue
-        b = owners[0]
-        w = bump_weight(b, record.deltas[b], a, space)
-        g = record.local_selections[b].values[a]
-        if np.array_equal(g, f_prev.values[a]):
-            # mixing equal endpoints is the identity; keep the table entry
-            new_values[a] = f_prev.values[a]
-        elif w >= 1.0:
-            new_values[a] = g.copy()
-        else:
-            new_values[a] = (1.0 - w) * f_prev.values[a] + w * g
-    return Selection(values=new_values, round_index=record.n)
+    table = f_prev.table.copy()
+    for b, support in supports.items():
+        rows = np.flatnonzero(support)
+        w = _trapezoid(record.deltas[b], space.distance_row(b)[rows])[:, None]
+        f, g = f_prev.table[rows], anchored[b][rows]
+        # mixing equal endpoints is the identity; keep the previous row
+        same = np.all(f == g, axis=1)[:, None]
+        table[rows] = np.where(same, f, np.where(w >= 1.0, g, (1.0 - w) * f + w * g))
+    return Selection(table=table, round_index=record.n)
 
 
 def run_iteration(
     phi: Correspondence,
-    f0: Union[Selection, Mapping],
+    f0: TableLike,
     config: IterationConfig,
 ) -> SelectionSequence:
     """Execute all rounds and retain the evidence.
@@ -279,39 +320,37 @@ def run_iteration(
     round, every new separation member gets an anchored selection at rate
     ``alpha`` (failures name the anchor and round), a confinement radius,
     and the blend; the recorded ``sup_change`` is the realized displacement.
+    The anchored tables are dropped once their round is blended.
     """
     space = phi.space
-    if not isinstance(f0, Selection):
-        f0 = Selection(values={a: np.asarray(f0[a], dtype=float) for a in space.point_ids}, round_index=0)
-    missing = [a for a in space.point_ids if a not in f0.values]
-    if missing:
-        raise PreconditionError(f"f0 is not defined at {missing[:3]!r}")
-    for a in space.point_ids:
-        if not phi.body(a).contains(f0.values[a], max(config.tol, 1e-9)):
-            raise PreconditionError(f"f0 is not a selection of the correspondence at {a!r}")
+    f0 = Selection(table=as_table(f0, space, phi.ambient_dim), round_index=0)
+    outside = np.flatnonzero(~(phi.distances_to(f0.table) <= max(config.tol, 1e-9)))
+    if outside.size:
+        raise PreconditionError(
+            f"f0 is not a selection of the correspondence at {space.point_ids[outside[0]]!r}"
+        )
 
     hierarchy = build_separation_hierarchy(space, config.rounds)
     selections = [f0]
     rounds: List[RoundRecord] = []
-    prev_members: Tuple[PointId, ...] = ()
+    prev_members: set = set()
     f_prev = f0
     for sep_round in hierarchy.rounds:
         n = sep_round.n
         new_points = tuple(b for b in sep_round.members if b not in prev_members)
         deltas: Dict[PointId, float] = {}
-        locals_: Dict[PointId, Selection] = {}
+        anchored: Dict[PointId, np.ndarray] = {}
         for b in new_points:
             try:
-                g_table = local_strong_selection(
-                    phi, b, f_prev.values[b], rate=config.alpha, tol=config.tol
+                anchored[b] = local_strong_selection(
+                    phi, b, f_prev.table[space.index(b)], rate=config.alpha, tol=config.tol
                 )
                 deltas[b] = compute_delta(
-                    f_prev,
-                    g_table,
+                    f_prev.table,
+                    anchored[b],
                     b,
                     n,
                     config.epsilon,
-                    config.locality_radius(b),
                     space,
                     delta_min=config.delta_min,
                     tol=config.tol,
@@ -324,19 +363,17 @@ def run_iteration(
                     witness=exc.witness,
                     excess=exc.excess,
                 ) from exc
-            locals_[b] = Selection(values=g_table, round_index=n)
         record = RoundRecord(
             n=n,
             members=sep_round.members,
             new_points=new_points,
             deltas=deltas,
-            local_selections=locals_,
         )
-        f_next = blend_round(f_prev, record, space)
+        f_next = blend_round(f_prev, record, anchored, space)
         record.sup_change = f_next.sup_distance(f_prev)
         rounds.append(record)
         selections.append(f_next)
-        prev_members = sep_round.members
+        prev_members = set(sep_round.members)
         f_prev = f_next
     return SelectionSequence(
         correspondence=phi,
@@ -344,27 +381,6 @@ def run_iteration(
         hierarchy=hierarchy,
         selections=selections,
         rounds=rounds,
-    )
-
-
-@dataclass(frozen=True)
-class LimitSelection:
-    """Final selection together with its certified geometric tail bound."""
-
-    selection: Selection
-    tail_bound: float
-
-
-def limit_selection(seq: SelectionSequence, config: Optional[IterationConfig] = None) -> LimitSelection:
-    """Treat ``f_N`` as the limit: continuing the construction could move it
-    by at most ``sum_{j>N} 2^-j eps = 2^-N eps``."""
-    if not seq.rounds:
-        raise PreconditionError("sequence has no completed rounds")
-    cfg = config or seq.config
-    n_rounds = seq.rounds[-1].n
-    return LimitSelection(
-        selection=seq.final,
-        tail_bound=2.0 ** (-n_rounds) * cfg.epsilon,
     )
 
 
@@ -383,6 +399,10 @@ class RoundPropertiesReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks.values())
+
+
+def _rows(space: SampledMetricSpace, ids) -> List[int]:
+    return [space.index(a) for a in ids]
 
 
 def verify_round_properties(
@@ -405,24 +425,20 @@ def verify_round_properties(
         raise PreconditionError(f"round {n} was never executed")
     record = seq.rounds[n - 1]
     space = seq.space
-    phi = seq.correspondence
-    f_n = seq.selections[n]
-    f_prev = seq.selections[n - 1]
+    f_n = seq.selections[n].table
     report = RoundPropertiesReport(n=n)
 
-    worst_member = 0.0
-    worst_point = None
-    for a in space.point_ids:
-        dist = phi.body(a).distance_to(f_n.values[a])
-        if dist > worst_member:
-            worst_member, worst_point = dist, a
+    member = seq.correspondence.distances_to(f_n)
+    i = int(np.argmax(member))
+    worst_member = float(member[i])
+    worst_point = space.point_ids[i] if worst_member > 0.0 else None
     report.checks["selection_membership"] = CheckOutcome(
         passed=worst_member <= membership_tol,
         worst=worst_member,
         detail=f"max body distance {worst_member:.3e} at {worst_point!r}",
     )
 
-    sup_change = f_n.sup_distance(f_prev)
+    sup_change = seq.selections[n].sup_distance(seq.selections[n - 1])
     bound = 2.0 ** (-n) * seq.config.epsilon
     report.checks["sup_change_bound"] = CheckOutcome(
         passed=sup_change <= bound + bound_slack,
@@ -434,30 +450,26 @@ def verify_round_properties(
     worst_anchor = None
     for b in record.new_points:
         row = space.distance_row(b)
-        fb = f_n.values[b]
-        for i, a in enumerate(space.point_ids):
-            if row[i] <= record.deltas[b]:
-                excess = float(np.linalg.norm(fb - f_n.values[a])) - seq.config.alpha * float(row[i])
-                if excess > worst_excess:
-                    worst_excess, worst_anchor = excess, b
+        ball = row <= record.deltas[b]
+        excess = np.linalg.norm(f_n[ball] - f_n[space.index(b)], axis=1) - seq.config.alpha * row[ball]
+        if excess.max() > worst_excess:
+            worst_excess, worst_anchor = float(excess.max()), b
     report.checks["anchored_strong_bound"] = CheckOutcome(
         passed=worst_excess <= bound_slack,
         worst=worst_excess,
         detail=f"worst excess {worst_excess:.3e} (anchor {worst_anchor!r})",
     )
 
+    # a point protected by an anchor of round k must keep its row through
+    # f_k .. f_n; count (anchor, point) pairs that moved
     mismatches = 0
     radius = 2.0 ** (-n)
-    for k in range(1, n):
-        for b in seq.rounds[k - 1].members:
-            row = space.distance_row(b)
-            for i, a in enumerate(space.point_ids):
-                if row[i] < radius:
-                    reference = f_n.values[a]
-                    for j in range(k, n):
-                        if not np.array_equal(seq.selections[j].values[a], reference):
-                            mismatches += 1
-                            break
+    mat = space.distance_matrix()
+    moved = np.zeros(len(space), dtype=bool)
+    for k in range(n - 1, 0, -1):
+        moved |= np.any(seq.selections[k].table != f_n, axis=1)
+        protecting = np.count_nonzero(mat[_rows(space, seq.rounds[k - 1].members)] < radius, axis=0)
+        mismatches += int(protecting[moved].sum())
     report.checks["earlier_anchor_coincidence"] = CheckOutcome(
         passed=mismatches == 0,
         worst=float(mismatches),
@@ -487,14 +499,14 @@ def verify_sequence(
     (selection closure including ``f_0``, telescoped Cauchy bounds, anchors
     frozen after entry, disjoint supports)."""
     space = seq.space
-    phi = seq.correspondence
     round_reports = [verify_round_properties(seq, r.n, membership_tol, bound_slack) for r in seq.rounds]
     checks: Dict[str, CheckOutcome] = {}
 
-    worst = 0.0
-    for sel in seq.selections:
-        for a in space.point_ids:
-            worst = max(worst, phi.body(a).distance_to(sel.values[a]))
+    # the round reports already measured f_1 .. f_N
+    worst = max(
+        [float(seq.correspondence.distances_to(seq.selections[0].table).max())]
+        + [r.checks["selection_membership"].worst for r in round_reports]
+    )
     checks["selection_closure"] = CheckOutcome(
         passed=worst <= membership_tol,
         worst=worst,
@@ -515,11 +527,10 @@ def verify_sequence(
 
     frozen_violations = 0
     for record in seq.rounds:
-        for b in record.new_points:
-            entry_value = seq.selections[record.n].values[b]
-            for m in range(record.n + 1, len(seq.selections)):
-                if not np.array_equal(seq.selections[m].values[b], entry_value):
-                    frozen_violations += 1
+        rows = _rows(space, record.new_points)
+        entry = seq.selections[record.n].table[rows]
+        for later in seq.selections[record.n + 1 :]:
+            frozen_violations += int(np.count_nonzero(np.any(later.table[rows] != entry, axis=1)))
     checks["eventually_constant_anchors"] = CheckOutcome(
         passed=frozen_violations == 0,
         worst=float(frozen_violations),
@@ -527,12 +538,14 @@ def verify_sequence(
     )
 
     min_margin = math.inf
+    mat = space.distance_matrix()
     for record in seq.rounds:
-        pts = record.new_points
-        for i, b in enumerate(pts):
-            for c in pts[i + 1 :]:
-                margin = space.distance(b, c) - 2.0 * (record.deltas[b] + record.deltas[c])
-                min_margin = min(min_margin, margin)
+        rows = _rows(space, record.new_points)
+        deltas = np.array([record.deltas[b] for b in record.new_points])
+        i, j = np.triu_indices(len(rows), k=1)
+        if i.size:
+            margins = mat[rows][:, rows][i, j] - 2.0 * (deltas[i] + deltas[j])
+            min_margin = min(min_margin, float(margins.min()))
     checks["support_disjointness"] = CheckOutcome(
         passed=(min_margin is math.inf) or min_margin >= 0.0,
         worst=0.0 if min_margin is math.inf else float(min_margin),

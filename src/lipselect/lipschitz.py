@@ -21,7 +21,7 @@ an interval upgrade to a global Lipschitz bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -32,20 +32,10 @@ from .errors import (
     ResolutionError,
     ShapeError,
 )
-from .iteration import Selection
+from .iteration import TableLike, as_table
 from .metric import PointId, SampledMetricSpace
 
 DEFAULT_INFORMATIVE_COUNT = 3
-
-
-def _values_table(values: Union[Selection, Mapping], space: SampledMetricSpace) -> Dict[PointId, np.ndarray]:
-    table = values.values if isinstance(values, Selection) else values
-    out = {}
-    for a in space.point_ids:
-        if a not in table:
-            raise PreconditionError(f"function table is not defined at {a!r}")
-        out[a] = np.atleast_1d(np.asarray(table[a], dtype=float))
-    return out
 
 
 @dataclass(frozen=True)
@@ -69,7 +59,7 @@ class PlipProfile:
 
 
 def plip_profile(
-    values: Union[Selection, Mapping],
+    values: TableLike,
     space: SampledMetricSpace,
     b: PointId,
     radii: Sequence[float],
@@ -85,18 +75,16 @@ def plip_profile(
     raised.
     """
     radii = [float(r) for r in radii]
-    if not radii or any(r <= 0 for r in radii):
+    if not radii or not all(r > 0 for r in radii):
         raise PreconditionError("radii must be positive")
     if any(r1 <= r2 for r1, r2 in zip(radii, radii[1:])):
         raise PreconditionError("radii must be strictly decreasing")
     if informative_count < 1:
         raise ParameterError("informative_count must be at least 1")
-    table = _values_table(values, space)
-    dist_row = space.distance_row(b)
-    deviations = np.array(
-        [np.linalg.norm(table[b] - table[a]) for a in space.point_ids]
-    )
+    table = as_table(values, space)
     b_index = space.index(b)
+    dist_row = space.distance_row(b)
+    deviations = np.linalg.norm(table - table[b_index], axis=1)
     rows: List[Tuple[float, float]] = []
     informative: List[bool] = []
     for r in radii:
@@ -120,7 +108,7 @@ def plip_profile(
 
 
 def open_closed_consistency(
-    values: Union[Selection, Mapping],
+    values: TableLike,
     space: SampledMetricSpace,
     b: PointId,
     radii: Sequence[float],
@@ -176,12 +164,8 @@ class SphereTable:
         return self.directions.shape[0]
 
     @classmethod
-    def from_table(cls, space: SampledMetricSpace, values: Union[Selection, Mapping]) -> "SphereTable":
-        table = _values_table(values, space)
-        return cls(
-            directions=space.coords.copy(),
-            values=np.stack([table[a] for a in space.point_ids]),
-        )
+    def from_table(cls, space: SampledMetricSpace, values: TableLike) -> "SphereTable":
+        return cls(directions=space.coords.copy(), values=as_table(values, space).copy())
 
     def sup_norm(self) -> float:
         """Largest value norm over the sample (uniform norm of the table)."""
@@ -275,7 +259,6 @@ def verify_homogeneous_plip(
     m = table.directions.shape[1]
     gap = table.min_direction_gap()
     sphere_space = SampledMetricSpace(range(len(table)), "l2", coords=table.directions)
-    sphere_values = {i: table.values[i] for i in range(len(table))}
 
     rows: List[RayPlipRow] = []
     for k, scales in rays:
@@ -285,7 +268,7 @@ def verify_homogeneous_plip(
         if others.size:
             sphere_radii = sorted({float(r) for r in others[:informative_count]}, reverse=True)
             sphere_est = plip_profile(
-                sphere_values, sphere_space, k, sphere_radii, informative_count
+                table.values, sphere_space, k, sphere_radii, informative_count
             ).estimate
         else:
             sphere_est = 0.0
@@ -316,9 +299,7 @@ def verify_homogeneous_plip(
             probe_space = SampledMetricSpace(
                 range(len(coords)), "l2", coords=np.stack(coords)
             )
-            probe_values = {
-                i: homogeneous_extension(table, p) for i, p in enumerate(coords)
-            }
+            probe_values = np.array([homogeneous_extension(table, p) for p in coords])
             # one radius per level: the largest realized distance, so every
             # probe of the level (in particular the radial one) is in-ball
             dist0 = probe_space.distance_row(0)
@@ -410,7 +391,7 @@ class LipschitzUpgradeReport:
 
 
 def global_lipschitz_upgrade_check(
-    values: Union[Selection, Mapping],
+    values: TableLike,
     space: SampledMetricSpace,
     alpha: float,
     r0: float,
@@ -438,10 +419,9 @@ def global_lipschitz_upgrade_check(
         raise PreconditionError(
             f"grid spacing {max_gap} must be below the base radius {r0}"
         )
-    table = _values_table(values, space)
+    values_matrix = as_table(values, space)
     ids = space.point_ids
     n = len(ids)
-    values_matrix = np.stack([table[a] for a in ids])
     mat = space.distance_matrix()
 
     # sampled radii: dyadic from r0 plus every realized adjacent gap, so the

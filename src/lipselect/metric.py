@@ -21,6 +21,7 @@ from .errors import (
     IdentifierError,
     PreconditionError,
     SchemaError,
+    as_finite_array,
 )
 
 PointId = Hashable
@@ -75,7 +76,7 @@ class SampledMetricSpace:
                 raise ConfigurationError(
                     "metric kind 'explicit' requires a distance matrix"
                 )
-            mat = np.asarray(explicit_distances, dtype=float)
+            mat = as_finite_array(explicit_distances, "distance matrix")
             if mat.shape != (n, n):
                 raise SchemaError(
                     f"distance matrix shape {mat.shape} does not match {n} points"
@@ -85,10 +86,8 @@ class SampledMetricSpace:
             if np.any(np.diag(mat) != 0.0):
                 raise PreconditionError("d(a, a) must be zero for every point")
             off = mat[~np.eye(n, dtype=bool)]
-            if off.size and (np.any(off <= 0.0) or not np.all(np.isfinite(off))):
-                raise PreconditionError(
-                    "distances between distinct points must be finite and positive"
-                )
+            if np.any(off <= 0.0):
+                raise PreconditionError("distances between distinct points must be positive")
             self._coords = None
             self._matrix = mat
         else:
@@ -97,15 +96,10 @@ class SampledMetricSpace:
                     f"metric kind {metric_kind!r} requires point coordinates"
                 )
             if isinstance(coords, Mapping):
-                rows = [np.asarray(coords[a], dtype=float) for a in ids]
-            else:
-                rows = [np.asarray(row, dtype=float) for row in coords]
-                if len(rows) != n:
-                    raise SchemaError("coordinate rows do not match point count")
-            dims = {row.shape for row in rows}
-            if len(dims) != 1 or rows[0].ndim != 1:
-                raise SchemaError("all coordinates must be vectors of one dimension")
-            self._coords = np.stack(rows)
+                coords = [coords[a] for a in ids]
+            self._coords = as_finite_array(coords, "point coordinates").copy()
+            if self._coords.ndim != 2 or self._coords.shape[0] != n:
+                raise SchemaError(f"coordinates must be {n} vectors of one dimension")
             self._matrix = None
             # distinct ids must sit at distinct locations, else d(a,b) = 0;
             # lexicographic sort reduces the check to adjacent rows
@@ -225,15 +219,6 @@ class SampledMetricSpace:
         }
 
 
-def distance(space: SampledMetricSpace, a, b) -> float:
-    """Metric oracle d(a, b) of the sampled space."""
-    return space.distance(a, b)
-
-
-def ball_points(space: SampledMetricSpace, center, r: float, closed: bool = True) -> tuple:
-    return space.ball_points(center, r, closed=closed)
-
-
 def greedy_maximal_separation(space: SampledMetricSpace, r: float, seed: Iterable = ()) -> tuple:
     """Maximal ``r``-separation containing ``seed``, by greedy scan.
 
@@ -242,7 +227,7 @@ def greedy_maximal_separation(space: SampledMetricSpace, r: float, seed: Iterabl
     returned sorted by index, is an r-separation, and is maximal: every
     point of the space lies within distance < r of some member.
     """
-    if r <= 0:
+    if not r > 0:
         raise PreconditionError("separation radius must be positive")
     seed_rows = sorted(space.index(a) for a in set(seed))
     mat = space.distance_matrix()

@@ -25,16 +25,14 @@ def four_point_line():
 
 def segment_instance(n_points=201, rounds=4):
     """Inverse-image correspondence of [1 1] over a segment of codomain
-    values, with the least-norm selection as f0."""
+    values, with the least-norm selection as the f0 table."""
     T = ls.LinearSurjection([[1.0, 1.0]])
     ids = list(range(n_points))
     half = (n_points - 1) // 2
     coords = {i: [(i - half) / half] for i in ids}
     space = ls.SampledMetricSpace(ids, "l2", coords=coords)
     phi = ls.inverse_image_correspondence(T, space)
-    f0 = ls.Selection(
-        {a: T.minimum_norm_solution(space.coordinate(a)) for a in ids}, 0
-    )
+    f0 = np.array([T.minimum_norm_solution(space.coordinate(a)) for a in ids])
     config = ls.IterationConfig(alpha=2.0**-0.5, beta=1.0, rounds=rounds)
     return T, phi, f0, config
 
@@ -56,6 +54,6 @@ def moving_ball_instance(seed, n_points=257, rounds=4, dim=2):
         for i in ids
     }
     phi = ls.Correspondence(space, bodies, ambient_dim=dim)
-    f0 = ls.Selection({i: bodies[i].center.copy() for i in ids}, 0)
+    f0 = np.array([bodies[i].center for i in ids])
     config = ls.IterationConfig(alpha=0.25, beta=1.25, rounds=rounds)
     return phi, f0, config

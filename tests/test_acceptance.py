@@ -124,16 +124,15 @@ def test_criterion_3_selection_closure_and_tail(segment_run, ball_runs):
     ]:
         phi = seq.correspondence
         for sel in seq.selections:
-            for a in phi.space.point_ids:
-                if not phi.body(a).contains(sel.values[a], tol=1e-8):
+            for a, x in zip(phi.space.point_ids, sel.table):
+                if not phi.body(a).contains(x, tol=1e-8):
                     failures.append((tag, sel.round_index, a))
                     break
         audit = ls.verify_sequence(seq)
         if not audit.checks["telescoping"].passed:
             failures.append((tag, "telescoping"))
-        limit = ls.limit_selection(seq)
         n_rounds = seq.rounds[-1].n
-        if limit.tail_bound != 2.0 ** (-n_rounds) * seq.config.epsilon:
+        if seq.tail_bound != 2.0 ** (-n_rounds) * seq.config.epsilon:
             failures.append((tag, "tail_bound"))
         # recorded displacements telescope above the realized gap f_N vs f_n
         for n in range(len(seq.selections) - 1):
@@ -216,7 +215,7 @@ def test_criterion_6_right_inverse_suite(pipeline_runs):
             y = ri.sphere.coordinate(a)
             for lam in (0.5, 2.0, 10.0):
                 resid = float(
-                    np.linalg.norm(T.apply(ls.evaluate_right_inverse(ri, lam * y)) - lam * y)
+                    np.linalg.norm(T.apply(ri(lam * y)) - lam * y)
                 )
                 if resid > 1e-8:
                     failures.append((name, "identity", a, lam))

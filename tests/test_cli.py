@@ -127,6 +127,41 @@ class TestSelectAndVerify:
         code = main(["verify", "--correspondence", corr_path, "--sequence", seq_path])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: doc["config"].pop("rounds"),
+            lambda doc: doc["rounds"][0].pop("sup_change"),
+            lambda doc: doc["selections"][0].pop("round"),
+            lambda doc: doc["selections"][1]["values"]["0"].append(0.0),
+            lambda doc: [
+                sel["values"].update({k: [0.5 * sum(v)] for k, v in sel["values"].items()})
+                for sel in doc["selections"]
+            ],
+            lambda doc: [row.append(0.0) for sel in doc["selections"] for row in sel["values"].values()],
+        ],
+        ids=["config.rounds", "sup_change", "selection_round", "ragged_row", "narrow_rows", "wide_rows"],
+    )
+    def test_malformed_sequence_is_schema_error(self, tmp_path, corrupt):
+        corr_path, iter_path = segment_correspondence_docs(tmp_path)
+        out = tmp_path / "run.json"
+        main(["select", "--correspondence", corr_path, "--iteration", iter_path, "--out", str(out)])
+        seq_doc = json.loads(out.read_text())["sequence"]
+        corrupt(seq_doc)
+        seq_path = write_json(tmp_path / "seq.json", seq_doc)
+        assert main(["verify", "--correspondence", corr_path, "--sequence", seq_path]) == 2
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_f0_of_wrong_width_is_schema_error(self, tmp_path, width):
+        corr_path, iter_path = segment_correspondence_docs(tmp_path, n_points=5)
+        f0_path = write_json(
+            tmp_path / "f0.json", {"values": {str(i): [0.0] * width for i in range(5)}}
+        )
+        code = main(
+            ["select", "--correspondence", corr_path, "--iteration", iter_path, "--f0", f0_path]
+        )
+        assert code == 2
+
     def test_canonical_f0_default(self, tmp_path):
         corr_path, iter_path = segment_correspondence_docs(tmp_path)
         code = main(["select", "--correspondence", corr_path, "--iteration", iter_path])
@@ -278,16 +313,34 @@ class TestConfigMerging:
         assert main(["separate", "--config", str(config_path), "--r", "0.5"]) == 2
 
 
-class TestThreadCap:
-    def test_invalid_env_value(self, tmp_path, line_doc, monkeypatch):
-        monkeypatch.setenv("LIPSELECT_THREADS", "many")
-        assert main(["separate", "--space", line_doc, "--r", "0.5"]) == 3
+class TestNonFiniteInput:
+    """NaN and Infinity parse as JSON numbers in Python; every document
+    constructor rejects them with a documented exit code."""
 
-    def test_cap_recorded(self, tmp_path, line_doc, monkeypatch):
-        monkeypatch.setenv("LIPSELECT_THREADS", "2")
-        out = tmp_path / "report.json"
-        assert main(["separate", "--space", line_doc, "--r", "0.5", "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["threads"] == 2
+    def _select(self, tmp_path, space, body):
+        corr = write_json(
+            tmp_path / "corr.json",
+            {"space": space, "bodies": {str(i): body for i in range(len(space["points"]))}},
+        )
+        it = write_json(tmp_path / "it.json", {"alpha": 0.25, "beta": 1.25, "rounds": 2})
+        return main(["select", "--correspondence", corr, "--iteration", it])
+
+    def test_nan_coordinate(self, tmp_path, capsys):
+        space = {"metric": "l2", "points": [[0.0], [float("nan")], [1.0]]}
+        ball = {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}
+        assert self._select(tmp_path, space, ball) in (2, 3)
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_infinite_radius(self, tmp_path, capsys):
+        space = {"metric": "l2", "points": [[0.0], [1.0]]}
+        ball = {"kind": "ball", "center": [0.0, 0.0], "radius": float("inf")}
+        assert self._select(tmp_path, space, ball) in (2, 3)
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_nan_matrix(self, tmp_path, capsys):
+        matrix_path = write_json(tmp_path / "T.json", {"matrix": [[1.0, float("nan")]]})
+        assert main(["bartle-graves", "--matrix", matrix_path, "--beta", "2.0"]) in (2, 3)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestCanonicalJson:

@@ -157,9 +157,10 @@ class TestLocalStrongSelection:
         space = line_space([-1, 0, 1])
         phi = ls.inverse_image_correspondence(T_sum, space)
         g = ls.local_strong_selection(phi, 1, [0.5, 0.5], rate=SQRT_HALF)
-        np.testing.assert_allclose(g[0], [0.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(g[-1], [-0.5, -0.5], atol=1e-15)
-        np.testing.assert_array_equal(g[1], [0.5, 0.5])
+        # rows follow the point ids -1, 0, 1
+        np.testing.assert_allclose(g[1], [0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(g[0], [-0.5, -0.5], atol=1e-15)
+        np.testing.assert_array_equal(g[2], [0.5, 0.5])
 
     def test_constant_correspondence_identity(self):
         space = line_space([0, 0.5, 1.0])
@@ -167,27 +168,28 @@ class TestLocalStrongSelection:
         phi = ls.Correspondence(space, {a: ball for a in space.point_ids}, ambient_dim=2)
         y = np.array([0.25, 0.25])
         g = ls.local_strong_selection(phi, 0, y, rate=0.0)
-        for a in space.point_ids:
-            np.testing.assert_array_equal(g[a], y)
+        for row in g:
+            np.testing.assert_array_equal(row, y)
 
     def test_anchor_inside_moving_balls(self):
         space = line_space([-1, -0.5, 0, 0.5, 1])
         bodies = {a: ls.Ball([float(a), 0.0], 1.0) for a in space.point_ids}
         phi = ls.Correspondence(space, bodies, ambient_dim=2)
         g = ls.local_strong_selection(phi, 0, [0.0, 0.0], rate=1.0)
-        for a in space.point_ids:
-            np.testing.assert_array_equal(g[a], [0.0, 0.0])
+        for row in g:
+            np.testing.assert_array_equal(row, [0.0, 0.0])
 
     def test_strong_bound_invariants(self, T_sum):
         space = line_space([-1, -0.4, 0.2, 1])
         phi = ls.inverse_image_correspondence(T_sum, space)
         y = np.asarray(T_sum.minimum_norm_solution([0.2]))
         g = ls.local_strong_selection(phi, 0.2, y, rate=SQRT_HALF)
-        assert float(np.linalg.norm(g[0.2] - y)) <= 1e-12
-        for a in space.point_ids:
-            assert phi.body(a).contains(g[a], tol=1e-8)
+        anchor = g[space.index(0.2)]
+        assert float(np.linalg.norm(anchor - y)) <= 1e-12
+        for a, row in zip(space.point_ids, g):
+            assert phi.body(a).contains(row, tol=1e-8)
             bound = SQRT_HALF * space.distance(0.2, a) + 1e-9
-            assert np.linalg.norm(g[a] - g[0.2]) <= bound
+            assert np.linalg.norm(row - anchor) <= bound
 
     def test_rate_error_with_witness(self):
         space = line_space([0, 1.0])

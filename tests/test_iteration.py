@@ -11,6 +11,7 @@ from lipselect.errors import (
     InvariantViolationError,
     ParameterError,
     PreconditionError,
+    SchemaError,
 )
 
 from conftest import grid_space, line_space, moving_ball_instance, segment_instance
@@ -20,7 +21,7 @@ def constant_ball_run(rounds=3):
     space = line_space([0, 0.4, 0.8])
     ball = ls.Ball([1.0, 1.0], 0.5)
     phi = ls.Correspondence(space, {a: ball for a in space.point_ids}, ambient_dim=2)
-    f0 = ls.Selection({a: ball.center.copy() for a in space.point_ids}, 0)
+    f0 = np.tile(ball.center, (len(space), 1))
     config = ls.IterationConfig(alpha=0.0, beta=0.3, rounds=rounds)
     return phi, f0, config
 
@@ -67,33 +68,27 @@ def test_bump_weight_properties(delta, dist):
 class TestComputeDelta:
     def test_identical_tables_accept_immediately(self):
         space = line_space([0, 0.1, 0.2])
-        table = {a: np.zeros(2) for a in space.point_ids}
-        delta = ls.compute_delta(table, dict(table), 0, 2, 0.1, math.inf, space)
-        assert delta == min(2.0**-3, math.inf) / 2.0
+        table = np.zeros((3, 2))
+        delta = ls.compute_delta(table, table.copy(), 0, 2, 0.1, space)
+        assert delta == 2.0**-4
 
     def test_halving_trace(self):
         # 1-d grid with step 0.01 on [-0.5, 0.5]; ||f - g|| = d(a, b)
         ids = list(range(101))
         space = ls.SampledMetricSpace(ids, "l2", coords={i: [(i - 50) / 100.0] for i in ids})
         b = 50
-        f = {i: np.array([(i - 50) / 100.0]) for i in ids}
-        g = {i: np.zeros(1) for i in ids}
+        f = np.array([[(i - 50) / 100.0] for i in ids])
+        g = np.zeros((101, 1))
         # rejected at 0.125 (sup 0.24 >= 0.15), accepted at 0.0625 (sup 0.12)
-        delta = ls.compute_delta(f, g, b, 1, 0.3, math.inf, space)
+        delta = ls.compute_delta(f, g, b, 1, 0.3, space)
         assert delta == 0.0625
-
-    def test_locality_radius_caps_schedule(self):
-        space = line_space([0, 0.1])
-        table = {a: np.zeros(1) for a in space.point_ids}
-        delta = ls.compute_delta(table, dict(table), 0, 1, 0.3, 0.05, space)
-        assert delta == 0.025
 
     def test_two_point_vacuous_accept(self):
         # far-off mismatch is outside every shrinking ball: first radius wins
         space = line_space([0, 1.0])
-        f = {0: np.zeros(1), 1.0: np.zeros(1)}
-        g = {0: np.zeros(1), 1.0: np.ones(1)}
-        delta = ls.compute_delta(f, g, 0, 1, 1e-6, math.inf, space)
+        f = np.array([[0.0], [0.0]])
+        g = np.array([[0.0], [1.0]])
+        delta = ls.compute_delta(f, g, 0, 1, 1e-6, space)
         assert delta == 0.125
 
     def test_dense_cluster_degenerates(self):
@@ -102,68 +97,58 @@ class TestComputeDelta:
         coords = {0: [0.0]}
         coords.update({i: [10.0**-i] for i in range(1, 12)})
         space = ls.SampledMetricSpace(ids, "l2", coords=coords)
-        f = {i: np.zeros(1) for i in ids}
-        g = {i: np.ones(1) for i in ids}
-        g[0] = np.zeros(1)
+        f = np.zeros((12, 1))
+        g = np.ones((12, 1))
+        g[0] = 0.0
         with pytest.raises(DegenerateRadiusError):
-            ls.compute_delta(f, g, 0, 1, 0.3, math.inf, space, delta_min=1e-9)
+            ls.compute_delta(f, g, 0, 1, 0.3, space, delta_min=1e-9)
 
     def test_anchoring_precondition(self):
         space = line_space([0, 0.5])
-        f = {0: np.zeros(1), 0.5: np.zeros(1)}
-        g = {0: np.ones(1), 0.5: np.zeros(1)}
+        f = np.array([[0.0], [0.0]])
+        g = np.array([[1.0], [0.0]])
         with pytest.raises(PreconditionError):
-            ls.compute_delta(f, g, 0, 1, 0.3, math.inf, space)
+            ls.compute_delta(f, g, 0, 1, 0.3, space)
 
 
 class TestBlendRound:
-    def _record(self, space, b, delta, g_values, n=1):
-        return ls.RoundRecord(
-            n=n,
-            members=(b,),
-            new_points=(b,),
-            deltas={b: delta},
-            local_selections={b: ls.Selection(values=g_values, round_index=n)},
-        )
+    def _record(self, b, delta, n=1):
+        return ls.RoundRecord(n=n, members=(b,), new_points=(b,), deltas={b: delta})
 
     def test_outside_supports_identity(self):
         space = line_space([0, 1.0])
-        f_prev = ls.Selection({0: np.array([0.0, 0.0]), 1.0: np.array([5.0, 5.0])}, 0)
-        g = {0: np.array([0.0, 0.0]), 1.0: np.array([9.0, 9.0])}
-        out = ls.blend_round(f_prev, self._record(space, 0, 0.1, g), space)
-        assert out.values[1.0] is f_prev.values[1.0]
+        f_prev = ls.Selection(np.array([[0.0, 0.0], [5.0, 5.0]]), 0)
+        g = np.array([[0.0, 0.0], [9.0, 9.0]])
+        out = ls.blend_round(f_prev, self._record(0, 0.1), {0: g}, space)
+        assert out.table[1].tobytes() == f_prev.table[1].tobytes()
 
     def test_midpoint_convex_combination(self):
         # d(a, b) = 0.15, delta = 0.1 -> weight 0.5
         space = line_space([0, 0.15])
-        f_prev = ls.Selection({0: np.array([1.0, 0.0]), 0.15: np.array([0.0, 0.0])}, 0)
-        g = {0: np.array([1.0, 0.0]), 0.15: np.array([1.0, 0.0])}
-        out = ls.blend_round(f_prev, self._record(space, 0, 0.1, g), space)
-        np.testing.assert_allclose(out.values[0.15], [0.5, 0.0], atol=1e-15)
+        f_prev = ls.Selection(np.array([[1.0, 0.0], [0.0, 0.0]]), 0)
+        g = np.array([[1.0, 0.0], [1.0, 0.0]])
+        out = ls.blend_round(f_prev, self._record(0, 0.1), {0: g}, space)
+        np.testing.assert_allclose(out.table[1], [0.5, 0.0], atol=1e-15)
 
     def test_inner_ball_takes_anchored_value_exactly(self):
         space = line_space([0, 0.08])
-        f_prev = ls.Selection({0: np.array([1.0]), 0.08: np.array([2.0])}, 0)
-        g = {0: np.array([1.0]), 0.08: np.array([7.0])}
-        out = ls.blend_round(f_prev, self._record(space, 0, 0.1, g), space)
-        np.testing.assert_array_equal(out.values[0.08], [7.0])
+        f_prev = ls.Selection(np.array([[1.0], [2.0]]), 0)
+        g = np.array([[1.0], [7.0]])
+        out = ls.blend_round(f_prev, self._record(0, 0.1), {0: g}, space)
+        np.testing.assert_array_equal(out.table[1], [7.0])
 
     def test_overlapping_supports_detected(self):
         space = line_space([0, 0.1, 0.2])
-        f_prev = ls.Selection({a: np.zeros(1) for a in space.point_ids}, 0)
-        g = {a: np.ones(1) for a in space.point_ids}
+        f_prev = ls.Selection(np.zeros((3, 1)), 0)
+        g = np.ones((3, 1))
         record = ls.RoundRecord(
             n=1,
             members=(0, 0.2),
             new_points=(0, 0.2),
             deltas={0: 0.1, 0.2: 0.1},
-            local_selections={
-                0: ls.Selection(values=dict(g), round_index=1),
-                0.2: ls.Selection(values=dict(g), round_index=1),
-            },
         )
         with pytest.raises(InvariantViolationError):
-            ls.blend_round(f_prev, record, space)
+            ls.blend_round(f_prev, record, {0: g, 0.2: g}, space)
 
 
 class TestIterationConfig:
@@ -179,10 +164,12 @@ class TestIterationConfig:
         with pytest.raises(ParameterError):
             ls.IterationConfig(alpha=0.0, beta=0.3, epsilon=0.2)
 
-    def test_locality_radius_mapping(self):
-        config = ls.IterationConfig(alpha=0.0, beta=1.0, locality_radii={"b": 0.5})
-        assert config.locality_radius("b") == 0.5
-        assert config.locality_radius("c") == math.inf
+    def test_locality_radii_rejected(self):
+        # anchored selections are certified on the whole sample: no r_b knob
+        with pytest.raises(TypeError):
+            ls.IterationConfig(alpha=0.0, beta=1.0, locality_radii={"b": 0.5})
+        with pytest.raises(SchemaError):
+            ls.IterationConfig.from_json_dict({"alpha": 0.0, "beta": 1.0, "locality_radii": 0.5})
 
 
 class TestRunIteration:
@@ -192,25 +179,23 @@ class TestRunIteration:
         for record in seq.rounds:
             assert record.sup_change == 0.0
         for sel in seq.selections[1:]:
-            for a in phi.space.point_ids:
-                np.testing.assert_array_equal(sel.values[a], f0.values[a])
+            np.testing.assert_array_equal(sel.table, f0)
 
     def test_two_point_space_single_round(self):
         space = line_space([0, 1.0])
         bodies = {a: ls.Ball([float(a), 0.0], 2.0) for a in space.point_ids}
         phi = ls.Correspondence(space, bodies, ambient_dim=2)
-        f0 = ls.Selection({a: np.array([float(a), 0.0]) for a in space.point_ids}, 0)
+        f0 = np.array([[float(a), 0.0] for a in space.point_ids])
         config = ls.IterationConfig(alpha=1.0, beta=2.0, rounds=1)
         seq = ls.run_iteration(phi, f0, config)
         record = seq.rounds[0]
         assert set(record.new_points) == {0, 1.0}
-        f1 = seq.selections[1]
+        f1 = seq.selections[1].table
         for b in record.new_points:
-            for a in space.point_ids:
+            g = ls.local_strong_selection(phi, b, f0[space.index(b)], rate=1.0)
+            for i, a in enumerate(space.point_ids):
                 if space.distance(a, b) <= record.deltas[b]:
-                    np.testing.assert_array_equal(
-                        f1.values[a], record.local_selections[b].values[a]
-                    )
+                    np.testing.assert_array_equal(f1[i], g[i])
 
     def test_segment_instance_round_properties(self):
         _, phi, f0, config = segment_instance(n_points=101)
@@ -232,9 +217,7 @@ class TestRunIteration:
 
     def test_f0_must_be_selection(self):
         phi, f0, config = constant_ball_run()
-        bad = ls.Selection(
-            {a: np.array([9.0, 9.0]) for a in phi.space.point_ids}, 0
-        )
+        bad = ls.Selection(np.full((len(phi.space), 2), 9.0), 0)
         with pytest.raises(PreconditionError):
             ls.run_iteration(phi, bad, config)
 
@@ -244,15 +227,12 @@ class TestLimitSelection:
         phi, f0, config = constant_ball_run(rounds=4)
         config = ls.IterationConfig(alpha=0.0, beta=1.0, epsilon=0.3, rounds=4)
         seq = ls.run_iteration(phi, f0, config)
-        limit = ls.limit_selection(seq)
-        assert limit.tail_bound == pytest.approx(0.01875, abs=1e-15)
+        assert seq.tail_bound == pytest.approx(0.01875, abs=1e-15)
 
     def test_constant_sequence_limit_is_f0(self):
         phi, f0, config = constant_ball_run()
         seq = ls.run_iteration(phi, f0, config)
-        limit = ls.limit_selection(seq)
-        for a in phi.space.point_ids:
-            np.testing.assert_array_equal(limit.selection.values[a], f0.values[a])
+        np.testing.assert_array_equal(seq.final.table, f0)
 
 
 class TestVerifyRoundProperties:
@@ -267,15 +247,14 @@ class TestVerifyRoundProperties:
                 target = a
                 break
         assert target is not None
-        seq.selections[2].values[target] = seq.selections[2].values[target] + 1e-3
+        seq.selections[2].table[phi.space.index(target)] += 1e-3
         report = ls.verify_round_properties(seq, 2)
         assert not report.checks["earlier_anchor_coincidence"].passed
 
     def test_fault_injection_membership(self):
         phi, f0, config = constant_ball_run()
         seq = ls.run_iteration(phi, f0, config)
-        a = phi.space.point_ids[0]
-        seq.selections[1].values[a] = seq.selections[1].values[a] + np.array([10.0, 0.0])
+        seq.selections[1].table[0] += np.array([10.0, 0.0])
         report = ls.verify_round_properties(seq, 1)
         assert not report.checks["selection_membership"].passed
 
@@ -292,9 +271,10 @@ class TestSequenceInvariants:
         seq = ls.run_iteration(phi, f0, config)
         for record in seq.rounds:
             for b in record.new_points:
-                entry = seq.selections[record.n].values[b]
+                i = phi.space.index(b)
+                entry = seq.selections[record.n].table[i]
                 for later in seq.selections[record.n + 1 :]:
-                    np.testing.assert_array_equal(later.values[b], entry)
+                    np.testing.assert_array_equal(later.table[i], entry)
 
     def test_cauchy_telescoping(self):
         phi, f0, config = moving_ball_instance(seed=2, n_points=129, rounds=3)

@@ -33,22 +33,22 @@ def brute_force_is_maximal_separation(space, members, r):
 class TestDistance:
     def test_l2_pythagorean(self):
         space = ls.SampledMetricSpace(["a", "b"], "l2", coords={"a": [0, 0], "b": [3, 4]})
-        assert ls.distance(space, "a", "b") == 5.0
+        assert space.distance("a", "b") == 5.0
 
     def test_identity(self, four_point_line):
-        assert ls.distance(four_point_line, 0.6, 0.6) == 0.0
+        assert four_point_line.distance(0.6, 0.6) == 0.0
 
     def test_l1(self):
         space = ls.SampledMetricSpace(["a", "b"], "l1", coords={"a": [0, 0], "b": [3, 4]})
-        assert ls.distance(space, "a", "b") == 7.0
+        assert space.distance("a", "b") == 7.0
 
     def test_linf(self):
         space = ls.SampledMetricSpace(["a", "b"], "linf", coords={"a": [0, 0], "b": [3, 4]})
-        assert ls.distance(space, "a", "b") == 4.0
+        assert space.distance("a", "b") == 4.0
 
     def test_unknown_id(self, four_point_line):
         with pytest.raises(IdentifierError):
-            ls.distance(four_point_line, 0, "nope")
+            four_point_line.distance(0, "nope")
 
     def test_explicit_requires_matrix(self):
         with pytest.raises(ConfigurationError):
@@ -57,7 +57,7 @@ class TestDistance:
     def test_explicit_lookup(self):
         mat = [[0.0, 2.0], [2.0, 0.0]]
         space = ls.SampledMetricSpace([0, 1], "explicit", explicit_distances=mat)
-        assert ls.distance(space, 0, 1) == 2.0
+        assert space.distance(0, 1) == 2.0
 
     def test_explicit_asymmetric_rejected(self):
         with pytest.raises(PreconditionError):
@@ -75,14 +75,14 @@ class TestDistance:
 
 class TestBallPoints:
     def test_closed(self, four_point_line):
-        assert set(ls.ball_points(four_point_line, 0, 0.5, closed=True)) == {0, 0.3}
+        assert set(four_point_line.ball_points(0, 0.5, closed=True)) == {0, 0.3}
 
     def test_open_excludes_boundary(self, four_point_line):
-        assert set(ls.ball_points(four_point_line, 0, 0.3, closed=False)) == {0}
+        assert set(four_point_line.ball_points(0, 0.3, closed=False)) == {0}
 
     def test_radius_beyond_diameter(self, four_point_line):
         r = four_point_line.diameter() + 1.0
-        assert set(ls.ball_points(four_point_line, 0.6, r, closed=True)) == {0, 0.3, 0.6, 1.0}
+        assert set(four_point_line.ball_points(0.6, r, closed=True)) == {0, 0.3, 0.6, 1.0}
 
 
 class TestGreedySeparation:
