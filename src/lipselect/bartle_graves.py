@@ -61,9 +61,9 @@ def sphere_sample(m: int, count: int, seed: int = 0, dedup_tol: float = 1e-6) ->
         coords /= np.linalg.norm(coords, axis=1)[:, None]
     else:
         rng = np.random.default_rng(seed)
-        rows: List[np.ndarray] = []
-        attempts = 0
-        while len(rows) < count:
+        coords = np.empty((count, m))
+        drawn = attempts = 0
+        while drawn < count:
             attempts += 1
             if attempts > 100 * count:
                 raise ConfigurationError(
@@ -74,10 +74,13 @@ def sphere_sample(m: int, count: int, seed: int = 0, dedup_tol: float = 1e-6) ->
             if nrm == 0.0:
                 continue
             v = v / nrm
-            if any(np.linalg.norm(v - w) < dedup_tol for w in rows):
+            # chord lengths as row dot products, bitwise equal to the norm
+            # of each difference taken alone
+            gaps = coords[:drawn] - v
+            if np.any(np.sqrt(np.vecdot(gaps, gaps)) < dedup_tol):
                 continue
-            rows.append(v)
-        coords = np.stack(rows)
+            coords[drawn] = v
+            drawn += 1
     return SampledMetricSpace(range(len(coords)), "l2", coords=coords)
 
 
@@ -279,7 +282,7 @@ def verify_right_inverse(
                 HomogeneityRow(
                     direction_index=int(k),
                     scale=float(scale),
-                    exact=bool(np.array_equal(lhs, rhs)),
+                    exact=bool(np.all(lhs == rhs)),
                     max_abs_diff=float(np.max(np.abs(lhs - rhs))),
                     exact_coords=exact_coords,
                 )
@@ -296,7 +299,7 @@ def verify_right_inverse(
             if nrm < 1e-12:
                 continue
             u = blend / nrm
-            if any(np.array_equal(u, c) for c in coords):
+            if np.any(np.all(coords == u, axis=1)):
                 continue
             k = nearest_direction_index(ri.table, u)
             value = ri(u)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -59,19 +60,78 @@ EXIT_SCHEMA = 2
 EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
 
-_SCHEMA_ERRORS = (SchemaError, IdentifierError, ShapeError, ConfigurationError, json.JSONDecodeError)
+# an unreadable input or unwritable output path counts as a document problem
+_SCHEMA_ERRORS = (
+    SchemaError, IdentifierError, ShapeError, ConfigurationError,
+    json.JSONDecodeError, UnicodeDecodeError, OSError,
+)
 _INTERNAL_ERRORS = (ConvergenceError, DegenerateRadiusError, RateError, ResolutionError, InvariantViolationError)
 
 
 def _load_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+# -- option converters: a flag's text or a --config value to its type -------
+
+
+def _path(key, value) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(f"option {key!r} must be a path, got {value!r}")
+    return value
+
+
+def _real(key, value) -> float:
+    """A number, or a string that reads as one; booleans are not numbers
+    and non-finite values are a precondition error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise SchemaError(f"option {key!r} must be a number, got {value!r}")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from exc
+        number = float(value)
+    except ValueError:
+        raise SchemaError(f"option {key!r} must be a number, got {value!r}") from None
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParameterError(f"option {key!r} must be finite, got {value!r}")
+    return number
+
+
+def _count(key, value) -> int:
+    number = _real(key, value)
+    if number != int(number):
+        raise SchemaError(f"option {key!r} must be an integer, got {value!r}")
+    if number < 0:
+        raise ParameterError(f"option {key!r} must be nonnegative, got {value!r}")
+    return int(number)
+
+
+def _items(value) -> list:
+    """A comma-separated string or a JSON list; anything else is one item."""
+    if isinstance(value, str):
+        return value.split(",")
+    return value if isinstance(value, list) else [value]
+
+
+def _reals(key, value) -> list:
+    return [_real(key, x) for x in _items(value)]
+
+
+def _ids(key, value) -> list:
+    return [str(x) for x in _items(value)]
+
+
+# every option not listed here is a path
+_CONVERTERS = {
+    "r": _real, "beta": _real, "radii": _reals, "points": _ids,
+    "rounds": _count, "sphere_count": _count, "seed": _count,
+}
 
 
 def _merge_config(args: argparse.Namespace, keys) -> dict:
+    """Options from ``--config`` overridden by flags, each converted by the
+    converter of its key."""
     merged = {}
     if getattr(args, "config", None):
         doc = _load_json(args.config)
@@ -82,16 +142,16 @@ def _merge_config(args: argparse.Namespace, keys) -> dict:
                 raise SchemaError(f"unknown config key {key!r}")
             merged[key] = value
     for key in keys:
-        value = getattr(args, key.replace("-", "_"), None)
+        value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    return merged
+    return {key: _CONVERTERS.get(key, _path)(key, value) for key, value in merged.items()}
 
 
-def _emit(args, report: dict) -> None:
-    if args.out:
-        write_report(args.out, report)
-        print(f"report written to {args.out}")
+def _emit(out, report: dict) -> None:
+    if out:
+        write_report(out, report)
+        print(f"report written to {out}")
     else:
         sys.stdout.write(dumps_canonical(report))
 
@@ -103,7 +163,7 @@ def _cmd_separate(args) -> int:
     space = SampledMetricSpace.from_json_dict(_load_json(opts["space"]))
     report: dict = {"command": "separate"}
     if opts.get("rounds"):
-        hierarchy = build_separation_hierarchy(space, int(opts["rounds"]))
+        hierarchy = build_separation_hierarchy(space, opts["rounds"])
         report["hierarchy"] = hierarchy.to_json_dict()
         report["covering_radii"] = [
             covering_radius(space, rd.members) for rd in hierarchy.rounds
@@ -111,11 +171,11 @@ def _cmd_separate(args) -> int:
     else:
         if "r" not in opts:
             raise ParameterError("separate needs --r or --rounds")
-        members = greedy_maximal_separation(space, float(opts["r"]))
-        report["r"] = float(opts["r"])
+        members = greedy_maximal_separation(space, opts["r"])
+        report["r"] = opts["r"]
         report["B"] = list(members)
         report["covering_radius"] = covering_radius(space, members)
-    _emit(args, report)
+    _emit(opts.get("out"), report)
     return EXIT_OK
 
 
@@ -152,7 +212,7 @@ def _cmd_select(args) -> int:
         },
         "passed": audit.passed,
     }
-    _emit(args, report)
+    _emit(opts.get("out"), report)
     if opts.get("tables_dir"):
         tables_dir = Path(opts["tables_dir"])
         tables_dir.mkdir(parents=True, exist_ok=True)
@@ -172,13 +232,10 @@ def _cmd_plip(args) -> int:
     space = SampledMetricSpace.from_json_dict(_load_json(opts["space"]))
     values = table_from_dict(_load_json(opts["table"]), space)
     by_str = {str(a): a for a in space.point_ids}
-    if opts.get("radii"):
-        radii = [float(x) for x in str(opts["radii"]).split(",")]
-    else:
-        radii = list(default_radii(space))
+    radii = opts.get("radii") or list(default_radii(space))
     if opts.get("points"):
-        points = [by_str[p] for p in str(opts["points"]).split(",") if p in by_str]
-        unknown = [p for p in str(opts["points"]).split(",") if p not in by_str]
+        points = [by_str[p] for p in opts["points"] if p in by_str]
+        unknown = [p for p in opts["points"] if p not in by_str]
         if unknown:
             raise IdentifierError(f"unknown point id(s) {unknown!r}")
     else:
@@ -189,7 +246,7 @@ def _cmd_plip(args) -> int:
         "radii": radii,
         "estimates": {str(p.point): p.estimate for p in profiles},
     }
-    _emit(args, report)
+    _emit(opts.get("out"), report)
     if opts.get("profiles_csv"):
         Path(opts["profiles_csv"]).write_text(profile_csv_text(profiles), encoding="ascii")
         print(f"profiles written to {opts['profiles_csv']}")
@@ -205,10 +262,10 @@ def _cmd_bartle_graves(args) -> int:
     T = LinearSurjection.from_json_dict(_load_json(opts["matrix"]))
     ri = bg.build_right_inverse(
         T,
-        beta=float(opts["beta"]),
-        sphere_count=int(opts.get("sphere_count", 64)),
-        seed=int(opts.get("seed", 0)),
-        rounds=int(opts.get("rounds", 4)),
+        beta=opts["beta"],
+        sphere_count=opts.get("sphere_count", 64),
+        seed=opts.get("seed", 0),
+        rounds=opts.get("rounds", 4),
     )
     report_obj = bg.verify_right_inverse(ri)
     worst_id_row = max(report_obj.identity_rows, key=lambda r: r.residual)
@@ -268,7 +325,7 @@ def _cmd_bartle_graves(args) -> int:
         ],
         "passed": report_obj.passed,
     }
-    _emit(args, report)
+    _emit(opts.get("out"), report)
     if opts.get("tau_csv"):
         Path(opts["tau_csv"]).write_text(
             selection_csv_text(ri.sphere, ri.sequence.final.table), encoding="ascii"
@@ -305,7 +362,7 @@ def _cmd_verify(args) -> int:
         },
         "passed": audit.passed,
     }
-    _emit(args, report)
+    _emit(opts.get("out"), report)
     for r in audit.round_reports:
         print(f"round {r.n}: {'pass' if r.passed else 'FAIL'}")
     return EXIT_OK if audit.passed else EXIT_CHECK_FAILED
@@ -321,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("separate", help="maximal separations and hierarchies")
     p.add_argument("--config")
     p.add_argument("--space")
-    p.add_argument("--r", type=float)
-    p.add_argument("--rounds", type=int)
+    p.add_argument("--r")
+    p.add_argument("--rounds")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_separate)
 
@@ -348,10 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bartle-graves", help="homogeneous right-inverse pipeline")
     p.add_argument("--config")
     p.add_argument("--matrix")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--sphere-count", dest="sphere_count", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--beta")
+    p.add_argument("--rounds")
+    p.add_argument("--sphere-count", dest="sphere_count")
+    p.add_argument("--seed")
     p.add_argument("--tau-csv", dest="tau_csv")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_bartle_graves)

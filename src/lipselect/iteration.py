@@ -490,6 +490,34 @@ class SequenceReport:
         )
 
 
+def _metadata_problems(seq: SelectionSequence) -> List[str]:
+    """What a run of the engine on this space could not have stored: a
+    hierarchy other than the greedy one, ``new != B_n \\ B_(n-1)``, rounds
+    out of order or of another count than configured, and radii outside
+    the halving schedule ``[delta_min, 2^-(n+2)]``."""
+    problems = []
+    if seq.config.rounds != len(seq.rounds):
+        problems.append(f"config.rounds is {seq.config.rounds} but {len(seq.rounds)} rounds are stored")
+    # the greedy scan is deterministic, so the stored hierarchy must match
+    expected = build_separation_hierarchy(seq.space, len(seq.rounds)).rounds if seq.rounds else ()
+    if tuple(seq.hierarchy.rounds) != expected:
+        problems.append("hierarchy differs from the one recomputed from the space")
+    prev: set = set()
+    for pos, record in enumerate(seq.rounds, 1):
+        if record.n != pos:
+            problems.append(f"round {pos} is stored as round {record.n}")
+        if record.members != expected[pos - 1].members:
+            problems.append(f"round {pos}: B differs from the recomputed separation")
+        if record.new_points != tuple(b for b in record.members if b not in prev):
+            problems.append(f"round {pos}: new is not B_n minus B_(n-1)")
+        upper = 2.0 ** (-(pos + 2))
+        outside = [b for b, d in record.deltas.items() if not seq.config.delta_min <= d <= upper]
+        if outside:
+            problems.append(f"round {pos}: delta at {outside[0]!r} outside [delta_min, {upper}]")
+        prev = set(record.members)
+    return problems
+
+
 def verify_sequence(
     seq: SelectionSequence,
     membership_tol: float = 1e-8,
@@ -497,9 +525,14 @@ def verify_sequence(
 ) -> SequenceReport:
     """Whole-run audit: per-round properties plus the cross-round invariants
     (selection closure including ``f_0``, telescoped Cauchy bounds, anchors
-    frozen after entry, disjoint supports)."""
+    frozen after entry, stored metadata consistent with the space, disjoint
+    supports).  Rounds are audited by position; a stored round number that
+    differs fails the metadata check."""
     space = seq.space
-    round_reports = [verify_round_properties(seq, r.n, membership_tol, bound_slack) for r in seq.rounds]
+    round_reports = [
+        verify_round_properties(seq, n, membership_tol, bound_slack)
+        for n in range(1, len(seq.rounds) + 1)
+    ]
     checks: Dict[str, CheckOutcome] = {}
 
     # the round reports already measured f_1 .. f_N
@@ -535,6 +568,13 @@ def verify_sequence(
         passed=frozen_violations == 0,
         worst=float(frozen_violations),
         detail=f"{frozen_violations} anchor values moved after entry",
+    )
+
+    problems = _metadata_problems(seq)
+    checks["stored_metadata"] = CheckOutcome(
+        passed=not problems,
+        worst=float(len(problems)),
+        detail="; ".join(problems[:3]) or "hierarchy, rounds and radii match the space",
     )
 
     min_margin = math.inf

@@ -12,10 +12,12 @@ guarantees hold for all radii below a known threshold, which is what the
 schedules target.
 
 The module also houses the positively homogeneous extension of a function
-sampled on a unit sphere (nearest sampled direction off-sample), its
-pointwise-rate verification on rays, the Cantor function as an adversarial
-test corpus, and a chain-surrogate check that pointwise bounds on a grid of
-an interval upgrade to a global Lipschitz bound.
+sampled on a unit sphere (nearest sampled direction off-sample), which
+takes one vector or a ``(P, m)`` batch mapped row by row, its
+pointwise-rate verification on rays (all probes of a ray point evaluated in
+one batch), the Cantor function as an adversarial test corpus, and a
+chain-surrogate check that pointwise bounds on a grid of an interval
+upgrade to a global Lipschitz bound.
 """
 
 from __future__ import annotations
@@ -173,44 +175,37 @@ class SphereTable:
             raise ConfigurationError("sup norm of an empty sphere table")
         return float(np.linalg.norm(self.values, axis=1).max())
 
-    def min_direction_gap(self) -> float:
-        if len(self) < 2:
-            return 2.0
-        gap = np.inf
-        for i in range(len(self) - 1):
-            gap = min(
-                gap,
-                float(
-                    np.linalg.norm(self.directions[i + 1 :] - self.directions[i], axis=1).min()
-                ),
-            )
-        return float(gap)
 
-
-def nearest_direction_index(table: SphereTable, u) -> int:
-    """Index of the sampled direction closest (chord distance) to ``u``;
-    ties resolve to the first index, keeping evaluation deterministic."""
+def _vectors(table: SphereTable, z) -> np.ndarray:
+    """``z`` as one vector or a ``(P, m)`` batch in the table's dimension."""
     if not len(table):
         raise ConfigurationError("sphere table is empty")
-    u = np.asarray(u, dtype=float)
-    return int(np.argmin(np.linalg.norm(table.directions - u, axis=1)))
+    z = np.asarray(z, dtype=float)
+    m = table.directions.shape[1]
+    if z.ndim not in (1, 2) or z.shape[-1] != m:
+        raise ShapeError(f"argument must be a vector or a (P, {m}) batch, got shape {z.shape}")
+    return z
+
+
+def nearest_direction_index(table: SphereTable, u):
+    """Index of the sampled direction closest (chord distance) to ``u``, one
+    per row for a ``(P, m)`` batch; ties resolve to the first index,
+    keeping evaluation deterministic."""
+    u = _vectors(table, u)
+    k = np.argmin(np.linalg.norm(table.directions - u[..., None, :], axis=-1), axis=-1)
+    return int(k) if u.ndim == 1 else k
 
 
 def homogeneous_extension(table: SphereTable, z) -> np.ndarray:
     """``||z|| * f(z / ||z||)`` with ``f`` read off the nearest sampled
-    direction, and 0 at the origin."""
-    if not len(table):
-        raise ConfigurationError("sphere table is empty")
-    z = np.asarray(z, dtype=float)
-    if z.shape != (table.directions.shape[1],):
-        raise ShapeError(
-            f"argument must live in dimension {table.directions.shape[1]}"
-        )
-    nrm = float(np.linalg.norm(z))
-    if nrm == 0.0:
-        return np.zeros(table.values.shape[1])
-    k = nearest_direction_index(table, z / nrm)
-    return nrm * table.values[k]
+    direction, and 0 at the origin; a ``(P, m)`` batch maps row by row.
+
+    Norms are row dot products, bitwise equal to ``np.linalg.norm`` of each
+    row alone (a sum of squares along the axis is not)."""
+    z = _vectors(table, z)
+    nrm = np.sqrt(np.vecdot(z, z))[..., None]
+    k = nearest_direction_index(table, z / np.where(nrm > 0.0, nrm, 1.0))
+    return np.where(nrm > 0.0, nrm * table.values[k], 0.0)
 
 
 @dataclass(frozen=True)
@@ -248,23 +243,28 @@ def verify_homogeneous_plip(
     ``scale * direction`` the extension's estimate must stay within
     ``2 beta + sup_norm + tol``.  Probe points combine radial and axis
     displacements at radii small enough to stay inside the direction's
-    nearest-neighbor cell, where the guarantee applies.
+    nearest-neighbor cell, where the guarantee applies.  Each of the three
+    probe levels gives one closed-ball ratio, at the largest distance the
+    level realizes, so every probe of the level (the radial one in
+    particular) is in the ball.
     """
     if beta < 0:
         raise ParameterError("beta must be nonnegative")
-    if not len(table):
-        raise ConfigurationError("sphere table is empty")
+    if informative_count < 1:
+        raise ParameterError("informative_count must be at least 1")
     sup = table.sup_norm()
     bound = 2.0 * beta + sup + tol
-    m = table.directions.shape[1]
-    gap = table.min_direction_gap()
-    sphere_space = SampledMetricSpace(range(len(table)), "l2", coords=table.directions)
+    directions = table.directions
+    m = directions.shape[1]
+    sphere_space = SampledMetricSpace(range(len(table)), "l2", coords=directions)
+    mat = sphere_space.distance_matrix()
+    gap = float(np.min(mat, where=~np.eye(len(table), dtype=bool), initial=np.inf))
+    levels = (2.0 ** -np.arange(3.0))[:, None, None]
 
     rows: List[RayPlipRow] = []
     for k, scales in rays:
         k = int(k)
-        dist_row = sphere_space.distance_row(k)
-        others = np.sort(dist_row[dist_row > 0])
+        others = np.sort(mat[k][mat[k] > 0])
         if others.size:
             sphere_radii = sorted({float(r) for r in others[:informative_count]}, reverse=True)
             sphere_est = plip_profile(
@@ -272,54 +272,31 @@ def verify_homogeneous_plip(
             ).estimate
         else:
             sphere_est = 0.0
+        # radial displacements realize the norm variation exactly; axis
+        # displacements probe the transversal behavior
+        probe_dirs = np.vstack([directions[k], -directions[k], np.eye(m), -np.eye(m)])
         for scale in scales:
             scale = float(scale)
             if scale <= 0:
                 raise ParameterError("ray scales must be positive")
-            z = scale * table.directions[k]
-            z_norm = float(np.linalg.norm(z))
-            # radial displacements realize the norm variation exactly; axis
-            # displacements probe the transversal behavior.  Radii stay well
-            # inside the direction's nearest-neighbor cell.
-            probe_dirs = [table.directions[k], -table.directions[k]]
-            probe_dirs.extend(np.eye(m))
-            probe_dirs.extend(-np.eye(m))
-            base_r = z_norm * min(0.125, gap / 4.0)
-            coords: List[np.ndarray] = [z]
-            level_slices = []
-            for level in range(3):
-                r = base_r * 2.0 ** (-level)
-                start = len(coords)
-                for u in probe_dirs:
-                    p = z + r * u
-                    if any(np.array_equal(p, q) for q in coords):
-                        continue
-                    coords.append(p)
-                level_slices.append((start, len(coords)))
-            probe_space = SampledMetricSpace(
-                range(len(coords)), "l2", coords=np.stack(coords)
-            )
-            probe_values = np.array([homogeneous_extension(table, p) for p in coords])
-            # one radius per level: the largest realized distance, so every
-            # probe of the level (in particular the radial one) is in-ball
-            dist0 = probe_space.distance_row(0)
-            radii = sorted(
-                {
-                    float(dist0[start:end].max())
-                    for start, end in level_slices
-                    if end > start
-                },
-                reverse=True,
-            )
-            ext_est = plip_profile(
-                probe_values, probe_space, 0, radii, informative_count
-            ).estimate
+            z = scale * directions[k]
+            base_r = float(np.linalg.norm(z)) * min(0.125, gap / 4.0)
+            probes = z + (base_r * levels) * probe_dirs
+            values = homogeneous_extension(table, np.vstack([z, probes.reshape(-1, m)]))
+            dist = np.linalg.norm(probes - z, axis=-1).reshape(-1)
+            dev = np.linalg.norm(values[1:] - values[0], axis=-1)
+            # a probe that rounds onto z holds no information
+            radii = np.array(sorted({float(r) for r in dist.reshape(3, -1).max(axis=1) if r > 0}, reverse=True))
+            if not radii.size:
+                raise ResolutionError(f"every probe of ray point {scale} * direction {k} rounds onto it")
+            ratios = np.where(dist <= radii[:, None], dev, 0.0).max(axis=1) / radii
+            ext_est = float(ratios[-informative_count:].max())
             rows.append(
                 RayPlipRow(
                     direction_index=k,
                     scale=scale,
                     sphere_estimate=float(sphere_est),
-                    extension_estimate=float(ext_est),
+                    extension_estimate=ext_est,
                     bound=bound,
                     passed=bool(sphere_est <= beta + tol and ext_est <= bound),
                 )

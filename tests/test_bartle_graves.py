@@ -69,6 +69,22 @@ class TestSphereSample:
         with pytest.raises(ParameterError):
             ls.sphere_sample(2, 1)
 
+    @pytest.mark.parametrize("m, count, dedup_tol", [(3, 64, 1e-6), (3, 40, 0.35), (4, 30, 0.6)])
+    def test_dedup_matches_the_per_pair_rule(self, m, count, dedup_tol):
+        """The batched dedup takes every decision of the rule it replaced: a
+        draw is skipped iff some earlier direction lies within ``dedup_tol``
+        (the coarse tolerances force many skips)."""
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            rows = []
+            while len(rows) < count:
+                v = rng.normal(size=m)
+                v = v / np.linalg.norm(v)
+                if not any(np.linalg.norm(v - w) < dedup_tol for w in rows):
+                    rows.append(v)
+            got = ls.sphere_sample(m, count, seed=seed, dedup_tol=dedup_tol).coords
+            assert got.tobytes() == np.stack(rows).tobytes()
+
 
 class TestBuildRightInverse:
     def test_identity_pipeline(self):

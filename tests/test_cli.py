@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import lipselect as ls
 from lipselect.cli import main
@@ -150,6 +154,42 @@ class TestSelectAndVerify:
         corrupt(seq_doc)
         seq_path = write_json(tmp_path / "seq.json", seq_doc)
         assert main(["verify", "--correspondence", corr_path, "--sequence", seq_path]) == 2
+
+    @pytest.mark.parametrize(
+        "forge",
+        [
+            lambda doc: (
+                doc["config"].update(rounds=99),
+                doc["hierarchy"].update(rounds=doc["hierarchy"]["rounds"][:1]),
+            ),
+            lambda doc: [
+                (rd.update(B=[], new=[], deltas={}), hrd.update(B=[]))
+                for rd, hrd in zip(doc["rounds"], doc["hierarchy"]["rounds"])
+            ]
+            + [sel.update(values=doc["selections"][0]["values"]) for sel in doc["selections"]],
+            lambda doc: doc["rounds"][1]["deltas"].pop(str(doc["rounds"][1]["new"].pop(0))),
+            lambda doc: doc["rounds"][0]["deltas"].update(
+                {k: 1.0 for k in doc["rounds"][0]["deltas"]}
+            ),
+            lambda doc: [rd.update(n=4 - rd["n"]) for rd in doc["rounds"]],
+        ],
+        ids=["rounds_99_one_round_hierarchy", "emptied_hierarchy", "anchor_left_out_of_new", "delta_too_large", "rounds_reversed"],
+    )
+    def test_forged_metadata_fails(self, tmp_path, forge):
+        corr_path, iter_path = segment_correspondence_docs(tmp_path)
+        out = tmp_path / "run.json"
+        main(["select", "--correspondence", corr_path, "--iteration", iter_path, "--out", str(out)])
+        report = json.loads(out.read_text())
+        assert report["checks"]["stored_metadata"] == {"passed": True, "worst": 0.0}
+        seq_doc = report["sequence"]
+        forge(seq_doc)
+        seq_path = write_json(tmp_path / "seq.json", seq_doc)
+        verify_out = tmp_path / "verify.json"
+        code = main(
+            ["verify", "--correspondence", corr_path, "--sequence", seq_path, "--out", str(verify_out)]
+        )
+        assert code == 1
+        assert json.loads(verify_out.read_text())["sequence_checks"]["stored_metadata"]["passed"] is False
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_f0_of_wrong_width_is_schema_error(self, tmp_path, width):
@@ -308,9 +348,62 @@ class TestConfigMerging:
         report = json.loads(out.read_text())
         assert report["r"] == 0.5  # flag overrides config file
 
+    def test_config_out_and_unreadable_config(self, tmp_path, line_doc):
+        out = tmp_path / "report.json"
+        config_path = write_json(tmp_path / "cfg.json", {"space": line_doc, "r": 0.5, "out": str(out)})
+        assert main(["separate", "--config", config_path]) == 0
+        assert json.loads(out.read_text())["B"] == [0, 2]
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe\x00")
+        assert main(["separate", "--config", str(binary)]) == 2
+        assert main(["separate", "--space", line_doc, "--r", "0.5", "--out", str(tmp_path)]) == 2
+
     def test_unknown_config_key(self, tmp_path, line_doc):
         config_path = write_json(tmp_path / "cfg.json", {"space": line_doc, "bogus": 1})
         assert main(["separate", "--config", str(config_path), "--r", "0.5"]) == 2
+
+
+@pytest.mark.parametrize(
+    "verb, options, expected",
+    [
+        ("bartle-graves", {"beta": "abc"}, 2),
+        ("bartle-graves", {"sphere_count": [1]}, 2),
+        ("bartle-graves", {"beta": True}, 2),
+        ("bartle-graves", {"rounds": 2.5}, 2),
+        ("bartle-graves", {"beta": float("nan")}, 3),
+        ("bartle-graves", {"seed": -1}, 3),
+        ("bartle-graves", {"rounds": float("inf")}, 3),
+        ("separate", {"r": "x"}, 2),
+        ("separate", {"r": float("inf")}, 3),
+        ("separate", {"rounds": "2"}, 0),
+        ("plip", {"radii": "a,b"}, 2),
+        ("plip", {"radii": [0.5, "nan"]}, 3),
+        ("plip", {"radii": [0.5, 0.25], "points": [0, 1]}, 0),
+    ],
+)
+def test_numeric_options_convert_in_one_place(tmp_path, capsys, verb, options, expected):
+    """Numeric options arrive as flag text or as ``--config`` values and go
+    through one converter per key: non-numbers are schema errors (2),
+    non-finite or negative counts precondition errors (3)."""
+    space = write_json(tmp_path / "space.json", FOUR_POINT_LINE)
+    base = {
+        "bartle-graves": {"matrix": write_json(tmp_path / "T.json", {"matrix": [[1.0, 1.0]]}), "beta": 1.0},
+        "separate": {"space": space, "r": 0.5},
+        "plip": {
+            "space": space,
+            "table": write_json(tmp_path / "t.json", {"values": {str(i): [0.0] for i in range(4)}}),
+        },
+    }[verb]
+    config = write_json(tmp_path / "cfg.json", {**base, **options})
+    assert main([verb, "--config", config, "--out", str(tmp_path / "out.json")]) == expected
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_flag_text_goes_through_the_same_converter(tmp_path):
+    space = write_json(tmp_path / "space.json", FOUR_POINT_LINE)
+    table = write_json(tmp_path / "t.json", {"values": {str(i): [0.0] for i in range(4)}})
+    assert main(["plip", "--space", space, "--table", table, "--radii", "a,b"]) == 2
+    assert main(["separate", "--space", space, "--r", "inf"]) == 3
 
 
 class TestNonFiniteInput:
@@ -354,3 +447,70 @@ class TestCanonicalJson:
     def test_non_finite_rejected(self):
         with pytest.raises(ls.SchemaError):
             dumps_canonical({"x": float("nan")})
+
+
+# any JSON value that asks for no large sample: numbers at most 64, short
+# strings without path separators (relative paths stay in the work dir)
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(max_value=64)
+    | st.floats(max_value=64)
+    | st.text(alphabet="ab01.,-", max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+
+VERB_KEYS = {
+    "separate": ("space", "r", "rounds", "out"),
+    "select": ("correspondence", "iteration", "f0", "out", "tables_dir"),
+    "plip": ("space", "table", "points", "radii", "out", "profiles_csv"),
+    "bartle-graves": ("matrix", "beta", "rounds", "sphere_count", "seed", "out", "tau_csv"),
+    "verify": ("correspondence", "sequence", "out"),
+}
+
+
+@pytest.fixture(scope="module")
+def valid_configs(tmp_path_factory):
+    """A working ``--config`` document per verb, by absolute paths."""
+    root = tmp_path_factory.mktemp("fuzz")
+    space = write_json(root / "space.json", FOUR_POINT_LINE)
+    corr, it = segment_correspondence_docs(root, n_points=9)
+    assert main(["select", "--correspondence", corr, "--iteration", it, "--out", str(root / "run.json")]) == 0
+    sequence = write_json(root / "seq.json", json.loads((root / "run.json").read_text())["sequence"])
+    return root, {
+        "separate": {"space": space, "r": 0.5},
+        "select": {"correspondence": corr, "iteration": it},
+        "plip": {
+            "space": space,
+            "table": write_json(root / "t.json", {"values": {str(i): [i * 0.5] for i in range(4)}}),
+        },
+        "bartle-graves": {
+            "matrix": write_json(root / "T.json", {"matrix": [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]}),
+            "beta": 2.0,
+            "sphere_count": 8,
+            "rounds": 2,
+        },
+        "verify": {"correspondence": corr, "sequence": sequence},
+    }
+
+
+@seed(11)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_config_document_ends_in_a_documented_exit_code(valid_configs, data):
+    root, configs = valid_configs
+    verb = data.draw(st.sampled_from(sorted(VERB_KEYS)))
+    changes = data.draw(st.dictionaries(st.sampled_from(VERB_KEYS[verb]), JSON_VALUES, max_size=3))
+    config = write_json(root / "cfg.json", {**configs[verb], **changes})
+    # relative output paths land in a scratch directory
+    work = root / "work"
+    work.mkdir(exist_ok=True)
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([verb, "--config", config])
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2, 3, 4)

@@ -175,7 +175,101 @@ class TestHomogeneousExtension:
         assert ls.lipschitz.nearest_direction_index(table, [0.0, 1.0]) == 0
 
 
+def extension_at(table, z):
+    """One vector through the extension's defining formula."""
+    nrm = float(np.linalg.norm(z))
+    if nrm == 0.0:
+        return np.zeros(table.values.shape[1])
+    return nrm * table.values[int(np.argmin(np.linalg.norm(table.directions - z / nrm, axis=1)))]
+
+
+class TestBatchedExtension:
+    def _tables(self):
+        rng = np.random.default_rng(6)
+        # octahedron: (1, 1, 0) / sqrt(2) is equidistant from e1 and e2
+        directions = np.vstack([np.eye(3), -np.eye(3)])
+        yield ls.SphereTable(directions, rng.normal(size=(6, 4))), [0.5**0.5, 0.5**0.5, 0.0]
+        yield ls.SphereTable(np.array([[1.0, 0.0], [-1.0, 0.0], [0.6, 0.8]]), rng.normal(size=(3, 2))), [0.0, -1.0]
+
+    def test_batch_equals_row_by_row(self):
+        rng = np.random.default_rng(7)
+        for table, tie in self._tables():
+            m = table.directions.shape[1]
+            z = np.vstack([rng.normal(size=(20, m)) * 10.0 ** rng.uniform(-3, 3, size=(20, 1)), np.zeros(m), tie])
+            out = ls.homogeneous_extension(table, z)
+            assert out.tobytes() == np.array([extension_at(table, row) for row in z]).tobytes()
+            rows = np.array([ls.homogeneous_extension(table, row) for row in z])
+            assert out.tobytes() == rows.tobytes()
+            k = ls.lipschitz.nearest_direction_index(table, z)
+            assert k.tolist() == [ls.lipschitz.nearest_direction_index(table, row) for row in z]
+            assert k[-1] == 0  # the tie resolves to the first index
+            assert np.all(out[-2] == 0.0) and not np.signbit(out[-2]).any()
+
+    def test_shape_guard(self):
+        for table, _ in self._tables():
+            m = table.directions.shape[1]
+            for bad in (np.ones((2, m + 1)), np.ones((2, 2, m)), np.ones(m - 1)):
+                with pytest.raises(ShapeError):
+                    ls.homogeneous_extension(table, bad)
+                with pytest.raises(ShapeError):
+                    ls.lipschitz.nearest_direction_index(table, bad)
+
+
+def reference_ray_rows(table, beta, rays, tol=1e-9, informative_count=3):
+    """The probe construction point by point: deduplicated probe points, a
+    metric space over them and a ratio profile per ray point."""
+    d = table.directions
+    m = d.shape[1]
+    gap = min(float(np.linalg.norm(d[i + 1 :] - d[i], axis=1).min()) for i in range(len(d) - 1))
+    sphere_space = ls.SampledMetricSpace(range(len(d)), "l2", coords=d)
+    bound = 2.0 * beta + table.sup_norm() + tol
+    rows = []
+    for k, scales in rays:
+        dist_row = sphere_space.distance_row(k)
+        others = np.sort(dist_row[dist_row > 0])
+        radii = sorted({float(r) for r in others[:informative_count]}, reverse=True)
+        sphere_est = ls.plip_profile(table.values, sphere_space, k, radii, informative_count).estimate
+        for scale in scales:
+            z = scale * d[k]
+            base_r = float(np.linalg.norm(z)) * min(0.125, gap / 4.0)
+            coords, slices = [z], []
+            for level in range(3):
+                start = len(coords)
+                for u in [d[k], -d[k], *np.eye(m), *-np.eye(m)]:
+                    p = z + base_r * 2.0 ** (-level) * u
+                    if not any(np.array_equal(p, q) for q in coords):
+                        coords.append(p)
+                slices.append((start, len(coords)))
+            probe_space = ls.SampledMetricSpace(range(len(coords)), "l2", coords=np.stack(coords))
+            values = np.array([extension_at(table, p) for p in coords])
+            dist0 = probe_space.distance_row(0)
+            radii = sorted({float(dist0[a:b].max()) for a, b in slices if b > a}, reverse=True)
+            ext_est = ls.plip_profile(values, probe_space, 0, radii, informative_count).estimate
+            passed = sphere_est <= beta + tol and ext_est <= bound
+            rows.append((k, scale, sphere_est, ext_est, bound, passed))
+    return rows
+
+
 class TestVerifyHomogeneousPlip:
+    @pytest.mark.parametrize("case", ["grid8", "random3"])
+    def test_rows_equal_the_point_by_point_reference(self, case):
+        rng = np.random.default_rng(8)
+        if case == "grid8":
+            # axis directions: the radial probe coincides with an axis probe
+            directions = ls.sphere_sample(2, 8).coords
+            values = np.stack([directions[:, 1], directions[:, 0] ** 2, np.abs(directions[:, 0])], axis=1)
+        else:
+            directions = ls.sphere_sample(3, 40, seed=2).coords
+            values = rng.normal(size=(40, 4))
+        table = ls.SphereTable(directions, values)
+        rays = [(k, (0.5, 1.0, 3.7, 10.0)) for k in range(0, len(directions), 3)]
+        report = ls.verify_homogeneous_plip(table, 1.5, rays)
+        got = [
+            (r.direction_index, r.scale, r.sphere_estimate, r.extension_estimate, r.bound, r.passed)
+            for r in report.rows
+        ]
+        assert got == reference_ray_rows(table, 1.5, rays)
+
     def _grid_table(self, values_fn, count=16):
         angles = 2.0 * np.pi * np.arange(count) / count
         directions = np.stack([np.cos(angles), np.sin(angles)], axis=1)
