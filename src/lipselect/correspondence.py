@@ -10,6 +10,11 @@ anchor value onto each body yields a selection that is anchored at ``y``
 and strongly pointwise Lipschitz at ``b`` -- the constructive substitute
 for an abstract selection theorem, exact for the supported body classes.
 
+Bodies are stacked once per kind and shape when the correspondence is
+built, so :meth:`Correspondence.project_all` projects one point onto every
+value, and :meth:`Correspondence.distances_to` measures a whole table
+against the values, in one kernel call per stack.
+
 The inverse-image correspondence of a full-row-rank linear map realizes
 this structure with parallel affine flats.
 """
@@ -21,7 +26,7 @@ from typing import Dict, Mapping
 
 import numpy as np
 
-from .convex import AffineFlat, ConvexBody
+from .convex import AffineFlat, ConvexBody, stack_bodies, stack_key
 from .errors import (
     PreconditionError,
     RankDeficiencyError,
@@ -114,10 +119,31 @@ class Correspondence:
         self.space = space
         self.bodies: Dict[PointId, ConvexBody] = {a: bodies[a] for a in space.point_ids}
         self.ambient_dim = int(ambient_dim)
+        values = list(self.bodies.values())
+        groups: Dict[tuple, list] = {}
+        for i, body in enumerate(values):
+            groups.setdefault(stack_key(body), []).append(i)
+        # (row indices, kind, stack) per kind and shape, in order of first row
+        self._stacks = [
+            (np.array(rows), key[0], stack_bodies([values[i] for i in rows]))
+            for key, rows in groups.items()
+        ]
 
     def body(self, a) -> ConvexBody:
         self.space.index(a)  # raises IdentifierError for unknown ids
         return self.bodies[a]
+
+    def project_all(self, y) -> np.ndarray:
+        """Projection of ``y`` onto every body, one row per point in
+        ``space.point_ids`` order."""
+        y = np.asarray(y, dtype=float)
+        if y.shape != (self.ambient_dim,):
+            raise ShapeError(f"expected a vector of dimension {self.ambient_dim}, got shape {y.shape}")
+        ys = np.broadcast_to(y, (len(self.space), self.ambient_dim))
+        out = np.empty(ys.shape)
+        for rows, kind, stack in self._stacks:
+            out[rows] = kind.project_stack(stack, ys[rows])
+        return out
 
     def distances_to(self, table) -> np.ndarray:
         """Distance from row ``i`` of the ``(N, d)`` table to the body at
@@ -128,7 +154,10 @@ class Correspondence:
                 f"expected a ({len(self.space)}, {self.ambient_dim}) table, "
                 f"got shape {table.shape}"
             )
-        return np.array([body.distance_to(row) for body, row in zip(self.bodies.values(), table)])
+        out = np.empty(len(table))
+        for rows, kind, stack in self._stacks:
+            out[rows] = kind.distance_stack(stack, table[rows])
+        return out
 
     def to_json_dict(self) -> dict:
         # the space schema carries no ids, so bodies are keyed by position
@@ -145,12 +174,8 @@ class Correspondence:
         if not isinstance(doc, dict) or "space" not in doc or "bodies" not in doc:
             raise SchemaError("correspondence document needs 'space' and 'bodies'")
         space = SampledMetricSpace.from_json_dict(doc["space"])
-        table = {}
-        for a in space.point_ids:
-            key = str(a)
-            if key not in doc["bodies"]:
-                raise SchemaError(f"bodies table is missing point {key}")
-            table[a] = ConvexBody.from_json_dict(doc["bodies"][key])
+        entries = space.keyed_entries(doc["bodies"], "bodies table")
+        table = {a: ConvexBody.from_json_dict(e) for a, e in zip(space.point_ids, entries)}
         dims = {b.dim for b in table.values()}
         if len(dims) != 1:
             raise SchemaError("bodies do not share one ambient dimension")
@@ -208,7 +233,7 @@ def check_lower_ptlip(
     y = np.asarray(y, dtype=float)
     if not phi.body(b).contains(y, tol):
         raise PreconditionError(f"anchor value is not in the body at {b!r}")
-    dist = np.array([body.distance_to(y) for body in phi.bodies.values()])
+    dist = phi.distances_to(np.broadcast_to(y, (len(phi.space), phi.ambient_dim)))
     slack = dist - rate * phi.space.distance_row(b)
     i = int(np.argmax(slack))
     return LowerPtlipCheck(
@@ -239,7 +264,7 @@ def local_strong_selection(
     y = np.asarray(y, dtype=float)
     if not phi.body(b).contains(y, tol):
         raise PreconditionError(f"anchor value is not in the body at {b!r}")
-    table = np.array([body.project(y) for body in phi.bodies.values()])
+    table = phi.project_all(y)
     excess = np.linalg.norm(table - y, axis=1) - rate * phi.space.distance_row(b)
     i = int(np.argmax(excess))
     if excess[i] > tol:

@@ -91,15 +91,7 @@ def table_from_dict(doc, space: SampledMetricSpace, dim: Optional[int] = None) -
     required row width."""
     if not isinstance(doc, dict) or not isinstance(doc.get("values"), dict):
         raise SchemaError("table document must carry a 'values' object")
-    raw = doc["values"]
-    keys = [str(a) for a in space.point_ids]
-    unknown = sorted(set(raw) - set(keys))
-    missing = [k for k in keys if k not in raw]
-    if unknown or missing:
-        raise SchemaError(
-            f"table names unknown points {unknown[:3]} or lacks points {missing[:3]}"
-        )
-    return as_table([raw[k] for k in keys], space, dim)
+    return as_table(space.keyed_entries(doc["values"], "table"), space, dim)
 
 
 def profile_csv_text(profiles) -> str:

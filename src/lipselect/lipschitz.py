@@ -22,8 +22,8 @@ upgrade to a global Lipschitz bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -149,6 +149,7 @@ class SphereTable:
 
     directions: np.ndarray
     values: np.ndarray
+    _space: Optional[SampledMetricSpace] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "directions", np.asarray(self.directions, dtype=float))
@@ -167,7 +168,19 @@ class SphereTable:
 
     @classmethod
     def from_table(cls, space: SampledMetricSpace, values: TableLike) -> "SphereTable":
-        return cls(directions=space.coords.copy(), values=as_table(values, space).copy())
+        """The table of ``values`` on the points of a coordinate space; a
+        chord-metric (``l2``) space is kept as the table's :meth:`space`."""
+        table = cls(directions=space.coords.copy(), values=as_table(values, space).copy())
+        if space.metric_kind == "l2":
+            object.__setattr__(table, "_space", space)
+        return table
+
+    def space(self) -> SampledMetricSpace:
+        """The directions under the chord metric: the space the table was
+        built from, else one built on first use."""
+        if self._space is None:
+            object.__setattr__(self, "_space", SampledMetricSpace(range(len(self)), "l2", coords=self.directions))
+        return self._space
 
     def sup_norm(self) -> float:
         """Largest value norm over the sample (uniform norm of the table)."""
@@ -256,7 +269,7 @@ def verify_homogeneous_plip(
     bound = 2.0 * beta + sup + tol
     directions = table.directions
     m = directions.shape[1]
-    sphere_space = SampledMetricSpace(range(len(table)), "l2", coords=directions)
+    sphere_space = table.space()
     mat = sphere_space.distance_matrix()
     gap = float(np.min(mat, where=~np.eye(len(table), dtype=bool), initial=np.inf))
     levels = (2.0 ** -np.arange(3.0))[:, None, None]
@@ -268,7 +281,7 @@ def verify_homogeneous_plip(
         if others.size:
             sphere_radii = sorted({float(r) for r in others[:informative_count]}, reverse=True)
             sphere_est = plip_profile(
-                table.values, sphere_space, k, sphere_radii, informative_count
+                table.values, sphere_space, sphere_space.point_ids[k], sphere_radii, informative_count
             ).estimate
         else:
             sphere_est = 0.0

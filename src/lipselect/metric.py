@@ -139,6 +139,19 @@ class SampledMetricSpace:
         except KeyError:
             raise IdentifierError(f"unknown point id {a!r}") from None
 
+    def keyed_entries(self, doc: dict, what: str) -> list:
+        """The entries of a document object keyed by ``str(point id)``, in
+        point order.  Anything but an object, a key that names no point, or
+        a point without a key is a :class:`SchemaError`."""
+        if not isinstance(doc, dict):
+            raise SchemaError(f"{what} must be an object keyed by point")
+        keys = [str(a) for a in self.point_ids]
+        unknown = sorted(set(doc) - set(keys))
+        missing = [k for k in keys if k not in doc]
+        if unknown or missing:
+            raise SchemaError(f"{what} names unknown points {unknown[:3]} or lacks points {missing[:3]}")
+        return [doc[k] for k in keys]
+
     def coordinate(self, a) -> np.ndarray:
         if self._coords is None:
             raise ConfigurationError("explicit-metric spaces carry no coordinates")
@@ -198,11 +211,11 @@ class SampledMetricSpace:
             raise SchemaError("space document must be an object with a 'metric' key")
         kind = doc["metric"]
         if kind == "explicit":
-            if "distances" not in doc:
+            if not isinstance(doc.get("distances"), list):
                 raise SchemaError("explicit metric requires a 'distances' matrix")
             mat = doc["distances"]
             return cls(range(len(mat)), "explicit", explicit_distances=mat)
-        if "points" not in doc:
+        if not isinstance(doc.get("points"), list):
             raise SchemaError("coordinate metric requires a 'points' array")
         pts = doc["points"]
         return cls(range(len(pts)), kind, coords=pts)

@@ -514,3 +514,111 @@ def test_any_config_document_ends_in_a_documented_exit_code(valid_configs, data)
     finally:
         os.chdir(cwd)
     assert code in (0, 1, 2, 3, 4)
+
+
+def narrow_wedge(half_angle):
+    """The wedge ``{x : |x_2| <= -x_1 tan(half_angle)}`` with its apex at
+    the origin, as a polytope body document.  Dykstra's method zigzags
+    between its two faces toward the apex, the projection of any point of
+    the polar cone such as (1, 0.5)."""
+    s, c = np.sin(half_angle), np.cos(half_angle)
+    return {
+        "kind": "polytope",
+        "halfspaces": [{"normal": [s, c], "offset": 0.0}, {"normal": [s, -c], "offset": 0.0}],
+        "witness": [-1.0, 0.0],
+    }
+
+
+class TestCorrespondenceDocument:
+    BALL = {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}
+    SPACE = {"metric": "l2", "points": [[0.0], [1.0]]}
+
+    def _both_verbs(self, tmp_path, doc):
+        corr = write_json(tmp_path / "corr.json", doc)
+        it = write_json(tmp_path / "it.json", {"alpha": 0.25, "beta": 1.25, "rounds": 2})
+        seq = write_json(tmp_path / "seq.json", {})
+        return (
+            main(["select", "--correspondence", corr, "--iteration", it]),
+            main(["verify", "--correspondence", corr, "--sequence", seq]),
+        )
+
+    @pytest.mark.parametrize(
+        "bodies",
+        [
+            5,
+            [BALL, BALL],
+            {"0": BALL, "1": {"kind": "polytope", "halfspaces": "x", "witness": [0.0, 0.0]}},
+            {"0": BALL, "1": {"kind": "polytope", "halfspaces": [[1.0, 0.0]], "witness": [0.0, 0.0]}},
+            {"0": BALL, "1": {"kind": "flat", "base": [0.0, 0.0], "basis": 5}},
+            {"0": BALL, "1": {"kind": "flat", "base": [0.0, 0.0], "basis": {"a": [1.0, 0.0]}}},
+            {"0": BALL, "1": {"kind": "ball", "center": [0.0, 0.0], "radius": [1.0, 2.0]}},
+            {"0": BALL, "1": BALL, "7": BALL},
+            {"0": BALL},
+        ],
+    )
+    def test_malformed_bodies_are_schema_errors(self, tmp_path, capsys, bodies):
+        assert self._both_verbs(tmp_path, {"space": self.SPACE, "bodies": bodies}) == (2, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("space", [{"metric": "l2", "points": 5}, {"metric": "explicit", "distances": {}}])
+    def test_malformed_space_is_schema_error(self, tmp_path, space):
+        assert self._both_verbs(tmp_path, {"space": space, "bodies": {"0": self.BALL}}) == (2, 2)
+
+    def test_dykstra_non_convergence_exits_4(self, tmp_path, capsys):
+        # anchor 1 projects the ball's center (1, 0.5) onto the wedge
+        far_ball = {"kind": "ball", "center": [1.0, 0.5], "radius": 0.1}
+        corr = write_json(
+            tmp_path / "corr.json",
+            {"space": self.SPACE, "bodies": {"0": narrow_wedge(0.003), "1": far_ball}},
+        )
+        it = write_json(tmp_path / "it.json", {"alpha": 10.0, "beta": 20.0, "rounds": 1})
+        assert main(["select", "--correspondence", corr, "--iteration", it]) == 4
+        assert "did not reach" in capsys.readouterr().err
+
+
+# small coordinates from a coarse grid, so that no two halfspaces meet at a
+# narrow angle and Dykstra's method stays quick
+COORD = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+
+
+@st.composite
+def correspondence_documents(draw):
+    """A correspondence document of at most 3 points in dimension at most
+    2, whose fields (and extra body keys) may be replaced by junk."""
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    vector = st.lists(COORD, min_size=d, max_size=d)
+    basis = st.sampled_from([[], [[1.0] + [0.0] * (d - 1)], [[0.6, 0.8][:d]], [[1.0, 0.0], [0.0, 1.0]]])
+    body = st.one_of(
+        st.fixed_dictionaries({"kind": st.just("ball"), "center": vector, "radius": st.sampled_from([0.25, 1.0])}),
+        st.fixed_dictionaries({"kind": st.just("flat"), "base": vector, "basis": basis}),
+        st.fixed_dictionaries({
+            "kind": st.just("polytope"),
+            "halfspaces": st.lists(
+                st.fixed_dictionaries({"normal": vector, "offset": st.sampled_from([0.0, 0.5, 1.0])}),
+                min_size=1, max_size=3,
+            ),
+            "witness": st.just([0.0] * d),
+        }),
+    )
+    bodies = {str(i): draw(body) for i in range(n)}
+    doc = {"space": {"metric": draw(st.sampled_from(["l2", "l1", "linf"])), "points": [[i * 0.5] for i in range(n)]},
+           "bodies": bodies}
+    for _ in range(draw(st.integers(0, 2))):
+        target = draw(st.sampled_from([t for t in (doc, doc["space"], bodies, *bodies.values()) if isinstance(t, dict)]))
+        target[draw(st.sampled_from(sorted(target) + [str(n)]))] = draw(JSON_VALUES)
+    return doc
+
+
+@seed(11)
+@settings(max_examples=150, deadline=None)
+@given(doc=correspondence_documents())
+def test_any_correspondence_document_ends_in_a_documented_exit_code(tmp_path_factory, doc):
+    root = tmp_path_factory.mktemp("corr", numbered=True)
+    corr = write_json(root / "corr.json", doc)
+    it = write_json(root / "it.json", {"alpha": 1.0, "beta": 2.0, "rounds": 2})
+    out = root / "run.json"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["select", "--correspondence", corr, "--iteration", it, "--out", str(out)])
+        assert code in (0, 1, 2, 3, 4)
+        sequence = write_json(root / "seq.json", json.loads(out.read_text())["sequence"] if code < 2 else {})
+        assert main(["verify", "--correspondence", corr, "--sequence", sequence]) in (0, 1, 2, 3, 4)

@@ -6,7 +6,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import lipselect as ls
-from lipselect.errors import PreconditionError, ShapeError
+from lipselect.convex import DYKSTRA_MAX_SWEEPS, DYKSTRA_TOL, stack_bodies
+from lipselect.errors import ConvergenceError, PreconditionError, ShapeError
 
 SQRT_HALF = 2.0**-0.5
 
@@ -41,6 +42,34 @@ def face_enumeration_projection(normals, offsets, y, feas_tol=1e-9):
                     best, best_dist = x, dist
     assert best is not None, "oracle found no feasible candidate"
     return best
+
+
+def scalar_dykstra(poly, y):
+    """Dykstra's method on one body, halfspace by halfspace: the reference
+    whose iterates the lockstep kernel must reproduce bit for bit."""
+    if np.all(poly.normals @ y <= poly.offsets):
+        return y.copy()
+    sq_norms = np.einsum("ij,ij->i", poly.normals, poly.normals)
+    x = y.copy()
+    increments = np.zeros(poly.normals.shape)
+    for _ in range(DYKSTRA_MAX_SWEEPS):
+        previous = increments.copy()
+        for i in range(len(poly.offsets)):
+            v = x + increments[i]
+            excess = float(poly.normals[i] @ v - poly.offsets[i])
+            x = v - (excess / sq_norms[i]) * poly.normals[i] if excess > 0.0 else v
+            increments[i] = v - x
+        violation = max(0.0, float(((poly.normals @ x - poly.offsets) / np.sqrt(sq_norms)).max()))
+        if max(float(np.sqrt(np.sum((increments - previous) ** 2))), violation) <= DYKSTRA_TOL:
+            return x
+    raise AssertionError("reference loop did not converge")
+
+
+def narrow_wedge(half_angle):
+    """``{x : |x_2| <= -x_1 tan(half_angle)}``: (1, 0.5) projects onto the
+    apex, which Dykstra's method approaches by a slow zigzag."""
+    s, c = np.sin(half_angle), np.cos(half_angle)
+    return ls.Polytope([[s, c], [s, -c]], [0.0, 0.0], witness=[-1.0, 0.0])
 
 
 def unit_square():
@@ -156,6 +185,34 @@ class TestPolytope:
             expected = face_enumeration_projection(normals, offsets, y)
             np.testing.assert_allclose(got, expected, atol=1e-7)
 
+    def test_lockstep_reproduces_the_scalar_loop(self):
+        # stacks of polytopes with equal halfspace counts, each row its own
+        # query; bodies retire at different sweeps
+        rng = np.random.default_rng(3)
+        polys = [random_bounded_polytope(rng)[0] for _ in range(30)]
+        for m in {len(p.offsets) for p in polys}:
+            group = [p for p in polys if len(p.offsets) == m]
+            ys = rng.normal(scale=2.0, size=(len(group), 3))
+            ys[0] = group[0].witness  # one row already inside
+            got = ls.Polytope.project_stack(stack_bodies(group), ys)
+            for poly, y, row in zip(group, ys, got):
+                want = scalar_dykstra(poly, y)
+                assert row.tobytes() == want.tobytes()
+                assert poly.project(y).tobytes() == want.tobytes()
+
+    def test_non_convergence_reports_the_worst_residual(self):
+        wedge = narrow_wedge(0.003)
+        with pytest.raises(ConvergenceError) as lone:
+            wedge.project([1.0, 0.5])
+        # a quick body in the same stack retires and does not mask the slow one
+        quick = ls.Polytope([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], witness=[0.0, 0.0])
+        with pytest.raises(ConvergenceError) as stacked:
+            ls.Polytope.project_stack(stack_bodies([quick, wedge]), np.array([[1.0, 1.0], [1.0, 0.5]]))
+        assert stacked.value.residual == lone.value.residual > DYKSTRA_TOL
+
+    def test_slow_wedge_converges_to_the_apex(self):
+        np.testing.assert_allclose(narrow_wedge(0.3).project([1.0, 0.5]), [0.0, 0.0], atol=1e-9)
+
     def test_json_round_trip(self):
         square = unit_square()
         doc = square.to_json_dict()
@@ -181,6 +238,57 @@ class TestBodyJson:
     def test_unknown_kind(self):
         with pytest.raises(ls.SchemaError):
             ls.ConvexBody.from_json_dict({"kind": "simplex"})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "polytope", "halfspaces": "x", "witness": [0.0]},
+            {"kind": "polytope", "halfspaces": [[1.0]], "witness": [0.0]},
+            {"kind": "flat", "base": [0.0, 0.0], "basis": 5},
+            {"kind": "ball", "center": [0.0], "radius": [1.0]},
+        ],
+    )
+    def test_malformed_fields_are_schema_errors(self, doc):
+        with pytest.raises((ls.SchemaError, ShapeError)):
+            ls.ConvexBody.from_json_dict(doc)
+
+
+def closed_form_projection(body, y):
+    """The one-vector closed forms the stacked kernels must reproduce bit
+    for bit: ``base + B^T (B rel)`` and the radial ball formula."""
+    if isinstance(body, ls.AffineFlat):
+        rel = y - body.base
+        return body.base + body.basis.T @ (body.basis @ rel), float(np.linalg.norm(rel - body.basis.T @ (body.basis @ rel)))
+    rel = y - body.center
+    nrm = float(np.linalg.norm(rel))
+    projected = y.copy() if nrm <= body.radius else body.center + (body.radius / nrm) * rel
+    return projected, max(0.0, nrm - body.radius)
+
+
+class TestStacks:
+    def test_kernels_match_the_single_body_methods(self):
+        rng = np.random.default_rng(8)
+        kernel_basis = np.linalg.qr(rng.normal(size=(3, 3)))[0][:2]
+        groups = [
+            [ls.Ball(rng.normal(size=3), r) for r in (0.5, 1.0, 2.0)],
+            # a shared basis object stacks as a broadcast view
+            [ls.AffineFlat(rng.normal(size=3), kernel_basis) for _ in range(3)],
+            [ls.AffineFlat(rng.normal(size=3), np.linalg.qr(rng.normal(size=(3, 3)))[0][:1]) for _ in range(3)],
+        ]
+        assert stack_bodies(groups[1])[1].strides[0] == 0
+        for group in groups:
+            kind, stack = type(group[0]), stack_bodies(group)
+            ys = rng.normal(scale=2.0, size=(3, 3))
+            ys[0] = kind.project_stack(stack, ys)[0]  # a row inside its body
+            projected = kind.project_stack(stack, ys)
+            distances = kind.distance_stack(stack, ys)
+            for i, body in enumerate(group):
+                assert projected[i].tobytes() == body.project(ys[i]).tobytes()
+                assert distances[i] == body.distance_to(ys[i])
+                want_projection, want_distance = closed_form_projection(body, ys[i])
+                assert projected[i].tobytes() == want_projection.tobytes()
+                assert distances[i] == want_distance
+            assert distances[0] <= 1e-12
 
 
 @seed(11)

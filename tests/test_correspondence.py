@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import lipselect as ls
 from lipselect.errors import (
+    ConvergenceError,
     PreconditionError,
     RankDeficiencyError,
     RateError,
+    SchemaError,
     ShapeError,
 )
 
@@ -191,6 +195,28 @@ class TestLocalStrongSelection:
             bound = SQRT_HALF * space.distance(0.2, a) + 1e-9
             assert np.linalg.norm(row - anchor) <= bound
 
+    def test_anchor_row_is_pinned_to_y(self):
+        # y sits 1e-12 outside the ball at 0, within tol: its projection
+        # moves it, the anchor row does not
+        space = line_space([0, 1.0])
+        bodies = {0: ls.Ball([0.0, 0.0], 1.0), 1.0: ls.Ball([1.0, 0.0], 1.0)}
+        phi = ls.Correspondence(space, bodies, ambient_dim=2)
+        y = np.array([-(1.0 + 1e-12), 0.0])
+        assert not np.array_equal(phi.project_all(y)[0], y)
+        g = ls.local_strong_selection(phi, 0, y, rate=3.0)
+        assert g[0].tobytes() == y.tobytes()
+
+    def test_dykstra_non_convergence_raises(self):
+        # the wedge {|x_2| <= -x_1 tan 0.003}; (1, 0.5) projects onto its
+        # apex, which Dykstra's method approaches by a slow zigzag
+        s, c = np.sin(0.003), np.cos(0.003)
+        wedge = ls.Polytope([[s, c], [s, -c]], [0.0, 0.0], witness=[-1.0, 0.0])
+        space = line_space([0, 1.0])
+        phi = ls.Correspondence(space, {0: wedge, 1.0: ls.Ball([1.0, 0.5], 0.1)}, ambient_dim=2)
+        with pytest.raises(ConvergenceError) as err:
+            ls.local_strong_selection(phi, 1.0, [1.0, 0.5], rate=10.0)
+        assert err.value.residual > ls.convex.DYKSTRA_TOL
+
     def test_rate_error_with_witness(self):
         space = line_space([0, 1.0])
         bodies = {0: ls.Ball([0.0, 0.0], 0.5), 1.0: ls.Ball([5.0, 0.0], 0.5)}
@@ -213,7 +239,78 @@ class TestCorrespondenceJson:
             back.body(0).base, phi.body(-1).base, atol=1e-15
         )
 
+    def test_unknown_body_key_rejected(self, two_point_codomain):
+        ball = ls.Ball([0.0], 1.0).to_json_dict()
+        doc = {"space": {"metric": "l2", "points": [[0.0], [1.0]]}, "bodies": {"0": ball, "1": ball, "7": ball}}
+        with pytest.raises(SchemaError, match="unknown points"):
+            ls.Correspondence.from_json_dict(doc)
+
     def test_missing_body_rejected(self, two_point_codomain):
         ball = ls.Ball([0.0], 1.0)
         with pytest.raises(PreconditionError):
             ls.Correspondence(two_point_codomain, {-1: ball}, ambient_dim=1)
+
+
+# -- batched projection ------------------------------------------------------
+
+COORD = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+
+
+@st.composite
+def mixed_bodies(draw, dim):
+    """A ball, a flat of rank 0..dim, or a bounded polytope with 2 to 4
+    halfspaces in ``R^dim``; the bodies of a list rarely share a shape."""
+    vector = st.lists(COORD, min_size=dim, max_size=dim).map(np.array)
+    kind = draw(st.sampled_from(["ball", "flat", "polytope"]))
+    if kind == "ball":
+        return ls.Ball(draw(vector), draw(st.floats(0.1, 2.0)))
+    if kind == "flat":
+        rank = draw(st.integers(0, dim))
+        q, _ = np.linalg.qr(draw(st.lists(vector, min_size=dim, max_size=dim).map(np.array)) + 3.0 * np.eye(dim))
+        return ls.AffineFlat(draw(vector), q.T[:rank])
+    witness = draw(vector)
+    normals = np.array(draw(st.lists(vector, min_size=2, max_size=4)))
+    normals = normals[np.linalg.norm(normals, axis=1) > 0.1]
+    normals = np.vstack([normals, np.eye(dim)[:1]]) if len(normals) else np.eye(dim)[:1]
+    offsets = normals @ witness + draw(st.lists(st.floats(0.0, 1.0), min_size=len(normals), max_size=len(normals)))
+    return ls.Polytope(normals, offsets, witness)
+
+
+@seed(5)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_batched_kernels_equal_the_per_body_methods(data):
+    dim = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 8))
+    bodies = data.draw(st.lists(mixed_bodies(dim), min_size=n, max_size=n))
+    space = ls.SampledMetricSpace(range(n), "l2", coords=[[float(i)] for i in range(n)])
+    phi = ls.Correspondence(space, dict(enumerate(bodies)), ambient_dim=dim)
+    y = np.array(data.draw(st.lists(COORD, min_size=dim, max_size=dim)))
+    projected = phi.project_all(y)
+    for body, row in zip(bodies, projected):
+        assert row.tobytes() == body.project(y).tobytes()
+    # queries outside, on and inside every body: projections are members
+    table = np.array(data.draw(st.lists(st.lists(COORD, min_size=dim, max_size=dim), min_size=n, max_size=n)))
+    for rows in (table, projected, np.array([b.canonical_point() for b in bodies])):
+        got = phi.distances_to(rows)
+        want = np.array([body.distance_to(row) for body, row in zip(bodies, rows)])
+        assert got.tobytes() == want.tobytes()
+
+
+def test_project_all_groups_by_kind_and_shape():
+    space = ls.SampledMetricSpace(range(5), "l2", coords=[[float(i)] for i in range(5)])
+    square = ls.Polytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0, 0.0, 1.0, 0.0], [0.5, 0.5])
+    bodies = {
+        0: ls.AffineFlat([0.0, 0.0], [[1.0, 0.0]]),
+        1: square,
+        2: ls.AffineFlat([1.0, 1.0]),
+        3: ls.Polytope([[1.0, 1.0]], [0.0], [0.0, 0.0]),
+        4: ls.AffineFlat([0.0, 3.0], [[0.0, 1.0]]),
+    }
+    phi = ls.Correspondence(space, bodies, ambient_dim=2)
+    assert [rows.tolist() for rows, _, _ in phi._stacks] == [[0, 4], [1], [2], [3]]
+    np.testing.assert_allclose(
+        phi.project_all([2.0, 2.0]), [[2.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [0.0, 2.0]], atol=1e-9
+    )
+    with pytest.raises(ShapeError):
+        phi.project_all([2.0, 2.0, 2.0])
