@@ -17,11 +17,13 @@ verification reports those residuals separately instead of hiding them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .convex import _matvec, _row_norms
 from .correspondence import (
     Correspondence,
     LinearSurjection,
@@ -39,6 +41,9 @@ from .lipschitz import (
 from .metric import SampledMetricSpace, covering_radius
 
 COORD_SNAP = 1e-12
+# T tau(y) = y must hold to this residual; the ray rate to this slack
+IDENTITY_TOL = 1e-8
+PLIP_TOL = 1e-6
 
 
 def sphere_sample(m: int, count: int, seed: int = 0, dedup_tol: float = 1e-6) -> SampledMetricSpace:
@@ -119,11 +124,9 @@ def build_right_inverse(
     sphere_count: int = 64,
     seed: int = 0,
     rounds: int = 4,
-    epsilon: Optional[float] = None,
-    delta_min: float = 1e-9,
-    tol: float = 1e-9,
 ) -> RightInverse:
-    """Run the whole pipeline.  ``beta`` must exceed ``1 / gamma``."""
+    """Run the whole pipeline.  ``beta`` must exceed ``1 / gamma``; the
+    iteration keeps the default ``epsilon``, ``delta_min`` and ``tol``."""
     gamma = T.sigma_min
     alpha = 1.0 / gamma
     if not beta > alpha:
@@ -136,10 +139,7 @@ def build_right_inverse(
     config = IterationConfig(
         alpha=alpha,
         beta=beta,
-        epsilon=epsilon,
         rounds=rounds,
-        delta_min=delta_min,
-        tol=tol,
     )
     seq = run_iteration(phi, f0, config)
     table = SphereTable.from_table(sphere, seq.final)
@@ -211,14 +211,11 @@ class RightInverseReport:
         # exactly representable, which the exact-coordinate directions
         # guarantee.  Remaining rows stay within a few ulps and are
         # reported via max_abs_diff.
-        for row in self.homogeneity_rows:
-            mantissa = float(row.scale)
-            while mantissa != int(mantissa):
-                mantissa *= 2.0
-            power_of_two = int(mantissa) & (int(mantissa) - 1) == 0
-            if (power_of_two or row.exact_coords) and not row.exact:
-                return False
-        return True
+        return all(
+            row.exact
+            for row in self.homogeneity_rows
+            if math.frexp(row.scale)[0] == 0.5 or row.exact_coords
+        )
 
     @property
     def covering_passed(self) -> bool:
@@ -238,8 +235,6 @@ def verify_right_inverse(
     ri: RightInverse,
     scales: Sequence[float] = (0.5, 2.0, 10.0),
     directions: Optional[Sequence[int]] = None,
-    plip_tol: float = 1e-6,
-    identity_tol: float = 1e-8,
 ) -> RightInverseReport:
     """Four checks over trial rays of the certified dense set.
 
@@ -260,30 +255,33 @@ def verify_right_inverse(
 
     identity_rows: List[IdentityRow] = []
     homogeneity_rows: List[HomogeneityRow] = []
+    ray_scales = np.array([1.0, *scales])
     for k in directions:
         d = ri.sphere.coordinate(k)
-        base = ri(d)
         exact_coords = bool(np.all(d == np.round(d)))
-        for scale in (1.0, *scales):
-            y = scale * d
-            residual = float(np.linalg.norm(ri.T.apply(ri(y)) - y))
+        # row 0 is tau(d); row 1 + s is tau(scales[s] * d)
+        ys = ray_scales[:, None] * d
+        values = ri(ys)
+        residuals = _row_norms(_matvec(ri.T.matrix, values) - ys)
+        for scale, residual in zip(ray_scales.tolist(), residuals.tolist()):
             identity_rows.append(
                 IdentityRow(
                     direction_index=int(k),
-                    scale=float(scale),
+                    scale=scale,
                     residual=residual,
-                    passed=residual <= identity_tol,
+                    passed=residual <= IDENTITY_TOL,
                 )
             )
-        for scale in scales:
-            lhs = ri(scale * d)
-            rhs = scale * base
+        rhs = ray_scales[1:, None] * values[0]
+        diffs = np.max(np.abs(values[1:] - rhs), axis=1)
+        exact = np.all(values[1:] == rhs, axis=1)
+        for scale, same, diff in zip(ray_scales[1:].tolist(), exact.tolist(), diffs.tolist()):
             homogeneity_rows.append(
                 HomogeneityRow(
                     direction_index=int(k),
-                    scale=float(scale),
-                    exact=bool(np.all(lhs == rhs)),
-                    max_abs_diff=float(np.max(np.abs(lhs - rhs))),
+                    scale=scale,
+                    exact=same,
+                    max_abs_diff=diff,
                     exact_coords=exact_coords,
                 )
             )
@@ -291,32 +289,26 @@ def verify_right_inverse(
     off_rows: List[OffSampleRow] = []
     if ri.sphere.ambient_dim >= 2:
         coords = ri.sphere.coords
-        count = min(8, len(coords))
-        for i in range(count):
-            # asymmetric blend: decisively nearest to coords[i], no ties
-            blend = 0.75 * coords[i] + 0.25 * coords[(i + 1) % len(coords)]
-            nrm = float(np.linalg.norm(blend))
-            if nrm < 1e-12:
-                continue
-            u = blend / nrm
-            if np.any(np.all(coords == u, axis=1)):
-                continue
-            k = nearest_direction_index(ri.table, u)
-            value = ri(u)
-            # the extension returns ||u|| * table[k], so T maps it to
-            # ||u|| * (nearest sampled direction), not to u itself
-            u_norm = float(np.linalg.norm(u))
-            semantic = float(
-                np.linalg.norm(ri.T.apply(value) - u_norm * ri.sphere.coordinate(k))
-            )
-            identity = float(np.linalg.norm(ri.T.apply(value) - u))
+        i = np.arange(min(8, len(coords)))
+        # asymmetric blend: decisively nearest to coords[i], no ties
+        blend = 0.75 * coords[i] + 0.25 * coords[(i + 1) % len(coords)]
+        nrm = _row_norms(blend)
+        u = blend[nrm >= 1e-12] / nrm[nrm >= 1e-12, None]
+        u = u[~np.any(np.all(coords == u[:, None], axis=2), axis=1)]
+        k = nearest_direction_index(ri.table, u)
+        tu = _matvec(ri.T.matrix, ri(u))
+        # the extension returns ||u|| * table[k], so T maps it to
+        # ||u|| * (nearest sampled direction), not to u itself
+        semantic = _row_norms(tu - _row_norms(u)[:, None] * coords[k])
+        identity = _row_norms(tu - u)
+        for row, nearest, sem, ident in zip(u, k.tolist(), semantic.tolist(), identity.tolist()):
             off_rows.append(
                 OffSampleRow(
-                    direction=tuple(float(x) for x in u),
-                    nearest_index=k,
-                    semantic_residual=semantic,
-                    identity_residual=identity,
-                    passed=semantic <= identity_tol,
+                    direction=tuple(row.tolist()),
+                    nearest_index=nearest,
+                    semantic_residual=sem,
+                    identity_residual=ident,
+                    passed=sem <= IDENTITY_TOL,
                 )
             )
 
@@ -324,7 +316,7 @@ def verify_right_inverse(
         ri.table,
         ri.beta,
         rays=[(k, tuple(scales)) for k in directions],
-        tol=plip_tol,
+        tol=PLIP_TOL,
     )
 
     n_rounds = ri.sequence.rounds[-1].n

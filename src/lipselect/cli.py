@@ -133,7 +133,7 @@ def _merge_config(args: argparse.Namespace, keys) -> dict:
     """Options from ``--config`` overridden by flags, each converted by the
     converter of its key."""
     merged = {}
-    if getattr(args, "config", None):
+    if args.config:
         doc = _load_json(args.config)
         if not isinstance(doc, dict):
             raise SchemaError("--config document must be a JSON object")
@@ -148,6 +148,14 @@ def _merge_config(args: argparse.Namespace, keys) -> dict:
     return {key: _CONVERTERS.get(key, _path)(key, value) for key, value in merged.items()}
 
 
+def _outcomes(checks) -> dict:
+    return {name: {"passed": c.passed, "worst": c.worst} for name, c in checks.items()}
+
+
+def _witness(row) -> dict:
+    return {"direction": row.direction_index, "scale": row.scale}
+
+
 def _emit(out, report: dict) -> None:
     if out:
         write_report(out, report)
@@ -156,10 +164,7 @@ def _emit(out, report: dict) -> None:
         sys.stdout.write(dumps_canonical(report))
 
 
-def _cmd_separate(args) -> int:
-    opts = _merge_config(args, {"space", "r", "rounds", "out"})
-    if "space" not in opts:
-        raise SchemaError("separate requires a space document (--space)")
+def _cmd_separate(opts) -> int:
     space = SampledMetricSpace.from_json_dict(_load_json(opts["space"]))
     report: dict = {"command": "separate"}
     if opts.get("rounds"):
@@ -179,12 +184,7 @@ def _cmd_separate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_select(args) -> int:
-    keys = {"correspondence", "iteration", "f0", "out", "tables_dir"}
-    opts = _merge_config(args, keys)
-    for required in ("correspondence", "iteration"):
-        if required not in opts:
-            raise SchemaError(f"select requires --{required}")
+def _cmd_select(opts) -> int:
     phi = Correspondence.from_json_dict(_load_json(opts["correspondence"]))
     config = IterationConfig.from_json_dict(_load_json(opts["iteration"]))
     if opts.get("f0"):
@@ -198,17 +198,8 @@ def _cmd_select(args) -> int:
         "sequence": sequence_to_dict(seq),
         "tail_bound": seq.tail_bound,
         "checks": {
-            **{
-                f"round_{r.n}": {
-                    name: {"passed": c.passed, "worst": c.worst}
-                    for name, c in r.checks.items()
-                }
-                for r in audit.round_reports
-            },
-            **{
-                name: {"passed": c.passed, "worst": c.worst}
-                for name, c in audit.checks.items()
-            },
+            **{f"round_{r.n}": _outcomes(r.checks) for r in audit.round_reports},
+            **_outcomes(audit.checks),
         },
         "passed": audit.passed,
     }
@@ -223,12 +214,7 @@ def _cmd_select(args) -> int:
     return EXIT_OK if audit.passed else EXIT_CHECK_FAILED
 
 
-def _cmd_plip(args) -> int:
-    keys = {"space", "table", "points", "radii", "out", "profiles_csv"}
-    opts = _merge_config(args, keys)
-    for required in ("space", "table"):
-        if required not in opts:
-            raise SchemaError(f"plip requires --{required}")
+def _cmd_plip(opts) -> int:
     space = SampledMetricSpace.from_json_dict(_load_json(opts["space"]))
     values = table_from_dict(_load_json(opts["table"]), space)
     by_str = {str(a): a for a in space.point_ids}
@@ -253,12 +239,7 @@ def _cmd_plip(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bartle_graves(args) -> int:
-    keys = {"matrix", "beta", "rounds", "sphere_count", "seed", "out", "tau_csv"}
-    opts = _merge_config(args, keys)
-    for required in ("matrix", "beta"):
-        if required not in opts:
-            raise SchemaError(f"bartle-graves requires --{required}")
+def _cmd_bartle_graves(opts) -> int:
     T = LinearSurjection.from_json_dict(_load_json(opts["matrix"]))
     ri = bg.build_right_inverse(
         T,
@@ -286,27 +267,18 @@ def _cmd_bartle_graves(args) -> int:
             "right_inverse_identity": {
                 "passed": report_obj.identity_passed,
                 "worst_residual": worst_id_row.residual,
-                "witness": {
-                    "direction": worst_id_row.direction_index,
-                    "scale": worst_id_row.scale,
-                },
+                "witness": _witness(worst_id_row),
             },
             "positive_homogeneity": {
                 "passed": report_obj.homogeneity_passed,
                 "worst_diff": worst_hom_row.max_abs_diff,
-                "witness": {
-                    "direction": worst_hom_row.direction_index,
-                    "scale": worst_hom_row.scale,
-                },
+                "witness": _witness(worst_hom_row),
             },
             "ray_plip": {
                 "passed": report_obj.plip_report.passed,
                 "bound": report_obj.plip_report.bound,
                 "worst_estimate": worst_plip_row.extension_estimate,
-                "witness": {
-                    "direction": worst_plip_row.direction_index,
-                    "scale": worst_plip_row.scale,
-                },
+                "witness": _witness(worst_plip_row),
             },
             "dense_covering": {
                 "passed": report_obj.covering_passed,
@@ -334,12 +306,7 @@ def _cmd_bartle_graves(args) -> int:
     return EXIT_OK if report_obj.passed else EXIT_CHECK_FAILED
 
 
-def _cmd_verify(args) -> int:
-    keys = {"correspondence", "sequence", "out"}
-    opts = _merge_config(args, keys)
-    for required in ("correspondence", "sequence"):
-        if required not in opts:
-            raise SchemaError(f"verify requires --{required}")
+def _cmd_verify(opts) -> int:
     phi = Correspondence.from_json_dict(_load_json(opts["correspondence"]))
     seq = sequence_from_dict(_load_json(opts["sequence"]), phi)
     audit = verify_sequence(seq)
@@ -356,10 +323,7 @@ def _cmd_verify(args) -> int:
             }
             for r in audit.round_reports
         ],
-        "sequence_checks": {
-            name: {"passed": c.passed, "worst": c.worst}
-            for name, c in audit.checks.items()
-        },
+        "sequence_checks": _outcomes(audit.checks),
         "passed": audit.passed,
     }
     _emit(opts.get("out"), report)
@@ -368,65 +332,49 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if audit.passed else EXIT_CHECK_FAILED
 
 
+# verb -> (handler, help, required option keys, other option keys); every
+# verb also takes --config, and a key's flag is "--" plus the key with "-"
+# in place of "_"
+VERBS = {
+    "separate": (_cmd_separate, "maximal separations and hierarchies", ("space",), ("r", "rounds", "out")),
+    "select": (_cmd_select, "run the selection iteration", ("correspondence", "iteration"), ("f0", "tables_dir", "out")),
+    "plip": (_cmd_plip, "pointwise Lipschitz profiles", ("space", "table"), ("points", "radii", "profiles_csv", "out")),
+    "bartle-graves": (
+        _cmd_bartle_graves,
+        "homogeneous right-inverse pipeline",
+        ("matrix", "beta"),
+        ("rounds", "sphere_count", "seed", "tau_csv", "out"),
+    ),
+    "verify": (_cmd_verify, "re-check a stored selection sequence", ("correspondence", "sequence"), ("out",)),
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lipselect",
         description="Pointwise-Lipschitz selections over sampled metric spaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("separate", help="maximal separations and hierarchies")
-    p.add_argument("--config")
-    p.add_argument("--space")
-    p.add_argument("--r")
-    p.add_argument("--rounds")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_separate)
-
-    p = sub.add_parser("select", help="run the selection iteration")
-    p.add_argument("--config")
-    p.add_argument("--correspondence")
-    p.add_argument("--iteration")
-    p.add_argument("--f0")
-    p.add_argument("--tables-dir", dest="tables_dir")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_select)
-
-    p = sub.add_parser("plip", help="pointwise Lipschitz profiles")
-    p.add_argument("--config")
-    p.add_argument("--space")
-    p.add_argument("--table")
-    p.add_argument("--points")
-    p.add_argument("--radii")
-    p.add_argument("--profiles-csv", dest="profiles_csv")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_plip)
-
-    p = sub.add_parser("bartle-graves", help="homogeneous right-inverse pipeline")
-    p.add_argument("--config")
-    p.add_argument("--matrix")
-    p.add_argument("--beta")
-    p.add_argument("--rounds")
-    p.add_argument("--sphere-count", dest="sphere_count")
-    p.add_argument("--seed")
-    p.add_argument("--tau-csv", dest="tau_csv")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_bartle_graves)
-
-    p = sub.add_parser("verify", help="re-check a stored selection sequence")
-    p.add_argument("--config")
-    p.add_argument("--correspondence")
-    p.add_argument("--sequence")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_verify)
+    for verb, (_, help_text, required, optional) in VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
+        for key in ("config", *required, *optional):
+            p.add_argument(_flag(key))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, _, required, optional = VERBS[args.command]
     try:
-        return args.func(args)
+        opts = _merge_config(args, required + optional)
+        missing = [key for key in required if key not in opts]
+        if missing:
+            raise SchemaError(f"{args.command} requires {_flag(missing[0])}")
+        return handler(opts)
     except _SCHEMA_ERRORS as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -35,6 +35,8 @@ from .errors import (
 ORTHONORMALITY_TOL = 1e-10
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_SWEEPS = 10_000
+# how far a polytope witness may exceed an offset, times max(1, |normal|)
+WITNESS_TOL = 1e-9
 
 
 def _as_vector(x, dim: int, what: str) -> np.ndarray:
@@ -268,7 +270,7 @@ class Polytope(ConvexBody):
     operations never probe emptiness at call time.
     """
 
-    def __init__(self, normals, offsets, witness, witness_tol: float = 1e-9):
+    def __init__(self, normals, offsets, witness):
         self.normals = as_finite_array(normals, "polytope normals")
         self.offsets = as_finite_array(offsets, "polytope offsets")
         if self.normals.ndim != 2 or self.offsets.ndim != 1:
@@ -284,7 +286,7 @@ class Polytope(ConvexBody):
         self._row_norms = np.sqrt(self._sq_norms)
         self.witness = _as_vector(as_finite_array(witness, "witness"), self.dim, "witness")
         slack = self.normals @ self.witness - self.offsets
-        if np.any(slack > witness_tol * np.maximum(1.0, self._row_norms)):
+        if np.any(slack > WITNESS_TOL * np.maximum(1.0, self._row_norms)):
             raise PreconditionError("witness point is not feasible for the polytope")
 
     def _parts(self) -> tuple:

@@ -51,7 +51,7 @@ class LinearSurjection:
     ``1 / gamma``.
     """
 
-    def __init__(self, matrix, rank_tol: float = RANK_TOLERANCE):
+    def __init__(self, matrix):
         self.matrix = as_finite_array(matrix, "matrix")
         if self.matrix.ndim != 2:
             raise ShapeError("a linear surjection is given by a 2-d matrix")
@@ -63,9 +63,9 @@ class LinearSurjection:
         u, s, vt = np.linalg.svd(self.matrix)
         self.sigma_min = float(s[-1])
         self.sigma_max = float(s[0])
-        if not self.sigma_min > rank_tol:
+        if not self.sigma_min > RANK_TOLERANCE:
             raise RankDeficiencyError(
-                f"smallest singular value {self.sigma_min:.3e} is below {rank_tol:.0e}"
+                f"smallest singular value {self.sigma_min:.3e} is below {RANK_TOLERANCE:.0e}"
             )
         self._pinv = np.linalg.pinv(self.matrix)
         # rows m..n-1 of V^T span the kernel and are orthonormal

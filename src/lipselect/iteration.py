@@ -493,8 +493,8 @@ class SequenceReport:
 def _metadata_problems(seq: SelectionSequence) -> List[str]:
     """What a run of the engine on this space could not have stored: a
     hierarchy other than the greedy one, ``new != B_n \\ B_(n-1)``, rounds
-    out of order or of another count than configured, and radii outside
-    the halving schedule ``[delta_min, 2^-(n+2)]``."""
+    or selections out of order, rounds of another count than configured,
+    and radii outside the halving schedule ``[delta_min, 2^-(n+2)]``."""
     problems = []
     if seq.config.rounds != len(seq.rounds):
         problems.append(f"config.rounds is {seq.config.rounds} but {len(seq.rounds)} rounds are stored")
@@ -515,6 +515,9 @@ def _metadata_problems(seq: SelectionSequence) -> List[str]:
         if outside:
             problems.append(f"round {pos}: delta at {outside[0]!r} outside [delta_min, {upper}]")
         prev = set(record.members)
+    for pos, sel in enumerate(seq.selections):
+        if sel.round_index != pos:
+            problems.append(f"selection {pos} is stored as round {sel.round_index}")
     return problems
 
 

@@ -38,6 +38,8 @@ from .iteration import TableLike, as_table
 from .metric import PointId, SampledMetricSpace
 
 DEFAULT_INFORMATIVE_COUNT = 3
+OPEN_CLOSED_REL_TOL = 0.05
+RADIUS_LEVELS = 4
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,14 @@ class PlipProfile:
             if radius == r:
                 return ratio
         raise KeyError(r)
+
+
+def _ball_ratios(dist, dev, radii, closed=True):
+    """Per radius ``r``: ``max{dev : dist <= r} / r`` (``dist < r`` when
+    ``closed`` is false) and whether the ball holds a given point.  The
+    points exclude the base, which every ball holds with deviation 0."""
+    inside = dist <= radii[:, None] if closed else dist < radii[:, None]
+    return np.max(np.where(inside, dev, 0.0), axis=1, initial=0.0) / radii, inside.any(axis=1)
 
 
 def plip_profile(
@@ -85,27 +95,20 @@ def plip_profile(
         raise ParameterError("informative_count must be at least 1")
     table = as_table(values, space)
     b_index = space.index(b)
-    dist_row = space.distance_row(b)
     deviations = np.linalg.norm(table - table[b_index], axis=1)
-    rows: List[Tuple[float, float]] = []
-    informative: List[bool] = []
-    for r in radii:
-        mask = dist_row <= r if closed else dist_row < r
-        rows.append((r, float(deviations[mask].max()) / r))
-        mask_other = mask.copy()
-        mask_other[b_index] = False
-        informative.append(bool(mask_other.any()))
-    if not any(informative):
+    dist = space.distance_row(b).copy()
+    # out of every ball: the kernel counts the base itself, as deviation 0
+    dist[b_index] = np.inf
+    ratios, informative = _ball_ratios(dist, deviations, np.array(radii), closed)
+    if not informative.any():
         raise ResolutionError(
             f"no ball around {b!r} in the radius schedule contains another point"
         )
-    informative_rows = [row for row, ok in zip(rows, informative) if ok]
-    smallest = informative_rows[-informative_count:]
     return PlipProfile(
         point=b,
-        rows=tuple(rows),
-        informative=tuple(informative),
-        estimate=max(ratio for _, ratio in smallest),
+        rows=tuple(zip(radii, ratios.tolist())),
+        informative=tuple(informative.tolist()),
+        estimate=float(ratios[informative][-informative_count:].max()),
     )
 
 
@@ -115,28 +118,29 @@ def open_closed_consistency(
     b: PointId,
     radii: Sequence[float],
     informative_count: int = DEFAULT_INFORMATIVE_COUNT,
-    rel_tol: float = 0.05,
 ) -> bool:
     """Do open-ball and closed-ball estimates agree at small radii?
 
     Individual rows may differ when a radius sits exactly on a sampled
     distance; the surrogate of ball-type irrelevance is agreement of the
-    small-radius estimates within ``rel_tol`` scaled by their magnitude.
+    small-radius estimates within ``OPEN_CLOSED_REL_TOL`` scaled by their
+    magnitude.
     """
     closed_est = plip_profile(values, space, b, radii, informative_count, closed=True).estimate
     open_est = plip_profile(values, space, b, radii, informative_count, closed=False).estimate
-    return abs(closed_est - open_est) <= rel_tol * max(1.0, closed_est, open_est)
+    return abs(closed_est - open_est) <= OPEN_CLOSED_REL_TOL * max(1.0, closed_est, open_est)
 
 
-def default_radii(space: SampledMetricSpace, levels: int = 4) -> Tuple[float, ...]:
-    """Geometric schedule (factor 1/2) anchored at the sample's fill
-    distance, the largest nearest-neighbor gap."""
+def default_radii(space: SampledMetricSpace) -> Tuple[float, ...]:
+    """Geometric schedule of ``RADIUS_LEVELS`` radii (factor 1/2)
+    anchored at the sample's fill distance, the largest nearest-neighbor
+    gap."""
     mat = space.distance_matrix()
     if len(space.point_ids) < 2:
         raise ResolutionError("radius schedule needs at least two points")
     off = mat + np.diag(np.full(mat.shape[0], np.inf))
     fill = float(off.min(axis=1).max())
-    return tuple(fill * 2.0 ** (levels - 1 - k) for k in range(levels))
+    return tuple(fill * 2.0**k for k in reversed(range(RADIUS_LEVELS)))
 
 
 # -- positively homogeneous extension ---------------------------------------
@@ -302,8 +306,8 @@ def verify_homogeneous_plip(
             radii = np.array(sorted({float(r) for r in dist.reshape(3, -1).max(axis=1) if r > 0}, reverse=True))
             if not radii.size:
                 raise ResolutionError(f"every probe of ray point {scale} * direction {k} rounds onto it")
-            ratios = np.where(dist <= radii[:, None], dev, 0.0).max(axis=1) / radii
-            ext_est = float(ratios[-informative_count:].max())
+            ratios, informative = _ball_ratios(dist, dev, radii)
+            ext_est = float(ratios[informative][-informative_count:].max())
             rows.append(
                 RayPlipRow(
                     direction_index=k,
@@ -422,29 +426,15 @@ def global_lipschitz_upgrade_check(
     while r >= min_gap:
         radii_set.add(r)
         r /= 2.0
-    radii = sorted(radii_set, reverse=True)
-    hypothesis_held = True
-    hyp_worst = (ids[0], radii[0], 0.0)
-    hyp_excess = -np.inf
-    for i in range(n):
-        dev = np.linalg.norm(values_matrix - values_matrix[i], axis=1)
-        order = np.argsort(mat[i])
-        sorted_d = mat[i][order]
-        cummax = np.maximum.accumulate(dev[order])
-        for r in radii:
-            idx = int(np.searchsorted(sorted_d, r, side="right")) - 1
-            ratio = float(cummax[idx]) / r
-            if ratio - alpha > hyp_excess:
-                hyp_excess = ratio - alpha
-                hyp_worst = (ids[i], r, ratio)
-            if ratio > alpha + tol + 1e-12:
-                hypothesis_held = False
-
+    radii = np.array(sorted(radii_set, reverse=True))
+    ratios = np.empty((n, radii.size))
     worst_violation = -np.inf
     worst_pair = (ids[0], ids[0])
     worst_ratio = 0.0
     for i in range(n):
         dev = np.linalg.norm(values_matrix - values_matrix[i], axis=1)
+        # the base is among the points; its deviation 0 changes no ratio
+        ratios[i] = _ball_ratios(mat[i], dev, radii)[0]
         violation = dev - (alpha + tol) * mat[i]
         violation[i] = -np.inf
         j = int(np.argmax(violation))
@@ -452,11 +442,13 @@ def global_lipschitz_upgrade_check(
             worst_violation = float(violation[j])
             worst_pair = (ids[i], ids[j])
             worst_ratio = float(dev[j] / mat[i, j])
+    # the first largest excess in point-then-radius order is the witness
+    i, j = np.unravel_index(np.argmax(ratios - alpha), ratios.shape)
     return LipschitzUpgradeReport(
         passed=bool(worst_violation <= 1e-12),
         worst_pair=worst_pair,
         worst_violation=worst_violation,
         worst_ratio=worst_ratio,
-        hypothesis_held=hypothesis_held,
-        hypothesis_worst=hyp_worst,
+        hypothesis_held=not bool(np.any(ratios > alpha + tol + 1e-12)),
+        hypothesis_worst=(ids[int(i)], float(radii[j]), float(ratios[i, j])),
     )

@@ -45,9 +45,6 @@ class SampledMetricSpace:
     explicit_distances : array of shape (n, n)
         Required iff ``metric_kind == "explicit"``.  Must be symmetric with
         zero diagonal and positive off-diagonal entries.
-    validate_triangle : bool
-        If true, exhaustively check the triangle inequality on every sampled
-        triple (O(n^3); intended for explicit matrices at small n).
     """
 
     def __init__(
@@ -56,7 +53,6 @@ class SampledMetricSpace:
         metric_kind: str,
         coords=None,
         explicit_distances=None,
-        validate_triangle: bool = False,
     ):
         ids = list(point_ids)
         if not ids:
@@ -113,9 +109,6 @@ class SampledMetricSpace:
                 raise PreconditionError(
                     f"points {ids[i]!r} and {ids[j]!r} share coordinates"
                 )
-
-        if validate_triangle:
-            self.validate_triangle_inequality()
 
     # -- basic queries ----------------------------------------------------
 
@@ -187,13 +180,14 @@ class SampledMetricSpace:
         mask = row <= r if closed else row < r
         return tuple(a for a, hit in zip(self.point_ids, mask) if hit)
 
-    def validate_triangle_inequality(self, slack: float = 0.0) -> None:
-        """Exhaustive triangle check over all sampled triples."""
+    def validate_triangle_inequality(self) -> None:
+        """Exhaustive triangle check over all sampled triples (O(n^3);
+        intended for explicit matrices at small n)."""
         mat = self.distance_matrix()
         n = mat.shape[0]
         for k in range(n):
             bound = mat[:, k, None] + mat[None, k, :]
-            if np.any(mat > bound + slack):
+            if np.any(mat > bound):
                 i, j = np.unravel_index(np.argmax(mat - bound), mat.shape)
                 raise PreconditionError(
                     f"triangle inequality fails on triple "

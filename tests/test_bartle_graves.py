@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -151,7 +153,84 @@ class TestBuildRightInverse:
             assert residual <= 1e-8
 
 
+def reference_right_inverse_rows(ri, scales):
+    """Identity, homogeneity and off-sample rows one vector at a time, as
+    field tuples: ``ri(y)`` per scaled point, a second ``ri`` per scale for
+    homogeneity, and one off-sample midpoint per loop turn."""
+    identity, homogeneity, off = [], [], []
+    for k in ri.dense_set:
+        d = ri.sphere.coordinate(k)
+        base = ri(d)
+        exact_coords = bool(np.all(d == np.round(d)))
+        for scale in (1.0, *scales):
+            y = scale * d
+            residual = float(np.linalg.norm(ri.T.apply(ri(y)) - y))
+            identity.append((int(k), float(scale), residual, residual <= 1e-8))
+        for scale in scales:
+            lhs, rhs = ri(scale * d), scale * base
+            homogeneity.append(
+                (int(k), float(scale), bool(np.all(lhs == rhs)), float(np.max(np.abs(lhs - rhs))), exact_coords)
+            )
+    coords = ri.sphere.coords
+    for i in range(min(8, len(coords))):
+        blend = 0.75 * coords[i] + 0.25 * coords[(i + 1) % len(coords)]
+        nrm = float(np.linalg.norm(blend))
+        if nrm < 1e-12:
+            continue
+        u = blend / nrm
+        if np.any(np.all(coords == u, axis=1)):
+            continue
+        k = ls.lipschitz.nearest_direction_index(ri.table, u)
+        value = ri(u)
+        u_norm = float(np.linalg.norm(u))
+        semantic = float(np.linalg.norm(ri.T.apply(value) - u_norm * ri.sphere.coordinate(k)))
+        identity_residual = float(np.linalg.norm(ri.T.apply(value) - u))
+        off.append((tuple(float(x) for x in u), k, semantic, identity_residual, semantic <= 1e-8))
+    return identity, homogeneity, off
+
+
+def mantissa_power_of_two(scale):
+    mantissa = float(scale)
+    while mantissa != int(mantissa):
+        mantissa *= 2.0
+    return int(mantissa) & (int(mantissa) - 1) == 0
+
+
 class TestVerifyRightInverse:
+    @pytest.mark.parametrize(
+        "shape, count, scales",
+        [
+            ((2, 3), 24, (0.5, 2.0, 10.0)),
+            ((2, 3), 24, (1.0,)),
+            # two antipodal directions: every off-sample midpoint lands on
+            # a sampled direction and is skipped
+            ((2, 3), 2, (0.5, 3.0)),
+            ((3, 5), 40, (0.5, 2.0, 10.0)),
+            ((3, 5), 40, (1.0,)),
+            ((3, 5), 40, (0.1, 3.0, 1e3)),
+        ],
+    )
+    def test_rows_equal_the_vector_at_a_time_reference(self, shape, count, scales):
+        rng = np.random.default_rng(11)
+        T = ls.LinearSurjection(rng.normal(size=shape))
+        ri = ls.build_right_inverse(T, beta=1.0 / T.sigma_min + 0.5, sphere_count=count, rounds=3)
+        report = ls.verify_right_inverse(ri, scales=scales)
+        identity, homogeneity, off = reference_right_inverse_rows(ri, scales)
+        assert repr([dataclasses.astuple(r) for r in report.identity_rows]) == repr(identity)
+        assert repr([dataclasses.astuple(r) for r in report.homogeneity_rows]) == repr(homogeneity)
+        assert repr([dataclasses.astuple(r) for r in report.off_sample_rows]) == repr(off)
+        assert (not off) == (count == 2)
+
+    @pytest.mark.parametrize("scale", [2.0**-30, 0.1, 0.5, 1.0, 2.0, 3.0, 10.0, 1e300])
+    def test_power_of_two_rule_matches_the_mantissa_loop(self, scale):
+        def passed(exact, exact_coords):
+            row = ls.bartle_graves.HomogeneityRow(0, scale, exact, 0.0, exact_coords)
+            return ls.bartle_graves.RightInverseReport((), (), (row,), None, 0.0, 1.0, 0.0).homogeneity_passed
+
+        assert passed(exact=False, exact_coords=False) is not mantissa_power_of_two(scale)
+        assert passed(exact=False, exact_coords=True) is False
+        assert passed(exact=True, exact_coords=False) is True
+
     def _identity_ri(self):
         T = ls.LinearSurjection(np.eye(2))
         return ls.build_right_inverse(T, beta=1.5, sphere_count=32, rounds=3)

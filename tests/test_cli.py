@@ -172,8 +172,14 @@ class TestSelectAndVerify:
                 {k: 1.0 for k in doc["rounds"][0]["deltas"]}
             ),
             lambda doc: [rd.update(n=4 - rd["n"]) for rd in doc["rounds"]],
+            lambda doc: [
+                sel.update(round=len(doc["selections"]) - 1 - pos) for pos, sel in enumerate(doc["selections"])
+            ],
         ],
-        ids=["rounds_99_one_round_hierarchy", "emptied_hierarchy", "anchor_left_out_of_new", "delta_too_large", "rounds_reversed"],
+        ids=[
+            "rounds_99_one_round_hierarchy", "emptied_hierarchy", "anchor_left_out_of_new", "delta_too_large",
+            "rounds_reversed", "selections_relabelled",
+        ],
     )
     def test_forged_metadata_fails(self, tmp_path, forge):
         corr_path, iter_path = segment_correspondence_docs(tmp_path)

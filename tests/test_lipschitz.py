@@ -19,7 +19,44 @@ def quadratic_table(space):
     return {a: np.array([space.coordinate(a)[0] ** 2]) for a in space.point_ids}
 
 
+def reference_profile(values, space, b, radii, informative_count=3, closed=True):
+    """The per-radius loop: one ball mask per radius, with the base masked
+    out for the informative flag."""
+    table = ls.as_table(values, space)
+    b_index = space.index(b)
+    dist_row = space.distance_row(b)
+    deviations = np.linalg.norm(table - table[b_index], axis=1)
+    rows, informative = [], []
+    for r in radii:
+        mask = dist_row <= r if closed else dist_row < r
+        rows.append((r, float(deviations[mask].max()) / r))
+        mask_other = mask.copy()
+        mask_other[b_index] = False
+        informative.append(bool(mask_other.any()))
+    smallest = [row for row, ok in zip(rows, informative) if ok][-informative_count:]
+    return tuple(rows), tuple(informative), max(ratio for _, ratio in smallest)
+
+
 class TestPlipProfile:
+    @pytest.mark.parametrize("closed", [True, False])
+    @pytest.mark.parametrize("metric", ["l1", "l2", "linf"])
+    def test_rows_equal_the_per_radius_loop(self, closed, metric):
+        rng = np.random.default_rng(9)
+        space = ls.SampledMetricSpace(range(60), metric, coords=rng.uniform(size=(60, 2)))
+        values = rng.normal(size=(60, 3))
+        for b in (0, 17, 59):
+            others = np.sort(np.delete(space.distance_row(b), b))
+            # one radius exactly on a sampled distance, the last below the
+            # nearest neighbor: that ball holds only the base
+            radii = [float(others[40]) * 1.5, float(others[12]), float(others[3]) * 0.9, float(others[0]) / 2]
+            for count in (1, 2, 3):
+                profile = ls.plip_profile(values, space, b, radii, count, closed=closed)
+                rows, informative, estimate = reference_profile(values, space, b, radii, count, closed)
+                assert repr((profile.rows, profile.informative, profile.estimate)) == repr(
+                    (rows, informative, estimate)
+                )
+                assert profile.informative[-1] is False
+
     def test_square_at_zero(self):
         space = grid_space(1001)
         profile = ls.plip_profile(quadratic_table(space), space, 0, [0.1, 0.05, 0.025])
@@ -365,7 +402,62 @@ class TestCantorPlateaus:
             assert ls.cantor_function(mid) == ls.cantor_function(mid + (right - left) / 8)
 
 
+def reference_hypothesis(values, space, alpha, r0, tol=1e-9):
+    """The pointwise half point by point: a sort, a running maximum and a
+    binary search per base point, then one ratio per radius."""
+    table = ls.as_table(values, space)
+    ids = space.point_ids
+    mat = space.distance_matrix()
+    gaps = np.diff(np.sort(space.coords[:, 0]))
+    radii_set = {float(g) for g in gaps}
+    r = float(r0)
+    while r >= float(gaps.min()):
+        radii_set.add(r)
+        r /= 2.0
+    radii = sorted(radii_set, reverse=True)
+    held, worst, excess = True, (ids[0], radii[0], 0.0), -np.inf
+    for i in range(len(ids)):
+        dev = np.linalg.norm(table - table[i], axis=1)
+        order = np.argsort(mat[i])
+        sorted_d = mat[i][order]
+        cummax = np.maximum.accumulate(dev[order])
+        for r in radii:
+            idx = int(np.searchsorted(sorted_d, r, side="right")) - 1
+            ratio = float(cummax[idx]) / r
+            if ratio - alpha > excess:
+                excess = ratio - alpha
+                worst = (ids[i], r, ratio)
+            if ratio > alpha + tol + 1e-12:
+                held = False
+    return held, worst
+
+
+def cantor_grid(n=3**6):
+    ids = list(range(n + 1))
+    space = ls.SampledMetricSpace(ids, "l2", coords={i: [i / n] for i in ids})
+    return space, {i: np.array([ls.cantor_function(i / n)]) for i in ids}
+
+
 class TestGlobalLipschitzUpgrade:
+    @pytest.mark.parametrize("grid", ["linear", "constant", "cantor", "irregular"])
+    def test_hypothesis_half_equals_the_point_by_point_search(self, grid):
+        if grid == "linear":
+            space = grid_space(101)
+            values, alpha, r0 = space.coords.copy(), 1.0, 0.05
+        elif grid == "constant":
+            space = grid_space(51)
+            values, alpha, r0 = np.full((51, 1), 2.0), 0.0, 0.1
+        elif grid == "cantor":
+            (space, values), alpha, r0 = cantor_grid(), 10.0, 0.01
+        else:
+            rng = np.random.default_rng(10)
+            space = ls.SampledMetricSpace(range(80), "l2", coords=np.sort(rng.uniform(size=(80, 1)), axis=0))
+            values, alpha, r0 = rng.normal(size=(80, 2)), 3.0, 0.2
+        report = ls.global_lipschitz_upgrade_check(values, space, alpha=alpha, r0=r0)
+        held, worst = reference_hypothesis(values, space, alpha, r0)
+        assert report.hypothesis_held is held
+        assert repr(report.hypothesis_worst) == repr(worst)
+
     def test_linear_passes(self):
         space = grid_space(101)
         table = {a: np.array([space.coordinate(a)[0]]) for a in space.point_ids}
@@ -392,10 +484,7 @@ class TestGlobalLipschitzUpgrade:
         assert report.passed
 
     def test_cantor_fails_at_ten(self):
-        n = 3**6
-        ids = list(range(n + 1))
-        space = ls.SampledMetricSpace(ids, "l2", coords={i: [i / n] for i in ids})
-        table = {i: np.array([ls.cantor_function(i / n)]) for i in ids}
+        space, table = cantor_grid()
         report = ls.global_lipschitz_upgrade_check(table, space, alpha=10.0, r0=0.01)
         assert not report.passed
         assert not report.hypothesis_held

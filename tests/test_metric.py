@@ -67,10 +67,9 @@ class TestDistance:
 
     def test_triangle_validation(self):
         mat = [[0, 1, 5], [1, 0, 1], [5, 1, 0]]  # 5 > 1 + 1
+        space = ls.SampledMetricSpace([0, 1, 2], "explicit", explicit_distances=mat)
         with pytest.raises(PreconditionError):
-            ls.SampledMetricSpace(
-                [0, 1, 2], "explicit", explicit_distances=mat, validate_triangle=True
-            )
+            space.validate_triangle_inequality()
 
 
 class TestBallPoints:
