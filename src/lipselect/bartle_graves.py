@@ -25,7 +25,6 @@ import numpy as np
 
 from .convex import _matvec, _row_norms
 from .correspondence import (
-    Correspondence,
     LinearSurjection,
     inverse_image_correspondence,
 )
@@ -86,7 +85,7 @@ def sphere_sample(m: int, count: int, seed: int = 0, dedup_tol: float = 1e-6) ->
                 continue
             coords[drawn] = v
             drawn += 1
-    return SampledMetricSpace(range(len(coords)), "l2", coords=coords)
+    return SampledMetricSpace("l2", coords=coords)
 
 
 @dataclass
@@ -135,7 +134,8 @@ def build_right_inverse(
         )
     sphere = sphere_sample(T.codomain_dim, sphere_count, seed=seed)
     phi = inverse_image_correspondence(T, sphere)
-    f0 = np.array([T.minimum_norm_solution(y) for y in sphere.coords])
+    # the flats' bases are the least-norm solutions
+    f0 = phi.canonical_selection()
     config = IterationConfig(
         alpha=alpha,
         beta=beta,

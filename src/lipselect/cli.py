@@ -190,7 +190,7 @@ def _cmd_select(opts) -> int:
     if opts.get("f0"):
         f0 = table_from_dict(_load_json(opts["f0"]), phi.space, phi.ambient_dim)
     else:
-        f0 = np.array([body.canonical_point() for body in phi.bodies.values()])
+        f0 = phi.canonical_selection()
     seq = run_iteration(phi, f0, config)
     audit = verify_sequence(seq)
     report = {
@@ -217,7 +217,7 @@ def _cmd_select(opts) -> int:
 def _cmd_plip(opts) -> int:
     space = SampledMetricSpace.from_json_dict(_load_json(opts["space"]))
     values = table_from_dict(_load_json(opts["table"]), space)
-    by_str = {str(a): a for a in space.point_ids}
+    by_str = {str(a): a for a in range(len(space))}
     radii = opts.get("radii") or list(default_radii(space))
     if opts.get("points"):
         points = [by_str[p] for p in opts["points"] if p in by_str]
@@ -225,7 +225,7 @@ def _cmd_plip(opts) -> int:
         if unknown:
             raise IdentifierError(f"unknown point id(s) {unknown!r}")
     else:
-        points = list(space.point_ids)
+        points = range(len(space))
     profiles = [plip_profile(values, space, b, radii) for b in points]
     report = {
         "command": "plip",

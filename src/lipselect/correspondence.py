@@ -1,7 +1,7 @@
 """Convex-valued correspondences over sampled metric spaces.
 
 A :class:`Correspondence` materializes a set-valued map as a table: one
-:class:`~lipselect.convex.ConvexBody` per sampled point, all in a common
+:class:`~lipselect.convex.ConvexBody` per row of the space, all in a common
 ambient dimension.  The quantitative hypothesis the selection engine relies
 on is the lower pointwise Lipschitz property: for an anchor ``b`` and a
 member ``y`` of its value, every other value must meet the closed ball of
@@ -22,7 +22,7 @@ this structure with parallel affine flats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .errors import (
     ShapeError,
     as_finite_array,
 )
-from .metric import PointId, SampledMetricSpace
+from .metric import SampledMetricSpace
 
 RANK_TOLERANCE = 1e-12
 
@@ -105,37 +105,38 @@ class LinearSurjection:
 
 
 class Correspondence:
-    """Table-valued correspondence: one convex body per sampled point."""
+    """Table-valued correspondence: ``bodies[i]`` is the value at row ``i``
+    of the space.  The ambient dimension is the one the bodies share."""
 
-    def __init__(self, space: SampledMetricSpace, bodies: Mapping[PointId, ConvexBody], ambient_dim: int):
-        missing = [a for a in space.point_ids if a not in bodies]
-        if missing:
-            raise PreconditionError(f"no body for point(s) {missing[:3]!r}")
-        for a in space.point_ids:
-            if bodies[a].dim != ambient_dim:
-                raise ShapeError(
-                    f"body at {a!r} has dimension {bodies[a].dim}, expected {ambient_dim}"
-                )
+    def __init__(self, space: SampledMetricSpace, bodies: Sequence[ConvexBody]):
+        bodies = list(bodies)
+        if len(bodies) != len(space):
+            raise PreconditionError(f"{len(space)} points need one body each, got {len(bodies)}")
+        dims = {body.dim for body in bodies}
+        if len(dims) != 1:
+            raise ShapeError("bodies do not share one ambient dimension")
         self.space = space
-        self.bodies: Dict[PointId, ConvexBody] = {a: bodies[a] for a in space.point_ids}
-        self.ambient_dim = int(ambient_dim)
-        values = list(self.bodies.values())
+        self.bodies = bodies
+        self.ambient_dim = dims.pop()
         groups: Dict[tuple, list] = {}
-        for i, body in enumerate(values):
+        for i, body in enumerate(bodies):
             groups.setdefault(stack_key(body), []).append(i)
         # (row indices, kind, stack) per kind and shape, in order of first row
         self._stacks = [
-            (np.array(rows), key[0], stack_bodies([values[i] for i in rows]))
+            (np.array(rows), key[0], stack_bodies([bodies[i] for i in rows]))
             for key, rows in groups.items()
         ]
 
     def body(self, a) -> ConvexBody:
-        self.space.index(a)  # raises IdentifierError for unknown ids
-        return self.bodies[a]
+        return self.bodies[self.space.index(a)]
+
+    def canonical_selection(self) -> np.ndarray:
+        """The ``(N, d)`` table of each body's canonical point: the default
+        starting selection."""
+        return np.array([body.canonical_point() for body in self.bodies])
 
     def project_all(self, y) -> np.ndarray:
-        """Projection of ``y`` onto every body, one row per point in
-        ``space.point_ids`` order."""
+        """Projection of ``y`` onto every body, one row per point."""
         y = np.asarray(y, dtype=float)
         if y.shape != (self.ambient_dim,):
             raise ShapeError(f"expected a vector of dimension {self.ambient_dim}, got shape {y.shape}")
@@ -147,7 +148,7 @@ class Correspondence:
 
     def distances_to(self, table) -> np.ndarray:
         """Distance from row ``i`` of the ``(N, d)`` table to the body at
-        the ``i``-th point."""
+        point ``i``."""
         table = np.asarray(table, dtype=float)
         if table.shape != (len(self.space), self.ambient_dim):
             raise ShapeError(
@@ -160,13 +161,9 @@ class Correspondence:
         return out
 
     def to_json_dict(self) -> dict:
-        # the space schema carries no ids, so bodies are keyed by position
         return {
             "space": self.space.to_json_dict(),
-            "bodies": {
-                str(i): self.bodies[a].to_json_dict()
-                for i, a in enumerate(self.space.point_ids)
-            },
+            "bodies": {str(i): body.to_json_dict() for i, body in enumerate(self.bodies)},
         }
 
     @classmethod
@@ -175,11 +172,7 @@ class Correspondence:
             raise SchemaError("correspondence document needs 'space' and 'bodies'")
         space = SampledMetricSpace.from_json_dict(doc["space"])
         entries = space.keyed_entries(doc["bodies"], "bodies table")
-        table = {a: ConvexBody.from_json_dict(e) for a, e in zip(space.point_ids, entries)}
-        dims = {b.dim for b in table.values()}
-        if len(dims) != 1:
-            raise SchemaError("bodies do not share one ambient dimension")
-        return cls(space, table, ambient_dim=dims.pop())
+        return cls(space, [ConvexBody.from_json_dict(e) for e in entries])
 
 
 def inverse_image_correspondence(T: LinearSurjection, sample: SampledMetricSpace) -> Correspondence:
@@ -194,11 +187,8 @@ def inverse_image_correspondence(T: LinearSurjection, sample: SampledMetricSpace
             f"{T.codomain_dim}"
         )
     kernel = T.kernel_basis()
-    bodies = {
-        a: AffineFlat(T.minimum_norm_solution(sample.coordinate(a)), kernel)
-        for a in sample.point_ids
-    }
-    return Correspondence(sample, bodies, ambient_dim=T.domain_dim)
+    bodies = [AffineFlat(T.minimum_norm_solution(y), kernel) for y in sample.coords]
+    return Correspondence(sample, bodies)
 
 
 @dataclass(frozen=True)
@@ -212,14 +202,14 @@ class LowerPtlipCheck:
 
     passed: bool
     rate: float
-    anchor: PointId
-    witness: PointId
+    anchor: int
+    witness: int
     slack: float
 
 
 def check_lower_ptlip(
     phi: Correspondence,
-    b: PointId,
+    b: int,
     y,
     rate: float,
     tol: float = 1e-9,
@@ -230,8 +220,9 @@ def check_lower_ptlip(
     """
     if rate < 0:
         raise PreconditionError("rate must be nonnegative")
+    b = phi.space.index(b)
     y = np.asarray(y, dtype=float)
-    if not phi.body(b).contains(y, tol):
+    if not phi.bodies[b].contains(y, tol):
         raise PreconditionError(f"anchor value is not in the body at {b!r}")
     dist = phi.distances_to(np.broadcast_to(y, (len(phi.space), phi.ambient_dim)))
     slack = dist - rate * phi.space.distance_row(b)
@@ -240,20 +231,20 @@ def check_lower_ptlip(
         passed=bool(slack[i] <= tol),
         rate=float(rate),
         anchor=b,
-        witness=phi.space.point_ids[i],
+        witness=i,
         slack=float(slack[i]),
     )
 
 
 def local_strong_selection(
     phi: Correspondence,
-    b: PointId,
+    b: int,
     y,
     rate: float,
     tol: float = 1e-9,
 ) -> np.ndarray:
     """Selection table anchored at ``(b, y)``: ``g(a) = project(phi(a), y)``,
-    one row per point in ``space.point_ids`` order.
+    one row per point.
 
     Because projection realizes the distance, ``||g(a) - y||`` equals
     ``dist(phi(a), y)``, so the table is strongly pointwise Lipschitz at
@@ -261,19 +252,19 @@ def local_strong_selection(
     inequality holds; a violation raises :class:`RateError` with the worst
     sample point.  The anchor entry is pinned to ``y`` itself.
     """
+    b = phi.space.index(b)
     y = np.asarray(y, dtype=float)
-    if not phi.body(b).contains(y, tol):
+    if not phi.bodies[b].contains(y, tol):
         raise PreconditionError(f"anchor value is not in the body at {b!r}")
     table = phi.project_all(y)
     excess = np.linalg.norm(table - y, axis=1) - rate * phi.space.distance_row(b)
     i = int(np.argmax(excess))
     if excess[i] > tol:
-        worst_point = phi.space.point_ids[i]
         raise RateError(
-            f"strong pointwise bound at rate {rate} fails at {worst_point!r} "
+            f"strong pointwise bound at rate {rate} fails at {i!r} "
             f"by {excess[i]:.3e}",
-            witness=worst_point,
+            witness=i,
             excess=excess[i],
         )
-    table[phi.space.index(b)] = y
+    table[b] = y
     return table

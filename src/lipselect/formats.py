@@ -79,7 +79,7 @@ def write_report(path, obj: Any) -> None:
 def selection_csv_text(space: SampledMetricSpace, table: np.ndarray) -> str:
     header = "point_id," + ",".join(f"x{j + 1}" for j in range(table.shape[1]))
     lines = [header]
-    for a, row in zip(space.point_ids, table):
+    for a, row in enumerate(table):
         lines.append(str(a) + "," + ",".join(format_float(x) for x in row))
     return "\n".join(lines) + "\n"
 
@@ -124,7 +124,7 @@ def sequence_to_dict(seq: SelectionSequence) -> dict:
         "selections": [
             {
                 "round": sel.round_index,
-                "values": {str(a): row for a, row in zip(seq.space.point_ids, sel.table.tolist())},
+                "values": {str(a): row for a, row in enumerate(sel.table.tolist())},
             }
             for sel in seq.selections
         ],
@@ -132,7 +132,8 @@ def sequence_to_dict(seq: SelectionSequence) -> dict:
 
 
 def _resolve_ids(space: SampledMetricSpace, raw_ids) -> list:
-    by_str = {str(a): a for a in space.point_ids}
+    """Stored point ids as rows: an id must read as a row of ``space``."""
+    by_str = {str(a): a for a in range(len(space))}
     out = []
     for raw in raw_ids:
         key = str(raw)
@@ -165,12 +166,16 @@ def sequence_from_dict(doc: dict, correspondence) -> SelectionSequence:
         rounds = []
         for rd in doc["rounds"]:
             new_points = tuple(_resolve_ids(space, rd["new"]))
+            # the engine stores a radius for each new point and nothing else
+            deltas = rd["deltas"]
+            if not isinstance(deltas, dict) or set(deltas) != {str(b) for b in new_points}:
+                raise SchemaError(f"round {rd['n']!r}: deltas must be keyed by exactly the new points")
             rounds.append(
                 RoundRecord(
                     n=int(rd["n"]),
                     members=tuple(_resolve_ids(space, rd["B"])),
                     new_points=new_points,
-                    deltas={b: float(rd["deltas"][str(b)]) for b in new_points},
+                    deltas={b: float(deltas[str(b)]) for b in new_points},
                     sup_change=float(rd["sup_change"]),
                 )
             )

@@ -26,16 +26,16 @@ geometric tail ``2^-N * epsilon``; equality of consecutive tables on
 ``2^-n``-balls around earlier anchors is exact by construction and is
 checked bitwise.
 
-Every table is one ``(N, d)`` float array whose rows follow
-``space.point_ids``; :func:`as_table` is the one entry point for tables
-given in another form.
+Every table is one ``(N, d)`` float array whose row ``i`` is the value at
+point ``i``; :func:`as_table` is the one entry point that checks a table
+given from outside.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -51,7 +51,6 @@ from .errors import (
     as_finite_array,
 )
 from .metric import (
-    PointId,
     SampledMetricSpace,
     SeparationHierarchy,
     build_separation_hierarchy,
@@ -59,12 +58,15 @@ from .metric import (
 
 # strict "< 2^-n eps" acceptance, kept provable under roundoff
 STRICTNESS_MARGIN = 1e-12
+# the audit's slack on body membership, and on the displacement and
+# anchored bounds
+MEMBERSHIP_TOL = 1e-8
+BOUND_SLACK = 1e-9
 
 
 @dataclass
 class Selection:
-    """A sampled map: row ``i`` of ``table`` is the value at the ``i``-th
-    point of the space, in ``space.point_ids`` order."""
+    """A sampled map: row ``i`` of ``table`` is the value at point ``i``."""
 
     table: np.ndarray
     round_index: int = 0
@@ -77,23 +79,18 @@ class Selection:
         return float(np.linalg.norm(self.table - other.table, axis=1).max())
 
 
-TableLike = Union[Selection, Mapping, np.ndarray]
+TableLike = Union[Selection, np.ndarray]
 
 
 def as_table(
     values: TableLike, space: SampledMetricSpace, dim: Optional[int] = None
 ) -> np.ndarray:
-    """The ``(N, d)`` table of a sampled map given as a :class:`Selection`,
-    a mapping from point ids to vectors, or an array with one row per point.
-    Scalar values count as 1-vectors; every entry must be finite.  When
-    ``dim`` is given, rows of any other width are a :class:`ShapeError`."""
+    """The ``(N, d)`` table of a sampled map given as a :class:`Selection`
+    or an array with one row per point.  Scalar values count as 1-vectors;
+    every entry must be finite.  When ``dim`` is given, rows of any other
+    width are a :class:`ShapeError`."""
     if isinstance(values, Selection):
         values = values.table
-    elif isinstance(values, Mapping):
-        missing = [a for a in space.point_ids if a not in values]
-        if missing:
-            raise PreconditionError(f"table is not defined at {missing[:3]!r}")
-        values = [np.atleast_1d(values[a]) for a in space.point_ids]
     table = as_finite_array(values, "selection table")
     if table.ndim == 1:
         table = table[:, None]
@@ -111,9 +108,9 @@ class RoundRecord:
     """Evidence retained for one adjustment round."""
 
     n: int
-    members: Tuple[PointId, ...]
-    new_points: Tuple[PointId, ...]
-    deltas: Dict[PointId, float]
+    members: Tuple[int, ...]
+    new_points: Tuple[int, ...]
+    deltas: Dict[int, float]
     sup_change: float = 0.0
 
 
@@ -275,7 +272,7 @@ def compute_delta(
 def blend_round(
     f_prev: Selection,
     record: RoundRecord,
-    anchored: Mapping[PointId, np.ndarray],
+    anchored: Dict[int, np.ndarray],
     space: SampledMetricSpace,
 ) -> Selection:
     """One blending step: mix ``f_prev`` with the anchored tables of the
@@ -296,7 +293,7 @@ def blend_round(
             i = int(np.argmax(covered > 1))
             owners = [b for b, support in supports.items() if support[i]]
             raise InvariantViolationError(
-                f"adjustment supports overlap at {space.point_ids[i]!r}: anchors {owners!r}"
+                f"adjustment supports overlap at {i!r}: anchors {owners!r}"
             )
     table = f_prev.table.copy()
     for b, support in supports.items():
@@ -327,7 +324,7 @@ def run_iteration(
     outside = np.flatnonzero(~(phi.distances_to(f0.table) <= max(config.tol, 1e-9)))
     if outside.size:
         raise PreconditionError(
-            f"f0 is not a selection of the correspondence at {space.point_ids[outside[0]]!r}"
+            f"f0 is not a selection of the correspondence at {int(outside[0])!r}"
         )
 
     hierarchy = build_separation_hierarchy(space, config.rounds)
@@ -338,12 +335,12 @@ def run_iteration(
     for sep_round in hierarchy.rounds:
         n = sep_round.n
         new_points = tuple(b for b in sep_round.members if b not in prev_members)
-        deltas: Dict[PointId, float] = {}
-        anchored: Dict[PointId, np.ndarray] = {}
+        deltas: Dict[int, float] = {}
+        anchored: Dict[int, np.ndarray] = {}
         for b in new_points:
             try:
                 anchored[b] = local_strong_selection(
-                    phi, b, f_prev.table[space.index(b)], rate=config.alpha, tol=config.tol
+                    phi, b, f_prev.table[b], rate=config.alpha, tol=config.tol
                 )
                 deltas[b] = compute_delta(
                     f_prev.table,
@@ -401,16 +398,7 @@ class RoundPropertiesReport:
         return all(c.passed for c in self.checks.values())
 
 
-def _rows(space: SampledMetricSpace, ids) -> List[int]:
-    return [space.index(a) for a in ids]
-
-
-def verify_round_properties(
-    seq: SelectionSequence,
-    n: int,
-    membership_tol: float = 1e-8,
-    bound_slack: float = 1e-9,
-) -> RoundPropertiesReport:
+def verify_round_properties(seq: SelectionSequence, n: int) -> RoundPropertiesReport:
     """Re-check the guarantees of round ``n`` against the stored tables.
 
     * selection membership of ``f_n`` at every point,
@@ -431,9 +419,9 @@ def verify_round_properties(
     member = seq.correspondence.distances_to(f_n)
     i = int(np.argmax(member))
     worst_member = float(member[i])
-    worst_point = space.point_ids[i] if worst_member > 0.0 else None
+    worst_point = i if worst_member > 0.0 else None
     report.checks["selection_membership"] = CheckOutcome(
-        passed=worst_member <= membership_tol,
+        passed=worst_member <= MEMBERSHIP_TOL,
         worst=worst_member,
         detail=f"max body distance {worst_member:.3e} at {worst_point!r}",
     )
@@ -441,7 +429,7 @@ def verify_round_properties(
     sup_change = seq.selections[n].sup_distance(seq.selections[n - 1])
     bound = 2.0 ** (-n) * seq.config.epsilon
     report.checks["sup_change_bound"] = CheckOutcome(
-        passed=sup_change <= bound + bound_slack,
+        passed=sup_change <= bound + BOUND_SLACK,
         worst=sup_change,
         detail=f"sup displacement {sup_change:.3e} vs bound {bound:.3e}",
     )
@@ -451,11 +439,11 @@ def verify_round_properties(
     for b in record.new_points:
         row = space.distance_row(b)
         ball = row <= record.deltas[b]
-        excess = np.linalg.norm(f_n[ball] - f_n[space.index(b)], axis=1) - seq.config.alpha * row[ball]
+        excess = np.linalg.norm(f_n[ball] - f_n[b], axis=1) - seq.config.alpha * row[ball]
         if excess.max() > worst_excess:
             worst_excess, worst_anchor = float(excess.max()), b
     report.checks["anchored_strong_bound"] = CheckOutcome(
-        passed=worst_excess <= bound_slack,
+        passed=worst_excess <= BOUND_SLACK,
         worst=worst_excess,
         detail=f"worst excess {worst_excess:.3e} (anchor {worst_anchor!r})",
     )
@@ -468,7 +456,7 @@ def verify_round_properties(
     moved = np.zeros(len(space), dtype=bool)
     for k in range(n - 1, 0, -1):
         moved |= np.any(seq.selections[k].table != f_n, axis=1)
-        protecting = np.count_nonzero(mat[_rows(space, seq.rounds[k - 1].members)] < radius, axis=0)
+        protecting = np.count_nonzero(mat[list(seq.rounds[k - 1].members)] < radius, axis=0)
         mismatches += int(protecting[moved].sum())
     report.checks["earlier_anchor_coincidence"] = CheckOutcome(
         passed=mismatches == 0,
@@ -521,21 +509,14 @@ def _metadata_problems(seq: SelectionSequence) -> List[str]:
     return problems
 
 
-def verify_sequence(
-    seq: SelectionSequence,
-    membership_tol: float = 1e-8,
-    bound_slack: float = 1e-9,
-) -> SequenceReport:
+def verify_sequence(seq: SelectionSequence) -> SequenceReport:
     """Whole-run audit: per-round properties plus the cross-round invariants
     (selection closure including ``f_0``, telescoped Cauchy bounds, anchors
     frozen after entry, stored metadata consistent with the space, disjoint
     supports).  Rounds are audited by position; a stored round number that
     differs fails the metadata check."""
     space = seq.space
-    round_reports = [
-        verify_round_properties(seq, n, membership_tol, bound_slack)
-        for n in range(1, len(seq.rounds) + 1)
-    ]
+    round_reports = [verify_round_properties(seq, n) for n in range(1, len(seq.rounds) + 1)]
     checks: Dict[str, CheckOutcome] = {}
 
     # the round reports already measured f_1 .. f_N
@@ -544,7 +525,7 @@ def verify_sequence(
         + [r.checks["selection_membership"].worst for r in round_reports]
     )
     checks["selection_closure"] = CheckOutcome(
-        passed=worst <= membership_tol,
+        passed=worst <= MEMBERSHIP_TOL,
         worst=worst,
         detail=f"max body distance over all rounds {worst:.3e}",
     )
@@ -563,7 +544,7 @@ def verify_sequence(
 
     frozen_violations = 0
     for record in seq.rounds:
-        rows = _rows(space, record.new_points)
+        rows = list(record.new_points)
         entry = seq.selections[record.n].table[rows]
         for later in seq.selections[record.n + 1 :]:
             frozen_violations += int(np.count_nonzero(np.any(later.table[rows] != entry, axis=1)))
@@ -583,7 +564,7 @@ def verify_sequence(
     min_margin = math.inf
     mat = space.distance_matrix()
     for record in seq.rounds:
-        rows = _rows(space, record.new_points)
+        rows = list(record.new_points)
         deltas = np.array([record.deltas[b] for b in record.new_points])
         i, j = np.triu_indices(len(rows), k=1)
         if i.size:

@@ -35,9 +35,10 @@ from .errors import (
     ShapeError,
 )
 from .iteration import TableLike, as_table
-from .metric import PointId, SampledMetricSpace
+from .metric import SampledMetricSpace
 
-DEFAULT_INFORMATIVE_COUNT = 3
+# the estimate is the max ratio over this many smallest informative radii
+INFORMATIVE_COUNT = 3
 OPEN_CLOSED_REL_TOL = 0.05
 RADIUS_LEVELS = 4
 
@@ -50,7 +51,7 @@ class PlipProfile:
     small-radius limsup surrogate); ``informative`` flags each row.
     """
 
-    point: PointId
+    point: int
     rows: Tuple[Tuple[float, float], ...]
     informative: Tuple[bool, ...]
     estimate: float
@@ -73,9 +74,8 @@ def _ball_ratios(dist, dev, radii, closed=True):
 def plip_profile(
     values: TableLike,
     space: SampledMetricSpace,
-    b: PointId,
+    b: int,
     radii: Sequence[float],
-    informative_count: int = DEFAULT_INFORMATIVE_COUNT,
     closed: bool = True,
 ) -> PlipProfile:
     """Ratio profile of a sampled map at ``b`` over the given radii.
@@ -91,14 +91,12 @@ def plip_profile(
         raise PreconditionError("radii must be positive")
     if any(r1 <= r2 for r1, r2 in zip(radii, radii[1:])):
         raise PreconditionError("radii must be strictly decreasing")
-    if informative_count < 1:
-        raise ParameterError("informative_count must be at least 1")
     table = as_table(values, space)
-    b_index = space.index(b)
-    deviations = np.linalg.norm(table - table[b_index], axis=1)
+    b = space.index(b)
+    deviations = np.linalg.norm(table - table[b], axis=1)
     dist = space.distance_row(b).copy()
     # out of every ball: the kernel counts the base itself, as deviation 0
-    dist[b_index] = np.inf
+    dist[b] = np.inf
     ratios, informative = _ball_ratios(dist, deviations, np.array(radii), closed)
     if not informative.any():
         raise ResolutionError(
@@ -108,16 +106,15 @@ def plip_profile(
         point=b,
         rows=tuple(zip(radii, ratios.tolist())),
         informative=tuple(informative.tolist()),
-        estimate=float(ratios[informative][-informative_count:].max()),
+        estimate=float(ratios[informative][-INFORMATIVE_COUNT:].max()),
     )
 
 
 def open_closed_consistency(
     values: TableLike,
     space: SampledMetricSpace,
-    b: PointId,
+    b: int,
     radii: Sequence[float],
-    informative_count: int = DEFAULT_INFORMATIVE_COUNT,
 ) -> bool:
     """Do open-ball and closed-ball estimates agree at small radii?
 
@@ -126,8 +123,8 @@ def open_closed_consistency(
     small-radius estimates within ``OPEN_CLOSED_REL_TOL`` scaled by their
     magnitude.
     """
-    closed_est = plip_profile(values, space, b, radii, informative_count, closed=True).estimate
-    open_est = plip_profile(values, space, b, radii, informative_count, closed=False).estimate
+    closed_est = plip_profile(values, space, b, radii, closed=True).estimate
+    open_est = plip_profile(values, space, b, radii, closed=False).estimate
     return abs(closed_est - open_est) <= OPEN_CLOSED_REL_TOL * max(1.0, closed_est, open_est)
 
 
@@ -136,7 +133,7 @@ def default_radii(space: SampledMetricSpace) -> Tuple[float, ...]:
     anchored at the sample's fill distance, the largest nearest-neighbor
     gap."""
     mat = space.distance_matrix()
-    if len(space.point_ids) < 2:
+    if len(space) < 2:
         raise ResolutionError("radius schedule needs at least two points")
     off = mat + np.diag(np.full(mat.shape[0], np.inf))
     fill = float(off.min(axis=1).max())
@@ -183,7 +180,7 @@ class SphereTable:
         """The directions under the chord metric: the space the table was
         built from, else one built on first use."""
         if self._space is None:
-            object.__setattr__(self, "_space", SampledMetricSpace(range(len(self)), "l2", coords=self.directions))
+            object.__setattr__(self, "_space", SampledMetricSpace("l2", coords=self.directions))
         return self._space
 
     def sup_norm(self) -> float:
@@ -251,7 +248,6 @@ def verify_homogeneous_plip(
     beta: float,
     rays: Sequence[Tuple[int, Sequence[float]]],
     tol: float = 1e-9,
-    informative_count: int = DEFAULT_INFORMATIVE_COUNT,
 ) -> HomogeneousPlipReport:
     """Check the extension's pointwise rate along rays of sampled directions.
 
@@ -267,8 +263,6 @@ def verify_homogeneous_plip(
     """
     if beta < 0:
         raise ParameterError("beta must be nonnegative")
-    if informative_count < 1:
-        raise ParameterError("informative_count must be at least 1")
     sup = table.sup_norm()
     bound = 2.0 * beta + sup + tol
     directions = table.directions
@@ -283,10 +277,8 @@ def verify_homogeneous_plip(
         k = int(k)
         others = np.sort(mat[k][mat[k] > 0])
         if others.size:
-            sphere_radii = sorted({float(r) for r in others[:informative_count]}, reverse=True)
-            sphere_est = plip_profile(
-                table.values, sphere_space, sphere_space.point_ids[k], sphere_radii, informative_count
-            ).estimate
+            sphere_radii = sorted({float(r) for r in others[:INFORMATIVE_COUNT]}, reverse=True)
+            sphere_est = plip_profile(table.values, sphere_space, k, sphere_radii).estimate
         else:
             sphere_est = 0.0
         # radial displacements realize the norm variation exactly; axis
@@ -307,7 +299,7 @@ def verify_homogeneous_plip(
             if not radii.size:
                 raise ResolutionError(f"every probe of ray point {scale} * direction {k} rounds onto it")
             ratios, informative = _ball_ratios(dist, dev, radii)
-            ext_est = float(ratios[informative][-informative_count:].max())
+            ext_est = float(ratios[informative][-INFORMATIVE_COUNT:].max())
             rows.append(
                 RayPlipRow(
                     direction_index=k,
@@ -377,11 +369,11 @@ def cantor_plateaus(max_depth: int) -> List[Tuple[int, float, float]]:
 @dataclass(frozen=True)
 class LipschitzUpgradeReport:
     passed: bool
-    worst_pair: Tuple[PointId, PointId]
+    worst_pair: Tuple[int, int]
     worst_violation: float
     worst_ratio: float
     hypothesis_held: bool
-    hypothesis_worst: Tuple[PointId, float, float]
+    hypothesis_worst: Tuple[int, float, float]
 
 
 def global_lipschitz_upgrade_check(
@@ -414,8 +406,7 @@ def global_lipschitz_upgrade_check(
             f"grid spacing {max_gap} must be below the base radius {r0}"
         )
     values_matrix = as_table(values, space)
-    ids = space.point_ids
-    n = len(ids)
+    n = len(space)
     mat = space.distance_matrix()
 
     # sampled radii: dyadic from r0 plus every realized adjacent gap, so the
@@ -429,7 +420,7 @@ def global_lipschitz_upgrade_check(
     radii = np.array(sorted(radii_set, reverse=True))
     ratios = np.empty((n, radii.size))
     worst_violation = -np.inf
-    worst_pair = (ids[0], ids[0])
+    worst_pair = (0, 0)
     worst_ratio = 0.0
     for i in range(n):
         dev = np.linalg.norm(values_matrix - values_matrix[i], axis=1)
@@ -440,7 +431,7 @@ def global_lipschitz_upgrade_check(
         j = int(np.argmax(violation))
         if violation[j] > worst_violation:
             worst_violation = float(violation[j])
-            worst_pair = (ids[i], ids[j])
+            worst_pair = (i, j)
             worst_ratio = float(dev[j] / mat[i, j])
     # the first largest excess in point-then-radius order is the witness
     i, j = np.unravel_index(np.argmax(ratios - alpha), ratios.shape)
@@ -450,5 +441,5 @@ def global_lipschitz_upgrade_check(
         worst_violation=worst_violation,
         worst_ratio=worst_ratio,
         hypothesis_held=not bool(np.any(ratios > alpha + tol + 1e-12)),
-        hypothesis_worst=(ids[int(i)], float(radii[j]), float(ratios[i, j])),
+        hypothesis_worst=(int(i), float(radii[j]), float(ratios[i, j])),
     )

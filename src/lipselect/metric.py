@@ -1,8 +1,8 @@
 """Sampled metric spaces, ball queries, and maximal-separation machinery.
 
 A :class:`SampledMetricSpace` is the finite stand-in for a metric space
-``(M, d)``: an ordered list of point identifiers together with an exact
-metric oracle, either a norm on stored coordinates (``l1``, ``l2``,
+``(M, d)``: ``N`` points, each named by its row ``0..N-1``, together with
+an exact metric oracle, either a norm on stored coordinates (``l1``, ``l2``,
 ``linf``) or an explicit symmetric distance matrix.  On top of it this
 module builds maximal ``r``-separations by a deterministic greedy scan and
 the nested separation hierarchy with radii ``r_n = 2^-(n-1)``, and measures
@@ -12,7 +12,7 @@ density of a subset through its covering radius.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -24,8 +24,6 @@ from .errors import (
     as_finite_array,
 )
 
-PointId = Hashable
-
 METRIC_KINDS = ("l1", "l2", "linf", "explicit")
 _NORM_ORDS = {"l1": 1, "l2": 2, "linf": np.inf}
 
@@ -33,46 +31,36 @@ _NORM_ORDS = {"l1": 1, "l2": 2, "linf": np.inf}
 class SampledMetricSpace:
     """Finite point sample with an exact metric oracle.
 
+    A point is its row index ``0..N-1``.  The order is load-bearing: the
+    greedy separation scan visits points in row order.
+
     Parameters
     ----------
-    point_ids : sequence of hashables
-        Identifiers in a fixed order.  The order is load-bearing: the greedy
-        separation scan visits points in this order.
     metric_kind : str
         One of ``"l1"``, ``"l2"``, ``"linf"``, ``"explicit"``.
-    coords : mapping point_id -> vector, or array of shape (n, m)
-        Required for the norm-based kinds.
-    explicit_distances : array of shape (n, n)
+    coords : array of shape (N, m)
+        Required for the norm-based kinds; row ``i`` locates point ``i``.
+    explicit_distances : array of shape (N, N)
         Required iff ``metric_kind == "explicit"``.  Must be symmetric with
         zero diagonal and positive off-diagonal entries.
     """
 
-    def __init__(
-        self,
-        point_ids: Sequence[PointId],
-        metric_kind: str,
-        coords=None,
-        explicit_distances=None,
-    ):
-        ids = list(point_ids)
-        if not ids:
+    def __init__(self, metric_kind: str, coords=None, explicit_distances=None):
+        explicit = metric_kind == "explicit"
+        given = explicit_distances if explicit else coords
+        if given is not None and len(given) == 0:
             raise PreconditionError("a sampled metric space needs at least one point")
-        if len(set(ids)) != len(ids):
-            raise PreconditionError("point identifiers must be distinct")
         if metric_kind not in METRIC_KINDS:
             raise SchemaError(f"unknown metric kind {metric_kind!r}")
+        if given is None:
+            needs = "a distance matrix" if explicit else "point coordinates"
+            raise ConfigurationError(f"metric kind {metric_kind!r} requires {needs}")
 
-        self.point_ids: tuple = tuple(ids)
         self.metric_kind = metric_kind
-        self._index = {a: i for i, a in enumerate(ids)}
-        n = len(ids)
+        self._n = n = len(given)
 
-        if metric_kind == "explicit":
-            if explicit_distances is None:
-                raise ConfigurationError(
-                    "metric kind 'explicit' requires a distance matrix"
-                )
-            mat = as_finite_array(explicit_distances, "distance matrix")
+        if explicit:
+            mat = as_finite_array(given, "distance matrix")
             if mat.shape != (n, n):
                 raise SchemaError(
                     f"distance matrix shape {mat.shape} does not match {n} points"
@@ -87,17 +75,11 @@ class SampledMetricSpace:
             self._coords = None
             self._matrix = mat
         else:
-            if coords is None:
-                raise ConfigurationError(
-                    f"metric kind {metric_kind!r} requires point coordinates"
-                )
-            if isinstance(coords, Mapping):
-                coords = [coords[a] for a in ids]
-            self._coords = as_finite_array(coords, "point coordinates").copy()
-            if self._coords.ndim != 2 or self._coords.shape[0] != n:
-                raise SchemaError(f"coordinates must be {n} vectors of one dimension")
+            self._coords = as_finite_array(given, "point coordinates").copy()
+            if self._coords.ndim != 2 or not self._coords.shape[1]:
+                raise SchemaError(f"coordinates must be {n} nonempty vectors of one dimension")
             self._matrix = None
-            # distinct ids must sit at distinct locations, else d(a,b) = 0;
+            # distinct points must sit at distinct locations, else d(a,b) = 0;
             # lexicographic sort reduces the check to adjacent rows
             order = np.lexsort(self._coords.T[::-1])
             sorted_rows = self._coords[order]
@@ -107,16 +89,13 @@ class SampledMetricSpace:
             if clashes.size:
                 i, j = order[clashes[0]], order[clashes[0] + 1]
                 raise PreconditionError(
-                    f"points {ids[i]!r} and {ids[j]!r} share coordinates"
+                    f"points {int(i)} and {int(j)} share coordinates"
                 )
 
     # -- basic queries ----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.point_ids)
-
-    def __contains__(self, a) -> bool:
-        return a in self._index
+        return self._n
 
     @property
     def coords(self):
@@ -127,18 +106,19 @@ class SampledMetricSpace:
         return None if self._coords is None else self._coords.shape[1]
 
     def index(self, a) -> int:
-        try:
-            return self._index[a]
-        except KeyError:
-            raise IdentifierError(f"unknown point id {a!r}") from None
+        """``a`` as a row: an integer in ``0..N-1``, so that a negative row
+        never wraps around; anything else is an :class:`IdentifierError`."""
+        if isinstance(a, (int, np.integer)) and not isinstance(a, bool) and 0 <= a < self._n:
+            return int(a)
+        raise IdentifierError(f"unknown point id {a!r}")
 
     def keyed_entries(self, doc: dict, what: str) -> list:
-        """The entries of a document object keyed by ``str(point id)``, in
-        point order.  Anything but an object, a key that names no point, or
-        a point without a key is a :class:`SchemaError`."""
+        """The entries of a document object keyed by ``str(row)``, in row
+        order.  Anything but an object, a key that names no point, or a
+        point without a key is a :class:`SchemaError`."""
         if not isinstance(doc, dict):
             raise SchemaError(f"{what} must be an object keyed by point")
-        keys = [str(a) for a in self.point_ids]
+        keys = [str(a) for a in range(self._n)]
         unknown = sorted(set(doc) - set(keys))
         missing = [k for k in keys if k not in doc]
         if unknown or missing:
@@ -154,7 +134,7 @@ class SampledMetricSpace:
         """Full pairwise distance matrix (computed once, then cached)."""
         if self._matrix is None:
             ord_ = _NORM_ORDS[self.metric_kind]
-            n = len(self.point_ids)
+            n = self._n
             mat = np.empty((n, n))
             for i in range(n):
                 mat[i] = np.linalg.norm(self._coords - self._coords[i], ord=ord_, axis=1)
@@ -178,7 +158,7 @@ class SampledMetricSpace:
             raise PreconditionError("ball radius must be positive")
         row = self.distance_row(center)
         mask = row <= r if closed else row < r
-        return tuple(a for a, hit in zip(self.point_ids, mask) if hit)
+        return tuple(np.flatnonzero(mask).tolist())
 
     def validate_triangle_inequality(self) -> None:
         """Exhaustive triangle check over all sampled triples (O(n^3);
@@ -191,7 +171,7 @@ class SampledMetricSpace:
                 i, j = np.unravel_index(np.argmax(mat - bound), mat.shape)
                 raise PreconditionError(
                     f"triangle inequality fails on triple "
-                    f"({self.point_ids[i]!r}, {self.point_ids[k]!r}, {self.point_ids[j]!r})"
+                    f"({int(i)}, {k}, {int(j)})"
                 )
 
     # -- serialization -----------------------------------------------------
@@ -199,8 +179,7 @@ class SampledMetricSpace:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SampledMetricSpace":
         """Ingest ``{"metric": ..., "points": [[...], ...]}`` or
-        ``{"metric": "explicit", "distances": [[...], ...]}``.  Point ids
-        are the row indices."""
+        ``{"metric": "explicit", "distances": [[...], ...]}``."""
         if not isinstance(doc, dict) or "metric" not in doc:
             raise SchemaError("space document must be an object with a 'metric' key")
         kind = doc["metric"]
@@ -208,11 +187,11 @@ class SampledMetricSpace:
             if not isinstance(doc.get("distances"), list):
                 raise SchemaError("explicit metric requires a 'distances' matrix")
             mat = doc["distances"]
-            return cls(range(len(mat)), "explicit", explicit_distances=mat)
+            return cls("explicit", explicit_distances=mat)
         if not isinstance(doc.get("points"), list):
             raise SchemaError("coordinate metric requires a 'points' array")
         pts = doc["points"]
-        return cls(range(len(pts)), kind, coords=pts)
+        return cls(kind, coords=pts)
 
     def to_json_dict(self) -> dict:
         if self.metric_kind == "explicit":
@@ -229,10 +208,10 @@ class SampledMetricSpace:
 def greedy_maximal_separation(space: SampledMetricSpace, r: float, seed: Iterable = ()) -> tuple:
     """Maximal ``r``-separation containing ``seed``, by greedy scan.
 
-    Points are visited in the fixed index order of the space; a point joins
-    when its distance to every current member is >= r.  The result is
-    returned sorted by index, is an r-separation, and is maximal: every
-    point of the space lies within distance < r of some member.
+    Points are visited in row order; a point joins when its distance to
+    every current member is >= r.  The result is returned as sorted rows,
+    is an r-separation, and is maximal: every point of the space lies
+    within distance < r of some member.
     """
     if not r > 0:
         raise PreconditionError("separation radius must be positive")
@@ -243,10 +222,10 @@ def greedy_maximal_separation(space: SampledMetricSpace, r: float, seed: Iterabl
             if mat[i, j] < r:
                 raise PreconditionError(
                     f"seed is not an {r}-separation: "
-                    f"d({space.point_ids[i]!r}, {space.point_ids[j]!r}) < r"
+                    f"d({i!r}, {j!r}) < r"
                 )
     # min distance from each point to the current members
-    n = len(space.point_ids)
+    n = len(space)
     if seed_rows:
         min_dist = mat[seed_rows, :].min(axis=0)
     else:
@@ -258,7 +237,7 @@ def greedy_maximal_separation(space: SampledMetricSpace, r: float, seed: Iterabl
         if min_dist[i] >= r:
             members.add(i)
             min_dist = np.minimum(min_dist, mat[i])
-    return tuple(space.point_ids[i] for i in sorted(members))
+    return tuple(sorted(members))
 
 
 @dataclass(frozen=True)

@@ -5,17 +5,14 @@ import lipselect as ls
 
 
 def line_space(values, metric="l2"):
-    """1-d space whose point ids are the coordinate values themselves."""
-    return ls.SampledMetricSpace(
-        list(values), metric, coords={v: [float(v)] for v in values}
-    )
+    """1-d space whose point ``i`` sits at ``values[i]``."""
+    return ls.SampledMetricSpace(metric, coords=[[float(v)] for v in values])
 
 
 def grid_space(n, lo=0.0, hi=1.0):
-    """Uniform 1-d grid with integer ids; coordinates are exact fractions."""
-    ids = list(range(n))
+    """Uniform 1-d grid; coordinates are exact fractions."""
     step = (hi - lo) / (n - 1)
-    return ls.SampledMetricSpace(ids, "l2", coords={i: [lo + i * step] for i in ids})
+    return ls.SampledMetricSpace("l2", coords=[[lo + i * step] for i in range(n)])
 
 
 @pytest.fixture
@@ -27,12 +24,10 @@ def segment_instance(n_points=201, rounds=4):
     """Inverse-image correspondence of [1 1] over a segment of codomain
     values, with the least-norm selection as the f0 table."""
     T = ls.LinearSurjection([[1.0, 1.0]])
-    ids = list(range(n_points))
     half = (n_points - 1) // 2
-    coords = {i: [(i - half) / half] for i in ids}
-    space = ls.SampledMetricSpace(ids, "l2", coords=coords)
+    space = ls.SampledMetricSpace("l2", coords=[[(i - half) / half] for i in range(n_points)])
     phi = ls.inverse_image_correspondence(T, space)
-    f0 = np.array([T.minimum_norm_solution(space.coordinate(a)) for a in ids])
+    f0 = np.array([T.minimum_norm_solution(y) for y in space.coords])
     config = ls.IterationConfig(alpha=2.0**-0.5, beta=1.0, rounds=rounds)
     return T, phi, f0, config
 
@@ -41,19 +36,17 @@ def moving_ball_instance(seed, n_points=257, rounds=4, dim=2):
     """Ball-valued correspondence over a 1-d segment: centers and radii move
     linearly with Lipschitz budget 0.15 + 0.10 <= alpha = 0.25."""
     rng = np.random.default_rng(seed)
-    ids = list(range(n_points))
-    coords = {i: [i / (n_points - 1)] for i in ids}
-    space = ls.SampledMetricSpace(ids, "l2", coords=coords)
+    space = ls.SampledMetricSpace("l2", coords=[[i / (n_points - 1)] for i in range(n_points)])
     c0 = rng.normal(size=dim)
     v = rng.normal(size=dim)
     v *= 0.15 / np.linalg.norm(v)
     rho0 = float(rng.uniform(0.3, 0.5))
     w = float(rng.uniform(-0.1, 0.1))
-    bodies = {
-        i: ls.Ball(c0 + v * (i / (n_points - 1)), rho0 + w * (i / (n_points - 1)))
-        for i in ids
-    }
-    phi = ls.Correspondence(space, bodies, ambient_dim=dim)
-    f0 = np.array([bodies[i].center for i in ids])
+    bodies = [
+        ls.Ball(c0 + v * (i / (n_points - 1)), rho0 + w * (i / (n_points - 1)))
+        for i in range(n_points)
+    ]
+    phi = ls.Correspondence(space, bodies)
+    f0 = np.array([body.center for body in bodies])
     config = ls.IterationConfig(alpha=0.25, beta=1.25, rounds=rounds)
     return phi, f0, config

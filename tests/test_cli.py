@@ -29,9 +29,7 @@ def line_doc(tmp_path):
 def segment_correspondence_docs(tmp_path, n_points=41):
     T = ls.LinearSurjection([[1.0, 1.0]])
     half = (n_points - 1) // 2
-    space = ls.SampledMetricSpace(
-        range(n_points), "l2", coords=[[(i - half) / half] for i in range(n_points)]
-    )
+    space = ls.SampledMetricSpace("l2", coords=[[(i - half) / half] for i in range(n_points)])
     phi = ls.inverse_image_correspondence(T, space)
     corr_path = write_json(tmp_path / "corr.json", phi.to_json_dict())
     iter_path = write_json(
@@ -143,8 +141,15 @@ class TestSelectAndVerify:
                 for sel in doc["selections"]
             ],
             lambda doc: [row.append(0.0) for sel in doc["selections"] for row in sel["values"].values()],
+            lambda doc: doc["rounds"][0].update(B=[-1]),
+            # a radius at a point that is not new in its round
+            lambda doc: doc["rounds"][1]["deltas"].update({str(doc["rounds"][0]["new"][0]): 123.0}),
+            lambda doc: doc["rounds"][1]["deltas"].update({"-1": 123.0}),
         ],
-        ids=["config.rounds", "sup_change", "selection_round", "ragged_row", "narrow_rows", "wide_rows"],
+        ids=[
+            "config.rounds", "sup_change", "selection_round", "ragged_row", "narrow_rows", "wide_rows",
+            "negative_member", "delta_at_old_member", "delta_at_negative_row",
+        ],
     )
     def test_malformed_sequence_is_schema_error(self, tmp_path, corrupt):
         corr_path, iter_path = segment_correspondence_docs(tmp_path)
@@ -262,10 +267,10 @@ class TestPlip:
         table_path = write_json(
             tmp_path / "t.json", {"values": {str(i): [0.0] for i in range(4)}}
         )
-        code = main(
-            ["plip", "--space", space_path, "--table", table_path, "--points", "9"]
-        )
-        assert code == 2
+        # a negative row must not wrap around to the end
+        for points in ("9", "-1"):
+            code = main(["plip", "--space", space_path, "--table", table_path, "--points", points])
+            assert code == 2
 
 
 class TestBartleGraves:
@@ -560,13 +565,17 @@ class TestCorrespondenceDocument:
             {"0": BALL, "1": {"kind": "ball", "center": [0.0, 0.0], "radius": [1.0, 2.0]}},
             {"0": BALL, "1": BALL, "7": BALL},
             {"0": BALL},
+            {"0": BALL, "1": {"kind": "ball", "center": [0.0], "radius": 1.0}},
         ],
     )
     def test_malformed_bodies_are_schema_errors(self, tmp_path, capsys, bodies):
         assert self._both_verbs(tmp_path, {"space": self.SPACE, "bodies": bodies}) == (2, 2)
         assert "Traceback" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("space", [{"metric": "l2", "points": 5}, {"metric": "explicit", "distances": {}}])
+    @pytest.mark.parametrize(
+        "space",
+        [{"metric": "l2", "points": 5}, {"metric": "explicit", "distances": {}}, {"metric": "l2", "points": [[]]}],
+    )
     def test_malformed_space_is_schema_error(self, tmp_path, space):
         assert self._both_verbs(tmp_path, {"space": space, "bodies": {"0": self.BALL}}) == (2, 2)
 

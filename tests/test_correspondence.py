@@ -82,26 +82,24 @@ class TestInverseImage:
 
     def test_identity_degenerates_to_point(self):
         T = ls.LinearSurjection(np.eye(2))
-        space = ls.SampledMetricSpace([0], "l2", coords=[[0.0, 1.0]])
+        space = ls.SampledMetricSpace("l2", coords=[[0.0, 1.0]])
         phi = ls.inverse_image_correspondence(T, space)
         body = phi.body(0)
         assert body.basis.shape == (0, 2)
         np.testing.assert_allclose(body.base, [0.0, 1.0], atol=1e-15)
 
     def test_kernel_through_origin(self, T_sum):
-        space = ls.SampledMetricSpace([0], "l2", coords=[[0.0]])
+        space = ls.SampledMetricSpace("l2", coords=[[0.0]])
         phi = ls.inverse_image_correspondence(T_sum, space)
         np.testing.assert_allclose(phi.body(0).base, [0.0, 0.0], atol=1e-15)
 
     def test_dimension_guard(self, T_sum):
-        space = ls.SampledMetricSpace([0], "l2", coords=[[0.0, 1.0]])
+        space = ls.SampledMetricSpace("l2", coords=[[0.0, 1.0]])
         with pytest.raises(ShapeError):
             ls.inverse_image_correspondence(T_sum, space)
 
     def test_explicit_space_rejected(self, T_sum):
-        space = ls.SampledMetricSpace(
-            [0, 1], "explicit", explicit_distances=[[0.0, 1.0], [1.0, 0.0]]
-        )
+        space = ls.SampledMetricSpace("explicit", explicit_distances=[[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ShapeError):
             ls.inverse_image_correspondence(T_sum, space)
 
@@ -117,7 +115,7 @@ class TestLowerPtlip:
     def test_constant_correspondence_rate_zero(self):
         space = line_space([0, 1.0])
         ball = ls.Ball([0.0, 0.0], 1.0)
-        phi = ls.Correspondence(space, {0: ball, 1.0: ball}, ambient_dim=2)
+        phi = ls.Correspondence(space, [ball, ball])
         check = ls.check_lower_ptlip(phi, 0, [0.5, 0.0], 0.0)
         assert check.passed
 
@@ -125,7 +123,7 @@ class TestLowerPtlip:
         phi = ls.inverse_image_correspondence(T_sum, two_point_codomain)
         check = ls.check_lower_ptlip(phi, 1, [0.5, 0.5], 0.5)
         assert not check.passed
-        assert check.witness == -1
+        assert check.witness == 0
         # 2 * 0.5 < sqrt(2): slack is sqrt(2) - 1
         assert check.slack == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-12)
 
@@ -139,18 +137,12 @@ class TestLowerPtlip:
         # fails at any rate strictly below it
         rng = np.random.default_rng(17)
         T = ls.LinearSurjection(rng.normal(size=(2, 3)))
-        space = ls.SampledMetricSpace(
-            range(7), "l2", coords=rng.normal(size=(7, 2))
-        )
+        space = ls.SampledMetricSpace("l2", coords=rng.normal(size=(7, 2)))
         phi = ls.inverse_image_correspondence(T, space)
         b = 3
         y = T.minimum_norm_solution(space.coordinate(b))
         row = space.distance_row(b)
-        realized = max(
-            phi.body(a).distance_to(y) / row[i]
-            for i, a in enumerate(space.point_ids)
-            if a != b
-        )
+        realized = max(phi.body(a).distance_to(y) / row[a] for a in range(len(space)) if a != b)
         assert realized <= 1.0 / T.sigma_min + 1e-12
         assert ls.check_lower_ptlip(phi, b, y, realized, tol=1e-12).passed
         assert not ls.check_lower_ptlip(phi, b, y, realized * 0.99, tol=1e-12).passed
@@ -160,8 +152,8 @@ class TestLocalStrongSelection:
     def test_projection_table(self, T_sum):
         space = line_space([-1, 0, 1])
         phi = ls.inverse_image_correspondence(T_sum, space)
-        g = ls.local_strong_selection(phi, 1, [0.5, 0.5], rate=SQRT_HALF)
-        # rows follow the point ids -1, 0, 1
+        g = ls.local_strong_selection(phi, 2, [0.5, 0.5], rate=SQRT_HALF)
+        # rows follow the coordinates -1, 0, 1
         np.testing.assert_allclose(g[1], [0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(g[0], [-0.5, -0.5], atol=1e-15)
         np.testing.assert_array_equal(g[2], [0.5, 0.5])
@@ -169,7 +161,7 @@ class TestLocalStrongSelection:
     def test_constant_correspondence_identity(self):
         space = line_space([0, 0.5, 1.0])
         ball = ls.Ball([0.0, 0.0], 1.0)
-        phi = ls.Correspondence(space, {a: ball for a in space.point_ids}, ambient_dim=2)
+        phi = ls.Correspondence(space, [ball] * len(space))
         y = np.array([0.25, 0.25])
         g = ls.local_strong_selection(phi, 0, y, rate=0.0)
         for row in g:
@@ -177,9 +169,9 @@ class TestLocalStrongSelection:
 
     def test_anchor_inside_moving_balls(self):
         space = line_space([-1, -0.5, 0, 0.5, 1])
-        bodies = {a: ls.Ball([float(a), 0.0], 1.0) for a in space.point_ids}
-        phi = ls.Correspondence(space, bodies, ambient_dim=2)
-        g = ls.local_strong_selection(phi, 0, [0.0, 0.0], rate=1.0)
+        bodies = [ls.Ball([x, 0.0], 1.0) for x in space.coords[:, 0]]
+        phi = ls.Correspondence(space, bodies)
+        g = ls.local_strong_selection(phi, 2, [0.0, 0.0], rate=1.0)
         for row in g:
             np.testing.assert_array_equal(row, [0.0, 0.0])
 
@@ -187,20 +179,19 @@ class TestLocalStrongSelection:
         space = line_space([-1, -0.4, 0.2, 1])
         phi = ls.inverse_image_correspondence(T_sum, space)
         y = np.asarray(T_sum.minimum_norm_solution([0.2]))
-        g = ls.local_strong_selection(phi, 0.2, y, rate=SQRT_HALF)
-        anchor = g[space.index(0.2)]
+        g = ls.local_strong_selection(phi, 2, y, rate=SQRT_HALF)
+        anchor = g[2]
         assert float(np.linalg.norm(anchor - y)) <= 1e-12
-        for a, row in zip(space.point_ids, g):
+        for a, row in enumerate(g):
             assert phi.body(a).contains(row, tol=1e-8)
-            bound = SQRT_HALF * space.distance(0.2, a) + 1e-9
+            bound = SQRT_HALF * space.distance(2, a) + 1e-9
             assert np.linalg.norm(row - anchor) <= bound
 
     def test_anchor_row_is_pinned_to_y(self):
         # y sits 1e-12 outside the ball at 0, within tol: its projection
         # moves it, the anchor row does not
         space = line_space([0, 1.0])
-        bodies = {0: ls.Ball([0.0, 0.0], 1.0), 1.0: ls.Ball([1.0, 0.0], 1.0)}
-        phi = ls.Correspondence(space, bodies, ambient_dim=2)
+        phi = ls.Correspondence(space, [ls.Ball([0.0, 0.0], 1.0), ls.Ball([1.0, 0.0], 1.0)])
         y = np.array([-(1.0 + 1e-12), 0.0])
         assert not np.array_equal(phi.project_all(y)[0], y)
         g = ls.local_strong_selection(phi, 0, y, rate=3.0)
@@ -212,18 +203,17 @@ class TestLocalStrongSelection:
         s, c = np.sin(0.003), np.cos(0.003)
         wedge = ls.Polytope([[s, c], [s, -c]], [0.0, 0.0], witness=[-1.0, 0.0])
         space = line_space([0, 1.0])
-        phi = ls.Correspondence(space, {0: wedge, 1.0: ls.Ball([1.0, 0.5], 0.1)}, ambient_dim=2)
+        phi = ls.Correspondence(space, [wedge, ls.Ball([1.0, 0.5], 0.1)])
         with pytest.raises(ConvergenceError) as err:
-            ls.local_strong_selection(phi, 1.0, [1.0, 0.5], rate=10.0)
+            ls.local_strong_selection(phi, 1, [1.0, 0.5], rate=10.0)
         assert err.value.residual > ls.convex.DYKSTRA_TOL
 
     def test_rate_error_with_witness(self):
         space = line_space([0, 1.0])
-        bodies = {0: ls.Ball([0.0, 0.0], 0.5), 1.0: ls.Ball([5.0, 0.0], 0.5)}
-        phi = ls.Correspondence(space, bodies, ambient_dim=2)
+        phi = ls.Correspondence(space, [ls.Ball([0.0, 0.0], 0.5), ls.Ball([5.0, 0.0], 0.5)])
         with pytest.raises(RateError) as err:
             ls.local_strong_selection(phi, 0, [0.0, 0.0], rate=1.0)
-        assert err.value.witness == 1.0
+        assert err.value.witness == 1
         # distance to the far ball is 4.5, allowed 1.0
         assert err.value.excess == pytest.approx(3.5, abs=1e-12)
 
@@ -233,11 +223,9 @@ class TestCorrespondenceJson:
         phi = ls.inverse_image_correspondence(T_sum, two_point_codomain)
         doc = phi.to_json_dict()
         back = ls.Correspondence.from_json_dict(doc)
-        # ids become indices after ingestion; bodies travel intact
+        # bodies travel intact
         assert back.ambient_dim == 2
-        np.testing.assert_allclose(
-            back.body(0).base, phi.body(-1).base, atol=1e-15
-        )
+        np.testing.assert_allclose(back.body(0).base, phi.body(0).base, atol=1e-15)
 
     def test_unknown_body_key_rejected(self, two_point_codomain):
         ball = ls.Ball([0.0], 1.0).to_json_dict()
@@ -248,7 +236,7 @@ class TestCorrespondenceJson:
     def test_missing_body_rejected(self, two_point_codomain):
         ball = ls.Ball([0.0], 1.0)
         with pytest.raises(PreconditionError):
-            ls.Correspondence(two_point_codomain, {-1: ball}, ambient_dim=1)
+            ls.Correspondence(two_point_codomain, [ball])
 
 
 # -- batched projection ------------------------------------------------------
@@ -283,8 +271,8 @@ def test_batched_kernels_equal_the_per_body_methods(data):
     dim = data.draw(st.integers(1, 3))
     n = data.draw(st.integers(1, 8))
     bodies = data.draw(st.lists(mixed_bodies(dim), min_size=n, max_size=n))
-    space = ls.SampledMetricSpace(range(n), "l2", coords=[[float(i)] for i in range(n)])
-    phi = ls.Correspondence(space, dict(enumerate(bodies)), ambient_dim=dim)
+    space = ls.SampledMetricSpace("l2", coords=[[float(i)] for i in range(n)])
+    phi = ls.Correspondence(space, bodies)
     y = np.array(data.draw(st.lists(COORD, min_size=dim, max_size=dim)))
     projected = phi.project_all(y)
     for body, row in zip(bodies, projected):
@@ -298,16 +286,16 @@ def test_batched_kernels_equal_the_per_body_methods(data):
 
 
 def test_project_all_groups_by_kind_and_shape():
-    space = ls.SampledMetricSpace(range(5), "l2", coords=[[float(i)] for i in range(5)])
+    space = ls.SampledMetricSpace("l2", coords=[[float(i)] for i in range(5)])
     square = ls.Polytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0, 0.0, 1.0, 0.0], [0.5, 0.5])
-    bodies = {
-        0: ls.AffineFlat([0.0, 0.0], [[1.0, 0.0]]),
-        1: square,
-        2: ls.AffineFlat([1.0, 1.0]),
-        3: ls.Polytope([[1.0, 1.0]], [0.0], [0.0, 0.0]),
-        4: ls.AffineFlat([0.0, 3.0], [[0.0, 1.0]]),
-    }
-    phi = ls.Correspondence(space, bodies, ambient_dim=2)
+    bodies = [
+        ls.AffineFlat([0.0, 0.0], [[1.0, 0.0]]),
+        square,
+        ls.AffineFlat([1.0, 1.0]),
+        ls.Polytope([[1.0, 1.0]], [0.0], [0.0, 0.0]),
+        ls.AffineFlat([0.0, 3.0], [[0.0, 1.0]]),
+    ]
+    phi = ls.Correspondence(space, bodies)
     assert [rows.tolist() for rows, _, _ in phi._stacks] == [[0, 4], [1], [2], [3]]
     np.testing.assert_allclose(
         phi.project_all([2.0, 2.0]), [[2.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [0.0, 2.0]], atol=1e-9

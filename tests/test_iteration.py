@@ -20,7 +20,7 @@ from conftest import grid_space, line_space, moving_ball_instance, segment_insta
 def constant_ball_run(rounds=3):
     space = line_space([0, 0.4, 0.8])
     ball = ls.Ball([1.0, 1.0], 0.5)
-    phi = ls.Correspondence(space, {a: ball for a in space.point_ids}, ambient_dim=2)
+    phi = ls.Correspondence(space, [ball] * len(space))
     f0 = np.tile(ball.center, (len(space), 1))
     config = ls.IterationConfig(alpha=0.0, beta=0.3, rounds=rounds)
     return phi, f0, config
@@ -29,20 +29,20 @@ def constant_ball_run(rounds=3):
 class TestBumpWeight:
     def test_inner_ball(self):
         space = line_space([0, 0.05])
-        assert ls.bump_weight(0, 0.1, 0.05, space) == 1.0
+        assert ls.bump_weight(0, 0.1, 1, space) == 1.0
 
     def test_affine_zone(self):
         space = line_space([0, 0.15])
-        assert ls.bump_weight(0, 0.1, 0.15, space) == pytest.approx(0.5, abs=1e-12)
+        assert ls.bump_weight(0, 0.1, 1, space) == pytest.approx(0.5, abs=1e-12)
 
     def test_outside_support(self):
         space = line_space([0, 0.25])
-        assert ls.bump_weight(0, 0.1, 0.25, space) == 0.0
+        assert ls.bump_weight(0, 0.1, 1, space) == 0.0
 
     def test_delta_positive(self):
         space = line_space([0, 1.0])
         with pytest.raises(PreconditionError):
-            ls.bump_weight(0, 0.0, 1.0, space)
+            ls.bump_weight(0, 0.0, 1, space)
 
 
 @seed(31)
@@ -53,11 +53,11 @@ class TestBumpWeight:
 )
 def test_bump_weight_properties(delta, dist):
     if dist == 0.0:
-        space = ls.SampledMetricSpace(["b"], "l2", coords={"b": [0.0]})
-        w = ls.bump_weight("b", delta, "b", space)
+        space = ls.SampledMetricSpace("l2", coords=[[0.0]])
+        w = ls.bump_weight(0, delta, 0, space)
     else:
-        space = ls.SampledMetricSpace(["b", "a"], "l2", coords={"b": [0.0], "a": [dist]})
-        w = ls.bump_weight("b", delta, "a", space)
+        space = ls.SampledMetricSpace("l2", coords=[[0.0], [dist]])
+        w = ls.bump_weight(0, delta, 1, space)
     assert 0.0 <= w <= 1.0
     if dist <= delta:
         assert w == 1.0
@@ -74,10 +74,9 @@ class TestComputeDelta:
 
     def test_halving_trace(self):
         # 1-d grid with step 0.01 on [-0.5, 0.5]; ||f - g|| = d(a, b)
-        ids = list(range(101))
-        space = ls.SampledMetricSpace(ids, "l2", coords={i: [(i - 50) / 100.0] for i in ids})
+        space = ls.SampledMetricSpace("l2", coords=[[(i - 50) / 100.0] for i in range(101)])
         b = 50
-        f = np.array([[(i - 50) / 100.0] for i in ids])
+        f = np.array([[(i - 50) / 100.0] for i in range(101)])
         g = np.zeros((101, 1))
         # rejected at 0.125 (sup 0.24 >= 0.15), accepted at 0.0625 (sup 0.12)
         delta = ls.compute_delta(f, g, b, 1, 0.3, space)
@@ -93,10 +92,8 @@ class TestComputeDelta:
 
     def test_dense_cluster_degenerates(self):
         # points arbitrarily close to b with a persistent unit mismatch
-        ids = list(range(12))
-        coords = {0: [0.0]}
-        coords.update({i: [10.0**-i] for i in range(1, 12)})
-        space = ls.SampledMetricSpace(ids, "l2", coords=coords)
+        coords = [[0.0]] + [[10.0**-i] for i in range(1, 12)]
+        space = ls.SampledMetricSpace("l2", coords=coords)
         f = np.zeros((12, 1))
         g = np.ones((12, 1))
         g[0] = 0.0
@@ -143,12 +140,12 @@ class TestBlendRound:
         g = np.ones((3, 1))
         record = ls.RoundRecord(
             n=1,
-            members=(0, 0.2),
-            new_points=(0, 0.2),
-            deltas={0: 0.1, 0.2: 0.1},
+            members=(0, 2),
+            new_points=(0, 2),
+            deltas={0: 0.1, 2: 0.1},
         )
         with pytest.raises(InvariantViolationError):
-            ls.blend_round(f_prev, record, {0: g, 0.2: g}, space)
+            ls.blend_round(f_prev, record, {0: g, 2: g}, space)
 
 
 class TestIterationConfig:
@@ -183,19 +180,18 @@ class TestRunIteration:
 
     def test_two_point_space_single_round(self):
         space = line_space([0, 1.0])
-        bodies = {a: ls.Ball([float(a), 0.0], 2.0) for a in space.point_ids}
-        phi = ls.Correspondence(space, bodies, ambient_dim=2)
-        f0 = np.array([[float(a), 0.0] for a in space.point_ids])
+        phi = ls.Correspondence(space, [ls.Ball([x, 0.0], 2.0) for x in space.coords[:, 0]])
+        f0 = np.array([[x, 0.0] for x in space.coords[:, 0]])
         config = ls.IterationConfig(alpha=1.0, beta=2.0, rounds=1)
         seq = ls.run_iteration(phi, f0, config)
         record = seq.rounds[0]
-        assert set(record.new_points) == {0, 1.0}
+        assert set(record.new_points) == {0, 1}
         f1 = seq.selections[1].table
         for b in record.new_points:
-            g = ls.local_strong_selection(phi, b, f0[space.index(b)], rate=1.0)
-            for i, a in enumerate(space.point_ids):
+            g = ls.local_strong_selection(phi, b, f0[b], rate=1.0)
+            for a in range(len(space)):
                 if space.distance(a, b) <= record.deltas[b]:
-                    np.testing.assert_array_equal(f1[i], g[i])
+                    np.testing.assert_array_equal(f1[a], g[a])
 
     def test_segment_instance_round_properties(self):
         _, phi, f0, config = segment_instance(n_points=101)
@@ -242,12 +238,12 @@ class TestVerifyRoundProperties:
         # corrupt f_2 at a point protected by a round-1 anchor
         anchor = seq.rounds[0].members[0]
         target = None
-        for a in phi.space.point_ids:
+        for a in range(len(phi.space)):
             if a != anchor and phi.space.distance(anchor, a) < 2.0**-2:
                 target = a
                 break
         assert target is not None
-        seq.selections[2].table[phi.space.index(target)] += 1e-3
+        seq.selections[2].table[target] += 1e-3
         report = ls.verify_round_properties(seq, 2)
         assert not report.checks["earlier_anchor_coincidence"].passed
 
@@ -271,10 +267,9 @@ class TestSequenceInvariants:
         seq = ls.run_iteration(phi, f0, config)
         for record in seq.rounds:
             for b in record.new_points:
-                i = phi.space.index(b)
-                entry = seq.selections[record.n].table[i]
+                entry = seq.selections[record.n].table[b]
                 for later in seq.selections[record.n + 1 :]:
-                    np.testing.assert_array_equal(later.table[i], entry)
+                    np.testing.assert_array_equal(later.table[b], entry)
 
     def test_cauchy_telescoping(self):
         phi, f0, config = moving_ball_instance(seed=2, n_points=129, rounds=3)

@@ -16,24 +16,24 @@ from conftest import grid_space, line_space
 
 
 def quadratic_table(space):
-    return {a: np.array([space.coordinate(a)[0] ** 2]) for a in space.point_ids}
+    return space.coords**2
 
 
-def reference_profile(values, space, b, radii, informative_count=3, closed=True):
+def reference_profile(values, space, b, radii, closed=True):
     """The per-radius loop: one ball mask per radius, with the base masked
-    out for the informative flag."""
+    out for the informative flag; the estimate is the max over the three
+    smallest informative radii."""
     table = ls.as_table(values, space)
-    b_index = space.index(b)
     dist_row = space.distance_row(b)
-    deviations = np.linalg.norm(table - table[b_index], axis=1)
+    deviations = np.linalg.norm(table - table[b], axis=1)
     rows, informative = [], []
     for r in radii:
         mask = dist_row <= r if closed else dist_row < r
         rows.append((r, float(deviations[mask].max()) / r))
         mask_other = mask.copy()
-        mask_other[b_index] = False
+        mask_other[b] = False
         informative.append(bool(mask_other.any()))
-    smallest = [row for row, ok in zip(rows, informative) if ok][-informative_count:]
+    smallest = [row for row, ok in zip(rows, informative) if ok][-3:]
     return tuple(rows), tuple(informative), max(ratio for _, ratio in smallest)
 
 
@@ -42,20 +42,19 @@ class TestPlipProfile:
     @pytest.mark.parametrize("metric", ["l1", "l2", "linf"])
     def test_rows_equal_the_per_radius_loop(self, closed, metric):
         rng = np.random.default_rng(9)
-        space = ls.SampledMetricSpace(range(60), metric, coords=rng.uniform(size=(60, 2)))
+        space = ls.SampledMetricSpace(metric, coords=rng.uniform(size=(60, 2)))
         values = rng.normal(size=(60, 3))
         for b in (0, 17, 59):
             others = np.sort(np.delete(space.distance_row(b), b))
             # one radius exactly on a sampled distance, the last below the
             # nearest neighbor: that ball holds only the base
             radii = [float(others[40]) * 1.5, float(others[12]), float(others[3]) * 0.9, float(others[0]) / 2]
-            for count in (1, 2, 3):
-                profile = ls.plip_profile(values, space, b, radii, count, closed=closed)
-                rows, informative, estimate = reference_profile(values, space, b, radii, count, closed)
-                assert repr((profile.rows, profile.informative, profile.estimate)) == repr(
-                    (rows, informative, estimate)
-                )
-                assert profile.informative[-1] is False
+            profile = ls.plip_profile(values, space, b, radii, closed=closed)
+            rows, informative, estimate = reference_profile(values, space, b, radii, closed)
+            assert repr((profile.rows, profile.informative, profile.estimate)) == repr(
+                (rows, informative, estimate)
+            )
+            assert profile.informative[-1] is False
 
     def test_square_at_zero(self):
         space = grid_space(1001)
@@ -74,21 +73,21 @@ class TestPlipProfile:
 
     def test_constant_map(self):
         space = grid_space(11)
-        table = {a: np.array([3.5]) for a in space.point_ids}
+        table = np.full((len(space), 1), 3.5)
         profile = ls.plip_profile(table, space, 5, [0.4, 0.2, 0.1])
         assert all(ratio == 0.0 for _, ratio in profile.rows)
         assert profile.estimate == 0.0
 
     def test_informative_rule_skips_singleton_balls(self):
         space = line_space([0, 1.0])
-        table = {0: np.array([0.0]), 1.0: np.array([5.0])}
+        table = np.array([[0.0], [5.0]])
         profile = ls.plip_profile(table, space, 0, [2.0, 1.0, 0.5, 0.25])
         assert profile.informative == (True, True, False, False)
         assert profile.estimate == pytest.approx(5.0, abs=1e-12)
 
     def test_resolution_error(self):
         space = line_space([0, 1.0])
-        table = {0: np.array([0.0]), 1.0: np.array([5.0])}
+        table = np.array([[0.0], [5.0]])
         with pytest.raises(ResolutionError):
             ls.plip_profile(table, space, 0, [0.5, 0.25])
 
@@ -100,7 +99,7 @@ class TestPlipProfile:
     def test_ball_sup_monotone_in_radius(self):
         space = grid_space(101)
         rng = np.random.default_rng(0)
-        table = {a: rng.normal(size=2) for a in space.point_ids}
+        table = np.array([rng.normal(size=2) for _ in range(len(space))])
         profile = ls.plip_profile(table, space, 50, [0.4, 0.2, 0.1, 0.05])
         sups = [r * ratio for r, ratio in profile.rows]
         assert all(s1 >= s2 - 1e-15 for s1, s2 in zip(sups, sups[1:]))
@@ -108,9 +107,9 @@ class TestPlipProfile:
     def test_scale_equivariance_exact_for_dyadic(self):
         space = grid_space(101)
         rng = np.random.default_rng(1)
-        table = {a: rng.normal(size=2) for a in space.point_ids}
+        table = np.array([rng.normal(size=2) for _ in range(len(space))])
         base = ls.plip_profile(table, space, 30, [0.2, 0.1, 0.05])
-        scaled_table = {a: 4.0 * v for a, v in table.items()}
+        scaled_table = 4.0 * table
         scaled = ls.plip_profile(scaled_table, space, 30, [0.2, 0.1, 0.05])
         assert scaled.estimate == 4.0 * base.estimate
         for (_, r1), (_, r2) in zip(base.rows, scaled.rows):
@@ -126,17 +125,13 @@ class TestOpenClosedConsistency:
 
     def test_constant_agrees(self):
         space = grid_space(101)
-        table = {a: np.array([1.0]) for a in space.point_ids}
+        table = np.ones((len(space), 1))
         assert ls.open_closed_consistency(table, space, 50, [0.2, 0.1, 0.05])
 
     def test_step_function_straddling_radius(self):
         # dyadic grid: the straddling distance 0.125 is exactly representable
-        ids = list(range(257))
-        space = ls.SampledMetricSpace(ids, "l2", coords={i: [i / 256.0] for i in ids})
-        table = {
-            a: np.array([0.0 if space.coordinate(a)[0] < 0.5 else 1.0])
-            for a in space.point_ids
-        }
+        space = ls.SampledMetricSpace("l2", coords=[[i / 256.0] for i in range(257)])
+        table = np.where(space.coords < 0.5, 0.0, 1.0)
         b = 96  # x = 0.375, step at exact distance 0.125
         radii = [0.125, 0.0625, 0.03125, 0.015625]
         closed = ls.plip_profile(table, space, b, radii, closed=True)
@@ -252,20 +247,21 @@ class TestBatchedExtension:
                     ls.lipschitz.nearest_direction_index(table, bad)
 
 
-def reference_ray_rows(table, beta, rays, tol=1e-9, informative_count=3):
+def reference_ray_rows(table, beta, rays, tol=1e-9):
     """The probe construction point by point: deduplicated probe points, a
-    metric space over them and a ratio profile per ray point."""
+    metric space over them and a ratio profile per ray point; the sphere
+    side uses the three nearest distinct distances."""
     d = table.directions
     m = d.shape[1]
     gap = min(float(np.linalg.norm(d[i + 1 :] - d[i], axis=1).min()) for i in range(len(d) - 1))
-    sphere_space = ls.SampledMetricSpace(range(len(d)), "l2", coords=d)
+    sphere_space = ls.SampledMetricSpace("l2", coords=d)
     bound = 2.0 * beta + table.sup_norm() + tol
     rows = []
     for k, scales in rays:
         dist_row = sphere_space.distance_row(k)
         others = np.sort(dist_row[dist_row > 0])
-        radii = sorted({float(r) for r in others[:informative_count]}, reverse=True)
-        sphere_est = ls.plip_profile(table.values, sphere_space, k, radii, informative_count).estimate
+        radii = sorted({float(r) for r in others[:3]}, reverse=True)
+        sphere_est = ls.plip_profile(table.values, sphere_space, k, radii).estimate
         for scale in scales:
             z = scale * d[k]
             base_r = float(np.linalg.norm(z)) * min(0.125, gap / 4.0)
@@ -277,11 +273,11 @@ def reference_ray_rows(table, beta, rays, tol=1e-9, informative_count=3):
                     if not any(np.array_equal(p, q) for q in coords):
                         coords.append(p)
                 slices.append((start, len(coords)))
-            probe_space = ls.SampledMetricSpace(range(len(coords)), "l2", coords=np.stack(coords))
+            probe_space = ls.SampledMetricSpace("l2", coords=np.stack(coords))
             values = np.array([extension_at(table, p) for p in coords])
             dist0 = probe_space.distance_row(0)
             radii = sorted({float(dist0[a:b].max()) for a, b in slices if b > a}, reverse=True)
-            ext_est = ls.plip_profile(values, probe_space, 0, radii, informative_count).estimate
+            ext_est = ls.plip_profile(values, probe_space, 0, radii).estimate
             passed = sphere_est <= beta + tol and ext_est <= bound
             rows.append((k, scale, sphere_est, ext_est, bound, passed))
     return rows
@@ -406,7 +402,6 @@ def reference_hypothesis(values, space, alpha, r0, tol=1e-9):
     """The pointwise half point by point: a sort, a running maximum and a
     binary search per base point, then one ratio per radius."""
     table = ls.as_table(values, space)
-    ids = space.point_ids
     mat = space.distance_matrix()
     gaps = np.diff(np.sort(space.coords[:, 0]))
     radii_set = {float(g) for g in gaps}
@@ -415,8 +410,8 @@ def reference_hypothesis(values, space, alpha, r0, tol=1e-9):
         radii_set.add(r)
         r /= 2.0
     radii = sorted(radii_set, reverse=True)
-    held, worst, excess = True, (ids[0], radii[0], 0.0), -np.inf
-    for i in range(len(ids)):
+    held, worst, excess = True, (0, radii[0], 0.0), -np.inf
+    for i in range(len(space)):
         dev = np.linalg.norm(table - table[i], axis=1)
         order = np.argsort(mat[i])
         sorted_d = mat[i][order]
@@ -426,16 +421,15 @@ def reference_hypothesis(values, space, alpha, r0, tol=1e-9):
             ratio = float(cummax[idx]) / r
             if ratio - alpha > excess:
                 excess = ratio - alpha
-                worst = (ids[i], r, ratio)
+                worst = (i, r, ratio)
             if ratio > alpha + tol + 1e-12:
                 held = False
     return held, worst
 
 
 def cantor_grid(n=3**6):
-    ids = list(range(n + 1))
-    space = ls.SampledMetricSpace(ids, "l2", coords={i: [i / n] for i in ids})
-    return space, {i: np.array([ls.cantor_function(i / n)]) for i in ids}
+    space = ls.SampledMetricSpace("l2", coords=[[i / n] for i in range(n + 1)])
+    return space, np.array([[ls.cantor_function(i / n)] for i in range(n + 1)])
 
 
 class TestGlobalLipschitzUpgrade:
@@ -451,7 +445,7 @@ class TestGlobalLipschitzUpgrade:
             (space, values), alpha, r0 = cantor_grid(), 10.0, 0.01
         else:
             rng = np.random.default_rng(10)
-            space = ls.SampledMetricSpace(range(80), "l2", coords=np.sort(rng.uniform(size=(80, 1)), axis=0))
+            space = ls.SampledMetricSpace("l2", coords=np.sort(rng.uniform(size=(80, 1)), axis=0))
             values, alpha, r0 = rng.normal(size=(80, 2)), 3.0, 0.2
         report = ls.global_lipschitz_upgrade_check(values, space, alpha=alpha, r0=r0)
         held, worst = reference_hypothesis(values, space, alpha, r0)
@@ -460,14 +454,14 @@ class TestGlobalLipschitzUpgrade:
 
     def test_linear_passes(self):
         space = grid_space(101)
-        table = {a: np.array([space.coordinate(a)[0]]) for a in space.point_ids}
+        table = space.coords.copy()
         report = ls.global_lipschitz_upgrade_check(table, space, alpha=1.0, r0=0.05)
         assert report.passed
         assert report.hypothesis_held
 
     def test_constant_passes_at_zero(self):
         space = grid_space(51)
-        table = {a: np.array([2.0]) for a in space.point_ids}
+        table = np.full((len(space), 1), 2.0)
         report = ls.global_lipschitz_upgrade_check(table, space, alpha=0.0, r0=0.1)
         assert report.passed
         assert report.hypothesis_held
@@ -475,10 +469,7 @@ class TestGlobalLipschitzUpgrade:
     def test_hypothesis_implies_conclusion(self):
         # 0.8-Lipschitz sawtooth checked at alpha = 1
         space = grid_space(201)
-        table = {
-            a: np.array([0.8 * abs(space.coordinate(a)[0] - 0.5)])
-            for a in space.point_ids
-        }
+        table = 0.8 * np.abs(space.coords - 0.5)
         report = ls.global_lipschitz_upgrade_check(table, space, alpha=1.0, r0=0.05)
         assert report.hypothesis_held
         assert report.passed
@@ -497,7 +488,7 @@ class TestGlobalLipschitzUpgrade:
 
     def test_spacing_precondition(self):
         space = grid_space(11)
-        table = {a: np.array([0.0]) for a in space.point_ids}
+        table = np.zeros((len(space), 1))
         with pytest.raises(PreconditionError):
             ls.global_lipschitz_upgrade_check(table, space, alpha=1.0, r0=0.05)
 
