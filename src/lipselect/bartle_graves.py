@@ -8,7 +8,8 @@ selection iteration at rate ``alpha = 1 / gamma`` starting from the
 least-norm selection, and extend the resulting sphere table positively
 homogeneously.  The result satisfies ``T(tau(y)) = y`` on sampled rays, is
 exactly homogeneous along rays, and carries the pointwise rate
-``eta = 2 beta + sup ||tau||`` on rays of the final separation set.
+``eta = 2 beta + sup ||tau||`` on rays of the final separation set, which
+verification probes against the table on the neighbouring sampled rays.
 
 Off-sample directions are evaluated through the nearest sampled direction;
 the right-inverse identity there holds only against that semantics, and
@@ -241,7 +242,8 @@ def verify_right_inverse(
     (i) ``T(tau(y)) = y`` at sampled directions and their scalings, plus
     off-sample midpoint directions checked against the nearest-direction
     semantics; (ii) positive homogeneity ``tau(scale * y) = scale * tau(y)``
-    compared bitwise; (iii) the pointwise rate ``eta`` on dense-set rays;
+    compared bitwise; (iii) the pointwise rate ``eta`` on dense-set rays,
+    probed on neighbouring sampled rays;
     (iv) the covering radius of the dense set against its separation
     radius.
     """

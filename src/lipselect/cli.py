@@ -217,16 +217,13 @@ def _cmd_select(opts) -> int:
 def _cmd_plip(opts) -> int:
     space = SampledMetricSpace.from_json_dict(_load_json(opts["space"]))
     values = table_from_dict(_load_json(opts["table"]), space)
-    by_str = {str(a): a for a in range(len(space))}
     radii = opts.get("radii") or list(default_radii(space))
-    if opts.get("points"):
-        points = [by_str[p] for p in opts["points"] if p in by_str]
-        unknown = [p for p in opts["points"] if p not in by_str]
-        if unknown:
-            raise IdentifierError(f"unknown point id(s) {unknown!r}")
-    else:
-        points = range(len(space))
-    profiles = [plip_profile(values, space, b, radii) for b in points]
+    keys = opts.get("points") or []
+    points = [space.key_row(p) for p in keys] or range(len(space))
+    unknown = [p for p, row in zip(keys, points) if row is None]
+    if unknown:
+        raise IdentifierError(f"unknown point id(s) {unknown!r}")
+    profiles = plip_profile(values, space, points, radii)
     report = {
         "command": "plip",
         "radii": radii,

@@ -132,14 +132,13 @@ def sequence_to_dict(seq: SelectionSequence) -> dict:
 
 
 def _resolve_ids(space: SampledMetricSpace, raw_ids) -> list:
-    """Stored point ids as rows: an id must read as a row of ``space``."""
-    by_str = {str(a): a for a in range(len(space))}
+    """Stored point ids as rows: an id must be the key of a row of ``space``."""
     out = []
     for raw in raw_ids:
-        key = str(raw)
-        if key not in by_str:
+        row = space.key_row(raw)
+        if row is None:
             raise SchemaError(f"unknown point id {raw!r} in stored sequence")
-        out.append(by_str[key])
+        out.append(row)
     return out
 
 

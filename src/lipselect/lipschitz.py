@@ -14,8 +14,8 @@ schedules target.
 The module also houses the positively homogeneous extension of a function
 sampled on a unit sphere (nearest sampled direction off-sample), which
 takes one vector or a ``(P, m)`` batch mapped row by row, its
-pointwise-rate verification on rays (all probes of a ray point evaluated in
-one batch), the Cantor function as an adversarial test corpus, and a
+pointwise-rate verification on rays (probes on neighbouring sampled rays,
+read off the table), the Cantor function as an adversarial test corpus, and a
 chain-surrogate check that pointwise bounds on a grid of an interval
 upgrade to a global Lipschitz bound.
 """
@@ -74,17 +74,18 @@ def _ball_ratios(dist, dev, radii, closed=True):
 def plip_profile(
     values: TableLike,
     space: SampledMetricSpace,
-    b: int,
+    b,
     radii: Sequence[float],
     closed: bool = True,
-) -> PlipProfile:
-    """Ratio profile of a sampled map at ``b`` over the given radii.
+):
+    """Ratio profile of a sampled map at ``b`` over the given radii; points
+    ``b`` give the list of their profiles (table and radii checked once).
 
     ``radii`` must be strictly decreasing and positive.  Balls are closed by
-    default (open with ``closed=False``); a ball holding only ``b`` yields
-    ratio 0 and is not informative.  With no informative radius at all the
-    sample cannot resolve the base point and a :class:`ResolutionError` is
-    raised.
+    default (open with ``closed=False``); a ball holding only its base
+    yields ratio 0 and is not informative.  With no informative radius at
+    all the sample cannot resolve the base point and a
+    :class:`ResolutionError` is raised.
     """
     radii = [float(r) for r in radii]
     if not radii or not all(r > 0 for r in radii):
@@ -92,22 +93,19 @@ def plip_profile(
     if any(r1 <= r2 for r1, r2 in zip(radii, radii[1:])):
         raise PreconditionError("radii must be strictly decreasing")
     table = as_table(values, space)
-    b = space.index(b)
-    deviations = np.linalg.norm(table - table[b], axis=1)
-    dist = space.distance_row(b).copy()
-    # out of every ball: the kernel counts the base itself, as deviation 0
-    dist[b] = np.inf
-    ratios, informative = _ball_ratios(dist, deviations, np.array(radii), closed)
-    if not informative.any():
-        raise ResolutionError(
-            f"no ball around {b!r} in the radius schedule contains another point"
-        )
-    return PlipProfile(
-        point=b,
-        rows=tuple(zip(radii, ratios.tolist())),
-        informative=tuple(informative.tolist()),
-        estimate=float(ratios[informative][-INFORMATIVE_COUNT:].max()),
-    )
+    profiles = []
+    for a in [b] if np.ndim(b) == 0 else b:
+        a = space.index(a)
+        deviations = np.linalg.norm(table - table[a], axis=1)
+        dist = space.distance_row(a).copy()
+        # out of every ball: the kernel counts the base itself, as deviation 0
+        dist[a] = np.inf
+        ratios, informative = _ball_ratios(dist, deviations, np.array(radii), closed)
+        if not informative.any():
+            raise ResolutionError(f"no ball around {a!r} in the radius schedule contains another point")
+        estimate = float(ratios[informative][-INFORMATIVE_COUNT:].max())
+        profiles.append(PlipProfile(a, tuple(zip(radii, ratios.tolist())), tuple(informative.tolist()), estimate))
+    return profiles[0] if np.ndim(b) == 0 else profiles
 
 
 def open_closed_consistency(
@@ -251,65 +249,65 @@ def verify_homogeneous_plip(
 ) -> HomogeneousPlipReport:
     """Check the extension's pointwise rate along rays of sampled directions.
 
-    For each ray ``(k, scales)`` the sphere-side estimate of the table at
-    direction ``k`` must not exceed ``beta + tol``, and at every ray point
-    ``scale * direction`` the extension's estimate must stay within
-    ``2 beta + sup_norm + tol``.  Probe points combine radial and axis
-    displacements at radii small enough to stay inside the direction's
-    nearest-neighbor cell, where the guarantee applies.  Each of the three
-    probe levels gives one closed-ball ratio, at the largest distance the
-    level realizes, so every probe of the level (the radial one in
-    particular) is in the ball.
+    For each ray ``(k, scales)`` the sphere-side estimate at direction ``k``
+    must not exceed ``beta + tol``, and at every ray point ``z = s d_k`` the
+    extension's estimate must stay within ``eta = 2 beta + sup_norm + tol``.
+    The rings of ``k`` are its at most ``INFORMATIVE_COUNT`` smallest
+    distinct chord distances, the directions on them its neighbours; the
+    sphere-side estimate is the closed-ball ratio profile over the rings.
+    Around ``z`` the probes are sampled rays ``s' d_j``, ``j`` being ``k``
+    or a neighbour and ``s'`` one of ``s (1 - rho), s, s (1 + rho)`` with
+    ``rho = min(1/8, gap/4)``, where the extension is the table lookup
+    ``s' f_j``.  Each ring, and the radial probes ``j = k``, gives one
+    closed ball, at the largest distance its probes realize.
+
+    This is the derivation of ``eta``: for every probe
+    ``||s' f_j - s f_k|| <= |s' - s| sup + s ||f_j - f_k||`` and
+    ``s ||d_j - d_k|| <= 2 ||s' d_j - s d_k||``, so no ratio exceeds
+    ``sup + 2 sphere_estimate``.  A table that passes the sphere side
+    misses the bound by ``tol`` at most; one that jumps between neighbours
+    fails it.
     """
     if beta < 0:
         raise ParameterError("beta must be nonnegative")
     sup = table.sup_norm()
     bound = 2.0 * beta + sup + tol
-    directions = table.directions
-    m = directions.shape[1]
-    sphere_space = table.space()
-    mat = sphere_space.distance_matrix()
+    directions, values = table.directions, table.values
+    mat = table.space().distance_matrix()
     gap = float(np.min(mat, where=~np.eye(len(table), dtype=bool), initial=np.inf))
-    levels = (2.0 ** -np.arange(3.0))[:, None, None]
+    rho = min(0.125, gap / 4.0)
+    factors = np.array([1.0 - rho, 1.0, 1.0 + rho])[:, None, None]
 
     rows: List[RayPlipRow] = []
     for k, scales in rays:
         k = int(k)
-        others = np.sort(mat[k][mat[k] > 0])
-        if others.size:
-            sphere_radii = sorted({float(r) for r in others[:INFORMATIVE_COUNT]}, reverse=True)
-            sphere_est = plip_profile(table.values, sphere_space, k, sphere_radii).estimate
-        else:
-            sphere_est = 0.0
-        # radial displacements realize the norm variation exactly; axis
-        # displacements probe the transversal behavior
-        probe_dirs = np.vstack([directions[k], -directions[k], np.eye(m), -np.eye(m)])
+        row = mat[k]
+        rings = sorted({float(r) for r in np.sort(row[row > 0])[:INFORMATIVE_COUNT]})
+        near = np.flatnonzero((row > 0) & (row <= max(rings, default=0.0)))
+        sphere_dev = np.linalg.norm(values[near] - values[k], axis=1)
+        sphere_est = max(_ball_ratios(row[near], sphere_dev, np.array(rings[::-1]))[0].tolist(), default=0.0)
+        # probe columns: k, then its neighbours; one column mask per ring,
+        # the radial one (distance 0) first
+        cols = [k, *near.tolist()]
+        masks = [row[cols] == r for r in (0.0, *rings)]
         for scale in scales:
             scale = float(scale)
             if scale <= 0:
                 raise ParameterError("ray scales must be positive")
-            z = scale * directions[k]
-            base_r = float(np.linalg.norm(z)) * min(0.125, gap / 4.0)
-            probes = z + (base_r * levels) * probe_dirs
-            values = homogeneous_extension(table, np.vstack([z, probes.reshape(-1, m)]))
-            dist = np.linalg.norm(probes - z, axis=-1).reshape(-1)
-            dev = np.linalg.norm(values[1:] - values[0], axis=-1)
-            # a probe that rounds onto z holds no information
-            radii = np.array(sorted({float(r) for r in dist.reshape(3, -1).max(axis=1) if r > 0}, reverse=True))
-            if not radii.size:
+            # (3, columns) probes s' d_j - z and values s' f_j - s f_k; the
+            # probe at z itself is 0 in both and changes no ratio
+            steps = scale * factors
+            offsets = steps * directions[cols] - scale * directions[k]
+            jumps = steps * values[cols] - scale * values[k]
+            dist = np.sqrt(np.vecdot(offsets, offsets))
+            radii = sorted({float(dist[:, mask].max()) for mask in masks} - {0.0}, reverse=True)
+            if not radii:
                 raise ResolutionError(f"every probe of ray point {scale} * direction {k} rounds onto it")
-            ratios, informative = _ball_ratios(dist, dev, radii)
-            ext_est = float(ratios[informative][-INFORMATIVE_COUNT:].max())
-            rows.append(
-                RayPlipRow(
-                    direction_index=k,
-                    scale=scale,
-                    sphere_estimate=float(sphere_est),
-                    extension_estimate=ext_est,
-                    bound=bound,
-                    passed=bool(sphere_est <= beta + tol and ext_est <= bound),
-                )
-            )
+            dev = np.sqrt(np.vecdot(jumps, jumps))
+            # each radius is a probe's distance: every ball is informative
+            ext_est = float(_ball_ratios(dist.ravel(), dev.ravel(), np.array(radii))[0].max())
+            passed = bool(sphere_est <= beta + tol and ext_est <= bound)
+            rows.append(RayPlipRow(k, scale, sphere_est, ext_est, bound, passed))
     return HomogeneousPlipReport(sup_norm=sup, bound=bound, rows=tuple(rows))
 
 

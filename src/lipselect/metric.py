@@ -112,6 +112,15 @@ class SampledMetricSpace:
             return int(a)
         raise IdentifierError(f"unknown point id {a!r}")
 
+    def key_row(self, key):
+        """The row a document key names, or None: ``str(key)`` must be
+        ``str(row)`` itself, so ``"05"``, ``" 1"``, ``"1.0"``, ``True`` and
+        non-ASCII digits name no row."""
+        key = str(key)
+        if key.isascii() and key.isdigit() and len(key) <= len(str(self._n)) and key == str(int(key)):
+            return int(key) if int(key) < self._n else None
+        return None
+
     def keyed_entries(self, doc: dict, what: str) -> list:
         """The entries of a document object keyed by ``str(row)``, in row
         order.  Anything but an object, a key that names no point, or a

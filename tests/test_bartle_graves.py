@@ -292,3 +292,25 @@ class TestVerifyRightInverse:
         assert report.plip_report.passed
         for row in report.plip_report.rows:
             assert row.extension_estimate <= ri.eta + 1e-6
+
+    def test_fault_injection_along_the_kernel_fails_the_ray_check(self):
+        """Moving tau at the nearest neighbour of a dense direction along
+        ``ker T`` keeps ``T tau(y) = y`` everywhere: only the ray rate can
+        see it, and the neighbouring probes do (9.627 against 5.218).
+        Probes inside the direction's own cell would read ``||tau(d_k)||``,
+        0.685 here, and pass."""
+        matrix = np.random.default_rng(3).normal(size=(3, 6))
+        T = ls.LinearSurjection(matrix)
+        ri = ls.build_right_inverse(T, beta=1.5 / T.sigma_min, sphere_count=64, rounds=3)
+        k = ri.dense_set[0]
+        row = ri.sphere.distance_row(k).copy()
+        row[k] = np.inf
+        kernel = np.linalg.svd(matrix)[2][-1]
+        ri.table.values[int(np.argmin(row))] += 3.0 * kernel
+        report = ls.verify_right_inverse(ri, directions=[k])
+        assert report.identity_passed
+        assert not report.plip_report.passed
+        for ray in report.plip_report.rows:
+            assert ray.extension_estimate > ray.bound
+            assert ray.extension_estimate == pytest.approx(9.627, abs=1e-3)
+            assert ray.bound == pytest.approx(5.218, abs=1e-3)

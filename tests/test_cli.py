@@ -39,6 +39,16 @@ def segment_correspondence_docs(tmp_path, n_points=41):
     return corr_path, iter_path
 
 
+def respell_member(spelling):
+    """Corrupter naming member 5 of the last round's ``B`` as ``spelling``."""
+
+    def corrupt(doc):
+        members = doc["rounds"][-1]["B"]
+        members[members.index(5)] = spelling
+
+    return corrupt
+
+
 class TestSeparate:
     def test_single_radius(self, tmp_path, line_doc, capsys):
         out = tmp_path / "report.json"
@@ -145,10 +155,12 @@ class TestSelectAndVerify:
             # a radius at a point that is not new in its round
             lambda doc: doc["rounds"][1]["deltas"].update({str(doc["rounds"][0]["new"][0]): 123.0}),
             lambda doc: doc["rounds"][1]["deltas"].update({"-1": 123.0}),
+            *[respell_member(spelling) for spelling in ("05", " 5", "5.0", True, "\u0665")],
         ],
         ids=[
             "config.rounds", "sup_change", "selection_round", "ragged_row", "narrow_rows", "wide_rows",
             "negative_member", "delta_at_old_member", "delta_at_negative_row",
+            "leading_zero", "leading_space", "decimal_point", "bool", "arabic_indic_digit",
         ],
     )
     def test_malformed_sequence_is_schema_error(self, tmp_path, corrupt):
@@ -159,6 +171,15 @@ class TestSelectAndVerify:
         corrupt(seq_doc)
         seq_path = write_json(tmp_path / "seq.json", seq_doc)
         assert main(["verify", "--correspondence", corr_path, "--sequence", seq_path]) == 2
+
+    def test_member_spelled_as_its_key_is_accepted(self, tmp_path):
+        corr_path, iter_path = segment_correspondence_docs(tmp_path)
+        out = tmp_path / "run.json"
+        main(["select", "--correspondence", corr_path, "--iteration", iter_path, "--out", str(out)])
+        seq_doc = json.loads(out.read_text())["sequence"]
+        respell_member("5")(seq_doc)
+        seq_path = write_json(tmp_path / "seq.json", seq_doc)
+        assert main(["verify", "--correspondence", corr_path, "--sequence", seq_path]) == 0
 
     @pytest.mark.parametrize(
         "forge",
@@ -267,8 +288,9 @@ class TestPlip:
         table_path = write_json(
             tmp_path / "t.json", {"values": {str(i): [0.0] for i in range(4)}}
         )
-        # a negative row must not wrap around to the end
-        for points in ("9", "-1"):
+        # a negative row must not wrap around to the end, and a row has
+        # one spelling only
+        for points in ("9", "-1", "01", " 1", "1.0", "True", "\u0661"):
             code = main(["plip", "--space", space_path, "--table", table_path, "--points", points])
             assert code == 2
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import lipselect as ls
 from lipselect.errors import (
     ConfigurationError,
+    IdentifierError,
     ParameterError,
     PreconditionError,
     ResolutionError,
@@ -55,6 +56,19 @@ class TestPlipProfile:
                 (rows, informative, estimate)
             )
             assert profile.informative[-1] is False
+
+    def test_points_give_the_list_of_their_profiles(self):
+        rng = np.random.default_rng(3)
+        space = ls.SampledMetricSpace("l2", coords=rng.uniform(size=(30, 2)))
+        values = rng.normal(size=(30, 2))
+        radii = [0.4, 0.2, 0.1]
+        points = [4, 0, 4, 29]
+        profiles = ls.plip_profile(values, space, points, radii)
+        assert profiles == [ls.plip_profile(values, space, b, radii) for b in points]
+        assert ls.plip_profile(values, space, np.int64(4), radii) == profiles[0]
+        assert ls.plip_profile(values, space, [], radii) == []
+        with pytest.raises(IdentifierError):
+            ls.plip_profile(values, space, [0, 30], radii)
 
     def test_square_at_zero(self):
         space = grid_space(1001)
@@ -248,47 +262,49 @@ class TestBatchedExtension:
 
 
 def reference_ray_rows(table, beta, rays, tol=1e-9):
-    """The probe construction point by point: deduplicated probe points, a
-    metric space over them and a ratio profile per ray point; the sphere
-    side uses the three nearest distinct distances."""
+    """The neighbour-ray construction point by point: the sphere side is
+    ``plip_profile`` over the rings; each probe ``s' d_j`` is evaluated
+    through ``homogeneous_extension`` and put in its ring, and each ring's
+    largest probe distance gives one closed ball, scanned probe by probe."""
     d = table.directions
-    m = d.shape[1]
     gap = min(float(np.linalg.norm(d[i + 1 :] - d[i], axis=1).min()) for i in range(len(d) - 1))
+    rho = min(0.125, gap / 4.0)
     sphere_space = ls.SampledMetricSpace("l2", coords=d)
     bound = 2.0 * beta + table.sup_norm() + tol
     rows = []
     for k, scales in rays:
         dist_row = sphere_space.distance_row(k)
-        others = np.sort(dist_row[dist_row > 0])
-        radii = sorted({float(r) for r in others[:3]}, reverse=True)
-        sphere_est = ls.plip_profile(table.values, sphere_space, k, radii).estimate
+        rings = sorted({float(r) for r in np.sort(dist_row[dist_row > 0])[:3]})
+        sphere_est = ls.plip_profile(table.values, sphere_space, k, rings[::-1]).estimate
         for scale in scales:
             z = scale * d[k]
-            base_r = float(np.linalg.norm(z)) * min(0.125, gap / 4.0)
-            coords, slices = [z], []
-            for level in range(3):
-                start = len(coords)
-                for u in [d[k], -d[k], *np.eye(m), *-np.eye(m)]:
-                    p = z + base_r * 2.0 ** (-level) * u
-                    if not any(np.array_equal(p, q) for q in coords):
-                        coords.append(p)
-                slices.append((start, len(coords)))
-            probe_space = ls.SampledMetricSpace("l2", coords=np.stack(coords))
-            values = np.array([extension_at(table, p) for p in coords])
-            dist0 = probe_space.distance_row(0)
-            radii = sorted({float(dist0[a:b].max()) for a, b in slices if b > a}, reverse=True)
-            ext_est = ls.plip_profile(values, probe_space, 0, radii).estimate
-            passed = sphere_est <= beta + tol and ext_est <= bound
-            rows.append((k, scale, sphere_est, ext_est, bound, passed))
+            tau_z = ls.homogeneous_extension(table, z)
+            probes = []  # (ring, distance, deviation)
+            for j in range(len(d)):
+                if j != k and float(dist_row[j]) not in rings:
+                    continue
+                ring = 0 if j == k else rings.index(float(dist_row[j])) + 1
+                for s in (scale * (1.0 - rho), scale, scale * (1.0 + rho)):
+                    if j == k and s == scale:
+                        continue
+                    p = s * d[j]
+                    dev = float(np.linalg.norm(ls.homogeneous_extension(table, p) - tau_z))
+                    probes.append((ring, float(np.linalg.norm(p - z)), dev))
+            radii = {max(dist for ring, dist, _ in probes if ring == i) for i in range(len(rings) + 1)}
+            ratios = [max([dev for _, dist, dev in probes if dist <= r], default=0.0) / r for r in radii if r > 0]
+            ext_est = max(ratios)
+            rows.append((k, scale, sphere_est, ext_est, bound, sphere_est <= beta + tol and ext_est <= bound))
     return rows
 
 
 class TestVerifyHomogeneousPlip:
     @pytest.mark.parametrize("case", ["grid8", "random3"])
     def test_rows_equal_the_point_by_point_reference(self, case):
+        """The table lookups agree with the extension within a few ulps
+        (scaled by the probe distance), the sphere side bitwise."""
         rng = np.random.default_rng(8)
         if case == "grid8":
-            # axis directions: the radial probe coincides with an axis probe
+            # symmetric neighbours: each ring holds two directions
             directions = ls.sphere_sample(2, 8).coords
             values = np.stack([directions[:, 1], directions[:, 0] ** 2, np.abs(directions[:, 0])], axis=1)
         else:
@@ -297,11 +313,12 @@ class TestVerifyHomogeneousPlip:
         table = ls.SphereTable(directions, values)
         rays = [(k, (0.5, 1.0, 3.7, 10.0)) for k in range(0, len(directions), 3)]
         report = ls.verify_homogeneous_plip(table, 1.5, rays)
-        got = [
-            (r.direction_index, r.scale, r.sphere_estimate, r.extension_estimate, r.bound, r.passed)
-            for r in report.rows
-        ]
-        assert got == reference_ray_rows(table, 1.5, rays)
+        reference = reference_ray_rows(table, 1.5, rays)
+        assert len(report.rows) == len(reference)
+        for row, (k, scale, sphere_est, ext_est, bound, passed) in zip(report.rows, reference):
+            assert (row.direction_index, row.scale, row.bound, row.passed) == (k, scale, bound, passed)
+            assert repr(row.sphere_estimate) == repr(sphere_est)
+            assert row.extension_estimate == pytest.approx(ext_est, rel=1e-15)
 
     def _grid_table(self, values_fn, count=16):
         angles = 2.0 * np.pi * np.arange(count) / count
@@ -344,6 +361,31 @@ class TestVerifyHomogeneousPlip:
         table = self._grid_table(lambda u: np.array([np.sign(u[0])]))
         report = ls.verify_homogeneous_plip(table, beta=0.0, rays=[(4, (1.0,))])
         assert not report.passed
+
+
+@seed(29)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.integers(2, 30),
+    st.integers(1, 4),
+    st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=3),
+)
+def test_ray_estimate_obeys_the_derivation(table_seed, m, n, width, scales):
+    """Every ratio is at most ``sup + 2 sphere_estimate``: the derivation
+    of eta, which makes a table that passes the sphere side pass the rays."""
+    rng = np.random.default_rng(table_seed)
+    if m == 1:
+        directions = np.array([[-1.0], [1.0]])
+    else:
+        directions = rng.normal(size=(n, m))
+        directions /= np.linalg.norm(directions, axis=1)[:, None]
+    values = rng.normal(size=(len(directions), width)) * 10.0 ** rng.uniform(-2, 2, size=(len(directions), 1))
+    table = ls.SphereTable(directions, values)
+    report = ls.verify_homogeneous_plip(table, 0.0, [(k, scales) for k in range(len(directions))])
+    for row in report.rows:
+        assert row.extension_estimate <= (report.sup_norm + 2.0 * row.sphere_estimate) * (1.0 + 1e-12)
 
 
 class TestCantorFunction:
