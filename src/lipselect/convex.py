@@ -17,7 +17,9 @@ Each kind projects a whole stack of bodies of that kind in one call
 query is infeasible sweeps together, and each retires at the sweep where
 its own residual reaches ``DYKSTRA_TOL``, so its iterates are those of a
 lone run.  ``project`` and ``distance_to`` of a single body are the stack
-of one.
+of one.  Validation works on stacks too (``stack``, and
+:func:`stacks_from_json` for documents), and a body object is a view of one
+row of a stack.
 """
 
 from __future__ import annotations
@@ -58,39 +60,70 @@ def _matvec(mats: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return (mats @ rows[:, :, None])[:, :, 0]
 
 
+def _one(value):
+    """``value`` as a stack of one: a leading axis of length 1."""
+    return value[None] if isinstance(value, np.ndarray) else [value]
+
+
 def stack_bodies(bodies) -> tuple:
     """The arrays of a stack of bodies of one kind and shape, each with a
-    leading body axis.  A part that every body shares is a broadcast view,
-    so a stack of one body copies nothing."""
+    leading body axis.  A part that every body holds in the same memory
+    (one array, or rows of one broadcast stack) is a broadcast view, so a
+    stack of one body copies nothing."""
     stack = []
     for parts in zip(*(body._parts() for body in bodies)):
         first = parts[0]
-        if all(p is first for p in parts):
+        shared = (p is first or (isinstance(p, np.ndarray) and p.__array_interface__ == first.__array_interface__)
+                  for p in parts)
+        if all(shared):
             stack.append(np.broadcast_to(first, (len(parts),) + first.shape))
         else:
             stack.append(np.stack(parts))
     return tuple(stack)
 
 
-def stack_key(body: "ConvexBody") -> tuple:
-    """Bodies with equal keys stack together: same kind, same part shapes
-    (halfspace count for polytopes, basis rank for flats)."""
-    return (type(body),) + tuple(p.shape for p in body._parts())
-
-
 class ConvexBody:
     """Common surface of the three body variants.
 
-    A kind provides ``project_stack(stack, ys)``: row ``i`` of ``ys``
-    projected onto body ``i`` of a :func:`stack_bodies` stack.  Kinds with
-    a closed-form distance also override ``distance_stack``.
+    A kind keeps its bodies as stacks, a tuple of arrays with a leading
+    body axis (see :func:`stack_bodies`).  ``stack(*values)`` builds and
+    validates one from a list of values per field, and
+    ``project_stack(stack, ys)`` projects row ``i`` of ``ys`` onto body
+    ``i``; kinds with a closed-form distance also override
+    ``distance_stack``.  A body object is a view of one row of a stack: its
+    constructor validates the stack of one.
     """
 
     dim: int
+    KIND: str
+    # the per-body arrays, in the order of a stack's parts; the document
+    # fields a stack is built from, and those whose lengths set its shape;
+    # the part of the canonical points
+    _FIELDS: tuple
+    _DOC_FIELDS: tuple
+    _SHAPE_FIELDS: tuple
+    _CANONICAL = 0
+
+    def _adopt(self, stack, i) -> None:
+        for name, part in zip(self._FIELDS, stack):
+            setattr(self, name, part[i])
+        self.dim = stack[0].shape[-1]
+
+    @classmethod
+    def _view(cls, stack, i) -> "ConvexBody":
+        """Body ``i`` of a stack, without validating it again."""
+        body = cls.__new__(cls)
+        body._adopt(stack, i)
+        return body
 
     def _parts(self) -> tuple:
         """The arrays :func:`stack_bodies` stacks."""
-        raise NotImplementedError
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    @classmethod
+    def stack_docs(cls, docs) -> tuple:
+        """The stack of body documents of this kind and one shape."""
+        return cls.stack(*([doc[name] for doc in docs] for name in cls._DOC_FIELDS))
 
     @staticmethod
     def project_stack(stack, ys) -> np.ndarray:
@@ -112,7 +145,7 @@ class ConvexBody:
 
     def canonical_point(self) -> np.ndarray:
         """A fixed member of the body, the default starting selection."""
-        raise NotImplementedError
+        return self._parts()[self._CANONICAL].copy()
 
     def distance_to(self, y) -> float:
         """Euclidean distance ``||y - project(y)||``."""
@@ -125,28 +158,12 @@ class ConvexBody:
         return self.distance_to(x) <= tol
 
     def to_json_dict(self) -> dict:
-        raise NotImplementedError
+        return {"kind": self.KIND, **{name: getattr(self, name).tolist() for name in self._DOC_FIELDS}}
 
     @staticmethod
     def from_json_dict(doc: dict) -> "ConvexBody":
-        if not isinstance(doc, dict) or "kind" not in doc:
-            raise SchemaError("body document must be an object with a 'kind' key")
-        kind = doc["kind"]
-        try:
-            if kind == "flat":
-                return AffineFlat(doc["base"], doc["basis"])
-            if kind == "ball":
-                return Ball(doc["center"], doc["radius"])
-            if kind == "polytope":
-                halfspaces = doc["halfspaces"]
-                if not isinstance(halfspaces, list) or not all(isinstance(h, dict) for h in halfspaces):
-                    raise SchemaError("polytope halfspaces must be a list of objects")
-                normals = [h["normal"] for h in halfspaces]
-                offsets = [h["offset"] for h in halfspaces]
-                return Polytope(normals, offsets, doc["witness"])
-        except KeyError as exc:
-            raise SchemaError(f"body document missing field {exc}") from None
-        raise SchemaError(f"unknown body kind {kind!r}")
+        ((_, kind, stack),) = stacks_from_json([doc])
+        return kind._view(stack, 0)
 
 
 # Each kind defines ``project`` (flats and balls also ``distance_to``) as
@@ -161,24 +178,32 @@ class AffineFlat(ConvexBody):
     An empty basis is allowed and yields a single point.
     """
 
-    def __init__(self, base, basis=()):
-        self.base = as_finite_array(base, "flat base")
-        if self.base.ndim != 1:
-            raise ShapeError("flat base must be a vector")
-        self.dim = self.base.shape[0]
-        basis = as_finite_array(basis, "flat basis")
-        if basis.shape == (0,):
-            basis = np.zeros((0, self.dim))
-        if basis.ndim != 2 or basis.shape[1] != self.dim:
-            raise ShapeError("basis vectors must match the base dimension")
-        if basis.shape[0]:
-            gram = basis @ basis.T
-            if np.max(np.abs(gram - np.eye(basis.shape[0]))) > ORTHONORMALITY_TOL:
-                raise PreconditionError("flat basis must be orthonormal")
-        self.basis = basis
+    KIND = "flat"
+    _FIELDS = _DOC_FIELDS = _SHAPE_FIELDS = ("base", "basis")
 
-    def _parts(self) -> tuple:
-        return self.base, self.basis
+    def __init__(self, base, basis=()):
+        self._adopt(self.stack(_one(base), _one(basis)), 0)
+
+    @staticmethod
+    def stack(bases, bases_of_spans) -> tuple:
+        """The stack of flats ``bases[i] + span(bases_of_spans[i])``.  One
+        basis given for the whole stack (a leading axis of 1) is checked
+        once and shared by every flat."""
+        bases = as_finite_array(bases, "flat base")
+        if bases.ndim != 2:
+            raise ShapeError("flat base must be a vector")
+        n, dim = bases.shape
+        spans = as_finite_array(bases_of_spans, "flat basis")
+        if spans.ndim == 2 and not spans.shape[1]:
+            spans = np.zeros((len(spans), 0, dim))
+        if spans.ndim != 3 or spans.shape[0] not in (1, n) or spans.shape[2] != dim:
+            raise ShapeError("basis vectors must match the base dimension")
+        rank = spans.shape[1]
+        if rank:
+            gram = spans @ np.swapaxes(spans, 1, 2)
+            if np.max(np.abs(gram - np.eye(rank))) > ORTHONORMALITY_TOL:
+                raise PreconditionError("flat basis must be orthonormal")
+        return bases, np.broadcast_to(spans, (n, rank, dim))
 
     @staticmethod
     def _along(basis, rel) -> np.ndarray:
@@ -202,34 +227,28 @@ class AffineFlat(ConvexBody):
     def distance_to(self, y) -> float:
         return float(self._single(self.distance_stack, y))
 
-    def canonical_point(self) -> np.ndarray:
-        return self.base.copy()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "flat",
-            "base": [float(x) for x in self.base],
-            "basis": [[float(x) for x in row] for row in self.basis],
-        }
-
 
 class Ball(ConvexBody):
     """Closed Euclidean ball with positive radius."""
 
-    def __init__(self, center, radius):
-        self.center = as_finite_array(center, "ball center")
-        if self.center.ndim != 1:
-            raise ShapeError("ball center must be a vector")
-        self.dim = self.center.shape[0]
-        radius = as_finite_array(radius, "ball radius")
-        if radius.ndim != 0:
-            raise ShapeError("ball radius must be a number")
-        self.radius = float(radius)
-        if not self.radius > 0:
-            raise PreconditionError("ball radius must be positive")
+    KIND = "ball"
+    _FIELDS = _DOC_FIELDS = ("center", "radius")
+    _SHAPE_FIELDS = ("center",)
 
-    def _parts(self) -> tuple:
-        return self.center, np.float64(self.radius)
+    def __init__(self, center, radius):
+        self._adopt(self.stack(_one(center), _one(radius)), 0)
+
+    @staticmethod
+    def stack(centers, radii) -> tuple:
+        centers = as_finite_array(centers, "ball center")
+        if centers.ndim != 2:
+            raise ShapeError("ball center must be a vector")
+        radii = as_finite_array(radii, "ball radius")
+        if radii.shape != centers.shape[:1]:
+            raise ShapeError("ball radius must be a number")
+        if not np.all(radii > 0):
+            raise PreconditionError("ball radius must be positive")
+        return centers, radii
 
     @staticmethod
     def project_stack(stack, ys) -> np.ndarray:
@@ -252,16 +271,6 @@ class Ball(ConvexBody):
     def distance_to(self, y) -> float:
         return float(self._single(self.distance_stack, y))
 
-    def canonical_point(self) -> np.ndarray:
-        return self.center.copy()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "ball",
-            "center": [float(x) for x in self.center],
-            "radius": float(self.radius),
-        }
-
 
 class Polytope(ConvexBody):
     """Nonempty H-polytope ``{x : normals @ x <= offsets}``.
@@ -270,27 +279,45 @@ class Polytope(ConvexBody):
     operations never probe emptiness at call time.
     """
 
-    def __init__(self, normals, offsets, witness):
-        self.normals = as_finite_array(normals, "polytope normals")
-        self.offsets = as_finite_array(offsets, "polytope offsets")
-        if self.normals.ndim != 2 or self.offsets.ndim != 1:
-            raise ShapeError("polytope needs a normal matrix and an offset vector")
-        if self.normals.shape[0] != self.offsets.shape[0]:
-            raise ShapeError("normal and offset counts differ")
-        if self.normals.shape[0] == 0:
-            raise PreconditionError("polytope needs at least one halfspace")
-        self.dim = self.normals.shape[1]
-        self._sq_norms = np.einsum("ij,ij->i", self.normals, self.normals)
-        if np.any(self._sq_norms == 0.0):
-            raise PreconditionError("halfspace normals must be nonzero")
-        self._row_norms = np.sqrt(self._sq_norms)
-        self.witness = _as_vector(as_finite_array(witness, "witness"), self.dim, "witness")
-        slack = self.normals @ self.witness - self.offsets
-        if np.any(slack > WITNESS_TOL * np.maximum(1.0, self._row_norms)):
-            raise PreconditionError("witness point is not feasible for the polytope")
+    KIND = "polytope"
+    _FIELDS = ("normals", "offsets", "_sq_norms", "_row_norms", "witness")
+    _DOC_FIELDS = _SHAPE_FIELDS = ("halfspaces", "witness")
+    _CANONICAL = 4
 
-    def _parts(self) -> tuple:
-        return self.normals, self.offsets, self._sq_norms, self._row_norms
+    def __init__(self, normals, offsets, witness):
+        self._adopt(self.stack(_one(normals), _one(offsets), _one(witness)), 0)
+
+    @staticmethod
+    def stack(normals, offsets, witnesses) -> tuple:
+        normals = as_finite_array(normals, "polytope normals")
+        offsets = as_finite_array(offsets, "polytope offsets")
+        if normals.ndim != 3 or offsets.ndim != 2:
+            raise ShapeError("polytope needs a normal matrix and an offset vector")
+        if normals.shape[:2] != offsets.shape:
+            raise ShapeError("normal and offset counts differ")
+        if normals.shape[1] == 0:
+            raise PreconditionError("polytope needs at least one halfspace")
+        sq_norms = np.einsum("...ij,...ij->...i", normals, normals)
+        if np.any(sq_norms == 0.0):
+            raise PreconditionError("halfspace normals must be nonzero")
+        row_norms = np.sqrt(sq_norms)
+        witnesses = as_finite_array(witnesses, "witness")
+        dim = normals.shape[2]
+        if witnesses.shape != (len(normals), dim):
+            raise ShapeError(f"witness must be a vector of dimension {dim}")
+        slack = _matvec(normals, witnesses) - offsets
+        if np.any(slack > WITNESS_TOL * np.maximum(1.0, row_norms)):
+            raise PreconditionError("witness point is not feasible for the polytope")
+        return normals, offsets, sq_norms, row_norms, witnesses
+
+    @classmethod
+    def stack_docs(cls, docs) -> tuple:
+        halfspaces = [doc["halfspaces"] for doc in docs]
+        return cls.stack(
+            [[h["normal"] for h in hs] for hs in halfspaces],
+            [[h["offset"] for h in hs] for hs in halfspaces],
+            [doc["witness"] for doc in docs],
+        )
 
     @staticmethod
     def project_stack(stack, ys) -> np.ndarray:
@@ -298,12 +325,12 @@ class Polytope(ConvexBody):
         once; a row is final at the first sweep whose residual (change of
         its correction increments, or its violation) is within
         ``DYKSTRA_TOL``."""
-        normals, offsets, sq_norms, row_norms = stack
+        normals, offsets, sq_norms, row_norms = stack[:4]
         out = np.array(ys, dtype=float)
         rows = np.flatnonzero(~np.all(_matvec(normals, out) <= offsets, axis=1))
         if not rows.size:
             return out
-        normals, offsets, sq_norms, row_norms = (a[rows] for a in stack)
+        normals, offsets, sq_norms, row_norms = (a[rows] for a in stack[:4])
         x = out[rows]
         increments = np.zeros(normals.shape)
         for _ in range(DYKSTRA_MAX_SWEEPS):
@@ -340,15 +367,38 @@ class Polytope(ConvexBody):
     def project(self, y) -> np.ndarray:
         return self._single(self.project_stack, y)
 
-    def canonical_point(self) -> np.ndarray:
-        return self.witness.copy()
-
     def to_json_dict(self) -> dict:
         return {
             "kind": "polytope",
             "halfspaces": [
-                {"normal": [float(x) for x in n], "offset": float(b)}
-                for n, b in zip(self.normals, self.offsets)
-            ],
-            "witness": [float(x) for x in self.witness],
+                {"normal": n, "offset": b} for n, b in zip(self.normals.tolist(), self.offsets.tolist())],
+            "witness": self.witness.tolist(),
         }
+
+
+_KINDS = {kind.KIND: kind for kind in (AffineFlat, Ball, Polytope)}
+
+
+def stacks_from_json(docs) -> list:
+    """Body documents as stacks, ``(rows, kind, stack)`` for each kind and
+    shape in order of first row: the one parser of body documents."""
+    groups: dict = {}
+    try:
+        names = [doc["kind"] for doc in docs]
+        for name in dict.fromkeys(names):
+            if name not in _KINDS:
+                raise SchemaError(f"unknown body kind {name!r}")
+            kind = _KINDS[name]
+            rows = [i for i, other in enumerate(names) if other == name]
+            # the lengths of the array fields: halfspace count, basis rank
+            lengths = (map(len, [docs[i][field] for i in rows]) for field in kind._SHAPE_FIELDS)
+            for i, shape in zip(rows, zip(*lengths)):
+                groups.setdefault((kind, shape), []).append(i)
+        return [
+            (np.array(rows), kind, kind.stack_docs([docs[i] for i in rows]))
+            for (kind, _), rows in sorted(groups.items(), key=lambda group: group[1][0])
+        ]
+    except KeyError as exc:
+        raise SchemaError(f"body document missing field {exc}") from None
+    except TypeError:
+        raise SchemaError("a body document must be an object of arrays of numbers") from None

@@ -11,9 +11,10 @@ and strongly pointwise Lipschitz at ``b`` -- the constructive substitute
 for an abstract selection theorem, exact for the supported body classes.
 
 Bodies are stacked once per kind and shape when the correspondence is
-built, so :meth:`Correspondence.project_all` projects one point onto every
-value, and :meth:`Correspondence.distances_to` measures a whole table
-against the values, in one kernel call per stack.
+built (a document is parsed straight into the stacks), so
+:meth:`Correspondence.project_all` projects one point onto every value, and
+:meth:`Correspondence.distances_to` measures a whole table against the
+values, in one kernel call per stack.
 
 The inverse-image correspondence of a full-row-rank linear map realizes
 this structure with parallel affine flats.
@@ -26,7 +27,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from .convex import AffineFlat, ConvexBody, stack_bodies, stack_key
+from .convex import AffineFlat, ConvexBody, _matvec, stack_bodies, stacks_from_json
 from .errors import (
     PreconditionError,
     RankDeficiencyError,
@@ -105,42 +106,73 @@ class LinearSurjection:
 
 
 class Correspondence:
-    """Table-valued correspondence: ``bodies[i]`` is the value at row ``i``
-    of the space.  The ambient dimension is the one the bodies share."""
+    """Table-valued correspondence: the value at row ``i`` of the space is a
+    convex body, all in the ambient dimension the bodies share.  The bodies
+    are kept as stacks, one per kind and shape; a body object is a view
+    built where one is asked for (:meth:`body`, :attr:`bodies`)."""
 
-    def __init__(self, space: SampledMetricSpace, bodies: Sequence[ConvexBody]):
-        bodies = list(bodies)
-        if len(bodies) != len(space):
-            raise PreconditionError(f"{len(space)} points need one body each, got {len(bodies)}")
-        dims = {body.dim for body in bodies}
+    def __init__(self, space: SampledMetricSpace, bodies: Sequence[ConvexBody] = (), stacks=None):
+        """One body per point, or the ``stacks``: ``(rows, kind, stack)``
+        triples whose rows partition the rows of ``space``."""
+        if stacks is None:
+            bodies = list(bodies)
+            if len(bodies) != len(space):
+                raise PreconditionError(f"{len(space)} points need one body each, got {len(bodies)}")
+            # bodies of one kind and part shapes stack together
+            groups: Dict[tuple, list] = {}
+            for i, body in enumerate(bodies):
+                groups.setdefault((type(body),) + tuple(p.shape for p in body._parts()), []).append(i)
+            stacks = [(np.array(rows), key[0], stack_bodies([bodies[i] for i in rows])) for key, rows in groups.items()]
+        dims = {stack[0].shape[-1] for _, _, stack in stacks}
         if len(dims) != 1:
             raise ShapeError("bodies do not share one ambient dimension")
         self.space = space
-        self.bodies = bodies
         self.ambient_dim = dims.pop()
-        groups: Dict[tuple, list] = {}
-        for i, body in enumerate(bodies):
-            groups.setdefault(stack_key(body), []).append(i)
-        # (row indices, kind, stack) per kind and shape, in order of first row
-        self._stacks = [
-            (np.array(rows), key[0], stack_bodies([bodies[i] for i in rows]))
-            for key, rows in groups.items()
-        ]
+        # (row indices, kind, stack) per kind and shape, in order of first
+        # row; and the stack of each row, and the row's place in it
+        self._stacks = stacks
+        self._stack_of = np.empty(len(space), dtype=np.intp)
+        self._place = np.empty(len(space), dtype=np.intp)
+        for s, (rows, _, _) in enumerate(stacks):
+            self._stack_of[rows] = s
+            self._place[rows] = np.arange(len(rows))
+
+    def _locate(self, a) -> tuple:
+        """``(kind, stack, i)``: the body at point ``a`` is row ``i``."""
+        a = self.space.index(a)
+        return self._stacks[self._stack_of[a]][1:] + (int(self._place[a]),)
 
     def body(self, a) -> ConvexBody:
-        return self.bodies[self.space.index(a)]
+        kind, stack, i = self._locate(a)
+        return kind._view(stack, i)
+
+    @property
+    def bodies(self) -> list:
+        return [self.body(a) for a in range(len(self.space))]
 
     def canonical_selection(self) -> np.ndarray:
         """The ``(N, d)`` table of each body's canonical point: the default
         starting selection."""
-        return np.array([body.canonical_point() for body in self.bodies])
+        out = np.empty((len(self.space), self.ambient_dim))
+        for rows, kind, stack in self._stacks:
+            out[rows] = stack[kind._CANONICAL]
+        return out
 
-    def project_all(self, y) -> np.ndarray:
-        """Projection of ``y`` onto every body, one row per point."""
+    def _query(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         if y.shape != (self.ambient_dim,):
             raise ShapeError(f"expected a vector of dimension {self.ambient_dim}, got shape {y.shape}")
-        ys = np.broadcast_to(y, (len(self.space), self.ambient_dim))
+        return y
+
+    def distance_at(self, a, y) -> float:
+        """Distance from ``y`` to the body at point ``a``: its stack's
+        kernel on that row alone, bitwise the body's own ``distance_to``."""
+        kind, stack, i = self._locate(a)
+        return float(kind.distance_stack(tuple(p[i : i + 1] for p in stack), self._query(y)[None])[0])
+
+    def project_all(self, y) -> np.ndarray:
+        """Projection of ``y`` onto every body, one row per point."""
+        ys = np.broadcast_to(self._query(y), (len(self.space), self.ambient_dim))
         out = np.empty(ys.shape)
         for rows, kind, stack in self._stacks:
             out[rows] = kind.project_stack(stack, ys[rows])
@@ -172,13 +204,14 @@ class Correspondence:
             raise SchemaError("correspondence document needs 'space' and 'bodies'")
         space = SampledMetricSpace.from_json_dict(doc["space"])
         entries = space.keyed_entries(doc["bodies"], "bodies table")
-        return cls(space, [ConvexBody.from_json_dict(e) for e in entries])
+        return cls(space, stacks=stacks_from_json(entries))
 
 
 def inverse_image_correspondence(T: LinearSurjection, sample: SampledMetricSpace) -> Correspondence:
     """Correspondence ``y -> {x : T x = y}`` over a coordinate sample of the
     codomain.  Each value is the affine flat through the least-norm solution
-    with the kernel of ``T`` as direction subspace."""
+    with the kernel of ``T`` as direction subspace, built as one stack that
+    shares the kernel basis."""
     if sample.coords is None:
         raise ShapeError("inverse images need a coordinate sample of the codomain")
     if sample.ambient_dim != T.codomain_dim:
@@ -186,9 +219,11 @@ def inverse_image_correspondence(T: LinearSurjection, sample: SampledMetricSpace
             f"sample lives in dimension {sample.ambient_dim}, codomain is "
             f"{T.codomain_dim}"
         )
-    kernel = T.kernel_basis()
-    bodies = [AffineFlat(T.minimum_norm_solution(y), kernel) for y in sample.coords]
-    return Correspondence(sample, bodies)
+    n = len(sample)
+    # bitwise T.minimum_norm_solution(y) for each sampled y
+    bases = _matvec(np.broadcast_to(T._pinv, (n,) + T._pinv.shape), sample.coords)
+    stack = AffineFlat.stack(bases, T.kernel_basis()[None])
+    return Correspondence(sample, stacks=[(np.arange(n), AffineFlat, stack)])
 
 
 @dataclass(frozen=True)
@@ -222,7 +257,7 @@ def check_lower_ptlip(
         raise PreconditionError("rate must be nonnegative")
     b = phi.space.index(b)
     y = np.asarray(y, dtype=float)
-    if not phi.bodies[b].contains(y, tol):
+    if not phi.distance_at(b, y) <= tol:
         raise PreconditionError(f"anchor value is not in the body at {b!r}")
     dist = phi.distances_to(np.broadcast_to(y, (len(phi.space), phi.ambient_dim)))
     slack = dist - rate * phi.space.distance_row(b)
@@ -254,7 +289,7 @@ def local_strong_selection(
     """
     b = phi.space.index(b)
     y = np.asarray(y, dtype=float)
-    if not phi.bodies[b].contains(y, tol):
+    if not phi.distance_at(b, y) <= tol:
         raise PreconditionError(f"anchor value is not in the body at {b!r}")
     table = phi.project_all(y)
     excess = np.linalg.norm(table - y, axis=1) - rate * phi.space.distance_row(b)

@@ -6,6 +6,8 @@ numeric precondition violations, and internal convergence or degeneracy
 failures are distinguishable by type.
 """
 
+from itertools import chain
+
 import numpy as np
 
 
@@ -76,14 +78,30 @@ class InvariantViolationError(LipselectError):
 
 
 def as_finite_array(values, what: str) -> np.ndarray:
-    """``values`` as a float array.  Entries that are not numbers, or rows
-    of unequal length, are a :class:`SchemaError`; NaN or infinite entries
-    are a :class:`PreconditionError`.  (Python's ``json`` parses ``NaN`` and
-    ``Infinity``, so documents can carry them.)"""
+    """``values`` as a float array.  Only numbers count: a string, a
+    boolean, null or an object where a number belongs, or rows of unequal
+    length, are a :class:`SchemaError`, and nested lists are typed as deep
+    as their first entry goes.  NaN or infinite entries, and integers
+    beyond the doubles, are a :class:`PreconditionError`.  (Python's
+    ``json`` parses ``NaN`` and ``Infinity``, so documents can carry them.)"""
+    if isinstance(values, np.ndarray):
+        types = {values.dtype.type}
+    else:
+        entries, probe = [values], values
+        while isinstance(probe, (list, tuple, np.ndarray)):
+            entries, probe = chain.from_iterable(entries), (probe[0] if len(probe) else None)
+        try:
+            types = set(map(type, entries))
+        except TypeError:  # a number where a list belongs
+            types = {object}
+    if not all(issubclass(t, (int, float, np.integer, np.floating)) and not issubclass(t, bool) for t in types):
+        raise SchemaError(f"{what} must be an array of numbers")
     try:
         arr = np.asarray(values, dtype=float)
     except (TypeError, ValueError):
         raise SchemaError(f"{what} must be an array of numbers") from None
+    except OverflowError:
+        arr = np.array(np.inf)
     if not np.all(np.isfinite(arr)):
         raise PreconditionError(f"{what} must be finite")
     return arr

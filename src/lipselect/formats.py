@@ -4,17 +4,22 @@ Reports must be byte-identical across repeated runs, so floats are written
 with a fixed 17-significant-digit format (which round-trips doubles
 exactly), object keys are emitted sorted, and no locale- or
 platform-dependent formatting is used.
+
+Selection tables are emitted as blocks: one ``%.17g`` template per table
+shape, rows in sorted-key order, filled by one ``%`` with the whole table,
+byte for byte what the generic emission writes for its rows.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from functools import lru_cache
 from typing import Any, List, Optional
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, as_finite_array
 from .iteration import (
     IterationConfig,
     RoundRecord,
@@ -32,9 +37,32 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+class Rendered(str):
+    """Canonical JSON text rendered ahead of time, written as it stands."""
+
+
+@lru_cache(maxsize=8)
+def _keyed_rows(n: int, width: int) -> tuple:
+    """The template of an ``n``-row table as an object keyed by row, rows in
+    sorted-key order as ``_canonical`` writes them, and that row order."""
+    order = sorted(range(n), key=str)
+    row = "[" + ",".join(["%.17g"] * width) + "]"
+    return "{" + ",".join(f'"{a}":{row}' for a in order) + "}", np.array(order)
+
+
+def _fill(template: str, table: np.ndarray) -> str:
+    """``template`` filled with the entries of ``table`` in row-major order;
+    a non-finite entry is a :class:`SchemaError`, as in ``format_float``."""
+    if not np.isfinite(table).all():
+        raise SchemaError("reports must not contain non-finite numbers")
+    return template % tuple(table.ravel().tolist())
+
+
 def _canonical(obj: Any, out: List[str]) -> None:
     if obj is None or obj is True or obj is False:
         out.append(json.dumps(obj))
+    elif isinstance(obj, Rendered):
+        out.append(obj)
     elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
@@ -77,11 +105,10 @@ def write_report(path, obj: Any) -> None:
 
 
 def selection_csv_text(space: SampledMetricSpace, table: np.ndarray) -> str:
-    header = "point_id," + ",".join(f"x{j + 1}" for j in range(table.shape[1]))
-    lines = [header]
-    for a, row in enumerate(table):
-        lines.append(str(a) + "," + ",".join(format_float(x) for x in row))
-    return "\n".join(lines) + "\n"
+    n, width = table.shape
+    header = "point_id," + ",".join(f"x{j + 1}" for j in range(width))
+    row = ",".join(["%.17g"] * width)
+    return _fill("\n".join([header] + [f"{a},{row}" for a in range(n)]) + "\n", table)
 
 
 def table_from_dict(doc, space: SampledMetricSpace, dim: Optional[int] = None) -> np.ndarray:
@@ -107,7 +134,9 @@ def profile_csv_text(profiles) -> str:
 
 def sequence_to_dict(seq: SelectionSequence) -> dict:
     """Exportable view of a run: config, hierarchy, per-round evidence, and
-    the selection tables (anchored local selections are not exported)."""
+    the selection tables as rendered blocks (anchored local selections are
+    not exported)."""
+    template, order = _keyed_rows(*seq.final.table.shape)
     return {
         "config": seq.config.to_json_dict(),
         "hierarchy": seq.hierarchy.to_json_dict(),
@@ -124,11 +153,17 @@ def sequence_to_dict(seq: SelectionSequence) -> dict:
         "selections": [
             {
                 "round": sel.round_index,
-                "values": {str(a): row for a, row in enumerate(sel.table.tolist())},
+                "values": Rendered(_fill(template, sel.table[order])),
             }
             for sel in seq.selections
         ],
     }
+
+
+def _integer(value) -> int:
+    if type(value) is not int:
+        raise SchemaError(f"stored sequence has {value!r} where an integer belongs")
+    return value
 
 
 def _resolve_ids(space: SampledMetricSpace, raw_ids) -> list:
@@ -157,7 +192,9 @@ def sequence_from_dict(doc: dict, correspondence) -> SelectionSequence:
         hierarchy = SeparationHierarchy(
             rounds=tuple(
                 SeparationRound(
-                    n=rd["n"], r=rd["r"], members=tuple(_resolve_ids(space, rd["B"]))
+                    n=_integer(rd["n"]),
+                    r=float(as_finite_array(rd["r"], "separation radius")),
+                    members=tuple(_resolve_ids(space, rd["B"])),
                 )
                 for rd in doc["hierarchy"]["rounds"]
             )
@@ -169,19 +206,20 @@ def sequence_from_dict(doc: dict, correspondence) -> SelectionSequence:
             deltas = rd["deltas"]
             if not isinstance(deltas, dict) or set(deltas) != {str(b) for b in new_points}:
                 raise SchemaError(f"round {rd['n']!r}: deltas must be keyed by exactly the new points")
+            radii = as_finite_array([deltas[str(b)] for b in new_points], "adjustment radii").tolist()
             rounds.append(
                 RoundRecord(
-                    n=int(rd["n"]),
+                    n=_integer(rd["n"]),
                     members=tuple(_resolve_ids(space, rd["B"])),
                     new_points=new_points,
-                    deltas={b: float(deltas[str(b)]) for b in new_points},
-                    sup_change=float(rd["sup_change"]),
+                    deltas=dict(zip(new_points, radii)),
+                    sup_change=float(as_finite_array(rd["sup_change"], "sup_change")),
                 )
             )
         selections = [
             Selection(
                 table=table_from_dict(sel_doc, space, correspondence.ambient_dim),
-                round_index=int(sel_doc["round"]),
+                round_index=_integer(sel_doc["round"]),
             )
             for sel_doc in doc["selections"]
         ]

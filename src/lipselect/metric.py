@@ -12,6 +12,7 @@ density of a subset through its covering radius.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -121,18 +122,23 @@ class SampledMetricSpace:
             return int(key) if int(key) < self._n else None
         return None
 
+    @cached_property
+    def _keys(self) -> dict:
+        """``str(row)`` for every row, in row order."""
+        return dict.fromkeys(str(a) for a in range(self._n))
+
     def keyed_entries(self, doc: dict, what: str) -> list:
         """The entries of a document object keyed by ``str(row)``, in row
         order.  Anything but an object, a key that names no point, or a
         point without a key is a :class:`SchemaError`."""
         if not isinstance(doc, dict):
             raise SchemaError(f"{what} must be an object keyed by point")
-        keys = [str(a) for a in range(self._n)]
-        unknown = sorted(set(doc) - set(keys))
+        keys = self._keys
+        if doc.keys() == keys.keys():
+            return [doc[k] for k in keys]
+        unknown = sorted(doc.keys() - keys.keys())
         missing = [k for k in keys if k not in doc]
-        if unknown or missing:
-            raise SchemaError(f"{what} names unknown points {unknown[:3]} or lacks points {missing[:3]}")
-        return [doc[k] for k in keys]
+        raise SchemaError(f"{what} names unknown points {unknown[:3]} or lacks points {missing[:3]}")
 
     def coordinate(self, a) -> np.ndarray:
         if self._coords is None:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import lipselect as ls
 from lipselect.cli import main
-from lipselect.formats import dumps_canonical, write_report
+from lipselect.formats import dumps_canonical, format_float, selection_csv_text, sequence_to_dict, write_report
 
 
 FOUR_POINT_LINE = {"metric": "l2", "points": [[0.0], [0.3], [0.6], [1.0]]}
@@ -469,6 +469,71 @@ class TestNonFiniteInput:
         assert "Traceback" not in capsys.readouterr().err
 
 
+class TestStringsAndBooleansAreNotNumbers:
+    """A JSON string or boolean where a number belongs is a schema error,
+    though numpy would read ``"0.5"`` and ``true`` as numbers."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"kind": "ball", "center": ["0.5", True], "radius": "1e0"},
+            {"kind": "ball", "center": [0.0, 0.0], "radius": True},
+            {"kind": "flat", "base": [0.0, 0.0], "basis": [["1", 0.0]]},
+            {"kind": "polytope", "halfspaces": [{"normal": [1.0, 0.0], "offset": False}], "witness": [0.0, 0.0]},
+            {"kind": "polytope", "halfspaces": [{"normal": [1.0, 0.0], "offset": 1.0}], "witness": [" 0", 0.0]},
+        ],
+        ids=["ball_center_and_radius", "ball_radius", "flat_basis", "polytope_offset", "polytope_witness"],
+    )
+    def test_correspondence(self, tmp_path, capsys, body):
+        space = {"metric": "l2", "points": [[0.0], [1.0]]}
+        corr = write_json(tmp_path / "corr.json", {"space": space, "bodies": {"0": body, "1": body}})
+        it = write_json(tmp_path / "it.json", {"alpha": 0.25, "beta": 1.25, "rounds": 2})
+        assert main(["select", "--correspondence", corr, "--iteration", it]) == 2
+        assert "must be an array of numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "space",
+        [{"metric": "l2", "points": [[0.0], ["0.5"], [1.0]]},
+         {"metric": "explicit", "distances": [[0.0, True], [1.0, 0.0]]}],
+        ids=["points", "distances"],
+    )
+    def test_space(self, tmp_path, space):
+        assert main(["separate", "--space", write_json(tmp_path / "space.json", space), "--r", "0.5"]) == 2
+
+    @pytest.mark.parametrize("value", [["0.5"], [True], "0.5"])
+    def test_table(self, tmp_path, line_doc, value):
+        table = write_json(tmp_path / "t.json", {"values": {"0": [0.0], "1": value, "2": [0.5], "3": [1.0]}})
+        assert main(["plip", "--space", line_doc, "--table", table]) == 2
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: doc["selections"][-1]["values"]["3"].__setitem__(0, "0.5"),
+            lambda doc: doc["selections"][-1]["values"]["3"].__setitem__(0, True),
+            lambda doc: doc["rounds"][1]["deltas"].update({k: "0.125" for k in doc["rounds"][1]["deltas"]}),
+            lambda doc: doc["rounds"][0].update(sup_change=False),
+            lambda doc: doc["rounds"][0].update(n="1"),
+            lambda doc: doc["hierarchy"]["rounds"][0].update(r="1"),
+            lambda doc: doc["selections"][0].update(round=False),
+        ],
+        ids=["row_string", "row_boolean", "delta_string", "sup_change_boolean", "round_string", "radius_string",
+             "selection_round_boolean"],
+    )
+    def test_sequence(self, tmp_path, corrupt):
+        corr_path, iter_path = segment_correspondence_docs(tmp_path)
+        out = tmp_path / "run.json"
+        assert main(["select", "--correspondence", corr_path, "--iteration", iter_path, "--out", str(out)]) == 0
+        seq_doc = json.loads(out.read_text())["sequence"]
+        corrupt(seq_doc)
+        seq_path = write_json(tmp_path / "seq.json", seq_doc)
+        assert main(["verify", "--correspondence", corr_path, "--sequence", seq_path]) == 2
+
+    @pytest.mark.parametrize("matrix", [[[1.0, "0"]], [[1.0, False]]])
+    def test_matrix(self, tmp_path, matrix):
+        matrix_path = write_json(tmp_path / "T.json", {"matrix": matrix})
+        assert main(["bartle-graves", "--matrix", matrix_path, "--beta", "2.0"]) == 2
+
+
 class TestCanonicalJson:
     def test_float_formatting_round_trips(self):
         text = dumps_canonical({"value": 0.1 + 0.2})
@@ -480,6 +545,58 @@ class TestCanonicalJson:
     def test_non_finite_rejected(self):
         with pytest.raises(ls.SchemaError):
             dumps_canonical({"x": float("nan")})
+
+
+# doubles that stress the 17-digit form: signed zero, the smallest
+# subnormal, the largest finite values, integral values and 1e22
+SPECIAL_DOUBLES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                   1.0, -3.0, 2.0**53, 1e22, 0.1 + 0.2, 1e-7]
+
+
+def generic_sequence_text(table):
+    """The report text of a one-table sequence written by the generic
+    emission: the table as an object of row lists."""
+    config = ls.IterationConfig(alpha=0.0, beta=1.0)
+    return dumps_canonical({
+        "config": config.to_json_dict(),
+        "hierarchy": {"rounds": []},
+        "rounds": [],
+        "selections": [{"round": 0, "values": {str(a): row for a, row in enumerate(table.tolist())}}],
+    })
+
+
+def one_table_sequence(table):
+    config = ls.IterationConfig(alpha=0.0, beta=1.0)
+    return ls.SelectionSequence(None, config, ls.SeparationHierarchy(rounds=()), [ls.Selection(table)], [])
+
+
+@seed(13)
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([1, 9, 10, 11, 100, 1001]),
+    width=st.integers(1, 4),
+    picks=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
+    rng_seed=st.integers(0, 2**32 - 1),
+)
+def test_block_emission_equals_the_generic_recursion(n, width, picks, rng_seed):
+    rng = np.random.default_rng(rng_seed)
+    # every finite double is a bit pattern; mix them with the special values
+    bits = rng.integers(0, 2**64, size=(n, width), dtype=np.uint64, endpoint=False).view(np.float64)
+    pool = np.array(SPECIAL_DOUBLES + picks)
+    table = np.where(np.isfinite(bits), bits, 0.0)
+    table = np.where(rng.random((n, width)) < 0.5, pool[rng.integers(0, len(pool), size=(n, width))], table)
+    assert dumps_canonical(sequence_to_dict(one_table_sequence(table))) == generic_sequence_text(table)
+    space = ls.SampledMetricSpace("l2", coords=np.arange(n, dtype=float)[:, None])
+    rows = [str(a) + "," + ",".join(format_float(x) for x in row) for a, row in enumerate(table)]
+    header = "point_id," + ",".join(f"x{j + 1}" for j in range(width))
+    assert selection_csv_text(space, table) == "\n".join([header] + rows) + "\n"
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = table.copy()
+        broken[rng.integers(n), rng.integers(width)] = bad
+        with pytest.raises(ls.SchemaError):
+            dumps_canonical(sequence_to_dict(one_table_sequence(broken)))
+        with pytest.raises(ls.SchemaError):
+            selection_csv_text(space, broken)
 
 
 # any JSON value that asks for no large sample: numbers at most 64, short
@@ -592,6 +709,21 @@ class TestCorrespondenceDocument:
     )
     def test_malformed_bodies_are_schema_errors(self, tmp_path, capsys, bodies):
         assert self._both_verbs(tmp_path, {"space": self.SPACE, "bodies": bodies}) == (2, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "body, expected",
+        [
+            ({"kind": "ball", "center": [[0.0], 0.0], "radius": 1.0}, 2),
+            ({"kind": "ball", "center": [0.0, float("nan")], "radius": 1.0}, 3),
+            ({"kind": "ball", "center": [0.0, 0.0], "radius": 0.0}, 3),
+            ({"kind": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}, 2),
+        ],
+        ids=["ragged_center", "nan_center", "zero_radius", "mixed_dimensions"],
+    )
+    def test_malformed_body_exit_codes(self, tmp_path, capsys, body, expected):
+        assert self._both_verbs(tmp_path, {"space": self.SPACE, "bodies": {"0": self.BALL, "1": body}}) == (
+            expected, expected)
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize(

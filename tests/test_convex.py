@@ -246,6 +246,8 @@ class TestBodyJson:
             {"kind": "polytope", "halfspaces": [[1.0]], "witness": [0.0]},
             {"kind": "flat", "base": [0.0, 0.0], "basis": 5},
             {"kind": "ball", "center": [0.0], "radius": [1.0]},
+            {"kind": "ball", "center": ["0.5", True], "radius": "1e0"},
+            {"kind": "flat", "base": [0.0, None], "basis": []},
         ],
     )
     def test_malformed_fields_are_schema_errors(self, doc):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -13,7 +15,7 @@ from lipselect.errors import (
     ShapeError,
 )
 
-from conftest import line_space
+from conftest import line_space, moving_ball_instance, segment_instance
 
 SQRT_HALF = 2.0**-0.5
 
@@ -92,6 +94,17 @@ class TestInverseImage:
         space = ls.SampledMetricSpace("l2", coords=[[0.0]])
         phi = ls.inverse_image_correspondence(T_sum, space)
         np.testing.assert_allclose(phi.body(0).base, [0.0, 0.0], atol=1e-15)
+
+    def test_one_stack_with_the_least_norm_bases(self):
+        T = ls.LinearSurjection(np.random.default_rng(4).normal(size=(3, 6)))
+        sphere = ls.sphere_sample(3, 48, seed=2)
+        phi = ls.inverse_image_correspondence(T, sphere)
+        ((rows, kind, (bases, basis)),) = phi._stacks
+        assert kind is ls.AffineFlat and rows.tolist() == list(range(48))
+        # the kernel basis is shared, not copied per flat
+        assert basis.strides[0] == 0 and np.array_equal(basis[0], T.kernel_basis())
+        for y, base in zip(sphere.coords, bases):
+            assert base.tobytes() == T.minimum_norm_solution(y).tobytes()
 
     def test_dimension_guard(self, T_sum):
         space = ls.SampledMetricSpace("l2", coords=[[0.0, 1.0]])
@@ -283,6 +296,47 @@ def test_batched_kernels_equal_the_per_body_methods(data):
         got = phi.distances_to(rows)
         want = np.array([body.distance_to(row) for body, row in zip(bodies, rows)])
         assert got.tobytes() == want.tobytes()
+
+
+@seed(7)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_parsed_stacks_equal_the_stacks_of_the_bodies(data):
+    """Documents parse straight into the stacks that stacking the per-body
+    objects gives: same rows, kinds and bits, and views equal to the
+    bodies."""
+    dim = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 8))
+    bodies = data.draw(st.lists(mixed_bodies(dim), min_size=n, max_size=n))
+    space = ls.SampledMetricSpace("l2", coords=[[float(i)] for i in range(n)])
+    direct = ls.Correspondence(space, bodies)
+    parsed = ls.Correspondence.from_json_dict(json.loads(json.dumps(direct.to_json_dict())))
+    assert len(parsed._stacks) == len(direct._stacks)
+    for (rows, kind, stack), (want_rows, want_kind, want_stack) in zip(parsed._stacks, direct._stacks):
+        assert rows.tolist() == want_rows.tolist() and kind is want_kind
+        assert [(p.shape, p.tobytes()) for p in stack] == [(p.shape, p.tobytes()) for p in want_stack]
+    for a, body in enumerate(bodies):
+        view = parsed.body(a)
+        assert type(view) is type(body)
+        assert [p.tobytes() for p in view._parts()] == [np.asarray(p).tobytes() for p in body._parts()]
+    # the membership test reads the stack row: bitwise the view's distance
+    y = np.array(data.draw(st.lists(COORD, min_size=dim, max_size=dim)))
+    for phi in (parsed, direct):
+        for a in range(n):
+            assert phi.distance_at(a, y) == phi.body(a).distance_to(y)
+
+
+@pytest.mark.parametrize("instance", ["balls", "flats"])
+def test_the_engine_builds_no_body_objects(monkeypatch, instance):
+    """Selection and its audit read every body from the stacks; per-point
+    body objects are built only where a caller asks for one."""
+    if instance == "balls":
+        phi, f0, config = moving_ball_instance(3, n_points=65)
+        phi = ls.Correspondence.from_json_dict(phi.to_json_dict())
+    else:
+        _, phi, f0, config = segment_instance(n_points=65)
+    monkeypatch.setattr(ls.ConvexBody, "_view", classmethod(lambda cls, stack, i: pytest.fail("built a body")))
+    assert ls.verify_sequence(ls.run_iteration(phi, f0, config)).passed
 
 
 def test_project_all_groups_by_kind_and_shape():
