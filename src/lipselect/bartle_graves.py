@@ -143,7 +143,7 @@ def build_right_inverse(
         rounds=rounds,
     )
     seq = run_iteration(phi, f0, config)
-    table = SphereTable.from_table(sphere, seq.final)
+    table = SphereTable(sphere, seq.final.table)
     eta = 2.0 * beta + table.sup_norm()
     return RightInverse(
         T=T,

@@ -238,13 +238,8 @@ def _cmd_plip(opts) -> int:
 
 def _cmd_bartle_graves(opts) -> int:
     T = LinearSurjection.from_json_dict(_load_json(opts["matrix"]))
-    ri = bg.build_right_inverse(
-        T,
-        beta=opts["beta"],
-        sphere_count=opts.get("sphere_count", 64),
-        seed=opts.get("seed", 0),
-        rounds=opts.get("rounds", 4),
-    )
+    given = {key: opts[key] for key in ("sphere_count", "seed", "rounds") if key in opts}
+    ri = bg.build_right_inverse(T, beta=opts["beta"], **given)
     report_obj = bg.verify_right_inverse(ri)
     worst_id_row = max(report_obj.identity_rows, key=lambda r: r.residual)
     worst_hom_row = max(report_obj.homogeneity_rows, key=lambda r: r.max_abs_diff)

@@ -12,14 +12,13 @@ nonempty.  The projection map is single valued, idempotent, and
 nonexpansive, which is what the selection machinery builds on.
 
 Each kind projects a whole stack of bodies of that kind in one call
-(``project_stack``, ``distance_stack``), one query row per body; see
-:func:`stack_bodies`.  Polytopes run Dykstra in lockstep: every body whose
-query is infeasible sweeps together, and each retires at the sweep where
-its own residual reaches ``DYKSTRA_TOL``, so its iterates are those of a
-lone run.  ``project`` and ``distance_to`` of a single body are the stack
-of one.  Validation works on stacks too (``stack``, and
-:func:`stacks_from_json` for documents), and a body object is a view of one
-row of a stack.
+(``project_stack``, ``distance_stack``), one query row per body.  Polytopes
+run Dykstra in lockstep: every body whose query is infeasible sweeps
+together, and each retires at the sweep where its own residual reaches
+``DYKSTRA_TOL``, so its iterates are those of a lone run.  Validation works
+on stacks too (``stack``, and :func:`stacks_from_json` for documents).  A
+body is a stack of one: ``project`` and ``distance_to`` run the same
+kernels on it.
 """
 
 from __future__ import annotations
@@ -65,36 +64,18 @@ def _one(value):
     return value[None] if isinstance(value, np.ndarray) else [value]
 
 
-def stack_bodies(bodies) -> tuple:
-    """The arrays of a stack of bodies of one kind and shape, each with a
-    leading body axis.  A part that every body holds in the same memory
-    (one array, or rows of one broadcast stack) is a broadcast view, so a
-    stack of one body copies nothing."""
-    stack = []
-    for parts in zip(*(body._parts() for body in bodies)):
-        first = parts[0]
-        shared = (p is first or (isinstance(p, np.ndarray) and p.__array_interface__ == first.__array_interface__)
-                  for p in parts)
-        if all(shared):
-            stack.append(np.broadcast_to(first, (len(parts),) + first.shape))
-        else:
-            stack.append(np.stack(parts))
-    return tuple(stack)
-
-
 class ConvexBody:
     """Common surface of the three body variants.
 
     A kind keeps its bodies as stacks, a tuple of arrays with a leading
-    body axis (see :func:`stack_bodies`).  ``stack(*values)`` builds and
-    validates one from a list of values per field, and
-    ``project_stack(stack, ys)`` projects row ``i`` of ``ys`` onto body
-    ``i``; kinds with a closed-form distance also override
-    ``distance_stack``.  A body object is a view of one row of a stack: its
-    constructor validates the stack of one.
+    body axis.  ``stack(*values)`` builds and validates one from a list of
+    values per field, and ``project_stack(stack, ys)`` projects row ``i`` of
+    ``ys`` onto body ``i``; kinds with a closed-form distance also override
+    ``distance_stack``.  A body is a stack of one: the constructor validates
+    it and keeps it as ``parts``, contiguous, and each field attribute
+    (``center``, ``basis``, ``normals``, ...) is row 0 of its part.
     """
 
-    dim: int
     KIND: str
     # the per-body arrays, in the order of a stack's parts; the document
     # fields a stack is built from, and those whose lengths set its shape;
@@ -104,21 +85,26 @@ class ConvexBody:
     _SHAPE_FIELDS: tuple
     _CANONICAL = 0
 
-    def _adopt(self, stack, i) -> None:
-        for name, part in zip(self._FIELDS, stack):
-            setattr(self, name, part[i])
-        self.dim = stack[0].shape[-1]
+    def __init_subclass__(cls):
+        # each field reads row 0 of its part
+        for i, name in enumerate(cls._FIELDS):
+            setattr(cls, name, property(lambda self, i=i: self.parts[i][0]))
+
+    def __init__(self, *fields):
+        # contiguous like a parsed or concatenated stack: the kernels' last
+        # bits depend on the memory layout
+        self.parts = tuple(map(np.ascontiguousarray, self.stack(*map(_one, fields))))
 
     @classmethod
-    def _view(cls, stack, i) -> "ConvexBody":
-        """Body ``i`` of a stack, without validating it again."""
+    def _of(cls, parts) -> "ConvexBody":
+        """The body whose stack of one is ``parts``, not validated again."""
         body = cls.__new__(cls)
-        body._adopt(stack, i)
+        body.parts = parts
         return body
 
-    def _parts(self) -> tuple:
-        """The arrays :func:`stack_bodies` stacks."""
-        return tuple(getattr(self, name) for name in self._FIELDS)
+    @property
+    def dim(self) -> int:
+        return self.parts[0].shape[-1]
 
     @classmethod
     def stack_docs(cls, docs) -> tuple:
@@ -137,7 +123,7 @@ class ConvexBody:
     def _single(self, kernel, y) -> np.ndarray:
         """``kernel`` on the stack of this body alone."""
         y = _as_vector(y, self.dim, "query point")
-        return kernel(stack_bodies([self]), y[None])[0]
+        return kernel(self.parts, y[None])[0]
 
     def project(self, y) -> np.ndarray:
         """The nearest point of the body to ``y``."""
@@ -145,7 +131,7 @@ class ConvexBody:
 
     def canonical_point(self) -> np.ndarray:
         """A fixed member of the body, the default starting selection."""
-        return self._parts()[self._CANONICAL].copy()
+        return self.parts[self._CANONICAL][0].copy()
 
     def distance_to(self, y) -> float:
         """Euclidean distance ``||y - project(y)||``."""
@@ -163,7 +149,7 @@ class ConvexBody:
     @staticmethod
     def from_json_dict(doc: dict) -> "ConvexBody":
         ((_, kind, stack),) = stacks_from_json([doc])
-        return kind._view(stack, 0)
+        return kind._of(stack)
 
 
 # Each kind defines ``project`` (flats and balls also ``distance_to``) as
@@ -182,7 +168,7 @@ class AffineFlat(ConvexBody):
     _FIELDS = _DOC_FIELDS = _SHAPE_FIELDS = ("base", "basis")
 
     def __init__(self, base, basis=()):
-        self._adopt(self.stack(_one(base), _one(basis)), 0)
+        super().__init__(base, basis)
 
     @staticmethod
     def stack(bases, bases_of_spans) -> tuple:
@@ -236,7 +222,7 @@ class Ball(ConvexBody):
     _SHAPE_FIELDS = ("center",)
 
     def __init__(self, center, radius):
-        self._adopt(self.stack(_one(center), _one(radius)), 0)
+        super().__init__(center, radius)
 
     @staticmethod
     def stack(centers, radii) -> tuple:
@@ -285,7 +271,7 @@ class Polytope(ConvexBody):
     _CANONICAL = 4
 
     def __init__(self, normals, offsets, witness):
-        self._adopt(self.stack(_one(normals), _one(offsets), _one(witness)), 0)
+        super().__init__(normals, offsets, witness)
 
     @staticmethod
     def stack(normals, offsets, witnesses) -> tuple:

@@ -27,7 +27,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from .convex import AffineFlat, ConvexBody, _matvec, stack_bodies, stacks_from_json
+from .convex import AffineFlat, ConvexBody, _matvec, stacks_from_json
 from .errors import (
     PreconditionError,
     RankDeficiencyError,
@@ -63,7 +63,6 @@ class LinearSurjection:
             )
         u, s, vt = np.linalg.svd(self.matrix)
         self.sigma_min = float(s[-1])
-        self.sigma_max = float(s[0])
         if not self.sigma_min > RANK_TOLERANCE:
             raise RankDeficiencyError(
                 f"smallest singular value {self.sigma_min:.3e} is below {RANK_TOLERANCE:.0e}"
@@ -108,8 +107,8 @@ class LinearSurjection:
 class Correspondence:
     """Table-valued correspondence: the value at row ``i`` of the space is a
     convex body, all in the ambient dimension the bodies share.  The bodies
-    are kept as stacks, one per kind and shape; a body object is a view
-    built where one is asked for (:meth:`body`, :attr:`bodies`)."""
+    are kept as stacks, one per kind and shape; :meth:`body` builds a body
+    object, a stack of one, where one is asked for."""
 
     def __init__(self, space: SampledMetricSpace, bodies: Sequence[ConvexBody] = (), stacks=None):
         """One body per point, or the ``stacks``: ``(rows, kind, stack)``
@@ -118,11 +117,15 @@ class Correspondence:
             bodies = list(bodies)
             if len(bodies) != len(space):
                 raise PreconditionError(f"{len(space)} points need one body each, got {len(bodies)}")
-            # bodies of one kind and part shapes stack together
+            # bodies of one kind and part shapes stack together, in order
+            # of first row
             groups: Dict[tuple, list] = {}
             for i, body in enumerate(bodies):
-                groups.setdefault((type(body),) + tuple(p.shape for p in body._parts()), []).append(i)
-            stacks = [(np.array(rows), key[0], stack_bodies([bodies[i] for i in rows])) for key, rows in groups.items()]
+                groups.setdefault((type(body),) + tuple(p.shape for p in body.parts), []).append(i)
+            stacks = [
+                (np.array(rows), key[0], tuple(map(np.concatenate, zip(*(bodies[i].parts for i in rows)))))
+                for key, rows in groups.items()
+            ]
         dims = {stack[0].shape[-1] for _, _, stack in stacks}
         if len(dims) != 1:
             raise ShapeError("bodies do not share one ambient dimension")
@@ -137,18 +140,17 @@ class Correspondence:
             self._stack_of[rows] = s
             self._place[rows] = np.arange(len(rows))
 
-    def _locate(self, a) -> tuple:
-        """``(kind, stack, i)``: the body at point ``a`` is row ``i``."""
+    def _row(self, a) -> tuple:
+        """``(kind, parts)``: the body at point ``a`` as the slices of its
+        stack's row, a stack of one."""
         a = self.space.index(a)
-        return self._stacks[self._stack_of[a]][1:] + (int(self._place[a]),)
+        _, kind, stack = self._stacks[self._stack_of[a]]
+        i = self._place[a]
+        return kind, tuple(p[i : i + 1] for p in stack)
 
     def body(self, a) -> ConvexBody:
-        kind, stack, i = self._locate(a)
-        return kind._view(stack, i)
-
-    @property
-    def bodies(self) -> list:
-        return [self.body(a) for a in range(len(self.space))]
+        kind, parts = self._row(a)
+        return kind._of(parts)
 
     def canonical_selection(self) -> np.ndarray:
         """The ``(N, d)`` table of each body's canonical point: the default
@@ -167,8 +169,8 @@ class Correspondence:
     def distance_at(self, a, y) -> float:
         """Distance from ``y`` to the body at point ``a``: its stack's
         kernel on that row alone, bitwise the body's own ``distance_to``."""
-        kind, stack, i = self._locate(a)
-        return float(kind.distance_stack(tuple(p[i : i + 1] for p in stack), self._query(y)[None])[0])
+        kind, parts = self._row(a)
+        return float(kind.distance_stack(parts, self._query(y)[None])[0])
 
     def project_all(self, y) -> np.ndarray:
         """Projection of ``y`` onto every body, one row per point."""
@@ -195,7 +197,7 @@ class Correspondence:
     def to_json_dict(self) -> dict:
         return {
             "space": self.space.to_json_dict(),
-            "bodies": {str(i): body.to_json_dict() for i, body in enumerate(self.bodies)},
+            "bodies": {str(a): self.body(a).to_json_dict() for a in range(len(self.space))},
         }
 
     @classmethod

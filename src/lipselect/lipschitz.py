@@ -22,13 +22,12 @@ upgrade to a global Lipschitz bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import (
-    ConfigurationError,
     ParameterError,
     PreconditionError,
     ResolutionError,
@@ -141,57 +140,30 @@ def default_radii(space: SampledMetricSpace) -> Tuple[float, ...]:
 # -- positively homogeneous extension ---------------------------------------
 
 
-@dataclass(frozen=True)
 class SphereTable:
-    """A function sampled on unit directions: rows of ``directions`` are the
-    sampled unit vectors, rows of ``values`` the images."""
+    """A function sampled on unit directions: the points of ``space``, a
+    coordinate sample under the chord (``l2``) metric, are the sampled unit
+    vectors, and row ``k`` of ``values`` is the image of direction ``k``."""
 
-    directions: np.ndarray
-    values: np.ndarray
-    _space: Optional[SampledMetricSpace] = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, space: SampledMetricSpace, values: TableLike):
+        if space.metric_kind != "l2":
+            raise PreconditionError("sphere directions need the chord (l2) metric")
+        if np.max(np.abs(np.linalg.norm(space.coords, axis=1) - 1.0)) > 1e-9:
+            raise PreconditionError("sphere directions must be unit vectors")
+        self.space = space
+        self.values = as_table(values, space)
 
-    def __post_init__(self):
-        object.__setattr__(self, "directions", np.asarray(self.directions, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.directions.ndim != 2 or self.values.ndim != 2:
-            raise ShapeError("sphere table needs 2-d direction and value arrays")
-        if self.directions.shape[0] != self.values.shape[0]:
-            raise ShapeError("direction and value counts differ")
-        if self.directions.shape[0]:
-            norms = np.linalg.norm(self.directions, axis=1)
-            if np.max(np.abs(norms - 1.0)) > 1e-9:
-                raise PreconditionError("sphere directions must be unit vectors")
-
-    def __len__(self) -> int:
-        return self.directions.shape[0]
-
-    @classmethod
-    def from_table(cls, space: SampledMetricSpace, values: TableLike) -> "SphereTable":
-        """The table of ``values`` on the points of a coordinate space; a
-        chord-metric (``l2``) space is kept as the table's :meth:`space`."""
-        table = cls(directions=space.coords.copy(), values=as_table(values, space).copy())
-        if space.metric_kind == "l2":
-            object.__setattr__(table, "_space", space)
-        return table
-
-    def space(self) -> SampledMetricSpace:
-        """The directions under the chord metric: the space the table was
-        built from, else one built on first use."""
-        if self._space is None:
-            object.__setattr__(self, "_space", SampledMetricSpace("l2", coords=self.directions))
-        return self._space
+    @property
+    def directions(self) -> np.ndarray:
+        return self.space.coords
 
     def sup_norm(self) -> float:
         """Largest value norm over the sample (uniform norm of the table)."""
-        if not len(self):
-            raise ConfigurationError("sup norm of an empty sphere table")
         return float(np.linalg.norm(self.values, axis=1).max())
 
 
 def _vectors(table: SphereTable, z) -> np.ndarray:
     """``z`` as one vector or a ``(P, m)`` batch in the table's dimension."""
-    if not len(table):
-        raise ConfigurationError("sphere table is empty")
     z = np.asarray(z, dtype=float)
     m = table.directions.shape[1]
     if z.ndim not in (1, 2) or z.shape[-1] != m:
@@ -273,8 +245,8 @@ def verify_homogeneous_plip(
     sup = table.sup_norm()
     bound = 2.0 * beta + sup + tol
     directions, values = table.directions, table.values
-    mat = table.space().distance_matrix()
-    gap = float(np.min(mat, where=~np.eye(len(table), dtype=bool), initial=np.inf))
+    mat = table.space.distance_matrix()
+    gap = float(np.min(mat, where=~np.eye(len(mat), dtype=bool), initial=np.inf))
     rho = min(0.125, gap / 4.0)
     factors = np.array([1.0 - rho, 1.0, 1.0 + rho])[:, None, None]
 

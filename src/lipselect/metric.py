@@ -268,9 +268,6 @@ class SeparationHierarchy:
 
     rounds: tuple
 
-    def members(self, n: int) -> tuple:
-        return self.rounds[n - 1].members
-
     def to_json_dict(self) -> dict:
         return {
             "rounds": [

@@ -15,6 +15,11 @@ def grid_space(n, lo=0.0, hi=1.0):
     return ls.SampledMetricSpace("l2", coords=[[lo + i * step] for i in range(n)])
 
 
+def sphere_table(directions, values):
+    """The sphere table of ``values`` on the chord space of ``directions``."""
+    return ls.SphereTable(ls.SampledMetricSpace("l2", coords=directions), values)
+
+
 @pytest.fixture
 def four_point_line():
     return line_space([0, 0.3, 0.6, 1.0])

@@ -15,7 +15,7 @@ import lipselect as ls
 from lipselect.cli import main
 from lipselect.formats import dumps_canonical
 
-from conftest import moving_ball_instance, segment_instance
+from conftest import moving_ball_instance, segment_instance, sphere_table
 from test_convex import face_enumeration_projection, random_bounded_polytope
 
 
@@ -174,7 +174,7 @@ def test_criterion_5_homogeneous_extension_tightness():
     directions /= np.linalg.norm(directions, axis=1)[:, None]
 
     c = np.array([0.7, -0.4, 1.1])
-    const_table = ls.SphereTable(directions, np.tile(c, (16, 1)))
+    const_table = sphere_table(directions, np.tile(c, (16, 1)))
     const_report = ls.verify_homogeneous_plip(
         const_table, beta=0.0, rays=[(0, (0.5, 2.0, 10.0)), (5, (1.0, 4.0))]
     )
@@ -183,7 +183,7 @@ def test_criterion_5_homogeneous_extension_tightness():
         abs(row.extension_estimate - norm_c) <= 1e-9 for row in const_report.rows
     )
 
-    ident_table = ls.SphereTable(directions, directions.copy())
+    ident_table = sphere_table(directions, directions.copy())
     ident_report = ls.verify_homogeneous_plip(ident_table, beta=1.0, rays=[(3, (1.0, 2.0))])
     ident_ok = ident_report.passed and all(
         row.extension_estimate <= 3.0 for row in ident_report.rows

@@ -6,6 +6,8 @@ import pytest
 import lipselect as ls
 from lipselect.errors import ParameterError, PreconditionError
 
+from conftest import sphere_table
+
 
 def sigma_min_oracle(matrix):
     """Independent route to the openness constant: eigenvalues of T T^T."""
@@ -106,7 +108,7 @@ class TestBuildRightInverse:
         T = ls.LinearSurjection(np.eye(2))
         directions = np.array([[0.6, 0.8], [-0.6, 0.8], [0.0, -1.0]])
         directions /= np.linalg.norm(directions, axis=1)[:, None]
-        table = ls.SphereTable(directions, directions.copy())
+        table = sphere_table(directions, directions.copy())
         out = ls.homogeneous_extension(table, np.array([6.0, 8.0]))
         np.testing.assert_allclose(out, [6.0, 8.0], atol=1e-12)
         np.testing.assert_allclose(T.apply(out), [6.0, 8.0], atol=1e-12)

@@ -298,13 +298,19 @@ def test_batched_kernels_equal_the_per_body_methods(data):
         assert got.tobytes() == want.tobytes()
 
 
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
 @seed(7)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_parsed_stacks_equal_the_stacks_of_the_bodies(data):
-    """Documents parse straight into the stacks that stacking the per-body
-    objects gives: same rows, kinds and bits, and views equal to the
-    bodies."""
+    """Documents parse straight into the stacks of the caller's bodies:
+    same rows, kinds and bits.  The caller's bodies, the bodies parsed from
+    their documents, the correspondence's bodies and its rows project and
+    measure every query to the same bits, queries on the coordinate axes
+    included."""
     dim = data.draw(st.integers(1, 3))
     n = data.draw(st.integers(1, 8))
     bodies = data.draw(st.lists(mixed_bodies(dim), min_size=n, max_size=n))
@@ -315,15 +321,20 @@ def test_parsed_stacks_equal_the_stacks_of_the_bodies(data):
     for (rows, kind, stack), (want_rows, want_kind, want_stack) in zip(parsed._stacks, direct._stacks):
         assert rows.tolist() == want_rows.tolist() and kind is want_kind
         assert [(p.shape, p.tobytes()) for p in stack] == [(p.shape, p.tobytes()) for p in want_stack]
-    for a, body in enumerate(bodies):
+    documents = [ls.ConvexBody.from_json_dict(json.loads(json.dumps(body.to_json_dict()))) for body in bodies]
+    for a, (body, document) in enumerate(zip(bodies, documents)):
         view = parsed.body(a)
-        assert type(view) is type(body)
-        assert [p.tobytes() for p in view._parts()] == [np.asarray(p).tobytes() for p in body._parts()]
-    # the membership test reads the stack row: bitwise the view's distance
+        assert type(view) is type(document) is type(body)
+        assert [p.tobytes() for p in view.parts] == [p.tobytes() for p in document.parts] == [p.tobytes() for p in body.parts]
     y = np.array(data.draw(st.lists(COORD, min_size=dim, max_size=dim)))
-    for phi in (parsed, direct):
-        for a in range(n):
-            assert phi.distance_at(a, y) == phi.body(a).distance_to(y)
+    for y in (y, np.eye(dim)[0], np.eye(dim)[-1]):
+        for phi in (parsed, direct):
+            projected = phi.project_all(y)
+            distances = phi.distances_to(np.broadcast_to(y, (n, dim)))
+            for a, owners in enumerate(zip(bodies, documents)):
+                for body in (*owners, phi.body(a)):
+                    assert _bits(body.project(y)) == _bits(projected[a])
+                    assert _bits(body.distance_to(y)) == _bits(phi.distance_at(a, y)) == _bits(distances[a])
 
 
 @pytest.mark.parametrize("instance", ["balls", "flats"])
@@ -335,7 +346,7 @@ def test_the_engine_builds_no_body_objects(monkeypatch, instance):
         phi = ls.Correspondence.from_json_dict(phi.to_json_dict())
     else:
         _, phi, f0, config = segment_instance(n_points=65)
-    monkeypatch.setattr(ls.ConvexBody, "_view", classmethod(lambda cls, stack, i: pytest.fail("built a body")))
+    monkeypatch.setattr(ls.ConvexBody, "_of", classmethod(lambda cls, parts: pytest.fail("built a body")))
     assert ls.verify_sequence(ls.run_iteration(phi, f0, config)).passed
 
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 import lipselect as ls
 from lipselect.errors import (
-    ConfigurationError,
     IdentifierError,
     ParameterError,
     PreconditionError,
@@ -13,7 +12,7 @@ from lipselect.errors import (
     ShapeError,
 )
 
-from conftest import grid_space, line_space
+from conftest import grid_space, line_space, sphere_table
 
 
 def quadratic_table(space):
@@ -164,31 +163,39 @@ class TestHomogeneousExtension:
 
     def test_identity_extension(self):
         directions = self._table()
-        table = ls.SphereTable(directions, directions.copy())
+        table = sphere_table(directions, directions.copy())
         out = ls.homogeneous_extension(table, [3.0, 4.0])
         np.testing.assert_allclose(out, [3.0, 4.0], atol=1e-12)
 
     def test_constant_extension(self):
         directions = self._table()
         c = np.array([1.5, -2.0, 0.25])
-        table = ls.SphereTable(directions, np.tile(c, (3, 1)))
+        table = sphere_table(directions, np.tile(c, (3, 1)))
         out = ls.homogeneous_extension(table, [0.0, 2.0])
         np.testing.assert_allclose(out, 2.0 * c, atol=1e-12)
 
     def test_origin(self):
         directions = self._table()
-        table = ls.SphereTable(directions, np.ones((3, 2)))
+        table = sphere_table(directions, np.ones((3, 2)))
         np.testing.assert_array_equal(
             ls.homogeneous_extension(table, [0.0, 0.0]), [0.0, 0.0]
         )
 
     def test_empty_table(self):
-        table = ls.SphereTable(np.zeros((0, 2)), np.zeros((0, 2)))
-        with pytest.raises(ConfigurationError):
-            ls.homogeneous_extension(table, [1.0, 0.0])
+        with pytest.raises(PreconditionError):
+            sphere_table(np.zeros((0, 2)), np.zeros((0, 2)))
+
+    def test_malformed_tables_are_rejected(self):
+        directions = self._table()
+        with pytest.raises(PreconditionError, match="unit vectors"):
+            sphere_table(2.0 * directions, np.ones((3, 2)))
+        with pytest.raises(PreconditionError, match="chord"):
+            ls.SphereTable(ls.SampledMetricSpace("l1", coords=directions), np.ones((3, 2)))
+        with pytest.raises(ShapeError):
+            sphere_table(directions, np.ones((2, 2)))
 
     def test_dimension_guard(self):
-        table = ls.SphereTable(self._table(), np.ones((3, 2)))
+        table = sphere_table(self._table(), np.ones((3, 2)))
         with pytest.raises(ShapeError):
             ls.homogeneous_extension(table, [1.0, 0.0, 0.0])
 
@@ -196,7 +203,7 @@ class TestHomogeneousExtension:
         rng = np.random.default_rng(4)
         directions = rng.normal(size=(8, 3))
         directions /= np.linalg.norm(directions, axis=1)[:, None]
-        table = ls.SphereTable(directions, rng.normal(size=(8, 2)))
+        table = sphere_table(directions, rng.normal(size=(8, 2)))
         z = rng.normal(size=3)
         base = ls.homogeneous_extension(table, z)
         for lam in (0.5, 2.0, 4.0, 0.25):
@@ -206,7 +213,7 @@ class TestHomogeneousExtension:
 
     def test_homogeneity_exact_axis_direction_any_scale(self):
         directions = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-        table = ls.SphereTable(directions, np.arange(8.0).reshape(4, 2))
+        table = sphere_table(directions, np.arange(8.0).reshape(4, 2))
         z = np.array([1.0, 0.0])
         base = ls.homogeneous_extension(table, z)
         for lam in (0.5, 2.0, 10.0, 3.7):
@@ -216,7 +223,7 @@ class TestHomogeneousExtension:
 
     def test_nearest_direction_tie_breaks_low_index(self):
         directions = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        table = ls.SphereTable(directions, np.array([[1.0], [2.0]]))
+        table = sphere_table(directions, np.array([[1.0], [2.0]]))
         # (0, 1) is equidistant from both samples
         assert ls.lipschitz.nearest_direction_index(table, [0.0, 1.0]) == 0
 
@@ -234,8 +241,8 @@ class TestBatchedExtension:
         rng = np.random.default_rng(6)
         # octahedron: (1, 1, 0) / sqrt(2) is equidistant from e1 and e2
         directions = np.vstack([np.eye(3), -np.eye(3)])
-        yield ls.SphereTable(directions, rng.normal(size=(6, 4))), [0.5**0.5, 0.5**0.5, 0.0]
-        yield ls.SphereTable(np.array([[1.0, 0.0], [-1.0, 0.0], [0.6, 0.8]]), rng.normal(size=(3, 2))), [0.0, -1.0]
+        yield sphere_table(directions, rng.normal(size=(6, 4))), [0.5**0.5, 0.5**0.5, 0.0]
+        yield sphere_table(np.array([[1.0, 0.0], [-1.0, 0.0], [0.6, 0.8]]), rng.normal(size=(3, 2))), [0.0, -1.0]
 
     def test_batch_equals_row_by_row(self):
         rng = np.random.default_rng(7)
@@ -310,7 +317,7 @@ class TestVerifyHomogeneousPlip:
         else:
             directions = ls.sphere_sample(3, 40, seed=2).coords
             values = rng.normal(size=(40, 4))
-        table = ls.SphereTable(directions, values)
+        table = sphere_table(directions, values)
         rays = [(k, (0.5, 1.0, 3.7, 10.0)) for k in range(0, len(directions), 3)]
         report = ls.verify_homogeneous_plip(table, 1.5, rays)
         reference = reference_ray_rows(table, 1.5, rays)
@@ -325,7 +332,7 @@ class TestVerifyHomogeneousPlip:
         directions = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         directions /= np.linalg.norm(directions, axis=1)[:, None]
         values = np.stack([values_fn(u) for u in directions])
-        return ls.SphereTable(directions, values)
+        return sphere_table(directions, values)
 
     def test_constant_is_tight(self):
         c = np.array([0.7, -0.4, 1.1])
@@ -382,7 +389,7 @@ def test_ray_estimate_obeys_the_derivation(table_seed, m, n, width, scales):
         directions = rng.normal(size=(n, m))
         directions /= np.linalg.norm(directions, axis=1)[:, None]
     values = rng.normal(size=(len(directions), width)) * 10.0 ** rng.uniform(-2, 2, size=(len(directions), 1))
-    table = ls.SphereTable(directions, values)
+    table = sphere_table(directions, values)
     report = ls.verify_homogeneous_plip(table, 0.0, [(k, scales) for k in range(len(directions))])
     for row in report.rows:
         assert row.extension_estimate <= (report.sup_norm + 2.0 * row.sphere_estimate) * (1.0 + 1e-12)

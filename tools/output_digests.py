@@ -1,0 +1,87 @@
+"""SHA-256 of every file the benchmark workloads write, as JSON.
+
+For each workload of ``bench/workloads.py``, each seed and both sizes (full
+and tiny), the script writes the input documents with
+``workloads.build``, runs the constructing verb and then its read path
+(``verify`` or ``plip``) in-process through ``lipselect.cli.main``, and
+hashes every file left in the instance's directory: inputs, reports and
+tables.  It imports the ``src/`` and ``bench/`` of the checkout it lives in
+and changes nothing there.
+
+    python tools/output_digests.py --seeds 0 1 2 3 --out digests.json
+
+Run it in two checkouts and diff the two files: the same digest for every
+file means the outputs are byte-identical.  BLAS is pinned to one thread,
+as in the benchmark's workers, so that reductions keep one order.
+"""
+
+from __future__ import annotations
+
+import os
+
+# before numpy is imported anywhere
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import workloads  # noqa: E402
+from lipselect.cli import main as cli_main  # noqa: E402
+
+
+def _run(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli_main(argv)
+
+
+def digests(seeds, workdir: Path) -> dict:
+    """``{"files": {path: sha256}, "exits": {instance: [solve, read]}}``,
+    paths relative to ``workdir`` as ``workload/size/seed/file``; a read
+    exit is null when the solve failed."""
+    files, exits = {}, {}
+    for name in workloads.WORKLOADS:
+        for size in ("full", "tiny"):
+            for seed in seeds:
+                tag = f"{name}/{size}/{seed}"
+                inst = workloads.build(name, seed, workdir / tag, size)
+                solve = _run(inst.solve_argv)
+                read = None
+                if solve == 0:
+                    out = inst.solve_argv[inst.solve_argv.index("--out") + 1]
+                    report = json.loads(Path(out).read_text(encoding="utf-8"))
+                    read = _run(inst.read_argv(report))
+                exits[tag] = [solve, read]
+                for path in sorted((workdir / tag).rglob("*")):
+                    if path.is_file():
+                        rel = path.relative_to(workdir).as_posix()
+                        files[rel] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return {"files": files, "exits": exits}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3])
+    parser.add_argument("--out", help="JSON file to write (default: standard output)")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        result = digests(args.seeds, Path(tmp))
+    text = json.dumps(result, indent=1, sort_keys=True) + "\n"
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
