@@ -93,15 +93,14 @@ def sphere_sample(m: int, count: int, seed: int = 0, dedup_tol: float = 1e-6) ->
 class RightInverse:
     """A positively homogeneous right inverse, sampled on sphere directions.
 
-    ``dense_set`` holds the final separation members (indices into the
-    sphere sample); together with all their positive scalings it is the set
-    on which the pointwise rate ``eta`` is certified.  Structurally it is a
-    countable union of separated sets (recorded here as metadata, not
-    tested numerically).
+    The sphere sample is ``table.space``.  ``dense_set`` holds the final
+    separation members (indices into the sphere sample); together with all
+    their positive scalings it is the set on which the pointwise rate
+    ``eta`` is certified.  Structurally it is a countable union of
+    separated sets (recorded here as metadata, not tested numerically).
     """
 
     T: LinearSurjection
-    sphere: SampledMetricSpace
     table: SphereTable
     gamma: float
     alpha: float
@@ -147,7 +146,6 @@ def build_right_inverse(
     eta = 2.0 * beta + table.sup_norm()
     return RightInverse(
         T=T,
-        sphere=sphere,
         table=table,
         gamma=gamma,
         alpha=alpha,
@@ -259,7 +257,7 @@ def verify_right_inverse(
     homogeneity_rows: List[HomogeneityRow] = []
     ray_scales = np.array([1.0, *scales])
     for k in directions:
-        d = ri.sphere.coordinate(k)
+        d = ri.table.space.coordinate(k)
         exact_coords = bool(np.all(d == np.round(d)))
         # row 0 is tau(d); row 1 + s is tau(scales[s] * d)
         ys = ray_scales[:, None] * d
@@ -289,8 +287,8 @@ def verify_right_inverse(
             )
 
     off_rows: List[OffSampleRow] = []
-    if ri.sphere.ambient_dim >= 2:
-        coords = ri.sphere.coords
+    coords = ri.table.directions
+    if coords.shape[1] >= 2:
         i = np.arange(min(8, len(coords)))
         # asymmetric blend: decisively nearest to coords[i], no ties
         blend = 0.75 * coords[i] + 0.25 * coords[(i + 1) % len(coords)]
@@ -322,7 +320,7 @@ def verify_right_inverse(
     )
 
     n_rounds = ri.sequence.rounds[-1].n
-    cover = covering_radius(ri.sphere, ri.dense_set)
+    cover = covering_radius(ri.table.space, ri.dense_set)
     return RightInverseReport(
         identity_rows=tuple(identity_rows),
         off_sample_rows=tuple(off_rows),

@@ -292,7 +292,7 @@ def _cmd_bartle_graves(opts) -> int:
     _emit(opts.get("out"), report)
     if opts.get("tau_csv"):
         Path(opts["tau_csv"]).write_text(
-            selection_csv_text(ri.sphere, ri.sequence.final.table), encoding="ascii"
+            selection_csv_text(ri.table.space, ri.table.values), encoding="ascii"
         )
         print(f"sphere table written to {opts['tau_csv']}")
     return EXIT_OK if report_obj.passed else EXIT_CHECK_FAILED

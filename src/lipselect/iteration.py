@@ -452,11 +452,10 @@ def verify_round_properties(seq: SelectionSequence, n: int) -> RoundPropertiesRe
     # f_k .. f_n; count (anchor, point) pairs that moved
     mismatches = 0
     radius = 2.0 ** (-n)
-    mat = space.distance_matrix()
     moved = np.zeros(len(space), dtype=bool)
     for k in range(n - 1, 0, -1):
         moved |= np.any(seq.selections[k].table != f_n, axis=1)
-        protecting = np.count_nonzero(mat[list(seq.rounds[k - 1].members)] < radius, axis=0)
+        protecting = np.count_nonzero(space.rows(seq.rounds[k - 1].members) < radius, axis=0)
         mismatches += int(protecting[moved].sum())
     report.checks["earlier_anchor_coincidence"] = CheckOutcome(
         passed=mismatches == 0,
@@ -562,13 +561,12 @@ def verify_sequence(seq: SelectionSequence) -> SequenceReport:
     )
 
     min_margin = math.inf
-    mat = space.distance_matrix()
     for record in seq.rounds:
         rows = list(record.new_points)
         deltas = np.array([record.deltas[b] for b in record.new_points])
         i, j = np.triu_indices(len(rows), k=1)
         if i.size:
-            margins = mat[rows][:, rows][i, j] - 2.0 * (deltas[i] + deltas[j])
+            margins = space.rows(rows)[:, rows][i, j] - 2.0 * (deltas[i] + deltas[j])
             min_margin = min(min_margin, float(margins.min()))
     checks["support_disjointness"] = CheckOutcome(
         passed=(min_margin is math.inf) or min_margin >= 0.0,

@@ -129,11 +129,9 @@ def default_radii(space: SampledMetricSpace) -> Tuple[float, ...]:
     """Geometric schedule of ``RADIUS_LEVELS`` radii (factor 1/2)
     anchored at the sample's fill distance, the largest nearest-neighbor
     gap."""
-    mat = space.distance_matrix()
     if len(space) < 2:
         raise ResolutionError("radius schedule needs at least two points")
-    off = mat + np.diag(np.full(mat.shape[0], np.inf))
-    fill = float(off.min(axis=1).max())
+    fill = float(space.nearest_distances().max())
     return tuple(fill * 2.0**k for k in reversed(range(RADIUS_LEVELS)))
 
 
@@ -245,15 +243,14 @@ def verify_homogeneous_plip(
     sup = table.sup_norm()
     bound = 2.0 * beta + sup + tol
     directions, values = table.directions, table.values
-    mat = table.space.distance_matrix()
-    gap = float(np.min(mat, where=~np.eye(len(mat), dtype=bool), initial=np.inf))
+    gap = float(table.space.nearest_distances().min())
     rho = min(0.125, gap / 4.0)
     factors = np.array([1.0 - rho, 1.0, 1.0 + rho])[:, None, None]
 
     rows: List[RayPlipRow] = []
     for k, scales in rays:
         k = int(k)
-        row = mat[k]
+        row = table.space.distance_row(k)
         rings = sorted({float(r) for r in np.sort(row[row > 0])[:INFORMATIVE_COUNT]})
         near = np.flatnonzero((row > 0) & (row <= max(rings, default=0.0)))
         sphere_dev = np.linalg.norm(values[near] - values[k], axis=1)
@@ -346,6 +343,17 @@ class LipschitzUpgradeReport:
     hypothesis_worst: Tuple[int, float, float]
 
 
+def _sorted_ball_ratios(dist, dev, radii):
+    """The closed-ball ratios of ``_ball_ratios`` by sorting: the running
+    max of the deviations in distance order, read where each radius ends.
+    O(N log N + R log N) for a base point against O(N R).  Only the
+    global check uses it; every other ratio path keeps the mask kernel."""
+    order = np.argsort(dist)
+    peak = np.maximum.accumulate(dev[order])
+    count = np.searchsorted(dist[order], radii, side="right")
+    return np.where(count > 0, peak[count - 1], 0.0) / radii
+
+
 def global_lipschitz_upgrade_check(
     values: TableLike,
     space: SampledMetricSpace,
@@ -377,7 +385,6 @@ def global_lipschitz_upgrade_check(
         )
     values_matrix = as_table(values, space)
     n = len(space)
-    mat = space.distance_matrix()
 
     # sampled radii: dyadic from r0 plus every realized adjacent gap, so the
     # pointwise hypothesis covers each chain step exactly
@@ -393,16 +400,17 @@ def global_lipschitz_upgrade_check(
     worst_pair = (0, 0)
     worst_ratio = 0.0
     for i in range(n):
+        row = space.distance_row(i)
         dev = np.linalg.norm(values_matrix - values_matrix[i], axis=1)
         # the base is among the points; its deviation 0 changes no ratio
-        ratios[i] = _ball_ratios(mat[i], dev, radii)[0]
-        violation = dev - (alpha + tol) * mat[i]
+        ratios[i] = _sorted_ball_ratios(row, dev, radii)
+        violation = dev - (alpha + tol) * row
         violation[i] = -np.inf
         j = int(np.argmax(violation))
         if violation[j] > worst_violation:
             worst_violation = float(violation[j])
             worst_pair = (i, j)
-            worst_ratio = float(dev[j] / mat[i, j])
+            worst_ratio = float(dev[j] / row[j])
     # the first largest excess in point-then-radius order is the witness
     i, j = np.unravel_index(np.argmax(ratios - alpha), ratios.shape)
     return LipschitzUpgradeReport(

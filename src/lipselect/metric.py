@@ -3,10 +3,13 @@
 A :class:`SampledMetricSpace` is the finite stand-in for a metric space
 ``(M, d)``: ``N`` points, each named by its row ``0..N-1``, together with
 an exact metric oracle, either a norm on stored coordinates (``l1``, ``l2``,
-``linf``) or an explicit symmetric distance matrix.  On top of it this
-module builds maximal ``r``-separations by a deterministic greedy scan and
-the nested separation hierarchy with radii ``r_n = 2^-(n-1)``, and measures
-density of a subset through its covering radius.
+``linf``) or an explicit symmetric distance matrix.  A coordinate space
+serves distances as rows, each computed the first time it is read, so a
+run costs memory for the rows of separation members, not ``N^2``.  On top
+of it this module builds maximal ``r``-separations by a deterministic
+greedy scan and the nested separation hierarchy with radii
+``r_n = 2^-(n-1)``, and measures density of a subset through its covering
+radius.
 """
 
 from __future__ import annotations
@@ -74,12 +77,15 @@ class SampledMetricSpace:
             if np.any(off <= 0.0):
                 raise PreconditionError("distances between distinct points must be positive")
             self._coords = None
-            self._matrix = mat
+            # a read-only view: rows are shared, the caller's array stays writable
+            self._matrix = mat.view()
+            self._matrix.flags.writeable = False
         else:
             self._coords = as_finite_array(given, "point coordinates").copy()
             if self._coords.ndim != 2 or not self._coords.shape[1]:
                 raise SchemaError(f"coordinates must be {n} nonempty vectors of one dimension")
             self._matrix = None
+            self._rows = {}
             # distinct points must sit at distinct locations, else d(a,b) = 0;
             # lexicographic sort reduces the check to adjacent rows
             order = np.lexsort(self._coords.T[::-1])
@@ -145,26 +151,46 @@ class SampledMetricSpace:
             raise ConfigurationError("explicit-metric spaces carry no coordinates")
         return self._coords[self.index(a)]
 
-    def distance_matrix(self) -> np.ndarray:
-        """Full pairwise distance matrix (computed once, then cached)."""
-        if self._matrix is None:
-            ord_ = _NORM_ORDS[self.metric_kind]
-            n = self._n
-            mat = np.empty((n, n))
-            for i in range(n):
-                mat[i] = np.linalg.norm(self._coords - self._coords[i], ord=ord_, axis=1)
-                mat[i, i] = 0.0
-            self._matrix = mat
-        return self._matrix
+    def distance_row(self, a) -> np.ndarray:
+        """Distances from ``a`` to every point, read-only.  A coordinate
+        space computes the row on first use, the norm of ``coords -
+        coords[a]`` row by row with ``d(a, a) = 0``, and keeps it; an
+        explicit space reads its matrix."""
+        a = self.index(a)
+        if self._matrix is not None:
+            return self._matrix[a]
+        row = self._rows.get(a)
+        if row is None:
+            row = np.linalg.norm(self._coords - self._coords[a], ord=_NORM_ORDS[self.metric_kind], axis=1)
+            row[a] = 0.0
+            row.flags.writeable = False
+            self._rows[a] = row
+        return row
+
+    def rows(self, members) -> np.ndarray:
+        """The ``(k, N)`` block of the rows of ``members``, in their order."""
+        return np.array([self.distance_row(a) for a in members]).reshape(-1, self._n)
 
     def distance(self, a, b) -> float:
-        return float(self.distance_matrix()[self.index(a), self.index(b)])
+        return float(self.distance_row(a)[self.index(b)])
 
-    def distance_row(self, a) -> np.ndarray:
-        return self.distance_matrix()[self.index(a)]
+    def nearest_distances(self) -> np.ndarray:
+        """Distance from each point to its nearest other point (inf for a
+        lone point), reduced over blocks of at most 64 rows.  Every row is
+        kept, so later reads of any row are cache hits."""
+        out = np.empty(self._n)
+        for start in range(0, self._n, 64):
+            block = self.rows(range(start, min(start + 64, self._n)))
+            diag = np.arange(len(block))
+            block[diag, start + diag] = np.inf
+            out[start : start + len(block)] = block.min(axis=1)
+        return out
 
-    def diameter(self) -> float:
-        return float(self.distance_matrix().max())
+    def distance_matrix(self) -> np.ndarray:
+        """Full pairwise distance matrix: the explicit one, or every row
+        of a coordinate space stacked (O(N^2) memory, for the triangle
+        check)."""
+        return self.rows(range(self._n)) if self._matrix is None else self._matrix
 
     def ball_points(self, center, r: float, closed: bool = True) -> tuple:
         """Sampled points of the ball around ``center``: ``d <= r`` when
@@ -212,7 +238,7 @@ class SampledMetricSpace:
         if self.metric_kind == "explicit":
             return {
                 "metric": "explicit",
-                "distances": [[float(x) for x in row] for row in self.distance_matrix()],
+                "distances": [[float(x) for x in row] for row in self._matrix],
             }
         return {
             "metric": self.metric_kind,
@@ -231,28 +257,28 @@ def greedy_maximal_separation(space: SampledMetricSpace, r: float, seed: Iterabl
     if not r > 0:
         raise PreconditionError("separation radius must be positive")
     seed_rows = sorted(space.index(a) for a in set(seed))
-    mat = space.distance_matrix()
-    for pos, i in enumerate(seed_rows):
-        for j in seed_rows[pos + 1 :]:
-            if mat[i, j] < r:
-                raise PreconditionError(
-                    f"seed is not an {r}-separation: "
-                    f"d({i!r}, {j!r}) < r"
-                )
-    # min distance from each point to the current members
-    n = len(space)
     if seed_rows:
-        min_dist = mat[seed_rows, :].min(axis=0)
+        block = space.rows(seed_rows)
+        close = np.triu(block[:, seed_rows] < r, 1)
+        if close.any():
+            i, j = np.argwhere(close)[0]
+            raise PreconditionError(
+                f"seed is not an {r}-separation: "
+                f"d({seed_rows[i]!r}, {seed_rows[j]!r}) < r"
+            )
+        # min distance from each point to the current members
+        min_dist = block.min(axis=0)
     else:
-        min_dist = np.full(n, np.inf)
-    members = set(seed_rows)
-    for i in range(n):
-        if i in members:
-            continue
-        if min_dist[i] >= r:
-            members.add(i)
-            min_dist = np.minimum(min_dist, mat[i])
-    return tuple(sorted(members))
+        min_dist = np.full(len(space), np.inf)
+    # a member's own distance is 0 < r, so the scan never revisits one
+    members = seed_rows
+    i = 0
+    while True:
+        i += int(np.argmax(min_dist[i:] >= r))
+        if min_dist[i] < r:
+            return tuple(sorted(members))
+        members.append(i)
+        np.minimum(min_dist, space.distance_row(i), out=min_dist)
 
 
 @dataclass(frozen=True)
@@ -301,8 +327,7 @@ def covering_radius(space: SampledMetricSpace, members: Iterable) -> float:
     The quantitative density surrogate: a separation is maximal iff its
     covering radius is below the separation radius.
     """
-    rows = [space.index(b) for b in members]
-    if not rows:
+    block = space.rows(members)
+    if not len(block):
         raise PreconditionError("covering radius of an empty set is undefined")
-    mat = space.distance_matrix()
-    return float(mat[rows, :].min(axis=0).max())
+    return float(block.min(axis=0).max())

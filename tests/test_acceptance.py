@@ -207,8 +207,8 @@ def test_criterion_6_right_inverse_suite(pipeline_runs):
         if abs(ri.gamma - oracle) > 1e-10:
             failures.append((name, "gamma"))
         report = ls.verify_right_inverse(ri, scales=(0.5, 2.0, 10.0))
-        for a in range(len(ri.sphere)):
-            y = ri.sphere.coordinate(a)
+        for a in range(len(ri.table.space)):
+            y = ri.table.space.coordinate(a)
             for lam in (0.5, 2.0, 10.0):
                 resid = float(
                     np.linalg.norm(T.apply(ri(lam * y)) - lam * y)

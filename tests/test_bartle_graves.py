@@ -95,12 +95,12 @@ class TestBuildRightInverse:
         T = ls.LinearSurjection(np.eye(2))
         ri = ls.build_right_inverse(T, beta=1.5, sphere_count=32, rounds=3)
         # singleton inverse images: the sphere table is the sample itself
-        np.testing.assert_array_equal(ri.table.values, ri.sphere.coords)
+        np.testing.assert_array_equal(ri.table.values, ri.table.directions)
         assert ri.eta == pytest.approx(2.0 * 1.5 + 1.0, abs=1e-12)
         assert ri.pinv_gap == 0.0
         # on sampled rays the extension reproduces the identity
         for k in (0, 5, 17):
-            y = 10.0 * ri.sphere.coordinate(k)
+            y = 10.0 * ri.table.space.coordinate(k)
             np.testing.assert_allclose(ri(y), y, atol=1e-12)
 
     def test_identity_on_pythagorean_direction(self):
@@ -149,8 +149,8 @@ class TestBuildRightInverse:
         rng = np.random.default_rng(11)
         T = ls.LinearSurjection(rng.normal(size=(2, 4)))
         ri = ls.build_right_inverse(T, beta=1.0 / T.sigma_min + 0.5, sphere_count=48, rounds=3)
-        for a in range(len(ri.sphere)):
-            y = ri.sphere.coordinate(a)
+        for a in range(len(ri.table.space)):
+            y = ri.table.space.coordinate(a)
             residual = np.linalg.norm(T.apply(ri.table.values[a]) - y)
             assert residual <= 1e-8
 
@@ -161,7 +161,7 @@ def reference_right_inverse_rows(ri, scales):
     homogeneity, and one off-sample midpoint per loop turn."""
     identity, homogeneity, off = [], [], []
     for k in ri.dense_set:
-        d = ri.sphere.coordinate(k)
+        d = ri.table.space.coordinate(k)
         base = ri(d)
         exact_coords = bool(np.all(d == np.round(d)))
         for scale in (1.0, *scales):
@@ -173,7 +173,7 @@ def reference_right_inverse_rows(ri, scales):
             homogeneity.append(
                 (int(k), float(scale), bool(np.all(lhs == rhs)), float(np.max(np.abs(lhs - rhs))), exact_coords)
             )
-    coords = ri.sphere.coords
+    coords = ri.table.directions
     for i in range(min(8, len(coords))):
         blend = 0.75 * coords[i] + 0.25 * coords[(i + 1) % len(coords)]
         nrm = float(np.linalg.norm(blend))
@@ -185,7 +185,7 @@ def reference_right_inverse_rows(ri, scales):
         k = ls.lipschitz.nearest_direction_index(ri.table, u)
         value = ri(u)
         u_norm = float(np.linalg.norm(u))
-        semantic = float(np.linalg.norm(ri.T.apply(value) - u_norm * ri.sphere.coordinate(k)))
+        semantic = float(np.linalg.norm(ri.T.apply(value) - u_norm * ri.table.space.coordinate(k)))
         identity_residual = float(np.linalg.norm(ri.T.apply(value) - u))
         off.append((tuple(float(x) for x in u), k, semantic, identity_residual, semantic <= 1e-8))
     return identity, homogeneity, off
@@ -281,7 +281,7 @@ class TestVerifyRightInverse:
 
     def test_directions_must_be_certified(self):
         ri = self._identity_ri()
-        outside = [a for a in range(len(ri.sphere)) if a not in ri.dense_set]
+        outside = [a for a in range(len(ri.table.space)) if a not in ri.dense_set]
         if outside:
             with pytest.raises(PreconditionError):
                 ls.verify_right_inverse(ri, directions=[outside[0]])
@@ -305,7 +305,7 @@ class TestVerifyRightInverse:
         T = ls.LinearSurjection(matrix)
         ri = ls.build_right_inverse(T, beta=1.5 / T.sigma_min, sphere_count=64, rounds=3)
         k = ri.dense_set[0]
-        row = ri.sphere.distance_row(k).copy()
+        row = ri.table.space.distance_row(k).copy()
         row[k] = np.inf
         kernel = np.linalg.svd(matrix)[2][-1]
         ri.table.values[int(np.argmin(row))] += 3.0 * kernel

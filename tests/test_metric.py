@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from lipselect.errors import (
     SchemaError,
 )
 
-from conftest import line_space
+from conftest import line_space, segment_instance
 
 
 def brute_force_is_maximal_separation(space, members, r):
@@ -80,7 +81,8 @@ class TestBallPoints:
         assert set(four_point_line.ball_points(0, 0.3, closed=False)) == {0}
 
     def test_radius_beyond_diameter(self, four_point_line):
-        r = four_point_line.diameter() + 1.0
+        # by the triangle inequality no distance exceeds twice the largest from 0
+        r = 2.0 * four_point_line.distance_row(0).max() + 1.0
         assert set(four_point_line.ball_points(2, r, closed=True)) == {0, 1, 2, 3}
 
 
@@ -231,3 +233,127 @@ class TestSpaceValidation:
     def test_empty_rejected(self):
         with pytest.raises(PreconditionError):
             ls.SampledMetricSpace("l2", coords=[])
+
+
+def matrix_row_by_row(coords, metric):
+    """The full matrix as coordinate spaces once built it, row by row."""
+    ord_ = {"l1": 1, "l2": 2, "linf": np.inf}[metric]
+    mat = np.empty((len(coords), len(coords)))
+    for i in range(len(coords)):
+        mat[i] = np.linalg.norm(coords - coords[i], ord=ord_, axis=1)
+        mat[i, i] = 0.0
+    return mat
+
+
+def greedy_over_matrix(mat, r, seed=()):
+    """Row-order greedy scan reading the full matrix, pair by pair."""
+    members = sorted(set(seed))
+    for i in range(len(mat)):
+        if i not in members and all(mat[i, b] >= r for b in members):
+            members.append(i)
+    return tuple(sorted(members))
+
+
+point_sets = st.integers(min_value=1, max_value=3).flatmap(
+    lambda m: st.lists(
+        st.tuples(*[st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)] * m),
+        min_size=1,
+        max_size=24,
+        unique=True,
+    )
+)
+
+
+class TestDistanceRows:
+    @seed(11)
+    @settings(max_examples=60, deadline=None)
+    @given(point_sets, st.sampled_from(["l1", "l2", "linf"]), st.randoms(use_true_random=False))
+    def test_rows_are_the_matrix_rows_bitwise(self, points, metric, rnd):
+        coords = np.array(points)
+        space = ls.SampledMetricSpace(metric, coords=coords)
+        ref = matrix_row_by_row(coords, metric)
+        n = len(space)
+        order = list(range(n))
+        rnd.shuffle(order)
+        # first touch in random order, then again from the cache
+        for a in order + order:
+            assert space.distance_row(a).tobytes() == ref[a].tobytes()
+        assert space.rows(order).tobytes() == ref[order].tobytes()
+        assert space.distance_matrix().tobytes() == ref.tobytes()
+        for a, b in itertools.combinations(range(n), 2):
+            assert space.distance(a, b) == space.distance(b, a)
+        off = np.min(ref, axis=1, where=~np.eye(n, dtype=bool), initial=np.inf)
+        assert space.nearest_distances().tobytes() == off.tobytes()
+
+    def test_nearest_distances_span_several_blocks(self):
+        rng = np.random.default_rng(3)
+        coords = rng.normal(size=(150, 2))
+        space = ls.SampledMetricSpace("l2", coords=coords)
+        ref = matrix_row_by_row(coords, "l2")
+        off = np.min(ref, axis=1, where=~np.eye(150, dtype=bool), initial=np.inf)
+        assert space.nearest_distances().tobytes() == off.tobytes()
+
+    def test_explicit_rows_are_the_matrix(self):
+        mat = np.array([[0.0, 2.0, 3.0], [2.0, 0.0, 1.5], [3.0, 1.5, 0.0]])
+        space = ls.SampledMetricSpace("explicit", explicit_distances=mat)
+        np.testing.assert_array_equal(space.rows([2, 0]), mat[[2, 0]])
+        np.testing.assert_array_equal(space.nearest_distances(), [2.0, 1.5, 1.5])
+        # the space's rows are read-only; the caller's matrix is not frozen
+        mat[0, 1] = 9.0
+        assert mat.flags.writeable
+
+    def test_cached_rows_cannot_be_written(self, four_point_line):
+        row = four_point_line.distance_row(1)
+        with pytest.raises(ValueError):
+            row[0] = 5.0
+        assert four_point_line.distance_row(1) is row
+        explicit = ls.SampledMetricSpace("explicit", explicit_distances=[[0.0, 2.0], [2.0, 0.0]])
+        with pytest.raises(ValueError):
+            explicit.distance_row(0)[1] = 5.0
+
+    def test_a_lone_point_has_no_nearest_other(self):
+        space = ls.SampledMetricSpace("l2", coords=[[0.5]])
+        assert space.nearest_distances().tolist() == [np.inf]
+
+
+@seed(13)
+@settings(max_examples=60, deadline=None)
+@given(
+    point_sets,
+    st.sampled_from(["l1", "l2", "linf"]),
+    st.floats(min_value=0.05, max_value=3.0, allow_nan=False),
+    st.lists(st.integers(min_value=0, max_value=23), max_size=6),
+)
+def test_greedy_net_equals_the_scan_over_the_full_matrix(points, metric, r, picks):
+    coords = np.array(points)
+    space = ls.SampledMetricSpace(metric, coords=coords)
+    mat = matrix_row_by_row(coords, metric)
+    assert ls.greedy_maximal_separation(space, r) == greedy_over_matrix(mat, r)
+    seed_rows = sorted({p % len(space) for p in picks})
+    if all(mat[a, b] >= r for a, b in itertools.combinations(seed_rows, 2)):
+        members = ls.greedy_maximal_separation(space, r, seed=seed_rows)
+        assert members == greedy_over_matrix(mat, r, seed_rows)
+    else:
+        with pytest.raises(PreconditionError):
+            ls.greedy_maximal_separation(space, r, seed=seed_rows)
+
+
+def test_a_non_separated_seed_names_its_first_close_pair(four_point_line):
+    # d(0, 2) = 0.6 and d(0, 3) = 1.0 pass at r = 0.5; d(2, 3) = 0.4 does not
+    with pytest.raises(PreconditionError, match=r"d\(2, 3\) < r"):
+        ls.greedy_maximal_separation(four_point_line, 0.5, seed=[3, 0, 2])
+
+
+def test_twenty_thousand_points_need_no_distance_matrix():
+    n = 20_001
+    _, phi, f0, config = segment_instance(n_points=n, rounds=6)
+    tracemalloc.start()
+    try:
+        seq = ls.run_iteration(phi, f0, config)
+        report = ls.verify_sequence(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    # the matrix alone would take n^2 * 8 bytes, 3.2 GB
+    assert peak < 64 * 2**20
