@@ -343,17 +343,6 @@ class LipschitzUpgradeReport:
     hypothesis_worst: Tuple[int, float, float]
 
 
-def _sorted_ball_ratios(dist, dev, radii):
-    """The closed-ball ratios of ``_ball_ratios`` by sorting: the running
-    max of the deviations in distance order, read where each radius ends.
-    O(N log N + R log N) for a base point against O(N R).  Only the
-    global check uses it; every other ratio path keeps the mask kernel."""
-    order = np.argsort(dist)
-    peak = np.maximum.accumulate(dev[order])
-    count = np.searchsorted(dist[order], radii, side="right")
-    return np.where(count > 0, peak[count - 1], 0.0) / radii
-
-
 def global_lipschitz_upgrade_check(
     values: TableLike,
     space: SampledMetricSpace,
@@ -403,7 +392,7 @@ def global_lipschitz_upgrade_check(
         row = space.distance_row(i)
         dev = np.linalg.norm(values_matrix - values_matrix[i], axis=1)
         # the base is among the points; its deviation 0 changes no ratio
-        ratios[i] = _sorted_ball_ratios(row, dev, radii)
+        ratios[i] = _ball_ratios(row, dev, radii)[0]
         violation = dev - (alpha + tol) * row
         violation[i] = -np.inf
         j = int(np.argmax(violation))

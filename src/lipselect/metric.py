@@ -161,10 +161,14 @@ class SampledMetricSpace:
             return self._matrix[a]
         row = self._rows.get(a)
         if row is None:
-            row = np.linalg.norm(self._coords - self._coords[a], ord=_NORM_ORDS[self.metric_kind], axis=1)
-            row[a] = 0.0
+            row = self._norm_row(a)
             row.flags.writeable = False
             self._rows[a] = row
+        return row
+
+    def _norm_row(self, a: int) -> np.ndarray:
+        row = np.linalg.norm(self._coords - self._coords[a], ord=_NORM_ORDS[self.metric_kind], axis=1)
+        row[a] = 0.0
         return row
 
     def rows(self, members) -> np.ndarray:
@@ -187,10 +191,15 @@ class SampledMetricSpace:
         return out
 
     def distance_matrix(self) -> np.ndarray:
-        """Full pairwise distance matrix: the explicit one, or every row
-        of a coordinate space stacked (O(N^2) memory, for the triangle
-        check)."""
-        return self.rows(range(self._n)) if self._matrix is None else self._matrix
+        """Full pairwise distance matrix: the explicit one, or for a
+        coordinate space a new ``(N, N)`` array filled row by row (O(N^2)
+        memory, for the triangle check) that leaves the row cache alone."""
+        if self._matrix is not None:
+            return self._matrix
+        mat = np.empty((self._n, self._n))
+        for a in range(self._n):
+            mat[a] = self._norm_row(a)
+        return mat
 
     def ball_points(self, center, r: float, closed: bool = True) -> tuple:
         """Sampled points of the ball around ``center``: ``d <= r`` when

@@ -4,7 +4,6 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import lipselect as ls
-from lipselect.lipschitz import _ball_ratios, _sorted_ball_ratios
 from lipselect.errors import (
     IdentifierError,
     ParameterError,
@@ -501,32 +500,6 @@ class TestGlobalLipschitzUpgrade:
         held, worst = reference_hypothesis(values, space, alpha, r0)
         assert report.hypothesis_held is held
         assert repr(report.hypothesis_worst) == repr(worst)
-
-    @pytest.mark.parametrize("grid_seed", range(5))
-    def test_sort_kernel_equals_the_mask_kernel(self, grid_seed):
-        rng = np.random.default_rng(grid_seed)
-        n = int(rng.integers(20, 150))
-        # irregular spacing, rows out of coordinate order
-        space = ls.SampledMetricSpace("l2", coords=rng.uniform(size=(n, 1)))
-        values = rng.normal(size=(n, 2))
-        gaps = np.diff(np.sort(space.coords[:, 0]))
-        alpha, r0 = 4.0, 2.0 * float(gaps.max())
-        radii_set = {float(g) for g in gaps}
-        r = r0
-        while r >= float(gaps.min()):
-            radii_set.add(r)
-            r /= 2.0
-        radii = np.array(sorted(radii_set, reverse=True))
-        ratios = np.empty((n, radii.size))
-        for i in range(n):
-            dist = space.distance_row(i)
-            dev = np.linalg.norm(values - values[i], axis=1)
-            ratios[i] = _ball_ratios(dist, dev, radii)[0]
-            assert _sorted_ball_ratios(dist, dev, radii).tobytes() == ratios[i].tobytes()
-        i, j = np.unravel_index(np.argmax(ratios - alpha), ratios.shape)
-        report = ls.global_lipschitz_upgrade_check(values, space, alpha=alpha, r0=r0)
-        assert repr(report.hypothesis_worst) == repr((int(i), float(radii[j]), float(ratios[i, j])))
-        assert report.hypothesis_held is not bool(np.any(ratios > alpha + 1e-9 + 1e-12))
 
     def test_linear_passes(self):
         space = grid_space(101)
