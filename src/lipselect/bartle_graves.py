@@ -14,13 +14,14 @@ verification probes against the table on the neighbouring sampled rays.
 Off-sample directions are evaluated through the nearest sampled direction;
 the right-inverse identity there holds only against that semantics, and
 verification reports those residuals separately instead of hiding them.
+The verification report holds each check as arrays over the trial
+directions and scales; pass flags and worst witnesses are reductions.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .lipschitz import (
     SphereTable,
     homogeneous_extension,
     nearest_direction_index,
+    ray_scales,
     verify_homogeneous_plip,
 )
 from .metric import SampledMetricSpace, covering_radius
@@ -158,63 +160,42 @@ def build_right_inverse(
     )
 
 
-@dataclass(frozen=True)
-class IdentityRow:
-    direction_index: int
-    scale: float
-    residual: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class OffSampleRow:
-    """Off-sample directions: the identity holds only against the nearest
-    sampled direction; ``identity_residual`` is reported, not judged."""
-
-    direction: Tuple[float, ...]
-    nearest_index: int
-    semantic_residual: float
-    identity_residual: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class HomogeneityRow:
-    direction_index: int
-    scale: float
-    exact: bool
-    max_abs_diff: float
-    exact_coords: bool
-
-
 @dataclass
 class RightInverseReport:
-    identity_rows: Tuple[IdentityRow, ...]
-    off_sample_rows: Tuple[OffSampleRow, ...]
-    homogeneity_rows: Tuple[HomogeneityRow, ...]
+    """The checks as arrays, one row per trial direction ``k``.
+
+    Column ``c`` of ``residuals`` is ``||T tau(y) - y||`` at
+    ``y = scales[c] d_k`` (``scales[0]`` is 1); the homogeneity columns are
+    ``c >= 1``.  Off-sample identity residuals are reported, not judged.
+    """
+
+    directions: np.ndarray
+    scales: np.ndarray
+    residuals: np.ndarray
+    homogeneity_diffs: np.ndarray
+    homogeneity_exact: np.ndarray
+    exact_coords: np.ndarray
+    off_sample_directions: np.ndarray
+    off_sample_nearest: np.ndarray
+    off_sample_semantic: np.ndarray
+    off_sample_identity: np.ndarray
     plip_report: HomogeneousPlipReport
     covering_radius: float
     covering_bound: float
-    eta: float
 
     @property
     def identity_passed(self) -> bool:
-        return all(r.passed for r in self.identity_rows) and all(
-            r.passed for r in self.off_sample_rows
-        )
+        return bool(np.all(self.residuals <= IDENTITY_TOL) and np.all(self.off_sample_semantic <= IDENTITY_TOL))
 
     @property
     def homogeneity_passed(self) -> bool:
         # scaling by powers of two is exact for every direction; other
         # scales are exact whenever the scaled coordinates are themselves
         # exactly representable, which the exact-coordinate directions
-        # guarantee.  Remaining rows stay within a few ulps and are
-        # reported via max_abs_diff.
-        return all(
-            row.exact
-            for row in self.homogeneity_rows
-            if math.frexp(row.scale)[0] == 0.5 or row.exact_coords
-        )
+        # guarantee.  Remaining entries stay within a few ulps and are
+        # reported in homogeneity_diffs.
+        judged = (np.frexp(self.scales[1:])[0] == 0.5) | self.exact_coords[:, None]
+        return bool(np.all(self.homogeneity_exact | ~judged))
 
     @property
     def covering_passed(self) -> bool:
@@ -243,7 +224,7 @@ def verify_right_inverse(
     compared bitwise; (iii) the pointwise rate ``eta`` on dense-set rays,
     probed on neighbouring sampled rays;
     (iv) the covering radius of the dense set against its separation
-    radius.
+    radius.  Every scale must be positive and finite.
     """
     if directions is None:
         directions = ri.dense_set
@@ -252,81 +233,51 @@ def verify_right_inverse(
             raise PreconditionError(
                 f"trial direction {k} is not in the certified dense set"
             )
-
-    identity_rows: List[IdentityRow] = []
-    homogeneity_rows: List[HomogeneityRow] = []
-    ray_scales = np.array([1.0, *scales])
-    for k in directions:
-        d = ri.table.space.coordinate(k)
-        exact_coords = bool(np.all(d == np.round(d)))
-        # row 0 is tau(d); row 1 + s is tau(scales[s] * d)
-        ys = ray_scales[:, None] * d
-        values = ri(ys)
-        residuals = _row_norms(_matvec(ri.T.matrix, values) - ys)
-        for scale, residual in zip(ray_scales.tolist(), residuals.tolist()):
-            identity_rows.append(
-                IdentityRow(
-                    direction_index=int(k),
-                    scale=scale,
-                    residual=residual,
-                    passed=residual <= IDENTITY_TOL,
-                )
-            )
-        rhs = ray_scales[1:, None] * values[0]
-        diffs = np.max(np.abs(values[1:] - rhs), axis=1)
-        exact = np.all(values[1:] == rhs, axis=1)
-        for scale, same, diff in zip(ray_scales[1:].tolist(), exact.tolist(), diffs.tolist()):
-            homogeneity_rows.append(
-                HomogeneityRow(
-                    direction_index=int(k),
-                    scale=scale,
-                    exact=same,
-                    max_abs_diff=diff,
-                    exact_coords=exact_coords,
-                )
-            )
-
-    off_rows: List[OffSampleRow] = []
+    ks = np.array([ri.table.space.index(k) for k in directions], dtype=int)
+    scales = np.concatenate([[1.0], ray_scales(scales)])
     coords = ri.table.directions
-    if coords.shape[1] >= 2:
-        i = np.arange(min(8, len(coords)))
-        # asymmetric blend: decisively nearest to coords[i], no ties
-        blend = 0.75 * coords[i] + 0.25 * coords[(i + 1) % len(coords)]
-        nrm = _row_norms(blend)
-        u = blend[nrm >= 1e-12] / nrm[nrm >= 1e-12, None]
-        u = u[~np.any(np.all(coords == u[:, None], axis=2), axis=1)]
-        k = nearest_direction_index(ri.table, u)
-        tu = _matvec(ri.T.matrix, ri(u))
-        # the extension returns ||u|| * table[k], so T maps it to
-        # ||u|| * (nearest sampled direction), not to u itself
-        semantic = _row_norms(tu - _row_norms(u)[:, None] * coords[k])
-        identity = _row_norms(tu - u)
-        for row, nearest, sem, ident in zip(u, k.tolist(), semantic.tolist(), identity.tolist()):
-            off_rows.append(
-                OffSampleRow(
-                    direction=tuple(row.tolist()),
-                    nearest_index=nearest,
-                    semantic_residual=sem,
-                    identity_residual=ident,
-                    passed=sem <= IDENTITY_TOL,
-                )
-            )
+    # tau one direction at a time keeps its nearest-direction search small
+    ys = scales[:, None] * coords[ks, None]
+    values = np.empty(ys.shape[:2] + ri.table.values.shape[1:])
+    for r, y in enumerate(ys):
+        values[r] = ri(y)
+    residuals = _row_norms(_matvec(ri.T.matrix, values) - ys)
+    rhs = scales[1:, None] * values[:, :1]
+    diffs = np.max(np.abs(values[:, 1:] - rhs), axis=2)
+
+    i = np.arange(min(8, len(coords)))
+    # asymmetric blend: decisively nearest to coords[i], no ties; in one
+    # dimension every unit blend is a sampled direction and is dropped
+    blend = 0.75 * coords[i] + 0.25 * coords[(i + 1) % len(coords)]
+    nrm = _row_norms(blend)
+    u = blend[nrm >= 1e-12] / nrm[nrm >= 1e-12, None]
+    u = u[~np.any(np.all(coords == u[:, None], axis=2), axis=1)]
+    nearest = nearest_direction_index(ri.table, u)
+    tu = _matvec(ri.T.matrix, ri(u))
 
     plip_report = verify_homogeneous_plip(
         ri.table,
         ri.beta,
-        rays=[(k, tuple(scales)) for k in directions],
+        rays=[(k, scales[1:]) for k in directions],
         tol=PLIP_TOL,
     )
 
     n_rounds = ri.sequence.rounds[-1].n
     cover = covering_radius(ri.table.space, ri.dense_set)
     return RightInverseReport(
-        identity_rows=tuple(identity_rows),
-        off_sample_rows=tuple(off_rows),
-        homogeneity_rows=tuple(homogeneity_rows),
+        directions=ks,
+        scales=scales,
+        residuals=residuals,
+        homogeneity_diffs=diffs,
+        homogeneity_exact=np.all(values[:, 1:] == rhs, axis=2),
+        exact_coords=np.all(coords[ks] == np.round(coords[ks]), axis=1),
+        off_sample_directions=u,
+        off_sample_nearest=nearest,
+        # the extension returns ||u|| * table[k], so T maps it to
+        # ||u|| * (nearest sampled direction), not to u itself
+        off_sample_semantic=_row_norms(tu - _row_norms(u)[:, None] * coords[nearest]),
+        off_sample_identity=_row_norms(tu - u),
         plip_report=plip_report,
         covering_radius=cover,
         covering_bound=2.0 ** (-(n_rounds - 1)),
-        eta=ri.eta,
     )

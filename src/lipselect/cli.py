@@ -152,8 +152,11 @@ def _outcomes(checks) -> dict:
     return {name: {"passed": c.passed, "worst": c.worst} for name, c in checks.items()}
 
 
-def _witness(row) -> dict:
-    return {"direction": row.direction_index, "scale": row.scale}
+def _worst(name: str, values, directions, scales) -> dict:
+    """The first largest of ``values`` in row-major order, as ``name``, with
+    the direction of its row and the scale of its column as the witness."""
+    at = np.unravel_index(np.argmax(values), values.shape)
+    return {name: float(values[at]), "witness": {"direction": int(directions[at[0]]), "scale": float(scales[at[-1]])}}
 
 
 def _emit(out, report: dict) -> None:
@@ -241,11 +244,7 @@ def _cmd_bartle_graves(opts) -> int:
     given = {key: opts[key] for key in ("sphere_count", "seed", "rounds") if key in opts}
     ri = bg.build_right_inverse(T, beta=opts["beta"], **given)
     report_obj = bg.verify_right_inverse(ri)
-    worst_id_row = max(report_obj.identity_rows, key=lambda r: r.residual)
-    worst_hom_row = max(report_obj.homogeneity_rows, key=lambda r: r.max_abs_diff)
-    worst_plip_row = max(
-        report_obj.plip_report.rows, key=lambda r: r.extension_estimate
-    )
+    plip = report_obj.plip_report
     report = {
         "command": "bartle-graves",
         "gamma": ri.gamma,
@@ -258,19 +257,16 @@ def _cmd_bartle_graves(opts) -> int:
         "checks": {
             "right_inverse_identity": {
                 "passed": report_obj.identity_passed,
-                "worst_residual": worst_id_row.residual,
-                "witness": _witness(worst_id_row),
+                **_worst("worst_residual", report_obj.residuals, report_obj.directions, report_obj.scales),
             },
             "positive_homogeneity": {
                 "passed": report_obj.homogeneity_passed,
-                "worst_diff": worst_hom_row.max_abs_diff,
-                "witness": _witness(worst_hom_row),
+                **_worst("worst_diff", report_obj.homogeneity_diffs, report_obj.directions, report_obj.scales[1:]),
             },
             "ray_plip": {
-                "passed": report_obj.plip_report.passed,
-                "bound": report_obj.plip_report.bound,
-                "worst_estimate": worst_plip_row.extension_estimate,
-                "witness": _witness(worst_plip_row),
+                "passed": plip.passed,
+                "bound": plip.bound,
+                **_worst("worst_estimate", plip.extension_estimate, plip.direction, plip.scale),
             },
             "dense_covering": {
                 "passed": report_obj.covering_passed,
@@ -280,12 +276,17 @@ def _cmd_bartle_graves(opts) -> int:
         },
         "off_sample_identity_residuals": [
             {
-                "direction": list(r.direction),
-                "nearest_index": r.nearest_index,
-                "identity_residual": r.identity_residual,
-                "semantic_residual": r.semantic_residual,
+                "direction": direction,
+                "nearest_index": nearest,
+                "identity_residual": identity,
+                "semantic_residual": semantic,
             }
-            for r in report_obj.off_sample_rows
+            for direction, nearest, identity, semantic in zip(
+                report_obj.off_sample_directions.tolist(),
+                report_obj.off_sample_nearest.tolist(),
+                report_obj.off_sample_identity.tolist(),
+                report_obj.off_sample_semantic.tolist(),
+            )
         ],
         "passed": report_obj.passed,
     }

@@ -54,9 +54,9 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def _matvec(mats: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``mats[i] @ rows[i]`` for each ``i``: one gemv per slice, bitwise
-    equal to the product of one matrix and one vector."""
-    return (mats @ rows[:, :, None])[:, :, 0]
+    """``mats[i] @ rows[i]`` over the leading indices (one matrix broadcasts):
+    one gemv per slice, bitwise equal to one matrix-vector product."""
+    return (mats @ rows[..., None])[..., 0]
 
 
 def _one(value):

@@ -15,9 +15,10 @@ The module also houses the positively homogeneous extension of a function
 sampled on a unit sphere (nearest sampled direction off-sample), which
 takes one vector or a ``(P, m)`` batch mapped row by row, its
 pointwise-rate verification on rays (probes on neighbouring sampled rays,
-read off the table), the Cantor function as an adversarial test corpus, and a
-chain-surrogate check that pointwise bounds on a grid of an interval
-upgrade to a global Lipschitz bound.
+read off the table, for all ``(ray, scale)`` pairs in one array pass that
+reports its estimates as columns over the pairs), the Cantor function as an
+adversarial test corpus, and a chain-surrogate check that pointwise bounds
+on a grid of an interval upgrade to a global Lipschitz bound.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .convex import _row_norms
 from .errors import (
     ParameterError,
     PreconditionError,
@@ -65,9 +67,11 @@ class PlipProfile:
 def _ball_ratios(dist, dev, radii, closed=True):
     """Per radius ``r``: ``max{dev : dist <= r} / r`` (``dist < r`` when
     ``closed`` is false) and whether the ball holds a given point.  The
-    points exclude the base, which every ball holds with deviation 0."""
-    inside = dist <= radii[:, None] if closed else dist < radii[:, None]
-    return np.max(np.where(inside, dev, 0.0), axis=1, initial=0.0) / radii, inside.any(axis=1)
+    points exclude the base, which every ball holds with deviation 0.
+    Points run along the last axis of ``dist`` and ``dev``, radii along the
+    last axis of ``radii``; leading axes broadcast."""
+    inside = dist[..., None, :] <= radii[..., None] if closed else dist[..., None, :] < radii[..., None]
+    return np.max(np.where(inside, dev[..., None, :], 0.0), axis=-1, initial=0.0) / radii, inside.any(axis=-1)
 
 
 def plip_profile(
@@ -191,24 +195,25 @@ def homogeneous_extension(table: SphereTable, z) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RayPlipRow:
-    direction_index: int
-    scale: float
-    sphere_estimate: float
-    extension_estimate: float
+class HomogeneousPlipReport:
+    """Columns over the ``(ray, scale)`` pairs, rays in order and each ray's
+    scales in the given order; ``bound`` is ``eta`` plus ``tol``."""
+
+    sup_norm: float
     bound: float
+    direction: np.ndarray
+    scale: np.ndarray
+    sphere_estimate: np.ndarray
+    extension_estimate: np.ndarray
     passed: bool
 
 
-@dataclass(frozen=True)
-class HomogeneousPlipReport:
-    sup_norm: float
-    bound: float
-    rows: Tuple[RayPlipRow, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.rows)
+def ray_scales(scales) -> np.ndarray:
+    """``scales`` as a float array; every scale must be positive and finite."""
+    scales = np.array(scales, dtype=float)
+    if not np.all(np.isfinite(scales) & (scales > 0)):
+        raise ParameterError("ray scales must be positive and finite")
+    return scales
 
 
 def verify_homogeneous_plip(
@@ -240,44 +245,57 @@ def verify_homogeneous_plip(
     """
     if beta < 0:
         raise ParameterError("beta must be nonnegative")
+    ks = np.array([int(k) for k, _ in rays], dtype=int)
+    scale = ray_scales([s for _, scales in rays for s in scales])
+    ray = np.repeat(np.arange(len(ks)), [len(scales) for _, scales in rays])
     sup = table.sup_norm()
     bound = 2.0 * beta + sup + tol
     directions, values = table.directions, table.values
     gap = float(table.space.nearest_distances().min())
     rho = min(0.125, gap / 4.0)
-    factors = np.array([1.0 - rho, 1.0, 1.0 + rho])[:, None, None]
 
-    rows: List[RayPlipRow] = []
-    for k, scales in rays:
-        k = int(k)
-        row = table.space.distance_row(k)
-        rings = sorted({float(r) for r in np.sort(row[row > 0])[:INFORMATIVE_COUNT]})
-        near = np.flatnonzero((row > 0) & (row <= max(rings, default=0.0)))
-        sphere_dev = np.linalg.norm(values[near] - values[k], axis=1)
-        sphere_est = max(_ball_ratios(row[near], sphere_dev, np.array(rings[::-1]))[0].tolist(), default=0.0)
-        # probe columns: k, then its neighbours; one column mask per ring,
-        # the radial one (distance 0) first
-        cols = [k, *near.tolist()]
-        masks = [row[cols] == r for r in (0.0, *rings)]
-        for scale in scales:
-            scale = float(scale)
-            if scale <= 0:
-                raise ParameterError("ray scales must be positive")
-            # (3, columns) probes s' d_j - z and values s' f_j - s f_k; the
-            # probe at z itself is 0 in both and changes no ratio
-            steps = scale * factors
-            offsets = steps * directions[cols] - scale * directions[k]
-            jumps = steps * values[cols] - scale * values[k]
-            dist = np.sqrt(np.vecdot(offsets, offsets))
-            radii = sorted({float(dist[:, mask].max()) for mask in masks} - {0.0}, reverse=True)
-            if not radii:
-                raise ResolutionError(f"every probe of ray point {scale} * direction {k} rounds onto it")
-            dev = np.sqrt(np.vecdot(jumps, jumps))
-            # each radius is a probe's distance: every ball is informative
-            ext_est = float(_ball_ratios(dist.ravel(), dev.ravel(), np.array(radii))[0].max())
-            passed = bool(sphere_est <= beta + tol and ext_est <= bound)
-            rows.append(RayPlipRow(k, scale, sphere_est, ext_est, bound, passed))
-    return HomogeneousPlipReport(sup_norm=sup, bound=bound, rows=tuple(rows))
+    # rings: each ray's at most INFORMATIVE_COUNT smallest positive
+    # distances, inf where there are fewer; neighbours: within the largest
+    block = table.space.rows(ks)
+    rings = np.where(block > 0, block, np.inf)
+    rings.partition(range(min(INFORMATIVE_COUNT, block.shape[1])), axis=1)
+    rings = rings[:, :INFORMATIVE_COUNT].copy()
+    row, nbr = np.nonzero((block > 0) & (block <= np.max(rings, axis=1, where=np.isfinite(rings), initial=0.0)[:, None]))
+    # probe columns: k, then its neighbours, padded with k (a repeated
+    # radial probe changes no ball); ``ring`` is each column's distance
+    counts = np.bincount(row, minlength=len(ks))
+    cols = np.repeat(ks[:, None], 1 + counts.max(initial=0), axis=1)
+    cols[row, 1 + np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)] = nbr
+    ring = np.take_along_axis(block, cols, axis=1)
+    del block  # the (R, N) rows are not read again; free them before the probes
+    sphere_dev = np.linalg.norm(values[cols] - values[ks, None], axis=-1)
+    sphere_est = _ball_ratios(ring, sphere_dev, rings)[0].max(axis=1, initial=0.0)[ray]
+
+    # (P, 3, columns) probes s' d_j - z and values s' f_j - s f_k; the
+    # probe at z itself is 0 in both and changes no ratio
+    steps = (scale[:, None] * np.array([1.0 - rho, 1.0, 1.0 + rho]))[:, :, None, None]
+    dist = _row_norms(steps * directions[cols[ray]][:, None] - (scale[:, None] * directions[ks[ray]])[:, None, None])
+    dev = _row_norms(steps * values[cols[ray]][:, None] - (scale[:, None] * values[ks[ray]])[:, None, None])
+    # one ball per ring, the radial one (distance 0) first; a ring with no
+    # probe away from z gives radius 0 and no ball
+    masks = ring[ray, None, :] == np.concatenate([np.zeros((len(ks), 1)), rings], axis=1)[ray, :, None]
+    radii = np.max(np.where(masks, dist.max(axis=1)[:, None, :], 0.0), axis=-1)
+    ball = radii > 0
+    if not ball.any(axis=1).all():
+        p = int(np.argmin(ball.any(axis=1)))
+        raise ResolutionError(f"every probe of ray point {scale[p]} * direction {ks[ray[p]]} rounds onto it")
+    probes = (len(ray), 3 * cols.shape[1])
+    ratios = _ball_ratios(dist.reshape(probes), dev.reshape(probes), np.where(ball, radii, np.inf))[0]
+    ext_est = np.max(ratios, axis=1, where=ball, initial=0.0)
+    return HomogeneousPlipReport(
+        sup_norm=sup,
+        bound=bound,
+        direction=ks[ray],
+        scale=scale,
+        sphere_estimate=sphere_est,
+        extension_estimate=ext_est,
+        passed=bool(np.all(sphere_est <= beta + tol) and np.all(ext_est <= bound)),
+    )
 
 
 # -- Cantor corpus -----------------------------------------------------------

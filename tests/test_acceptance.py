@@ -179,15 +179,11 @@ def test_criterion_5_homogeneous_extension_tightness():
         const_table, beta=0.0, rays=[(0, (0.5, 2.0, 10.0)), (5, (1.0, 4.0))]
     )
     norm_c = float(np.linalg.norm(c))
-    tight = all(
-        abs(row.extension_estimate - norm_c) <= 1e-9 for row in const_report.rows
-    )
+    tight = bool(np.all(np.abs(const_report.extension_estimate - norm_c) <= 1e-9))
 
     ident_table = sphere_table(directions, directions.copy())
     ident_report = ls.verify_homogeneous_plip(ident_table, beta=1.0, rays=[(3, (1.0, 2.0))])
-    ident_ok = ident_report.passed and all(
-        row.extension_estimate <= 3.0 for row in ident_report.rows
-    )
+    ident_ok = ident_report.passed and bool(np.all(ident_report.extension_estimate <= 3.0))
     announce(
         5,
         const_report.passed and tight and ident_ok,
@@ -216,25 +212,25 @@ def test_criterion_6_right_inverse_suite(pipeline_runs):
                 if resid > 1e-8:
                     failures.append((name, "identity", a, lam))
         if not report.identity_passed:
-            failures.append((name, "identity_rows"))
+            failures.append((name, "identity_report"))
         # exact homogeneity: every power-of-two scaling, and every scale at
         # exactly representable directions (always including the first grid
-        # point); remaining rows must still be exact to the last ulp or flag
+        # point); remaining entries must still be exact to the last ulp or flag
         if not report.homogeneity_passed:
             failures.append((name, "homogeneity"))
-        for row in report.homogeneity_rows:
-            if row.scale in (0.5, 2.0) and not row.exact:
-                failures.append((name, "homogeneity_dyadic", row.direction_index))
-            if row.exact_coords and not row.exact:
-                failures.append((name, "homogeneity_exact_dir", row.direction_index))
-        exact_dirs = {r.direction_index for r in report.homogeneity_rows if r.exact_coords}
-        if not exact_dirs:
+        exact = report.homogeneity_exact
+        dyadic = np.isin(report.scales[1:], (0.5, 2.0))
+        for k in report.directions[~np.all(exact | ~dyadic, axis=1)].tolist():
+            failures.append((name, "homogeneity_dyadic", k))
+        for k in report.directions[report.exact_coords & ~np.all(exact, axis=1)].tolist():
+            failures.append((name, "homogeneity_exact_dir", k))
+        if not report.exact_coords.any():
             failures.append((name, "no_exact_direction_tested"))
         if not report.plip_report.passed:
             failures.append((name, "plip"))
-        for row in report.plip_report.rows:
-            if not row.extension_estimate <= ri.eta + 1e-6:
-                failures.append((name, "eta", row.direction_index))
+        plip = report.plip_report
+        for k in plip.direction[~(plip.extension_estimate <= ri.eta + 1e-6)].tolist():
+            failures.append((name, "eta", k))
         if not report.covering_passed:
             failures.append((name, "covering"))
     announce(6, not failures, f"3 pipelines, violations: {failures}")

@@ -1,10 +1,12 @@
 import dataclasses
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import lipselect as ls
-from lipselect.errors import ParameterError, PreconditionError
+from lipselect.errors import IdentifierError, ParameterError, PreconditionError
 
 from conftest import sphere_table
 
@@ -157,8 +159,9 @@ class TestBuildRightInverse:
 
 def reference_right_inverse_rows(ri, scales):
     """Identity, homogeneity and off-sample rows one vector at a time, as
-    field tuples: ``ri(y)`` per scaled point, a second ``ri`` per scale for
-    homogeneity, and one off-sample midpoint per loop turn."""
+    tuples: ``ri(y)`` per scaled point, a second ``ri`` per scale for
+    homogeneity, and one off-sample midpoint per loop turn.  Identity and
+    off-sample rows end in their pass flag."""
     identity, homogeneity, off = [], [], []
     for k in ri.dense_set:
         d = ri.table.space.coordinate(k)
@@ -191,6 +194,29 @@ def reference_right_inverse_rows(ri, scales):
     return identity, homogeneity, off
 
 
+def report_rows(report):
+    """The report's columns laid out as the reference's rows, each identity
+    and off-sample row without its pass flag."""
+    ks, scales = report.directions.tolist(), report.scales.tolist()
+    identity = [(k, s, r) for k, row in zip(ks, report.residuals.tolist()) for s, r in zip(scales, row)]
+    homogeneity = [
+        (k, s, exact, diff, exact_coords)
+        for k, exact_row, diff_row, exact_coords in zip(
+            ks, report.homogeneity_exact.tolist(), report.homogeneity_diffs.tolist(), report.exact_coords.tolist()
+        )
+        for s, exact, diff in zip(scales[1:], exact_row, diff_row)
+    ]
+    off = list(
+        zip(
+            map(tuple, report.off_sample_directions.tolist()),
+            report.off_sample_nearest.tolist(),
+            report.off_sample_semantic.tolist(),
+            report.off_sample_identity.tolist(),
+        )
+    )
+    return identity, homogeneity, off
+
+
 def mantissa_power_of_two(scale):
     mantissa = float(scale)
     while mantissa != int(mantissa):
@@ -218,16 +244,27 @@ class TestVerifyRightInverse:
         ri = ls.build_right_inverse(T, beta=1.0 / T.sigma_min + 0.5, sphere_count=count, rounds=3)
         report = ls.verify_right_inverse(ri, scales=scales)
         identity, homogeneity, off = reference_right_inverse_rows(ri, scales)
-        assert repr([dataclasses.astuple(r) for r in report.identity_rows]) == repr(identity)
-        assert repr([dataclasses.astuple(r) for r in report.homogeneity_rows]) == repr(homogeneity)
-        assert repr([dataclasses.astuple(r) for r in report.off_sample_rows]) == repr(off)
+        got_identity, got_homogeneity, got_off = report_rows(report)
+        assert repr(got_identity) == repr([row[:-1] for row in identity])
+        assert repr(got_homogeneity) == repr(homogeneity)
+        assert repr(got_off) == repr([row[:-1] for row in off])
+        assert report.identity_passed is all(row[-1] for row in identity + off)
         assert (not off) == (count == 2)
 
     @pytest.mark.parametrize("scale", [2.0**-30, 0.1, 0.5, 1.0, 2.0, 3.0, 10.0, 1e300])
     def test_power_of_two_rule_matches_the_mantissa_loop(self, scale):
         def passed(exact, exact_coords):
-            row = ls.bartle_graves.HomogeneityRow(0, scale, exact, 0.0, exact_coords)
-            return ls.bartle_graves.RightInverseReport((), (), (row,), None, 0.0, 1.0, 0.0).homogeneity_passed
+            fields = dataclasses.fields(ls.bartle_graves.RightInverseReport)
+            report = ls.bartle_graves.RightInverseReport(
+                **{
+                    **dict.fromkeys((f.name for f in fields), None),
+                    "directions": np.array([0]),
+                    "scales": np.array([1.0, scale]),
+                    "homogeneity_exact": np.array([[exact]]),
+                    "exact_coords": np.array([exact_coords]),
+                }
+            )
+            return report.homogeneity_passed
 
         assert passed(exact=False, exact_coords=False) is not mantissa_power_of_two(scale)
         assert passed(exact=False, exact_coords=True) is False
@@ -245,30 +282,26 @@ class TestVerifyRightInverse:
         assert report.homogeneity_passed
         assert report.plip_report.passed
         assert report.covering_passed
-        assert max(r.residual for r in report.identity_rows) <= 1e-12
+        assert report.residuals.max() <= 1e-12
 
     def test_homogeneity_exact_for_dyadic_everywhere(self):
         ri = self._identity_ri()
         report = ls.verify_right_inverse(ri, scales=(0.5, 2.0))
-        assert all(r.exact for r in report.homogeneity_rows)
+        assert report.homogeneity_exact.all()
 
     def test_homogeneity_exact_for_all_scales_on_exact_directions(self):
         ri = self._identity_ri()
         report = ls.verify_right_inverse(ri, scales=(0.5, 2.0, 10.0))
-        for row in report.homogeneity_rows:
-            if row.exact_coords:
-                assert row.exact
-            else:
-                assert row.max_abs_diff <= 1e-13
+        assert report.homogeneity_exact[report.exact_coords].all()
+        assert report.homogeneity_diffs[~report.exact_coords].max(initial=0.0) <= 1e-13
 
     def test_off_sample_residuals_flagged(self):
         ri = self._identity_ri()
         report = ls.verify_right_inverse(ri)
-        assert report.off_sample_rows
-        for row in report.off_sample_rows:
-            assert row.passed  # semantic residual is tiny
-            # the raw identity residual reflects the direction snap
-            assert row.identity_residual > 1e-6
+        assert report.off_sample_nearest.size
+        assert np.all(report.off_sample_semantic <= 1e-8)  # semantic residual is tiny
+        # the raw identity residual reflects the direction snap
+        assert np.all(report.off_sample_identity > 1e-6)
 
     def test_fault_injection_identity_check(self):
         ri = self._identity_ri()
@@ -276,8 +309,14 @@ class TestVerifyRightInverse:
         ri.table.values[k] *= 1.1
         report = ls.verify_right_inverse(ri, scales=(1.0,), directions=[k])
         assert not report.identity_passed
-        worst = max(r.residual for r in report.identity_rows)
+        worst = report.residuals.max()
         assert worst == pytest.approx(0.1, rel=1e-9)
+
+    def test_directions_must_be_rows(self):
+        ri = self._identity_ri()
+        k = ri.dense_set[0]
+        with pytest.raises(IdentifierError):
+            ls.verify_right_inverse(ri, directions=[float(k)])
 
     def test_directions_must_be_certified(self):
         ri = self._identity_ri()
@@ -292,8 +331,7 @@ class TestVerifyRightInverse:
         ri = ls.build_right_inverse(T, beta=1.0 / T.sigma_min + 0.4, sphere_count=40, rounds=3)
         report = ls.verify_right_inverse(ri)
         assert report.plip_report.passed
-        for row in report.plip_report.rows:
-            assert row.extension_estimate <= ri.eta + 1e-6
+        assert np.all(report.plip_report.extension_estimate <= ri.eta + 1e-6)
 
     def test_fault_injection_along_the_kernel_fails_the_ray_check(self):
         """Moving tau at the nearest neighbour of a dense direction along
@@ -312,7 +350,37 @@ class TestVerifyRightInverse:
         report = ls.verify_right_inverse(ri, directions=[k])
         assert report.identity_passed
         assert not report.plip_report.passed
-        for ray in report.plip_report.rows:
-            assert ray.extension_estimate > ray.bound
-            assert ray.extension_estimate == pytest.approx(9.627, abs=1e-3)
-            assert ray.bound == pytest.approx(5.218, abs=1e-3)
+        estimates = report.plip_report.extension_estimate
+        assert estimates.size == 3
+        assert np.all(estimates > report.plip_report.bound)
+        assert estimates == pytest.approx(np.full(3, 9.627), abs=1e-3)
+        assert report.plip_report.bound == pytest.approx(5.218, abs=1e-3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_scale_is_rejected_before_any_check(self, bad, monkeypatch):
+        ri = self._identity_ri()
+
+        def unreachable(table, z):
+            raise AssertionError("tau evaluated before the scales were checked")
+
+        monkeypatch.setattr(ls.bartle_graves, "homogeneous_extension", unreachable)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="positive and finite"):
+                ls.verify_right_inverse(ri, scales=(0.5, bad))
+
+
+def test_verifier_memory_stays_small():
+    """The verifier of a 3x6 right inverse on 256 directions keeps its
+    temporaries small: tau is evaluated one direction at a time and the ray
+    pass holds one block of its rows."""
+    T = ls.LinearSurjection(np.random.default_rng(0).normal(size=(3, 6)))
+    ri = ls.build_right_inverse(T, beta=1.0 / T.sigma_min + 0.5, sphere_count=256, rounds=4)
+    tracemalloc.start()
+    try:
+        report = ls.verify_right_inverse(ri)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 1.5 * 2**20

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -304,6 +306,76 @@ def reference_ray_rows(table, beta, rays, tol=1e-9):
     return rows
 
 
+def loop_ray_rows(table, beta, rays, tol=1e-9):
+    """The per-ray loop that the column pass replaced, one ray and one scale
+    at a time, with the ratio kernel written out per radius, as
+    ``(direction, scale, sphere estimate, extension estimate, passed)``
+    rows: the column pass must match it bitwise."""
+    sup = table.sup_norm()
+    bound = 2.0 * beta + sup + tol
+    directions, values = table.directions, table.values
+    gap = float(table.space.nearest_distances().min())
+    rho = min(0.125, gap / 4.0)
+    factors = np.array([1.0 - rho, 1.0, 1.0 + rho])[:, None, None]
+    rows = []
+    for k, scales in rays:
+        row = table.space.distance_row(k)
+        rings = sorted({float(r) for r in np.sort(row[row > 0])[:3]})
+        near = np.flatnonzero((row > 0) & (row <= max(rings, default=0.0)))
+        sphere_dev = np.linalg.norm(values[near] - values[k], axis=1)
+        sphere_est = max(
+            (float(np.max(sphere_dev[row[near] <= r], initial=0.0)) / r for r in rings[::-1]), default=0.0
+        )
+        cols = [k, *near.tolist()]
+        masks = [row[cols] == r for r in (0.0, *rings)]
+        for scale in scales:
+            steps = scale * factors
+            offsets = steps * directions[cols] - scale * directions[k]
+            jumps = steps * values[cols] - scale * values[k]
+            dist = np.sqrt(np.vecdot(offsets, offsets)).ravel()
+            dev = np.sqrt(np.vecdot(jumps, jumps)).ravel()
+            radii = sorted({float(dist.reshape(3, -1)[:, mask].max()) for mask in masks} - {0.0}, reverse=True)
+            ext_est = max(float(np.max(dev[dist <= r], initial=0.0)) / r for r in radii)
+            rows.append((k, scale, sphere_est, ext_est, sphere_est <= beta + tol and ext_est <= bound))
+    return rows
+
+
+@seed(31)
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["line", "grid8", "circle", "sphere3"]),
+    st.integers(1, 4),
+    st.floats(min_value=0.0, max_value=3.0),
+    st.lists(st.lists(st.floats(min_value=1e-3, max_value=1e3), max_size=4), min_size=1, max_size=6),
+)
+def test_column_pass_equals_the_ray_loop(table_seed, case, width, beta, scale_lists):
+    """m = 1 to 3, the tied rings of the 8-point circle, and scale lists of
+    different lengths per ray (some empty): every column entry is bitwise
+    the per-ray loop's."""
+    rng = np.random.default_rng(table_seed)
+    if case == "line":
+        directions = np.array([[-1.0], [1.0]])
+    elif case == "grid8":
+        directions = ls.sphere_sample(2, 8).coords
+    else:
+        directions = rng.normal(size=(int(rng.integers(3, 30)), 2 if case == "circle" else 3))
+        directions /= np.linalg.norm(directions, axis=1)[:, None]
+    values = rng.normal(size=(len(directions), width)) * 10.0 ** rng.uniform(-2, 2, size=(len(directions), 1))
+    table = sphere_table(directions, values)
+    rays = [(int(rng.integers(len(directions))), scales) for scales in scale_lists]
+    report = ls.verify_homogeneous_plip(table, beta, rays)
+    rows = loop_ray_rows(table, beta, rays)
+    columns = zip(
+        report.direction.tolist(),
+        report.scale.tolist(),
+        report.sphere_estimate.tolist(),
+        report.extension_estimate.tolist(),
+    )
+    assert repr(list(columns)) == repr([row[:4] for row in rows])
+    assert report.passed is all(row[4] for row in rows)
+
+
 class TestVerifyHomogeneousPlip:
     @pytest.mark.parametrize("case", ["grid8", "random3"])
     def test_rows_equal_the_point_by_point_reference(self, case):
@@ -321,11 +393,21 @@ class TestVerifyHomogeneousPlip:
         rays = [(k, (0.5, 1.0, 3.7, 10.0)) for k in range(0, len(directions), 3)]
         report = ls.verify_homogeneous_plip(table, 1.5, rays)
         reference = reference_ray_rows(table, 1.5, rays)
-        assert len(report.rows) == len(reference)
-        for row, (k, scale, sphere_est, ext_est, bound, passed) in zip(report.rows, reference):
-            assert (row.direction_index, row.scale, row.bound, row.passed) == (k, scale, bound, passed)
-            assert repr(row.sphere_estimate) == repr(sphere_est)
-            assert row.extension_estimate == pytest.approx(ext_est, rel=1e-15)
+        assert len(report.scale) == len(reference)
+        assert report.passed is all(row[-1] for row in reference)
+        columns = zip(
+            report.direction.tolist(),
+            report.scale.tolist(),
+            report.sphere_estimate.tolist(),
+            report.extension_estimate.tolist(),
+        )
+        for (k, scale, sphere_est, ext_est), (ref_k, ref_scale, ref_sphere, ref_ext, bound, passed) in zip(
+            columns, reference
+        ):
+            assert (k, scale, report.bound) == (ref_k, ref_scale, bound)
+            assert (sphere_est <= 1.5 + 1e-9 and ext_est <= report.bound) is passed
+            assert repr(sphere_est) == repr(ref_sphere)
+            assert ext_est == pytest.approx(ref_ext, rel=1e-15)
 
     def _grid_table(self, values_fn, count=16):
         angles = 2.0 * np.pi * np.arange(count) / count
@@ -343,31 +425,42 @@ class TestVerifyHomogeneousPlip:
         assert report.passed
         norm_c = float(np.linalg.norm(c))
         assert report.sup_norm == pytest.approx(norm_c, abs=1e-12)
-        for row in report.rows:
-            assert row.extension_estimate == pytest.approx(norm_c, abs=1e-9)
-            assert row.bound == pytest.approx(norm_c + 1e-9, abs=1e-12)
+        assert report.extension_estimate == pytest.approx(np.full(5, norm_c), abs=1e-9)
+        assert report.bound == pytest.approx(norm_c + 1e-9, abs=1e-12)
 
     def test_identity_within_slack_bound(self):
         table = self._grid_table(lambda u: u)
         report = ls.verify_homogeneous_plip(table, beta=1.0, rays=[(0, (1.0, 2.0))])
         assert report.passed
-        for row in report.rows:
-            assert row.extension_estimate == pytest.approx(1.0, abs=1e-9)
-            assert row.bound == pytest.approx(3.0 + 1e-9, abs=1e-12)
+        assert report.extension_estimate == pytest.approx(np.ones(2), abs=1e-9)
+        assert report.bound == pytest.approx(3.0 + 1e-9, abs=1e-12)
 
     def test_zero_map(self):
         table = self._grid_table(lambda u: np.zeros(2))
         report = ls.verify_homogeneous_plip(table, beta=0.0, rays=[(3, (1.0,))])
         assert report.passed
-        for row in report.rows:
-            assert row.extension_estimate == 0.0
-            assert row.sphere_estimate == 0.0
+        assert report.extension_estimate.tolist() == [0.0]
+        assert report.sphere_estimate.tolist() == [0.0]
 
     def test_sphere_precondition_failure_reported(self):
         # a jumpy table is not pointwise 0-Lipschitz on the sphere sample
         table = self._grid_table(lambda u: np.array([np.sign(u[0])]))
         report = ls.verify_homogeneous_plip(table, beta=0.0, rays=[(4, (1.0,))])
         assert not report.passed
+
+    def test_ray_point_whose_probes_round_onto_it(self):
+        # at the smallest subnormal scale every probe distance underflows to 0
+        table = self._grid_table(lambda u: u)
+        with pytest.raises(ResolutionError, match=r"ray point 5e-324 \* direction 3 rounds"):
+            ls.verify_homogeneous_plip(table, beta=1.0, rays=[(0, (1.0,)), (3, (2.0, 5e-324))])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_scale_is_rejected(self, bad):
+        table = self._grid_table(lambda u: u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="positive and finite"):
+                ls.verify_homogeneous_plip(table, beta=1.0, rays=[(0, (1.0, 2.0)), (3, (0.5, bad))])
 
 
 @seed(29)
@@ -391,8 +484,7 @@ def test_ray_estimate_obeys_the_derivation(table_seed, m, n, width, scales):
     values = rng.normal(size=(len(directions), width)) * 10.0 ** rng.uniform(-2, 2, size=(len(directions), 1))
     table = sphere_table(directions, values)
     report = ls.verify_homogeneous_plip(table, 0.0, [(k, scales) for k in range(len(directions))])
-    for row in report.rows:
-        assert row.extension_estimate <= (report.sup_norm + 2.0 * row.sphere_estimate) * (1.0 + 1e-12)
+    assert np.all(report.extension_estimate <= (report.sup_norm + 2.0 * report.sphere_estimate) * (1.0 + 1e-12))
 
 
 class TestCantorFunction:
