@@ -10,10 +10,10 @@ from .bartle_graves import (
 )
 from .convex import AffineFlat, Ball, ConvexBody, Polytope
 from .correspondence import (
+    AnchoredPairs,
     Correspondence,
     LinearSurjection,
-    LowerPtlipCheck,
-    check_lower_ptlip,
+    anchored_selection,
     inverse_image_correspondence,
     local_strong_selection,
 )

@@ -12,9 +12,11 @@ for an abstract selection theorem, exact for the supported body classes.
 
 Bodies are stacked once per kind and shape when the correspondence is
 built (a document is parsed straight into the stacks), so
-:meth:`Correspondence.project_all` projects one point onto every value, and
-:meth:`Correspondence.distances_to` measures a whole table against the
-values, in one kernel call per stack.
+:meth:`Correspondence.project` and :meth:`Correspondence.distances` take
+one query per ``(point, query)`` pair, and :meth:`Correspondence.distances_to`
+measures a whole table against the values, in one kernel call per stack.
+:func:`anchored_selection` projects the values of all of a round's anchors
+onto the points of their balls in one such call.
 
 The inverse-image correspondence of a full-row-rank linear map realizes
 this structure with parallel affine flats.
@@ -22,6 +24,7 @@ this structure with parallel affine flats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
@@ -160,39 +163,34 @@ class Correspondence:
             out[rows] = stack[kind._CANONICAL]
         return out
 
-    def _query(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.ambient_dim,):
-            raise ShapeError(f"expected a vector of dimension {self.ambient_dim}, got shape {y.shape}")
-        return y
-
-    def distance_at(self, a, y) -> float:
-        """Distance from ``y`` to the body at point ``a``: its stack's
-        kernel on that row alone, bitwise the body's own ``distance_to``."""
-        kind, parts = self._row(a)
-        return float(kind.distance_stack(parts, self._query(y)[None])[0])
-
-    def project_all(self, y) -> np.ndarray:
-        """Projection of ``y`` onto every body, one row per point."""
-        ys = np.broadcast_to(self._query(y), (len(self.space), self.ambient_dim))
-        out = np.empty(ys.shape)
-        for rows, kind, stack in self._stacks:
-            out[rows] = kind.project_stack(stack, ys[rows])
+    def _kernel(self, kernel: str, rows, ys) -> np.ndarray:
+        """``kernel`` of each stack on the pairs ``(rows[i], ys[i])``, one
+        call per stack on the rows it holds."""
+        rows = np.asarray(rows, dtype=np.intp)
+        ys = np.asarray(ys, dtype=float)
+        if ys.shape != (len(rows), self.ambient_dim):
+            raise ShapeError(f"expected {len(rows)} queries of dimension {self.ambient_dim}, got shape {ys.shape}")
+        out = np.empty(ys.shape if kernel == "project_stack" else len(rows))
+        stack_of = self._stack_of[rows]
+        for s, (_, kind, stack) in enumerate(self._stacks):
+            at = np.flatnonzero(stack_of == s)
+            if at.size:
+                place = self._place[rows[at]]
+                out[at] = getattr(kind, kernel)(tuple(p[place] for p in stack), ys[at])
         return out
+
+    def project(self, rows, ys) -> np.ndarray:
+        """Projection of ``ys[i]`` onto the body at point ``rows[i]``."""
+        return self._kernel("project_stack", rows, ys)
+
+    def distances(self, rows, ys) -> np.ndarray:
+        """Distance from ``ys[i]`` to the body at point ``rows[i]``."""
+        return self._kernel("distance_stack", rows, ys)
 
     def distances_to(self, table) -> np.ndarray:
         """Distance from row ``i`` of the ``(N, d)`` table to the body at
         point ``i``."""
-        table = np.asarray(table, dtype=float)
-        if table.shape != (len(self.space), self.ambient_dim):
-            raise ShapeError(
-                f"expected a ({len(self.space)}, {self.ambient_dim}) table, "
-                f"got shape {table.shape}"
-            )
-        out = np.empty(len(table))
-        for rows, kind, stack in self._stacks:
-            out[rows] = kind.distance_stack(stack, table[rows])
-        return out
+        return self.distances(np.arange(len(self.space)), table)
 
     def to_json_dict(self) -> dict:
         return {
@@ -229,48 +227,61 @@ def inverse_image_correspondence(T: LinearSurjection, sample: SampledMetricSpace
 
 
 @dataclass(frozen=True)
-class LowerPtlipCheck:
-    """Outcome of a lower pointwise Lipschitz verification at one anchor.
+class AnchoredPairs:
+    """Anchored selections at several anchors, held over ``(anchor, row)``
+    pairs in order of anchor, then row: pair ``p`` is the point ``rows[p]``
+    at distance ``dist[p]`` from ``anchors[owner[p]]``, with the anchored
+    value ``values[p]``."""
 
-    ``slack`` is the worst value of ``dist(phi(a), y) - rate * d(b, a)``
-    over the sample, attained at ``witness``; the check passes when it does
-    not exceed the tolerance.
-    """
-
-    passed: bool
-    rate: float
-    anchor: int
-    witness: int
-    slack: float
+    anchors: np.ndarray
+    owner: np.ndarray
+    rows: np.ndarray
+    dist: np.ndarray
+    values: np.ndarray
 
 
-def check_lower_ptlip(
+def anchored_selection(
     phi: Correspondence,
-    b: int,
-    y,
+    anchors,
+    ys,
     rate: float,
+    radius: float = math.inf,
     tol: float = 1e-9,
-) -> LowerPtlipCheck:
-    """Check ``dist(phi(a), y) <= rate * d(b, a) + tol`` for every sampled a.
+) -> AnchoredPairs:
+    """Anchored selections ``g_j(a) = project(phi(a), ys[j])`` at every
+    anchor ``anchors[j]``, on the points of its open ``radius``-ball.
 
-    ``y`` must belong to ``phi(b)`` within ``tol``.
+    Because projection realizes the distance, ``||g_j(a) - ys[j]||`` equals
+    ``dist(phi(a), ys[j])``, so ``g_j`` is strongly pointwise Lipschitz at
+    its anchor with the given rate exactly when the lower pointwise
+    Lipschitz inequality holds on the ball; a violation raises
+    :class:`RateError` naming the first failing anchor and its worst point.
+    Each ``ys[j]`` must lie within ``tol`` of its anchor's value, and the
+    anchor's own entry is pinned to it.
     """
-    if rate < 0:
-        raise PreconditionError("rate must be nonnegative")
-    b = phi.space.index(b)
-    y = np.asarray(y, dtype=float)
-    if not phi.distance_at(b, y) <= tol:
-        raise PreconditionError(f"anchor value is not in the body at {b!r}")
-    dist = phi.distances_to(np.broadcast_to(y, (len(phi.space), phi.ambient_dim)))
-    slack = dist - rate * phi.space.distance_row(b)
-    i = int(np.argmax(slack))
-    return LowerPtlipCheck(
-        passed=bool(slack[i] <= tol),
-        rate=float(rate),
-        anchor=b,
-        witness=i,
-        slack=float(slack[i]),
-    )
+    anchors = np.array([phi.space.index(b) for b in anchors], dtype=np.intp)
+    ys = np.asarray(ys, dtype=float)
+    outside = np.flatnonzero(~(phi.distances(anchors, ys) <= tol))
+    if outside.size:
+        raise PreconditionError(f"anchor value is not in the body at {int(anchors[outside[0]])!r}")
+    block = phi.space.rows(anchors)
+    owner, rows = np.nonzero(block < radius)
+    dist = block[owner, rows]
+    values = phi.project(rows, ys[owner])
+    excess = np.linalg.norm(values - ys[owner], axis=1) - rate * dist
+    failing = np.flatnonzero(excess > tol)
+    if failing.size:
+        mine = np.flatnonzero(owner == owner[failing[0]])
+        p = mine[np.argmax(excess[mine])]
+        raise RateError(
+            f"anchor {int(anchors[owner[p]])!r}: strong pointwise bound at rate "
+            f"{rate} fails at {int(rows[p])!r} by {excess[p]:.3e}",
+            witness=int(rows[p]),
+            excess=excess[p],
+        )
+    pinned = np.flatnonzero(rows == anchors[owner])
+    values[pinned] = ys[owner[pinned]]
+    return AnchoredPairs(anchors, owner, rows, dist, values)
 
 
 def local_strong_selection(
@@ -280,28 +291,7 @@ def local_strong_selection(
     rate: float,
     tol: float = 1e-9,
 ) -> np.ndarray:
-    """Selection table anchored at ``(b, y)``: ``g(a) = project(phi(a), y)``,
-    one row per point.
-
-    Because projection realizes the distance, ``||g(a) - y||`` equals
-    ``dist(phi(a), y)``, so the table is strongly pointwise Lipschitz at
-    ``b`` with the given rate exactly when the lower pointwise Lipschitz
-    inequality holds; a violation raises :class:`RateError` with the worst
-    sample point.  The anchor entry is pinned to ``y`` itself.
-    """
-    b = phi.space.index(b)
-    y = np.asarray(y, dtype=float)
-    if not phi.distance_at(b, y) <= tol:
-        raise PreconditionError(f"anchor value is not in the body at {b!r}")
-    table = phi.project_all(y)
-    excess = np.linalg.norm(table - y, axis=1) - rate * phi.space.distance_row(b)
-    i = int(np.argmax(excess))
-    if excess[i] > tol:
-        raise RateError(
-            f"strong pointwise bound at rate {rate} fails at {i!r} "
-            f"by {excess[i]:.3e}",
-            witness=i,
-            excess=excess[i],
-        )
-    table[b] = y
-    return table
+    """Selection table anchored at ``(b, y)``, one row per point: the
+    anchored selection of one anchor on the whole sample, so the lower
+    pointwise Lipschitz inequality is checked at every point."""
+    return anchored_selection(phi, [b], np.asarray(y, dtype=float)[None], rate, tol=tol).values

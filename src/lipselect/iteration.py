@@ -8,13 +8,15 @@ those members, while moving nowhere by more than ``2^-n * epsilon``:
 1. ``B_n`` is the greedy maximal ``2^-(n-1)``-separation containing
    ``B_{n-1}``.
 2. For each new anchor ``b``, an anchored selection ``g_b`` is built by
-   projecting ``f_{n-1}(b)`` onto every value (strongly pointwise
-   ``alpha``-Lipschitz at ``b``).
-3. A radius ``delta_b < 2^-(n+1)`` is found by halving so that
-   ``f_{n-1}`` and ``g_b`` differ by less than ``2^-n * epsilon`` on the
-   open ``2 delta_b``-ball.  (``g_b`` is certified on the whole sample, so
-   the locality radius ``r_b`` of the lower pointwise Lipschitz hypothesis
-   is infinite and drops out of the bound.)
+   projecting ``f_{n-1}(b)`` onto every value of the open
+   ``2^-(n+1)``-ball around ``b``, strongly pointwise ``alpha``-Lipschitz
+   at ``b`` there.  That ball is the locality radius ``r_b`` of the lower
+   pointwise Lipschitz hypothesis: steps 3 and 4 read ``g_b`` nowhere
+   else.  The balls of one round are pairwise disjoint, so the round
+   projects at most one query per point, in one call per stack.
+3. A radius ``delta_b <= 2^-(n+2)`` is found by halving, for all new
+   anchors at once, so that ``f_{n-1}`` and ``g_b`` differ by less than
+   ``2^-n * epsilon`` on the open ``2 delta_b``-ball.
 4. ``f_n`` blends ``f_{n-1}`` with ``g_b`` through a trapezoid bump that is
    identically 1 on the closed ``delta_b``-ball and 0 outside the open
    ``2 delta_b``-ball.  The separation spacing makes the supports pairwise
@@ -39,7 +41,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .correspondence import Correspondence, local_strong_selection
+from .correspondence import AnchoredPairs, Correspondence, anchored_selection
 from .errors import (
     DegenerateRadiusError,
     InvariantViolationError,
@@ -232,51 +234,42 @@ def bump_weight(b, delta: float, a, space: SampledMetricSpace) -> float:
 
 def compute_delta(
     f_prev: np.ndarray,
-    g_b: np.ndarray,
-    b,
+    anchored: AnchoredPairs,
     n: int,
     epsilon: float,
-    space: SampledMetricSpace,
     delta_min: float = 1e-9,
-    tol: float = 1e-9,
-) -> float:
-    """First radius in the halving schedule that confines the adjustment.
+) -> np.ndarray:
+    """First radius in the halving schedule that confines each anchor's
+    adjustment, one per anchor of ``anchored``.
 
-    ``f_prev`` and ``g_b`` are ``(N, d)`` tables.  Starting at
-    ``2^-(n+2)`` and halving, accept the first ``delta`` with
-    ``max ||f_prev - g_b|| < 2^-n * epsilon`` over the open
-    ``2 delta``-ball around ``b`` (strictness realized by a fixed margin).
-    Radii below ``delta_min`` abort: the sample is too coarse or ``g_b``
-    strayed too far from ``f_prev``.
+    Starting at ``2^-(n+2)`` and halving, anchor ``b`` accepts the first
+    ``delta`` with ``||f_prev - g_b|| < 2^-n * epsilon`` on the open
+    ``2 delta``-ball around ``b`` (strictness realized by a fixed margin),
+    that is with ``2 delta`` at most the distance of the nearest pair over
+    the threshold; the pairs must cover the open ``2^-(n+1)``-balls.  Radii
+    below ``delta_min`` abort: the sample is too coarse or ``g_b`` strayed
+    too far from ``f_prev``.
     """
-    diffs = np.linalg.norm(f_prev - g_b, axis=1)
-    anchor_gap = float(diffs[space.index(b)])
-    if anchor_gap > tol:
-        raise PreconditionError(
-            f"anchored selection must coincide with the previous selection at "
-            f"{b!r} (gap {anchor_gap:.3e})"
-        )
-    dist_row = space.distance_row(b)
     threshold = 2.0 ** (-n) * epsilon - STRICTNESS_MARGIN
+    diffs = np.linalg.norm(f_prev[anchored.rows] - anchored.values, axis=1)
+    far = diffs > threshold
+    reach = np.full(len(anchored.anchors), math.inf)
+    np.minimum.at(reach, anchored.owner[far], anchored.dist[far])
+    # 0 marks an anchor that has not accepted a radius yet
+    deltas = np.zeros(len(reach))
     delta = 2.0 ** (-(n + 2))
-    while delta >= delta_min:
-        sup = float(diffs[dist_row < 2.0 * delta].max())
-        if sup <= threshold:
-            return delta
+    while delta >= delta_min and not deltas.all():
+        deltas[(deltas == 0.0) & (2.0 * delta <= reach)] = delta
         delta /= 2.0
-    raise DegenerateRadiusError(
-        f"no admissible radius above {delta_min} at anchor {b!r} (round {n})"
-    )
+    if not deltas.all():
+        b = int(anchored.anchors[np.argmin(deltas)])
+        raise DegenerateRadiusError(f"round {n}, anchor {b!r}: no admissible radius above {delta_min}")
+    return deltas
 
 
-def blend_round(
-    f_prev: Selection,
-    record: RoundRecord,
-    anchored: Dict[int, np.ndarray],
-    space: SampledMetricSpace,
-) -> Selection:
+def blend_round(f_prev: Selection, anchored: AnchoredPairs, deltas: np.ndarray, n: int) -> Selection:
     """One blending step: mix ``f_prev`` with the anchored tables of the
-    round's new anchors.
+    round's new anchors, ``deltas`` their radii.
 
     Rows inside the closed ``delta_b``-ball of a new anchor take the
     anchored value exactly; rows outside every open ``2 delta_b``-ball are
@@ -284,26 +277,21 @@ def blend_round(
     convex combination.  A point covered by two supports violates the
     disjointness invariant and raises.
     """
-    supports = {
-        b: space.distance_row(b) < 2.0 * record.deltas[b] for b in record.new_points
-    }
-    if supports:
-        covered = np.sum(list(supports.values()), axis=0)
-        if covered.max() > 1:
-            i = int(np.argmax(covered > 1))
-            owners = [b for b, support in supports.items() if support[i]]
-            raise InvariantViolationError(
-                f"adjustment supports overlap at {i!r}: anchors {owners!r}"
-            )
+    delta = deltas[anchored.owner]
+    support = anchored.dist < 2.0 * delta
+    rows = anchored.rows[support]
+    covered = np.bincount(rows, minlength=len(f_prev.table))
+    if covered.max() > 1:
+        i = int(np.argmax(covered > 1))
+        owners = anchored.anchors[anchored.owner[support][rows == i]].tolist()
+        raise InvariantViolationError(f"adjustment supports overlap at {i!r}: anchors {owners!r}")
+    w = _trapezoid(delta[support], anchored.dist[support])[:, None]
+    f, g = f_prev.table[rows], anchored.values[support]
+    # mixing equal endpoints is the identity; keep the previous row
+    same = np.all(f == g, axis=1)[:, None]
     table = f_prev.table.copy()
-    for b, support in supports.items():
-        rows = np.flatnonzero(support)
-        w = _trapezoid(record.deltas[b], space.distance_row(b)[rows])[:, None]
-        f, g = f_prev.table[rows], anchored[b][rows]
-        # mixing equal endpoints is the identity; keep the previous row
-        same = np.all(f == g, axis=1)[:, None]
-        table[rows] = np.where(same, f, np.where(w >= 1.0, g, (1.0 - w) * f + w * g))
-    return Selection(table=table, round_index=record.n)
+    table[rows] = np.where(same, f, np.where(w >= 1.0, g, (1.0 - w) * f + w * g))
+    return Selection(table=table, round_index=n)
 
 
 def run_iteration(
@@ -314,10 +302,11 @@ def run_iteration(
     """Execute all rounds and retain the evidence.
 
     ``f0`` must be a selection of ``phi`` at the configured tolerance.  Per
-    round, every new separation member gets an anchored selection at rate
-    ``alpha`` (failures name the anchor and round), a confinement radius,
-    and the blend; the recorded ``sup_change`` is the realized displacement.
-    The anchored tables are dropped once their round is blended.
+    round, the new separation members get their anchored selections at
+    rate ``alpha`` on the open ``2^-(n+1)``-balls, the only rows the radius
+    search and the blend read (failures name the round and the anchor),
+    then their confinement radii and the blend, each in one pass over the
+    round; the recorded ``sup_change`` is the realized displacement.
     """
     space = phi.space
     f0 = Selection(table=as_table(f0, space, phi.ambient_dim), round_index=0)
@@ -335,38 +324,25 @@ def run_iteration(
     for sep_round in hierarchy.rounds:
         n = sep_round.n
         new_points = tuple(b for b in sep_round.members if b not in prev_members)
-        deltas: Dict[int, float] = {}
-        anchored: Dict[int, np.ndarray] = {}
-        for b in new_points:
-            try:
-                anchored[b] = local_strong_selection(
-                    phi, b, f_prev.table[b], rate=config.alpha, tol=config.tol
-                )
-                deltas[b] = compute_delta(
-                    f_prev.table,
-                    anchored[b],
-                    b,
-                    n,
-                    config.epsilon,
-                    space,
-                    delta_min=config.delta_min,
-                    tol=config.tol,
-                )
-            except DegenerateRadiusError as exc:
-                raise DegenerateRadiusError(f"round {n}, anchor {b!r}: {exc}") from exc
-            except RateError as exc:
-                raise RateError(
-                    f"round {n}, anchor {b!r}: {exc}",
-                    witness=exc.witness,
-                    excess=exc.excess,
-                ) from exc
+        try:
+            anchored = anchored_selection(
+                phi,
+                new_points,
+                f_prev.table[list(new_points)],
+                rate=config.alpha,
+                radius=2.0 ** (-(n + 1)),
+                tol=config.tol,
+            )
+        except RateError as exc:
+            raise RateError(f"round {n}, {exc}", witness=exc.witness, excess=exc.excess) from exc
+        deltas = compute_delta(f_prev.table, anchored, n, config.epsilon, config.delta_min)
         record = RoundRecord(
             n=n,
             members=sep_round.members,
             new_points=new_points,
-            deltas=deltas,
+            deltas=dict(zip(new_points, deltas.tolist())),
         )
-        f_next = blend_round(f_prev, record, anchored, space)
+        f_next = blend_round(f_prev, anchored, deltas, n)
         record.sup_change = f_next.sup_distance(f_prev)
         rounds.append(record)
         selections.append(f_next)
@@ -434,14 +410,17 @@ def verify_round_properties(seq: SelectionSequence, n: int) -> RoundPropertiesRe
         detail=f"sup displacement {sup_change:.3e} vs bound {bound:.3e}",
     )
 
-    worst_excess = 0.0
-    worst_anchor = None
-    for b in record.new_points:
-        row = space.distance_row(b)
-        ball = row <= record.deltas[b]
-        excess = np.linalg.norm(f_n[ball] - f_n[b], axis=1) - seq.config.alpha * row[ball]
-        if excess.max() > worst_excess:
-            worst_excess, worst_anchor = float(excess.max()), b
+    # one pass over the (anchor, point) pairs of the closed delta-balls; the
+    # first anchor that attains the worst excess is reported
+    new = np.array(record.new_points, dtype=np.intp)
+    radii = np.array([record.deltas[b] for b in record.new_points])
+    block = space.rows(new)
+    owner, rows = np.nonzero(block <= radii[:, None])
+    excess = np.linalg.norm(f_n[rows] - f_n[new[owner]], axis=1) - seq.config.alpha * block[owner, rows]
+    worst_excess, worst_anchor = 0.0, None
+    if excess.size and excess.max() > 0.0:
+        p = int(np.argmax(excess))
+        worst_excess, worst_anchor = float(excess[p]), record.new_points[owner[p]]
     report.checks["anchored_strong_bound"] = CheckOutcome(
         passed=worst_excess <= BOUND_SLACK,
         worst=worst_excess,

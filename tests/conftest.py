@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import lipselect as ls
 
@@ -55,3 +56,27 @@ def moving_ball_instance(seed, n_points=257, rounds=4, dim=2):
     f0 = np.array([body.center for body in bodies])
     config = ls.IterationConfig(alpha=0.25, beta=1.25, rounds=rounds)
     return phi, f0, config
+
+
+COORD = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+
+
+@st.composite
+def mixed_bodies(draw, dim, normal=COORD):
+    """A ball, a flat of rank 0..dim, or a bounded polytope with 2 to 4
+    halfspaces in ``R^dim`` whose normals have ``normal`` coordinates; the
+    bodies of a list rarely share a shape."""
+    vector = st.lists(COORD, min_size=dim, max_size=dim).map(np.array)
+    kind = draw(st.sampled_from(["ball", "flat", "polytope"]))
+    if kind == "ball":
+        return ls.Ball(draw(vector), draw(st.floats(0.1, 2.0)))
+    if kind == "flat":
+        rank = draw(st.integers(0, dim))
+        q, _ = np.linalg.qr(draw(st.lists(vector, min_size=dim, max_size=dim).map(np.array)) + 3.0 * np.eye(dim))
+        return ls.AffineFlat(draw(vector), q.T[:rank])
+    witness = draw(vector)
+    normals = np.array(draw(st.lists(st.lists(normal, min_size=dim, max_size=dim), min_size=2, max_size=4)))
+    normals = normals[np.linalg.norm(normals, axis=1) > 0.1]
+    normals = np.vstack([normals, np.eye(dim)[:1]]) if len(normals) else np.eye(dim)[:1]
+    offsets = normals @ witness + draw(st.lists(st.floats(0.0, 1.0), min_size=len(normals), max_size=len(normals)))
+    return ls.Polytope(normals, offsets, witness)

@@ -734,15 +734,18 @@ class TestCorrespondenceDocument:
         assert self._both_verbs(tmp_path, {"space": space, "bodies": {"0": self.BALL}}) == (2, 2)
 
     def test_dykstra_non_convergence_exits_4(self, tmp_path, capsys):
-        # anchor 1 projects the ball's center (1, 0.5) onto the wedge
+        # the lone anchor 0 projects the ball's center (1, 0.5) onto the
+        # wedge at point 1, inside its open 2^-2-ball
         far_ball = {"kind": "ball", "center": [1.0, 0.5], "radius": 0.1}
+        space = {"metric": "l2", "points": [[0.0], [0.1]]}
         corr = write_json(
             tmp_path / "corr.json",
-            {"space": self.SPACE, "bodies": {"0": narrow_wedge(0.003), "1": far_ball}},
+            {"space": space, "bodies": {"0": far_ball, "1": narrow_wedge(0.003)}},
         )
         it = write_json(tmp_path / "it.json", {"alpha": 10.0, "beta": 20.0, "rounds": 1})
         assert main(["select", "--correspondence", corr, "--iteration", it]) == 4
-        assert "did not reach" in capsys.readouterr().err
+        # the message of the ConvergenceError
+        assert "polytope projection did not reach" in capsys.readouterr().err
 
 
 # small coordinates from a coarse grid, so that no two halfspaces meet at a

@@ -15,7 +15,7 @@ from lipselect.errors import (
     ShapeError,
 )
 
-from conftest import line_space, moving_ball_instance, segment_instance
+from conftest import COORD, line_space, mixed_bodies, moving_ball_instance, segment_instance
 
 SQRT_HALF = 2.0**-0.5
 
@@ -118,32 +118,34 @@ class TestInverseImage:
 
 
 class TestLowerPtlip:
+    """The lower pointwise Lipschitz check of an anchored selection on the
+    whole sample: ``dist(phi(a), y) - rate * d(b, a)`` is its excess."""
+
     def test_parallel_flats_pass_at_rate(self, T_sum, two_point_codomain):
         phi = ls.inverse_image_correspondence(T_sum, two_point_codomain)
-        check = ls.check_lower_ptlip(phi, 1, [0.5, 0.5], SQRT_HALF)
-        assert check.passed
+        g = ls.local_strong_selection(phi, 1, [0.5, 0.5], SQRT_HALF)
         # distance between the flats is 2/sqrt(2) = rate * d exactly
-        assert check.slack == pytest.approx(0.0, abs=1e-12)
+        assert np.linalg.norm(g[0] - g[1]) - SQRT_HALF * 2.0 == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_correspondence_rate_zero(self):
         space = line_space([0, 1.0])
         ball = ls.Ball([0.0, 0.0], 1.0)
         phi = ls.Correspondence(space, [ball, ball])
-        check = ls.check_lower_ptlip(phi, 0, [0.5, 0.0], 0.0)
-        assert check.passed
+        g = ls.local_strong_selection(phi, 0, [0.5, 0.0], 0.0)
+        np.testing.assert_array_equal(g, [[0.5, 0.0], [0.5, 0.0]])
 
     def test_fails_below_rate_with_witness(self, T_sum, two_point_codomain):
         phi = ls.inverse_image_correspondence(T_sum, two_point_codomain)
-        check = ls.check_lower_ptlip(phi, 1, [0.5, 0.5], 0.5)
-        assert not check.passed
-        assert check.witness == 0
-        # 2 * 0.5 < sqrt(2): slack is sqrt(2) - 1
-        assert check.slack == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-12)
+        with pytest.raises(RateError) as err:
+            ls.local_strong_selection(phi, 1, [0.5, 0.5], 0.5)
+        assert err.value.witness == 0
+        # 2 * 0.5 < sqrt(2): the excess is sqrt(2) - 1
+        assert err.value.excess == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-12)
 
     def test_anchor_must_be_member(self, T_sum, two_point_codomain):
         phi = ls.inverse_image_correspondence(T_sum, two_point_codomain)
         with pytest.raises(PreconditionError):
-            ls.check_lower_ptlip(phi, 1, [0.0, 0.0], 1.0)
+            ls.local_strong_selection(phi, 1, [0.0, 0.0], 1.0)
 
     def test_sharpness_at_realized_ratio(self):
         # the check passes exactly at the worst realized distance ratio and
@@ -157,8 +159,9 @@ class TestLowerPtlip:
         row = space.distance_row(b)
         realized = max(phi.body(a).distance_to(y) / row[a] for a in range(len(space)) if a != b)
         assert realized <= 1.0 / T.sigma_min + 1e-12
-        assert ls.check_lower_ptlip(phi, b, y, realized, tol=1e-12).passed
-        assert not ls.check_lower_ptlip(phi, b, y, realized * 0.99, tol=1e-12).passed
+        ls.local_strong_selection(phi, b, y, realized, tol=1e-12)
+        with pytest.raises(RateError):
+            ls.local_strong_selection(phi, b, y, realized * 0.99, tol=1e-12)
 
 
 class TestLocalStrongSelection:
@@ -206,7 +209,7 @@ class TestLocalStrongSelection:
         space = line_space([0, 1.0])
         phi = ls.Correspondence(space, [ls.Ball([0.0, 0.0], 1.0), ls.Ball([1.0, 0.0], 1.0)])
         y = np.array([-(1.0 + 1e-12), 0.0])
-        assert not np.array_equal(phi.project_all(y)[0], y)
+        assert not np.array_equal(phi.project([0], y[None])[0], y)
         g = ls.local_strong_selection(phi, 0, y, rate=3.0)
         assert g[0].tobytes() == y.tobytes()
 
@@ -229,6 +232,15 @@ class TestLocalStrongSelection:
         assert err.value.witness == 1
         # distance to the far ball is 4.5, allowed 1.0
         assert err.value.excess == pytest.approx(3.5, abs=1e-12)
+
+    def test_rate_error_names_the_worst_point(self):
+        # both far balls break rate 1; the farther one by more
+        space = line_space([0, 1.0, 2.0])
+        phi = ls.Correspondence(space, [ls.Ball([x, 0.0], 0.5) for x in (0.0, 2.0, 5.0)])
+        with pytest.raises(RateError) as err:
+            ls.local_strong_selection(phi, 0, [0.0, 0.0], rate=1.0)
+        assert err.value.witness == 2
+        assert err.value.excess == pytest.approx(2.5, abs=1e-12)
 
 
 class TestCorrespondenceJson:
@@ -254,29 +266,6 @@ class TestCorrespondenceJson:
 
 # -- batched projection ------------------------------------------------------
 
-COORD = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
-
-
-@st.composite
-def mixed_bodies(draw, dim):
-    """A ball, a flat of rank 0..dim, or a bounded polytope with 2 to 4
-    halfspaces in ``R^dim``; the bodies of a list rarely share a shape."""
-    vector = st.lists(COORD, min_size=dim, max_size=dim).map(np.array)
-    kind = draw(st.sampled_from(["ball", "flat", "polytope"]))
-    if kind == "ball":
-        return ls.Ball(draw(vector), draw(st.floats(0.1, 2.0)))
-    if kind == "flat":
-        rank = draw(st.integers(0, dim))
-        q, _ = np.linalg.qr(draw(st.lists(vector, min_size=dim, max_size=dim).map(np.array)) + 3.0 * np.eye(dim))
-        return ls.AffineFlat(draw(vector), q.T[:rank])
-    witness = draw(vector)
-    normals = np.array(draw(st.lists(vector, min_size=2, max_size=4)))
-    normals = normals[np.linalg.norm(normals, axis=1) > 0.1]
-    normals = np.vstack([normals, np.eye(dim)[:1]]) if len(normals) else np.eye(dim)[:1]
-    offsets = normals @ witness + draw(st.lists(st.floats(0.0, 1.0), min_size=len(normals), max_size=len(normals)))
-    return ls.Polytope(normals, offsets, witness)
-
-
 @seed(5)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -286,13 +275,16 @@ def test_batched_kernels_equal_the_per_body_methods(data):
     bodies = data.draw(st.lists(mixed_bodies(dim), min_size=n, max_size=n))
     space = ls.SampledMetricSpace("l2", coords=[[float(i)] for i in range(n)])
     phi = ls.Correspondence(space, bodies)
-    y = np.array(data.draw(st.lists(COORD, min_size=dim, max_size=dim)))
-    projected = phi.project_all(y)
-    for body, row in zip(bodies, projected):
-        assert row.tobytes() == body.project(y).tobytes()
+    # pairs in any order, a point repeated or left out, one query each
+    points = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    ys = np.array(data.draw(st.lists(st.lists(COORD, min_size=dim, max_size=dim), min_size=len(points), max_size=len(points)))).reshape(-1, dim)
+    projected, distances = phi.project(points, ys), phi.distances(points, ys)
+    for a, y, row, dist in zip(points, ys, projected, distances):
+        assert row.tobytes() == bodies[a].project(y).tobytes()
+        assert _bits(dist) == _bits(bodies[a].distance_to(y))
     # queries outside, on and inside every body: projections are members
     table = np.array(data.draw(st.lists(st.lists(COORD, min_size=dim, max_size=dim), min_size=n, max_size=n)))
-    for rows in (table, projected, np.array([b.canonical_point() for b in bodies])):
+    for rows in (table, phi.project(range(n), table), np.array([b.canonical_point() for b in bodies])):
         got = phi.distances_to(rows)
         want = np.array([body.distance_to(row) for body, row in zip(bodies, rows)])
         assert got.tobytes() == want.tobytes()
@@ -329,12 +321,12 @@ def test_parsed_stacks_equal_the_stacks_of_the_bodies(data):
     y = np.array(data.draw(st.lists(COORD, min_size=dim, max_size=dim)))
     for y in (y, np.eye(dim)[0], np.eye(dim)[-1]):
         for phi in (parsed, direct):
-            projected = phi.project_all(y)
+            projected = phi.project(range(n), np.broadcast_to(y, (n, dim)))
             distances = phi.distances_to(np.broadcast_to(y, (n, dim)))
             for a, owners in enumerate(zip(bodies, documents)):
                 for body in (*owners, phi.body(a)):
                     assert _bits(body.project(y)) == _bits(projected[a])
-                    assert _bits(body.distance_to(y)) == _bits(phi.distance_at(a, y)) == _bits(distances[a])
+                    assert _bits(body.distance_to(y)) == _bits(phi.distances([a], y[None])) == _bits(distances[a])
 
 
 @pytest.mark.parametrize("instance", ["balls", "flats"])
@@ -350,7 +342,7 @@ def test_the_engine_builds_no_body_objects(monkeypatch, instance):
     assert ls.verify_sequence(ls.run_iteration(phi, f0, config)).passed
 
 
-def test_project_all_groups_by_kind_and_shape():
+def test_project_groups_by_kind_and_shape():
     space = ls.SampledMetricSpace("l2", coords=[[float(i)] for i in range(5)])
     square = ls.Polytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0, 0.0, 1.0, 0.0], [0.5, 0.5])
     bodies = [
@@ -363,7 +355,7 @@ def test_project_all_groups_by_kind_and_shape():
     phi = ls.Correspondence(space, bodies)
     assert [rows.tolist() for rows, _, _ in phi._stacks] == [[0, 4], [1], [2], [3]]
     np.testing.assert_allclose(
-        phi.project_all([2.0, 2.0]), [[2.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [0.0, 2.0]], atol=1e-9
+        phi.project(range(5), np.full((5, 2), 2.0)), [[2.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [0.0, 2.0]], atol=1e-9
     )
     with pytest.raises(ShapeError):
-        phi.project_all([2.0, 2.0, 2.0])
+        phi.project(range(5), np.full((5, 3), 2.0))

@@ -2,19 +2,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import given, reject, seed, settings
 from hypothesis import strategies as st
 
 import lipselect as ls
 from lipselect.errors import (
+    ConvergenceError,
     DegenerateRadiusError,
     InvariantViolationError,
     ParameterError,
     PreconditionError,
+    RateError,
     SchemaError,
 )
 
-from conftest import grid_space, line_space, moving_ball_instance, segment_instance
+from conftest import grid_space, line_space, mixed_bodies, moving_ball_instance, segment_instance
 
 
 def constant_ball_run(rounds=3):
@@ -65,12 +67,22 @@ def test_bump_weight_properties(delta, dist):
         assert w == 0.0
 
 
+def full_pairs(space, tables, radius=math.inf):
+    """The anchored pairs of whole anchored tables ``{b: g_b}`` on the open
+    ``radius``-balls of their anchors."""
+    anchors = np.array(list(tables), dtype=np.intp)
+    block = space.rows(anchors)
+    owner, rows = np.nonzero(block < radius)
+    values = np.array([tables[int(anchors[j])][a] for j, a in zip(owner, rows)])
+    return ls.AnchoredPairs(anchors, owner, rows, block[owner, rows], values)
+
+
 class TestComputeDelta:
     def test_identical_tables_accept_immediately(self):
         space = line_space([0, 0.1, 0.2])
         table = np.zeros((3, 2))
-        delta = ls.compute_delta(table, table.copy(), 0, 2, 0.1, space)
-        assert delta == 2.0**-4
+        deltas = ls.compute_delta(table, full_pairs(space, {0: table.copy()}), 2, 0.1)
+        assert deltas.tolist() == [2.0**-4]
 
     def test_halving_trace(self):
         # 1-d grid with step 0.01 on [-0.5, 0.5]; ||f - g|| = d(a, b)
@@ -79,73 +91,170 @@ class TestComputeDelta:
         f = np.array([[(i - 50) / 100.0] for i in range(101)])
         g = np.zeros((101, 1))
         # rejected at 0.125 (sup 0.24 >= 0.15), accepted at 0.0625 (sup 0.12)
-        delta = ls.compute_delta(f, g, b, 1, 0.3, space)
-        assert delta == 0.0625
+        deltas = ls.compute_delta(f, full_pairs(space, {b: g}), 1, 0.3)
+        assert deltas.tolist() == [0.0625]
 
     def test_two_point_vacuous_accept(self):
         # far-off mismatch is outside every shrinking ball: first radius wins
         space = line_space([0, 1.0])
         f = np.array([[0.0], [0.0]])
         g = np.array([[0.0], [1.0]])
-        delta = ls.compute_delta(f, g, 0, 1, 1e-6, space)
-        assert delta == 0.125
+        deltas = ls.compute_delta(f, full_pairs(space, {0: g}), 1, 1e-6)
+        assert deltas.tolist() == [0.125]
+
+    def test_each_anchor_its_own_radius(self):
+        # the mismatch at 0.3 keeps the first radius (2 * 0.125 <= 0.3) for
+        # anchor 0; the one at 0.92, 0.08 from anchor 2 at 1.0, halves the
+        # radius of anchor 2 twice
+        space = line_space([0, 0.3, 1.0, 0.92])
+        f = np.zeros((4, 1))
+        g = np.ones((4, 1))
+        g[0] = g[2] = 0.0
+        deltas = ls.compute_delta(f, full_pairs(space, {0: g, 2: g}), 1, 0.3)
+        assert deltas.tolist() == [0.125, 0.03125]
 
     def test_dense_cluster_degenerates(self):
         # points arbitrarily close to b with a persistent unit mismatch
-        coords = [[0.0]] + [[10.0**-i] for i in range(1, 12)]
+        coords = [[0.0]] + [[10.0**-i] for i in range(1, 12)] + [[5.0]]
         space = ls.SampledMetricSpace("l2", coords=coords)
-        f = np.zeros((12, 1))
-        g = np.ones((12, 1))
-        g[0] = 0.0
-        with pytest.raises(DegenerateRadiusError):
-            ls.compute_delta(f, g, 0, 1, 0.3, space, delta_min=1e-9)
-
-    def test_anchoring_precondition(self):
-        space = line_space([0, 0.5])
-        f = np.array([[0.0], [0.0]])
-        g = np.array([[1.0], [0.0]])
-        with pytest.raises(PreconditionError):
-            ls.compute_delta(f, g, 0, 1, 0.3, space)
+        f = np.zeros((13, 1))
+        g = np.ones((13, 1))
+        g[0] = g[12] = 0.0
+        with pytest.raises(DegenerateRadiusError, match="round 1, anchor 0:"):
+            ls.compute_delta(f, full_pairs(space, {12: g, 0: g}), 1, 0.3, delta_min=1e-9)
 
 
 class TestBlendRound:
-    def _record(self, b, delta, n=1):
-        return ls.RoundRecord(n=n, members=(b,), new_points=(b,), deltas={b: delta})
+    def _blend(self, f_prev, space, tables, deltas, n=1):
+        return ls.blend_round(ls.Selection(f_prev, n - 1), full_pairs(space, tables), np.array(deltas), n)
 
     def test_outside_supports_identity(self):
         space = line_space([0, 1.0])
-        f_prev = ls.Selection(np.array([[0.0, 0.0], [5.0, 5.0]]), 0)
+        f_prev = np.array([[0.0, 0.0], [5.0, 5.0]])
         g = np.array([[0.0, 0.0], [9.0, 9.0]])
-        out = ls.blend_round(f_prev, self._record(0, 0.1), {0: g}, space)
-        assert out.table[1].tobytes() == f_prev.table[1].tobytes()
+        out = self._blend(f_prev, space, {0: g}, [0.1])
+        assert out.table[1].tobytes() == f_prev[1].tobytes()
+        assert out.round_index == 1
 
     def test_midpoint_convex_combination(self):
         # d(a, b) = 0.15, delta = 0.1 -> weight 0.5
         space = line_space([0, 0.15])
-        f_prev = ls.Selection(np.array([[1.0, 0.0], [0.0, 0.0]]), 0)
+        f_prev = np.array([[1.0, 0.0], [0.0, 0.0]])
         g = np.array([[1.0, 0.0], [1.0, 0.0]])
-        out = ls.blend_round(f_prev, self._record(0, 0.1), {0: g}, space)
+        out = self._blend(f_prev, space, {0: g}, [0.1])
         np.testing.assert_allclose(out.table[1], [0.5, 0.0], atol=1e-15)
 
     def test_inner_ball_takes_anchored_value_exactly(self):
         space = line_space([0, 0.08])
-        f_prev = ls.Selection(np.array([[1.0], [2.0]]), 0)
+        f_prev = np.array([[1.0], [2.0]])
         g = np.array([[1.0], [7.0]])
-        out = ls.blend_round(f_prev, self._record(0, 0.1), {0: g}, space)
+        out = self._blend(f_prev, space, {0: g}, [0.1])
         np.testing.assert_array_equal(out.table[1], [7.0])
 
     def test_overlapping_supports_detected(self):
         space = line_space([0, 0.1, 0.2])
-        f_prev = ls.Selection(np.zeros((3, 1)), 0)
         g = np.ones((3, 1))
-        record = ls.RoundRecord(
-            n=1,
-            members=(0, 2),
-            new_points=(0, 2),
-            deltas={0: 0.1, 2: 0.1},
-        )
-        with pytest.raises(InvariantViolationError):
-            ls.blend_round(f_prev, record, {0: g, 2: g}, space)
+        with pytest.raises(InvariantViolationError, match=r"overlap at 1: anchors \[0, 2\]"):
+            self._blend(np.zeros((3, 1)), space, {0: g, 2: g}, [0.1, 0.1])
+
+
+def per_anchor_run(phi, f0, config):
+    """The engine anchor by anchor, as it ran before rounds were batched:
+    each anchor's value projected onto every body of the sample, the
+    halving loop over its whole distance row (the grid of the instances
+    keeps every radius above ``delta_min``), and its own blend.  Returns
+    the tables and each round's radii."""
+    space = phi.space
+    tables, radii, prev = [f0], [], set()
+    for sep_round in ls.build_separation_hierarchy(space, config.rounds).rounds:
+        n, f = sep_round.n, tables[-1]
+        table, deltas = f.copy(), {}
+        for b in (b for b in sep_round.members if b not in prev):
+            g = np.array([phi.body(a).project(f[b]) for a in range(len(space))])
+            g[b] = f[b]
+            diffs = np.linalg.norm(f - g, axis=1)
+            row = space.distance_row(b)
+            delta = 2.0 ** (-(n + 2))
+            while diffs[row < 2.0 * delta].max() > 2.0 ** (-n) * config.epsilon - ls.iteration.STRICTNESS_MARGIN:
+                delta /= 2.0
+            deltas[b] = delta
+            support = np.flatnonzero(row < 2.0 * delta)
+            w = np.clip((2.0 * delta - row[support]) / delta, 0.0, 1.0)[:, None]
+            fs, gs = f[support], g[support]
+            same = np.all(fs == gs, axis=1)[:, None]
+            table[support] = np.where(same, fs, np.where(w >= 1.0, gs, (1.0 - w) * fs + w * gs))
+        tables.append(table)
+        radii.append(deltas)
+        prev = set(sep_round.members)
+    return tables, radii
+
+
+@st.composite
+def mixed_instances(draw):
+    """Up to 16 points of a 1/32 grid on [0, 1.5], under their Euclidean
+    distance or, as an explicit metric, half its square root; a body of any
+    kind at each, started at its canonical points, with a rate no pair can
+    break.  Polytope normals come from a coarse grid, so that no two
+    halfspaces meet at a narrow angle and Dykstra's method mostly stays
+    quick."""
+    values = sorted(draw(st.sets(st.integers(0, 48), min_size=2, max_size=16)))
+    coords = np.array(values, dtype=float)[:, None] / 32.0
+    if draw(st.booleans()):
+        space = ls.SampledMetricSpace("explicit", explicit_distances=0.5 * np.sqrt(np.abs(coords - coords.T)))
+    else:
+        space = ls.SampledMetricSpace("l2", coords=coords)
+    dim = draw(st.integers(1, 2))
+    bodies = mixed_bodies(dim, normal=st.sampled_from([-1.0, 0.0, 1.0]))
+    phi = ls.Correspondence(space, draw(st.lists(bodies, min_size=len(values), max_size=len(values))))
+    epsilon = draw(st.sampled_from([1e-3, 0.5, 4.0, 100.0]))
+    config = ls.IterationConfig(alpha=1e4, beta=1e4 + 4.0 * epsilon, epsilon=epsilon, rounds=3)
+    return phi, phi.canonical_selection(), config
+
+
+@seed(13)
+@settings(max_examples=100, deadline=None)
+@given(mixed_instances())
+def test_batched_rounds_equal_the_per_anchor_engine(instance):
+    phi, f0, config = instance
+    try:
+        want_tables, want_radii = per_anchor_run(phi, f0, config)
+    except ConvergenceError:
+        # Dykstra's method stalls in the per-anchor engine's whole-sample
+        # projection: no reference run to compare with
+        reject()
+    seq = ls.run_iteration(phi, f0, config)
+    assert [r.deltas for r in seq.rounds] == want_radii
+    for sel, want in zip(seq.selections, want_tables, strict=True):
+        assert sel.table.tobytes() == want.tobytes()
+
+
+class TestLocality:
+    """The engine checks the lower pointwise Lipschitz hypothesis on the
+    open 2^-(n+1)-ball of each anchor of round n, the only rows it reads."""
+
+    # the center of the first ball is 4.5 from the second, which its anchor
+    # reads 1 apart (outside the 2^-2-ball) or 0.1 apart (inside)
+    BALLS = [ls.Ball([0.0, 0.0], 0.5), ls.Ball([5.0, 0.0], 0.5)]
+
+    def test_failure_outside_every_ball_does_not_raise(self):
+        phi = ls.Correspondence(line_space([0, 1.0]), self.BALLS)
+        f0 = phi.canonical_selection()
+        config = ls.IterationConfig(alpha=1.0, beta=2.0, rounds=1)
+        seq = ls.run_iteration(phi, f0, config)
+        assert seq.rounds[0].new_points == (0, 1)
+        np.testing.assert_array_equal(seq.final.table, f0)
+        assert ls.verify_sequence(seq).passed
+        with pytest.raises(RateError) as err:
+            ls.local_strong_selection(phi, 0, f0[0], rate=1.0)
+        assert err.value.witness == 1
+
+    def test_failure_inside_a_ball_names_round_and_anchor(self):
+        phi = ls.Correspondence(line_space([0, 0.1]), self.BALLS)
+        config = ls.IterationConfig(alpha=1.0, beta=2.0, rounds=1)
+        with pytest.raises(RateError, match=r"^round 1, anchor 0: .* fails at 1 by 4\.400e\+00") as err:
+            ls.run_iteration(phi, phi.canonical_selection(), config)
+        assert err.value.witness == 1
+        assert err.value.excess == pytest.approx(4.5 - 0.1, abs=1e-12)
 
 
 class TestIterationConfig:
@@ -162,7 +271,8 @@ class TestIterationConfig:
             ls.IterationConfig(alpha=0.0, beta=0.3, epsilon=0.2)
 
     def test_locality_radii_rejected(self):
-        # anchored selections are certified on the whole sample: no r_b knob
+        # the locality radius of round n is its 2^-(n+1), set by the
+        # schedule: no r_b knob
         with pytest.raises(TypeError):
             ls.IterationConfig(alpha=0.0, beta=1.0, locality_radii={"b": 0.5})
         with pytest.raises(SchemaError):
@@ -246,6 +356,35 @@ class TestVerifyRoundProperties:
         seq.selections[2].table[target] += 1e-3
         report = ls.verify_round_properties(seq, 2)
         assert not report.checks["earlier_anchor_coincidence"].passed
+
+    def test_fault_injection_anchored_bound_names_the_worst_anchor(self):
+        _, phi, f0, config = segment_instance(n_points=101)
+        seq = ls.run_iteration(phi, f0, config)
+        record = seq.rounds[1]
+        first, second = record.new_points[:2]
+        # push a point of each closed delta-ball away from its anchor, the
+        # one of the second new anchor further
+        table = seq.selections[2].table
+        for b, push in ((first, 1e-4), (second, 1e-3)):
+            a = next(a for a in range(len(phi.space)) if a != b and phi.space.distance(a, b) <= record.deltas[b])
+            away = table[a] - table[b]
+            table[a] += push * away / np.linalg.norm(away)
+        check = ls.verify_round_properties(seq, 2).checks["anchored_strong_bound"]
+        assert not check.passed
+        assert check.detail.endswith(f"(anchor {second!r})")
+
+    def test_anchored_bound_tie_names_the_first_anchor(self):
+        # anchors 0 and 2 of a constant correspondence, each with its point
+        # 1/64 away pushed by the same vector: equal excesses
+        space = line_space([0, 1 / 64, 1, 1 + 1 / 64])
+        ball = ls.Ball([0.0, 0.0], 1.0)
+        phi = ls.Correspondence(space, [ball] * 4)
+        seq = ls.run_iteration(phi, np.zeros((4, 2)), ls.IterationConfig(alpha=0.0, beta=1.0, rounds=1))
+        assert seq.rounds[0].new_points == (0, 2)
+        seq.selections[1].table[[1, 3]] += [0.25, 0.0]
+        check = ls.verify_round_properties(seq, 1).checks["anchored_strong_bound"]
+        assert check.worst == 0.25
+        assert check.detail.endswith("(anchor 0)")
 
     def test_fault_injection_membership(self):
         phi, f0, config = constant_ball_run()
