@@ -236,11 +236,9 @@ def verify_right_inverse(
     ks = np.array([ri.table.space.index(k) for k in directions], dtype=int)
     scales = np.concatenate([[1.0], ray_scales(scales)])
     coords = ri.table.directions
-    # tau one direction at a time keeps its nearest-direction search small
+    # tau on every (direction, scale) point in one call, in kernel blocks
     ys = scales[:, None] * coords[ks, None]
-    values = np.empty(ys.shape[:2] + ri.table.values.shape[1:])
-    for r, y in enumerate(ys):
-        values[r] = ri(y)
+    values = ri(ys.reshape(-1, ys.shape[-1])).reshape(ys.shape[:2] + ri.table.values.shape[1:])
     residuals = _row_norms(_matvec(ri.T.matrix, values) - ys)
     rhs = scales[1:, None] * values[:, :1]
     diffs = np.max(np.abs(values[:, 1:] - rhs), axis=2)

@@ -12,13 +12,14 @@ guarantees hold for all radii below a known threshold, which is what the
 schedules target.
 
 The module also houses the positively homogeneous extension of a function
-sampled on a unit sphere (nearest sampled direction off-sample), which
-takes one vector or a ``(P, m)`` batch mapped row by row, its
-pointwise-rate verification on rays (probes on neighbouring sampled rays,
-read off the table, for all ``(ray, scale)`` pairs in one array pass that
-reports its estimates as columns over the pairs), the Cantor function as an
-adversarial test corpus, and a chain-surrogate check that pointwise bounds
-on a grid of an interval upgrade to a global Lipschitz bound.
+sampled on a unit sphere (off-sample, the nearest sampled direction by the
+sample's distance kernel; value norms are row dot products), which takes
+one vector or a ``(P, m)`` batch mapped row by row, its pointwise-rate
+verification on rays (probes on neighbouring sampled rays, read off the
+table, for all ``(ray, scale)`` pairs in one array pass that reports its
+estimates as columns over the pairs), the Cantor function as an adversarial
+test corpus, and a chain-surrogate check that pointwise bounds on a grid of
+an interval upgrade to a global Lipschitz bound.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import (
     ShapeError,
 )
 from .iteration import TableLike, as_table
-from .metric import SampledMetricSpace
+from .metric import BLOCK_ROWS, SampledMetricSpace
 
 # the estimate is the max ratio over this many smallest informative radii
 INFORMATIVE_COUNT = 3
@@ -96,11 +97,11 @@ def plip_profile(
     if any(r1 <= r2 for r1, r2 in zip(radii, radii[1:])):
         raise PreconditionError("radii must be strictly decreasing")
     table = as_table(values, space)
+    points = [b] if np.ndim(b) == 0 else b
     profiles = []
-    for a in [b] if np.ndim(b) == 0 else b:
+    for a, dist in zip(points, space.rows(points)):
         a = space.index(a)
         deviations = np.linalg.norm(table - table[a], axis=1)
-        dist = space.distance_row(a).copy()
         # out of every ball: the kernel counts the base itself, as deviation 0
         dist[a] = np.inf
         ratios, informative = _ball_ratios(dist, deviations, np.array(radii), closed)
@@ -175,11 +176,14 @@ def _vectors(table: SphereTable, z) -> np.ndarray:
 
 def nearest_direction_index(table: SphereTable, u):
     """Index of the sampled direction closest (chord distance) to ``u``, one
-    per row for a ``(P, m)`` batch; ties resolve to the first index,
-    keeping evaluation deterministic."""
+    per row for a ``(P, m)`` batch read off kernel blocks of ``BLOCK_ROWS``
+    rows; ties resolve to the first index, keeping evaluation deterministic."""
     u = _vectors(table, u)
-    k = np.argmin(np.linalg.norm(table.directions - u[..., None, :], axis=-1), axis=-1)
-    return int(k) if u.ndim == 1 else k
+    rows = np.atleast_2d(u)
+    k = np.empty(len(rows), dtype=np.intp)
+    for i in range(0, len(rows), BLOCK_ROWS):
+        k[i : i + BLOCK_ROWS] = np.argmin(table.space.distances_from(rows[i : i + BLOCK_ROWS]), axis=1)
+    return int(k[0]) if u.ndim == 1 else k
 
 
 def homogeneous_extension(table: SphereTable, z) -> np.ndarray:

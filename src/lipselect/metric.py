@@ -3,10 +3,11 @@
 A :class:`SampledMetricSpace` is the finite stand-in for a metric space
 ``(M, d)``: ``N`` points, each named by its row ``0..N-1``, together with
 an exact metric oracle, either a norm on stored coordinates (``l1``, ``l2``,
-``linf``) or an explicit symmetric distance matrix.  A coordinate space
-serves distances as rows, each computed the first time it is read, so a
-run costs memory for the rows of separation members, not ``N^2``.  On top
-of it this module builds maximal ``r``-separations by a deterministic
+``linf``) or an explicit symmetric distance matrix.  Every distance a
+coordinate space serves comes from one kernel, ``distances_from``, as rows
+kept from their first read, so a run costs memory for the rows of
+separation members, not ``N^2``; value norms stay with ``_row_norms``.  On
+top of it this module builds maximal ``r``-separations by a deterministic
 greedy scan and the nested separation hierarchy with radii
 ``r_n = 2^-(n-1)``, and measures density of a subset through its covering
 radius.
@@ -29,7 +30,7 @@ from .errors import (
 )
 
 METRIC_KINDS = ("l1", "l2", "linf", "explicit")
-_NORM_ORDS = {"l1": 1, "l2": 2, "linf": np.inf}
+BLOCK_ROWS = 64  # points per kernel call where a batch is reduced block by block
 
 
 class SampledMetricSpace:
@@ -76,16 +77,18 @@ class SampledMetricSpace:
             off = mat[~np.eye(n, dtype=bool)]
             if np.any(off <= 0.0):
                 raise PreconditionError("distances between distinct points must be positive")
-            self._coords = None
+            self._coords = self._columns = None
             # a read-only view: rows are shared, the caller's array stays writable
             self._matrix = mat.view()
             self._matrix.flags.writeable = False
+            self._rows = dict(enumerate(self._matrix))
         else:
             self._coords = as_finite_array(given, "point coordinates").copy()
             if self._coords.ndim != 2 or not self._coords.shape[1]:
                 raise SchemaError(f"coordinates must be {n} nonempty vectors of one dimension")
             self._matrix = None
             self._rows = {}
+            self._columns = np.ascontiguousarray(self._coords.T)
             # distinct points must sit at distinct locations, else d(a,b) = 0;
             # lexicographic sort reduces the check to adjacent rows
             order = np.lexsort(self._coords.T[::-1])
@@ -151,55 +154,64 @@ class SampledMetricSpace:
             raise ConfigurationError("explicit-metric spaces carry no coordinates")
         return self._coords[self.index(a)]
 
-    def distance_row(self, a) -> np.ndarray:
-        """Distances from ``a`` to every point, read-only.  A coordinate
-        space computes the row on first use, the norm of ``coords -
-        coords[a]`` row by row with ``d(a, a) = 0``, and keeps it; an
-        explicit space reads its matrix."""
-        a = self.index(a)
-        if self._matrix is not None:
-            return self._matrix[a]
-        row = self._rows.get(a)
-        if row is None:
-            row = self._norm_row(a)
-            row.flags.writeable = False
-            self._rows[a] = row
-        return row
+    def distances_from(self, points) -> np.ndarray:
+        """A new ``(P, N)`` block of distances from ``P`` points, in ambient
+        coordinates, to every sample point: each coordinate column's
+        differences, squared (``l2``) or absolute, folded left to right by
+        ``+`` (``np.maximum`` for ``linf``), and for ``l2`` one ``sqrt``.
+        Below 8 coordinates that is bitwise ``np.linalg.norm(coords - x,
+        ord, axis=-1)``; from 8 numpy sums pairwise, and the fold defines it."""
+        if self._columns is None:
+            raise ConfigurationError("explicit-metric spaces carry no coordinates")
+        points, kind, acc = np.asarray(points, dtype=float), self.metric_kind, None
+        for j, col in enumerate(self._columns):
+            step = col - points[:, j, None]
+            (np.square if kind == "l2" else np.abs)(step, out=step)
+            acc = step if acc is None else (np.maximum if kind == "linf" else np.add)(acc, step, out=acc)
+        return np.sqrt(acc, out=acc) if kind == "l2" else acc
 
-    def _norm_row(self, a: int) -> np.ndarray:
-        row = np.linalg.norm(self._coords - self._coords[a], ord=_NORM_ORDS[self.metric_kind], axis=1)
-        row[a] = 0.0
-        return row
+    def distance_row(self, a) -> np.ndarray:
+        """Distances from ``a`` to every point, read-only: a row of the
+        explicit matrix, or the kernel's row, kept from its first read
+        (``d(a, a)`` is ``x - x = 0`` exactly)."""
+        a = self.index(a)
+        if a not in self._rows:
+            self._keep([a])
+        return self._rows[a]
+
+    def _keep(self, rows: list) -> None:
+        block = self.distances_from(self._coords[rows])
+        block.flags.writeable = False
+        self._rows.update(zip(rows, block))
 
     def rows(self, members) -> np.ndarray:
-        """The ``(k, N)`` block of the rows of ``members``, in their order."""
-        return np.array([self.distance_row(a) for a in members]).reshape(-1, self._n)
+        """A new ``(k, N)`` block of the rows of ``members``, in their order;
+        a coordinate space computes the rows it has not kept in one kernel
+        call, and keeps them."""
+        members = [self.index(a) for a in members]
+        if todo := [a for a in dict.fromkeys(members) if a not in self._rows]:
+            self._keep(todo)
+        return np.array([self._rows[a] for a in members]).reshape(-1, self._n)
 
     def distance(self, a, b) -> float:
         return float(self.distance_row(a)[self.index(b)])
 
     def nearest_distances(self) -> np.ndarray:
         """Distance from each point to its nearest other point (inf for a
-        lone point), reduced over blocks of at most 64 rows.  Every row is
-        kept, so later reads of any row are cache hits."""
+        lone point), reduced over blocks of ``BLOCK_ROWS`` rows that are
+        not kept: a coordinate space computes each block in one kernel call."""
         out = np.empty(self._n)
-        for start in range(0, self._n, 64):
-            block = self.rows(range(start, min(start + 64, self._n)))
-            diag = np.arange(len(block))
-            block[diag, start + diag] = np.inf
-            out[start : start + len(block)] = block.min(axis=1)
+        for start in range(0, self._n, BLOCK_ROWS):
+            rows = np.arange(start, min(start + BLOCK_ROWS, self._n))
+            block = self._matrix[rows] if self._matrix is not None else self.distances_from(self._coords[rows])
+            block[rows - start, rows] = np.inf
+            out[rows] = block.min(axis=1)
         return out
 
     def distance_matrix(self) -> np.ndarray:
-        """Full pairwise distance matrix: the explicit one, or for a
-        coordinate space a new ``(N, N)`` array filled row by row (O(N^2)
-        memory, for the triangle check) that leaves the row cache alone."""
-        if self._matrix is not None:
-            return self._matrix
-        mat = np.empty((self._n, self._n))
-        for a in range(self._n):
-            mat[a] = self._norm_row(a)
-        return mat
+        """Full pairwise distance matrix: the explicit one, or a new ``(N, N)``
+        kernel block (for the triangle check) that leaves the row cache alone."""
+        return self._matrix if self._matrix is not None else self.distances_from(self._coords)
 
     def ball_points(self, center, r: float, closed: bool = True) -> tuple:
         """Sampled points of the ball around ``center``: ``d <= r`` when

@@ -372,8 +372,8 @@ class TestVerifyRightInverse:
 
 def test_verifier_memory_stays_small():
     """The verifier of a 3x6 right inverse on 256 directions keeps its
-    temporaries small: tau is evaluated one direction at a time and the ray
-    pass holds one block of its rows."""
+    temporaries small: tau is evaluated in 64-row blocks and the ray pass
+    holds one block of its rows."""
     T = ls.LinearSurjection(np.random.default_rng(0).normal(size=(3, 6)))
     ri = ls.build_right_inverse(T, beta=1.0 / T.sigma_min + 0.5, sphere_count=256, rounds=4)
     tracemalloc.start()

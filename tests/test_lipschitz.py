@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -259,6 +260,21 @@ class TestBatchedExtension:
             assert k.tolist() == [ls.lipschitz.nearest_direction_index(table, row) for row in z]
             assert k[-1] == 0  # the tie resolves to the first index
             assert np.all(out[-2] == 0.0) and not np.signbit(out[-2]).any()
+
+    def test_several_kernel_blocks_equal_row_by_row(self):
+        rng = np.random.default_rng(8)
+        directions = rng.normal(size=(40, 3))
+        directions /= np.linalg.norm(directions, axis=1)[:, None]
+        table = sphere_table(directions, rng.normal(size=(40, 2)))
+        z = rng.normal(size=(150, 3)) * 10.0 ** rng.uniform(-3, 3, size=(150, 1))
+        z[::37] = 0.0
+        z[5::11] = 2.5 * directions[:14]
+        k = ls.lipschitz.nearest_direction_index(table, z)
+        brute = [int(np.argmin(np.linalg.norm(directions - row, axis=1))) for row in z]
+        assert k.tolist() == brute == [ls.lipschitz.nearest_direction_index(table, row) for row in z]
+        out = ls.homogeneous_extension(table, z)
+        assert out.tobytes() == np.array([extension_at(table, row) for row in z]).tobytes()
+        assert out.tobytes() == np.array([ls.homogeneous_extension(table, row) for row in z]).tobytes()
 
     def test_shape_guard(self):
         for table, _ in self._tables():
@@ -640,6 +656,19 @@ class TestDefaultRadii:
         radii = ls.default_radii(space)
         assert radii[-1] == pytest.approx(0.1, abs=1e-15)
         assert all(r1 == 2.0 * r2 for r1, r2 in zip(radii, radii[1:]))
+
+    def test_four_thousand_points_keep_no_rows(self):
+        coords = np.random.default_rng(5).uniform(size=(4_000, 2))
+        space = ls.SampledMetricSpace("l2", coords=coords)
+        tracemalloc.start()
+        try:
+            radii = ls.default_radii(space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert radii[-1] == float(space.nearest_distances().max())
+        # the 4,000 rows alone would take 128 MB; a kernel block takes 2 MB
+        assert peak < 16 * 2**20
 
 
 @seed(23)

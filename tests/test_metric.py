@@ -254,7 +254,7 @@ def greedy_over_matrix(mat, r, seed=()):
     return tuple(sorted(members))
 
 
-point_sets = st.integers(min_value=1, max_value=3).flatmap(
+point_sets = st.integers(min_value=1, max_value=7).flatmap(
     lambda m: st.lists(
         st.tuples(*[st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)] * m),
         min_size=1,
@@ -285,6 +285,23 @@ class TestDistanceRows:
         off = np.min(ref, axis=1, where=~np.eye(n, dtype=bool), initial=np.inf)
         assert space.nearest_distances().tobytes() == off.tobytes()
 
+    @pytest.mark.parametrize("metric", ["l1", "l2", "linf"])
+    def test_kernel_is_a_left_fold_from_eight_coordinates(self, metric):
+        rng = np.random.default_rng(12)
+        for m in range(8, 13):
+            coords = rng.normal(size=(30, m)) * 10.0 ** rng.uniform(-3, 3, size=(30, 1))
+            points = np.vstack([coords[::3], rng.normal(size=(5, m))])
+            got = ls.SampledMetricSpace(metric, coords=coords).distances_from(points)
+            terms = coords - points[:, None]
+            terms = terms * terms if metric == "l2" else np.abs(terms)
+            fold = terms[..., 0]
+            for j in range(1, m):
+                fold = np.maximum(fold, terms[..., j]) if metric == "linf" else fold + terms[..., j]
+            fold = np.sqrt(fold) if metric == "l2" else fold
+            assert got.tobytes() == fold.tobytes()
+            ord_ = {"l1": 1, "l2": 2, "linf": np.inf}[metric]
+            np.testing.assert_array_max_ulp(got, np.linalg.norm(coords - points[:, None], ord=ord_, axis=-1), maxulp=4)
+
     def test_nearest_distances_span_several_blocks(self):
         rng = np.random.default_rng(3)
         coords = rng.normal(size=(150, 2))
@@ -298,6 +315,8 @@ class TestDistanceRows:
         space = ls.SampledMetricSpace("explicit", explicit_distances=mat)
         np.testing.assert_array_equal(space.rows([2, 0]), mat[[2, 0]])
         np.testing.assert_array_equal(space.nearest_distances(), [2.0, 1.5, 1.5])
+        with pytest.raises(ConfigurationError):
+            space.distances_from([[0.0]])
         # the space's rows are read-only; the caller's matrix is not frozen
         mat[0, 1] = 9.0
         assert mat.flags.writeable
