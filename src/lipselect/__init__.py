@@ -46,7 +46,7 @@ from .iteration import (
     verify_sequence,
 )
 from .lipschitz import (
-    PlipProfile,
+    PlipProfiles,
     SphereTable,
     cantor_function,
     cantor_plateaus,

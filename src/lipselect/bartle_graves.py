@@ -228,11 +228,11 @@ def verify_right_inverse(
     """
     if directions is None:
         directions = ri.dense_set
-    for k in directions:
-        if k not in ri.dense_set:
-            raise PreconditionError(
-                f"trial direction {k} is not in the certified dense set"
-            )
+    certified = np.isin(np.asarray(directions), ri.dense_set)
+    if not certified.all():
+        raise PreconditionError(
+            f"trial direction {directions[int(np.argmin(certified))]} is not in the certified dense set"
+        )
     ks = np.array([ri.table.space.index(k) for k in directions], dtype=int)
     scales = np.concatenate([[1.0], ray_scales(scales)])
     coords = ri.table.directions

@@ -149,7 +149,8 @@ def _merge_config(args: argparse.Namespace, keys) -> dict:
 
 
 def _outcomes(checks) -> dict:
-    return {name: {"passed": c.passed, "worst": c.worst} for name, c in checks.items()}
+    """Audit records without their ``detail``."""
+    return {name: {"passed": c["passed"], "worst": c["worst"]} for name, c in checks.items()}
 
 
 def _worst(name: str, values, directions, scales) -> dict:
@@ -201,10 +202,10 @@ def _cmd_select(opts) -> int:
         "sequence": sequence_to_dict(seq),
         "tail_bound": seq.tail_bound,
         "checks": {
-            **{f"round_{r.n}": _outcomes(r.checks) for r in audit.round_reports},
-            **_outcomes(audit.checks),
+            **{f"round_{r['n']}": _outcomes(r["checks"]) for r in audit["rounds"]},
+            **_outcomes(audit["sequence_checks"]),
         },
-        "passed": audit.passed,
+        "passed": audit["passed"],
     }
     _emit(opts.get("out"), report)
     if opts.get("tables_dir"):
@@ -214,7 +215,7 @@ def _cmd_select(opts) -> int:
             path = tables_dir / f"f{sel.round_index}.csv"
             path.write_text(selection_csv_text(phi.space, sel.table), encoding="ascii")
         print(f"selection tables written to {tables_dir}")
-    return EXIT_OK if audit.passed else EXIT_CHECK_FAILED
+    return EXIT_OK if audit["passed"] else EXIT_CHECK_FAILED
 
 
 def _cmd_plip(opts) -> int:
@@ -230,7 +231,7 @@ def _cmd_plip(opts) -> int:
     report = {
         "command": "plip",
         "radii": radii,
-        "estimates": {str(p.point): p.estimate for p in profiles},
+        "estimates": dict(zip(map(str, profiles.points.tolist()), profiles.estimates.tolist())),
     }
     _emit(opts.get("out"), report)
     if opts.get("profiles_csv"):
@@ -303,26 +304,11 @@ def _cmd_verify(opts) -> int:
     phi = Correspondence.from_json_dict(_load_json(opts["correspondence"]))
     seq = sequence_from_dict(_load_json(opts["sequence"]), phi)
     audit = verify_sequence(seq)
-    report = {
-        "command": "verify",
-        "rounds": [
-            {
-                "n": r.n,
-                "checks": {
-                    name: {"passed": c.passed, "worst": c.worst, "detail": c.detail}
-                    for name, c in r.checks.items()
-                },
-                "passed": r.passed,
-            }
-            for r in audit.round_reports
-        ],
-        "sequence_checks": _outcomes(audit.checks),
-        "passed": audit.passed,
-    }
+    report = {"command": "verify", **audit, "sequence_checks": _outcomes(audit["sequence_checks"])}
     _emit(opts.get("out"), report)
-    for r in audit.round_reports:
-        print(f"round {r.n}: {'pass' if r.passed else 'FAIL'}")
-    return EXIT_OK if audit.passed else EXIT_CHECK_FAILED
+    for r in audit["rounds"]:
+        print(f"round {r['n']}: {'pass' if r['passed'] else 'FAIL'}")
+    return EXIT_OK if audit["passed"] else EXIT_CHECK_FAILED
 
 
 # verb -> (handler, help, required option keys, other option keys); every

@@ -122,11 +122,11 @@ def table_from_dict(doc, space: SampledMetricSpace, dim: Optional[int] = None) -
 
 
 def profile_csv_text(profiles) -> str:
-    lines = ["point_id,r,ratio"]
-    for profile in profiles:
-        for r, ratio in profile.rows:
-            lines.append(f"{profile.point},{format_float(r)},{format_float(ratio)}")
-    return "\n".join(lines) + "\n"
+    """One ``point_id,r,ratio`` line per base point and radius, in the order
+    of the profile columns."""
+    lines = [f"{a},%.17g,%.17g" for a in profiles.points.tolist() for _ in profiles.radii]
+    table = np.stack(np.broadcast_arrays(profiles.radii, profiles.ratios), axis=-1)
+    return _fill("\n".join(["point_id,r,ratio"] + lines) + "\n", table)
 
 
 # -- selection sequences -------------------------------------------------------

@@ -36,7 +36,7 @@ given from outside.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -357,25 +357,9 @@ def run_iteration(
     )
 
 
-@dataclass
-class CheckOutcome:
-    passed: bool
-    worst: float
-    detail: str = ""
-
-
-@dataclass
-class RoundPropertiesReport:
-    n: int
-    checks: Dict[str, CheckOutcome] = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks.values())
-
-
-def verify_round_properties(seq: SelectionSequence, n: int) -> RoundPropertiesReport:
-    """Re-check the guarantees of round ``n`` against the stored tables.
+def verify_round_properties(seq: SelectionSequence, n: int) -> Dict[str, dict]:
+    """Re-check the guarantees of round ``n`` against the stored tables,
+    each as a record ``{"passed", "worst", "detail"}`` keyed by its name:
 
     * selection membership of ``f_n`` at every point,
     * the ``2^-n eps`` sup-displacement bound,
@@ -390,13 +374,13 @@ def verify_round_properties(seq: SelectionSequence, n: int) -> RoundPropertiesRe
     record = seq.rounds[n - 1]
     space = seq.space
     f_n = seq.selections[n].table
-    report = RoundPropertiesReport(n=n)
+    checks: Dict[str, dict] = {}
 
     member = seq.correspondence.distances_to(f_n)
     i = int(np.argmax(member))
     worst_member = float(member[i])
     worst_point = i if worst_member > 0.0 else None
-    report.checks["selection_membership"] = CheckOutcome(
+    checks["selection_membership"] = dict(
         passed=worst_member <= MEMBERSHIP_TOL,
         worst=worst_member,
         detail=f"max body distance {worst_member:.3e} at {worst_point!r}",
@@ -404,7 +388,7 @@ def verify_round_properties(seq: SelectionSequence, n: int) -> RoundPropertiesRe
 
     sup_change = seq.selections[n].sup_distance(seq.selections[n - 1])
     bound = 2.0 ** (-n) * seq.config.epsilon
-    report.checks["sup_change_bound"] = CheckOutcome(
+    checks["sup_change_bound"] = dict(
         passed=sup_change <= bound + BOUND_SLACK,
         worst=sup_change,
         detail=f"sup displacement {sup_change:.3e} vs bound {bound:.3e}",
@@ -421,7 +405,7 @@ def verify_round_properties(seq: SelectionSequence, n: int) -> RoundPropertiesRe
     if excess.size and excess.max() > 0.0:
         p = int(np.argmax(excess))
         worst_excess, worst_anchor = float(excess[p]), record.new_points[owner[p]]
-    report.checks["anchored_strong_bound"] = CheckOutcome(
+    checks["anchored_strong_bound"] = dict(
         passed=worst_excess <= BOUND_SLACK,
         worst=worst_excess,
         detail=f"worst excess {worst_excess:.3e} (anchor {worst_anchor!r})",
@@ -436,24 +420,12 @@ def verify_round_properties(seq: SelectionSequence, n: int) -> RoundPropertiesRe
         moved |= np.any(seq.selections[k].table != f_n, axis=1)
         protecting = np.count_nonzero(space.rows(seq.rounds[k - 1].members) < radius, axis=0)
         mismatches += int(protecting[moved].sum())
-    report.checks["earlier_anchor_coincidence"] = CheckOutcome(
+    checks["earlier_anchor_coincidence"] = dict(
         passed=mismatches == 0,
         worst=float(mismatches),
         detail=f"{mismatches} table entries differ on protected balls",
     )
-    return report
-
-
-@dataclass
-class SequenceReport:
-    round_reports: List[RoundPropertiesReport]
-    checks: Dict[str, CheckOutcome]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.round_reports) and all(
-            c.passed for c in self.checks.values()
-        )
+    return checks
 
 
 def _metadata_problems(seq: SelectionSequence) -> List[str]:
@@ -487,22 +459,29 @@ def _metadata_problems(seq: SelectionSequence) -> List[str]:
     return problems
 
 
-def verify_sequence(seq: SelectionSequence) -> SequenceReport:
+def verify_sequence(seq: SelectionSequence) -> dict:
     """Whole-run audit: per-round properties plus the cross-round invariants
     (selection closure including ``f_0``, telescoped Cauchy bounds, anchors
     frozen after entry, stored metadata consistent with the space, disjoint
     supports).  Rounds are audited by position; a stored round number that
-    differs fails the metadata check."""
-    space = seq.space
-    round_reports = [verify_round_properties(seq, n) for n in range(1, len(seq.rounds) + 1)]
-    checks: Dict[str, CheckOutcome] = {}
+    differs fails the metadata check.
 
-    # the round reports already measured f_1 .. f_N
+    Returns the body of the ``verify`` report: ``{"rounds": [{"n",
+    "checks", "passed"}], "sequence_checks", "passed"}``, every check a
+    record as :func:`verify_round_properties` gives it."""
+    space = seq.space
+    rounds = []
+    for n in range(1, len(seq.rounds) + 1):
+        round_checks = verify_round_properties(seq, n)
+        rounds.append({"n": n, "checks": round_checks, "passed": all(c["passed"] for c in round_checks.values())})
+    checks: Dict[str, dict] = {}
+
+    # the round checks already measured f_1 .. f_N
     worst = max(
         [float(seq.correspondence.distances_to(seq.selections[0].table).max())]
-        + [r.checks["selection_membership"].worst for r in round_reports]
+        + [r["checks"]["selection_membership"]["worst"] for r in rounds]
     )
-    checks["selection_closure"] = CheckOutcome(
+    checks["selection_closure"] = dict(
         passed=worst <= MEMBERSHIP_TOL,
         worst=worst,
         detail=f"max body distance over all rounds {worst:.3e}",
@@ -514,7 +493,7 @@ def verify_sequence(seq: SelectionSequence) -> SequenceReport:
             direct = seq.selections[m].sup_distance(seq.selections[n])
             budget = sum(seq.rounds[j - 1].sup_change for j in range(n + 1, m + 1))
             worst_gap = max(worst_gap, direct - budget)
-    checks["telescoping"] = CheckOutcome(
+    checks["telescoping"] = dict(
         passed=worst_gap <= 1e-12,
         worst=worst_gap,
         detail=f"max excess of direct sup over telescoped sum {worst_gap:.3e}",
@@ -526,14 +505,14 @@ def verify_sequence(seq: SelectionSequence) -> SequenceReport:
         entry = seq.selections[record.n].table[rows]
         for later in seq.selections[record.n + 1 :]:
             frozen_violations += int(np.count_nonzero(np.any(later.table[rows] != entry, axis=1)))
-    checks["eventually_constant_anchors"] = CheckOutcome(
+    checks["eventually_constant_anchors"] = dict(
         passed=frozen_violations == 0,
         worst=float(frozen_violations),
         detail=f"{frozen_violations} anchor values moved after entry",
     )
 
     problems = _metadata_problems(seq)
-    checks["stored_metadata"] = CheckOutcome(
+    checks["stored_metadata"] = dict(
         passed=not problems,
         worst=float(len(problems)),
         detail="; ".join(problems[:3]) or "hierarchy, rounds and radii match the space",
@@ -547,9 +526,10 @@ def verify_sequence(seq: SelectionSequence) -> SequenceReport:
         if i.size:
             margins = space.rows(rows)[:, rows][i, j] - 2.0 * (deltas[i] + deltas[j])
             min_margin = min(min_margin, float(margins.min()))
-    checks["support_disjointness"] = CheckOutcome(
+    checks["support_disjointness"] = dict(
         passed=(min_margin is math.inf) or min_margin >= 0.0,
         worst=0.0 if min_margin is math.inf else float(min_margin),
         detail="min separation margin between adjustment supports",
     )
-    return SequenceReport(round_reports=round_reports, checks=checks)
+    passed = all(r["passed"] for r in rounds) and all(c["passed"] for c in checks.values())
+    return {"rounds": rounds, "sequence_checks": checks, "passed": passed}

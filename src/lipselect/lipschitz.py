@@ -46,23 +46,18 @@ RADIUS_LEVELS = 4
 
 
 @dataclass(frozen=True)
-class PlipProfile:
-    """Ratio table for one base point, radii sorted decreasing.
+class PlipProfiles:
+    """Ratio profiles as columns: row ``p`` of ``ratios`` and
+    ``informative`` belongs to base point ``points[p]``, column ``j`` to
+    ``radii[j]`` (decreasing).  ``estimates[p]`` is the max ratio over the
+    smallest informative radii of row ``p`` (the small-radius limsup
+    surrogate)."""
 
-    ``estimate`` is the max ratio over the smallest informative radii (the
-    small-radius limsup surrogate); ``informative`` flags each row.
-    """
-
-    point: int
-    rows: Tuple[Tuple[float, float], ...]
-    informative: Tuple[bool, ...]
-    estimate: float
-
-    def ratio(self, r: float) -> float:
-        for radius, ratio in self.rows:
-            if radius == r:
-                return ratio
-        raise KeyError(r)
+    points: np.ndarray
+    radii: np.ndarray
+    ratios: np.ndarray
+    informative: np.ndarray
+    estimates: np.ndarray
 
 
 def _ball_ratios(dist, dev, radii, closed=True):
@@ -78,38 +73,43 @@ def _ball_ratios(dist, dev, radii, closed=True):
 def plip_profile(
     values: TableLike,
     space: SampledMetricSpace,
-    b,
+    points,
     radii: Sequence[float],
     closed: bool = True,
-):
-    """Ratio profile of a sampled map at ``b`` over the given radii; points
-    ``b`` give the list of their profiles (table and radii checked once).
+) -> PlipProfiles:
+    """Ratio profiles of a sampled map at the base ``points`` over the given
+    radii, computed over blocks of ``BLOCK_ROWS`` points.
 
     ``radii`` must be strictly decreasing and positive.  Balls are closed by
     default (open with ``closed=False``); a ball holding only its base
-    yields ratio 0 and is not informative.  With no informative radius at
-    all the sample cannot resolve the base point and a
-    :class:`ResolutionError` is raised.
+    yields ratio 0 and is not informative.  A base point with no
+    informative radius at all cannot be resolved by the sample: the first
+    such point, in the order given, raises a :class:`ResolutionError`.
     """
-    radii = [float(r) for r in radii]
-    if not radii or not all(r > 0 for r in radii):
+    radii = np.array([float(r) for r in radii])
+    if not radii.size or not np.all(radii > 0):
         raise PreconditionError("radii must be positive")
-    if any(r1 <= r2 for r1, r2 in zip(radii, radii[1:])):
+    if np.any(radii[:-1] <= radii[1:]):
         raise PreconditionError("radii must be strictly decreasing")
     table = as_table(values, space)
-    points = [b] if np.ndim(b) == 0 else b
-    profiles = []
-    for a, dist in zip(points, space.rows(points)):
-        a = space.index(a)
-        deviations = np.linalg.norm(table - table[a], axis=1)
+    points = np.array([space.index(a) for a in points], dtype=np.intp)
+    ratios = np.empty((len(points), len(radii)))
+    informative = np.empty(ratios.shape, dtype=bool)
+    for i in range(0, len(points), BLOCK_ROWS):
+        block = points[i : i + BLOCK_ROWS]
+        dist = space.rows(block)
         # out of every ball: the kernel counts the base itself, as deviation 0
-        dist[a] = np.inf
-        ratios, informative = _ball_ratios(dist, deviations, np.array(radii), closed)
-        if not informative.any():
-            raise ResolutionError(f"no ball around {a!r} in the radius schedule contains another point")
-        estimate = float(ratios[informative][-INFORMATIVE_COUNT:].max())
-        profiles.append(PlipProfile(a, tuple(zip(radii, ratios.tolist())), tuple(informative.tolist()), estimate))
-    return profiles[0] if np.ndim(b) == 0 else profiles
+        dist[np.arange(len(block)), block] = np.inf
+        deviations = np.linalg.norm(table - table[block, None], axis=-1)
+        ratios[i : i + BLOCK_ROWS], informative[i : i + BLOCK_ROWS] = _ball_ratios(dist, deviations, radii, closed)
+    resolved = informative.any(axis=1)
+    if not resolved.all():
+        a = int(points[np.argmin(resolved)])
+        raise ResolutionError(f"no ball around {a!r} in the radius schedule contains another point")
+    # the INFORMATIVE_COUNT smallest informative radii of each row
+    smallest = informative & (np.cumsum(informative[:, ::-1], axis=1)[:, ::-1] <= INFORMATIVE_COUNT)
+    estimates = np.max(ratios, axis=1, where=smallest, initial=0.0)
+    return PlipProfiles(points, radii, ratios, informative, estimates)
 
 
 def open_closed_consistency(
@@ -125,8 +125,8 @@ def open_closed_consistency(
     small-radius estimates within ``OPEN_CLOSED_REL_TOL`` scaled by their
     magnitude.
     """
-    closed_est = plip_profile(values, space, b, radii, closed=True).estimate
-    open_est = plip_profile(values, space, b, radii, closed=False).estimate
+    closed_est = float(plip_profile(values, space, [b], radii, closed=True).estimates[0])
+    open_est = float(plip_profile(values, space, [b], radii, closed=False).estimates[0])
     return abs(closed_est - open_est) <= OPEN_CLOSED_REL_TOL * max(1.0, closed_est, open_est)
 
 

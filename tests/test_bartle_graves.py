@@ -144,8 +144,8 @@ class TestBuildRightInverse:
         T = ls.LinearSurjection([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         ri = ls.build_right_inverse(T, beta=1.5, sphere_count=64, rounds=4)
         for record in ri.sequence.rounds:
-            report = ls.verify_round_properties(ri.sequence, record.n)
-            assert report.passed
+            checks = ls.verify_round_properties(ri.sequence, record.n)
+            assert all(c["passed"] for c in checks.values())
 
     def test_right_inverse_identity_on_sample(self):
         rng = np.random.default_rng(11)
@@ -321,9 +321,9 @@ class TestVerifyRightInverse:
     def test_directions_must_be_certified(self):
         ri = self._identity_ri()
         outside = [a for a in range(len(ri.table.space)) if a not in ri.dense_set]
-        if outside:
-            with pytest.raises(PreconditionError):
-                ls.verify_right_inverse(ri, directions=[outside[0]])
+        assert outside
+        with pytest.raises(PreconditionError, match=f"trial direction {outside[0]} is not"):
+            ls.verify_right_inverse(ri, directions=[ri.dense_set[0], outside[0], outside[1]])
 
     def test_dense_set_rays_plip_below_eta(self):
         rng = np.random.default_rng(2)

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 import lipselect as ls
 from lipselect.cli import main
-from lipselect.formats import dumps_canonical, format_float, selection_csv_text, sequence_to_dict, write_report
+from lipselect.formats import (
+    dumps_canonical,
+    format_float,
+    selection_csv_text,
+    sequence_from_dict,
+    sequence_to_dict,
+    write_report,
+)
 
 
 FOUR_POINT_LINE = {"metric": "l2", "points": [[0.0], [0.3], [0.6], [1.0]]}
@@ -124,6 +131,38 @@ class TestSelectAndVerify:
         assert code == 0
         verify_report = json.loads(verify_out.read_text())
         assert verify_report["passed"] is True
+
+    def test_select_and_verify_render_one_audit(self, tmp_path):
+        """``select`` and ``verify`` of one sequence report the same checks,
+        and ``verify`` writes the audit's records, less the ``detail`` of
+        the sequence checks."""
+        corr_path, iter_path = segment_correspondence_docs(tmp_path)
+        out, seq_path, verify_out = tmp_path / "run.json", tmp_path / "seq.json", tmp_path / "verify.json"
+        assert main(["select", "--correspondence", corr_path, "--iteration", iter_path, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        write_report(seq_path, report["sequence"])
+        assert main(["verify", "--correspondence", corr_path, "--sequence", str(seq_path), "--out", str(verify_out)]) == 0
+        verified = json.loads(verify_out.read_text())
+
+        rounds = {
+            f"round_{r['n']}": {name: {"passed": c["passed"], "worst": c["worst"]} for name, c in r["checks"].items()}
+            for r in verified["rounds"]
+        }
+        assert [len(checks) for checks in rounds.values()] == [4, 4, 4]
+        assert report["checks"] == {**rounds, **verified["sequence_checks"]}
+        assert report["passed"] is verified["passed"] is True
+
+        phi = ls.Correspondence.from_json_dict(json.loads(open(corr_path).read()))
+        audit = ls.verify_sequence(sequence_from_dict(report["sequence"], phi))
+        expected = {
+            "command": "verify",
+            **audit,
+            "sequence_checks": {
+                name: {"passed": c["passed"], "worst": c["worst"]} for name, c in audit["sequence_checks"].items()
+            },
+        }
+        assert all("detail" in c for r in audit["rounds"] for c in r["checks"].values())
+        assert verify_out.read_text() == dumps_canonical(expected)
 
     def test_verify_detects_corruption(self, tmp_path):
         corr_path, iter_path = segment_correspondence_docs(tmp_path)

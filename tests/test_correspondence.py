@@ -339,7 +339,7 @@ def test_the_engine_builds_no_body_objects(monkeypatch, instance):
     else:
         _, phi, f0, config = segment_instance(n_points=65)
     monkeypatch.setattr(ls.ConvexBody, "_of", classmethod(lambda cls, parts: pytest.fail("built a body")))
-    assert ls.verify_sequence(ls.run_iteration(phi, f0, config)).passed
+    assert ls.verify_sequence(ls.run_iteration(phi, f0, config))["passed"]
 
 
 def test_project_groups_by_kind_and_shape():

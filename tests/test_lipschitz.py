@@ -16,6 +16,7 @@ from lipselect.errors import (
 )
 
 from conftest import grid_space, line_space, sphere_table
+from lipselect.metric import BLOCK_ROWS
 
 
 def quadratic_table(space):
@@ -40,6 +41,12 @@ def reference_profile(values, space, b, radii, closed=True):
     return tuple(rows), tuple(informative), max(ratio for _, ratio in smallest)
 
 
+def profile_row(profiles, p):
+    """Row ``p`` of the profile columns in the form of ``reference_profile``."""
+    rows = tuple(zip(profiles.radii.tolist(), profiles.ratios[p].tolist()))
+    return rows, tuple(profiles.informative[p].tolist()), float(profiles.estimates[p])
+
+
 class TestPlipProfile:
     @pytest.mark.parametrize("closed", [True, False])
     @pytest.mark.parametrize("metric", ["l1", "l2", "linf"])
@@ -52,83 +59,121 @@ class TestPlipProfile:
             # one radius exactly on a sampled distance, the last below the
             # nearest neighbor: that ball holds only the base
             radii = [float(others[40]) * 1.5, float(others[12]), float(others[3]) * 0.9, float(others[0]) / 2]
-            profile = ls.plip_profile(values, space, b, radii, closed=closed)
-            rows, informative, estimate = reference_profile(values, space, b, radii, closed)
-            assert repr((profile.rows, profile.informative, profile.estimate)) == repr(
-                (rows, informative, estimate)
-            )
-            assert profile.informative[-1] is False
+            profile = ls.plip_profile(values, space, [b], radii, closed=closed)
+            assert repr(profile_row(profile, 0)) == repr(reference_profile(values, space, b, radii, closed))
+            assert not profile.informative[0, -1]
 
-    def test_points_give_the_list_of_their_profiles(self):
-        rng = np.random.default_rng(3)
-        space = ls.SampledMetricSpace("l2", coords=rng.uniform(size=(30, 2)))
-        values = rng.normal(size=(30, 2))
-        radii = [0.4, 0.2, 0.1]
-        points = [4, 0, 4, 29]
-        profiles = ls.plip_profile(values, space, points, radii)
-        assert profiles == [ls.plip_profile(values, space, b, radii) for b in points]
-        assert ls.plip_profile(values, space, np.int64(4), radii) == profiles[0]
-        assert ls.plip_profile(values, space, [], radii) == []
+    @seed(41)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(["l1", "l2", "linf"]),
+        st.booleans(),
+        st.integers(min_value=2, max_value=40),
+        st.integers(min_value=1, max_value=3),
+        st.data(),
+    )
+    def test_columns_equal_the_per_radius_loop(self, metric, closed, n, dim, data):
+        """Every row of the columns, bitwise, over more than one block of
+        base points with repeats; a schedule without its largest radius
+        raises on the first base point, in order, that it cannot resolve."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        space = ls.SampledMetricSpace(metric, coords=rng.uniform(size=(n, dim)))
+        values = rng.normal(size=(n, data.draw(st.integers(1, 4))))
+        point = st.integers(0, n - 1)
+        points = data.draw(st.lists(point, min_size=BLOCK_ROWS + 1, max_size=3 * BLOCK_ROWS))
+        sampled = np.unique(space.distance_matrix())[1:].tolist()
+        # past every distance, so every ball holds another point; then
+        # sampled distances (ball edges), halves of them, and one radius
+        # below the nearest pair, whose balls hold only their base
+        picks = data.draw(st.lists(st.sampled_from(sampled), min_size=1, max_size=3))
+        radii = sorted({1.5 * sampled[-1], *picks, *(r / 2 for r in picks), sampled[0] / 2}, reverse=True)
+        profiles = ls.plip_profile(values, space, points, radii, closed=closed)
+        assert profiles.points.tolist() == points
+        assert profiles.radii.tolist() == radii
+        for p, b in enumerate(points):
+            assert repr(profile_row(profiles, p)) == repr(reference_profile(values, space, b, radii, closed))
+
+        tail = radii[1:]
+        reach = [np.delete(space.distance_row(b), b).min() for b in points]
+        unresolved = [b for b, d in zip(points, reach) if not (d <= tail[0] if closed else d < tail[0])]
+        if unresolved:
+            with pytest.raises(ResolutionError, match=f"around {unresolved[0]} in"):
+                ls.plip_profile(values, space, points, tail, closed=closed)
+        else:
+            ls.plip_profile(values, space, points, tail, closed=closed)
+
+    def test_resolution_error_names_the_first_unresolved_point(self):
+        # at radius 0.2 only points 2 and 3 are alone; 3 comes first, in
+        # the second block
+        space = line_space([0.0, 0.1, 5.0, 10.0])
+        points = [0, 1] * 35 + [3, 1, 2]
+        with pytest.raises(ResolutionError, match="around 3 in"):
+            ls.plip_profile(quadratic_table(space), space, points, [0.4, 0.2])
+
+    def test_no_points_and_unknown_points(self):
+        space = grid_space(30)
+        values = quadratic_table(space)
+        profiles = ls.plip_profile(values, space, [], [0.4, 0.2, 0.1])
+        assert profiles.ratios.shape == profiles.informative.shape == (0, 3)
+        assert profiles.estimates.shape == (0,)
         with pytest.raises(IdentifierError):
-            ls.plip_profile(values, space, [0, 30], radii)
+            ls.plip_profile(values, space, [0, 30], [0.4, 0.2])
 
     def test_square_at_zero(self):
         space = grid_space(1001)
-        profile = ls.plip_profile(quadratic_table(space), space, 0, [0.1, 0.05, 0.025])
-        ratios = [ratio for _, ratio in profile.rows]
-        assert ratios == pytest.approx([0.1, 0.05, 0.025], abs=1e-12)
-        assert profile.estimate == pytest.approx(0.1, abs=1e-12)
+        profile = ls.plip_profile(quadratic_table(space), space, [0], [0.1, 0.05, 0.025])
+        assert profile.ratios[0].tolist() == pytest.approx([0.1, 0.05, 0.025], abs=1e-12)
+        assert profile.estimates[0] == pytest.approx(0.1, abs=1e-12)
 
     def test_square_at_one(self):
         space = grid_space(1001)
-        profile = ls.plip_profile(quadratic_table(space), space, 1000, [0.1, 0.05])
-        ratios = [ratio for _, ratio in profile.rows]
+        profile = ls.plip_profile(quadratic_table(space), space, [1000], [0.1, 0.05])
         # sup |1 - a^2| over [1 - r, 1] is r (2 - r)
-        assert ratios == pytest.approx([1.9, 1.95], abs=1e-12)
-        assert profile.estimate == pytest.approx(1.95, abs=1e-12)
+        assert profile.ratios[0].tolist() == pytest.approx([1.9, 1.95], abs=1e-12)
+        assert profile.estimates[0] == pytest.approx(1.95, abs=1e-12)
 
     def test_constant_map(self):
         space = grid_space(11)
         table = np.full((len(space), 1), 3.5)
-        profile = ls.plip_profile(table, space, 5, [0.4, 0.2, 0.1])
-        assert all(ratio == 0.0 for _, ratio in profile.rows)
-        assert profile.estimate == 0.0
+        profile = ls.plip_profile(table, space, [5], [0.4, 0.2, 0.1])
+        assert all(ratio == 0.0 for ratio in profile.ratios[0])
+        assert profile.estimates[0] == 0.0
 
     def test_informative_rule_skips_singleton_balls(self):
         space = line_space([0, 1.0])
         table = np.array([[0.0], [5.0]])
-        profile = ls.plip_profile(table, space, 0, [2.0, 1.0, 0.5, 0.25])
-        assert profile.informative == (True, True, False, False)
-        assert profile.estimate == pytest.approx(5.0, abs=1e-12)
+        profile = ls.plip_profile(table, space, [0], [2.0, 1.0, 0.5, 0.25])
+        assert profile.informative[0].tolist() == [True, True, False, False]
+        assert profile.estimates[0] == pytest.approx(5.0, abs=1e-12)
 
     def test_resolution_error(self):
         space = line_space([0, 1.0])
         table = np.array([[0.0], [5.0]])
         with pytest.raises(ResolutionError):
-            ls.plip_profile(table, space, 0, [0.5, 0.25])
+            ls.plip_profile(table, space, [0], [0.5, 0.25])
 
     def test_radii_must_decrease(self):
         space = grid_space(11)
         with pytest.raises(PreconditionError):
-            ls.plip_profile(quadratic_table(space), space, 0, [0.1, 0.2])
+            ls.plip_profile(quadratic_table(space), space, [0], [0.1, 0.2])
 
     def test_ball_sup_monotone_in_radius(self):
         space = grid_space(101)
         rng = np.random.default_rng(0)
         table = np.array([rng.normal(size=2) for _ in range(len(space))])
-        profile = ls.plip_profile(table, space, 50, [0.4, 0.2, 0.1, 0.05])
-        sups = [r * ratio for r, ratio in profile.rows]
+        profile = ls.plip_profile(table, space, [50], [0.4, 0.2, 0.1, 0.05])
+        sups = [r * ratio for r, ratio in zip(profile.radii, profile.ratios[0])]
         assert all(s1 >= s2 - 1e-15 for s1, s2 in zip(sups, sups[1:]))
 
     def test_scale_equivariance_exact_for_dyadic(self):
         space = grid_space(101)
         rng = np.random.default_rng(1)
         table = np.array([rng.normal(size=2) for _ in range(len(space))])
-        base = ls.plip_profile(table, space, 30, [0.2, 0.1, 0.05])
+        base = ls.plip_profile(table, space, [30], [0.2, 0.1, 0.05])
         scaled_table = 4.0 * table
-        scaled = ls.plip_profile(scaled_table, space, 30, [0.2, 0.1, 0.05])
-        assert scaled.estimate == 4.0 * base.estimate
-        for (_, r1), (_, r2) in zip(base.rows, scaled.rows):
+        scaled = ls.plip_profile(scaled_table, space, [30], [0.2, 0.1, 0.05])
+        assert scaled.estimates[0] == 4.0 * base.estimates[0]
+        for r1, r2 in zip(base.ratios[0], scaled.ratios[0]):
             assert r2 == 4.0 * r1
 
 
@@ -150,11 +195,11 @@ class TestOpenClosedConsistency:
         table = np.where(space.coords < 0.5, 0.0, 1.0)
         b = 96  # x = 0.375, step at exact distance 0.125
         radii = [0.125, 0.0625, 0.03125, 0.015625]
-        closed = ls.plip_profile(table, space, b, radii, closed=True)
-        opened = ls.plip_profile(table, space, b, radii, closed=False)
-        # the straddling radius sees the jump only with a closed ball
-        assert closed.ratio(0.125) == pytest.approx(8.0, abs=1e-12)
-        assert opened.ratio(0.125) == 0.0
+        closed = ls.plip_profile(table, space, [b], radii, closed=True)
+        opened = ls.plip_profile(table, space, [b], radii, closed=False)
+        # the straddling radius (the first) sees the jump only with a closed ball
+        assert closed.ratios[0, 0] == pytest.approx(8.0, abs=1e-12)
+        assert opened.ratios[0, 0] == 0.0
         # but the small-radius estimates agree
         assert ls.open_closed_consistency(table, space, b, radii)
 
@@ -300,7 +345,7 @@ def reference_ray_rows(table, beta, rays, tol=1e-9):
     for k, scales in rays:
         dist_row = sphere_space.distance_row(k)
         rings = sorted({float(r) for r in np.sort(dist_row[dist_row > 0])[:3]})
-        sphere_est = ls.plip_profile(table.values, sphere_space, k, rings[::-1]).estimate
+        sphere_est = float(ls.plip_profile(table.values, sphere_space, [k], rings[::-1]).estimates[0])
         for scale in scales:
             z = scale * d[k]
             tau_z = ls.homogeneous_extension(table, z)

@@ -373,6 +373,6 @@ def test_twenty_thousand_points_need_no_distance_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.passed
+    assert report["passed"]
     # the matrix alone would take n^2 * 8 bytes, 3.2 GB
     assert peak < 64 * 2**20

@@ -10,9 +10,15 @@ and changes nothing there.
 
     python tools/output_digests.py --seeds 0 1 2 3 --out digests.json
 
-Run it in two checkouts and diff the two files: the same digest for every
-file means the outputs are byte-identical.  BLAS is pinned to one thread,
-as in the benchmark's workers, so that reductions keep one order.
+Run it in two checkouts: the same digest for every file means the outputs
+are byte-identical.  ``--against`` compares with a file written in the other
+checkout, prints every file path and every instance exit pair that differ,
+and exits 1 if anything differs:
+
+    python tools/output_digests.py --seeds 0 1 2 3 --against parent.json
+
+BLAS is pinned to one thread, as in the benchmark's workers, so that
+reductions keep one order.
 """
 
 from __future__ import annotations
@@ -68,19 +74,36 @@ def digests(seeds, workdir: Path) -> dict:
     return {"files": files, "exits": exits}
 
 
+def differences(theirs: dict, ours: dict) -> list:
+    """One line per file path whose digest differs or that only one side
+    has, then one per instance whose exit pair differs."""
+    lines = []
+    for key, what in (("files", "file"), ("exits", "exits")):
+        for name in sorted(theirs[key].keys() | ours[key].keys()):
+            a, b = theirs[key].get(name), ours[key].get(name)
+            if a != b:
+                lines.append(f"{what} {name}: {a} -> {b}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3])
-    parser.add_argument("--out", help="JSON file to write (default: standard output)")
+    parser.add_argument("--out", help="JSON file to write (default: standard output, unless --against)")
+    parser.add_argument("--against", help="digest file to compare with; exit 1 if anything differs")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         result = digests(args.seeds, Path(tmp))
     text = json.dumps(result, indent=1, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
-    else:
+    elif not args.against:
         sys.stdout.write(text)
-    return 0
+    if not args.against:
+        return 0
+    lines = differences(json.loads(Path(args.against).read_text(encoding="utf-8")), result)
+    print("\n".join(lines) if lines else f"{len(result['files'])} files and {len(result['exits'])} exit pairs match")
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":
