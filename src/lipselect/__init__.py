@@ -35,9 +35,7 @@ from .errors import (
 from .iteration import (
     IterationConfig,
     RoundRecord,
-    Selection,
     SelectionSequence,
-    as_table,
     blend_round,
     bump_weight,
     compute_delta,
@@ -60,6 +58,7 @@ from .lipschitz import (
 from .metric import (
     SampledMetricSpace,
     SeparationHierarchy,
+    as_table,
     build_separation_hierarchy,
     covering_radius,
     greedy_maximal_separation,

@@ -40,7 +40,7 @@ from .lipschitz import (
     ray_scales,
     verify_homogeneous_plip,
 )
-from .metric import SampledMetricSpace, covering_radius
+from .metric import BLOCK_ROWS, SampledMetricSpace, covering_radius
 
 COORD_SNAP = 1e-12
 # T tau(y) = y must hold to this residual; the ray rate to this slack
@@ -53,7 +53,10 @@ def sphere_sample(m: int, count: int, seed: int = 0, dedup_tol: float = 1e-6) ->
 
     ``m = 1``: the two points -1, +1.  ``m = 2``: a uniform angular grid
     (axis-aligned points snap to exact coordinates).  ``m >= 3``: seeded
-    normalized Gaussian draws, deduplicated at ``dedup_tol``.
+    normalized Gaussian draws, deduplicated at ``dedup_tol``: a draw is
+    skipped when an earlier kept direction lies within ``dedup_tol`` of it.
+    Draws come in batches of the missing rows; a sample still short after
+    ``100 * count`` draws is a :class:`ConfigurationError`.
     """
     if m < 1:
         raise ParameterError("sphere dimension must be at least 1")
@@ -71,23 +74,30 @@ def sphere_sample(m: int, count: int, seed: int = 0, dedup_tol: float = 1e-6) ->
         coords = np.empty((count, m))
         drawn = attempts = 0
         while drawn < count:
-            attempts += 1
-            if attempts > 100 * count:
+            # the missing rows in one draw, the same stream as one at a time
+            k = min(count - drawn, 100 * count - attempts)
+            if k == 0:
                 raise ConfigurationError(
                     "could not draw enough distinct sphere directions"
                 )
-            v = rng.normal(size=m)
-            nrm = np.linalg.norm(v)
-            if nrm == 0.0:
-                continue
-            v = v / nrm
-            # chord lengths as row dot products, bitwise equal to the norm
-            # of each difference taken alone
-            gaps = coords[:drawn] - v
-            if np.any(np.sqrt(np.vecdot(gaps, gaps)) < dedup_tol):
-                continue
-            coords[drawn] = v
-            drawn += 1
+            attempts += k
+            batch = rng.normal(size=(k, m))
+            nrm = _row_norms(batch)
+            batch = batch[nrm > 0.0] / nrm[nrm > 0.0, None]
+            for start in range(0, len(batch), BLOCK_ROWS):
+                block = batch[start : start + BLOCK_ROWS]
+                # chord lengths as row dot products, bitwise equal to the
+                # norm of each difference taken alone
+                gaps = coords[:drawn, None] - block
+                keep = ~np.any(np.sqrt(np.vecdot(gaps, gaps)) < dedup_tol, axis=0)
+                gaps = block[:, None] - block
+                near = np.tril(np.sqrt(np.vecdot(gaps, gaps)) < dedup_tol, -1)
+                # in draw order: a draw near a kept earlier one is skipped
+                for i in np.flatnonzero(near.any(axis=1)):
+                    keep[i] &= not np.any(keep & near[i])
+                kept = block[keep]
+                coords[drawn : drawn + len(kept)] = kept
+                drawn += len(kept)
     return SampledMetricSpace("l2", coords=coords)
 
 
@@ -144,7 +154,7 @@ def build_right_inverse(
         rounds=rounds,
     )
     seq = run_iteration(phi, f0, config)
-    table = SphereTable(sphere, seq.final.table)
+    table = SphereTable(sphere, seq.tables[-1])
     eta = 2.0 * beta + table.sup_norm()
     return RightInverse(
         T=T,

@@ -211,9 +211,9 @@ def _cmd_select(opts) -> int:
     if opts.get("tables_dir"):
         tables_dir = Path(opts["tables_dir"])
         tables_dir.mkdir(parents=True, exist_ok=True)
-        for sel in seq.selections:
-            path = tables_dir / f"f{sel.round_index}.csv"
-            path.write_text(selection_csv_text(phi.space, sel.table), encoding="ascii")
+        for n, table in enumerate(seq.tables):
+            path = tables_dir / f"f{n}.csv"
+            path.write_text(selection_csv_text(phi.space, table), encoding="ascii")
         print(f"selection tables written to {tables_dir}")
     return EXIT_OK if audit["passed"] else EXIT_CHECK_FAILED
 

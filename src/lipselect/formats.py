@@ -1,9 +1,10 @@
 """Canonical report emission and document (de)serialization.
 
 Reports must be byte-identical across repeated runs, so floats are written
-with a fixed 17-significant-digit format (which round-trips doubles
-exactly), object keys are emitted sorted, and no locale- or
-platform-dependent formatting is used.
+with a fixed 17-significant-digit format, which round-trips every double
+but negative zero: ``%.17g`` writes it ``-0``, which JSON readers take for
+the integer 0, so it is written ``-0.0``.  Object keys are emitted sorted,
+and no locale- or platform-dependent formatting is used.
 
 Selection tables are emitted as blocks: one ``%.17g`` template per table
 shape, rows in sorted-key order, filled by one ``%`` with the whole table,
@@ -14,27 +15,27 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from functools import lru_cache
 from typing import Any, List, Optional
 
 import numpy as np
 
 from .errors import SchemaError, as_finite_array
-from .iteration import (
-    IterationConfig,
-    RoundRecord,
-    Selection,
-    SelectionSequence,
-    as_table,
-)
-from .metric import SampledMetricSpace, SeparationHierarchy, SeparationRound
+from .iteration import IterationConfig, RoundRecord, SelectionSequence
+from .metric import SampledMetricSpace, SeparationHierarchy, SeparationRound, as_table
+
+
+# "%.17g" ends a number with "-0" only for negative zero (exponents have
+# two digits)
+_NEGATIVE_ZERO = re.compile(r"-0(?=[],\n])")
 
 
 def format_float(x: float) -> str:
     x = float(x)
     if not math.isfinite(x):
         raise SchemaError("reports must not contain non-finite numbers")
-    return format(x, ".17g")
+    return "-0.0" if x == 0.0 and math.copysign(1.0, x) < 0.0 else format(x, ".17g")
 
 
 class Rendered(str):
@@ -51,11 +52,13 @@ def _keyed_rows(n: int, width: int) -> tuple:
 
 
 def _fill(template: str, table: np.ndarray) -> str:
-    """``template`` filled with the entries of ``table`` in row-major order;
-    a non-finite entry is a :class:`SchemaError`, as in ``format_float``."""
+    """``template`` filled with the entries of ``table`` in row-major order,
+    each as ``format_float`` writes it: a non-finite entry is a
+    :class:`SchemaError`, and negative zero reads ``-0.0``."""
     if not np.isfinite(table).all():
         raise SchemaError("reports must not contain non-finite numbers")
-    return template % tuple(table.ravel().tolist())
+    text = template % tuple(table.ravel().tolist())
+    return _NEGATIVE_ZERO.sub("-0.0", text) if np.signbit(table[table == 0.0]).any() else text
 
 
 def _canonical(obj: Any, out: List[str]) -> None:
@@ -136,7 +139,7 @@ def sequence_to_dict(seq: SelectionSequence) -> dict:
     """Exportable view of a run: config, hierarchy, per-round evidence, and
     the selection tables as rendered blocks (anchored local selections are
     not exported)."""
-    template, order = _keyed_rows(*seq.final.table.shape)
+    template, order = _keyed_rows(*seq.tables.shape[1:])
     return {
         "config": seq.config.to_json_dict(),
         "hierarchy": seq.hierarchy.to_json_dict(),
@@ -151,11 +154,8 @@ def sequence_to_dict(seq: SelectionSequence) -> dict:
             for record in seq.rounds
         ],
         "selections": [
-            {
-                "round": sel.round_index,
-                "values": Rendered(_fill(template, sel.table[order])),
-            }
-            for sel in seq.selections
+            {"round": n, "values": Rendered(_fill(template, table[order]))}
+            for n, table in enumerate(seq.tables)
         ],
     }
 
@@ -181,8 +181,8 @@ def sequence_from_dict(doc: dict, correspondence) -> SelectionSequence:
     """Rebuild a stored sequence against its correspondence for re-checking.
 
     Anchored tables are not stored; the verification checks do not need
-    them.  A missing field, a ragged row or a value of the wrong type is a
-    :class:`SchemaError`.
+    them.  A missing field, a ragged row, a value of the wrong type or a
+    selection whose ``round`` is not its position is a :class:`SchemaError`.
     """
     if not isinstance(doc, dict):
         raise SchemaError("sequence document must be a JSON object")
@@ -216,23 +216,21 @@ def sequence_from_dict(doc: dict, correspondence) -> SelectionSequence:
                     sup_change=float(as_finite_array(rd["sup_change"], "sup_change")),
                 )
             )
-        selections = [
-            Selection(
-                table=table_from_dict(sel_doc, space, correspondence.ambient_dim),
-                round_index=_integer(sel_doc["round"]),
-            )
-            for sel_doc in doc["selections"]
-        ]
+        tables = []
+        for pos, sel_doc in enumerate(doc["selections"]):
+            if _integer(sel_doc["round"]) != pos:
+                raise SchemaError(f"selection {pos} is stored as round {sel_doc['round']!r}")
+            tables.append(table_from_dict(sel_doc, space, correspondence.ambient_dim))
     except KeyError as exc:
         raise SchemaError(f"sequence document is missing {exc}") from None
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"malformed sequence document: {exc}") from None
-    if len(selections) != len(rounds) + 1:
+    if len(tables) != len(rounds) + 1:
         raise SchemaError("stored sequence must hold one selection per round plus f0")
     return SelectionSequence(
         correspondence=correspondence,
         config=config,
         hierarchy=hierarchy,
-        selections=selections,
+        tables=np.stack(tables),
         rounds=rounds,
     )

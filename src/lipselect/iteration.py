@@ -29,15 +29,15 @@ geometric tail ``2^-N * epsilon``; equality of consecutive tables on
 checked bitwise.
 
 Every table is one ``(N, d)`` float array whose row ``i`` is the value at
-point ``i``; :func:`as_table` is the one entry point that checks a table
-given from outside.
+point ``i``; a run holds ``f_0 .. f_N`` stacked in one array, of shape
+``(N + 1, len(space), d)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,12 +49,12 @@ from .errors import (
     PreconditionError,
     RateError,
     SchemaError,
-    ShapeError,
     as_finite_array,
 )
 from .metric import (
     SampledMetricSpace,
     SeparationHierarchy,
+    as_table,
     build_separation_hierarchy,
 )
 
@@ -66,43 +66,9 @@ MEMBERSHIP_TOL = 1e-8
 BOUND_SLACK = 1e-9
 
 
-@dataclass
-class Selection:
-    """A sampled map: row ``i`` of ``table`` is the value at point ``i``."""
-
-    table: np.ndarray
-    round_index: int = 0
-
-    def sup_distance(self, other: "Selection") -> float:
-        if self.table.shape != other.table.shape:
-            raise ShapeError(
-                f"tables of shapes {self.table.shape} and {other.table.shape} differ"
-            )
-        return float(np.linalg.norm(self.table - other.table, axis=1).max())
-
-
-TableLike = Union[Selection, np.ndarray]
-
-
-def as_table(
-    values: TableLike, space: SampledMetricSpace, dim: Optional[int] = None
-) -> np.ndarray:
-    """The ``(N, d)`` table of a sampled map given as a :class:`Selection`
-    or an array with one row per point.  Scalar values count as 1-vectors;
-    every entry must be finite.  When ``dim`` is given, rows of any other
-    width are a :class:`ShapeError`."""
-    if isinstance(values, Selection):
-        values = values.table
-    table = as_finite_array(values, "selection table")
-    if table.ndim == 1:
-        table = table[:, None]
-    if table.ndim != 2 or table.shape[0] != len(space):
-        raise ShapeError(
-            f"a table needs one row per point ({len(space)}), got shape {table.shape}"
-        )
-    if dim is not None and table.shape[1] != dim:
-        raise ShapeError(f"table rows have width {table.shape[1]}, expected {dim}")
-    return table
+def _sup_distance(f: np.ndarray, g: np.ndarray) -> float:
+    """Uniform distance between two tables of one shape."""
+    return float(np.linalg.norm(f - g, axis=1).max())
 
 
 @dataclass
@@ -182,12 +148,13 @@ class IterationConfig:
 
 @dataclass
 class SelectionSequence:
-    """The full output of a run: ``f_0 .. f_N`` plus per-round evidence."""
+    """The full output of a run: ``f_0 .. f_N`` as one array, ``tables[n]``
+    being ``f_n``, plus per-round evidence."""
 
     correspondence: Correspondence
     config: IterationConfig
     hierarchy: SeparationHierarchy
-    selections: List[Selection]
+    tables: np.ndarray
     rounds: List[RoundRecord]
 
     @property
@@ -195,26 +162,17 @@ class SelectionSequence:
         return self.correspondence.space
 
     @property
-    def final(self) -> Selection:
-        return self.selections[-1]
-
-    @property
     def tail_bound(self) -> float:
         """Continuing the construction past ``f_N`` could move it by at most
         ``sum_{j>N} 2^-j eps = 2^-N eps``."""
         return 2.0 ** (-self.rounds[-1].n) * self.config.epsilon
 
-    def entry_round(self, b) -> int:
-        """First round whose separation contains ``b``."""
-        for record in self.rounds:
-            if b in record.members:
-                return record.n
-        raise PreconditionError(f"{b!r} never entered the separation hierarchy")
-
     def entry_delta(self, b) -> float:
         """Adjustment radius recorded when ``b`` entered the hierarchy."""
-        record = self.rounds[self.entry_round(b) - 1]
-        return record.deltas[b]
+        for record in self.rounds:
+            if b in record.deltas:
+                return record.deltas[b]
+        raise PreconditionError(f"{b!r} never entered the separation hierarchy")
 
 
 def _trapezoid(delta: float, dist):
@@ -267,7 +225,7 @@ def compute_delta(
     return deltas
 
 
-def blend_round(f_prev: Selection, anchored: AnchoredPairs, deltas: np.ndarray, n: int) -> Selection:
+def blend_round(f_prev: np.ndarray, anchored: AnchoredPairs, deltas: np.ndarray) -> np.ndarray:
     """One blending step: mix ``f_prev`` with the anchored tables of the
     round's new anchors, ``deltas`` their radii.
 
@@ -280,23 +238,23 @@ def blend_round(f_prev: Selection, anchored: AnchoredPairs, deltas: np.ndarray, 
     delta = deltas[anchored.owner]
     support = anchored.dist < 2.0 * delta
     rows = anchored.rows[support]
-    covered = np.bincount(rows, minlength=len(f_prev.table))
+    covered = np.bincount(rows, minlength=len(f_prev))
     if covered.max() > 1:
         i = int(np.argmax(covered > 1))
         owners = anchored.anchors[anchored.owner[support][rows == i]].tolist()
         raise InvariantViolationError(f"adjustment supports overlap at {i!r}: anchors {owners!r}")
     w = _trapezoid(delta[support], anchored.dist[support])[:, None]
-    f, g = f_prev.table[rows], anchored.values[support]
+    f, g = f_prev[rows], anchored.values[support]
     # mixing equal endpoints is the identity; keep the previous row
     same = np.all(f == g, axis=1)[:, None]
-    table = f_prev.table.copy()
+    table = f_prev.copy()
     table[rows] = np.where(same, f, np.where(w >= 1.0, g, (1.0 - w) * f + w * g))
-    return Selection(table=table, round_index=n)
+    return table
 
 
 def run_iteration(
     phi: Correspondence,
-    f0: TableLike,
+    f0: np.ndarray,
     config: IterationConfig,
 ) -> SelectionSequence:
     """Execute all rounds and retain the evidence.
@@ -309,15 +267,15 @@ def run_iteration(
     round; the recorded ``sup_change`` is the realized displacement.
     """
     space = phi.space
-    f0 = Selection(table=as_table(f0, space, phi.ambient_dim), round_index=0)
-    outside = np.flatnonzero(~(phi.distances_to(f0.table) <= max(config.tol, 1e-9)))
+    f0 = as_table(f0, space, phi.ambient_dim)
+    outside = np.flatnonzero(~(phi.distances_to(f0) <= max(config.tol, 1e-9)))
     if outside.size:
         raise PreconditionError(
             f"f0 is not a selection of the correspondence at {int(outside[0])!r}"
         )
 
     hierarchy = build_separation_hierarchy(space, config.rounds)
-    selections = [f0]
+    tables = [f0]
     rounds: List[RoundRecord] = []
     prev_members: set = set()
     f_prev = f0
@@ -328,31 +286,31 @@ def run_iteration(
             anchored = anchored_selection(
                 phi,
                 new_points,
-                f_prev.table[list(new_points)],
+                f_prev[list(new_points)],
                 rate=config.alpha,
                 radius=2.0 ** (-(n + 1)),
                 tol=config.tol,
             )
         except RateError as exc:
             raise RateError(f"round {n}, {exc}", witness=exc.witness, excess=exc.excess) from exc
-        deltas = compute_delta(f_prev.table, anchored, n, config.epsilon, config.delta_min)
+        deltas = compute_delta(f_prev, anchored, n, config.epsilon, config.delta_min)
         record = RoundRecord(
             n=n,
             members=sep_round.members,
             new_points=new_points,
             deltas=dict(zip(new_points, deltas.tolist())),
         )
-        f_next = blend_round(f_prev, anchored, deltas, n)
-        record.sup_change = f_next.sup_distance(f_prev)
+        f_next = blend_round(f_prev, anchored, deltas)
+        record.sup_change = _sup_distance(f_next, f_prev)
         rounds.append(record)
-        selections.append(f_next)
+        tables.append(f_next)
         prev_members = set(sep_round.members)
         f_prev = f_next
     return SelectionSequence(
         correspondence=phi,
         config=config,
         hierarchy=hierarchy,
-        selections=selections,
+        tables=np.stack(tables),
         rounds=rounds,
     )
 
@@ -373,7 +331,7 @@ def verify_round_properties(seq: SelectionSequence, n: int) -> Dict[str, dict]:
         raise PreconditionError(f"round {n} was never executed")
     record = seq.rounds[n - 1]
     space = seq.space
-    f_n = seq.selections[n].table
+    f_n = seq.tables[n]
     checks: Dict[str, dict] = {}
 
     member = seq.correspondence.distances_to(f_n)
@@ -386,7 +344,7 @@ def verify_round_properties(seq: SelectionSequence, n: int) -> Dict[str, dict]:
         detail=f"max body distance {worst_member:.3e} at {worst_point!r}",
     )
 
-    sup_change = seq.selections[n].sup_distance(seq.selections[n - 1])
+    sup_change = _sup_distance(f_n, seq.tables[n - 1])
     bound = 2.0 ** (-n) * seq.config.epsilon
     checks["sup_change_bound"] = dict(
         passed=sup_change <= bound + BOUND_SLACK,
@@ -417,7 +375,7 @@ def verify_round_properties(seq: SelectionSequence, n: int) -> Dict[str, dict]:
     radius = 2.0 ** (-n)
     moved = np.zeros(len(space), dtype=bool)
     for k in range(n - 1, 0, -1):
-        moved |= np.any(seq.selections[k].table != f_n, axis=1)
+        moved |= np.any(seq.tables[k] != f_n, axis=1)
         protecting = np.count_nonzero(space.rows(seq.rounds[k - 1].members) < radius, axis=0)
         mismatches += int(protecting[moved].sum())
     checks["earlier_anchor_coincidence"] = dict(
@@ -431,8 +389,8 @@ def verify_round_properties(seq: SelectionSequence, n: int) -> Dict[str, dict]:
 def _metadata_problems(seq: SelectionSequence) -> List[str]:
     """What a run of the engine on this space could not have stored: a
     hierarchy other than the greedy one, ``new != B_n \\ B_(n-1)``, rounds
-    or selections out of order, rounds of another count than configured,
-    and radii outside the halving schedule ``[delta_min, 2^-(n+2)]``."""
+    out of order, rounds of another count than configured, and radii
+    outside the halving schedule ``[delta_min, 2^-(n+2)]``."""
     problems = []
     if seq.config.rounds != len(seq.rounds):
         problems.append(f"config.rounds is {seq.config.rounds} but {len(seq.rounds)} rounds are stored")
@@ -453,9 +411,6 @@ def _metadata_problems(seq: SelectionSequence) -> List[str]:
         if outside:
             problems.append(f"round {pos}: delta at {outside[0]!r} outside [delta_min, {upper}]")
         prev = set(record.members)
-    for pos, sel in enumerate(seq.selections):
-        if sel.round_index != pos:
-            problems.append(f"selection {pos} is stored as round {sel.round_index}")
     return problems
 
 
@@ -478,7 +433,7 @@ def verify_sequence(seq: SelectionSequence) -> dict:
 
     # the round checks already measured f_1 .. f_N
     worst = max(
-        [float(seq.correspondence.distances_to(seq.selections[0].table).max())]
+        [float(seq.correspondence.distances_to(seq.tables[0]).max())]
         + [r["checks"]["selection_membership"]["worst"] for r in rounds]
     )
     checks["selection_closure"] = dict(
@@ -488,9 +443,9 @@ def verify_sequence(seq: SelectionSequence) -> dict:
     )
 
     worst_gap = 0.0
-    for n in range(len(seq.selections)):
-        for m in range(n + 1, len(seq.selections)):
-            direct = seq.selections[m].sup_distance(seq.selections[n])
+    for n in range(len(seq.tables)):
+        for m in range(n + 1, len(seq.tables)):
+            direct = _sup_distance(seq.tables[m], seq.tables[n])
             budget = sum(seq.rounds[j - 1].sup_change for j in range(n + 1, m + 1))
             worst_gap = max(worst_gap, direct - budget)
     checks["telescoping"] = dict(
@@ -502,9 +457,8 @@ def verify_sequence(seq: SelectionSequence) -> dict:
     frozen_violations = 0
     for record in seq.rounds:
         rows = list(record.new_points)
-        entry = seq.selections[record.n].table[rows]
-        for later in seq.selections[record.n + 1 :]:
-            frozen_violations += int(np.count_nonzero(np.any(later.table[rows] != entry, axis=1)))
+        later = seq.tables[record.n + 1 :, rows]
+        frozen_violations += int(np.count_nonzero(np.any(later != seq.tables[record.n, rows], axis=-1)))
     checks["eventually_constant_anchors"] = dict(
         passed=frozen_violations == 0,
         worst=float(frozen_violations),

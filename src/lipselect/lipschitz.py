@@ -36,8 +36,7 @@ from .errors import (
     ResolutionError,
     ShapeError,
 )
-from .iteration import TableLike, as_table
-from .metric import BLOCK_ROWS, SampledMetricSpace
+from .metric import BLOCK_ROWS, SampledMetricSpace, as_table
 
 # the estimate is the max ratio over this many smallest informative radii
 INFORMATIVE_COUNT = 3
@@ -71,7 +70,7 @@ def _ball_ratios(dist, dev, radii, closed=True):
 
 
 def plip_profile(
-    values: TableLike,
+    values: np.ndarray,
     space: SampledMetricSpace,
     points,
     radii: Sequence[float],
@@ -113,7 +112,7 @@ def plip_profile(
 
 
 def open_closed_consistency(
-    values: TableLike,
+    values: np.ndarray,
     space: SampledMetricSpace,
     b: int,
     radii: Sequence[float],
@@ -148,7 +147,7 @@ class SphereTable:
     coordinate sample under the chord (``l2``) metric, are the sampled unit
     vectors, and row ``k`` of ``values`` is the image of direction ``k``."""
 
-    def __init__(self, space: SampledMetricSpace, values: TableLike):
+    def __init__(self, space: SampledMetricSpace, values: np.ndarray):
         if space.metric_kind != "l2":
             raise PreconditionError("sphere directions need the chord (l2) metric")
         if np.max(np.abs(np.linalg.norm(space.coords, axis=1) - 1.0)) > 1e-9:
@@ -275,11 +274,16 @@ def verify_homogeneous_plip(
     sphere_dev = np.linalg.norm(values[cols] - values[ks, None], axis=-1)
     sphere_est = _ball_ratios(ring, sphere_dev, rings)[0].max(axis=1, initial=0.0)[ray]
 
-    # (P, 3, columns) probes s' d_j - z and values s' f_j - s f_k; the
-    # probe at z itself is 0 in both and changes no ratio
+    # (P, 3, columns) probes s' d_j - z and values s' f_j - s f_k, each
+    # one array subtracted in place; the probe at z itself is 0 in both and
+    # changes no ratio
     steps = (scale[:, None] * np.array([1.0 - rho, 1.0, 1.0 + rho]))[:, :, None, None]
-    dist = _row_norms(steps * directions[cols[ray]][:, None] - (scale[:, None] * directions[ks[ray]])[:, None, None])
-    dev = _row_norms(steps * values[cols[ray]][:, None] - (scale[:, None] * values[ks[ray]])[:, None, None])
+    dist = steps * directions[cols[ray]][:, None]
+    dist -= (scale[:, None] * directions[ks[ray]])[:, None, None]
+    dist = _row_norms(dist)
+    dev = steps * values[cols[ray]][:, None]
+    dev -= (scale[:, None] * values[ks[ray]])[:, None, None]
+    dev = _row_norms(dev)
     # one ball per ring, the radial one (distance 0) first; a ring with no
     # probe away from z gives radius 0 and no ball
     masks = ring[ray, None, :] == np.concatenate([np.zeros((len(ks), 1)), rings], axis=1)[ray, :, None]
@@ -366,7 +370,7 @@ class LipschitzUpgradeReport:
 
 
 def global_lipschitz_upgrade_check(
-    values: TableLike,
+    values: np.ndarray,
     space: SampledMetricSpace,
     alpha: float,
     r0: float,

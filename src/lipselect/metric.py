@@ -10,7 +10,8 @@ separation members, not ``N^2``; value norms stay with ``_row_norms``.  On
 top of it this module builds maximal ``r``-separations by a deterministic
 greedy scan and the nested separation hierarchy with radii
 ``r_n = 2^-(n-1)``, and measures density of a subset through its covering
-radius.
+radius.  A sampled map on a space is its table, one row per point, which
+:func:`as_table` checks where it enters from outside.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import (
     IdentifierError,
     PreconditionError,
     SchemaError,
+    ShapeError,
     as_finite_array,
 )
 
@@ -265,6 +267,23 @@ class SampledMetricSpace:
             "metric": self.metric_kind,
             "points": [[float(x) for x in row] for row in self._coords],
         }
+
+
+def as_table(values, space: SampledMetricSpace, dim=None) -> np.ndarray:
+    """The ``(N, d)`` table of a sampled map given as an array with one row
+    per point.  Scalar values count as 1-vectors; every entry must be
+    finite.  When ``dim`` is given, rows of any other width are a
+    :class:`ShapeError`."""
+    table = as_finite_array(values, "selection table")
+    if table.ndim == 1:
+        table = table[:, None]
+    if table.ndim != 2 or table.shape[0] != len(space):
+        raise ShapeError(
+            f"a table needs one row per point ({len(space)}), got shape {table.shape}"
+        )
+    if dim is not None and table.shape[1] != dim:
+        raise ShapeError(f"table rows have width {table.shape[1]}, expected {dim}")
+    return table
 
 
 def greedy_maximal_separation(space: SampledMetricSpace, r: float, seed: Iterable = ()) -> tuple:

@@ -119,10 +119,10 @@ def test_criterion_3_selection_closure_and_tail(segment_run, ball_runs):
         (f"balls{i}", run) for i, run in enumerate(ball_runs)
     ]:
         phi = seq.correspondence
-        for sel in seq.selections:
-            for a, x in enumerate(sel.table):
+        for n, table in enumerate(seq.tables):
+            for a, x in enumerate(table):
                 if not phi.body(a).contains(x, tol=1e-8):
-                    failures.append((tag, sel.round_index, a))
+                    failures.append((tag, n, a))
                     break
         audit = ls.verify_sequence(seq)
         if not audit["sequence_checks"]["telescoping"]["passed"]:
@@ -131,8 +131,8 @@ def test_criterion_3_selection_closure_and_tail(segment_run, ball_runs):
         if seq.tail_bound != 2.0 ** (-n_rounds) * seq.config.epsilon:
             failures.append((tag, "tail_bound"))
         # recorded displacements telescope above the realized gap f_N vs f_n
-        for n in range(len(seq.selections) - 1):
-            direct = seq.selections[-1].sup_distance(seq.selections[n])
+        for n in range(len(seq.tables) - 1):
+            direct = float(np.linalg.norm(seq.tables[-1] - seq.tables[n], axis=1).max())
             budget = sum(r.sup_change for r in seq.rounds[n:])
             if not direct <= budget + 1e-12:
                 failures.append((tag, n, "telescope_gap"))
@@ -155,7 +155,7 @@ def test_criterion_4_limit_audit(segment_run, ball_runs):
         for b in final_members:
             cap = min(seq.entry_delta(b), 2.0 ** (-n_rounds))
             estimate = ls.plip_profile(
-                seq.final, space, [b], [cap, cap / 2.0, cap / 4.0]
+                seq.tables[-1], space, [b], [cap, cap / 2.0, cap / 4.0]
             ).estimates[0]
             worst_overall = max(worst_overall, estimate)
             if not estimate <= beta + 1e-6:

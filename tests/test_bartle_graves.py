@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import lipselect as ls
-from lipselect.errors import IdentifierError, ParameterError, PreconditionError
+from lipselect.errors import ConfigurationError, IdentifierError, ParameterError, PreconditionError
 
 from conftest import sphere_table
 
@@ -74,6 +74,11 @@ class TestSphereSample:
     def test_count_validation(self):
         with pytest.raises(ParameterError):
             ls.sphere_sample(2, 1)
+
+    def test_draw_budget(self):
+        # 100 directions of R^5 pairwise 0.9 apart are not found in 100 * 100 draws
+        with pytest.raises(ConfigurationError, match="distinct sphere directions"):
+            ls.sphere_sample(5, 100, seed=3, dedup_tol=0.9)
 
     @pytest.mark.parametrize("m, count, dedup_tol", [(3, 64, 1e-6), (3, 40, 0.35), (4, 30, 0.6)])
     def test_dedup_matches_the_per_pair_rule(self, m, count, dedup_tol):

@@ -16,6 +16,7 @@ from lipselect.formats import (
     selection_csv_text,
     sequence_from_dict,
     sequence_to_dict,
+    table_from_dict,
     write_report,
 )
 
@@ -195,11 +196,15 @@ class TestSelectAndVerify:
             lambda doc: doc["rounds"][1]["deltas"].update({str(doc["rounds"][0]["new"][0]): 123.0}),
             lambda doc: doc["rounds"][1]["deltas"].update({"-1": 123.0}),
             *[respell_member(spelling) for spelling in ("05", " 5", "5.0", True, "\u0665")],
+            lambda doc: [
+                sel.update(round=len(doc["selections"]) - 1 - pos) for pos, sel in enumerate(doc["selections"])
+            ],
         ],
         ids=[
             "config.rounds", "sup_change", "selection_round", "ragged_row", "narrow_rows", "wide_rows",
             "negative_member", "delta_at_old_member", "delta_at_negative_row",
             "leading_zero", "leading_space", "decimal_point", "bool", "arabic_indic_digit",
+            "selections_relabelled",
         ],
     )
     def test_malformed_sequence_is_schema_error(self, tmp_path, corrupt):
@@ -237,13 +242,10 @@ class TestSelectAndVerify:
                 {k: 1.0 for k in doc["rounds"][0]["deltas"]}
             ),
             lambda doc: [rd.update(n=4 - rd["n"]) for rd in doc["rounds"]],
-            lambda doc: [
-                sel.update(round=len(doc["selections"]) - 1 - pos) for pos, sel in enumerate(doc["selections"])
-            ],
         ],
         ids=[
             "rounds_99_one_round_hierarchy", "emptied_hierarchy", "anchor_left_out_of_new", "delta_too_large",
-            "rounds_reversed", "selections_relabelled",
+            "rounds_reversed",
         ],
     )
     def test_forged_metadata_fails(self, tmp_path, forge):
@@ -606,7 +608,7 @@ def generic_sequence_text(table):
 
 def one_table_sequence(table):
     config = ls.IterationConfig(alpha=0.0, beta=1.0)
-    return ls.SelectionSequence(None, config, ls.SeparationHierarchy(rounds=()), [ls.Selection(table)], [])
+    return ls.SelectionSequence(None, config, ls.SeparationHierarchy(rounds=()), table[None], [])
 
 
 @seed(13)
@@ -636,6 +638,17 @@ def test_block_emission_equals_the_generic_recursion(n, width, picks, rng_seed):
             dumps_canonical(sequence_to_dict(one_table_sequence(broken)))
         with pytest.raises(ls.SchemaError):
             selection_csv_text(space, broken)
+
+
+def test_every_double_reads_back_from_a_rendered_table():
+    """``%.17g`` writes negative zero as ``-0``, which a JSON reader takes
+    for the integer 0; both emissions write ``-0.0``, so each double of a
+    table parses back to its own bits."""
+    table = np.array(SPECIAL_DOUBLES).reshape(-1, 2)
+    space = ls.SampledMetricSpace("l2", coords=np.arange(len(table), dtype=float)[:, None])
+    for text in (dumps_canonical(sequence_to_dict(one_table_sequence(table))), generic_sequence_text(table)):
+        back = table_from_dict(json.loads(text)["selections"][0], space)
+        assert back.tobytes() == table.tobytes()
 
 
 # any JSON value that asks for no large sample: numbers at most 64, short

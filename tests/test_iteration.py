@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from lipselect.errors import (
     RateError,
     SchemaError,
 )
+from lipselect.formats import dumps_canonical, sequence_from_dict, sequence_to_dict
 
 from conftest import grid_space, line_space, mixed_bodies, moving_ball_instance, segment_instance
 
@@ -125,16 +127,15 @@ class TestComputeDelta:
 
 
 class TestBlendRound:
-    def _blend(self, f_prev, space, tables, deltas, n=1):
-        return ls.blend_round(ls.Selection(f_prev, n - 1), full_pairs(space, tables), np.array(deltas), n)
+    def _blend(self, f_prev, space, tables, deltas):
+        return ls.blend_round(f_prev, full_pairs(space, tables), np.array(deltas))
 
     def test_outside_supports_identity(self):
         space = line_space([0, 1.0])
         f_prev = np.array([[0.0, 0.0], [5.0, 5.0]])
         g = np.array([[0.0, 0.0], [9.0, 9.0]])
         out = self._blend(f_prev, space, {0: g}, [0.1])
-        assert out.table[1].tobytes() == f_prev[1].tobytes()
-        assert out.round_index == 1
+        assert out[1].tobytes() == f_prev[1].tobytes()
 
     def test_midpoint_convex_combination(self):
         # d(a, b) = 0.15, delta = 0.1 -> weight 0.5
@@ -142,14 +143,14 @@ class TestBlendRound:
         f_prev = np.array([[1.0, 0.0], [0.0, 0.0]])
         g = np.array([[1.0, 0.0], [1.0, 0.0]])
         out = self._blend(f_prev, space, {0: g}, [0.1])
-        np.testing.assert_allclose(out.table[1], [0.5, 0.0], atol=1e-15)
+        np.testing.assert_allclose(out[1], [0.5, 0.0], atol=1e-15)
 
     def test_inner_ball_takes_anchored_value_exactly(self):
         space = line_space([0, 0.08])
         f_prev = np.array([[1.0], [2.0]])
         g = np.array([[1.0], [7.0]])
         out = self._blend(f_prev, space, {0: g}, [0.1])
-        np.testing.assert_array_equal(out.table[1], [7.0])
+        np.testing.assert_array_equal(out[1], [7.0])
 
     def test_overlapping_supports_detected(self):
         space = line_space([0, 0.1, 0.2])
@@ -224,8 +225,24 @@ def test_batched_rounds_equal_the_per_anchor_engine(instance):
         reject()
     seq = ls.run_iteration(phi, f0, config)
     assert [r.deltas for r in seq.rounds] == want_radii
-    for sel, want in zip(seq.selections, want_tables, strict=True):
-        assert sel.table.tobytes() == want.tobytes()
+    for table, want in zip(seq.tables, want_tables, strict=True):
+        assert table.tobytes() == want.tobytes()
+
+
+@seed(17)
+@settings(max_examples=40, deadline=None)
+@given(mixed_instances())
+def test_rendered_sequence_reads_back_the_engine_run(instance):
+    """``verify`` re-checks the engine's exact tables and evidence: the
+    rendered sequence parses back to the same bytes and round records."""
+    phi, f0, config = instance
+    try:
+        seq = ls.run_iteration(phi, f0, config)
+    except ConvergenceError:
+        reject()
+    back = sequence_from_dict(json.loads(dumps_canonical(sequence_to_dict(seq))), phi)
+    assert back.tables.tobytes() == seq.tables.tobytes()
+    assert back.rounds == seq.rounds
 
 
 class TestLocality:
@@ -242,7 +259,7 @@ class TestLocality:
         config = ls.IterationConfig(alpha=1.0, beta=2.0, rounds=1)
         seq = ls.run_iteration(phi, f0, config)
         assert seq.rounds[0].new_points == (0, 1)
-        np.testing.assert_array_equal(seq.final.table, f0)
+        np.testing.assert_array_equal(seq.tables[-1], f0)
         assert ls.verify_sequence(seq)["passed"]
         with pytest.raises(RateError) as err:
             ls.local_strong_selection(phi, 0, f0[0], rate=1.0)
@@ -285,8 +302,8 @@ class TestRunIteration:
         seq = ls.run_iteration(phi, f0, config)
         for record in seq.rounds:
             assert record.sup_change == 0.0
-        for sel in seq.selections[1:]:
-            np.testing.assert_array_equal(sel.table, f0)
+        for table in seq.tables[1:]:
+            np.testing.assert_array_equal(table, f0)
 
     def test_two_point_space_single_round(self):
         space = line_space([0, 1.0])
@@ -296,7 +313,7 @@ class TestRunIteration:
         seq = ls.run_iteration(phi, f0, config)
         record = seq.rounds[0]
         assert set(record.new_points) == {0, 1}
-        f1 = seq.selections[1].table
+        f1 = seq.tables[1]
         for b in record.new_points:
             g = ls.local_strong_selection(phi, b, f0[b], rate=1.0)
             for a in range(len(space)):
@@ -323,7 +340,7 @@ class TestRunIteration:
 
     def test_f0_must_be_selection(self):
         phi, f0, config = constant_ball_run()
-        bad = ls.Selection(np.full((len(phi.space), 2), 9.0), 0)
+        bad = np.full((len(phi.space), 2), 9.0)
         with pytest.raises(PreconditionError):
             ls.run_iteration(phi, bad, config)
 
@@ -338,7 +355,7 @@ class TestLimitSelection:
     def test_constant_sequence_limit_is_f0(self):
         phi, f0, config = constant_ball_run()
         seq = ls.run_iteration(phi, f0, config)
-        np.testing.assert_array_equal(seq.final.table, f0)
+        np.testing.assert_array_equal(seq.tables[-1], f0)
 
 
 class TestVerifyRoundProperties:
@@ -353,7 +370,7 @@ class TestVerifyRoundProperties:
                 target = a
                 break
         assert target is not None
-        seq.selections[2].table[target] += 1e-3
+        seq.tables[2][target] += 1e-3
         checks = ls.verify_round_properties(seq, 2)
         assert not checks["earlier_anchor_coincidence"]["passed"]
 
@@ -364,7 +381,7 @@ class TestVerifyRoundProperties:
         first, second = record.new_points[:2]
         # push a point of each closed delta-ball away from its anchor, the
         # one of the second new anchor further
-        table = seq.selections[2].table
+        table = seq.tables[2]
         for b, push in ((first, 1e-4), (second, 1e-3)):
             a = next(a for a in range(len(phi.space)) if a != b and phi.space.distance(a, b) <= record.deltas[b])
             away = table[a] - table[b]
@@ -381,7 +398,7 @@ class TestVerifyRoundProperties:
         phi = ls.Correspondence(space, [ball] * 4)
         seq = ls.run_iteration(phi, np.zeros((4, 2)), ls.IterationConfig(alpha=0.0, beta=1.0, rounds=1))
         assert seq.rounds[0].new_points == (0, 2)
-        seq.selections[1].table[[1, 3]] += [0.25, 0.0]
+        seq.tables[1][[1, 3]] += [0.25, 0.0]
         check = ls.verify_round_properties(seq, 1)["anchored_strong_bound"]
         assert check["worst"] == 0.25
         assert check["detail"].endswith("(anchor 0)")
@@ -389,7 +406,7 @@ class TestVerifyRoundProperties:
     def test_fault_injection_membership(self):
         phi, f0, config = constant_ball_run()
         seq = ls.run_iteration(phi, f0, config)
-        seq.selections[1].table[0] += np.array([10.0, 0.0])
+        seq.tables[1][0] += np.array([10.0, 0.0])
         checks = ls.verify_round_properties(seq, 1)
         assert not checks["selection_membership"]["passed"]
 
@@ -406,17 +423,17 @@ class TestSequenceInvariants:
         seq = ls.run_iteration(phi, f0, config)
         for record in seq.rounds:
             for b in record.new_points:
-                entry = seq.selections[record.n].table[b]
-                for later in seq.selections[record.n + 1 :]:
-                    np.testing.assert_array_equal(later.table[b], entry)
+                entry = seq.tables[record.n][b]
+                for later in seq.tables[record.n + 1 :]:
+                    np.testing.assert_array_equal(later[b], entry)
 
     def test_cauchy_telescoping(self):
         phi, f0, config = moving_ball_instance(seed=2, n_points=129, rounds=3)
         seq = ls.run_iteration(phi, f0, config)
         eps = config.epsilon
-        for n in range(len(seq.selections)):
-            for m in range(n + 1, len(seq.selections)):
-                direct = seq.selections[m].sup_distance(seq.selections[n])
+        for n in range(len(seq.tables)):
+            for m in range(n + 1, len(seq.tables)):
+                direct = float(np.linalg.norm(seq.tables[m] - seq.tables[n], axis=1).max())
                 budget = sum(
                     2.0 ** (-j) * eps for j in range(n + 1, m + 1)
                 )

@@ -8,14 +8,14 @@ hashes every file left in the instance's directory: inputs, reports and
 tables.  It imports the ``src/`` and ``bench/`` of the checkout it lives in
 and changes nothing there.
 
-    python tools/output_digests.py --seeds 0 1 2 3 --out digests.json
+    python tools/output_digests.py --out digests.json
 
 Run it in two checkouts: the same digest for every file means the outputs
 are byte-identical.  ``--against`` compares with a file written in the other
 checkout, prints every file path and every instance exit pair that differ,
-and exits 1 if anything differs:
+and exits 1 if anything differs.  The seeds default to 0-9:
 
-    python tools/output_digests.py --seeds 0 1 2 3 --against parent.json
+    python tools/output_digests.py --against parent.json
 
 BLAS is pinned to one thread, as in the benchmark's workers, so that
 reductions keep one order.
@@ -88,7 +88,7 @@ def differences(theirs: dict, ours: dict) -> list:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3])
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(range(10)))
     parser.add_argument("--out", help="JSON file to write (default: standard output, unless --against)")
     parser.add_argument("--against", help="digest file to compare with; exit 1 if anything differs")
     args = parser.parse_args(argv)
