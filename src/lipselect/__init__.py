@@ -37,7 +37,6 @@ from .iteration import (
     RoundRecord,
     SelectionSequence,
     blend_round,
-    bump_weight,
     compute_delta,
     run_iteration,
     verify_round_properties,
@@ -51,7 +50,6 @@ from .lipschitz import (
     default_radii,
     global_lipschitz_upgrade_check,
     homogeneous_extension,
-    open_closed_consistency,
     plip_profile,
     verify_homogeneous_plip,
 )

@@ -5,14 +5,19 @@ Verbs: ``separate`` (separations and hierarchies of a space), ``select``
 ratio profiles of a stored table), ``bartle-graves`` (the right-inverse
 pipeline), ``verify`` (re-check a stored selection sequence).
 
-Exit status: 0 all requested checks pass, 1 a check failed, 2 input
-document/schema problem, 3 numeric precondition violation (including
-non-finite numbers), 4 internal convergence or degeneracy failure.
+The command line, read off ``VERBS``, is a verb and then ``--flag value``
+pairs, each flag exactly ``--config`` or an option key of the verb with
+``-`` for ``_`` (no abbreviations, no ``--flag=value``); the last of a
+repeated flag wins, and ``-h`` or ``--help`` anywhere prints the usage.
+
+Exit status: 0 all requested checks pass, 1 a check failed, 2 usage error
+or input document/schema problem, 3 numeric precondition violation
+(including non-finite numbers), 4 internal convergence or degeneracy
+failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -129,12 +134,12 @@ _CONVERTERS = {
 }
 
 
-def _merge_config(args: argparse.Namespace, keys) -> dict:
-    """Options from ``--config`` overridden by flags, each converted by the
-    converter of its key."""
+def _merge_config(flags: dict, keys) -> dict:
+    """Options from ``--config`` overridden by ``flags``, each converted by
+    the converter of its key."""
     merged = {}
-    if args.config:
-        doc = _load_json(args.config)
+    if "config" in flags:
+        doc = _load_json(flags["config"])
         if not isinstance(doc, dict):
             raise SchemaError("--config document must be a JSON object")
         for key, value in doc.items():
@@ -142,9 +147,8 @@ def _merge_config(args: argparse.Namespace, keys) -> dict:
                 raise SchemaError(f"unknown config key {key!r}")
             merged[key] = value
     for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
+        if key in flags:
+            merged[key] = flags[key]
     return {key: _CONVERTERS.get(key, _path)(key, value) for key, value in merged.items()}
 
 
@@ -332,27 +336,43 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lipselect",
-        description="Pointwise-Lipschitz selections over sampled metric spaces",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _usage() -> str:
+    lines = ["usage: lipselect VERB --FLAG VALUE ...", "(flags in brackets are optional; a --config JSON object may give any)"]
     for verb, (_, help_text, required, optional) in VERBS.items():
-        p = sub.add_parser(verb, help=help_text)
-        for key in ("config", *required, *optional):
-            p.add_argument(_flag(key))
-    return parser
+        flags = [_flag(key) for key in required] + [f"[{_flag(key)}]" for key in ("config", *optional)]
+        lines += [f"  {verb:<15}{help_text}", f"  {'':<15}{' '.join(flags)}"]
+    return "\n".join(lines) + "\n"
+
+
+def _parse(argv: list) -> tuple:
+    """The verb of ``argv`` and its flags as ``{key: text}``."""
+    verb, rest = argv[0], argv[1:]
+    if verb not in VERBS:
+        raise SchemaError(f"unknown verb {verb!r}; expected one of {', '.join(VERBS)}")
+    _, _, required, optional = VERBS[verb]
+    keys = {_flag(key): key for key in ("config", *required, *optional)}
+    flags = {}
+    for flag, value in zip(rest[::2], rest[1::2] + [None]):
+        if flag not in keys:
+            raise SchemaError(f"{verb} takes no flag {flag!r}")
+        if value is None:
+            raise SchemaError(f"{flag} needs a value")
+        flags[keys[flag]] = value
+    return verb, flags
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handler, _, required, optional = VERBS[args.command]
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or "-h" in argv or "--help" in argv:
+        print(_usage(), end="", file=sys.stdout if argv else sys.stderr)
+        return EXIT_OK if argv else EXIT_SCHEMA
     try:
-        opts = _merge_config(args, required + optional)
+        verb, flags = _parse(argv)
+        handler, _, required, optional = VERBS[verb]
+        opts = _merge_config(flags, required + optional)
         missing = [key for key in required if key not in opts]
         if missing:
-            raise SchemaError(f"{args.command} requires {_flag(missing[0])}")
+            raise SchemaError(f"{verb} requires {_flag(missing[0])}")
         return handler(opts)
     except _SCHEMA_ERRORS as exc:
         print(f"schema error: {exc}", file=sys.stderr)

@@ -23,6 +23,8 @@ kernels on it.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import (
@@ -310,7 +312,9 @@ class Polytope(ConvexBody):
         """Dykstra's method over the halfspaces, every infeasible row at
         once; a row is final at the first sweep whose residual (change of
         its correction increments, or its violation) is within
-        ``DYKSTRA_TOL``."""
+        ``DYKSTRA_TOL``.  A row still moving after ``DYKSTRA_MAX_SWEEPS``
+        (a slow zigzag into a narrow wedge) takes a certified point, if
+        any, from :func:`_certified_projection`."""
         normals, offsets, sq_norms, row_norms = stack[:4]
         out = np.array(ys, dtype=float)
         rows = np.flatnonzero(~np.all(_matvec(normals, out) <= offsets, axis=1))
@@ -344,11 +348,12 @@ class Polytope(ConvexBody):
                 rows, x, increments = rows[keep], x[keep], increments[keep]
                 normals, offsets, sq_norms, row_norms = (
                     a[keep] for a in (normals, offsets, sq_norms, row_norms))
-        raise ConvergenceError(
-            f"polytope projection did not reach {DYKSTRA_TOL} within "
-            f"{DYKSTRA_MAX_SWEEPS} sweeps",
-            residual=float(residual.max()),
-        )
+        # every halfspace with a positive multiplier at the projection is
+        # among those the last sweep touched
+        for j, row in enumerate(rows):
+            touched = np.flatnonzero(np.any(increments[j] != 0.0, axis=1))
+            out[row] = _certified_projection(normals[j], offsets[j], row_norms[j], out[row], touched, residual)
+        return out
 
     def project(self, y) -> np.ndarray:
         return self._single(self.project_stack, y)
@@ -360,6 +365,27 @@ class Polytope(ConvexBody):
                 {"normal": n, "offset": b} for n, b in zip(self.normals.tolist(), self.offsets.tolist())],
             "witness": self.witness.tolist(),
         }
+
+
+def _certified_projection(normals, offsets, row_norms, y, touched, residual):
+    """The projection of an infeasible ``y`` onto ``normals . x <= offsets``:
+    of the points ``x = y - lam . normals[active]`` on which some of the
+    ``touched`` halfspaces (fewest first, at most the dimension many) hold
+    as equalities, the first with the KKT certificate, feasible and ``lam >=
+    0`` within ``DYKSTRA_TOL`` in units of length.  Without one a
+    :class:`ConvergenceError` reports Dykstra's largest ``residual``."""
+    for size in range(1, min(len(touched), normals.shape[1]) + 1):
+        for active in map(list, itertools.combinations(touched, size)):
+            A, b = normals[active], offsets[active]
+            lam = np.linalg.lstsq(A @ A.T, A @ y - b, rcond=None)[0]
+            x = y - lam @ A
+            violation = np.max((normals @ x - offsets) / row_norms)
+            if violation <= DYKSTRA_TOL and np.all(lam * row_norms[active] >= -DYKSTRA_TOL):
+                return x
+    raise ConvergenceError(
+        f"polytope projection did not reach {DYKSTRA_TOL} within {DYKSTRA_MAX_SWEEPS} sweeps",
+        residual=float(residual.max()),
+    )
 
 
 _KINDS = {kind.KIND: kind for kind in (AffineFlat, Ball, Polytope)}

@@ -78,10 +78,6 @@ class LinearSurjection:
     def codomain_dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def domain_dim(self) -> int:
-        return self.matrix.shape[1]
-
     def apply(self, x) -> np.ndarray:
         return self.matrix @ np.asarray(x, dtype=float)
 

@@ -179,17 +179,6 @@ def _trapezoid(delta: float, dist):
     return np.clip((2.0 * delta - dist) / delta, 0.0, 1.0)
 
 
-def bump_weight(b, delta: float, a, space: SampledMetricSpace) -> float:
-    """Trapezoid bump ``clamp((2 delta - d(a, b)) / delta, 0, 1)``.
-
-    Equals 1 on the closed ``delta``-ball, 0 outside the open ``2 delta``-
-    ball, and is affine in the distance in between.
-    """
-    if delta <= 0:
-        raise PreconditionError("bump radius must be positive")
-    return float(_trapezoid(delta, space.distance(b, a)))
-
-
 def compute_delta(
     f_prev: np.ndarray,
     anchored: AnchoredPairs,

@@ -36,11 +36,10 @@ from .errors import (
     ResolutionError,
     ShapeError,
 )
-from .metric import BLOCK_ROWS, SampledMetricSpace, as_table
+from .metric import BLOCK_ROWS, SampledMetricSpace, _fold, as_table
 
 # the estimate is the max ratio over this many smallest informative radii
 INFORMATIVE_COUNT = 3
-OPEN_CLOSED_REL_TOL = 0.05
 RADIUS_LEVELS = 4
 
 
@@ -77,7 +76,8 @@ def plip_profile(
     closed: bool = True,
 ) -> PlipProfiles:
     """Ratio profiles of a sampled map at the base ``points`` over the given
-    radii, computed over blocks of ``BLOCK_ROWS`` points.
+    radii, computed over blocks of ``BLOCK_ROWS`` points; value deviations
+    come from the distance kernel, folded over the value columns.
 
     ``radii`` must be strictly decreasing and positive.  Balls are closed by
     default (open with ``closed=False``); a ball holding only its base
@@ -94,12 +94,13 @@ def plip_profile(
     points = np.array([space.index(a) for a in points], dtype=np.intp)
     ratios = np.empty((len(points), len(radii)))
     informative = np.empty(ratios.shape, dtype=bool)
+    columns = np.ascontiguousarray(table.T)
     for i in range(0, len(points), BLOCK_ROWS):
         block = points[i : i + BLOCK_ROWS]
         dist = space.rows(block)
         # out of every ball: the kernel counts the base itself, as deviation 0
         dist[np.arange(len(block)), block] = np.inf
-        deviations = np.linalg.norm(table - table[block, None], axis=-1)
+        deviations = _fold(columns, table[block])
         ratios[i : i + BLOCK_ROWS], informative[i : i + BLOCK_ROWS] = _ball_ratios(dist, deviations, radii, closed)
     resolved = informative.any(axis=1)
     if not resolved.all():
@@ -109,24 +110,6 @@ def plip_profile(
     smallest = informative & (np.cumsum(informative[:, ::-1], axis=1)[:, ::-1] <= INFORMATIVE_COUNT)
     estimates = np.max(ratios, axis=1, where=smallest, initial=0.0)
     return PlipProfiles(points, radii, ratios, informative, estimates)
-
-
-def open_closed_consistency(
-    values: np.ndarray,
-    space: SampledMetricSpace,
-    b: int,
-    radii: Sequence[float],
-) -> bool:
-    """Do open-ball and closed-ball estimates agree at small radii?
-
-    Individual rows may differ when a radius sits exactly on a sampled
-    distance; the surrogate of ball-type irrelevance is agreement of the
-    small-radius estimates within ``OPEN_CLOSED_REL_TOL`` scaled by their
-    magnitude.
-    """
-    closed_est = float(plip_profile(values, space, [b], radii, closed=True).estimates[0])
-    open_est = float(plip_profile(values, space, [b], radii, closed=False).estimates[0])
-    return abs(closed_est - open_est) <= OPEN_CLOSED_REL_TOL * max(1.0, closed_est, open_est)
 
 
 def default_radii(space: SampledMetricSpace) -> Tuple[float, ...]:

@@ -1,13 +1,14 @@
-"""Sampled metric spaces, ball queries, and maximal-separation machinery.
+"""Sampled metric spaces, their distance kernel, and maximal-separation machinery.
 
 A :class:`SampledMetricSpace` is the finite stand-in for a metric space
 ``(M, d)``: ``N`` points, each named by its row ``0..N-1``, together with
 an exact metric oracle, either a norm on stored coordinates (``l1``, ``l2``,
-``linf``) or an explicit symmetric distance matrix.  Every distance a
-coordinate space serves comes from one kernel, ``distances_from``, as rows
-kept from their first read, so a run costs memory for the rows of
-separation members, not ``N^2``; value norms stay with ``_row_norms``.  On
-top of it this module builds maximal ``r``-separations by a deterministic
+``linf``) or an explicit distance matrix, which must be a metric.  Every
+distance a coordinate space serves comes from one kernel, ``_fold``, as
+rows kept from their first read, so a run costs memory for the rows of
+separation members, not ``N^2``; it also folds the value deviations of
+ratio profiles, while other value norms stay with ``_row_norms``.  On top
+of it this module builds maximal ``r``-separations by a deterministic
 greedy scan and the nested separation hierarchy with radii
 ``r_n = 2^-(n-1)``, and measures density of a subset through its covering
 radius.  A sampled map on a space is its table, one row per point, which
@@ -158,19 +159,10 @@ class SampledMetricSpace:
 
     def distances_from(self, points) -> np.ndarray:
         """A new ``(P, N)`` block of distances from ``P`` points, in ambient
-        coordinates, to every sample point: each coordinate column's
-        differences, squared (``l2``) or absolute, folded left to right by
-        ``+`` (``np.maximum`` for ``linf``), and for ``l2`` one ``sqrt``.
-        Below 8 coordinates that is bitwise ``np.linalg.norm(coords - x,
-        ord, axis=-1)``; from 8 numpy sums pairwise, and the fold defines it."""
+        coordinates, to every sample point (:func:`_fold`)."""
         if self._columns is None:
             raise ConfigurationError("explicit-metric spaces carry no coordinates")
-        points, kind, acc = np.asarray(points, dtype=float), self.metric_kind, None
-        for j, col in enumerate(self._columns):
-            step = col - points[:, j, None]
-            (np.square if kind == "l2" else np.abs)(step, out=step)
-            acc = step if acc is None else (np.maximum if kind == "linf" else np.add)(acc, step, out=acc)
-        return np.sqrt(acc, out=acc) if kind == "l2" else acc
+        return _fold(self._columns, np.asarray(points, dtype=float), self.metric_kind)
 
     def distance_row(self, a) -> np.ndarray:
         """Distances from ``a`` to every point, read-only: a row of the
@@ -215,43 +207,39 @@ class SampledMetricSpace:
         kernel block (for the triangle check) that leaves the row cache alone."""
         return self._matrix if self._matrix is not None else self.distances_from(self._coords)
 
-    def ball_points(self, center, r: float, closed: bool = True) -> tuple:
-        """Sampled points of the ball around ``center``: ``d <= r`` when
-        closed, ``d < r`` when open.  Always contains the center."""
-        if r <= 0:
-            raise PreconditionError("ball radius must be positive")
-        row = self.distance_row(center)
-        mask = row <= r if closed else row < r
-        return tuple(np.flatnonzero(mask).tolist())
-
     def validate_triangle_inequality(self) -> None:
-        """Exhaustive triangle check over all sampled triples (O(n^3);
-        intended for explicit matrices at small n)."""
+        """Check ``d(i, j) <= d(i, k) + d(k, j)`` over all sampled triples,
+        in ``O(N^3)``: per block of ``BLOCK_ROWS`` rows ``i``, the least
+        ``d(i, k) + d(k, j)`` over ``k`` against the columns ``j >= i`` (the
+        matrix is symmetric), one ``k`` at a time.  The first failing pair
+        in row order raises a :class:`PreconditionError`."""
         mat = self.distance_matrix()
-        n = mat.shape[0]
-        for k in range(n):
-            bound = mat[:, k, None] + mat[None, k, :]
-            if np.any(mat > bound):
-                i, j = np.unravel_index(np.argmax(mat - bound), mat.shape)
-                raise PreconditionError(
-                    f"triangle inequality fails on triple "
-                    f"({int(i)}, {k}, {int(j)})"
-                )
+        for start in range(0, len(mat), BLOCK_ROWS):
+            block = mat[start : start + BLOCK_ROWS, start:]
+            through = np.full(block.shape, np.inf)
+            for k in range(len(mat)):
+                np.minimum(through, mat[start : start + BLOCK_ROWS, k, None] + mat[k, start:], out=through)
+            if np.any(block > through):
+                i, j = np.argwhere(block > through)[0] + start
+                k = np.argmin(mat[i] + mat[:, j])
+                raise PreconditionError(f"triangle inequality fails on triple ({i}, {k}, {j}): d({i}, {j}) > d({i}, {k}) + d({k}, {j})")
 
     # -- serialization -----------------------------------------------------
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SampledMetricSpace":
         """Ingest ``{"metric": ..., "points": [[...], ...]}`` or
-        ``{"metric": "explicit", "distances": [[...], ...]}``."""
+        ``{"metric": "explicit", "distances": [[...], ...]}``; an explicit
+        matrix must satisfy the triangle inequality."""
         if not isinstance(doc, dict) or "metric" not in doc:
             raise SchemaError("space document must be an object with a 'metric' key")
         kind = doc["metric"]
         if kind == "explicit":
             if not isinstance(doc.get("distances"), list):
                 raise SchemaError("explicit metric requires a 'distances' matrix")
-            mat = doc["distances"]
-            return cls("explicit", explicit_distances=mat)
+            space = cls("explicit", explicit_distances=doc["distances"])
+            space.validate_triangle_inequality()
+            return space
         if not isinstance(doc.get("points"), list):
             raise SchemaError("coordinate metric requires a 'points' array")
         pts = doc["points"]
@@ -267,6 +255,20 @@ class SampledMetricSpace:
             "metric": self.metric_kind,
             "points": [[float(x) for x in row] for row in self._coords],
         }
+
+
+def _fold(columns: np.ndarray, points: np.ndarray, kind: str = "l2") -> np.ndarray:
+    """The distance kernel: a new ``(P, N)`` block, entry ``(p, i)`` the
+    ``kind`` norm of ``columns[:, i] - points[p]``, column differences
+    squared (``l2``) or absolute folded left to right by ``+`` (``maximum``
+    for ``linf``), then one ``sqrt`` for ``l2``.  Below 8 columns that is
+    bitwise ``np.linalg.norm(..., axis=-1)``; from 8 the fold defines it."""
+    acc = None if len(columns) else np.zeros((len(points), columns.shape[1]))
+    for j, col in enumerate(columns):
+        step = col - points[:, j, None]
+        (np.square if kind == "l2" else np.abs)(step, out=step)
+        acc = step if acc is None else (np.maximum if kind == "linf" else np.add)(acc, step, out=acc)
+    return np.sqrt(acc, out=acc) if kind == "l2" else acc
 
 
 def as_table(values, space: SampledMetricSpace, dim=None) -> np.ndarray:

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import lipselect as ls
-from lipselect.cli import main
+from lipselect.cli import VERBS, main
 from lipselect.formats import (
     dumps_canonical,
     format_float,
@@ -20,6 +23,7 @@ from lipselect.formats import (
     write_report,
 )
 
+from test_convex import three_sided_corner
 
 FOUR_POINT_LINE = {"metric": "l2", "points": [[0.0], [0.3], [0.6], [1.0]]}
 
@@ -437,6 +441,63 @@ class TestConfigMerging:
         assert main(["separate", "--config", str(config_path), "--r", "0.5"]) == 2
 
 
+class TestArgvReader:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["frobnicate", "--space", "space.json"],
+            ["separate", "--space", "space.json", "--bogus", "1"],
+            ["separate", "--spa", "space.json", "--r", "0.5"],
+            ["separate", "--space=space.json", "--r", "0.5"],
+            ["separate", "--r", "0.5", "--space"],
+        ],
+        ids=["unknown-verb", "unknown-flag", "abbreviated-flag", "flag=value", "flag-without-value"],
+    )
+    def test_usage_errors_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("schema error:") and err.count("\n") == 1
+        assert "Traceback" not in err and not out
+
+    def test_help_lists_every_verb_and_flag(self, capsys):
+        for argv in (["--help"], ["-h"], ["select", "--correspondence", "corr.json", "--help"]):
+            assert main(argv) == 0
+            out, err = capsys.readouterr()
+            assert not err
+            for verb, (_, _, required, optional) in VERBS.items():
+                assert f"  {verb} " in out
+                assert all("--" + key.replace("_", "-") in out for key in (*required, *optional))
+
+    def test_empty_argv_prints_the_usage_and_exits_2(self, capsys):
+        assert main([]) == 2
+        err = capsys.readouterr().err
+        assert all(verb in err for verb in VERBS) and "Traceback" not in err
+
+    def test_main_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["lipselect", "--help"])
+        assert main() == 0
+        assert "bartle-graves" in capsys.readouterr().out
+
+    def test_negative_value_reaches_the_converter(self, line_doc, capsys):
+        assert main(["separate", "--space", line_doc, "--r", "-1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("parameter error:") and "Traceback" not in err
+
+    def test_repeated_flag_takes_its_last_value(self, tmp_path, line_doc):
+        out = tmp_path / "report.json"
+        assert main(["separate", "--space", line_doc, "--r", "0.1", "--out", str(out), "--r", "0.5"]) == 0
+        assert json.loads(out.read_text())["r"] == 0.5
+
+    def test_cli_imports_neither_argparse_nor_gettext(self):
+        path = [str(Path(ls.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        probe = "import sys, lipselect.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+        imported = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert imported.stdout == "[]\n"
+        usage = subprocess.run([sys.executable, "-m", "lipselect", "--help"], env=env, capture_output=True, text=True)
+        assert usage.returncode == 0 and all(verb in usage.stdout for verb in VERBS)
+
+
 @pytest.mark.parametrize(
     "verb, options, expected",
     [
@@ -573,6 +634,20 @@ class TestStringsAndBooleansAreNotNumbers:
     def test_matrix(self, tmp_path, matrix):
         matrix_path = write_json(tmp_path / "T.json", {"matrix": matrix})
         assert main(["bartle-graves", "--matrix", matrix_path, "--beta", "2.0"]) == 2
+
+
+def test_explicit_space_breaking_the_triangle_inequality_exits_3(tmp_path, capsys):
+    """d(0, 2) = 1 > d(0, 1) + d(1, 2) = 0.2: input outside the theorem is a
+    precondition error wherever the space is parsed, not a failure of the
+    construction (``select`` once exited 4 on overlapping supports)."""
+    space = {"metric": "explicit", "distances": [[0.0, 0.1, 1.0], [0.1, 0.0, 0.1], [1.0, 0.1, 0.0]]}
+    ball = {"kind": "ball", "center": [0.0], "radius": 0.5}
+    corr = write_json(tmp_path / "corr.json", {"space": space, "bodies": {str(i): ball for i in range(3)}})
+    it = write_json(tmp_path / "iter.json", {"alpha": 0.0, "beta": 0.3, "rounds": 3})
+    assert main(["separate", "--space", write_json(tmp_path / "space.json", space), "--r", "0.5"]) == 3
+    assert main(["select", "--correspondence", corr, "--iteration", it]) == 3
+    err = capsys.readouterr().err
+    assert err.count("triangle inequality fails on triple (0, 1, 2)") == 2 and "Traceback" not in err
 
 
 class TestCanonicalJson:
@@ -785,17 +860,28 @@ class TestCorrespondenceDocument:
     def test_malformed_space_is_schema_error(self, tmp_path, space):
         assert self._both_verbs(tmp_path, {"space": space, "bodies": {"0": self.BALL}}) == (2, 2)
 
-    def test_dykstra_non_convergence_exits_4(self, tmp_path, capsys):
-        # the lone anchor 0 projects the ball's center (1, 0.5) onto the
-        # wedge at point 1, inside its open 2^-2-ball
-        far_ball = {"kind": "ball", "center": [1.0, 0.5], "radius": 0.1}
+    def _anchor_onto(self, tmp_path, polytope, center):
+        """``select`` over the lone anchor 0, a small ball at ``center``,
+        whose value projects onto ``polytope`` at point 1, inside its open
+        2^-2-ball."""
+        far_ball = {"kind": "ball", "center": center, "radius": 0.1}
         space = {"metric": "l2", "points": [[0.0], [0.1]]}
-        corr = write_json(
-            tmp_path / "corr.json",
-            {"space": space, "bodies": {"0": far_ball, "1": narrow_wedge(0.003)}},
-        )
+        corr = write_json(tmp_path / "corr.json", {"space": space, "bodies": {"0": far_ball, "1": polytope}})
         it = write_json(tmp_path / "it.json", {"alpha": 10.0, "beta": 20.0, "rounds": 1})
-        assert main(["select", "--correspondence", corr, "--iteration", it]) == 4
+        return main(["select", "--correspondence", corr, "--iteration", it])
+
+    def test_narrow_wedge_projects_onto_its_apex(self, tmp_path, capsys):
+        # Dykstra's method does not settle on the wedge; the certified
+        # projection is its apex, where the strong bound at rate 10 fails
+        # by |(1, 0.5)| - 10 * 0.1
+        assert self._anchor_onto(tmp_path, narrow_wedge(0.003), [1.0, 0.5]) == 4
+        assert f"fails at 1 by {np.hypot(1.0, 0.5) - 1.0:.3e}" in capsys.readouterr().err
+
+    def test_uncertified_polytope_projection_exits_4(self, tmp_path, capsys, monkeypatch):
+        # one sweep from (3, 3) touches only x1 <= 1, which does not hold
+        # alone at the projection (1, 2): no certificate
+        monkeypatch.setattr(ls.convex, "DYKSTRA_MAX_SWEEPS", 1)
+        assert self._anchor_onto(tmp_path, three_sided_corner().to_json_dict(), [3.0, 3.0]) == 4
         # the message of the ConvergenceError
         assert "polytope projection did not reach" in capsys.readouterr().err
 

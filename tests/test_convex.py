@@ -72,6 +72,12 @@ def narrow_wedge(half_angle):
     return ls.Polytope([[s, c], [s, -c]], [0.0, 0.0], witness=[-1.0, 0.0])
 
 
+def three_sided_corner():
+    """``-2 x1 + x2 <= 0``, ``x1 <= 1``, ``x1 - 2 x2 <= 1``: (3, 3)
+    projects onto the corner (1, 2) of the first two."""
+    return ls.Polytope([[-2.0, 1.0], [1.0, 0.0], [1.0, -2.0]], [0.0, 1.0, 1.0], witness=[0.0, 0.0])
+
+
 def unit_square():
     return ls.Polytope(
         [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
@@ -206,15 +212,34 @@ class TestPolytope:
                 assert row.tobytes() == want.tobytes()
                 assert poly.project(y).tobytes() == want.tobytes()
 
-    def test_non_convergence_reports_the_worst_residual(self):
-        wedge = narrow_wedge(0.003)
-        with pytest.raises(ConvergenceError) as lone:
-            wedge.project([1.0, 0.5])
-        # a quick body in the same stack retires and does not mask the slow one
+    @pytest.mark.parametrize("half_angle", [0.01, 0.003])
+    def test_narrow_wedge_projection_is_certified(self, half_angle):
+        """Dykstra's method does not settle within its sweeps; the point on
+        the two faces its last sweep touched carries the KKT certificate
+        and is the oracle's apex, alone or stacked with a quick body that
+        retires early."""
+        wedge = narrow_wedge(half_angle)
+        y = np.array([1.0, 0.5])
+        lone = wedge.project(y)
+        oracle = face_enumeration_projection(wedge.normals, wedge.offsets, y)
+        np.testing.assert_allclose(lone, oracle, rtol=0.0, atol=DYKSTRA_TOL)
         quick = ls.Polytope([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], witness=[0.0, 0.0])
-        with pytest.raises(ConvergenceError) as stacked:
-            ls.Polytope.project_stack(stack_of([quick, wedge]), np.array([[1.0, 1.0], [1.0, 0.5]]))
-        assert stacked.value.residual == lone.value.residual > DYKSTRA_TOL
+        stacked = ls.Polytope.project_stack(stack_of([quick, wedge]), np.array([[1.0, 1.0], [1.0, 0.5]]))
+        assert stacked[0].tolist() == [0.0, 0.0]
+        assert stacked[1].tobytes() == lone.tobytes()
+
+    def test_uncertified_answer_reports_the_worst_residual(self, monkeypatch):
+        """One sweep from (3, 3) touches only ``x1 <= 1``, and the point
+        where it alone holds, (1, 3), breaks ``-2 x1 + x2 <= 0``, which
+        holds too at the projection (1, 2): with a budget of one sweep the
+        projection fails loudly."""
+        corner = three_sided_corner()
+        monkeypatch.setattr(ls.convex, "DYKSTRA_MAX_SWEEPS", 1)
+        with pytest.raises(ConvergenceError) as err:
+            corner.project([3.0, 3.0])
+        assert err.value.residual > DYKSTRA_TOL
+        monkeypatch.setattr(ls.convex, "DYKSTRA_MAX_SWEEPS", DYKSTRA_MAX_SWEEPS)
+        np.testing.assert_allclose(corner.project([3.0, 3.0]), [1.0, 2.0], rtol=0.0, atol=1e-9)
 
     def test_slow_wedge_converges_to_the_apex(self):
         np.testing.assert_allclose(narrow_wedge(0.3).project([1.0, 0.5]), [0.0, 0.0], atol=1e-9)

@@ -30,23 +30,34 @@ def constant_ball_run(rounds=3):
     return phi, f0, config
 
 
+def full_pairs(space, tables, radius=math.inf):
+    """The anchored pairs of whole anchored tables ``{b: g_b}`` on the open
+    ``radius``-balls of their anchors."""
+    anchors = np.array(list(tables), dtype=np.intp)
+    block = space.rows(anchors)
+    owner, rows = np.nonzero(block < radius)
+    values = np.array([tables[int(anchors[j])][a] for j, a in zip(owner, rows)])
+    return ls.AnchoredPairs(anchors, owner, rows, block[owner, rows], values)
+
+
+def bump(delta, dist):
+    """The trapezoid weight ``blend_round`` gives a point at distance
+    ``dist`` from an anchor of radius ``delta``: the blended value of a row
+    that moves from 0 to the anchored value 1."""
+    space = line_space([0.0] if dist == 0.0 else [0.0, dist])
+    f = np.zeros((len(space), 1))
+    return float(ls.blend_round(f, full_pairs(space, {0: np.ones_like(f)}), np.array([delta]))[-1, 0])
+
+
 class TestBumpWeight:
     def test_inner_ball(self):
-        space = line_space([0, 0.05])
-        assert ls.bump_weight(0, 0.1, 1, space) == 1.0
+        assert bump(0.1, 0.05) == 1.0
 
     def test_affine_zone(self):
-        space = line_space([0, 0.15])
-        assert ls.bump_weight(0, 0.1, 1, space) == pytest.approx(0.5, abs=1e-12)
+        assert bump(0.1, 0.15) == pytest.approx(0.5, abs=1e-12)
 
     def test_outside_support(self):
-        space = line_space([0, 0.25])
-        assert ls.bump_weight(0, 0.1, 1, space) == 0.0
-
-    def test_delta_positive(self):
-        space = line_space([0, 1.0])
-        with pytest.raises(PreconditionError):
-            ls.bump_weight(0, 0.0, 1, space)
+        assert bump(0.1, 0.25) == 0.0
 
 
 @seed(31)
@@ -56,27 +67,12 @@ class TestBumpWeight:
     st.floats(min_value=0.0, max_value=25.0, allow_nan=False),
 )
 def test_bump_weight_properties(delta, dist):
-    if dist == 0.0:
-        space = ls.SampledMetricSpace("l2", coords=[[0.0]])
-        w = ls.bump_weight(0, delta, 0, space)
-    else:
-        space = ls.SampledMetricSpace("l2", coords=[[0.0], [dist]])
-        w = ls.bump_weight(0, delta, 1, space)
+    w = bump(delta, dist)
     assert 0.0 <= w <= 1.0
     if dist <= delta:
         assert w == 1.0
     if dist >= 2.0 * delta:
         assert w == 0.0
-
-
-def full_pairs(space, tables, radius=math.inf):
-    """The anchored pairs of whole anchored tables ``{b: g_b}`` on the open
-    ``radius``-balls of their anchors."""
-    anchors = np.array(list(tables), dtype=np.intp)
-    block = space.rows(anchors)
-    owner, rows = np.nonzero(block < radius)
-    values = np.array([tables[int(anchors[j])][a] for j, a in zip(owner, rows)])
-    return ls.AnchoredPairs(anchors, owner, rows, block[owner, rows], values)
 
 
 class TestComputeDelta:

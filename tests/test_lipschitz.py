@@ -102,6 +102,22 @@ class TestPlipProfile:
         else:
             ls.plip_profile(values, space, points, tail, closed=closed)
 
+    @seed(43)
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 7), st.integers(2, BLOCK_ROWS + 30), st.integers(0, 2**32 - 1))
+    def test_ratios_equal_the_norm_reference_below_8_value_columns(self, width, n, table_seed):
+        """Value deviations come from the distance kernel's column fold,
+        bitwise ``np.linalg.norm(..., axis=-1)`` below 8 columns: every
+        ratio of every base point, over more than one block, is the
+        reference's, for values spread over six orders of magnitude."""
+        rng = np.random.default_rng(table_seed)
+        space = ls.SampledMetricSpace("l2", coords=rng.uniform(size=(n, 2)))
+        values = rng.normal(size=(n, width)) * 10.0 ** rng.integers(-3, 4, size=(n, width))
+        radii = [2.0, 0.5, 0.2, 0.05]
+        profiles = ls.plip_profile(values, space, range(n), radii)
+        for b in range(n):
+            assert profiles.ratios[b].tolist() == [ratio for _, ratio in reference_profile(values, space, b, radii)[0]]
+
     def test_resolution_error_names_the_first_unresolved_point(self):
         # at radius 0.2 only points 2 and 3 are alone; 3 comes first, in
         # the second block
@@ -177,17 +193,24 @@ class TestPlipProfile:
             assert r2 == 4.0 * r1
 
 
+def open_closed_agree(values, space, b, radii, rel_tol=0.05):
+    """Do the open-ball and closed-ball estimates at ``b`` agree within
+    ``rel_tol`` scaled by their magnitude?  Single ratios may differ where
+    a radius sits exactly on a sampled distance."""
+    closed_est = float(ls.plip_profile(values, space, [b], radii, closed=True).estimates[0])
+    open_est = float(ls.plip_profile(values, space, [b], radii, closed=False).estimates[0])
+    return abs(closed_est - open_est) <= rel_tol * max(1.0, closed_est, open_est)
+
+
 class TestOpenClosedConsistency:
     def test_square_agrees(self):
         space = grid_space(1001)
-        assert ls.open_closed_consistency(
-            quadratic_table(space), space, 0, [0.1, 0.05, 0.025]
-        )
+        assert open_closed_agree(quadratic_table(space), space, 0, [0.1, 0.05, 0.025])
 
     def test_constant_agrees(self):
         space = grid_space(101)
         table = np.ones((len(space), 1))
-        assert ls.open_closed_consistency(table, space, 50, [0.2, 0.1, 0.05])
+        assert open_closed_agree(table, space, 50, [0.2, 0.1, 0.05])
 
     def test_step_function_straddling_radius(self):
         # dyadic grid: the straddling distance 0.125 is exactly representable
@@ -201,7 +224,7 @@ class TestOpenClosedConsistency:
         assert closed.ratios[0, 0] == pytest.approx(8.0, abs=1e-12)
         assert opened.ratios[0, 0] == 0.0
         # but the small-radius estimates agree
-        assert ls.open_closed_consistency(table, space, b, radii)
+        assert open_closed_agree(table, space, b, radii)
 
 
 class TestHomogeneousExtension:

@@ -15,6 +15,7 @@ from lipselect.errors import (
 )
 
 from conftest import line_space, segment_instance
+from lipselect.metric import BLOCK_ROWS
 
 
 def brute_force_is_maximal_separation(space, members, r):
@@ -69,21 +70,74 @@ class TestDistance:
     def test_triangle_validation(self):
         mat = [[0, 1, 5], [1, 0, 1], [5, 1, 0]]  # 5 > 1 + 1
         space = ls.SampledMetricSpace("explicit", explicit_distances=mat)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"triple \(0, 1, 2\)"):
             space.validate_triangle_inequality()
+
+    def test_parsed_explicit_space_must_be_a_metric(self):
+        doc = {"metric": "explicit", "distances": [[0.0, 0.1, 1.0], [0.1, 0.0, 0.1], [1.0, 0.1, 0.0]]}
+        with pytest.raises(PreconditionError, match="triangle inequality"):
+            ls.SampledMetricSpace.from_json_dict(doc)
+
+
+def triangle_failures(mat):
+    """The pairs ``i <= j`` of the per-``k`` loop over all triples that
+    break the triangle inequality, in row order."""
+    bad = np.zeros(mat.shape, dtype=bool)
+    for k in range(len(mat)):
+        bad |= mat > mat[:, k, None] + mat[None, k, :]
+    return np.argwhere(np.triu(bad)).tolist()
+
+
+@seed(17)
+@settings(max_examples=25, deadline=None)
+@given(st.integers(3, 2 * BLOCK_ROWS + 5), st.integers(0, 2**32 - 1), st.booleans())
+def test_blocked_triangle_check_equals_the_per_k_loop(n, matrix_seed, bend):
+    """Distances drawn from [1, 1.5] make a metric.  Bending a triple to
+    ``d(i, k) = d(k, j) = 0.5`` and ``d(i, j) = 1.25`` breaks the inequality
+    through ``k`` alone, for the pair ``(i, j)`` alone: over several blocks
+    of rows the check fails exactly when the per-``k`` loop does, and
+    names that triple."""
+    rng = np.random.default_rng(matrix_seed)
+    mat = np.triu(rng.uniform(1.0, 1.5, size=(n, n)), 1)
+    mat += mat.T
+    if bend:
+        i, k, j = rng.choice(n, size=3, replace=False)
+        mat[i, k] = mat[k, i] = mat[k, j] = mat[j, k] = 0.5
+        mat[i, j] = mat[j, i] = 1.25
+    space = ls.SampledMetricSpace("explicit", explicit_distances=mat)
+    if bend:
+        assert triangle_failures(mat) == [sorted([int(i), int(j)])]
+        with pytest.raises(PreconditionError, match=f"triple \\({min(i, j)}, {k}, {max(i, j)}\\)"):
+            space.validate_triangle_inequality()
+    else:
+        assert triangle_failures(mat) == []
+        space.validate_triangle_inequality()
+
+
+def ball(space, b, r, closed=True):
+    """The sampled ball around ``b`` as ``plip_profile`` sees it: a point
+    ``a`` lies inside when its indicator table has a nonzero ratio at
+    ``r`` (the schedule starts past every distance, so ``b`` resolves)."""
+    inside = {b}
+    for a in set(range(len(space))) - {b}:
+        indicator = (np.arange(len(space)) == a).astype(float)
+        profile = ls.plip_profile(indicator, space, [b], [1e9, r], closed=closed)
+        if profile.ratios[0, 1] > 0.0:
+            inside.add(a)
+    return inside
 
 
 class TestBallPoints:
     def test_closed(self, four_point_line):
-        assert set(four_point_line.ball_points(0, 0.5, closed=True)) == {0, 1}
+        assert ball(four_point_line, 0, 0.5, closed=True) == {0, 1}
 
     def test_open_excludes_boundary(self, four_point_line):
-        assert set(four_point_line.ball_points(0, 0.3, closed=False)) == {0}
+        assert ball(four_point_line, 0, 0.3, closed=False) == {0}
 
     def test_radius_beyond_diameter(self, four_point_line):
         # by the triangle inequality no distance exceeds twice the largest from 0
         r = 2.0 * four_point_line.distance_row(0).max() + 1.0
-        assert set(four_point_line.ball_points(2, r, closed=True)) == {0, 1, 2, 3}
+        assert ball(four_point_line, 2, r, closed=True) == {0, 1, 2, 3}
 
 
 class TestGreedySeparation:
