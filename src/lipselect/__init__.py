@@ -55,11 +55,11 @@ from .lipschitz import (
 )
 from .metric import (
     SampledMetricSpace,
-    SeparationHierarchy,
     as_table,
     build_separation_hierarchy,
     covering_radius,
     greedy_maximal_separation,
+    round_members,
 )
 
 __version__ = "0.1.0"

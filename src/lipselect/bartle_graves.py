@@ -40,7 +40,7 @@ from .lipschitz import (
     ray_scales,
     verify_homogeneous_plip,
 )
-from .metric import BLOCK_ROWS, SampledMetricSpace, covering_radius
+from .metric import BLOCK_ROWS, SampledMetricSpace, covering_radius, round_members
 
 COORD_SNAP = 1e-12
 # T tau(y) = y must hold to this residual; the ray rate to this slack
@@ -163,7 +163,7 @@ def build_right_inverse(
         alpha=alpha,
         beta=beta,
         eta=eta,
-        dense_set=tuple(seq.hierarchy.rounds[-1].members),
+        dense_set=tuple(round_members(seq.entry, rounds).tolist()),
         tail_bound=seq.tail_bound,
         pinv_gap=float(np.linalg.norm(table.values - f0, axis=1).max()),
         sequence=seq,

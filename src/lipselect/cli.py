@@ -36,13 +36,13 @@ from .errors import (
     LipselectError,
     ParameterError,
     PreconditionError,
-    RateError,
     ResolutionError,
     SchemaError,
     ShapeError,
 )
 from .formats import (
     dumps_canonical,
+    hierarchy_to_dict,
     profile_csv_text,
     selection_csv_text,
     sequence_from_dict,
@@ -57,6 +57,7 @@ from .metric import (
     build_separation_hierarchy,
     covering_radius,
     greedy_maximal_separation,
+    round_members,
 )
 
 EXIT_OK = 0
@@ -70,7 +71,7 @@ _SCHEMA_ERRORS = (
     SchemaError, IdentifierError, ShapeError, ConfigurationError,
     json.JSONDecodeError, UnicodeDecodeError, OSError,
 )
-_INTERNAL_ERRORS = (ConvergenceError, DegenerateRadiusError, RateError, ResolutionError, InvariantViolationError)
+_INTERNAL_ERRORS = (ConvergenceError, DegenerateRadiusError, ResolutionError, InvariantViolationError)
 
 
 def _load_json(path: str):
@@ -176,10 +177,10 @@ def _cmd_separate(opts) -> int:
     space = SampledMetricSpace.from_json_dict(_load_json(opts["space"]))
     report: dict = {"command": "separate"}
     if opts.get("rounds"):
-        hierarchy = build_separation_hierarchy(space, opts["rounds"])
-        report["hierarchy"] = hierarchy.to_json_dict()
+        entry = build_separation_hierarchy(space, opts["rounds"])
+        report["hierarchy"] = hierarchy_to_dict(entry, opts["rounds"])
         report["covering_radii"] = [
-            covering_radius(space, rd.members) for rd in hierarchy.rounds
+            covering_radius(space, round_members(entry, n)) for n in range(1, opts["rounds"] + 1)
         ]
     else:
         if "r" not in opts:

@@ -53,9 +53,10 @@ class ConvergenceError(LipselectError):
         self.residual = float(residual)
 
 
-class RateError(LipselectError):
-    """An anchored selection violates its strong pointwise bound.  Carries
-    the worst sample point and the excess over the allowed rate."""
+class RateError(PreconditionError):
+    """An anchored selection violates its strong pointwise bound: the input
+    fails the lower pointwise Lipschitz hypothesis at the rate.  Carries the
+    worst sample point and the excess over the allowed rate."""
 
     def __init__(self, message, witness, excess):
         super().__init__(message)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import SchemaError, as_finite_array
 from .iteration import IterationConfig, RoundRecord, SelectionSequence
-from .metric import SampledMetricSpace, SeparationHierarchy, SeparationRound, as_table
+from .metric import SampledMetricSpace, as_table, build_separation_hierarchy, round_members
 
 
 # "%.17g" ends a number with "-0" only for negative zero (exponents have
@@ -135,6 +135,17 @@ def profile_csv_text(profiles) -> str:
 # -- selection sequences -------------------------------------------------------
 
 
+def hierarchy_to_dict(entry: np.ndarray, n_rounds: int) -> dict:
+    """The hierarchy as reports write it: ``B_n`` at ``r = 2^-(n-1)`` for
+    each round ``n = 1..n_rounds`` of the ``entry`` column."""
+    return {
+        "rounds": [
+            {"n": n, "r": 2.0 ** (-(n - 1)), "B": round_members(entry, n).tolist()}
+            for n in range(1, n_rounds + 1)
+        ]
+    }
+
+
 def sequence_to_dict(seq: SelectionSequence) -> dict:
     """Exportable view of a run: config, hierarchy, per-round evidence, and
     the selection tables as rendered blocks (anchored local selections are
@@ -142,12 +153,12 @@ def sequence_to_dict(seq: SelectionSequence) -> dict:
     template, order = _keyed_rows(*seq.tables.shape[1:])
     return {
         "config": seq.config.to_json_dict(),
-        "hierarchy": seq.hierarchy.to_json_dict(),
+        "hierarchy": hierarchy_to_dict(seq.entry, len(seq.rounds)),
         "rounds": [
             {
                 "n": record.n,
-                "B": list(record.members),
-                "new": list(record.new_points),
+                "B": round_members(seq.entry, record.n).tolist(),
+                "new": list(record.deltas),
                 "deltas": {str(b): float(d) for b, d in record.deltas.items()},
                 "sup_change": float(record.sup_change),
             }
@@ -183,39 +194,39 @@ def sequence_from_dict(doc: dict, correspondence) -> SelectionSequence:
     Anchored tables are not stored; the verification checks do not need
     them.  A missing field, a ragged row, a value of the wrong type or a
     selection whose ``round`` is not its position is a :class:`SchemaError`.
+
+    The hierarchy is recomputed from the space, once, as the sequence's
+    ``entry``.  What a run of the engine on this space could not have
+    stored is one of its ``metadata_problems``: a hierarchy section or a
+    round's ``B`` other than the greedy one, ``new != B_n \\ B_(n-1)``, a
+    round ``n`` out of position, a ``config.rounds`` other than the number
+    of rounds, and radii outside the halving schedule ``[delta_min,
+    2^-(n+2)]``.
     """
     if not isinstance(doc, dict):
         raise SchemaError("sequence document must be a JSON object")
     space = correspondence.space
     try:
         config = IterationConfig.from_json_dict(doc["config"], complete=True)
-        hierarchy = SeparationHierarchy(
-            rounds=tuple(
-                SeparationRound(
-                    n=_integer(rd["n"]),
-                    r=float(as_finite_array(rd["r"], "separation radius")),
-                    members=tuple(_resolve_ids(space, rd["B"])),
-                )
-                for rd in doc["hierarchy"]["rounds"]
-            )
-        )
-        rounds = []
+        hierarchy = [
+            {
+                "n": _integer(rd["n"]),
+                "r": float(as_finite_array(rd["r"], "separation radius")),
+                "B": _resolve_ids(space, rd["B"]),
+            }
+            for rd in doc["hierarchy"]["rounds"]
+        ]
+        rounds, stored = [], []
         for rd in doc["rounds"]:
-            new_points = tuple(_resolve_ids(space, rd["new"]))
+            new = _resolve_ids(space, rd["new"])
             # the engine stores a radius for each new point and nothing else
             deltas = rd["deltas"]
-            if not isinstance(deltas, dict) or set(deltas) != {str(b) for b in new_points}:
+            if not isinstance(deltas, dict) or set(deltas) != {str(b) for b in new}:
                 raise SchemaError(f"round {rd['n']!r}: deltas must be keyed by exactly the new points")
-            radii = as_finite_array([deltas[str(b)] for b in new_points], "adjustment radii").tolist()
-            rounds.append(
-                RoundRecord(
-                    n=_integer(rd["n"]),
-                    members=tuple(_resolve_ids(space, rd["B"])),
-                    new_points=new_points,
-                    deltas=dict(zip(new_points, radii)),
-                    sup_change=float(as_finite_array(rd["sup_change"], "sup_change")),
-                )
-            )
+            radii = as_finite_array([deltas[str(b)] for b in new], "adjustment radii").tolist()
+            sup_change = float(as_finite_array(rd["sup_change"], "sup_change"))
+            rounds.append(RoundRecord(_integer(rd["n"]), dict(zip(new, radii)), sup_change))
+            stored.append((_resolve_ids(space, rd["B"]), new))
         tables = []
         for pos, sel_doc in enumerate(doc["selections"]):
             if _integer(sel_doc["round"]) != pos:
@@ -227,10 +238,23 @@ def sequence_from_dict(doc: dict, correspondence) -> SelectionSequence:
         raise SchemaError(f"malformed sequence document: {exc}") from None
     if len(tables) != len(rounds) + 1:
         raise SchemaError("stored sequence must hold one selection per round plus f0")
-    return SelectionSequence(
-        correspondence=correspondence,
-        config=config,
-        hierarchy=hierarchy,
-        tables=np.stack(tables),
-        rounds=rounds,
-    )
+
+    entry = build_separation_hierarchy(space, len(rounds)) if rounds else np.zeros(len(space), dtype=np.intp)
+    problems = []
+    if config.rounds != len(rounds):
+        problems.append(f"config.rounds is {config.rounds} but {len(rounds)} rounds are stored")
+    expected = hierarchy_to_dict(entry, len(rounds))["rounds"]
+    if hierarchy != expected:
+        problems.append("hierarchy differs from the one recomputed from the space")
+    for pos, (record, (members, new)) in enumerate(zip(rounds, stored), 1):
+        if record.n != pos:
+            problems.append(f"round {pos} is stored as round {record.n}")
+        if members != expected[pos - 1]["B"]:
+            problems.append(f"round {pos}: B differs from the recomputed separation")
+        if new != np.flatnonzero(entry == pos).tolist():
+            problems.append(f"round {pos}: new is not B_n minus B_(n-1)")
+        upper = 2.0 ** (-(pos + 2))
+        outside = [b for b, d in record.deltas.items() if not config.delta_min <= d <= upper]
+        if outside:
+            problems.append(f"round {pos}: delta at {outside[0]!r} outside [delta_min, {upper}]")
+    return SelectionSequence(correspondence, config, entry, np.stack(tables), rounds, tuple(problems))

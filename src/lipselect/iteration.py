@@ -51,12 +51,7 @@ from .errors import (
     SchemaError,
     as_finite_array,
 )
-from .metric import (
-    SampledMetricSpace,
-    SeparationHierarchy,
-    as_table,
-    build_separation_hierarchy,
-)
+from .metric import SampledMetricSpace, as_table, build_separation_hierarchy, round_members
 
 # strict "< 2^-n eps" acceptance, kept provable under roundoff
 STRICTNESS_MARGIN = 1e-12
@@ -73,13 +68,13 @@ def _sup_distance(f: np.ndarray, g: np.ndarray) -> float:
 
 @dataclass
 class RoundRecord:
-    """Evidence retained for one adjustment round."""
+    """Evidence retained for one adjustment round: the radius of each new
+    anchor, in row order (its keys are the round's new anchors), and the
+    realized displacement."""
 
     n: int
-    members: Tuple[int, ...]
-    new_points: Tuple[int, ...]
     deltas: Dict[int, float]
-    sup_change: float = 0.0
+    sup_change: float
 
 
 @dataclass
@@ -149,13 +144,18 @@ class IterationConfig:
 @dataclass
 class SelectionSequence:
     """The full output of a run: ``f_0 .. f_N`` as one array, ``tables[n]``
-    being ``f_n``, plus per-round evidence."""
+    being ``f_n``, the hierarchy as its ``entry`` column
+    (:func:`~lipselect.metric.build_separation_hierarchy`), plus per-round
+    evidence.  ``metadata_problems`` lists what a stored document holds
+    that a run of the engine on its space could not have
+    (:func:`~lipselect.formats.sequence_from_dict`); a run's is empty."""
 
     correspondence: Correspondence
     config: IterationConfig
-    hierarchy: SeparationHierarchy
+    entry: np.ndarray
     tables: np.ndarray
     rounds: List[RoundRecord]
+    metadata_problems: Tuple[str, ...] = ()
 
     @property
     def space(self) -> SampledMetricSpace:
@@ -169,10 +169,11 @@ class SelectionSequence:
 
     def entry_delta(self, b) -> float:
         """Adjustment radius recorded when ``b`` entered the hierarchy."""
-        for record in self.rounds:
-            if b in record.deltas:
-                return record.deltas[b]
-        raise PreconditionError(f"{b!r} never entered the separation hierarchy")
+        b = self.space.index(b)
+        n = int(self.entry[b])
+        if not n:
+            raise PreconditionError(f"{b!r} never entered the separation hierarchy")
+        return self.rounds[n - 1].deltas[b]
 
 
 def _trapezoid(delta: float, dist):
@@ -263,19 +264,16 @@ def run_iteration(
             f"f0 is not a selection of the correspondence at {int(outside[0])!r}"
         )
 
-    hierarchy = build_separation_hierarchy(space, config.rounds)
+    entry = build_separation_hierarchy(space, config.rounds)
     tables = [f0]
     rounds: List[RoundRecord] = []
-    prev_members: set = set()
-    f_prev = f0
-    for sep_round in hierarchy.rounds:
-        n = sep_round.n
-        new_points = tuple(b for b in sep_round.members if b not in prev_members)
+    for n in range(1, config.rounds + 1):
+        new, f_prev = np.flatnonzero(entry == n), tables[-1]
         try:
             anchored = anchored_selection(
                 phi,
-                new_points,
-                f_prev[list(new_points)],
+                new,
+                f_prev[new],
                 rate=config.alpha,
                 radius=2.0 ** (-(n + 1)),
                 tol=config.tol,
@@ -283,25 +281,9 @@ def run_iteration(
         except RateError as exc:
             raise RateError(f"round {n}, {exc}", witness=exc.witness, excess=exc.excess) from exc
         deltas = compute_delta(f_prev, anchored, n, config.epsilon, config.delta_min)
-        record = RoundRecord(
-            n=n,
-            members=sep_round.members,
-            new_points=new_points,
-            deltas=dict(zip(new_points, deltas.tolist())),
-        )
-        f_next = blend_round(f_prev, anchored, deltas)
-        record.sup_change = _sup_distance(f_next, f_prev)
-        rounds.append(record)
-        tables.append(f_next)
-        prev_members = set(sep_round.members)
-        f_prev = f_next
-    return SelectionSequence(
-        correspondence=phi,
-        config=config,
-        hierarchy=hierarchy,
-        tables=np.stack(tables),
-        rounds=rounds,
-    )
+        tables.append(blend_round(f_prev, anchored, deltas))
+        rounds.append(RoundRecord(n, dict(zip(new.tolist(), deltas.tolist())), _sup_distance(tables[-1], f_prev)))
+    return SelectionSequence(phi, config, entry, np.stack(tables), rounds)
 
 
 def verify_round_properties(seq: SelectionSequence, n: int) -> Dict[str, dict]:
@@ -343,15 +325,15 @@ def verify_round_properties(seq: SelectionSequence, n: int) -> Dict[str, dict]:
 
     # one pass over the (anchor, point) pairs of the closed delta-balls; the
     # first anchor that attains the worst excess is reported
-    new = np.array(record.new_points, dtype=np.intp)
-    radii = np.array([record.deltas[b] for b in record.new_points])
+    new = np.array(list(record.deltas), dtype=np.intp)
+    radii = np.array(list(record.deltas.values()))
     block = space.rows(new)
     owner, rows = np.nonzero(block <= radii[:, None])
     excess = np.linalg.norm(f_n[rows] - f_n[new[owner]], axis=1) - seq.config.alpha * block[owner, rows]
     worst_excess, worst_anchor = 0.0, None
     if excess.size and excess.max() > 0.0:
         p = int(np.argmax(excess))
-        worst_excess, worst_anchor = float(excess[p]), record.new_points[owner[p]]
+        worst_excess, worst_anchor = float(excess[p]), int(new[owner[p]])
     checks["anchored_strong_bound"] = dict(
         passed=worst_excess <= BOUND_SLACK,
         worst=worst_excess,
@@ -365,7 +347,7 @@ def verify_round_properties(seq: SelectionSequence, n: int) -> Dict[str, dict]:
     moved = np.zeros(len(space), dtype=bool)
     for k in range(n - 1, 0, -1):
         moved |= np.any(seq.tables[k] != f_n, axis=1)
-        protecting = np.count_nonzero(space.rows(seq.rounds[k - 1].members) < radius, axis=0)
+        protecting = np.count_nonzero(space.rows(round_members(seq.entry, k)) < radius, axis=0)
         mismatches += int(protecting[moved].sum())
     checks["earlier_anchor_coincidence"] = dict(
         passed=mismatches == 0,
@@ -375,40 +357,13 @@ def verify_round_properties(seq: SelectionSequence, n: int) -> Dict[str, dict]:
     return checks
 
 
-def _metadata_problems(seq: SelectionSequence) -> List[str]:
-    """What a run of the engine on this space could not have stored: a
-    hierarchy other than the greedy one, ``new != B_n \\ B_(n-1)``, rounds
-    out of order, rounds of another count than configured, and radii
-    outside the halving schedule ``[delta_min, 2^-(n+2)]``."""
-    problems = []
-    if seq.config.rounds != len(seq.rounds):
-        problems.append(f"config.rounds is {seq.config.rounds} but {len(seq.rounds)} rounds are stored")
-    # the greedy scan is deterministic, so the stored hierarchy must match
-    expected = build_separation_hierarchy(seq.space, len(seq.rounds)).rounds if seq.rounds else ()
-    if tuple(seq.hierarchy.rounds) != expected:
-        problems.append("hierarchy differs from the one recomputed from the space")
-    prev: set = set()
-    for pos, record in enumerate(seq.rounds, 1):
-        if record.n != pos:
-            problems.append(f"round {pos} is stored as round {record.n}")
-        if record.members != expected[pos - 1].members:
-            problems.append(f"round {pos}: B differs from the recomputed separation")
-        if record.new_points != tuple(b for b in record.members if b not in prev):
-            problems.append(f"round {pos}: new is not B_n minus B_(n-1)")
-        upper = 2.0 ** (-(pos + 2))
-        outside = [b for b, d in record.deltas.items() if not seq.config.delta_min <= d <= upper]
-        if outside:
-            problems.append(f"round {pos}: delta at {outside[0]!r} outside [delta_min, {upper}]")
-        prev = set(record.members)
-    return problems
-
-
 def verify_sequence(seq: SelectionSequence) -> dict:
     """Whole-run audit: per-round properties plus the cross-round invariants
     (selection closure including ``f_0``, telescoped Cauchy bounds, anchors
     frozen after entry, stored metadata consistent with the space, disjoint
     supports).  Rounds are audited by position; a stored round number that
-    differs fails the metadata check.
+    differs is one of the sequence's ``metadata_problems``, which the
+    ``stored_metadata`` check reports.
 
     Returns the body of the ``verify`` report: ``{"rounds": [{"n",
     "checks", "passed"}], "sequence_checks", "passed"}``, every check a
@@ -445,7 +400,7 @@ def verify_sequence(seq: SelectionSequence) -> dict:
 
     frozen_violations = 0
     for record in seq.rounds:
-        rows = list(record.new_points)
+        rows = list(record.deltas)
         later = seq.tables[record.n + 1 :, rows]
         frozen_violations += int(np.count_nonzero(np.any(later != seq.tables[record.n, rows], axis=-1)))
     checks["eventually_constant_anchors"] = dict(
@@ -454,7 +409,7 @@ def verify_sequence(seq: SelectionSequence) -> dict:
         detail=f"{frozen_violations} anchor values moved after entry",
     )
 
-    problems = _metadata_problems(seq)
+    problems = seq.metadata_problems
     checks["stored_metadata"] = dict(
         passed=not problems,
         worst=float(len(problems)),
@@ -463,8 +418,8 @@ def verify_sequence(seq: SelectionSequence) -> dict:
 
     min_margin = math.inf
     for record in seq.rounds:
-        rows = list(record.new_points)
-        deltas = np.array([record.deltas[b] for b in record.new_points])
+        rows = list(record.deltas)
+        deltas = np.array(list(record.deltas.values()))
         i, j = np.triu_indices(len(rows), k=1)
         if i.size:
             margins = space.rows(rows)[:, rows][i, j] - 2.0 * (deltas[i] + deltas[j])

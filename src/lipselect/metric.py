@@ -10,14 +10,14 @@ separation members, not ``N^2``; it also folds the value deviations of
 ratio profiles, while other value norms stay with ``_row_norms``.  On top
 of it this module builds maximal ``r``-separations by a deterministic
 greedy scan and the nested separation hierarchy with radii
-``r_n = 2^-(n-1)``, and measures density of a subset through its covering
+``r_n = 2^-(n-1)``, held as one column (the round at which each point
+joins), and measures density of a subset through its covering
 radius.  A sampled map on a space is its table, one row per point, which
 :func:`as_table` checks where it enters from outside.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -288,6 +288,20 @@ def as_table(values, space: SampledMetricSpace, dim=None) -> np.ndarray:
     return table
 
 
+def _scan(space: SampledMetricSpace, min_dist: np.ndarray, r: float) -> list:
+    """The greedy scan: points in row order join while their distance to
+    every member, ``min_dist``, is >= r; returns the rows that joined and
+    leaves ``min_dist`` measured to them too.  A member's own distance is
+    0 < r, so the scan never revisits one."""
+    joined, i = [], 0
+    while True:
+        i += int(np.argmax(min_dist[i:] >= r))
+        if min_dist[i] < r:
+            return joined
+        joined.append(i)
+        np.minimum(min_dist, space.distance_row(i), out=min_dist)
+
+
 def greedy_maximal_separation(space: SampledMetricSpace, r: float, seed: Iterable = ()) -> tuple:
     """Maximal ``r``-separation containing ``seed``, by greedy scan.
 
@@ -312,55 +326,29 @@ def greedy_maximal_separation(space: SampledMetricSpace, r: float, seed: Iterabl
         min_dist = block.min(axis=0)
     else:
         min_dist = np.full(len(space), np.inf)
-    # a member's own distance is 0 < r, so the scan never revisits one
-    members = seed_rows
-    i = 0
-    while True:
-        i += int(np.argmax(min_dist[i:] >= r))
-        if min_dist[i] < r:
-            return tuple(sorted(members))
-        members.append(i)
-        np.minimum(min_dist, space.distance_row(i), out=min_dist)
+    return tuple(sorted(seed_rows + _scan(space, min_dist, r)))
 
 
-@dataclass(frozen=True)
-class SeparationRound:
-    n: int
-    r: float
-    members: tuple
-
-
-@dataclass(frozen=True)
-class SeparationHierarchy:
-    """Nested maximal separations ``B_1 <= B_2 <= ...`` at radii 2^-(n-1)."""
-
-    rounds: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rounds": [
-                {"n": rd.n, "r": rd.r, "B": list(rd.members)} for rd in self.rounds
-            ]
-        }
-
-
-def build_separation_hierarchy(space: SampledMetricSpace, n_rounds: int) -> SeparationHierarchy:
-    """Rounds ``n = 1..n_rounds`` with ``r_n = 2^-(n-1)``; each ``B_n`` is the
-    greedy maximal separation seeded with ``B_{n-1}`` (``B_0`` empty).
-
-    A maximal ``r_{n-1}``-separation is automatically an ``r_n``-separation,
-    so the seeding precondition always holds.
-    """
+def build_separation_hierarchy(space: SampledMetricSpace, n_rounds: int) -> np.ndarray:
+    """The nested maximal separations ``B_1 <= ... <= B_n_rounds`` at radii
+    ``r_n = 2^-(n-1)``, as the ``(N,)`` column ``entry``: the round at which
+    each point joins, 0 if it never does (:func:`round_members` reads
+    ``B_n`` off it).  Each ``B_n`` is the greedy maximal separation seeded
+    with ``B_{n-1}``: one scan per round over the distances to the members
+    so far.  A maximal ``r_{n-1}``-separation is an ``r_n``-separation, so
+    the seed needs no check."""
     if n_rounds < 1:
         raise PreconditionError("hierarchy needs at least one round")
-    rounds = []
-    prev: tuple = ()
+    entry = np.zeros(len(space), dtype=np.intp)
+    min_dist = np.full(len(space), np.inf)
     for n in range(1, n_rounds + 1):
-        r = 2.0 ** (-(n - 1))
-        members = greedy_maximal_separation(space, r, seed=prev)
-        rounds.append(SeparationRound(n=n, r=r, members=members))
-        prev = members
-    return SeparationHierarchy(rounds=tuple(rounds))
+        entry[_scan(space, min_dist, 2.0 ** (-(n - 1)))] = n
+    return entry
+
+
+def round_members(entry: np.ndarray, n: int) -> np.ndarray:
+    """``B_n`` of a hierarchy column, as sorted rows."""
+    return np.flatnonzero((entry >= 1) & (entry <= n))
 
 
 def covering_radius(space: SampledMetricSpace, members: Iterable) -> float:

@@ -76,19 +76,19 @@ def test_criterion_1_separation_suite():
         dim = int(rng.integers(1, 6))
         metric = ("l1", "l2", "linf")[seed % 3]
         space = ls.SampledMetricSpace(metric, coords=rng.uniform(0.0, 1.0, size=(n, dim)))
-        hierarchy = ls.build_separation_hierarchy(space, 6)
+        entry = ls.build_separation_hierarchy(space, 6)
         prev = set()
-        for round_ in hierarchy.rounds:
-            members = set(round_.members)
-            if not prev <= members:
-                failures.append((seed, round_.n, "nesting"))
-            for a, b in itertools.combinations(round_.members, 2):
-                if not space.distance(a, b) >= round_.r:
-                    failures.append((seed, round_.n, "separation"))
+        for n in range(1, 7):
+            r, members = 2.0 ** (-(n - 1)), ls.round_members(entry, n).tolist()
+            if not prev <= set(members):
+                failures.append((seed, n, "nesting"))
+            for a, b in itertools.combinations(members, 2):
+                if not space.distance(a, b) >= r:
+                    failures.append((seed, n, "separation"))
                     break
-            if not ls.covering_radius(space, round_.members) < round_.r:
-                failures.append((seed, round_.n, "covering"))
-            prev = members
+            if not ls.covering_radius(space, members) < r:
+                failures.append((seed, n, "covering"))
+            prev = set(members)
     announce(1, not failures, f"20 spaces x 6 rounds, violations: {failures}")
 
 
@@ -151,7 +151,7 @@ def test_criterion_4_limit_audit(segment_run, ball_runs):
         space = seq.space
         beta = seq.config.beta
         n_rounds = seq.rounds[-1].n
-        final_members = seq.hierarchy.rounds[-1].members
+        final_members = ls.round_members(seq.entry, n_rounds).tolist()
         for b in final_members:
             cap = min(seq.entry_delta(b), 2.0 ** (-n_rounds))
             estimate = ls.plip_profile(

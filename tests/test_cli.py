@@ -246,10 +246,13 @@ class TestSelectAndVerify:
                 {k: 1.0 for k in doc["rounds"][0]["deltas"]}
             ),
             lambda doc: [rd.update(n=4 - rd["n"]) for rd in doc["rounds"]],
+            # one copy of B_2 loses a member, the other stays as written
+            lambda doc: doc["rounds"][1]["B"].pop(),
+            lambda doc: doc["hierarchy"]["rounds"][1]["B"].pop(),
         ],
         ids=[
             "rounds_99_one_round_hierarchy", "emptied_hierarchy", "anchor_left_out_of_new", "delta_too_large",
-            "rounds_reversed",
+            "rounds_reversed", "round_B_short", "hierarchy_B_short",
         ],
     )
     def test_forged_metadata_fails(self, tmp_path, forge):
@@ -683,7 +686,7 @@ def generic_sequence_text(table):
 
 def one_table_sequence(table):
     config = ls.IterationConfig(alpha=0.0, beta=1.0)
-    return ls.SelectionSequence(None, config, ls.SeparationHierarchy(rounds=()), table[None], [])
+    return ls.SelectionSequence(None, config, np.zeros(len(table), dtype=np.intp), table[None], [])
 
 
 @seed(13)
@@ -873,8 +876,9 @@ class TestCorrespondenceDocument:
     def test_narrow_wedge_projects_onto_its_apex(self, tmp_path, capsys):
         # Dykstra's method does not settle on the wedge; the certified
         # projection is its apex, where the strong bound at rate 10 fails
-        # by |(1, 0.5)| - 10 * 0.1
-        assert self._anchor_onto(tmp_path, narrow_wedge(0.003), [1.0, 0.5]) == 4
+        # by |(1, 0.5)| - 10 * 0.1: the input breaks the lower pointwise
+        # Lipschitz hypothesis, a precondition
+        assert self._anchor_onto(tmp_path, narrow_wedge(0.003), [1.0, 0.5]) == 3
         assert f"fails at 1 by {np.hypot(1.0, 0.5) - 1.0:.3e}" in capsys.readouterr().err
 
     def test_uncertified_polytope_projection_exits_4(self, tmp_path, capsys, monkeypatch):

@@ -159,14 +159,16 @@ def per_anchor_run(phi, f0, config):
     """The engine anchor by anchor, as it ran before rounds were batched:
     each anchor's value projected onto every body of the sample, the
     halving loop over its whole distance row (the grid of the instances
-    keeps every radius above ``delta_min``), and its own blend.  Returns
+    keeps every radius above ``delta_min``), and its own blend, over the
+    chain of greedy separations each seeded with the one before.  Returns
     the tables and each round's radii."""
     space = phi.space
-    tables, radii, prev = [f0], [], set()
-    for sep_round in ls.build_separation_hierarchy(space, config.rounds).rounds:
-        n, f = sep_round.n, tables[-1]
+    tables, radii, prev = [f0], [], ()
+    for n in range(1, config.rounds + 1):
+        members = ls.greedy_maximal_separation(space, 2.0 ** (-(n - 1)), seed=prev)
+        f = tables[-1]
         table, deltas = f.copy(), {}
-        for b in (b for b in sep_round.members if b not in prev):
+        for b in (b for b in members if b not in prev):
             g = np.array([phi.body(a).project(f[b]) for a in range(len(space))])
             g[b] = f[b]
             diffs = np.linalg.norm(f - g, axis=1)
@@ -182,7 +184,7 @@ def per_anchor_run(phi, f0, config):
             table[support] = np.where(same, fs, np.where(w >= 1.0, gs, (1.0 - w) * fs + w * gs))
         tables.append(table)
         radii.append(deltas)
-        prev = set(sep_round.members)
+        prev = members
     return tables, radii
 
 
@@ -239,6 +241,8 @@ def test_rendered_sequence_reads_back_the_engine_run(instance):
     back = sequence_from_dict(json.loads(dumps_canonical(sequence_to_dict(seq))), phi)
     assert back.tables.tobytes() == seq.tables.tobytes()
     assert back.rounds == seq.rounds
+    assert back.entry.dtype == seq.entry.dtype and back.entry.tobytes() == seq.entry.tobytes()
+    assert back.metadata_problems == ()
 
 
 class TestLocality:
@@ -254,7 +258,7 @@ class TestLocality:
         f0 = phi.canonical_selection()
         config = ls.IterationConfig(alpha=1.0, beta=2.0, rounds=1)
         seq = ls.run_iteration(phi, f0, config)
-        assert seq.rounds[0].new_points == (0, 1)
+        assert list(seq.rounds[0].deltas) == [0, 1]
         np.testing.assert_array_equal(seq.tables[-1], f0)
         assert ls.verify_sequence(seq)["passed"]
         with pytest.raises(RateError) as err:
@@ -308,9 +312,9 @@ class TestRunIteration:
         config = ls.IterationConfig(alpha=1.0, beta=2.0, rounds=1)
         seq = ls.run_iteration(phi, f0, config)
         record = seq.rounds[0]
-        assert set(record.new_points) == {0, 1}
+        assert set(record.deltas) == {0, 1}
         f1 = seq.tables[1]
-        for b in record.new_points:
+        for b in record.deltas:
             g = ls.local_strong_selection(phi, b, f0[b], rate=1.0)
             for a in range(len(space)):
                 if space.distance(a, b) <= record.deltas[b]:
@@ -359,7 +363,7 @@ class TestVerifyRoundProperties:
         _, phi, f0, config = segment_instance(n_points=101)
         seq = ls.run_iteration(phi, f0, config)
         # corrupt f_2 at a point protected by a round-1 anchor
-        anchor = seq.rounds[0].members[0]
+        anchor = int(ls.round_members(seq.entry, 1)[0])
         target = None
         for a in range(len(phi.space)):
             if a != anchor and phi.space.distance(anchor, a) < 2.0**-2:
@@ -374,7 +378,7 @@ class TestVerifyRoundProperties:
         _, phi, f0, config = segment_instance(n_points=101)
         seq = ls.run_iteration(phi, f0, config)
         record = seq.rounds[1]
-        first, second = record.new_points[:2]
+        first, second = list(record.deltas)[:2]
         # push a point of each closed delta-ball away from its anchor, the
         # one of the second new anchor further
         table = seq.tables[2]
@@ -393,7 +397,7 @@ class TestVerifyRoundProperties:
         ball = ls.Ball([0.0, 0.0], 1.0)
         phi = ls.Correspondence(space, [ball] * 4)
         seq = ls.run_iteration(phi, np.zeros((4, 2)), ls.IterationConfig(alpha=0.0, beta=1.0, rounds=1))
-        assert seq.rounds[0].new_points == (0, 2)
+        assert list(seq.rounds[0].deltas) == [0, 2]
         seq.tables[1][[1, 3]] += [0.25, 0.0]
         check = ls.verify_round_properties(seq, 1)["anchored_strong_bound"]
         assert check["worst"] == 0.25
@@ -418,7 +422,7 @@ class TestSequenceInvariants:
         _, phi, f0, config = segment_instance(n_points=101)
         seq = ls.run_iteration(phi, f0, config)
         for record in seq.rounds:
-            for b in record.new_points:
+            for b in record.deltas:
                 entry = seq.tables[record.n][b]
                 for later in seq.tables[record.n + 1 :]:
                     np.testing.assert_array_equal(later[b], entry)
@@ -439,7 +443,7 @@ class TestSequenceInvariants:
         _, phi, f0, config = segment_instance(n_points=101)
         seq = ls.run_iteration(phi, f0, config)
         for record in seq.rounds:
-            pts = record.new_points
+            pts = list(record.deltas)
             for i, b in enumerate(pts):
                 assert record.deltas[b] < min(2.0 ** (-(record.n + 1)), math.inf)
                 for c in pts[i + 1 :]:

@@ -15,6 +15,7 @@ from lipselect.errors import (
 )
 
 from conftest import line_space, segment_instance
+from lipselect.formats import hierarchy_to_dict
 from lipselect.metric import BLOCK_ROWS
 
 
@@ -172,33 +173,33 @@ class TestGreedySeparation:
 
 class TestHierarchy:
     def test_four_point_round_one(self, four_point_line):
-        h = ls.build_separation_hierarchy(four_point_line, 1)
-        assert h.rounds[0].r == 1.0
-        assert set(h.rounds[0].members) == {0, 3}
+        entry = ls.build_separation_hierarchy(four_point_line, 1)
+        assert entry.tolist() == [1, 0, 0, 1]
+        assert ls.round_members(entry, 1).tolist() == [0, 3]
 
     def test_singleton(self):
         space = ls.SampledMetricSpace("l2", coords=[[0.0]])
-        h = ls.build_separation_hierarchy(space, 3)
-        assert all(rd.members == (0,) for rd in h.rounds)
+        entry = ls.build_separation_hierarchy(space, 3)
+        assert all(ls.round_members(entry, n).tolist() == [0] for n in (1, 2, 3))
 
     def test_four_point_three_rounds(self, four_point_line):
-        h = ls.build_separation_hierarchy(four_point_line, 3)
-        assert set(h.rounds[2].members) == {0, 1, 2, 3}
+        entry = ls.build_separation_hierarchy(four_point_line, 3)
+        assert entry.tolist() == [1, 3, 3, 1]
+        assert ls.round_members(entry, 3).tolist() == [0, 1, 2, 3]
 
     def test_invariants(self, four_point_line):
-        h = ls.build_separation_hierarchy(four_point_line, 4)
+        entry = ls.build_separation_hierarchy(four_point_line, 4)
         prev = set()
         prev_cover = float("inf")
-        for rd in h.rounds:
-            assert rd.r == 2.0 ** (-(rd.n - 1))
-            members = set(rd.members)
-            assert prev <= members
+        for n in range(1, 5):
+            r, members = 2.0 ** (-(n - 1)), ls.round_members(entry, n).tolist()
+            assert prev <= set(members)
             for a, b in itertools.combinations(members, 2):
-                assert four_point_line.distance(a, b) >= rd.r
-            cover = ls.covering_radius(four_point_line, rd.members)
-            assert cover < rd.r
+                assert four_point_line.distance(a, b) >= r
+            cover = ls.covering_radius(four_point_line, members)
+            assert cover < r
             assert cover <= prev_cover
-            prev, prev_cover = members, cover
+            prev, prev_cover = set(members), cover
 
     def test_rounds_must_be_positive(self, four_point_line):
         with pytest.raises(PreconditionError):
@@ -272,8 +273,8 @@ class TestJsonRoundTrip:
             ls.SampledMetricSpace.from_json_dict({"metric": "weird", "points": [[0.0]]})
 
     def test_hierarchy_export(self, four_point_line):
-        h = ls.build_separation_hierarchy(four_point_line, 2)
-        doc = h.to_json_dict()
+        doc = hierarchy_to_dict(ls.build_separation_hierarchy(four_point_line, 2), 2)
+        assert [rd["n"] for rd in doc["rounds"]] == [1, 2]
         assert doc["rounds"][0]["n"] == 1
         assert doc["rounds"][0]["r"] == 1.0
         assert doc["rounds"][0]["B"] == [0, 3]
@@ -306,6 +307,30 @@ def greedy_over_matrix(mat, r, seed=()):
         if i not in members and all(mat[i, b] >= r for b in members):
             members.append(i)
     return tuple(sorted(members))
+
+
+@pytest.mark.parametrize("metric", ["l1", "l2", "linf", "explicit"])
+def test_entry_column_equals_the_chain_of_seeded_separations(metric):
+    """The hierarchy column reproduces the chain it stands for: ``B_n`` is
+    the greedy maximal ``2^-(n-1)``-separation seeded with ``B_(n-1)``, each
+    point's entry the first round whose ``B_n`` holds it, 0 for none."""
+    for space_seed in range(6):
+        rng = np.random.default_rng(3000 + space_seed)
+        coords = rng.uniform(0.0, 1.0, size=(int(rng.integers(20, 140)), int(rng.integers(1, 5))))
+        if metric == "explicit":
+            # the square root of a metric is a metric
+            space = ls.SampledMetricSpace("explicit", explicit_distances=np.sqrt(matrix_row_by_row(coords, "l2")))
+        else:
+            space = ls.SampledMetricSpace(metric, coords=coords)
+        entry = ls.build_separation_hierarchy(space, 6)
+        assert entry.shape == (len(space),) and entry.dtype.kind == "i"
+        chain, prev = np.zeros(len(space), dtype=int), ()
+        for n in range(1, 7):
+            members = ls.greedy_maximal_separation(space, 2.0 ** (-(n - 1)), seed=prev)
+            assert ls.round_members(entry, n).tolist() == list(members)
+            chain[[b for b in members if b not in prev]] = n
+            prev = members
+        np.testing.assert_array_equal(entry, chain)
 
 
 point_sets = st.integers(min_value=1, max_value=7).flatmap(

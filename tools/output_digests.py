@@ -5,8 +5,11 @@ and tiny), the script writes the input documents with
 ``workloads.build``, runs the constructing verb and then its read path
 (``verify`` or ``plip``) in-process through ``lipselect.cli.main``, and
 hashes every file left in the instance's directory: inputs, reports and
-tables.  It imports the ``src/`` and ``bench/`` of the checkout it lives in
-and changes nothing there.
+tables.  For ``balls`` and ``polytopes`` it also writes the space of the
+correspondence and runs ``separate --rounds`` with the configured rounds on
+it, so the hierarchy is compared as each of its renderers writes it.  It
+imports the ``src/`` and ``bench/`` of the checkout it lives in and changes
+nothing there.
 
     python tools/output_digests.py --out digests.json
 
@@ -51,9 +54,10 @@ def _run(argv) -> int:
 
 
 def digests(seeds, workdir: Path) -> dict:
-    """``{"files": {path: sha256}, "exits": {instance: [solve, read]}}``,
+    """``{"files": {path: sha256}, "exits": {instance: [solve, read, ...]}}``,
     paths relative to ``workdir`` as ``workload/size/seed/file``; a read
-    exit is null when the solve failed."""
+    exit is null when the solve failed, and a ``separate`` exit follows
+    where the workload has a space of its own."""
     files, exits = {}, {}
     for name in workloads.WORKLOADS:
         for size in ("full", "tiny"):
@@ -67,6 +71,14 @@ def digests(seeds, workdir: Path) -> dict:
                     report = json.loads(Path(out).read_text(encoding="utf-8"))
                     read = _run(inst.read_argv(report))
                 exits[tag] = [solve, read]
+                if name in ("balls", "polytopes"):
+                    corr = json.loads((workdir / tag / "correspondence.json").read_text(encoding="utf-8"))
+                    space = workdir / tag / "space.json"
+                    space.write_text(json.dumps(corr["space"]), encoding="utf-8")
+                    exits[tag].append(_run([
+                        "separate", "--space", str(space), "--rounds", str(inst.expect["rounds"]),
+                        "--out", str(workdir / tag / "separate.json"),
+                    ]))
                 for path in sorted((workdir / tag).rglob("*")):
                     if path.is_file():
                         rel = path.relative_to(workdir).as_posix()
