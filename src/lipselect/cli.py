@@ -44,7 +44,7 @@ from .formats import (
     dumps_canonical,
     hierarchy_to_dict,
     profile_csv_text,
-    selection_csv_text,
+    selection_csv_texts,
     sequence_from_dict,
     sequence_to_dict,
     table_from_dict,
@@ -216,9 +216,8 @@ def _cmd_select(opts) -> int:
     if opts.get("tables_dir"):
         tables_dir = Path(opts["tables_dir"])
         tables_dir.mkdir(parents=True, exist_ok=True)
-        for n, table in enumerate(seq.tables):
-            path = tables_dir / f"f{n}.csv"
-            path.write_text(selection_csv_text(phi.space, table), encoding="ascii")
+        for n, text in enumerate(selection_csv_texts(seq.tables)):
+            (tables_dir / f"f{n}.csv").write_text(text, encoding="ascii")
         print(f"selection tables written to {tables_dir}")
     return EXIT_OK if audit["passed"] else EXIT_CHECK_FAILED
 
@@ -298,9 +297,7 @@ def _cmd_bartle_graves(opts) -> int:
     }
     _emit(opts.get("out"), report)
     if opts.get("tau_csv"):
-        Path(opts["tau_csv"]).write_text(
-            selection_csv_text(ri.table.space, ri.table.values), encoding="ascii"
-        )
+        Path(opts["tau_csv"]).write_text(selection_csv_texts(ri.table.values[None])[0], encoding="ascii")
         print(f"sphere table written to {opts['tau_csv']}")
     return EXIT_OK if report_obj.passed else EXIT_CHECK_FAILED
 

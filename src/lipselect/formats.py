@@ -6,9 +6,9 @@ but negative zero: ``%.17g`` writes it ``-0``, which JSON readers take for
 the integer 0, so it is written ``-0.0``.  Object keys are emitted sorted,
 and no locale- or platform-dependent formatting is used.
 
-Selection tables are emitted as blocks: one ``%.17g`` template per table
-shape, rows in sorted-key order, filled by one ``%`` with the whole table,
-byte for byte what the generic emission writes for its rows.
+Selection tables are emitted as blocks, byte for byte what the generic
+emission writes: a run's rows are formatted once, ``f0`` in full, and a
+later table reuses the text of each row that its round left unchanged.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from functools import lru_cache
 from typing import Any, List, Optional
 
 import numpy as np
@@ -42,15 +41,6 @@ class Rendered(str):
     """Canonical JSON text rendered ahead of time, written as it stands."""
 
 
-@lru_cache(maxsize=8)
-def _keyed_rows(n: int, width: int) -> tuple:
-    """The template of an ``n``-row table as an object keyed by row, rows in
-    sorted-key order as ``_canonical`` writes them, and that row order."""
-    order = sorted(range(n), key=str)
-    row = "[" + ",".join(["%.17g"] * width) + "]"
-    return "{" + ",".join(f'"{a}":{row}' for a in order) + "}", np.array(order)
-
-
 def _fill(template: str, table: np.ndarray) -> str:
     """``template`` filled with the entries of ``table`` in row-major order,
     each as ``format_float`` writes it: a non-finite entry is a
@@ -59,6 +49,28 @@ def _fill(template: str, table: np.ndarray) -> str:
         raise SchemaError("reports must not contain non-finite numbers")
     text = template % tuple(table.ravel().tolist())
     return _NEGATIVE_ZERO.sub("-0.0", text) if np.signbit(table[table == 0.0]).any() else text
+
+
+def _rendered_rows(tables: np.ndarray, keys, pattern: str) -> list:
+    """The text of each row ``i`` of each table of the ``(T, N, d)`` stack
+    ``tables``: ``pattern.format(keys[i], entries)``, entries as ``_fill``
+    writes them.  Table 0 is formatted in full, a later one only where a
+    row's bits differ from the table before (``0.0`` to ``-0.0`` counts), in
+    one ``%``; every other row reuses the text made, and checked, before."""
+    # each row ends in "\n", so the negative-zero rewrite sees its last entry
+    row = pattern.format("{}", ",".join(["%.17g"] * tables.shape[2])) + "\n"
+    templates = [row.format(key) for key in keys]
+    changed = np.ones(tables.shape[:2], dtype=bool)
+    changed[1:] = (tables[1:].view(np.uint64) != tables[:-1].view(np.uint64)).any(axis=2)
+    rows_at = np.nonzero(changed)[1]
+    text = _fill("".join(map(templates.__getitem__, rows_at.tolist())), tables[changed])
+    pieces = np.array(text.split("\n"), dtype=object)
+    out, rows, start = [], np.empty(len(templates), dtype=object), 0
+    for end in np.cumsum(changed.sum(axis=1)).tolist():
+        rows[rows_at[start:end]] = pieces[start:end]
+        out.append(rows.tolist())
+        start = end
+    return out
 
 
 def _canonical(obj: Any, out: List[str]) -> None:
@@ -107,11 +119,11 @@ def write_report(path, obj: Any) -> None:
         fh.write(dumps_canonical(obj))
 
 
-def selection_csv_text(space: SampledMetricSpace, table: np.ndarray) -> str:
-    n, width = table.shape
-    header = "point_id," + ",".join(f"x{j + 1}" for j in range(width))
-    row = ",".join(["%.17g"] * width)
-    return _fill("\n".join([header] + [f"{a},{row}" for a in range(n)]) + "\n", table)
+def selection_csv_texts(tables: np.ndarray) -> list:
+    """The CSV text of each table of the ``(T, N, d)`` stack ``tables``: a
+    ``point_id,x1,...`` header, then one line per row in row order."""
+    header = "point_id," + ",".join(f"x{j + 1}" for j in range(tables.shape[2]))
+    return ["\n".join([header] + rows) + "\n" for rows in _rendered_rows(tables, range(tables.shape[1]), "{},{}")]
 
 
 def table_from_dict(doc, space: SampledMetricSpace, dim: Optional[int] = None) -> np.ndarray:
@@ -150,23 +162,24 @@ def sequence_to_dict(seq: SelectionSequence) -> dict:
     """Exportable view of a run: config, hierarchy, per-round evidence, and
     the selection tables as rendered blocks (anchored local selections are
     not exported)."""
-    template, order = _keyed_rows(*seq.tables.shape[1:])
+    order = sorted(range(seq.tables.shape[1]), key=str)
+    tables = _rendered_rows(seq.tables[:, order], order, '"{}":[{}]')
+    hierarchy = hierarchy_to_dict(seq.entry, len(seq.rounds))
     return {
         "config": seq.config.to_json_dict(),
-        "hierarchy": hierarchy_to_dict(seq.entry, len(seq.rounds)),
+        "hierarchy": hierarchy,
         "rounds": [
             {
                 "n": record.n,
-                "B": round_members(seq.entry, record.n).tolist(),
+                "B": level["B"],
                 "new": list(record.deltas),
                 "deltas": {str(b): float(d) for b, d in record.deltas.items()},
                 "sup_change": float(record.sup_change),
             }
-            for record in seq.rounds
+            for record, level in zip(seq.rounds, hierarchy["rounds"])
         ],
         "selections": [
-            {"round": n, "values": Rendered(_fill(template, table[order]))}
-            for n, table in enumerate(seq.tables)
+            {"round": n, "values": Rendered("{" + ",".join(rows) + "}")} for n, rows in enumerate(tables)
         ],
     }
 

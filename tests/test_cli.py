@@ -16,7 +16,7 @@ from lipselect.cli import VERBS, main
 from lipselect.formats import (
     dumps_canonical,
     format_float,
-    selection_csv_text,
+    selection_csv_texts,
     sequence_from_dict,
     sequence_to_dict,
     table_from_dict,
@@ -672,21 +672,41 @@ SPECIAL_DOUBLES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.797693
                    1.0, -3.0, 2.0**53, 1e22, 0.1 + 0.2, 1e-7]
 
 
-def generic_sequence_text(table):
-    """The report text of a one-table sequence written by the generic
-    emission: the table as an object of row lists."""
+def generic_sequence_text(tables):
+    """The report text of a sequence of the ``(T, N, d)`` stack ``tables``
+    and no rounds, written by the generic emission: each table as an object
+    of row lists."""
     config = ls.IterationConfig(alpha=0.0, beta=1.0)
     return dumps_canonical({
         "config": config.to_json_dict(),
         "hierarchy": {"rounds": []},
         "rounds": [],
-        "selections": [{"round": 0, "values": {str(a): row for a, row in enumerate(table.tolist())}}],
+        "selections": [
+            {"round": t, "values": {str(a): row for a, row in enumerate(table.tolist())}}
+            for t, table in enumerate(tables)
+        ],
     })
 
 
-def one_table_sequence(table):
+def generic_csv_text(table):
+    """The CSV text of one table, one ``format_float`` per entry."""
+    header = "point_id," + ",".join(f"x{j + 1}" for j in range(table.shape[1]))
+    rows = [str(a) + "," + ",".join(format_float(x) for x in row) for a, row in enumerate(table)]
+    return "\n".join([header] + rows) + "\n"
+
+
+def stack_sequence(tables):
     config = ls.IterationConfig(alpha=0.0, beta=1.0)
-    return ls.SelectionSequence(None, config, np.zeros(len(table), dtype=np.intp), table[None], [])
+    return ls.SelectionSequence(None, config, np.zeros(tables.shape[1], dtype=np.intp), tables, [])
+
+
+def random_doubles(rng, n, width, picks):
+    """An ``(n, width)`` table mixing random bit patterns that are finite
+    doubles with the special values and ``picks``."""
+    bits = rng.integers(0, 2**64, size=(n, width), dtype=np.uint64, endpoint=False).view(np.float64)
+    pool = np.array(SPECIAL_DOUBLES + picks)
+    table = np.where(np.isfinite(bits), bits, 0.0)
+    return np.where(rng.random((n, width)) < 0.5, pool[rng.integers(0, len(pool), size=(n, width))], table)
 
 
 @seed(13)
@@ -699,23 +719,52 @@ def one_table_sequence(table):
 )
 def test_block_emission_equals_the_generic_recursion(n, width, picks, rng_seed):
     rng = np.random.default_rng(rng_seed)
-    # every finite double is a bit pattern; mix them with the special values
-    bits = rng.integers(0, 2**64, size=(n, width), dtype=np.uint64, endpoint=False).view(np.float64)
-    pool = np.array(SPECIAL_DOUBLES + picks)
-    table = np.where(np.isfinite(bits), bits, 0.0)
-    table = np.where(rng.random((n, width)) < 0.5, pool[rng.integers(0, len(pool), size=(n, width))], table)
-    assert dumps_canonical(sequence_to_dict(one_table_sequence(table))) == generic_sequence_text(table)
-    space = ls.SampledMetricSpace("l2", coords=np.arange(n, dtype=float)[:, None])
-    rows = [str(a) + "," + ",".join(format_float(x) for x in row) for a, row in enumerate(table)]
-    header = "point_id," + ",".join(f"x{j + 1}" for j in range(width))
-    assert selection_csv_text(space, table) == "\n".join([header] + rows) + "\n"
+    table = random_doubles(rng, n, width, picks)
+    assert dumps_canonical(sequence_to_dict(stack_sequence(table[None]))) == generic_sequence_text(table[None])
+    assert selection_csv_texts(table[None]) == [generic_csv_text(table)]
     for bad in (np.nan, np.inf, -np.inf):
         broken = table.copy()
         broken[rng.integers(n), rng.integers(width)] = bad
         with pytest.raises(ls.SchemaError):
-            dumps_canonical(sequence_to_dict(one_table_sequence(broken)))
+            dumps_canonical(sequence_to_dict(stack_sequence(broken[None])))
         with pytest.raises(ls.SchemaError):
-            selection_csv_text(space, broken)
+            selection_csv_texts(broken[None])
+
+
+@seed(17)
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 9, 10, 11, 100]),
+    width=st.integers(1, 3),
+    steps=st.lists(st.sampled_from(["some", "none", "all"]), max_size=4),
+    rng_seed=st.integers(0, 2**32 - 1),
+)
+def test_stack_emission_equals_the_per_table_emission(n, width, steps, rng_seed):
+    """A stack whose later tables copy rows of the table before bit for
+    bit, as a round copies the rows outside its supports, renders as each
+    table on its own: a copied row whose zeros change sign is rendered
+    again, and a non-finite entry of a later table is a schema error."""
+    rng = np.random.default_rng(rng_seed)
+    tables = [random_doubles(rng, n, width, [])]
+    for step in steps:
+        copied = {"some": rng.random(n) < 0.7, "none": np.ones(n, bool), "all": np.zeros(n, bool)}[step]
+        table = np.where(copied[:, None], tables[-1], random_doubles(rng, n, width, []))
+        if step == "some":
+            # 0.0 <-> -0.0 in some copied rows: equal under ==, not in bits
+            flip = copied[:, None] & (table == 0.0) & (rng.random((n, width)) < 0.5)
+            table = np.where(flip, -table, table)
+        tables.append(table)
+    tables = np.stack(tables)
+    assert dumps_canonical(sequence_to_dict(stack_sequence(tables))) == generic_sequence_text(tables)
+    assert selection_csv_texts(tables) == [generic_csv_text(table) for table in tables]
+    if len(tables) > 1:
+        for bad in (np.nan, np.inf, -np.inf):
+            broken = tables.copy()
+            broken[rng.integers(1, len(tables)), rng.integers(n), rng.integers(width)] = bad
+            with pytest.raises(ls.SchemaError):
+                sequence_to_dict(stack_sequence(broken))
+            with pytest.raises(ls.SchemaError):
+                selection_csv_texts(broken)
 
 
 def test_every_double_reads_back_from_a_rendered_table():
@@ -724,7 +773,7 @@ def test_every_double_reads_back_from_a_rendered_table():
     table parses back to its own bits."""
     table = np.array(SPECIAL_DOUBLES).reshape(-1, 2)
     space = ls.SampledMetricSpace("l2", coords=np.arange(len(table), dtype=float)[:, None])
-    for text in (dumps_canonical(sequence_to_dict(one_table_sequence(table))), generic_sequence_text(table)):
+    for text in (dumps_canonical(sequence_to_dict(stack_sequence(table[None]))), generic_sequence_text(table[None])):
         back = table_from_dict(json.loads(text)["selections"][0], space)
         assert back.tobytes() == table.tobytes()
 

@@ -5,11 +5,12 @@ and tiny), the script writes the input documents with
 ``workloads.build``, runs the constructing verb and then its read path
 (``verify`` or ``plip``) in-process through ``lipselect.cli.main``, and
 hashes every file left in the instance's directory: inputs, reports and
-tables.  For ``balls`` and ``polytopes`` it also writes the space of the
-correspondence and runs ``separate --rounds`` with the configured rounds on
-it, so the hierarchy is compared as each of its renderers writes it.  It
-imports the ``src/`` and ``bench/`` of the checkout it lives in and changes
-nothing there.
+tables.  Each ``select`` also writes its ``f0..fN`` CSV tables, with
+``--tables-dir <instance>/tables``.  For ``balls`` and ``polytopes`` it
+also writes the space of the correspondence and runs ``separate --rounds``
+with the configured rounds on it, so the hierarchy is compared as each of
+its renderers writes it.  It imports the ``src/`` and ``bench/`` of the
+checkout it lives in and changes nothing there.
 
     python tools/output_digests.py --out digests.json
 
@@ -64,7 +65,10 @@ def digests(seeds, workdir: Path) -> dict:
             for seed in seeds:
                 tag = f"{name}/{size}/{seed}"
                 inst = workloads.build(name, seed, workdir / tag, size)
-                solve = _run(inst.solve_argv)
+                solve_argv = list(inst.solve_argv)
+                if solve_argv[0] == "select":
+                    solve_argv += ["--tables-dir", str(workdir / tag / "tables")]
+                solve = _run(solve_argv)
                 read = None
                 if solve == 0:
                     out = inst.solve_argv[inst.solve_argv.index("--out") + 1]
