@@ -20,7 +20,6 @@ directions and scales; pass flags and worst witnesses are reductions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -101,7 +100,6 @@ def sphere_sample(m: int, count: int, seed: int = 0, dedup_tol: float = 1e-6) ->
     return SampledMetricSpace("l2", coords=coords)
 
 
-@dataclass
 class RightInverse:
     """A positively homogeneous right inverse, sampled on sphere directions.
 
@@ -112,16 +110,18 @@ class RightInverse:
     separated sets (recorded here as metadata, not tested numerically).
     """
 
-    T: LinearSurjection
-    table: SphereTable
-    gamma: float
-    alpha: float
-    beta: float
-    eta: float
-    dense_set: Tuple[int, ...]
-    tail_bound: float
-    pinv_gap: float
-    sequence: SelectionSequence
+    def __init__(self, T: LinearSurjection, table: SphereTable, gamma: float, alpha: float, beta: float, eta: float,
+                 dense_set: Tuple[int, ...], tail_bound: float, pinv_gap: float, sequence: SelectionSequence):
+        self.T = T
+        self.table = table
+        self.gamma = gamma
+        self.alpha = alpha
+        self.beta = beta
+        self.eta = eta
+        self.dense_set = dense_set
+        self.tail_bound = tail_bound
+        self.pinv_gap = pinv_gap
+        self.sequence = sequence
 
     def __call__(self, y) -> np.ndarray:
         """Positively homogeneous extension of the sphere table at ``y``
@@ -170,7 +170,6 @@ def build_right_inverse(
     )
 
 
-@dataclass
 class RightInverseReport:
     """The checks as arrays, one row per trial direction ``k``.
 
@@ -179,19 +178,24 @@ class RightInverseReport:
     ``c >= 1``.  Off-sample identity residuals are reported, not judged.
     """
 
-    directions: np.ndarray
-    scales: np.ndarray
-    residuals: np.ndarray
-    homogeneity_diffs: np.ndarray
-    homogeneity_exact: np.ndarray
-    exact_coords: np.ndarray
-    off_sample_directions: np.ndarray
-    off_sample_nearest: np.ndarray
-    off_sample_semantic: np.ndarray
-    off_sample_identity: np.ndarray
-    plip_report: HomogeneousPlipReport
-    covering_radius: float
-    covering_bound: float
+    def __init__(self, directions: np.ndarray, scales: np.ndarray, residuals: np.ndarray,
+                 homogeneity_diffs: np.ndarray, homogeneity_exact: np.ndarray, exact_coords: np.ndarray,
+                 off_sample_directions: np.ndarray, off_sample_nearest: np.ndarray,
+                 off_sample_semantic: np.ndarray, off_sample_identity: np.ndarray,
+                 plip_report: HomogeneousPlipReport, covering_radius: float, covering_bound: float):
+        self.directions = directions
+        self.scales = scales
+        self.residuals = residuals
+        self.homogeneity_diffs = homogeneity_diffs
+        self.homogeneity_exact = homogeneity_exact
+        self.exact_coords = exact_coords
+        self.off_sample_directions = off_sample_directions
+        self.off_sample_nearest = off_sample_nearest
+        self.off_sample_semantic = off_sample_semantic
+        self.off_sample_identity = off_sample_identity
+        self.plip_report = plip_report
+        self.covering_radius = covering_radius
+        self.covering_bound = covering_bound
 
     @property
     def identity_passed(self) -> bool:

@@ -25,7 +25,6 @@ this structure with parallel affine flats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Sequence
 
 import numpy as np
@@ -222,18 +221,18 @@ def inverse_image_correspondence(T: LinearSurjection, sample: SampledMetricSpace
     return Correspondence(sample, stacks=[(np.arange(n), AffineFlat, stack)])
 
 
-@dataclass(frozen=True)
 class AnchoredPairs:
     """Anchored selections at several anchors, held over ``(anchor, row)``
     pairs in order of anchor, then row: pair ``p`` is the point ``rows[p]``
     at distance ``dist[p]`` from ``anchors[owner[p]]``, with the anchored
     value ``values[p]``."""
 
-    anchors: np.ndarray
-    owner: np.ndarray
-    rows: np.ndarray
-    dist: np.ndarray
-    values: np.ndarray
+    def __init__(self, anchors: np.ndarray, owner: np.ndarray, rows: np.ndarray, dist: np.ndarray, values: np.ndarray):
+        self.anchors = anchors
+        self.owner = owner
+        self.rows = rows
+        self.dist = dist
+        self.values = values
 
 
 def anchored_selection(

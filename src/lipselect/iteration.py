@@ -36,7 +36,6 @@ point ``i``; a run holds ``f_0 .. f_N`` stacked in one array, of shape
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -66,18 +65,17 @@ def _sup_distance(f: np.ndarray, g: np.ndarray) -> float:
     return float(np.linalg.norm(f - g, axis=1).max())
 
 
-@dataclass
 class RoundRecord:
     """Evidence retained for one adjustment round: the radius of each new
     anchor, in row order (its keys are the round's new anchors), and the
     realized displacement."""
 
-    n: int
-    deltas: Dict[int, float]
-    sup_change: float
+    def __init__(self, n: int, deltas: Dict[int, float], sup_change: float):
+        self.n = n
+        self.deltas = deltas
+        self.sup_change = sup_change
 
 
-@dataclass
 class IterationConfig:
     """Numeric parameters of the engine.
 
@@ -86,17 +84,18 @@ class IterationConfig:
     smaller one but never a larger one.
     """
 
-    alpha: float
-    beta: float
-    epsilon: Optional[float] = None
-    rounds: int = 4
-    delta_min: float = 1e-9
-    tol: float = 1e-9
+    # the parameters in order, the keys of a config document
+    _FIELDS = ("alpha", "beta", "epsilon", "rounds", "delta_min", "tol")
 
-    def __post_init__(self):
-        cap = (self.beta - self.alpha) / 3.0
-        if self.epsilon is None:
-            self.epsilon = cap
+    def __init__(self, alpha: float, beta: float, epsilon: Optional[float] = None, rounds: int = 4,
+                 delta_min: float = 1e-9, tol: float = 1e-9):
+        cap = (beta - alpha) / 3.0
+        self.alpha = alpha
+        self.beta = beta
+        self.epsilon = cap if epsilon is None else epsilon
+        self.rounds = rounds
+        self.delta_min = delta_min
+        self.tol = tol
         as_finite_array(
             [self.alpha, self.beta, self.epsilon, self.delta_min, self.tol],
             "iteration parameters",
@@ -122,9 +121,8 @@ class IterationConfig:
         ``beta``; a stored config (``complete``) must carry every field."""
         if not isinstance(doc, dict):
             raise SchemaError("iteration config must be a JSON object")
-        names = [f.name for f in fields(cls)]
-        unknown = sorted(set(doc) - set(names))
-        missing = [k for k in (names if complete else ("alpha", "beta")) if k not in doc]
+        unknown = sorted(set(doc) - set(cls._FIELDS))
+        missing = [k for k in (cls._FIELDS if complete else ("alpha", "beta")) if k not in doc]
         if unknown or missing:
             raise SchemaError(
                 f"iteration config has unknown keys {unknown} or lacks {missing}"
@@ -138,10 +136,9 @@ class IterationConfig:
         return cls(**doc)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self._FIELDS}
 
 
-@dataclass
 class SelectionSequence:
     """The full output of a run: ``f_0 .. f_N`` as one array, ``tables[n]``
     being ``f_n``, the hierarchy as its ``entry`` column
@@ -150,12 +147,14 @@ class SelectionSequence:
     that a run of the engine on its space could not have
     (:func:`~lipselect.formats.sequence_from_dict`); a run's is empty."""
 
-    correspondence: Correspondence
-    config: IterationConfig
-    entry: np.ndarray
-    tables: np.ndarray
-    rounds: List[RoundRecord]
-    metadata_problems: Tuple[str, ...] = ()
+    def __init__(self, correspondence: Correspondence, config: IterationConfig, entry: np.ndarray,
+                 tables: np.ndarray, rounds: List[RoundRecord], metadata_problems: Tuple[str, ...] = ()):
+        self.correspondence = correspondence
+        self.config = config
+        self.entry = entry
+        self.tables = tables
+        self.rounds = rounds
+        self.metadata_problems = metadata_problems
 
     @property
     def space(self) -> SampledMetricSpace:

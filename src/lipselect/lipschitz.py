@@ -24,7 +24,6 @@ an interval upgrade to a global Lipschitz bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -43,7 +42,6 @@ INFORMATIVE_COUNT = 3
 RADIUS_LEVELS = 4
 
 
-@dataclass(frozen=True)
 class PlipProfiles:
     """Ratio profiles as columns: row ``p`` of ``ratios`` and
     ``informative`` belongs to base point ``points[p]``, column ``j`` to
@@ -51,11 +49,13 @@ class PlipProfiles:
     smallest informative radii of row ``p`` (the small-radius limsup
     surrogate)."""
 
-    points: np.ndarray
-    radii: np.ndarray
-    ratios: np.ndarray
-    informative: np.ndarray
-    estimates: np.ndarray
+    def __init__(self, points: np.ndarray, radii: np.ndarray, ratios: np.ndarray, informative: np.ndarray,
+                 estimates: np.ndarray):
+        self.points = points
+        self.radii = radii
+        self.ratios = ratios
+        self.informative = informative
+        self.estimates = estimates
 
 
 def _ball_ratios(dist, dev, radii, closed=True):
@@ -180,18 +180,19 @@ def homogeneous_extension(table: SphereTable, z) -> np.ndarray:
     return np.where(nrm > 0.0, nrm * table.values[k], 0.0)
 
 
-@dataclass(frozen=True)
 class HomogeneousPlipReport:
     """Columns over the ``(ray, scale)`` pairs, rays in order and each ray's
     scales in the given order; ``bound`` is ``eta`` plus ``tol``."""
 
-    sup_norm: float
-    bound: float
-    direction: np.ndarray
-    scale: np.ndarray
-    sphere_estimate: np.ndarray
-    extension_estimate: np.ndarray
-    passed: bool
+    def __init__(self, sup_norm: float, bound: float, direction: np.ndarray, scale: np.ndarray,
+                 sphere_estimate: np.ndarray, extension_estimate: np.ndarray, passed: bool):
+        self.sup_norm = sup_norm
+        self.bound = bound
+        self.direction = direction
+        self.scale = scale
+        self.sphere_estimate = sphere_estimate
+        self.extension_estimate = extension_estimate
+        self.passed = passed
 
 
 def ray_scales(scales) -> np.ndarray:
@@ -342,14 +343,15 @@ def cantor_plateaus(max_depth: int) -> List[Tuple[int, float, float]]:
 # -- global Lipschitz upgrade -------------------------------------------------
 
 
-@dataclass(frozen=True)
 class LipschitzUpgradeReport:
-    passed: bool
-    worst_pair: Tuple[int, int]
-    worst_violation: float
-    worst_ratio: float
-    hypothesis_held: bool
-    hypothesis_worst: Tuple[int, float, float]
+    def __init__(self, passed: bool, worst_pair: Tuple[int, int], worst_violation: float, worst_ratio: float,
+                 hypothesis_held: bool, hypothesis_worst: Tuple[int, float, float]):
+        self.passed = passed
+        self.worst_pair = worst_pair
+        self.worst_violation = worst_violation
+        self.worst_ratio = worst_ratio
+        self.hypothesis_held = hypothesis_held
+        self.hypothesis_worst = hypothesis_worst
 
 
 def global_lipschitz_upgrade_check(

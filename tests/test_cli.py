@@ -491,14 +491,25 @@ class TestArgvReader:
         assert main(["separate", "--space", line_doc, "--r", "0.1", "--out", str(out), "--r", "0.5"]) == 0
         assert json.loads(out.read_text())["r"] == 0.5
 
-    def test_cli_imports_neither_argparse_nor_gettext(self):
+    @staticmethod
+    def _fresh(*args):
+        """Run a fresh interpreter with the package's ``src`` on its path:
+        the root ``conftest.py`` has imported everything in this one."""
         path = [str(Path(ls.__file__).parents[1]), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+    def test_cli_imports_neither_argparse_nor_gettext(self):
         probe = "import sys, lipselect.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
-        imported = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-        assert imported.stdout == "[]\n"
-        usage = subprocess.run([sys.executable, "-m", "lipselect", "--help"], env=env, capture_output=True, text=True)
+        assert self._fresh("-c", probe).stdout == "[]\n"
+        usage = self._fresh("-m", "lipselect", "--help")
         assert usage.returncode == 0 and all(verb in usage.stdout for verb in VERBS)
+
+    def test_cli_imports_neither_dataclasses_nor_numpy_random(self):
+        # every verb pays for its imports in its start-up; numpy.random is
+        # loaded on first use, inside the bartle-graves solve
+        probe = "import sys, lipselect.cli; print(sorted({'dataclasses', 'numpy.random'} & set(sys.modules)))"
+        assert self._fresh("-c", probe).stdout == "[]\n"
 
 
 @pytest.mark.parametrize(

@@ -241,6 +241,23 @@ class TestPolytope:
         monkeypatch.setattr(ls.convex, "DYKSTRA_MAX_SWEEPS", DYKSTRA_MAX_SWEEPS)
         np.testing.assert_allclose(corner.project([3.0, 3.0]), [1.0, 2.0], rtol=0.0, atol=1e-9)
 
+    def test_degenerate_polytope_projects_onto_its_corner(self):
+        """Normals at multiples of 45 degrees, and a feasible set that is
+        the ray ``x1 = -0.385, x2 >= 1.0807``: the query projects onto its
+        end, where three halfspaces are tight.  Dykstra's method does not
+        settle there, and the certified point is the oracle's.  The
+        offsets are rounded, so ``(-0.385, 1.0806)``, the one point of the
+        body before rounding, is no witness."""
+        normals = [[0.0, -1.0], [0.0, -1.0], [-1.0, 0.0], [1.0, -1.0], [1.0, 0.0]]
+        offsets = [-1.0806, -0.5228, 0.385, -1.4657, -0.385]
+        with pytest.raises(PreconditionError):
+            ls.Polytope(normals, offsets, witness=[-0.385, 1.0806])
+        poly = ls.Polytope(normals, offsets, witness=[-0.385, 1.0807])
+        y = [-1.2e-7, -0.6289]
+        oracle = face_enumeration_projection(normals, offsets, y)
+        np.testing.assert_allclose(poly.project(y), oracle, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(oracle, [-0.385, 1.0807], rtol=0.0, atol=1e-12)
+
     def test_slow_wedge_converges_to_the_apex(self):
         np.testing.assert_allclose(narrow_wedge(0.3).project([1.0, 0.5]), [0.0, 0.0], atol=1e-9)
 
