@@ -53,9 +53,10 @@ def sphere_sample(m: int, count: int, seed: int = 0, dedup_tol: float = 1e-6) ->
     ``m = 1``: the two points -1, +1.  ``m = 2``: a uniform angular grid
     (axis-aligned points snap to exact coordinates).  ``m >= 3``: seeded
     normalized Gaussian draws, deduplicated at ``dedup_tol``: a draw is
-    skipped when an earlier kept direction lies within ``dedup_tol`` of it.
-    Draws come in batches of the missing rows; a sample still short after
-    ``100 * count`` draws is a :class:`ConfigurationError`.
+    skipped when an earlier kept direction lies within ``dedup_tol`` of it
+    (:func:`_joining`).  Draws come in batches of the missing rows; a
+    sample still short after ``100 * count`` draws is a
+    :class:`ConfigurationError`.
     """
     if m < 1:
         raise ParameterError("sphere dimension must be at least 1")
@@ -83,21 +84,54 @@ def sphere_sample(m: int, count: int, seed: int = 0, dedup_tol: float = 1e-6) ->
             batch = rng.normal(size=(k, m))
             nrm = _row_norms(batch)
             batch = batch[nrm > 0.0] / nrm[nrm > 0.0, None]
-            for start in range(0, len(batch), BLOCK_ROWS):
-                block = batch[start : start + BLOCK_ROWS]
-                # chord lengths as row dot products, bitwise equal to the
-                # norm of each difference taken alone
-                gaps = coords[:drawn, None] - block
-                keep = ~np.any(np.sqrt(np.vecdot(gaps, gaps)) < dedup_tol, axis=0)
-                gaps = block[:, None] - block
-                near = np.tril(np.sqrt(np.vecdot(gaps, gaps)) < dedup_tol, -1)
-                # in draw order: a draw near a kept earlier one is skipped
-                for i in np.flatnonzero(near.any(axis=1)):
-                    keep[i] &= not np.any(keep & near[i])
-                kept = block[keep]
-                coords[drawn : drawn + len(kept)] = kept
-                drawn += len(kept)
+            kept = batch[_joining(coords[:drawn], batch, dedup_tol)]
+            coords[drawn : drawn + len(kept)] = kept
+            drawn += len(kept)
     return SampledMetricSpace("l2", coords=coords)
+
+
+def _joining(kept: np.ndarray, batch: np.ndarray, tol: float) -> np.ndarray:
+    """Which draws of ``batch`` join the ``kept`` directions, in draw order:
+    a draw is skipped when a kept direction or an earlier joining draw lies
+    within ``tol`` of it.  Only pairs whose first coordinates lie within
+    ``2 * tol`` are judged, found by a window search over the first
+    coordinates of the kept rows and the batch in stable sorted order; they
+    are judged as arrays, at most ``BLOCK_ROWS`` times the pool's rows at a
+    time, by the chord ``sqrt(vecdot(gap, gap)) < tol``, bitwise the norm
+    of each difference taken alone.  The draw-order rule loops only over
+    draws that lie near an earlier draw of the batch and near no kept
+    direction."""
+    pool = np.concatenate([kept, batch])
+    n0 = len(kept)
+    order = np.argsort(pool[:, 0], kind="stable")
+    first = pool[order, 0]
+    lo = np.searchsorted(first, batch[:, 0] - 2.0 * tol, "left")
+    # a window is empty, not negative, when no chord can be below tol
+    counts = np.maximum(np.searchsorted(first, batch[:, 0] + 2.0 * tol, "right") - lo, 0)
+    ends = np.cumsum(counts)
+    # pair t of draw i has the partner order[t - shift[i]] in its window
+    shift = ends - counts - lo
+    keep = np.ones(len(pool), dtype=bool)
+    start = 0
+    while start < len(batch):
+        base = ends[start] - counts[start]
+        stop = int(np.searchsorted(ends, base + BLOCK_ROWS * len(pool), "right"))
+        draw = np.repeat(np.arange(n0 + start, n0 + stop), counts[start:stop])
+        partner = order[np.arange(base, ends[stop - 1]) - np.repeat(shift[start:stop], counts[start:stop])]
+        earlier = partner < draw
+        draw, partner = draw[earlier], partner[earlier]
+        gap = pool[partner] - pool[draw]
+        near = np.sqrt(np.vecdot(gap, gap)) < tol
+        draw, partner = draw[near], partner[near]
+        keep[draw[partner < n0]] = False
+        inner = (partner >= n0) & keep[draw]
+        draw, partner = draw[inner], partner[inner]
+        # in draw order: a draw near a joining earlier one is skipped
+        heads = np.flatnonzero(np.diff(draw, prepend=-1))
+        for i, j, k in zip(draw[heads].tolist(), heads.tolist(), heads[1:].tolist() + [len(draw)]):
+            keep[i] = not keep[partner[j:k]].any()
+        start = stop
+    return keep[n0:]
 
 
 class RightInverse:

@@ -168,24 +168,30 @@ class SampledMetricSpace:
         """Distances from ``a`` to every point, read-only: a row of the
         explicit matrix, or the kernel's row, kept from its first read
         (``d(a, a)`` is ``x - x = 0`` exactly)."""
-        a = self.index(a)
-        if a not in self._rows:
-            self._keep([a])
-        return self._rows[a]
+        return self._kept([self.index(a)])[0]
 
-    def _keep(self, rows: list) -> None:
-        block = self.distances_from(self._coords[rows])
-        block.flags.writeable = False
-        self._rows.update(zip(rows, block))
+    def _kept(self, rows: list) -> list:
+        """The read-only rows of ``rows``, in their order; a coordinate
+        space computes those it has not kept in one kernel call, and keeps
+        them."""
+        if todo := [a for a in dict.fromkeys(rows) if a not in self._rows]:
+            block = self.distances_from(self._coords[todo])
+            block.flags.writeable = False
+            self._rows.update(zip(todo, block))
+        return [self._rows[a] for a in rows]
 
     def rows(self, members) -> np.ndarray:
-        """A new ``(k, N)`` block of the rows of ``members``, in their order;
-        a coordinate space computes the rows it has not kept in one kernel
-        call, and keeps them."""
-        members = [self.index(a) for a in members]
-        if todo := [a for a in dict.fromkeys(members) if a not in self._rows]:
-            self._keep(todo)
-        return np.array([self._rows[a] for a in members]).reshape(-1, self._n)
+        """A new ``(k, N)`` block of the rows of ``members``, in their order
+        (:meth:`_kept`)."""
+        return np.array(self._kept([self.index(a) for a in members])).reshape(-1, self._n)
+
+    def _among(self, rows: np.ndarray) -> np.ndarray:
+        """The new ``(k, k)`` block of distances among ``rows``: a sub-block
+        of the explicit matrix, or one kernel call on the rows' own columns,
+        bitwise the entries of their full rows; nothing is kept."""
+        if self._matrix is not None:
+            return self._matrix[np.ix_(rows, rows)]
+        return _fold(self._columns[:, rows], self._coords[rows], self.metric_kind)
 
     def distance(self, a, b) -> float:
         return float(self.distance_row(a)[self.index(b)])
@@ -291,15 +297,27 @@ def as_table(values, space: SampledMetricSpace, dim=None) -> np.ndarray:
 def _scan(space: SampledMetricSpace, min_dist: np.ndarray, r: float) -> list:
     """The greedy scan: points in row order join while their distance to
     every member, ``min_dist``, is >= r; returns the rows that joined and
-    leaves ``min_dist`` measured to them too.  A member's own distance is
-    0 < r, so the scan never revisits one."""
-    joined, i = [], 0
-    while True:
-        i += int(np.argmax(min_dist[i:] >= r))
-        if min_dist[i] < r:
-            return joined
-        joined.append(i)
-        np.minimum(min_dist, space.distance_row(i), out=min_dist)
+    leaves ``min_dist`` measured to them too.  It runs in blocks of the next
+    ``BLOCK_ROWS`` or fewer candidates (points with ``min_dist >= r``): the
+    row-order greedy inside a block reads their mutual distances
+    (:meth:`SampledMetricSpace._among`), then the joiners' rows are kept in
+    one kernel call and lower ``min_dist``, one row at a time.  A
+    candidate's distance to itself is 0 < r, so each is decided in its
+    block."""
+    joined, start = [], 0
+    while (cand := start + np.flatnonzero(min_dist[start:] >= r)[:BLOCK_ROWS]).size:
+        # the first candidate joins; each next one still far from every joiner
+        far = space._among(cand) >= r
+        picked, alive = [0], far[0].copy()
+        while alive.any():
+            picked.append(j := int(alive.argmax()))
+            alive &= far[j]
+        block = cand[picked].tolist()
+        for row in space._kept(block):
+            np.minimum(min_dist, row, out=min_dist)
+        joined += block
+        start = int(cand[-1]) + 1
+    return joined
 
 
 def greedy_maximal_separation(space: SampledMetricSpace, r: float, seed: Iterable = ()) -> tuple:
@@ -336,9 +354,12 @@ def build_separation_hierarchy(space: SampledMetricSpace, n_rounds: int) -> np.n
     ``B_n`` off it).  Each ``B_n`` is the greedy maximal separation seeded
     with ``B_{n-1}``: one scan per round over the distances to the members
     so far.  A maximal ``r_{n-1}``-separation is an ``r_n``-separation, so
-    the seed needs no check."""
+    the seed needs no check.  A round whose radius underflows to 0 is a
+    :class:`PreconditionError`."""
     if n_rounds < 1:
         raise PreconditionError("hierarchy needs at least one round")
+    if not 2.0 ** (-(n_rounds - 1)) > 0.0:
+        raise PreconditionError(f"the radius 2^-{n_rounds - 1} of round {n_rounds} underflows to 0")
     entry = np.zeros(len(space), dtype=np.intp)
     min_dist = np.full(len(space), np.inf)
     for n in range(1, n_rounds + 1):

@@ -1,3 +1,4 @@
+import itertools
 import inspect
 import tracemalloc
 import warnings
@@ -80,21 +81,43 @@ class TestSphereSample:
         with pytest.raises(ConfigurationError, match="distinct sphere directions"):
             ls.sphere_sample(5, 100, seed=3, dedup_tol=0.9)
 
-    @pytest.mark.parametrize("m, count, dedup_tol", [(3, 64, 1e-6), (3, 40, 0.35), (4, 30, 0.6)])
+    @staticmethod
+    def per_pair_rule(m, count, seed, dedup_tol):
+        """The rule the batched dedup replaced, one draw at a time: the kept
+        rows and the number of draws they took."""
+        rng = np.random.default_rng(seed)
+        rows, draws = [], 0
+        while len(rows) < count:
+            v = rng.normal(size=m)
+            v, draws = v / np.linalg.norm(v), draws + 1
+            if not any(np.linalg.norm(v - w) < dedup_tol for w in rows):
+                rows.append(v)
+        return np.stack(rows), draws
+
+    @pytest.mark.parametrize(
+        "m, count, dedup_tol", [(3, 64, 1e-6), (3, 40, 0.35), (4, 30, 0.6), (5, 30, 0.7)]
+    )
     def test_dedup_matches_the_per_pair_rule(self, m, count, dedup_tol):
         """The batched dedup takes every decision of the rule it replaced: a
         draw is skipped iff some earlier direction lies within ``dedup_tol``
-        (the coarse tolerances force many skips)."""
+        (the coarse tolerances force skips, so the draws span several
+        batches).  At a tolerance equal to the chord of the closest pair of
+        the first ``count`` draws that pair is kept, since the rule is
+        strict; one ulp above, the later draw of the pair is skipped."""
         for seed in range(4):
-            rng = np.random.default_rng(seed)
-            rows = []
-            while len(rows) < count:
-                v = rng.normal(size=m)
-                v = v / np.linalg.norm(v)
-                if not any(np.linalg.norm(v - w) < dedup_tol for w in rows):
-                    rows.append(v)
+            rows, draws = self.per_pair_rule(m, count, seed, dedup_tol)
             got = ls.sphere_sample(m, count, seed=seed, dedup_tol=dedup_tol).coords
-            assert got.tobytes() == np.stack(rows).tobytes()
+            assert got.tobytes() == rows.tobytes()
+            assert draws > count or dedup_tol < 1e-3
+            first, _ = self.per_pair_rule(m, count, seed, 0.0)
+            chords = {(i, j): np.linalg.norm(first[j] - first[i]) for i, j in itertools.combinations(range(count), 2)}
+            (i, j), chord = min(chords.items(), key=lambda item: item[1])
+            at = ls.sphere_sample(m, count, seed=seed, dedup_tol=chord).coords
+            assert at.tobytes() == first.tobytes()
+            above = ls.sphere_sample(m, count, seed=seed, dedup_tol=np.nextafter(chord, np.inf)).coords
+            rows, draws = self.per_pair_rule(m, count, seed, np.nextafter(chord, np.inf))
+            assert above.tobytes() == rows.tobytes() and draws > count
+            assert above[:j].tobytes() == first[:j].tobytes() and above[j].tobytes() != first[j].tobytes()
 
 
 class TestBuildRightInverse:

@@ -88,6 +88,21 @@ class TestSeparate:
         bad = write_json(tmp_path / "bad.json", {"points": [[0.0]]})
         assert main(["separate", "--space", bad, "--r", "0.5"]) == 2
 
+    def test_a_hierarchy_whose_radius_underflows_exits_3(self, tmp_path, line_doc):
+        # in a fresh interpreter with a timeout, so that a scan that never
+        # ends fails the test instead of hanging it
+        path = [str(Path(ls.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        codes = [
+            subprocess.run(
+                [sys.executable, "-m", "lipselect", "separate", "--space", line_doc, "--rounds", rounds,
+                 "--out", str(tmp_path / "report.json")],
+                env=env, capture_output=True, timeout=60,
+            ).returncode
+            for rounds in ("1075", "1076")
+        ]
+        assert codes == [0, 3]
+
     def test_determinism_byte_identical(self, tmp_path, line_doc):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         main(["separate", "--space", line_doc, "--rounds", "4", "--out", str(out1)])

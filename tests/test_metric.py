@@ -15,6 +15,7 @@ from lipselect.errors import (
 )
 
 from conftest import line_space, segment_instance
+from lipselect import metric
 from lipselect.formats import hierarchy_to_dict
 from lipselect.metric import BLOCK_ROWS
 
@@ -205,6 +206,14 @@ class TestHierarchy:
         with pytest.raises(PreconditionError):
             ls.build_separation_hierarchy(four_point_line, 0)
 
+    def test_a_radius_that_underflows_is_a_precondition_error(self, four_point_line):
+        # 2^-1074 is the least subnormal double; 2^-1075 rounds to 0, at which
+        # every point would be 0 >= r from itself and join again
+        entry = ls.build_separation_hierarchy(four_point_line, 1075)
+        assert entry.tolist() == [1, 3, 3, 1]
+        with pytest.raises(PreconditionError, match="underflows"):
+            ls.build_separation_hierarchy(four_point_line, 1076)
+
 
 class TestCoveringRadius:
     def test_example(self, four_point_line):
@@ -331,6 +340,73 @@ def test_entry_column_equals_the_chain_of_seeded_separations(metric):
             chain[[b for b in members if b not in prev]] = n
             prev = members
         np.testing.assert_array_equal(entry, chain)
+
+
+def scan_samples():
+    """150-400-point samples on which the scan spans several blocks, each
+    with the full matrix its oracle reads."""
+    rng = np.random.default_rng(21)
+    # dyadic: every distance is an exact multiple of 2^-7, so each radius
+    # 2^-(n-1) of five rounds meets exact ties, which >= keeps
+    grid = np.arange(385)[:, None] / 128.0
+    clusters = rng.uniform(-1.0, 1.0, size=(6, 2))[rng.integers(6, size=300)] + rng.normal(scale=0.05, size=(300, 2))
+    explicit = np.sqrt(matrix_row_by_row(rng.uniform(size=(160, 3)), "l2"))
+    sphere = ls.sphere_sample(3, 256)
+    return {
+        "dyadic grid": (lambda: ls.SampledMetricSpace("l2", coords=grid), matrix_row_by_row(grid, "l2")),
+        "sphere": (lambda: ls.SampledMetricSpace("l2", coords=sphere.coords), matrix_row_by_row(sphere.coords, "l2")),
+        "l1 clusters": (lambda: ls.SampledMetricSpace("l1", coords=clusters), matrix_row_by_row(clusters, "l1")),
+        "linf clusters": (lambda: ls.SampledMetricSpace("linf", coords=clusters), matrix_row_by_row(clusters, "linf")),
+        "explicit": (lambda: ls.SampledMetricSpace("explicit", explicit_distances=explicit), explicit),
+    }
+
+
+SCAN_SAMPLES = scan_samples()
+
+
+@pytest.mark.parametrize("name", list(SCAN_SAMPLES))
+def test_blocked_scan_equals_the_oracle_across_blocks(name):
+    """The hierarchy and the greedy separations, with and without seeds,
+    equal the pair-by-pair scan over the full matrix; after the hierarchy
+    a coordinate space keeps exactly the members' rows."""
+    make, mat = SCAN_SAMPLES[name]
+    space = make()
+    among, blocks = space._among, []
+    space._among = lambda rows: blocks.append(len(rows)) or among(rows)
+    entry = ls.build_separation_hierarchy(space, 5)
+    # more blocks than rounds, full ones among them
+    assert len(blocks) > 5 and max(blocks) == BLOCK_ROWS
+    if name != "explicit":
+        assert sorted(space._rows) == np.flatnonzero(entry).tolist()
+    prev = ()
+    for n in range(1, 6):
+        r = 2.0 ** (-(n - 1))
+        members = greedy_over_matrix(mat, r, prev)
+        assert ls.round_members(entry, n).tolist() == list(members)
+        assert ls.greedy_maximal_separation(make(), r, seed=prev) == members
+        assert ls.greedy_maximal_separation(make(), r) == greedy_over_matrix(mat, r)
+        prev = members
+
+
+def test_the_sphere_hierarchy_makes_at_most_two_kernel_calls_per_block(monkeypatch):
+    """A block is one kernel call on at most ``BLOCK_ROWS`` candidates' own
+    columns, then at most one for its joiners' rows: 16 blocks or fewer
+    over 4 rounds of 256 points, where one call per member made 179."""
+    space = ls.sphere_sample(3, 256)
+    fold, calls = metric._fold, []
+
+    def counting(columns, points, kind="l2"):
+        calls.append((columns.shape[1], len(points)))
+        return fold(columns, points, kind)
+
+    monkeypatch.setattr(metric, "_fold", counting)
+    entry = ls.build_separation_hierarchy(space, 4)
+    blocks = [i for i, (width, k) in enumerate(calls) if width == k <= BLOCK_ROWS]
+    rows = [i for i, (width, _) in enumerate(calls) if width == len(space)]
+    assert sorted(blocks + rows) == list(range(len(calls)))
+    assert all(i - 1 in blocks for i in rows)
+    assert sum(calls[i][1] for i in rows) == np.count_nonzero(entry) == 179
+    assert len(calls) <= 2 * len(blocks) <= 2 * 4 * (256 // BLOCK_ROWS)
 
 
 point_sets = st.integers(min_value=1, max_value=7).flatmap(

@@ -6,17 +6,19 @@ and tiny), the script writes the input documents with
 (``verify`` or ``plip``) in-process through ``lipselect.cli.main``, and
 hashes every file left in the instance's directory: inputs, reports and
 tables.  Each ``select`` also writes its ``f0..fN`` CSV tables, with
-``--tables-dir <instance>/tables``.  For ``balls`` and ``polytopes`` it
-also writes the space of the correspondence and runs ``separate --rounds``
-with the configured rounds on it, so the hierarchy is compared as each of
-its renderers writes it.  It imports the ``src/`` and ``bench/`` of the
-checkout it lives in and changes nothing there.
+``--tables-dir <instance>/tables``.  Every instance then runs ``separate
+--rounds`` with the configured rounds on its space: for ``balls`` and
+``polytopes`` the space of the correspondence, written out as
+``space.json``, for ``bartle-graves`` the sphere sample ``sphere.json``.  So
+the hierarchy is compared as each of its renderers writes it.  It imports
+the ``src/`` and ``bench/`` of the checkout it lives in and changes nothing
+there.
 
     python tools/output_digests.py --out digests.json
 
 Run it in two checkouts: the same digest for every file means the outputs
 are byte-identical.  ``--against`` compares with a file written in the other
-checkout, prints every file path and every instance exit pair that differ,
+checkout, prints every file path and every instance whose exits differ,
 and exits 1 if anything differs.  The seeds default to 0-9:
 
     python tools/output_digests.py --against parent.json
@@ -55,10 +57,9 @@ def _run(argv) -> int:
 
 
 def digests(seeds, workdir: Path) -> dict:
-    """``{"files": {path: sha256}, "exits": {instance: [solve, read, ...]}}``,
+    """``{"files": {path: sha256}, "exits": {instance: [solve, read, separate]}}``,
     paths relative to ``workdir`` as ``workload/size/seed/file``; a read
-    exit is null when the solve failed, and a ``separate`` exit follows
-    where the workload has a space of its own."""
+    exit is null when the solve failed."""
     files, exits = {}, {}
     for name in workloads.WORKLOADS:
         for size in ("full", "tiny"):
@@ -74,15 +75,16 @@ def digests(seeds, workdir: Path) -> dict:
                     out = inst.solve_argv[inst.solve_argv.index("--out") + 1]
                     report = json.loads(Path(out).read_text(encoding="utf-8"))
                     read = _run(inst.read_argv(report))
-                exits[tag] = [solve, read]
-                if name in ("balls", "polytopes"):
+                space = workdir / tag / "sphere.json"
+                if name != "bartle-graves":
                     corr = json.loads((workdir / tag / "correspondence.json").read_text(encoding="utf-8"))
                     space = workdir / tag / "space.json"
                     space.write_text(json.dumps(corr["space"]), encoding="utf-8")
-                    exits[tag].append(_run([
-                        "separate", "--space", str(space), "--rounds", str(inst.expect["rounds"]),
-                        "--out", str(workdir / tag / "separate.json"),
-                    ]))
+                separate = _run([
+                    "separate", "--space", str(space), "--rounds", str(inst.expect["rounds"]),
+                    "--out", str(workdir / tag / "separate.json"),
+                ])
+                exits[tag] = [solve, read, separate]
                 for path in sorted((workdir / tag).rglob("*")):
                     if path.is_file():
                         rel = path.relative_to(workdir).as_posix()
@@ -92,7 +94,7 @@ def digests(seeds, workdir: Path) -> dict:
 
 def differences(theirs: dict, ours: dict) -> list:
     """One line per file path whose digest differs or that only one side
-    has, then one per instance whose exit pair differs."""
+    has, then one per instance whose exits differ."""
     lines = []
     for key, what in (("files", "file"), ("exits", "exits")):
         for name in sorted(theirs[key].keys() | ours[key].keys()):
@@ -118,7 +120,7 @@ def main(argv=None) -> int:
     if not args.against:
         return 0
     lines = differences(json.loads(Path(args.against).read_text(encoding="utf-8")), result)
-    print("\n".join(lines) if lines else f"{len(result['files'])} files and {len(result['exits'])} exit pairs match")
+    print("\n".join(lines) if lines else f"{len(result['files'])} files and the exits of {len(result['exits'])} instances match")
     return 1 if lines else 0
 
 
