@@ -131,10 +131,6 @@ class ConvexBody:
         """The nearest point of the body to ``y``."""
         raise NotImplementedError
 
-    def canonical_point(self) -> np.ndarray:
-        """A fixed member of the body, the default starting selection."""
-        return self.parts[self._CANONICAL][0].copy()
-
     def distance_to(self, y) -> float:
         """Euclidean distance ``||y - project(y)||``."""
         return float(self._single(self.distance_stack, y))

@@ -77,9 +77,6 @@ class LinearSurjection:
     def codomain_dim(self) -> int:
         return self.matrix.shape[0]
 
-    def apply(self, x) -> np.ndarray:
-        return self.matrix @ np.asarray(x, dtype=float)
-
     def minimum_norm_solution(self, y) -> np.ndarray:
         """The least-norm ``x`` with ``matrix @ x = y`` (pseudoinverse)."""
         y = np.asarray(y, dtype=float)

@@ -21,7 +21,7 @@ from typing import Any, List, Optional
 import numpy as np
 
 from .errors import SchemaError, as_finite_array
-from .iteration import IterationConfig, RoundRecord, SelectionSequence
+from .iteration import IterationConfig, RoundRecord, SelectionSequence, changed_rows
 from .metric import SampledMetricSpace, as_table, build_separation_hierarchy, round_members
 
 
@@ -60,8 +60,7 @@ def _rendered_rows(tables: np.ndarray, keys, pattern: str) -> list:
     # each row ends in "\n", so the negative-zero rewrite sees its last entry
     row = pattern.format("{}", ",".join(["%.17g"] * tables.shape[2])) + "\n"
     templates = [row.format(key) for key in keys]
-    changed = np.ones(tables.shape[:2], dtype=bool)
-    changed[1:] = (tables[1:].view(np.uint64) != tables[:-1].view(np.uint64)).any(axis=2)
+    changed = changed_rows(tables)
     rows_at = np.nonzero(changed)[1]
     text = _fill("".join(map(templates.__getitem__, rows_at.tolist())), tables[changed])
     pieces = np.array(text.split("\n"), dtype=object)

@@ -26,7 +26,7 @@ those members, while moving nowhere by more than ``2^-n * epsilon``:
 The per-round displacement bound makes the sequence uniformly Cauchy with
 geometric tail ``2^-N * epsilon``; equality of consecutive tables on
 ``2^-n``-balls around earlier anchors is exact by construction and is
-checked bitwise.
+checked bitwise, round against round (:func:`changed_rows`).
 
 Every table is one ``(N, d)`` float array whose row ``i`` is the value at
 point ``i``; a run holds ``f_0 .. f_N`` stacked in one array, of shape
@@ -63,6 +63,15 @@ BOUND_SLACK = 1e-9
 def _sup_distance(f: np.ndarray, g: np.ndarray) -> float:
     """Uniform distance between two tables of one shape."""
     return float(np.linalg.norm(f - g, axis=1).max())
+
+
+def changed_rows(tables: np.ndarray) -> np.ndarray:
+    """The ``(T, N)`` mask of the rows of each table of the ``(T, N, d)``
+    stack ``tables`` whose bits differ from the same row of the table
+    before (``0.0`` to ``-0.0`` counts); every row of table 0 counts."""
+    changed = np.ones(tables.shape[:2], dtype=bool)
+    changed[1:] = (tables[1:].view(np.uint64) != tables[:-1].view(np.uint64)).any(axis=2)
+    return changed
 
 
 class RoundRecord:
@@ -292,8 +301,9 @@ def verify_round_properties(seq: SelectionSequence, n: int) -> Dict[str, dict]:
     * selection membership of ``f_n`` at every point,
     * the ``2^-n eps`` sup-displacement bound,
     * the anchored ``alpha`` bound on each new anchor's closed delta-ball,
-    * bitwise coincidence of ``f_n, ..., f_k`` on the open ``2^-n``-ball
-      around every anchor of an earlier round ``k``.
+    * no row that round ``n`` changed lies in the open ``2^-n``-ball of a
+      member of ``B_(n-1)``: over all rounds, ``f_k .. f_n`` coincide
+      bitwise on the open ``2^-n``-ball of each anchor of round ``k``.
 
     Failures are reported, never thrown.
     """
@@ -339,15 +349,11 @@ def verify_round_properties(seq: SelectionSequence, n: int) -> Dict[str, dict]:
         detail=f"worst excess {worst_excess:.3e} (anchor {worst_anchor!r})",
     )
 
-    # a point protected by an anchor of round k must keep its row through
-    # f_k .. f_n; count (anchor, point) pairs that moved
-    mismatches = 0
-    radius = 2.0 ** (-n)
-    moved = np.zeros(len(space), dtype=bool)
-    for k in range(n - 1, 0, -1):
-        moved |= np.any(seq.tables[k] != f_n, axis=1)
-        protecting = np.count_nonzero(space.rows(round_members(seq.entry, k)) < radius, axis=0)
-        mismatches += int(protecting[moved].sum())
+    # round n moves a row only outside the open 2^-n-ball of every member of
+    # B_(n-1); count the (member, changed row) pairs inside one
+    moved = changed_rows(seq.tables[n - 1 : n + 1])[1]
+    protecting = space.rows(round_members(seq.entry, n - 1))[:, moved]
+    mismatches = int(np.count_nonzero(protecting < 2.0 ** (-n)))
     checks["earlier_anchor_coincidence"] = dict(
         passed=mismatches == 0,
         worst=float(mismatches),
@@ -358,20 +364,23 @@ def verify_round_properties(seq: SelectionSequence, n: int) -> Dict[str, dict]:
 
 def verify_sequence(seq: SelectionSequence) -> dict:
     """Whole-run audit: per-round properties plus the cross-round invariants
-    (selection closure including ``f_0``, telescoped Cauchy bounds, anchors
-    frozen after entry, stored metadata consistent with the space, disjoint
-    supports).  Rounds are audited by position; a stored round number that
-    differs is one of the sequence's ``metadata_problems``, which the
-    ``stored_metadata`` check reports.
+    (selection closure including ``f_0``, telescoped Cauchy bounds over
+    every pair of tables, anchors frozen after entry, stored metadata
+    consistent with the space and the tables, disjoint supports).  Rounds
+    are audited by position; ``stored_metadata`` reports the sequence's
+    ``metadata_problems`` and each round whose stored ``sup_change`` is not
+    bitwise the displacement its round check recomputed.
 
     Returns the body of the ``verify`` report: ``{"rounds": [{"n",
     "checks", "passed"}], "sequence_checks", "passed"}``, every check a
     record as :func:`verify_round_properties` gives it."""
-    space = seq.space
-    rounds = []
-    for n in range(1, len(seq.rounds) + 1):
+    rounds, problems = [], list(seq.metadata_problems)
+    for n, record in enumerate(seq.rounds, 1):
         round_checks = verify_round_properties(seq, n)
         rounds.append({"n": n, "checks": round_checks, "passed": all(c["passed"] for c in round_checks.values())})
+        recomputed = round_checks["sup_change_bound"]["worst"]
+        if record.sup_change.hex() != recomputed.hex():
+            problems.append(f"round {n}: sup_change differs from the recomputed {recomputed!r} by {record.sup_change - recomputed:.3e}")
     checks: Dict[str, dict] = {}
 
     # the round checks already measured f_1 .. f_N
@@ -385,30 +394,29 @@ def verify_sequence(seq: SelectionSequence) -> dict:
         detail=f"max body distance over all rounds {worst:.3e}",
     )
 
+    # each pair of tables: one pass per start table f_n against the running
+    # sums of sup_change, left to right (forged values may overflow them)
+    sup_changes = np.array([record.sup_change for record in seq.rounds])
     worst_gap = 0.0
-    for n in range(len(seq.tables)):
-        for m in range(n + 1, len(seq.tables)):
-            direct = _sup_distance(seq.tables[m], seq.tables[n])
-            budget = sum(seq.rounds[j - 1].sup_change for j in range(n + 1, m + 1))
-            worst_gap = max(worst_gap, direct - budget)
+    with np.errstate(over="ignore"):
+        for n in range(len(seq.rounds)):
+            direct = np.linalg.norm(seq.tables[n + 1 :] - seq.tables[n], axis=2).max(axis=1)
+            worst_gap = max(worst_gap, float((direct - np.cumsum(sup_changes[n:])).max()))
     checks["telescoping"] = dict(
         passed=worst_gap <= 1e-12,
         worst=worst_gap,
         detail=f"max excess of direct sup over telescoped sum {worst_gap:.3e}",
     )
 
-    frozen_violations = 0
-    for record in seq.rounds:
-        rows = list(record.deltas)
-        later = seq.tables[record.n + 1 :, rows]
-        frozen_violations += int(np.count_nonzero(np.any(later != seq.tables[record.n, rows], axis=-1)))
+    # the row of an anchor changes in no round after the one it entered
+    after_entry = np.arange(len(seq.tables))[:, None] > seq.entry
+    frozen_violations = int(np.count_nonzero(changed_rows(seq.tables) & after_entry & (seq.entry > 0)))
     checks["eventually_constant_anchors"] = dict(
         passed=frozen_violations == 0,
         worst=float(frozen_violations),
         detail=f"{frozen_violations} anchor values moved after entry",
     )
 
-    problems = seq.metadata_problems
     checks["stored_metadata"] = dict(
         passed=not problems,
         worst=float(len(problems)),
@@ -420,12 +428,11 @@ def verify_sequence(seq: SelectionSequence) -> dict:
         rows = list(record.deltas)
         deltas = np.array(list(record.deltas.values()))
         i, j = np.triu_indices(len(rows), k=1)
-        if i.size:
-            margins = space.rows(rows)[:, rows][i, j] - 2.0 * (deltas[i] + deltas[j])
-            min_margin = min(min_margin, float(margins.min()))
+        margins = seq.space.rows(rows)[:, rows][i, j] - 2.0 * (deltas[i] + deltas[j])
+        min_margin = min(min_margin, float(margins.min(initial=math.inf)))
     checks["support_disjointness"] = dict(
-        passed=(min_margin is math.inf) or min_margin >= 0.0,
-        worst=0.0 if min_margin is math.inf else float(min_margin),
+        passed=min_margin >= 0.0,
+        worst=0.0 if min_margin == math.inf else min_margin,
         detail="min separation margin between adjustment supports",
     )
     passed = all(r["passed"] for r in rounds) and all(c["passed"] for c in checks.values())

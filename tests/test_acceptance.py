@@ -207,7 +207,7 @@ def test_criterion_6_right_inverse_suite(pipeline_runs):
             y = ri.table.space.coordinate(a)
             for lam in (0.5, 2.0, 10.0):
                 resid = float(
-                    np.linalg.norm(T.apply(ri(lam * y)) - lam * y)
+                    np.linalg.norm(T.matrix @ ri(lam * y) - lam * y)
                 )
                 if resid > 1e-8:
                     failures.append((name, "identity", a, lam))

@@ -141,7 +141,7 @@ class TestBuildRightInverse:
         table = sphere_table(directions, directions.copy())
         out = ls.homogeneous_extension(table, np.array([6.0, 8.0]))
         np.testing.assert_allclose(out, [6.0, 8.0], atol=1e-12)
-        np.testing.assert_allclose(T.apply(out), [6.0, 8.0], atol=1e-12)
+        np.testing.assert_allclose(T.matrix @ out, [6.0, 8.0], atol=1e-12)
 
     def test_sum_matrix_two_point_sphere(self):
         T = ls.LinearSurjection([[1.0, 1.0]])
@@ -181,7 +181,7 @@ class TestBuildRightInverse:
         ri = ls.build_right_inverse(T, beta=1.0 / T.sigma_min + 0.5, sphere_count=48, rounds=3)
         for a in range(len(ri.table.space)):
             y = ri.table.space.coordinate(a)
-            residual = np.linalg.norm(T.apply(ri.table.values[a]) - y)
+            residual = np.linalg.norm(T.matrix @ ri.table.values[a] - y)
             assert residual <= 1e-8
 
 
@@ -197,7 +197,7 @@ def reference_right_inverse_rows(ri, scales):
         exact_coords = bool(np.all(d == np.round(d)))
         for scale in (1.0, *scales):
             y = scale * d
-            residual = float(np.linalg.norm(ri.T.apply(ri(y)) - y))
+            residual = float(np.linalg.norm(ri.T.matrix @ ri(y) - y))
             identity.append((int(k), float(scale), residual, residual <= 1e-8))
         for scale in scales:
             lhs, rhs = ri(scale * d), scale * base
@@ -216,8 +216,8 @@ def reference_right_inverse_rows(ri, scales):
         k = ls.lipschitz.nearest_direction_index(ri.table, u)
         value = ri(u)
         u_norm = float(np.linalg.norm(u))
-        semantic = float(np.linalg.norm(ri.T.apply(value) - u_norm * ri.table.space.coordinate(k)))
-        identity_residual = float(np.linalg.norm(ri.T.apply(value) - u))
+        semantic = float(np.linalg.norm(ri.T.matrix @ value - u_norm * ri.table.space.coordinate(k)))
+        identity_residual = float(np.linalg.norm(ri.T.matrix @ value - u))
         off.append((tuple(float(x) for x in u), k, semantic, identity_residual, semantic <= 1e-8))
     return identity, homogeneity, off
 

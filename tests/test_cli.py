@@ -23,6 +23,8 @@ from lipselect.formats import (
     write_report,
 )
 
+# the root conftest.py puts bench/ on the path
+import workloads
 from test_convex import three_sided_corner
 
 FOUR_POINT_LINE = {"metric": "l2", "points": [[0.0], [0.3], [0.6], [1.0]]}
@@ -49,6 +51,14 @@ def segment_correspondence_docs(tmp_path, n_points=41):
         {"alpha": 2.0**-0.5, "beta": 1.0, "rounds": 3},
     )
     return corr_path, iter_path
+
+
+def fresh(*args, timeout=None):
+    """Run a fresh interpreter with the package's ``src`` on its path:
+    the root ``conftest.py`` has imported everything in this one."""
+    path = [str(Path(ls.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def respell_member(spelling):
@@ -286,6 +296,34 @@ class TestSelectAndVerify:
         assert code == 1
         assert json.loads(verify_out.read_text())["sequence_checks"]["stored_metadata"]["passed"] is False
 
+    @pytest.mark.parametrize(
+        ("seed", "size", "forge", "name"),
+        [
+            (1, "tiny", lambda rounds: [rd.update(sup_change=1e308) for rd in rounds], "round 1"),
+            (0, "full", lambda rounds: rounds[6].update(sup_change=rounds[6]["sup_change"] * (1 + 1e-7)), "round 7"),
+        ],
+        ids=["1e308_everywhere", "round_7_times_1_plus_1e-7"],
+    )
+    def test_forged_sup_change_fails(self, tmp_path, seed, size, forge, name):
+        # 1e308 in every round overflows the telescoped budgets to inf, so
+        # only the comparison with the recomputed displacement can tell
+        inst = workloads.build("balls", seed, tmp_path, size)
+        assert main(inst.solve_argv) == 0
+        report = json.loads((tmp_path / "select.json").read_text())
+        forge(report["sequence"]["rounds"])
+        assert main(inst.read_argv(report)) == 1
+        assert json.loads((tmp_path / "verify.json").read_text())["sequence_checks"]["stored_metadata"]["passed"] is False
+        phi = ls.Correspondence.from_json_dict(json.loads((tmp_path / "correspondence.json").read_text()))
+        check = ls.verify_sequence(sequence_from_dict(report["sequence"], phi))["sequence_checks"]["stored_metadata"]
+        assert check["detail"].startswith(f"{name}: sup_change differs from the recomputed")
+
+    def test_a_thousand_rounds_end(self, tmp_path):
+        # the audit reads each round against the one before: linear in the
+        # rounds but for the telescoped pairs (about 2 s on a 2-core Xeon)
+        inst = workloads.build("balls", 0, tmp_path, "tiny")
+        write_json(tmp_path / "iteration.json", {"alpha": 0.25, "beta": 1.25, "rounds": 1000})
+        assert fresh("-m", "lipselect", *inst.solve_argv, timeout=20).returncode == 0
+
     @pytest.mark.parametrize("width", [1, 3])
     def test_f0_of_wrong_width_is_schema_error(self, tmp_path, width):
         corr_path, iter_path = segment_correspondence_docs(tmp_path, n_points=5)
@@ -506,25 +544,17 @@ class TestArgvReader:
         assert main(["separate", "--space", line_doc, "--r", "0.1", "--out", str(out), "--r", "0.5"]) == 0
         assert json.loads(out.read_text())["r"] == 0.5
 
-    @staticmethod
-    def _fresh(*args):
-        """Run a fresh interpreter with the package's ``src`` on its path:
-        the root ``conftest.py`` has imported everything in this one."""
-        path = [str(Path(ls.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
-
     def test_cli_imports_neither_argparse_nor_gettext(self):
         probe = "import sys, lipselect.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
-        assert self._fresh("-c", probe).stdout == "[]\n"
-        usage = self._fresh("-m", "lipselect", "--help")
+        assert fresh("-c", probe).stdout == "[]\n"
+        usage = fresh("-m", "lipselect", "--help")
         assert usage.returncode == 0 and all(verb in usage.stdout for verb in VERBS)
 
     def test_cli_imports_neither_dataclasses_nor_numpy_random(self):
         # every verb pays for its imports in its start-up; numpy.random is
         # loaded on first use, inside the bartle-graves solve
         probe = "import sys, lipselect.cli; print(sorted({'dataclasses', 'numpy.random'} & set(sys.modules)))"
-        assert self._fresh("-c", probe).stdout == "[]\n"
+        assert fresh("-c", probe).stdout == "[]\n"
 
 
 @pytest.mark.parametrize(

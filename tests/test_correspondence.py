@@ -44,7 +44,7 @@ class TestLinearSurjection:
         T = ls.LinearSurjection(rng.normal(size=(2, 4)))
         y = rng.normal(size=2)
         x = T.minimum_norm_solution(y)
-        np.testing.assert_allclose(T.apply(x), y, atol=1e-12)
+        np.testing.assert_allclose(T.matrix @ x, y, atol=1e-12)
         for _ in range(20):
             z = rng.normal(size=2)
             other = x + T.kernel_basis().T @ z
@@ -284,7 +284,7 @@ def test_batched_kernels_equal_the_per_body_methods(data):
         assert _bits(dist) == _bits(bodies[a].distance_to(y))
     # queries outside, on and inside every body: projections are members
     table = np.array(data.draw(st.lists(st.lists(COORD, min_size=dim, max_size=dim), min_size=n, max_size=n)))
-    for rows in (table, phi.project(range(n), table), np.array([b.canonical_point() for b in bodies])):
+    for rows in (table, phi.project(range(n), table), phi.canonical_selection()):
         got = phi.distances_to(rows)
         want = np.array([body.distance_to(row) for body, row in zip(bodies, rows)])
         assert got.tobytes() == want.tobytes()

@@ -16,8 +16,10 @@ from lipselect.errors import (
     RateError,
     SchemaError,
 )
-from lipselect.formats import dumps_canonical, sequence_from_dict, sequence_to_dict
+from lipselect.formats import dumps_canonical, sequence_from_dict, sequence_to_dict, table_from_dict
 
+# the root conftest.py puts bench/ on the path
+import workloads
 from conftest import grid_space, line_space, mixed_bodies, moving_ball_instance, segment_instance
 
 
@@ -450,3 +452,130 @@ class TestSequenceInvariants:
                     assert phi.space.distance(b, c) >= 2.0 * (
                         record.deltas[b] + record.deltas[c]
                     )
+
+
+def oracle_audit(seq):
+    """``verify_sequence`` with its cross-round checks as first written,
+    each over every earlier round: coincidence at round ``n`` over every
+    earlier round ``k``, the telescoped bound over every pair of tables
+    with its own ``sum``, and the frozen anchors record by record."""
+    audit = ls.verify_sequence(seq)
+    space = seq.space
+    for r in audit["rounds"]:
+        f_n = seq.tables[r["n"]]
+        mismatches = 0
+        radius = 2.0 ** (-r["n"])
+        moved = np.zeros(len(space), dtype=bool)
+        for k in range(r["n"] - 1, 0, -1):
+            moved |= np.any(seq.tables[k] != f_n, axis=1)
+            protecting = np.count_nonzero(space.rows(ls.round_members(seq.entry, k)) < radius, axis=0)
+            mismatches += int(protecting[moved].sum())
+        r["checks"]["earlier_anchor_coincidence"] = dict(passed=mismatches == 0, worst=float(mismatches))
+        r["passed"] = all(c["passed"] for c in r["checks"].values())
+    checks = audit["sequence_checks"]
+
+    worst_gap = 0.0
+    for n in range(len(seq.tables)):
+        for m in range(n + 1, len(seq.tables)):
+            direct = float(np.linalg.norm(seq.tables[m] - seq.tables[n], axis=1).max())
+            budget = sum(seq.rounds[j - 1].sup_change for j in range(n + 1, m + 1))
+            worst_gap = max(worst_gap, direct - budget)
+    checks["telescoping"] = dict(passed=worst_gap <= 1e-12, worst=worst_gap)
+
+    frozen_violations = 0
+    for record in seq.rounds:
+        rows = list(record.deltas)
+        later = seq.tables[record.n + 1 :, rows]
+        frozen_violations += int(np.count_nonzero(np.any(later != seq.tables[record.n, rows], axis=-1)))
+    checks["eventually_constant_anchors"] = dict(passed=frozen_violations == 0, worst=float(frozen_violations))
+    audit["passed"] = all(r["passed"] for r in audit["rounds"]) and all(c["passed"] for c in checks.values())
+    return audit
+
+
+def outcomes(audit):
+    """Each check's ``passed`` and the bits of its ``worst``, keyed by round
+    (0 for the sequence checks) and name."""
+    out = {(0, name): (c["passed"], float(c["worst"]).hex()) for name, c in audit["sequence_checks"].items()}
+    for r in audit["rounds"]:
+        out.update({(r["n"], name): (c["passed"], float(c["worst"]).hex()) for name, c in r["checks"].items()})
+    return out
+
+
+def instance_run(name, rounds, workdir):
+    """A run at ``rounds`` rounds of the segment instance, or of the tiny
+    benchmark instance ``name`` (``balls`` or ``polytopes``, seed 0) from
+    its documents."""
+    if name == "segment":
+        _, phi, f0, config = segment_instance(n_points=101, rounds=rounds)
+        return ls.run_iteration(phi, f0, config)
+    inst = workloads.build(name, 0, workdir, "tiny")
+    phi = ls.Correspondence.from_json_dict(json.loads((workdir / "correspondence.json").read_text()))
+    f0 = phi.canonical_selection()
+    if "--f0" in inst.solve_argv:
+        f0 = table_from_dict(json.loads((workdir / "f0.json").read_text()), phi.space)
+    return ls.run_iteration(phi, f0, ls.IterationConfig(alpha=0.25, beta=1.25, rounds=rounds))
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 3, 7, 20, 60])
+@pytest.mark.parametrize("name", ["balls", "polytopes", "segment"])
+def test_audit_equals_the_oracle_on_genuine_runs(tmp_path, name, rounds):
+    seq = instance_run(name, rounds, tmp_path)
+    audit = ls.verify_sequence(seq)
+    assert audit["passed"]
+    assert outcomes(audit) == outcomes(oracle_audit(seq))
+
+
+@pytest.mark.parametrize("name", ["balls", "polytopes", "segment"])
+def test_audit_agrees_with_the_oracle_on_forged_runs(tmp_path, name):
+    """Forged runs: an anchor of round ``k`` moved over a span of rounds
+    ``j..m`` after ``k``, or every other draw a row moved over a span of
+    rounds before it enters the hierarchy, inside or outside the protected
+    balls.  Each stored ``sup_change`` is the forged tables' displacement,
+    so that only the guarantee checks can tell.  The verdict and the first
+    failing round agree with the oracle, and every round the audit fails,
+    the oracle fails too: the audit charges a protected row to the round
+    that moved it, the oracle to every round after."""
+    seq = instance_run(name, 12, tmp_path)
+    genuine, entry, rng = seq.tables.copy(), seq.entry, np.random.default_rng(5)
+    verdicts = []
+    for trial in range(40):
+        if trial % 2:
+            k = int(rng.choice(np.unique(entry[(entry > 0) & (entry < 12)])))
+            p = int(rng.choice(np.flatnonzero(entry == k)))
+            j = int(rng.integers(k + 1, 13))
+            m = int(rng.integers(j, 13))
+        else:
+            p = int(rng.choice(np.flatnonzero(entry > 1)))
+            j = int(rng.integers(1, entry[p]))
+            m = int(rng.integers(j, entry[p]))
+        seq.tables = genuine.copy()
+        # far below the round bound and the membership slack
+        seq.tables[j : m + 1, p] += 2.0 ** (-j) * 1e-9 * rng.normal(size=genuine.shape[2])
+        for record in seq.rounds:
+            record.sup_change = float(np.linalg.norm(seq.tables[record.n] - seq.tables[record.n - 1], axis=1).max())
+        ours, theirs = ls.verify_sequence(seq), oracle_audit(seq)
+        failing = [r["n"] for r in ours["rounds"] if not r["passed"]]
+        oracle_failing = [r["n"] for r in theirs["rounds"] if not r["passed"]]
+        assert ours["passed"] == theirs["passed"]
+        assert failing[:1] == oracle_failing[:1]
+        assert set(failing) <= set(oracle_failing)
+        verdicts.append(ours["passed"])
+    # the draws reach both verdicts
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("name", ["balls", "polytopes", "segment"])
+def test_telescoping_equals_the_oracle_on_forged_budgets(tmp_path, name):
+    # one stored sup_change lowered: positive gaps, which the audit must
+    # measure with the oracle's sums bit for bit
+    seq = instance_run(name, 12, tmp_path)
+    rng = np.random.default_rng(3)
+    genuine = [record.sup_change for record in seq.rounds]
+    for _ in range(10):
+        for record, value in zip(seq.rounds, genuine):
+            record.sup_change = value
+        seq.rounds[int(rng.choice(np.flatnonzero(genuine)))].sup_change *= float(rng.uniform(0.0, 0.9))
+        ours = ls.verify_sequence(seq)["sequence_checks"]["telescoping"]
+        theirs = oracle_audit(seq)["sequence_checks"]["telescoping"]
+        assert ours["worst"] > 0.0
+        assert (ours["passed"], ours["worst"].hex()) == (theirs["passed"], theirs["worst"].hex())

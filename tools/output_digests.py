@@ -10,9 +10,12 @@ tables.  Each ``select`` also writes its ``f0..fN`` CSV tables, with
 --rounds`` with the configured rounds on its space: for ``balls`` and
 ``polytopes`` the space of the correspondence, written out as
 ``space.json``, for ``bartle-graves`` the sphere sample ``sphere.json``.  So
-the hierarchy is compared as each of its renderers writes it.  It imports
-the ``src/`` and ``bench/`` of the checkout it lives in and changes nothing
-there.
+the hierarchy is compared as each of its renderers writes it.  Each tiny
+``balls`` and ``polytopes`` instance also runs ``select`` and ``verify`` at
+``DEEP_ROUNDS`` rounds, in its ``deep/`` directory, from a copy of its
+``iteration.json`` with only ``rounds`` rewritten: rounds in which no point
+joins the hierarchy.  It imports the ``src/`` and ``bench/`` of the
+checkout it lives in and changes nothing there.
 
     python tools/output_digests.py --out digests.json
 
@@ -50,16 +53,48 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import workloads  # noqa: E402
 from lipselect.cli import main as cli_main  # noqa: E402
 
+DEEP_ROUNDS = 40
+
 
 def _run(argv) -> int:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return cli_main(argv)
 
 
+def _solve_and_read(solve_argv, read_argv) -> list:
+    """The exits of the solve and of the read path ``read_argv(report)``,
+    null when the solve failed."""
+    solve = _run(solve_argv)
+    if solve:
+        return [solve, None]
+    out = solve_argv[solve_argv.index("--out") + 1]
+    return [solve, _run(read_argv(json.loads(Path(out).read_text(encoding="utf-8"))))]
+
+
+def _deep_exits(inst, deep: Path) -> list:
+    """``[solve, read]`` exits of ``select`` and ``verify`` at ``DEEP_ROUNDS``
+    rounds, every file written in ``deep``."""
+    deep.mkdir()
+    iteration = json.loads((inst.workdir / "iteration.json").read_text(encoding="utf-8"))
+    (deep / "iteration.json").write_text(json.dumps({**iteration, "rounds": DEEP_ROUNDS}), encoding="utf-8")
+    argv = list(inst.solve_argv)
+    argv[argv.index("--iteration") + 1] = str(deep / "iteration.json")
+    argv[argv.index("--out") + 1] = str(deep / "select.json")
+    corr = argv[argv.index("--correspondence") + 1]
+
+    def verify_argv(report):
+        (deep / "sequence.json").write_text(json.dumps(report["sequence"]), encoding="utf-8")
+        return ["verify", "--correspondence", corr, "--sequence", str(deep / "sequence.json"),
+                "--out", str(deep / "verify.json")]
+
+    return _solve_and_read(argv, verify_argv)
+
+
 def digests(seeds, workdir: Path) -> dict:
     """``{"files": {path: sha256}, "exits": {instance: [solve, read, separate]}}``,
     paths relative to ``workdir`` as ``workload/size/seed/file``; a read
-    exit is null when the solve failed."""
+    exit is null when the solve failed.  A deep run's exits are
+    ``[solve, read]`` under ``workload/tiny/seed/deep``."""
     files, exits = {}, {}
     for name in workloads.WORKLOADS:
         for size in ("full", "tiny"):
@@ -69,12 +104,7 @@ def digests(seeds, workdir: Path) -> dict:
                 solve_argv = list(inst.solve_argv)
                 if solve_argv[0] == "select":
                     solve_argv += ["--tables-dir", str(workdir / tag / "tables")]
-                solve = _run(solve_argv)
-                read = None
-                if solve == 0:
-                    out = inst.solve_argv[inst.solve_argv.index("--out") + 1]
-                    report = json.loads(Path(out).read_text(encoding="utf-8"))
-                    read = _run(inst.read_argv(report))
+                solve, read = _solve_and_read(solve_argv, inst.read_argv)
                 space = workdir / tag / "sphere.json"
                 if name != "bartle-graves":
                     corr = json.loads((workdir / tag / "correspondence.json").read_text(encoding="utf-8"))
@@ -85,6 +115,8 @@ def digests(seeds, workdir: Path) -> dict:
                     "--out", str(workdir / tag / "separate.json"),
                 ])
                 exits[tag] = [solve, read, separate]
+                if size == "tiny" and name != "bartle-graves":
+                    exits[f"{tag}/deep"] = _deep_exits(inst, workdir / tag / "deep")
                 for path in sorted((workdir / tag).rglob("*")):
                     if path.is_file():
                         rel = path.relative_to(workdir).as_posix()
