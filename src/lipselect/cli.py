@@ -154,8 +154,8 @@ def _merge_config(flags: dict, keys) -> dict:
 
 
 def _outcomes(checks) -> dict:
-    """Audit records without their ``detail``."""
-    return {name: {"passed": c["passed"], "worst": c["worst"]} for name, c in checks.items()}
+    """Audit records, a passing one without its ``detail``."""
+    return {name: c if not c["passed"] else {"passed": True, "worst": c["worst"]} for name, c in checks.items()}
 
 
 def _worst(name: str, values, directions, scales) -> dict:

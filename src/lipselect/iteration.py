@@ -26,7 +26,10 @@ those members, while moving nowhere by more than ``2^-n * epsilon``:
 The per-round displacement bound makes the sequence uniformly Cauchy with
 geometric tail ``2^-N * epsilon``; equality of consecutive tables on
 ``2^-n``-balls around earlier anchors is exact by construction and is
-checked bitwise, round against round (:func:`changed_rows`).
+checked bitwise, round against round (:func:`changed_rows`).  The audit
+measures each row once per change: the body distances of ``f_0`` and of
+the rows each round changed, in one kernel call per run; an unchanged row
+keeps the distance of its bits.
 
 Every table is one ``(N, d)`` float array whose row ``i`` is the value at
 point ``i``; a run holds ``f_0 .. f_N`` stacked in one array, of shape
@@ -309,12 +312,19 @@ def verify_round_properties(seq: SelectionSequence, n: int) -> Dict[str, dict]:
     """
     if not 1 <= n <= len(seq.rounds):
         raise PreconditionError(f"round {n} was never executed")
+    member = seq.correspondence.distances_to(seq.tables[n])
+    return _round_checks(seq, n, member, changed_rows(seq.tables[n - 1 : n + 1])[1])
+
+
+def _round_checks(seq: SelectionSequence, n: int, member: np.ndarray, moved: np.ndarray) -> Dict[str, dict]:
+    """The checks of :func:`verify_round_properties` on round ``n``, given
+    the body distance of each row of ``f_n``, ``member``, and the mask of
+    the rows round ``n`` changed, ``moved``."""
     record = seq.rounds[n - 1]
     space = seq.space
     f_n = seq.tables[n]
     checks: Dict[str, dict] = {}
 
-    member = seq.correspondence.distances_to(f_n)
     i = int(np.argmax(member))
     worst_member = float(member[i])
     worst_point = i if worst_member > 0.0 else None
@@ -324,7 +334,8 @@ def verify_round_properties(seq: SelectionSequence, n: int) -> Dict[str, dict]:
         detail=f"max body distance {worst_member:.3e} at {worst_point!r}",
     )
 
-    sup_change = _sup_distance(f_n, seq.tables[n - 1])
+    # an unchanged row is displaced by 0.0 exactly
+    sup_change = float(np.linalg.norm(f_n[moved] - seq.tables[n - 1][moved], axis=1).max(initial=0.0))
     bound = 2.0 ** (-n) * seq.config.epsilon
     checks["sup_change_bound"] = dict(
         passed=sup_change <= bound + BOUND_SLACK,
@@ -351,7 +362,6 @@ def verify_round_properties(seq: SelectionSequence, n: int) -> Dict[str, dict]:
 
     # round n moves a row only outside the open 2^-n-ball of every member of
     # B_(n-1); count the (member, changed row) pairs inside one
-    moved = changed_rows(seq.tables[n - 1 : n + 1])[1]
     protecting = space.rows(round_members(seq.entry, n - 1))[:, moved]
     mismatches = int(np.count_nonzero(protecting < 2.0 ** (-n)))
     checks["earlier_anchor_coincidence"] = dict(
@@ -360,6 +370,18 @@ def verify_round_properties(seq: SelectionSequence, n: int) -> Dict[str, dict]:
         detail=f"{mismatches} table entries differ on protected balls",
     )
     return checks
+
+
+def _membership(phi: Correspondence, tables: np.ndarray, changed: np.ndarray) -> np.ndarray:
+    """The ``(T, N)`` body distance of every row of the ``(T, N, d)``
+    ``tables``, measured in one kernel call over the rows ``changed`` marks
+    (:func:`changed_rows`); an unchanged row has the bits, and so the
+    distance, of the row last measured."""
+    t, i = np.nonzero(changed)
+    measured = np.empty(changed.shape)
+    measured[t, i] = phi.distances(i, tables[t, i])
+    last = np.maximum.accumulate(np.where(changed, np.arange(len(changed))[:, None], 0), axis=0)
+    return measured[last, np.arange(changed.shape[1])]
 
 
 def verify_sequence(seq: SelectionSequence) -> dict:
@@ -371,21 +393,29 @@ def verify_sequence(seq: SelectionSequence) -> dict:
     ``metadata_problems`` and each round whose stored ``sup_change`` is not
     bitwise the displacement its round check recomputed.
 
+    The rows of ``f_0`` and the rows each round changed
+    (:func:`changed_rows`) are measured against their bodies in one
+    :meth:`~lipselect.correspondence.Correspondence.distances` call, and
+    each table's membership carries a row's last measured distance; a
+    round's displacement is taken over the rows it changed.  The mask also
+    serves the coincidence and frozen-anchor checks.
+
     Returns the body of the ``verify`` report: ``{"rounds": [{"n",
     "checks", "passed"}], "sequence_checks", "passed"}``, every check a
-    record as :func:`verify_round_properties` gives it."""
+    record as :func:`verify_round_properties` gives it, bit for bit."""
+    changed = changed_rows(seq.tables)
+    member = _membership(seq.correspondence, seq.tables, changed)
     rounds, problems = [], list(seq.metadata_problems)
     for n, record in enumerate(seq.rounds, 1):
-        round_checks = verify_round_properties(seq, n)
+        round_checks = _round_checks(seq, n, member[n], changed[n])
         rounds.append({"n": n, "checks": round_checks, "passed": all(c["passed"] for c in round_checks.values())})
         recomputed = round_checks["sup_change_bound"]["worst"]
         if record.sup_change.hex() != recomputed.hex():
             problems.append(f"round {n}: sup_change differs from the recomputed {recomputed!r} by {record.sup_change - recomputed:.3e}")
     checks: Dict[str, dict] = {}
 
-    # the round checks already measured f_1 .. f_N
     worst = max(
-        [float(seq.correspondence.distances_to(seq.tables[0]).max())]
+        [float(member[0].max())]
         + [r["checks"]["selection_membership"]["worst"] for r in rounds]
     )
     checks["selection_closure"] = dict(
@@ -410,7 +440,7 @@ def verify_sequence(seq: SelectionSequence) -> dict:
 
     # the row of an anchor changes in no round after the one it entered
     after_entry = np.arange(len(seq.tables))[:, None] > seq.entry
-    frozen_violations = int(np.count_nonzero(changed_rows(seq.tables) & after_entry & (seq.entry > 0)))
+    frozen_violations = int(np.count_nonzero(changed & after_entry & (seq.entry > 0)))
     checks["eventually_constant_anchors"] = dict(
         passed=frozen_violations == 0,
         worst=float(frozen_violations),

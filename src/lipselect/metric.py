@@ -182,8 +182,19 @@ class SampledMetricSpace:
 
     def rows(self, members) -> np.ndarray:
         """A new ``(k, N)`` block of the rows of ``members``, in their order
-        (:meth:`_kept`)."""
-        return np.array(self._kept([self.index(a) for a in members])).reshape(-1, self._n)
+        (:meth:`_kept`).  The members are checked as one array: integers in
+        ``0..N-1``, and no bool hidden among them, else :meth:`index` names
+        the first that is not."""
+        at = np.asarray(members)
+        if not (
+            at.ndim == 1
+            and (at.dtype.kind in "iu" or not at.size)
+            # a negative member wraps around to a large unsigned one
+            and (at.astype(np.uint64) < self._n).all()
+            and (isinstance(members, np.ndarray) or {bool, np.bool_}.isdisjoint(map(type, members)))
+        ):
+            at = [self.index(a) for a in members]
+        return np.array(self._kept(np.asarray(at, dtype=np.intp).tolist())).reshape(-1, self._n)
 
     def _among(self, rows: np.ndarray) -> np.ndarray:
         """The new ``(k, k)`` block of distances among ``rows``: a sub-block

@@ -17,6 +17,7 @@ from lipselect.errors import (
     SchemaError,
 )
 from lipselect.formats import dumps_canonical, sequence_from_dict, sequence_to_dict, table_from_dict
+from lipselect.iteration import changed_rows
 
 # the root conftest.py puts bench/ on the path
 import workloads
@@ -579,3 +580,79 @@ def test_telescoping_equals_the_oracle_on_forged_budgets(tmp_path, name):
         theirs = oracle_audit(seq)["sequence_checks"]["telescoping"]
         assert ours["worst"] > 0.0
         assert (ours["passed"], ours["worst"].hex()) == (theirs["passed"], theirs["worst"].hex())
+
+
+def assert_membership_per_table(seq):
+    """The audit's membership, measured once per changed row, equals a
+    per-table ``distances_to``: each round's worst distance bit for bit and
+    the point reported with it, every round check as
+    :func:`ls.verify_round_properties` gives it from its table alone, and
+    the closure over every table."""
+    audit = ls.verify_sequence(seq)
+    per_table = [seq.correspondence.distances_to(table) for table in seq.tables]
+    for r in audit["rounds"]:
+        member = per_table[r["n"]]
+        i = int(np.argmax(member))
+        check = r["checks"]["selection_membership"]
+        assert check["worst"].hex() == float(member[i]).hex()
+        assert check["detail"].endswith(f" at {i if member[i] > 0.0 else None!r}")
+        assert r["checks"] == ls.verify_round_properties(seq, r["n"])
+    closure = max(float(member.max()) for member in per_table)
+    assert audit["sequence_checks"]["selection_closure"]["worst"].hex() == closure.hex()
+    return audit
+
+
+@pytest.mark.parametrize("rounds", [1, 7, 20])
+@pytest.mark.parametrize("name", ["balls", "polytopes", "segment"])
+def test_batched_membership_equals_per_table_distances(tmp_path, name, rounds):
+    seq = instance_run(name, rounds, tmp_path)
+    assert assert_membership_per_table(seq)["passed"]
+
+
+def pushed_off(seq, p, tables):
+    """``seq`` with row ``p`` of the ``tables`` moved by 10 in every
+    coordinate, off its body, each by the same vector."""
+    seq.tables[tables, p] += 10.0
+    assert (seq.correspondence.distances_to(seq.tables[tables.start])[p]) > 1.0
+    return seq
+
+
+@pytest.mark.parametrize("rounds", [1, 7, 20])
+@pytest.mark.parametrize("name", ["balls", "polytopes", "segment"])
+def test_a_row_of_f1_pushed_off_and_left_fails_every_round(tmp_path, name, rounds):
+    # the row changes in round 1 only, so the batch measures it once and
+    # each later round carries that distance
+    seq = instance_run(name, rounds, tmp_path)
+    p = int(np.flatnonzero(~changed_rows(seq.tables)[2:].any(axis=0))[0])
+    seq = pushed_off(seq, p, slice(1, None))
+    assert changed_rows(seq.tables)[:, p].tolist() == [True, True] + [False] * (rounds - 1)
+    audit = assert_membership_per_table(seq)
+    for r in audit["rounds"]:
+        check = r["checks"]["selection_membership"]
+        assert not check["passed"] and check["detail"].endswith(f" at {p!r}")
+
+
+@pytest.mark.parametrize("rounds", [7, 20])
+@pytest.mark.parametrize("name", ["balls", "polytopes", "segment"])
+def test_a_row_moved_out_in_round_2_and_back_in_round_4(tmp_path, name, rounds):
+    seq = pushed_off(instance_run(name, rounds, tmp_path), 0, slice(2, 4))
+    audit = assert_membership_per_table(seq)
+    failing = [r["n"] for r in audit["rounds"] if not r["checks"]["selection_membership"]["passed"]]
+    assert failing == [2, 3]
+
+
+def test_the_audit_calls_the_body_kernel_once(tmp_path, monkeypatch):
+    seq = instance_run("polytopes", 6, tmp_path)
+    calls, kernel = [], ls.Polytope.project_stack
+
+    def counted(stack, ys):
+        calls.append(len(ys))
+        return kernel(stack, ys)
+
+    monkeypatch.setattr(ls.Polytope, "project_stack", staticmethod(counted))
+    # a round alone measures its whole table
+    ls.verify_round_properties(seq, 6)
+    assert calls == [len(seq.space)]
+    calls.clear()
+    ls.verify_sequence(seq)
+    assert calls == [int(changed_rows(seq.tables).sum())]

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -484,6 +485,32 @@ class TestDistanceRows:
         explicit = ls.SampledMetricSpace("explicit", explicit_distances=[[0.0, 2.0], [2.0, 0.0]])
         with pytest.raises(ValueError):
             explicit.distance_row(0)[1] = 5.0
+
+    @pytest.mark.parametrize(
+        "members, first",
+        [
+            ([0, -1, 5], "-1"),
+            ([1, 4], "4"),
+            (np.array([0, 2, 7]), "np.int64(7)"),
+            ([2, True, 1], "True"),
+            ([np.True_], "np.True_"),
+            ([0, 1.0], "1.0"),
+            (np.array([1.0, 0.0]), "np.float64(1.0)"),
+            ([0, "1"], "'1'"),
+            ([2**70], str(2**70)),
+        ],
+    )
+    def test_a_bad_member_is_named_first(self, four_point_line, members, first):
+        # negative, out of range, bool or float: one array test finds it,
+        # and the error names the first such member
+        with pytest.raises(IdentifierError, match=rf"unknown point id {re.escape(first)}$"):
+            four_point_line.rows(members)
+
+    def test_rows_take_lists_ranges_and_integer_arrays(self, four_point_line):
+        ref = four_point_line.rows([3, 1])
+        for members in ((3, 1), np.array([3, 1], dtype=np.uint8), range(3, 0, -2)):
+            assert four_point_line.rows(members).tobytes() == ref.tobytes()
+        assert four_point_line.rows([]).shape == four_point_line.rows(np.array([], dtype=np.intp)).shape == (0, 4)
 
     def test_a_lone_point_has_no_nearest_other(self):
         space = ls.SampledMetricSpace("l2", coords=[[0.5]])

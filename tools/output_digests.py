@@ -14,8 +14,10 @@ the hierarchy is compared as each of its renderers writes it.  Each tiny
 ``balls`` and ``polytopes`` instance also runs ``select`` and ``verify`` at
 ``DEEP_ROUNDS`` rounds, in its ``deep/`` directory, from a copy of its
 ``iteration.json`` with only ``rounds`` rewritten: rounds in which no point
-joins the hierarchy.  It imports the ``src/`` and ``bench/`` of the
-checkout it lives in and changes nothing there.
+joins the hierarchy, and runs ``verify`` on a forged copy of its sequence,
+in its ``forged/`` directory, so that the report of a failing audit is
+compared too.  It imports the ``src/`` and ``bench/`` of the checkout it
+lives in and changes nothing there.
 
     python tools/output_digests.py --out digests.json
 
@@ -90,11 +92,28 @@ def _deep_exits(inst, deep: Path) -> list:
     return _solve_and_read(argv, verify_argv)
 
 
+def _forged_exits(inst, forged: Path) -> list:
+    """``[read]``, the exit of ``verify`` on the solve's sequence with row 0
+    of ``f_1`` moved by 10 in every coordinate, off its body, every file
+    written in ``forged``; null when the solve wrote no report."""
+    forged.mkdir()
+    report = inst.workdir / "select.json"
+    if not report.exists():
+        return [None]
+    sequence = json.loads(report.read_text(encoding="utf-8"))["sequence"]
+    values = sequence["selections"][1]["values"]
+    values["0"] = [x + 10.0 for x in values["0"]]
+    (forged / "sequence.json").write_text(json.dumps(sequence), encoding="utf-8")
+    return [_run(["verify", "--correspondence", str(inst.workdir / "correspondence.json"),
+                  "--sequence", str(forged / "sequence.json"), "--out", str(forged / "verify.json")])]
+
+
 def digests(seeds, workdir: Path) -> dict:
     """``{"files": {path: sha256}, "exits": {instance: [solve, read, separate]}}``,
     paths relative to ``workdir`` as ``workload/size/seed/file``; a read
     exit is null when the solve failed.  A deep run's exits are
-    ``[solve, read]`` under ``workload/tiny/seed/deep``."""
+    ``[solve, read]`` under ``workload/tiny/seed/deep``, a forged one's
+    ``[read]`` under ``workload/tiny/seed/forged``."""
     files, exits = {}, {}
     for name in workloads.WORKLOADS:
         for size in ("full", "tiny"):
@@ -117,6 +136,7 @@ def digests(seeds, workdir: Path) -> dict:
                 exits[tag] = [solve, read, separate]
                 if size == "tiny" and name != "bartle-graves":
                     exits[f"{tag}/deep"] = _deep_exits(inst, workdir / tag / "deep")
+                    exits[f"{tag}/forged"] = _forged_exits(inst, workdir / tag / "forged")
                 for path in sorted((workdir / tag).rglob("*")):
                     if path.is_file():
                         rel = path.relative_to(workdir).as_posix()
