@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from json.encoder import encode_basestring_ascii
 from typing import Any, List, Optional
 
 import numpy as np
@@ -82,13 +83,13 @@ def _canonical(obj: Any, out: List[str]) -> None:
     elif isinstance(obj, (float, np.floating)):
         out.append(format_float(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
+        out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, dict):
         out.append("{")
         for i, key in enumerate(sorted(obj, key=str)):
             if i:
                 out.append(",")
-            out.append(json.dumps(str(key), ensure_ascii=True))
+            out.append(encode_basestring_ascii(str(key)))
             out.append(":")
             _canonical(obj[key], out)
         out.append("}")

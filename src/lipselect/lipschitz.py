@@ -63,9 +63,19 @@ def _ball_ratios(dist, dev, radii, closed=True):
     ``closed`` is false) and whether the ball holds a given point.  The
     points exclude the base, which every ball holds with deviation 0.
     Points run along the last axis of ``dist`` and ``dev``, radii along the
-    last axis of ``radii``; leading axes broadcast."""
-    inside = dist[..., None, :] <= radii[..., None] if closed else dist[..., None, :] < radii[..., None]
-    return np.max(np.where(inside, dev[..., None, :], 0.0), axis=-1, initial=0.0) / radii, inside.any(axis=-1)
+    last axis of ``radii``; leading axes broadcast.  One radius at a time,
+    the ball is a mask and ``dev`` times the mask, in two buffers reused
+    across the radii; the max skips the NaN of ``inf * False``."""
+    ratios = np.empty(np.broadcast_shapes(dist.shape[:-1], radii.shape[:-1]) + radii.shape[-1:])
+    informative = np.empty(ratios.shape, dtype=bool)
+    inside = np.empty(np.broadcast_shapes(dist.shape, radii.shape[:-1] + (1,)), dtype=bool)
+    masked = np.empty(inside.shape)
+    with np.errstate(invalid="ignore"):
+        for j in range(radii.shape[-1]):
+            (np.less_equal if closed else np.less)(dist, radii[..., j, None], out=inside)
+            np.fmax.reduce(np.multiply(dev, inside, out=masked), axis=-1, initial=0.0, out=ratios[..., j])
+            np.any(inside, axis=-1, out=informative[..., j])
+    return np.divide(ratios, radii, out=ratios), informative
 
 
 def plip_profile(
@@ -76,14 +86,19 @@ def plip_profile(
     closed: bool = True,
 ) -> PlipProfiles:
     """Ratio profiles of a sampled map at the base ``points`` over the given
-    radii, computed over blocks of ``BLOCK_ROWS`` points; value deviations
-    come from the distance kernel, folded over the value columns.
+    radii, computed over blocks of ``BLOCK_ROWS`` points.  Each block's
+    distance rows are read into one buffer and not kept
+    (:meth:`SampledMetricSpace._block`), and its value deviations come from
+    the distance kernel, folded over the value columns into another.
 
     ``radii`` must be strictly decreasing and positive.  Balls are closed by
     default (open with ``closed=False``); a ball holding only its base
     yields ratio 0 and is not informative.  A base point with no
     informative radius at all cannot be resolved by the sample: the first
     such point, in the order given, raises a :class:`ResolutionError`.
+    The first base point whose ratios overflow to ``inf`` (values so far
+    apart that a squared deviation, or its ratio, does) raises a
+    :class:`PreconditionError`.
     """
     radii = np.array([float(r) for r in radii])
     if not radii.size or not np.all(radii > 0):
@@ -95,13 +110,20 @@ def plip_profile(
     ratios = np.empty((len(points), len(radii)))
     informative = np.empty(ratios.shape, dtype=bool)
     columns = np.ascontiguousarray(table.T)
-    for i in range(0, len(points), BLOCK_ROWS):
-        block = points[i : i + BLOCK_ROWS]
-        dist = space.rows(block)
-        # out of every ball: the kernel counts the base itself, as deviation 0
-        dist[np.arange(len(block)), block] = np.inf
-        deviations = _fold(columns, table[block])
-        ratios[i : i + BLOCK_ROWS], informative[i : i + BLOCK_ROWS] = _ball_ratios(dist, deviations, radii, closed)
+    dist, dev = np.empty((2, min(BLOCK_ROWS, len(points)), len(space)))
+    with np.errstate(over="ignore"):
+        for i in range(0, len(points), BLOCK_ROWS):
+            block = points[i : i + BLOCK_ROWS]
+            k = len(block)
+            space._block(block, dist[:k])
+            # out of every ball: the kernel counts the base itself, as deviation 0
+            dist[np.arange(k), block] = np.inf
+            _fold(columns, table[block], out=dev[:k])
+            ratios[i : i + k], informative[i : i + k] = _ball_ratios(dist[:k], dev[:k], radii, closed)
+    finite = np.isfinite(ratios).all(axis=1)
+    if not finite.all():
+        a = int(points[np.argmin(finite)])
+        raise PreconditionError(f"the ratios at {a!r} overflow: its values lie too far apart for the radii")
     resolved = informative.any(axis=1)
     if not resolved.all():
         a = int(points[np.argmin(resolved)])
@@ -163,8 +185,10 @@ def nearest_direction_index(table: SphereTable, u):
     u = _vectors(table, u)
     rows = np.atleast_2d(u)
     k = np.empty(len(rows), dtype=np.intp)
+    block = np.empty((min(BLOCK_ROWS, len(rows)), len(table.space)))
     for i in range(0, len(rows), BLOCK_ROWS):
-        k[i : i + BLOCK_ROWS] = np.argmin(table.space.distances_from(rows[i : i + BLOCK_ROWS]), axis=1)
+        chunk = rows[i : i + BLOCK_ROWS]
+        np.argmin(table.space.distances_from(chunk, block[: len(chunk)]), axis=1, out=k[i : i + len(chunk)])
     return int(k[0]) if u.ndim == 1 else k
 
 
@@ -399,18 +423,22 @@ def global_lipschitz_upgrade_check(
     worst_violation = -np.inf
     worst_pair = (0, 0)
     worst_ratio = 0.0
-    for i in range(n):
-        row = space.distance_row(i)
-        dev = np.linalg.norm(values_matrix - values_matrix[i], axis=1)
+    buffer = np.empty((min(BLOCK_ROWS, n), n))
+    # blocks of BLOCK_ROWS base points, each row read once and not kept
+    for start in range(0, n, BLOCK_ROWS):
+        rows = np.arange(start, min(start + BLOCK_ROWS, n))
+        dist = space._block(rows, buffer[: len(rows)])
+        dev = np.linalg.norm(values_matrix - values_matrix[rows, None], axis=-1)
         # the base is among the points; its deviation 0 changes no ratio
-        ratios[i] = _ball_ratios(row, dev, radii)[0]
-        violation = dev - (alpha + tol) * row
-        violation[i] = -np.inf
-        j = int(np.argmax(violation))
-        if violation[j] > worst_violation:
-            worst_violation = float(violation[j])
-            worst_pair = (i, j)
-            worst_ratio = float(dev[j] / row[j])
+        ratios[rows] = _ball_ratios(dist, dev, radii)[0]
+        violation = dev - (alpha + tol) * dist
+        violation[rows - start, rows] = -np.inf
+        # the first largest violation in row order
+        i, j = np.unravel_index(np.argmax(violation), violation.shape)
+        if violation[i, j] > worst_violation:
+            worst_violation = float(violation[i, j])
+            worst_pair = (start + int(i), int(j))
+            worst_ratio = float(dev[i, j] / dist[i, j])
     # the first largest excess in point-then-radius order is the witness
     i, j = np.unravel_index(np.argmax(ratios - alpha), ratios.shape)
     return LipschitzUpgradeReport(

@@ -4,10 +4,12 @@ A :class:`SampledMetricSpace` is the finite stand-in for a metric space
 ``(M, d)``: ``N`` points, each named by its row ``0..N-1``, together with
 an exact metric oracle, either a norm on stored coordinates (``l1``, ``l2``,
 ``linf``) or an explicit distance matrix, which must be a metric.  Every
-distance a coordinate space serves comes from one kernel, ``_fold``, as
+distance a coordinate space serves comes from one kernel, ``_fold``: as
 rows kept from their first read, so a run costs memory for the rows of
-separation members, not ``N^2``; it also folds the value deviations of
-ratio profiles, while other value norms stay with ``_row_norms``.  On top
+separation members, not ``N^2``, or, in a pass that reads each row once,
+as blocks written into one buffer that the pass reuses.  It also folds the
+value deviations of ratio profiles, while other value norms stay with
+``_row_norms``.  On top
 of it this module builds maximal ``r``-separations by a deterministic
 greedy scan and the nested separation hierarchy with radii
 ``r_n = 2^-(n-1)``, held as one column (the round at which each point
@@ -157,12 +159,13 @@ class SampledMetricSpace:
             raise ConfigurationError("explicit-metric spaces carry no coordinates")
         return self._coords[self.index(a)]
 
-    def distances_from(self, points) -> np.ndarray:
-        """A new ``(P, N)`` block of distances from ``P`` points, in ambient
-        coordinates, to every sample point (:func:`_fold`)."""
+    def distances_from(self, points, out=None) -> np.ndarray:
+        """The ``(P, N)`` block of distances from ``P`` points, in ambient
+        coordinates, to every sample point (:func:`_fold`), written into
+        ``out`` when it is given, else into a new array."""
         if self._columns is None:
             raise ConfigurationError("explicit-metric spaces carry no coordinates")
-        return _fold(self._columns, np.asarray(points, dtype=float), self.metric_kind)
+        return _fold(self._columns, np.asarray(points, dtype=float), self.metric_kind, out)
 
     def distance_row(self, a) -> np.ndarray:
         """Distances from ``a`` to every point, read-only: a row of the
@@ -179,6 +182,14 @@ class SampledMetricSpace:
             block.flags.writeable = False
             self._rows.update(zip(todo, block))
         return [self._rows[a] for a in rows]
+
+    def _block(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out``, a ``(len(rows), N)`` buffer, filled with the distance
+        rows of ``rows``: rows of the explicit matrix, or one kernel call.
+        Nothing is kept, for passes that read each row once."""
+        if self._matrix is not None:
+            return np.take(self._matrix, rows, axis=0, out=out)
+        return self.distances_from(self._coords[rows], out)
 
     def rows(self, members) -> np.ndarray:
         """A new ``(k, N)`` block of the rows of ``members``, in their order
@@ -209,14 +220,15 @@ class SampledMetricSpace:
 
     def nearest_distances(self) -> np.ndarray:
         """Distance from each point to its nearest other point (inf for a
-        lone point), reduced over blocks of ``BLOCK_ROWS`` rows that are
-        not kept: a coordinate space computes each block in one kernel call."""
+        lone point), reduced over blocks of ``BLOCK_ROWS`` rows read into
+        one buffer (:meth:`_block`), so none is kept."""
         out = np.empty(self._n)
+        buffer = np.empty((min(BLOCK_ROWS, self._n), self._n))
         for start in range(0, self._n, BLOCK_ROWS):
             rows = np.arange(start, min(start + BLOCK_ROWS, self._n))
-            block = self._matrix[rows] if self._matrix is not None else self.distances_from(self._coords[rows])
+            block = self._block(rows, buffer[: len(rows)])
             block[rows - start, rows] = np.inf
-            out[rows] = block.min(axis=1)
+            block.min(axis=1, out=out[start : start + len(rows)])
         return out
 
     def distance_matrix(self) -> np.ndarray:
@@ -274,17 +286,24 @@ class SampledMetricSpace:
         }
 
 
-def _fold(columns: np.ndarray, points: np.ndarray, kind: str = "l2") -> np.ndarray:
-    """The distance kernel: a new ``(P, N)`` block, entry ``(p, i)`` the
-    ``kind`` norm of ``columns[:, i] - points[p]``, column differences
-    squared (``l2``) or absolute folded left to right by ``+`` (``maximum``
-    for ``linf``), then one ``sqrt`` for ``l2``.  Below 8 columns that is
-    bitwise ``np.linalg.norm(..., axis=-1)``; from 8 the fold defines it."""
-    acc = None if len(columns) else np.zeros((len(points), columns.shape[1]))
+def _fold(columns: np.ndarray, points: np.ndarray, kind: str = "l2", out=None) -> np.ndarray:
+    """The distance kernel: the ``(P, N)`` block whose entry ``(p, i)`` is
+    the ``kind`` norm of ``columns[:, i] - points[p]``, accumulated in
+    ``out`` when it is given, else in a new array.  Column differences,
+    squared (``l2``) or absolute, are made in one step array and folded
+    left to right by ``+`` (``maximum`` for ``linf``), then one ``sqrt``
+    for ``l2``.  Below 8 columns that is bitwise ``np.linalg.norm(...,
+    axis=-1)``; from 8 the fold defines it."""
+    acc = np.empty((len(points), columns.shape[1])) if out is None else out
+    if not len(columns):
+        acc.fill(0.0)
+    step = np.empty_like(acc) if len(columns) > 1 else acc
     for j, col in enumerate(columns):
-        step = col - points[:, j, None]
-        (np.square if kind == "l2" else np.abs)(step, out=step)
-        acc = step if acc is None else (np.maximum if kind == "linf" else np.add)(acc, step, out=acc)
+        term = step if j else acc
+        np.subtract(col, points[:, j, None], out=term)
+        (np.square if kind == "l2" else np.abs)(term, out=term)
+        if j:
+            (np.maximum if kind == "linf" else np.add)(acc, term, out=acc)
     return np.sqrt(acc, out=acc) if kind == "l2" else acc
 
 

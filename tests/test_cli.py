@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -396,6 +397,20 @@ class TestPlip:
             code = main(["plip", "--space", space_path, "--table", table_path, "--points", points])
             assert code == 2
 
+    @pytest.mark.parametrize("big", [1e200, 1e308])
+    def test_overflowing_deviations_are_a_precondition_error(self, tmp_path, capsys, big):
+        """Finite values whose squared deviations overflow: no numpy warning,
+        and exit 3 naming the first base point, not a report that cannot be
+        written (exit 2)."""
+        space_path = write_json(tmp_path / "s.json", FOUR_POINT_LINE)
+        values = {"0": [big], "1": [-big], "2": [0.0], "3": [1.0]}
+        table_path = write_json(tmp_path / "t.json", {"values": values})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["plip", "--space", space_path, "--table", table_path]) == 3
+        err = capsys.readouterr().err
+        assert "the ratios at 0 overflow" in err and "Traceback" not in err
+
 
 class TestBartleGraves:
     def test_pipeline_report(self, tmp_path):
@@ -721,6 +736,13 @@ class TestCanonicalJson:
     def test_non_finite_rejected(self):
         with pytest.raises(ls.SchemaError):
             dumps_canonical({"x": float("nan")})
+
+    def test_strings_are_written_as_json_dumps_writes_them(self):
+        texts = ['say "hi"', "back\\slash", "tab\tnew\nline\r\x00\x1f\x7f", "caf\u00e9 \u2603 \U0001d11e \ud800", ""]
+        doc = {text: text for text in texts}
+        expected = "{" + ",".join(f"{json.dumps(t)}:{json.dumps(t)}" for t in sorted(texts)) + "}\n"
+        assert dumps_canonical(doc) == expected
+        assert dumps_canonical(texts) == json.dumps(texts, separators=(",", ":")) + "\n"
 
 
 # doubles that stress the 17-digit form: signed zero, the smallest

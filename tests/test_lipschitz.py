@@ -47,6 +47,38 @@ def profile_row(profiles, p):
     return rows, tuple(profiles.informative[p].tolist()), float(profiles.estimates[p])
 
 
+def where_ball_ratios(dist, dev, radii, closed=True):
+    """The one-array form of ``_ball_ratios``: every ball of every radius
+    in one ``(..., R, N)`` ``np.where`` array."""
+    inside = dist[..., None, :] <= radii[..., None] if closed else dist[..., None, :] < radii[..., None]
+    return np.max(np.where(inside, dev[..., None, :], 0.0), axis=-1, initial=0.0) / radii, inside.any(axis=-1)
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_ball_ratios_equal_the_where_form_bitwise(closed):
+    """The plip block (radii along the last axis only), the ring and probe
+    shapes of ``verify_homogeneous_plip`` (one row of radii per ray, ``inf``
+    where there is no ball) and the one row of the global upgrade check;
+    distances sit on the radii, and some deviations overflow to ``inf``
+    inside and outside the balls."""
+    rng = np.random.default_rng(23)
+    levels = np.array([0.05, 0.1, 0.2, 0.4, 0.8])
+    cases = [
+        (rng.choice(levels, size=(64, 40)), levels[::-1][:4]),
+        (rng.choice(levels, size=(7, 5)), np.sort(rng.choice(np.append(levels, np.inf), size=(7, 3)), axis=1)),
+        (rng.choice(levels, size=(9, 12)), np.where(rng.uniform(size=(9, 4)) < 0.3, np.inf, rng.choice(levels, size=(9, 4)))),
+        (rng.choice(levels, size=30), levels[::-1]),
+    ]
+    with np.errstate(invalid="ignore"):
+        for dist, radii in cases:
+            dev = rng.uniform(size=dist.shape) * 10.0 ** rng.integers(-3, 3, size=dist.shape)
+            dev[rng.uniform(size=dist.shape) < 0.1] = np.inf
+            ratios, informative = ls.lipschitz._ball_ratios(dist, dev, radii, closed)
+            ref_ratios, ref_informative = where_ball_ratios(dist, dev, radii, closed)
+            assert ratios.tobytes() == ref_ratios.tobytes() and not np.isfinite(ratios).all()
+            assert informative.tobytes() == ref_informative.tobytes()
+
+
 class TestPlipProfile:
     @pytest.mark.parametrize("closed", [True, False])
     @pytest.mark.parametrize("metric", ["l1", "l2", "linf"])
@@ -737,6 +769,21 @@ class TestDefaultRadii:
         assert radii[-1] == float(space.nearest_distances().max())
         # the 4,000 rows alone would take 128 MB; a kernel block takes 2 MB
         assert peak < 16 * 2**20
+
+
+def test_plip_profile_on_four_thousand_points_keeps_no_rows():
+    coords = np.random.default_rng(5).uniform(size=(4_000, 2))
+    space = ls.SampledMetricSpace("l2", coords=coords)
+    values = np.sin(7.0 * coords[:, :1])
+    tracemalloc.start()
+    try:
+        profiles = ls.plip_profile(values, space, range(len(space)), [0.08, 0.04, 0.02])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not space._rows and profiles.ratios.shape == (4_000, 3)
+    # a kernel block takes 2 MB, the 4,000 rows 128 MB
+    assert peak < 4 * BLOCK_ROWS * len(space) * 8
 
 
 @seed(23)

@@ -396,9 +396,9 @@ def test_the_sphere_hierarchy_makes_at_most_two_kernel_calls_per_block(monkeypat
     space = ls.sphere_sample(3, 256)
     fold, calls = metric._fold, []
 
-    def counting(columns, points, kind="l2"):
+    def counting(columns, points, kind="l2", out=None):
         calls.append((columns.shape[1], len(points)))
-        return fold(columns, points, kind)
+        return fold(columns, points, kind, out)
 
     monkeypatch.setattr(metric, "_fold", counting)
     entry = ls.build_separation_hierarchy(space, 4)
@@ -461,10 +461,14 @@ class TestDistanceRows:
     def test_nearest_distances_span_several_blocks(self):
         rng = np.random.default_rng(3)
         coords = rng.normal(size=(150, 2))
-        space = ls.SampledMetricSpace("l2", coords=coords)
         ref = matrix_row_by_row(coords, "l2")
         off = np.min(ref, axis=1, where=~np.eye(150, dtype=bool), initial=np.inf)
-        assert space.nearest_distances().tobytes() == off.tobytes()
+        space = ls.SampledMetricSpace("l2", coords=coords)
+        explicit = ls.SampledMetricSpace("explicit", explicit_distances=ref)
+        assert space.nearest_distances().tobytes() == explicit.nearest_distances().tobytes() == off.tobytes()
+        assert not space._rows
+        # an explicit space's blocks are copies: its matrix keeps a zero diagonal
+        assert not np.diag(ref).any()
 
     def test_explicit_rows_are_the_matrix(self):
         mat = np.array([[0.0, 2.0, 3.0], [2.0, 0.0, 1.5], [3.0, 1.5, 0.0]])

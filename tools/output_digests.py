@@ -6,7 +6,9 @@ and tiny), the script writes the input documents with
 (``verify`` or ``plip``) in-process through ``lipselect.cli.main``, and
 hashes every file left in the instance's directory: inputs, reports and
 tables.  Each ``select`` also writes its ``f0..fN`` CSV tables, with
-``--tables-dir <instance>/tables``.  Every instance then runs ``separate
+``--tables-dir <instance>/tables``, and each ``plip`` its ratio profiles,
+with ``--profiles-csv <instance>/profiles.csv``, so that every ratio is
+compared, not only each estimate.  Every instance then runs ``separate
 --rounds`` with the configured rounds on its space: for ``balls`` and
 ``polytopes`` the space of the correspondence, written out as
 ``space.json``, for ``bartle-graves`` the sphere sample ``sphere.json``.  So
@@ -73,6 +75,11 @@ def _solve_and_read(solve_argv, read_argv) -> list:
     return [solve, _run(read_argv(json.loads(Path(out).read_text(encoding="utf-8"))))]
 
 
+def _with_profiles(argv, path: Path) -> list:
+    """``argv``, plus ``--profiles-csv path`` when it runs ``plip``."""
+    return argv + ["--profiles-csv", str(path)] if argv[0] == "plip" else argv
+
+
 def _deep_exits(inst, deep: Path) -> list:
     """``[solve, read]`` exits of ``select`` and ``verify`` at ``DEEP_ROUNDS``
     rounds, every file written in ``deep``."""
@@ -123,7 +130,8 @@ def digests(seeds, workdir: Path) -> dict:
                 solve_argv = list(inst.solve_argv)
                 if solve_argv[0] == "select":
                     solve_argv += ["--tables-dir", str(workdir / tag / "tables")]
-                solve, read = _solve_and_read(solve_argv, inst.read_argv)
+                solve, read = _solve_and_read(solve_argv, lambda report: _with_profiles(
+                    inst.read_argv(report), workdir / tag / "profiles.csv"))
                 space = workdir / tag / "sphere.json"
                 if name != "bartle-graves":
                     corr = json.loads((workdir / tag / "correspondence.json").read_text(encoding="utf-8"))
