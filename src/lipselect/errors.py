@@ -81,26 +81,26 @@ class InvariantViolationError(LipselectError):
 def as_finite_array(values, what: str) -> np.ndarray:
     """``values`` as a float array.  Only numbers count: a string, a
     boolean, null or an object where a number belongs, or rows of unequal
-    length, are a :class:`SchemaError`, and nested lists are typed as deep
-    as their first entry goes.  NaN or infinite entries, and integers
-    beyond the doubles, are a :class:`PreconditionError`.  (Python's
-    ``json`` parses ``NaN`` and ``Infinity``, so documents can carry them.)"""
+    length, are a :class:`SchemaError`.  Nested lists are flattened level by
+    level, as deep as their first entry goes, and typed once.  NaN or
+    infinite entries, and integers beyond the doubles, are a
+    :class:`PreconditionError`.  (Python's ``json`` parses ``NaN`` and
+    ``Infinity``, so documents can carry them.)"""
     if isinstance(values, np.ndarray):
-        types = {values.dtype.type}
+        flat, types = None, {values.dtype.type}
     else:
-        entries, probe = [values], values
-        while isinstance(probe, (list, tuple, np.ndarray)):
-            entries, probe = chain.from_iterable(entries), (probe[0] if len(probe) else None)
-        try:
-            types = set(map(type, entries))
-        except TypeError:  # a number where a list belongs
-            types = {object}
+        flat, shape = [values], []
+        while flat and isinstance(flat[0], (list, tuple, np.ndarray)):
+            kinds = set(map(type, flat))
+            if not all(issubclass(t, (list, tuple, np.ndarray)) for t in kinds) or len(set(map(len, flat))) > 1:
+                raise SchemaError(f"{what} must be an array of numbers")
+            shape.append(len(flat[0]))
+            flat = list(chain.from_iterable(flat))
+        types = set(map(type, flat))
     if not all(issubclass(t, (int, float, np.integer, np.floating)) and not issubclass(t, bool) for t in types):
         raise SchemaError(f"{what} must be an array of numbers")
     try:
-        arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{what} must be an array of numbers") from None
+        arr = np.asarray(values, dtype=float) if flat is None else np.array(flat, dtype=float).reshape(shape)
     except OverflowError:
         arr = np.array(np.inf)
     if not np.all(np.isfinite(arr)):

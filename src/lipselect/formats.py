@@ -131,9 +131,15 @@ def table_from_dict(doc, space: SampledMetricSpace, dim: Optional[int] = None) -
     (as written by ``select --f0``, ``plip --table`` and stored sequences)
     into the ``(N, d)`` table of ``space``; ``dim``, when given, is the
     required row width."""
-    if not isinstance(doc, dict) or not isinstance(doc.get("values"), dict):
+    return tables_from_dicts([doc], space, dim)[0]
+
+
+def tables_from_dicts(docs: list, space: SampledMetricSpace, dim: Optional[int] = None) -> np.ndarray:
+    """The ``(T, N, d)`` stack of the tables of the documents ``docs``, as
+    :func:`table_from_dict` reads each, read as one block."""
+    if not all(isinstance(doc, dict) and isinstance(doc.get("values"), dict) for doc in docs):
         raise SchemaError("table document must carry a 'values' object")
-    return as_table(space.keyed_entries(doc["values"], "table"), space, dim)
+    return as_table([space.keyed_entries(doc["values"], "table") for doc in docs], space, dim, stacked=True)
 
 
 def profile_csv_text(profiles) -> str:
@@ -191,22 +197,23 @@ def _integer(value) -> int:
 
 
 def _resolve_ids(space: SampledMetricSpace, raw_ids) -> list:
-    """Stored point ids as rows: an id must be the key of a row of ``space``."""
-    out = []
-    for raw in raw_ids:
-        row = space.key_row(raw)
-        if row is None:
-            raise SchemaError(f"unknown point id {raw!r} in stored sequence")
-        out.append(row)
-    return out
+    """Stored point ids as rows: the ids must be a JSON array, each the key
+    of a row of ``space``."""
+    if not isinstance(raw_ids, list):
+        raise SchemaError(f"stored sequence has {raw_ids!r} where an array of point ids belongs")
+    rows = list(map(space.key_row, raw_ids))
+    if None in rows:
+        raise SchemaError(f"unknown point id {raw_ids[rows.index(None)]!r} in stored sequence")
+    return rows
 
 
 def sequence_from_dict(doc: dict, correspondence) -> SelectionSequence:
     """Rebuild a stored sequence against its correspondence for re-checking.
 
     Anchored tables are not stored; the verification checks do not need
-    them.  A missing field, a ragged row, a value of the wrong type or a
-    selection whose ``round`` is not its position is a :class:`SchemaError`.
+    them.  A missing field, a ragged row, a value of the wrong type, an id
+    list that is not an array or a selection whose ``round`` is not its
+    position is a :class:`SchemaError`.
 
     The hierarchy is recomputed from the space, once, as the sequence's
     ``entry``.  What a run of the engine on this space could not have
@@ -240,17 +247,17 @@ def sequence_from_dict(doc: dict, correspondence) -> SelectionSequence:
             sup_change = float(as_finite_array(rd["sup_change"], "sup_change"))
             rounds.append(RoundRecord(_integer(rd["n"]), dict(zip(new, radii)), sup_change))
             stored.append((_resolve_ids(space, rd["B"]), new))
-        tables = []
-        for pos, sel_doc in enumerate(doc["selections"]):
+        selections = doc["selections"]
+        for pos, sel_doc in enumerate(selections):
             if _integer(sel_doc["round"]) != pos:
                 raise SchemaError(f"selection {pos} is stored as round {sel_doc['round']!r}")
-            tables.append(table_from_dict(sel_doc, space, correspondence.ambient_dim))
+        if len(selections) != len(rounds) + 1:
+            raise SchemaError("stored sequence must hold one selection per round plus f0")
+        tables = tables_from_dicts(selections, space, correspondence.ambient_dim)
     except KeyError as exc:
         raise SchemaError(f"sequence document is missing {exc}") from None
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"malformed sequence document: {exc}") from None
-    if len(tables) != len(rounds) + 1:
-        raise SchemaError("stored sequence must hold one selection per round plus f0")
 
     entry = build_separation_hierarchy(space, len(rounds)) if rounds else np.zeros(len(space), dtype=np.intp)
     problems = []
@@ -270,4 +277,4 @@ def sequence_from_dict(doc: dict, correspondence) -> SelectionSequence:
         outside = [b for b, d in record.deltas.items() if not config.delta_min <= d <= upper]
         if outside:
             problems.append(f"round {pos}: delta at {outside[0]!r} outside [delta_min, {upper}]")
-    return SelectionSequence(correspondence, config, entry, np.stack(tables), rounds, tuple(problems))
+    return SelectionSequence(correspondence, config, entry, tables, rounds, tuple(problems))

@@ -63,11 +63,6 @@ MEMBERSHIP_TOL = 1e-8
 BOUND_SLACK = 1e-9
 
 
-def _sup_distance(f: np.ndarray, g: np.ndarray) -> float:
-    """Uniform distance between two tables of one shape."""
-    return float(np.linalg.norm(f - g, axis=1).max())
-
-
 def changed_rows(tables: np.ndarray) -> np.ndarray:
     """The ``(T, N)`` mask of the rows of each table of the ``(T, N, d)``
     stack ``tables`` whose bits differ from the same row of the table
@@ -293,7 +288,8 @@ def run_iteration(
             raise RateError(f"round {n}, {exc}", witness=exc.witness, excess=exc.excess) from exc
         deltas = compute_delta(f_prev, anchored, n, config.epsilon, config.delta_min)
         tables.append(blend_round(f_prev, anchored, deltas))
-        rounds.append(RoundRecord(n, dict(zip(new.tolist(), deltas.tolist())), _sup_distance(tables[-1], f_prev)))
+        displaced = float(np.linalg.norm(tables[-1] - f_prev, axis=1).max())
+        rounds.append(RoundRecord(n, dict(zip(new.tolist(), deltas.tolist())), displaced))
     return SelectionSequence(phi, config, entry, np.stack(tables), rounds)
 
 
@@ -308,68 +304,77 @@ def verify_round_properties(seq: SelectionSequence, n: int) -> Dict[str, dict]:
       member of ``B_(n-1)``: over all rounds, ``f_k .. f_n`` coincide
       bitwise on the open ``2^-n``-ball of each anchor of round ``k``.
 
-    Failures are reported, never thrown.
+    Round ``n`` is read off the whole-run pass of :func:`_round_checks`,
+    which measures only ``f_n`` against its bodies.  Failures are
+    reported, never thrown.
     """
     if not 1 <= n <= len(seq.rounds):
         raise PreconditionError(f"round {n} was never executed")
-    member = seq.correspondence.distances_to(seq.tables[n])
-    return _round_checks(seq, n, member, changed_rows(seq.tables[n - 1 : n + 1])[1])
+    member = np.zeros(seq.tables.shape[:2])
+    member[n] = seq.correspondence.distances_to(seq.tables[n])
+    return _round_checks(seq, member, changed_rows(seq.tables))[0][n - 1]
 
 
-def _round_checks(seq: SelectionSequence, n: int, member: np.ndarray, moved: np.ndarray) -> Dict[str, dict]:
-    """The checks of :func:`verify_round_properties` on round ``n``, given
-    the body distance of each row of ``f_n``, ``member``, and the mask of
-    the rows round ``n`` changed, ``moved``."""
-    record = seq.rounds[n - 1]
-    space = seq.space
-    f_n = seq.tables[n]
-    checks: Dict[str, dict] = {}
+def _round_checks(seq: SelectionSequence, member: np.ndarray, changed: np.ndarray) -> tuple:
+    """The checks of :func:`verify_round_properties` on every round, and the
+    least separation margin between the supports of one round, given the
+    ``(T, N)`` body distance of each row of each table, ``member``, and the
+    mask of the rows each round changed, ``changed`` (:func:`changed_rows`).
+    Each check is one pass over the run, read round by round."""
+    space, tables, n_rounds = seq.space, seq.tables, len(seq.rounds)
+    worst_point = member[1:].argmax(axis=1)
+    worst_member = member[1:][np.arange(n_rounds), worst_point]
 
-    i = int(np.argmax(member))
-    worst_member = float(member[i])
-    worst_point = i if worst_member > 0.0 else None
-    checks["selection_membership"] = dict(
-        passed=worst_member <= MEMBERSHIP_TOL,
-        worst=worst_member,
-        detail=f"max body distance {worst_member:.3e} at {worst_point!r}",
-    )
+    # an unchanged row is displaced by 0.0 exactly; t is the round less 1
+    t, moved = np.divmod(np.flatnonzero(changed[1:]), len(space))
+    sup_change = np.zeros(n_rounds)
+    np.maximum.at(sup_change, t, np.linalg.norm(tables[t + 1, moved] - tables[t, moved], axis=1))
 
-    # an unchanged row is displaced by 0.0 exactly
-    sup_change = float(np.linalg.norm(f_n[moved] - seq.tables[n - 1][moved], axis=1).max(initial=0.0))
-    bound = 2.0 ** (-n) * seq.config.epsilon
-    checks["sup_change_bound"] = dict(
-        passed=sup_change <= bound + BOUND_SLACK,
-        worst=sup_change,
-        detail=f"sup displacement {sup_change:.3e} vs bound {bound:.3e}",
-    )
-
-    # one pass over the (anchor, point) pairs of the closed delta-balls; the
-    # first anchor that attains the worst excess is reported
-    new = np.array(list(record.deltas), dtype=np.intp)
-    radii = np.array(list(record.deltas.values()))
-    block = space.rows(new)
-    owner, rows = np.nonzero(block <= radii[:, None])
-    excess = np.linalg.norm(f_n[rows] - f_n[new[owner]], axis=1) - seq.config.alpha * block[owner, rows]
-    worst_excess, worst_anchor = 0.0, None
-    if excess.size and excess.max() > 0.0:
-        p = int(np.argmax(excess))
-        worst_excess, worst_anchor = float(excess[p]), int(new[owner[p]])
-    checks["anchored_strong_bound"] = dict(
-        passed=worst_excess <= BOUND_SLACK,
-        worst=worst_excess,
-        detail=f"worst excess {worst_excess:.3e} (anchor {worst_anchor!r})",
-    )
+    # every round's new anchors in one block of rows, each with its radius
+    # and round; the (anchor, point) pairs of the closed delta-balls are cut
+    # by round, and the first anchor that attains a round's worst excess is
+    # reported
+    anchors = np.array([b for record in seq.rounds for b in record.deltas], dtype=np.intp)
+    radii = np.array([d for record in seq.rounds for d in record.deltas.values()])
+    of_round = np.repeat(np.arange(1, n_rounds + 1), [len(record.deltas) for record in seq.rounds])
+    block = space.rows(anchors)
+    owner, rows = np.divmod(np.flatnonzero(block <= radii[:, None]), len(space))
+    at = of_round[owner]
+    excess = np.linalg.norm(tables[at, rows] - tables[at, anchors[owner]], axis=1) - seq.config.alpha * block[owner, rows]
+    cuts = np.searchsorted(at, np.arange(1, n_rounds + 2)).tolist()
+    i, j = np.nonzero(np.triu(of_round[:, None] == of_round, 1))
+    margin = float((block[i, anchors[j]] - 2.0 * (radii[i] + radii[j])).min(initial=math.inf))
 
     # round n moves a row only outside the open 2^-n-ball of every member of
-    # B_(n-1); count the (member, changed row) pairs inside one
-    protecting = space.rows(round_members(seq.entry, n - 1))[:, moved]
-    mismatches = int(np.count_nonzero(protecting < 2.0 ** (-n)))
-    checks["earlier_anchor_coincidence"] = dict(
-        passed=mismatches == 0,
-        worst=float(mismatches),
-        detail=f"{mismatches} table entries differ on protected balls",
-    )
-    return checks
+    # B_(n-1): the first sizes[n - 1] rows of B_(R-1) in order of entry
+    members = round_members(seq.entry, n_rounds - 1)
+    members = members[np.argsort(seq.entry[members], kind="stable")]
+    protecting = space.rows(members)
+    sizes = np.searchsorted(seq.entry[members], np.arange(n_rounds), side="right").tolist()
+
+    checks = []
+    for n in range(1, n_rounds + 1):
+        bound, worst = 2.0 ** (-n) * seq.config.epsilon, float(worst_member[n - 1])
+        displaced, point = float(sup_change[n - 1]), (int(worst_point[n - 1]) if worst > 0.0 else None)
+        pairs, worst_excess, worst_anchor = excess[cuts[n - 1] : cuts[n]], 0.0, None
+        if pairs.size and pairs.max() > 0.0:
+            p = cuts[n - 1] + int(np.argmax(pairs))
+            worst_excess, worst_anchor = float(excess[p]), int(anchors[owner[p]])
+        mismatches = int(np.count_nonzero(protecting[: sizes[n - 1], changed[n]] < 2.0 ** (-n)))
+        checks.append({
+            "selection_membership": dict(
+                passed=worst <= MEMBERSHIP_TOL, worst=worst, detail=f"max body distance {worst:.3e} at {point!r}"),
+            "sup_change_bound": dict(
+                passed=displaced <= bound + BOUND_SLACK, worst=displaced,
+                detail=f"sup displacement {displaced:.3e} vs bound {bound:.3e}"),
+            "anchored_strong_bound": dict(
+                passed=worst_excess <= BOUND_SLACK, worst=worst_excess,
+                detail=f"worst excess {worst_excess:.3e} (anchor {worst_anchor!r})"),
+            "earlier_anchor_coincidence": dict(
+                passed=mismatches == 0, worst=float(mismatches),
+                detail=f"{mismatches} table entries differ on protected balls"),
+        })
+    return checks, margin
 
 
 def _membership(phi: Correspondence, tables: np.ndarray, changed: np.ndarray) -> np.ndarray:
@@ -406,18 +411,15 @@ def verify_sequence(seq: SelectionSequence) -> dict:
     changed = changed_rows(seq.tables)
     member = _membership(seq.correspondence, seq.tables, changed)
     rounds, problems = [], list(seq.metadata_problems)
-    for n, record in enumerate(seq.rounds, 1):
-        round_checks = _round_checks(seq, n, member[n], changed[n])
+    per_round, min_margin = _round_checks(seq, member, changed)
+    for n, (record, round_checks) in enumerate(zip(seq.rounds, per_round), 1):
         rounds.append({"n": n, "checks": round_checks, "passed": all(c["passed"] for c in round_checks.values())})
         recomputed = round_checks["sup_change_bound"]["worst"]
         if record.sup_change.hex() != recomputed.hex():
             problems.append(f"round {n}: sup_change differs from the recomputed {recomputed!r} by {record.sup_change - recomputed:.3e}")
     checks: Dict[str, dict] = {}
 
-    worst = max(
-        [float(member[0].max())]
-        + [r["checks"]["selection_membership"]["worst"] for r in rounds]
-    )
+    worst = float(member.max())
     checks["selection_closure"] = dict(
         passed=worst <= MEMBERSHIP_TOL,
         worst=worst,
@@ -453,13 +455,6 @@ def verify_sequence(seq: SelectionSequence) -> dict:
         detail="; ".join(problems[:3]) or "hierarchy, rounds and radii match the space",
     )
 
-    min_margin = math.inf
-    for record in seq.rounds:
-        rows = list(record.deltas)
-        deltas = np.array(list(record.deltas.values()))
-        i, j = np.triu_indices(len(rows), k=1)
-        margins = seq.space.rows(rows)[:, rows][i, j] - 2.0 * (deltas[i] + deltas[j])
-        min_margin = min(min_margin, float(margins.min(initial=math.inf)))
     checks["support_disjointness"] = dict(
         passed=min_margin >= 0.0,
         worst=0.0 if min_margin == math.inf else min_margin,

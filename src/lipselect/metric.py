@@ -131,15 +131,12 @@ class SampledMetricSpace:
         """The row a document key names, or None: ``str(key)`` must be
         ``str(row)`` itself, so ``"05"``, ``" 1"``, ``"1.0"``, ``True`` and
         non-ASCII digits name no row."""
-        key = str(key)
-        if key.isascii() and key.isdigit() and len(key) <= len(str(self._n)) and key == str(int(key)):
-            return int(key) if int(key) < self._n else None
-        return None
+        return self._keys.get(str(key))
 
     @cached_property
     def _keys(self) -> dict:
-        """``str(row)`` for every row, in row order."""
-        return dict.fromkeys(str(a) for a in range(self._n))
+        """``str(row) -> row`` for every row, in row order."""
+        return {str(a): a for a in range(self._n)}
 
     def keyed_entries(self, doc: dict, what: str) -> list:
         """The entries of a document object keyed by ``str(row)``, in row
@@ -149,7 +146,7 @@ class SampledMetricSpace:
             raise SchemaError(f"{what} must be an object keyed by point")
         keys = self._keys
         if doc.keys() == keys.keys():
-            return [doc[k] for k in keys]
+            return list(map(doc.__getitem__, keys))
         unknown = sorted(doc.keys() - keys.keys())
         missing = [k for k in keys if k not in doc]
         raise SchemaError(f"{what} names unknown points {unknown[:3]} or lacks points {missing[:3]}")
@@ -307,20 +304,21 @@ def _fold(columns: np.ndarray, points: np.ndarray, kind: str = "l2", out=None) -
     return np.sqrt(acc, out=acc) if kind == "l2" else acc
 
 
-def as_table(values, space: SampledMetricSpace, dim=None) -> np.ndarray:
+def as_table(values, space: SampledMetricSpace, dim=None, stacked: bool = False) -> np.ndarray:
     """The ``(N, d)`` table of a sampled map given as an array with one row
-    per point.  Scalar values count as 1-vectors; every entry must be
-    finite.  When ``dim`` is given, rows of any other width are a
-    :class:`ShapeError`."""
+    per point, or, ``stacked``, the ``(T, N, d)`` stack of a list of such
+    tables, read as one block.  Scalar values count as 1-vectors; every
+    entry must be finite.  When ``dim`` is given, rows of any other width
+    are a :class:`ShapeError`."""
     table = as_finite_array(values, "selection table")
-    if table.ndim == 1:
-        table = table[:, None]
-    if table.ndim != 2 or table.shape[0] != len(space):
+    if table.ndim == 1 + stacked:
+        table = table[..., None]
+    if table.ndim != 2 + stacked or table.shape[stacked] != len(space):
         raise ShapeError(
-            f"a table needs one row per point ({len(space)}), got shape {table.shape}"
+            f"a table needs one row per point ({len(space)}), got shape {table.shape[stacked:]}"
         )
-    if dim is not None and table.shape[1] != dim:
-        raise ShapeError(f"table rows have width {table.shape[1]}, expected {dim}")
+    if dim is not None and table.shape[-1] != dim:
+        raise ShapeError(f"table rows have width {table.shape[-1]}, expected {dim}")
     return table
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import os
@@ -229,12 +230,17 @@ class TestSelectAndVerify:
             lambda doc: [
                 sel.update(round=len(doc["selections"]) - 1 - pos) for pos, sel in enumerate(doc["selections"])
             ],
+            # an id list must be an array: an object or a string of its ids is not
+            lambda doc: doc["rounds"][-1].update(B=dict.fromkeys(map(str, doc["rounds"][-1]["B"]), 1)),
+            lambda doc: doc["hierarchy"]["rounds"][-1].update(
+                B=dict.fromkeys(map(str, doc["hierarchy"]["rounds"][-1]["B"]), 1)
+            ),
         ],
         ids=[
             "config.rounds", "sup_change", "selection_round", "ragged_row", "narrow_rows", "wide_rows",
             "negative_member", "delta_at_old_member", "delta_at_negative_row",
             "leading_zero", "leading_space", "decimal_point", "bool", "arabic_indic_digit",
-            "selections_relabelled",
+            "selections_relabelled", "B_object", "hierarchy_B_object",
         ],
     )
     def test_malformed_sequence_is_schema_error(self, tmp_path, corrupt):
@@ -243,6 +249,20 @@ class TestSelectAndVerify:
         main(["select", "--correspondence", corr_path, "--iteration", iter_path, "--out", str(out)])
         seq_doc = json.loads(out.read_text())["sequence"]
         corrupt(seq_doc)
+        seq_path = write_json(tmp_path / "seq.json", seq_doc)
+        assert main(["verify", "--correspondence", corr_path, "--sequence", seq_path]) == 2
+
+    def test_an_id_list_spelled_as_a_string_is_schema_error(self, tmp_path):
+        # on nine points B_1 = new_1 = [0, 4, 8], whose ids are one digit each
+        corr_path, iter_path = segment_correspondence_docs(tmp_path, n_points=9)
+        out = tmp_path / "run.json"
+        main(["select", "--correspondence", corr_path, "--iteration", iter_path, "--out", str(out)])
+        seq_doc = json.loads(out.read_text())["sequence"]
+        seq_path = write_json(tmp_path / "seq.json", seq_doc)
+        assert main(["verify", "--correspondence", corr_path, "--sequence", seq_path]) == 0
+        assert seq_doc["rounds"][0]["new"] == seq_doc["rounds"][0]["B"] == [0, 4, 8]
+        seq_doc["rounds"][0].update(B="048", new="048")
+        seq_doc["hierarchy"]["rounds"][0]["B"] = "048"
         seq_path = write_json(tmp_path / "seq.json", seq_doc)
         assert main(["verify", "--correspondence", corr_path, "--sequence", seq_path]) == 2
 
@@ -921,6 +941,70 @@ def test_any_config_document_ends_in_a_documented_exit_code(valid_configs, data)
             code = main([verb, "--config", config])
     finally:
         os.chdir(cwd)
+    assert code in (0, 1, 2, 3, 4)
+
+
+# values that have broken a document reader: integers beyond int64 and
+# beyond the doubles, the largest doubles, NaN, an id spelled as a string,
+# a bool, null and a nested list (local, so that the draws of the tests on
+# JSON_VALUES stay as they are)
+ODD_VALUES = (
+    st.sampled_from([2**70, 2**1100, 1e308, -1e308, float("nan"), "5", True, None, [[1.0]]])
+    | st.integers(-2, 70)
+    | st.floats(-2.0, 2.0)
+)
+
+
+@pytest.fixture(scope="module")
+def stored_sequences(tmp_path_factory):
+    """``{name: (workdir, sequence)}``: the stored sequence of the tiny
+    ``balls`` and ``polytopes`` instances, seed 1, beside their documents."""
+    root = tmp_path_factory.mktemp("sequences")
+    out = {}
+    for name in ("balls", "polytopes"):
+        inst = workloads.build(name, 1, root / name, "tiny")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(inst.solve_argv) == 0
+        out[name] = (root / name, json.loads((root / name / "select.json").read_text())["sequence"])
+    return out
+
+
+def sequence_fields(doc):
+    """The fields a mutation may set, as ``(container, key)`` in groups:
+    the selections' ``round``, their rows, the entries of the rows, a
+    round's ``B``, ``new``, ``deltas`` and ``sup_change``, the ids and
+    radii in them, a hierarchy level's ``B`` and ``r``, and its ids."""
+    def keys(seq):
+        return range(len(seq)) if isinstance(seq, list) else list(seq) if isinstance(seq, dict) else []
+
+    selections = doc["selections"]
+    rows = [(sel["values"], k) for sel in selections for k in sel["values"]]
+    levels = doc["hierarchy"]["rounds"]
+    return [
+        [(sel, "round") for sel in selections],
+        rows,
+        [(row[k], e) for row, k in rows for e in keys(row[k]) if isinstance(row[k], list)],
+        [(rd, key) for rd in doc["rounds"] for key in ("B", "new", "deltas", "sup_change")],
+        [(rd[key], k) for rd in doc["rounds"] for key in ("B", "new", "deltas") for k in keys(rd[key])],
+        [(level, key) for level in levels for key in ("B", "r")],
+        [(level["B"], k) for level in levels for k in keys(level["B"])],
+    ]
+
+
+@seed(11)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_any_sequence_document_ends_in_a_documented_exit_code(stored_sequences, data):
+    workdir, sequence = stored_sequences[data.draw(st.sampled_from(["balls", "polytopes"]))]
+    doc = copy.deepcopy(sequence)
+    for _ in range(data.draw(st.integers(1, 2))):
+        group = data.draw(st.sampled_from([group for group in sequence_fields(doc) if group]))
+        container, key = data.draw(st.sampled_from(group))
+        container[key] = copy.deepcopy(data.draw(ODD_VALUES))
+    path = write_json(workdir / "mutated.json", doc)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(["verify", "--correspondence", str(workdir / "correspondence.json"), "--sequence", path])
     assert code in (0, 1, 2, 3, 4)
 
 

@@ -17,7 +17,7 @@ from lipselect.errors import (
     SchemaError,
 )
 from lipselect.formats import dumps_canonical, sequence_from_dict, sequence_to_dict, table_from_dict
-from lipselect.iteration import changed_rows
+from lipselect.iteration import BOUND_SLACK, MEMBERSHIP_TOL, _round_checks, changed_rows
 
 # the root conftest.py puts bench/ on the path
 import workloads
@@ -526,6 +526,29 @@ def test_audit_equals_the_oracle_on_genuine_runs(tmp_path, name, rounds):
     assert outcomes(audit) == outcomes(oracle_audit(seq))
 
 
+def forge_rows(seq, genuine, rng, trial):
+    """Set ``seq.tables`` to the 12-round ``genuine`` with one row moved by
+    a tiny normal step over a span of rounds ``j..m``: an anchor of round
+    ``k`` after ``k`` (odd ``trial``), or a row before it enters the
+    hierarchy (even ``trial``), inside or outside the protected balls.
+    Each stored ``sup_change`` becomes the forged tables' displacement."""
+    entry = seq.entry
+    if trial % 2:
+        k = int(rng.choice(np.unique(entry[(entry > 0) & (entry < 12)])))
+        p = int(rng.choice(np.flatnonzero(entry == k)))
+        j = int(rng.integers(k + 1, 13))
+        m = int(rng.integers(j, 13))
+    else:
+        p = int(rng.choice(np.flatnonzero(entry > 1)))
+        j = int(rng.integers(1, entry[p]))
+        m = int(rng.integers(j, entry[p]))
+    seq.tables = genuine.copy()
+    # far below the round bound and the membership slack
+    seq.tables[j : m + 1, p] += 2.0 ** (-j) * 1e-9 * rng.normal(size=genuine.shape[2])
+    for record in seq.rounds:
+        record.sup_change = float(np.linalg.norm(seq.tables[record.n] - seq.tables[record.n - 1], axis=1).max())
+
+
 @pytest.mark.parametrize("name", ["balls", "polytopes", "segment"])
 def test_audit_agrees_with_the_oracle_on_forged_runs(tmp_path, name):
     """Forged runs: an anchor of round ``k`` moved over a span of rounds
@@ -537,23 +560,10 @@ def test_audit_agrees_with_the_oracle_on_forged_runs(tmp_path, name):
     the oracle fails too: the audit charges a protected row to the round
     that moved it, the oracle to every round after."""
     seq = instance_run(name, 12, tmp_path)
-    genuine, entry, rng = seq.tables.copy(), seq.entry, np.random.default_rng(5)
+    genuine, rng = seq.tables.copy(), np.random.default_rng(5)
     verdicts = []
     for trial in range(40):
-        if trial % 2:
-            k = int(rng.choice(np.unique(entry[(entry > 0) & (entry < 12)])))
-            p = int(rng.choice(np.flatnonzero(entry == k)))
-            j = int(rng.integers(k + 1, 13))
-            m = int(rng.integers(j, 13))
-        else:
-            p = int(rng.choice(np.flatnonzero(entry > 1)))
-            j = int(rng.integers(1, entry[p]))
-            m = int(rng.integers(j, entry[p]))
-        seq.tables = genuine.copy()
-        # far below the round bound and the membership slack
-        seq.tables[j : m + 1, p] += 2.0 ** (-j) * 1e-9 * rng.normal(size=genuine.shape[2])
-        for record in seq.rounds:
-            record.sup_change = float(np.linalg.norm(seq.tables[record.n] - seq.tables[record.n - 1], axis=1).max())
+        forge_rows(seq, genuine, rng, trial)
         ours, theirs = ls.verify_sequence(seq), oracle_audit(seq)
         failing = [r["n"] for r in ours["rounds"] if not r["passed"]]
         oracle_failing = [r["n"] for r in theirs["rounds"] if not r["passed"]]
@@ -656,3 +666,128 @@ def test_the_audit_calls_the_body_kernel_once(tmp_path, monkeypatch):
     calls.clear()
     ls.verify_sequence(seq)
     assert calls == [int(changed_rows(seq.tables).sum())]
+
+
+def oracle_round_checks(seq, n, member, moved):
+    """The checks of round ``n`` as they were before the whole-run passes:
+    one pass over ``f_n`` alone, given the body distance of each of its
+    rows, ``member``, and the mask of the rows round ``n`` changed,
+    ``moved``."""
+    record = seq.rounds[n - 1]
+    space = seq.space
+    f_n = seq.tables[n]
+    checks = {}
+
+    i = int(np.argmax(member))
+    worst_member = float(member[i])
+    worst_point = i if worst_member > 0.0 else None
+    checks["selection_membership"] = dict(
+        passed=worst_member <= MEMBERSHIP_TOL,
+        worst=worst_member,
+        detail=f"max body distance {worst_member:.3e} at {worst_point!r}",
+    )
+
+    sup_change = float(np.linalg.norm(f_n[moved] - seq.tables[n - 1][moved], axis=1).max(initial=0.0))
+    bound = 2.0 ** (-n) * seq.config.epsilon
+    checks["sup_change_bound"] = dict(
+        passed=sup_change <= bound + BOUND_SLACK,
+        worst=sup_change,
+        detail=f"sup displacement {sup_change:.3e} vs bound {bound:.3e}",
+    )
+
+    new = np.array(list(record.deltas), dtype=np.intp)
+    radii = np.array(list(record.deltas.values()))
+    block = space.rows(new)
+    owner, rows = np.nonzero(block <= radii[:, None])
+    excess = np.linalg.norm(f_n[rows] - f_n[new[owner]], axis=1) - seq.config.alpha * block[owner, rows]
+    worst_excess, worst_anchor = 0.0, None
+    if excess.size and excess.max() > 0.0:
+        p = int(np.argmax(excess))
+        worst_excess, worst_anchor = float(excess[p]), int(new[owner[p]])
+    checks["anchored_strong_bound"] = dict(
+        passed=worst_excess <= BOUND_SLACK,
+        worst=worst_excess,
+        detail=f"worst excess {worst_excess:.3e} (anchor {worst_anchor!r})",
+    )
+
+    protecting = space.rows(ls.round_members(seq.entry, n - 1))[:, moved]
+    mismatches = int(np.count_nonzero(protecting < 2.0 ** (-n)))
+    checks["earlier_anchor_coincidence"] = dict(
+        passed=mismatches == 0,
+        worst=float(mismatches),
+        detail=f"{mismatches} table entries differ on protected balls",
+    )
+    return checks
+
+
+def oracle_margin(seq):
+    """The least support separation margin, one round at a time."""
+    min_margin = math.inf
+    for record in seq.rounds:
+        rows = list(record.deltas)
+        deltas = np.array(list(record.deltas.values()))
+        i, j = np.triu_indices(len(rows), k=1)
+        margins = seq.space.rows(rows)[:, rows][i, j] - 2.0 * (deltas[i] + deltas[j])
+        min_margin = min(min_margin, float(margins.min(initial=math.inf)))
+    return min_margin
+
+
+def assert_whole_run_equals_per_round(seq):
+    """The whole-run round checks equal the per-round oracle's record for
+    record, each ``passed`` with its type, each ``worst`` bit for bit and
+    each detail, and so does the support margin; returns the records."""
+    changed = changed_rows(seq.tables)
+    member = np.array([seq.correspondence.distances_to(table) for table in seq.tables])
+    checks, margin = _round_checks(seq, member, changed)
+
+    def bits(records):
+        return [
+            {name: (type(c["passed"]), c["passed"], c["worst"].hex(), c["detail"]) for name, c in r.items()}
+            for r in records
+        ]
+
+    oracle = [oracle_round_checks(seq, n, member[n], changed[n]) for n in range(1, len(seq.rounds) + 1)]
+    assert bits(checks) == bits(oracle)
+    assert margin.hex() == oracle_margin(seq).hex()
+    return checks
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 3, 7, 20, 60])
+@pytest.mark.parametrize("name", ["balls", "polytopes", "segment"])
+def test_whole_run_checks_equal_the_per_round_checks(tmp_path, name, rounds):
+    checks = assert_whole_run_equals_per_round(instance_run(name, rounds, tmp_path))
+    assert all(c["passed"] for r in checks for c in r.values())
+
+
+@pytest.mark.parametrize("name", ["balls", "polytopes", "segment"])
+def test_whole_run_checks_equal_the_per_round_checks_on_forged_runs(tmp_path, name):
+    """The forgeries of :func:`forge_rows`, a row of ``f_1`` pushed off its
+    body for good, one round's radii eight times too large, and one round's
+    radii stored at the next rows: the same records as the oracle, so the
+    same verdict and the same first failing round."""
+    seq = instance_run(name, 12, tmp_path)
+    genuine, rng = seq.tables.copy(), np.random.default_rng(5)
+    radii = [dict(record.deltas) for record in seq.rounds]
+    first_failing = set()
+
+    def check():
+        checks = assert_whole_run_equals_per_round(seq)
+        failing = [n for n, r in enumerate(checks, 1) if not all(c["passed"] for c in r.values())]
+        first_failing.add(failing[0] if failing else None)
+
+    for trial in range(20):
+        forge_rows(seq, genuine, rng, trial)
+        check()
+    seq.tables = genuine.copy()
+    pushed_off(seq, int(np.argmax(changed_rows(seq.tables)[1])), slice(1, None))
+    check()
+    seq.tables = genuine
+    for record, stored in zip(seq.rounds, radii):
+        if len(stored) > 1:
+            record.deltas = {b: 8.0 * d for b, d in stored.items()}
+            check()
+            record.deltas = {(b + 1) % len(seq.space): d for b, d in stored.items()}
+            check()
+            record.deltas = stored
+    # the forgeries reach both verdicts, and fail first in several rounds
+    assert None in first_failing and len(first_failing) > 2

@@ -18,8 +18,12 @@ the hierarchy is compared as each of its renderers writes it.  Each tiny
 ``iteration.json`` with only ``rounds`` rewritten: rounds in which no point
 joins the hierarchy, and runs ``verify`` on a forged copy of its sequence,
 in its ``forged/`` directory, so that the report of a failing audit is
-compared too.  It imports the ``src/`` and ``bench/`` of the checkout it
-lives in and changes nothing there.
+compared too.  It also runs ``verify`` on eleven malformed copies of its
+sequence, each with one field broken (bad entries in the last selection,
+bad ids in the last round's ``new``, an object where ``B`` belongs), in
+``malformed/<case>``, and keeps each exit, report and error line, so that
+a change in how a document is rejected shows.  It imports the ``src/`` and
+``bench/`` of the checkout it lives in and changes nothing there.
 
     python tools/output_digests.py --out digests.json
 
@@ -58,6 +62,8 @@ import workloads  # noqa: E402
 from lipselect.cli import main as cli_main  # noqa: E402
 
 DEEP_ROUNDS = 40
+# the first word of each error line the command line prints
+_ERROR_PREFIXES = ("schema error:", "parameter error:", "internal error:", "error:")
 
 
 def _run(argv) -> int:
@@ -115,12 +121,66 @@ def _forged_exits(inst, forged: Path) -> list:
                   "--sequence", str(forged / "sequence.json"), "--out", str(forged / "verify.json")])]
 
 
+def _malformed_cases(sequence: dict) -> dict:
+    """``{case: document}``, copies of ``sequence`` each with one field
+    broken: an entry of row 0 of the last selection a bool, a string, null,
+    NaN or 2**70, or that row one entry longer; in the last round's ``new``
+    one id 2**70 or ``"5"``, or the whole list the string ``"5"``; the last
+    round's ``B`` or the last hierarchy level's ``B`` an object keyed by
+    its ids."""
+    row = ("selections", -1, "values", "0")
+    edits = {f"entry_{name}": (row + (0,), value) for name, value in (
+        ("bool", True), ("string", "0.5"), ("null", None), ("nan", float("nan")), ("2_70", 2**70))}
+    edits.update({
+        "row_ragged": (row, sequence["selections"][-1]["values"]["0"] + [0.0]),
+        "new_id_2_70": (("rounds", -1, "new", -1), 2**70),
+        "new_id_string_5": (("rounds", -1, "new", -1), "5"),
+        "new_string_5": (("rounds", -1, "new"), "5"),
+        "round_B_object": (("rounds", -1, "B"), dict.fromkeys(map(str, sequence["rounds"][-1]["B"]), 1)),
+        "hierarchy_B_object": (
+            ("hierarchy", "rounds", -1, "B"), dict.fromkeys(map(str, sequence["hierarchy"]["rounds"][-1]["B"]), 1)),
+    })
+    cases = {}
+    for name, (path, value) in edits.items():
+        cases[name] = target = json.loads(json.dumps(sequence))
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return cases
+
+
+def _malformed_exits(inst, malformed: Path) -> dict:
+    """``{case: [read]}``, the exit of ``verify`` on each of
+    :func:`_malformed_cases` of the solve's sequence, each case's files in
+    ``malformed/<case>``: the document, the report when one is written, and
+    the error line the command printed, in ``error.txt``; empty when the
+    solve wrote no report."""
+    report = inst.workdir / "select.json"
+    if not report.exists():
+        return {}
+    exits = {}
+    cases = _malformed_cases(json.loads(report.read_text(encoding="utf-8"))["sequence"])
+    for name, doc in cases.items():
+        case = malformed / name
+        case.mkdir(parents=True)
+        (case / "sequence.json").write_text(json.dumps(doc), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            exits[name] = [cli_main(["verify", "--correspondence", str(inst.workdir / "correspondence.json"),
+                                     "--sequence", str(case / "sequence.json"), "--out", str(case / "verify.json")])]
+        # numpy's warnings name source lines; the command's own line is kept
+        lines = [line for line in err.getvalue().splitlines() if line.startswith(_ERROR_PREFIXES)]
+        (case / "error.txt").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return exits
+
+
 def digests(seeds, workdir: Path) -> dict:
     """``{"files": {path: sha256}, "exits": {instance: [solve, read, separate]}}``,
     paths relative to ``workdir`` as ``workload/size/seed/file``; a read
     exit is null when the solve failed.  A deep run's exits are
     ``[solve, read]`` under ``workload/tiny/seed/deep``, a forged one's
-    ``[read]`` under ``workload/tiny/seed/forged``."""
+    ``[read]`` under ``workload/tiny/seed/forged``, and a malformed case's
+    ``[read]`` under ``workload/tiny/seed/malformed/case``."""
     files, exits = {}, {}
     for name in workloads.WORKLOADS:
         for size in ("full", "tiny"):
@@ -145,6 +205,8 @@ def digests(seeds, workdir: Path) -> dict:
                 if size == "tiny" and name != "bartle-graves":
                     exits[f"{tag}/deep"] = _deep_exits(inst, workdir / tag / "deep")
                     exits[f"{tag}/forged"] = _forged_exits(inst, workdir / tag / "forged")
+                    for case, case_exits in _malformed_exits(inst, workdir / tag / "malformed").items():
+                        exits[f"{tag}/malformed/{case}"] = case_exits
                 for path in sorted((workdir / tag).rglob("*")):
                     if path.is_file():
                         rel = path.relative_to(workdir).as_posix()
