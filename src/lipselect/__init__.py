@@ -45,10 +45,7 @@ from .iteration import (
 from .lipschitz import (
     PlipProfiles,
     SphereTable,
-    cantor_function,
-    cantor_plateaus,
     default_radii,
-    global_lipschitz_upgrade_check,
     homogeneous_extension,
     plip_profile,
     verify_homogeneous_plip,

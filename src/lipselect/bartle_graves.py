@@ -14,8 +14,9 @@ verification probes against the table on the neighbouring sampled rays.
 Off-sample directions are evaluated through the nearest sampled direction;
 the right-inverse identity there holds only against that semantics, and
 verification reports those residuals separately instead of hiding them.
-The verification report holds each check as arrays over the trial
-directions and scales; pass flags and worst witnesses are reductions.
+Verification returns the verb's report body as plain records: one per
+check, each with its pass flag and its worst value and witness, reduced
+from arrays over the trial directions and scales that stay local to it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .correspondence import (
 from .errors import ConfigurationError, ParameterError, PreconditionError
 from .iteration import IterationConfig, SelectionSequence, run_iteration
 from .lipschitz import (
-    HomogeneousPlipReport,
     SphereTable,
     homogeneous_extension,
     nearest_direction_index,
@@ -204,66 +204,18 @@ def build_right_inverse(
     )
 
 
-class RightInverseReport:
-    """The checks as arrays, one row per trial direction ``k``.
-
-    Column ``c`` of ``residuals`` is ``||T tau(y) - y||`` at
-    ``y = scales[c] d_k`` (``scales[0]`` is 1); the homogeneity columns are
-    ``c >= 1``.  Off-sample identity residuals are reported, not judged.
-    """
-
-    def __init__(self, directions: np.ndarray, scales: np.ndarray, residuals: np.ndarray,
-                 homogeneity_diffs: np.ndarray, homogeneity_exact: np.ndarray, exact_coords: np.ndarray,
-                 off_sample_directions: np.ndarray, off_sample_nearest: np.ndarray,
-                 off_sample_semantic: np.ndarray, off_sample_identity: np.ndarray,
-                 plip_report: HomogeneousPlipReport, covering_radius: float, covering_bound: float):
-        self.directions = directions
-        self.scales = scales
-        self.residuals = residuals
-        self.homogeneity_diffs = homogeneity_diffs
-        self.homogeneity_exact = homogeneity_exact
-        self.exact_coords = exact_coords
-        self.off_sample_directions = off_sample_directions
-        self.off_sample_nearest = off_sample_nearest
-        self.off_sample_semantic = off_sample_semantic
-        self.off_sample_identity = off_sample_identity
-        self.plip_report = plip_report
-        self.covering_radius = covering_radius
-        self.covering_bound = covering_bound
-
-    @property
-    def identity_passed(self) -> bool:
-        return bool(np.all(self.residuals <= IDENTITY_TOL) and np.all(self.off_sample_semantic <= IDENTITY_TOL))
-
-    @property
-    def homogeneity_passed(self) -> bool:
-        # scaling by powers of two is exact for every direction; other
-        # scales are exact whenever the scaled coordinates are themselves
-        # exactly representable, which the exact-coordinate directions
-        # guarantee.  Remaining entries stay within a few ulps and are
-        # reported in homogeneity_diffs.
-        judged = (np.frexp(self.scales[1:])[0] == 0.5) | self.exact_coords[:, None]
-        return bool(np.all(self.homogeneity_exact | ~judged))
-
-    @property
-    def covering_passed(self) -> bool:
-        return self.covering_radius < self.covering_bound
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.identity_passed
-            and self.homogeneity_passed
-            and self.plip_report.passed
-            and self.covering_passed
-        )
+def _worst(name: str, values, directions, scales) -> dict:
+    """The first largest of ``values`` in row-major order, as ``name``, with
+    the direction of its row and the scale of its column as the witness."""
+    at = np.unravel_index(np.argmax(values), values.shape)
+    return {name: float(values[at]), "witness": {"direction": int(directions[at[0]]), "scale": float(scales[at[-1]])}}
 
 
 def verify_right_inverse(
     ri: RightInverse,
     scales: Sequence[float] = (0.5, 2.0, 10.0),
     directions: Optional[Sequence[int]] = None,
-) -> RightInverseReport:
+) -> dict:
     """Four checks over trial rays of the certified dense set.
 
     (i) ``T(tau(y)) = y`` at sampled directions and their scalings, plus
@@ -272,10 +224,17 @@ def verify_right_inverse(
     compared bitwise; (iii) the pointwise rate ``eta`` on dense-set rays,
     probed on neighbouring sampled rays;
     (iv) the covering radius of the dense set against its separation
-    radius.  Every scale must be positive and finite.
+    radius.  Every scale must be positive and finite, and neither the
+    directions nor the scales may be empty.
+
+    Returns the ``bartle-graves`` report body: ``checks`` (one record per
+    check), ``off_sample_identity_residuals`` (reported, not judged) and
+    ``passed``.
     """
     if directions is None:
         directions = ri.dense_set
+    if not len(directions):
+        raise ParameterError("the trial set is empty: no trial direction to check")
     certified = np.isin(np.asarray(directions), ri.dense_set)
     if not certified.all():
         raise PreconditionError(
@@ -284,12 +243,17 @@ def verify_right_inverse(
     ks = np.array([ri.table.space.index(k) for k in directions], dtype=int)
     scales = np.concatenate([[1.0], ray_scales(scales)])
     coords = ri.table.directions
-    # tau on every (direction, scale) point in one call, in kernel blocks
+    # tau on every (direction, scale) point in one call, in kernel blocks;
+    # column c is y = scales[c] d_k, the homogeneity columns are c >= 1
     ys = scales[:, None] * coords[ks, None]
     values = ri(ys.reshape(-1, ys.shape[-1])).reshape(ys.shape[:2] + ri.table.values.shape[1:])
     residuals = _row_norms(_matvec(ri.T.matrix, values) - ys)
     rhs = scales[1:, None] * values[:, :1]
-    diffs = np.max(np.abs(values[:, 1:] - rhs), axis=2)
+    # scaling by powers of two is exact for every direction; other scales
+    # are exact whenever the scaled coordinates are themselves exactly
+    # representable, which the exact-coordinate directions guarantee.
+    # Remaining entries stay within a few ulps and are reported in worst_diff.
+    judged = (np.frexp(scales[1:])[0] == 0.5) | np.all(coords[ks] == np.round(coords[ks]), axis=1)[:, None]
 
     i = np.arange(min(8, len(coords)))
     # asymmetric blend: decisively nearest to coords[i], no ties; in one
@@ -300,30 +264,31 @@ def verify_right_inverse(
     u = u[~np.any(np.all(coords == u[:, None], axis=2), axis=1)]
     nearest = nearest_direction_index(ri.table, u)
     tu = _matvec(ri.T.matrix, ri(u))
+    # the extension returns ||u|| * table[k], so T maps it to
+    # ||u|| * (nearest sampled direction), not to u itself
+    semantic = _row_norms(tu - _row_norms(u)[:, None] * coords[nearest])
 
-    plip_report = verify_homogeneous_plip(
-        ri.table,
-        ri.beta,
-        rays=[(k, scales[1:]) for k in directions],
-        tol=PLIP_TOL,
-    )
-
-    n_rounds = ri.sequence.rounds[-1].n
+    checks = {
+        "right_inverse_identity": {
+            "passed": bool(np.all(residuals <= IDENTITY_TOL) and np.all(semantic <= IDENTITY_TOL)),
+            **_worst("worst_residual", residuals, ks, scales),
+        },
+        "positive_homogeneity": {
+            "passed": bool(np.all(np.all(values[:, 1:] == rhs, axis=2) | ~judged)),
+            **_worst("worst_diff", np.max(np.abs(values[:, 1:] - rhs), axis=2), ks, scales[1:]),
+        },
+        "ray_plip": verify_homogeneous_plip(
+            ri.table, ri.beta, rays=[(k, scales[1:]) for k in directions], tol=PLIP_TOL
+        ),
+    }
     cover = covering_radius(ri.table.space, ri.dense_set)
-    return RightInverseReport(
-        directions=ks,
-        scales=scales,
-        residuals=residuals,
-        homogeneity_diffs=diffs,
-        homogeneity_exact=np.all(values[:, 1:] == rhs, axis=2),
-        exact_coords=np.all(coords[ks] == np.round(coords[ks]), axis=1),
-        off_sample_directions=u,
-        off_sample_nearest=nearest,
-        # the extension returns ||u|| * table[k], so T maps it to
-        # ||u|| * (nearest sampled direction), not to u itself
-        off_sample_semantic=_row_norms(tu - _row_norms(u)[:, None] * coords[nearest]),
-        off_sample_identity=_row_norms(tu - u),
-        plip_report=plip_report,
-        covering_radius=cover,
-        covering_bound=2.0 ** (-(n_rounds - 1)),
-    )
+    bound = 2.0 ** (-(ri.sequence.rounds[-1].n - 1))
+    checks["dense_covering"] = {"passed": cover < bound, "covering_radius": cover, "bound": bound}
+    return {
+        "checks": checks,
+        "off_sample_identity_residuals": [
+            {"direction": d, "nearest_index": k, "identity_residual": r, "semantic_residual": s}
+            for d, k, r, s in zip(u.tolist(), nearest.tolist(), _row_norms(tu - u).tolist(), semantic.tolist())
+        ],
+        "passed": all(check["passed"] for check in checks.values()),
+    }

@@ -173,14 +173,6 @@ class SelectionSequence:
         ``sum_{j>N} 2^-j eps = 2^-N eps``."""
         return 2.0 ** (-self.rounds[-1].n) * self.config.epsilon
 
-    def entry_delta(self, b) -> float:
-        """Adjustment radius recorded when ``b`` entered the hierarchy."""
-        b = self.space.index(b)
-        n = int(self.entry[b])
-        if not n:
-            raise PreconditionError(f"{b!r} never entered the separation hierarchy")
-        return self.rounds[n - 1].deltas[b]
-
 
 def _trapezoid(delta: float, dist):
     return np.clip((2.0 * delta - dist) / delta, 0.0, 1.0)

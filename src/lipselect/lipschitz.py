@@ -14,17 +14,15 @@ schedules target.
 The module also houses the positively homogeneous extension of a function
 sampled on a unit sphere (off-sample, the nearest sampled direction by the
 sample's distance kernel; value norms are row dot products), which takes
-one vector or a ``(P, m)`` batch mapped row by row, its pointwise-rate
+one vector or a ``(P, m)`` batch mapped row by row, and its pointwise-rate
 verification on rays (probes on neighbouring sampled rays, read off the
 table, for all ``(ray, scale)`` pairs in one array pass that reports its
-estimates as columns over the pairs), the Cantor function as an adversarial
-test corpus, and a chain-surrogate check that pointwise bounds on a grid of
-an interval upgrade to a global Lipschitz bound.
+worst estimate and witness as one plain record).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -211,26 +209,15 @@ def homogeneous_extension(table: SphereTable, z) -> np.ndarray:
     return np.where(nrm > 0.0, nrm * table.values[k], 0.0)
 
 
-class HomogeneousPlipReport:
-    """Columns over the ``(ray, scale)`` pairs, rays in order and each ray's
-    scales in the given order; ``bound`` is ``eta`` plus ``tol``."""
-
-    def __init__(self, sup_norm: float, bound: float, direction: np.ndarray, scale: np.ndarray,
-                 sphere_estimate: np.ndarray, extension_estimate: np.ndarray, passed: bool):
-        self.sup_norm = sup_norm
-        self.bound = bound
-        self.direction = direction
-        self.scale = scale
-        self.sphere_estimate = sphere_estimate
-        self.extension_estimate = extension_estimate
-        self.passed = passed
-
-
 def ray_scales(scales) -> np.ndarray:
-    """``scales`` as a float array; every scale must be positive and finite."""
+    """``scales`` as a float array; every scale must be positive and finite,
+    and there must be one at least: a check over no ray point would pass
+    having checked nothing."""
     scales = np.array(scales, dtype=float)
     if not np.all(np.isfinite(scales) & (scales > 0)):
         raise ParameterError("ray scales must be positive and finite")
+    if not scales.size:
+        raise ParameterError("the trial set is empty: no ray scale to check")
     return scales
 
 
@@ -239,7 +226,7 @@ def verify_homogeneous_plip(
     beta: float,
     rays: Sequence[Tuple[int, Sequence[float]]],
     tol: float = 1e-9,
-) -> HomogeneousPlipReport:
+) -> dict:
     """Check the extension's pointwise rate along rays of sampled directions.
 
     For each ray ``(k, scales)`` the sphere-side estimate at direction ``k``
@@ -260,6 +247,12 @@ def verify_homogeneous_plip(
     ``sup + 2 sphere_estimate``.  A table that passes the sphere side
     misses the bound by ``tol`` at most; one that jumps between neighbours
     fails it.
+
+    Returns the record ``{"passed", "bound", "worst_estimate", "witness"}``:
+    ``bound`` is ``eta`` plus ``tol``, and the witness is the direction and
+    scale of the first largest extension estimate, rays in order and each
+    ray's scales in the given order.  No ray point at all is a
+    :class:`ParameterError`.
     """
     if beta < 0:
         raise ParameterError("beta must be nonnegative")
@@ -310,149 +303,11 @@ def verify_homogeneous_plip(
     probes = (len(ray), 3 * cols.shape[1])
     ratios = _ball_ratios(dist.reshape(probes), dev.reshape(probes), np.where(ball, radii, np.inf))[0]
     ext_est = np.max(ratios, axis=1, where=ball, initial=0.0)
-    return HomogeneousPlipReport(
-        sup_norm=sup,
-        bound=bound,
-        direction=ks[ray],
-        scale=scale,
-        sphere_estimate=sphere_est,
-        extension_estimate=ext_est,
-        passed=bool(np.all(sphere_est <= beta + tol) and np.all(ext_est <= bound)),
-    )
-
-
-# -- Cantor corpus -----------------------------------------------------------
-
-
-def cantor_function(x: float, depth: int = 40) -> float:
-    """Ternary-digit evaluation of the Cantor function, exact to 2^-depth.
-
-    Digits of ``x`` are read until the first 1: preceding 2s become binary
-    1s at halved place values, and the walk stops on the plateau value.
-    """
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("argument must lie in [0, 1]")
-    if not 1 <= int(depth) <= 40:
-        raise ValueError("depth must lie in 1..40")
-    if x == 1.0:
-        return 1.0
-    result = 0.0
-    scale = 0.5
-    t = x
-    for _ in range(int(depth)):
-        t *= 3.0
-        digit = min(int(t), 2)
-        if digit == 1:
-            return result + scale
-        if digit == 2:
-            result += scale
-        scale *= 0.5
-        t -= digit
-    return result
-
-
-def cantor_plateaus(max_depth: int) -> List[Tuple[int, float, float]]:
-    """Open intervals removed by the middle-third construction, as
-    ``(depth, left, right)`` triples, depth ascending then left to right.
-
-    At depth ``k`` the removed intervals are ``(a + 3^-k, a + 2 * 3^-k)``
-    where ``a`` ranges over sums of digits 0/2 at places ``1..k-1``.
-    """
-    if max_depth < 1:
-        raise ParameterError("max_depth must be at least 1")
-    out: List[Tuple[int, float, float]] = []
-    for k in range(1, max_depth + 1):
-        lefts = [0.0]
-        for place in range(1, k):
-            lefts = [a + d * 3.0 ** (-place) for a in lefts for d in (0.0, 2.0)]
-        for a in sorted(lefts):
-            out.append((k, a + 3.0 ** (-k), a + 2.0 * 3.0 ** (-k)))
-    return out
-
-
-# -- global Lipschitz upgrade -------------------------------------------------
-
-
-class LipschitzUpgradeReport:
-    def __init__(self, passed: bool, worst_pair: Tuple[int, int], worst_violation: float, worst_ratio: float,
-                 hypothesis_held: bool, hypothesis_worst: Tuple[int, float, float]):
-        self.passed = passed
-        self.worst_pair = worst_pair
-        self.worst_violation = worst_violation
-        self.worst_ratio = worst_ratio
-        self.hypothesis_held = hypothesis_held
-        self.hypothesis_worst = hypothesis_worst
-
-
-def global_lipschitz_upgrade_check(
-    values: np.ndarray,
-    space: SampledMetricSpace,
-    alpha: float,
-    r0: float,
-    tol: float = 1e-9,
-) -> LipschitzUpgradeReport:
-    """Chain surrogate on a grid of an interval: pointwise ratio bounds at
-    all sampled radii up to ``r0`` must yield the global pairwise bound
-    ``||f(x) - f(y)|| <= (alpha + tol) |x - y|`` (per-step slacks telescope
-    into the tolerance term).
-
-    Both halves are evaluated and reported: ``hypothesis_held`` records the
-    pointwise side, ``passed`` the global pairwise side with the worst
-    violating pair.
-    """
-    if space.coords is None or space.ambient_dim != 1:
-        raise ShapeError("upgrade check expects a 1-d coordinate sample")
-    if alpha < 0:
-        raise ParameterError("alpha must be nonnegative")
-    order = np.argsort(space.coords[:, 0])
-    gaps = np.diff(space.coords[order, 0])
-    if gaps.size == 0:
-        raise PreconditionError("grid needs at least two points")
-    max_gap = float(gaps.max())
-    if not max_gap < r0:
-        raise PreconditionError(
-            f"grid spacing {max_gap} must be below the base radius {r0}"
-        )
-    values_matrix = as_table(values, space)
-    n = len(space)
-
-    # sampled radii: dyadic from r0 plus every realized adjacent gap, so the
-    # pointwise hypothesis covers each chain step exactly
-    min_gap = float(gaps.min())
-    radii_set = {float(g) for g in gaps}
-    r = float(r0)
-    while r >= min_gap:
-        radii_set.add(r)
-        r /= 2.0
-    radii = np.array(sorted(radii_set, reverse=True))
-    ratios = np.empty((n, radii.size))
-    worst_violation = -np.inf
-    worst_pair = (0, 0)
-    worst_ratio = 0.0
-    buffer = np.empty((min(BLOCK_ROWS, n), n))
-    # blocks of BLOCK_ROWS base points, each row read once and not kept
-    for start in range(0, n, BLOCK_ROWS):
-        rows = np.arange(start, min(start + BLOCK_ROWS, n))
-        dist = space._block(rows, buffer[: len(rows)])
-        dev = np.linalg.norm(values_matrix - values_matrix[rows, None], axis=-1)
-        # the base is among the points; its deviation 0 changes no ratio
-        ratios[rows] = _ball_ratios(dist, dev, radii)[0]
-        violation = dev - (alpha + tol) * dist
-        violation[rows - start, rows] = -np.inf
-        # the first largest violation in row order
-        i, j = np.unravel_index(np.argmax(violation), violation.shape)
-        if violation[i, j] > worst_violation:
-            worst_violation = float(violation[i, j])
-            worst_pair = (start + int(i), int(j))
-            worst_ratio = float(dev[i, j] / dist[i, j])
-    # the first largest excess in point-then-radius order is the witness
-    i, j = np.unravel_index(np.argmax(ratios - alpha), ratios.shape)
-    return LipschitzUpgradeReport(
-        passed=bool(worst_violation <= 1e-12),
-        worst_pair=worst_pair,
-        worst_violation=worst_violation,
-        worst_ratio=worst_ratio,
-        hypothesis_held=not bool(np.any(ratios > alpha + tol + 1e-12)),
-        hypothesis_worst=(int(i), float(radii[j]), float(ratios[i, j])),
-    )
+    # the first largest estimate over the pairs is the witness
+    p = int(np.argmax(ext_est))
+    return {
+        "passed": bool(np.all(sphere_est <= beta + tol) and np.all(ext_est <= bound)),
+        "bound": bound,
+        "worst_estimate": float(ext_est[p]),
+        "witness": {"direction": int(ks[ray[p]]), "scale": float(scale[p])},
+    }

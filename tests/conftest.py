@@ -1,8 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 import lipselect as ls
+from lipselect.lipschitz import _ball_ratios
+from lipselect.metric import BLOCK_ROWS
 
 
 def line_space(values, metric="l2"):
@@ -19,6 +23,21 @@ def grid_space(n, lo=0.0, hi=1.0):
 def sphere_table(directions, values):
     """The sphere table of ``values`` on the chord space of ``directions``."""
     return ls.SphereTable(ls.SampledMetricSpace("l2", coords=directions), values)
+
+
+def ray_estimates(table, beta, rays):
+    """The extension estimate at each ``(ray, scale)`` pair, rays in order
+    and each ray's scales in the given order, each the worst estimate of a
+    ray check on that pair alone."""
+    return [ls.verify_homogeneous_plip(table, beta, [(k, (s,))])["worst_estimate"] for k, scales in rays for s in scales]
+
+
+def worst_record(name, rows, column):
+    """The first row of ``rows`` whose ``column`` is largest, in row order,
+    as the value ``name`` and the row's direction and scale (its first two
+    entries) as the witness."""
+    row = max(rows, key=lambda row: row[column])
+    return {name: row[column], "witness": {"direction": row[0], "scale": row[1]}}
 
 
 @pytest.fixture
@@ -80,3 +99,119 @@ def mixed_bodies(draw, dim, normal=COORD):
     normals = np.vstack([normals, np.eye(dim)[:1]]) if len(normals) else np.eye(dim)[:1]
     offsets = normals @ witness + draw(st.lists(st.floats(0.0, 1.0), min_size=len(normals), max_size=len(normals)))
     return ls.Polytope(normals, offsets, witness)
+
+
+# -- Cantor corpus and the global-upgrade check (acceptance criterion 7) -------
+
+
+def cantor_function(x, depth=40):
+    """Ternary-digit evaluation of the Cantor function, exact to 2^-depth.
+
+    Digits of ``x`` are read until the first 1: preceding 2s become binary
+    1s at halved place values, and the walk stops on the plateau value.
+    """
+    x = float(x)
+    if not 0.0 <= x <= 1.0:
+        raise ValueError("argument must lie in [0, 1]")
+    if not 1 <= int(depth) <= 40:
+        raise ValueError("depth must lie in 1..40")
+    if x == 1.0:
+        return 1.0
+    result = 0.0
+    scale = 0.5
+    t = x
+    for _ in range(int(depth)):
+        t *= 3.0
+        digit = min(int(t), 2)
+        if digit == 1:
+            return result + scale
+        if digit == 2:
+            result += scale
+        scale *= 0.5
+        t -= digit
+    return result
+
+
+def cantor_plateaus(max_depth):
+    """Open intervals removed by the middle-third construction, as
+    ``(depth, left, right)`` triples, depth ascending then left to right.
+
+    At depth ``k`` the removed intervals are ``(a + 3^-k, a + 2 * 3^-k)``
+    where ``a`` ranges over sums of digits 0/2 at places ``1..k-1``.
+    """
+    if max_depth < 1:
+        raise ls.ParameterError("max_depth must be at least 1")
+    out = []
+    for k in range(1, max_depth + 1):
+        lefts = [0.0]
+        for place in range(1, k):
+            lefts = [a + d * 3.0 ** (-place) for a in lefts for d in (0.0, 2.0)]
+        for a in sorted(lefts):
+            out.append((k, a + 3.0 ** (-k), a + 2.0 * 3.0 ** (-k)))
+    return out
+
+
+def global_lipschitz_upgrade_check(values, space, alpha, r0, tol=1e-9):
+    """Chain surrogate on a grid of an interval: pointwise ratio bounds at
+    all sampled radii up to ``r0`` must yield the global pairwise bound
+    ``||f(x) - f(y)|| <= (alpha + tol) |x - y|`` (per-step slacks telescope
+    into the tolerance term).
+
+    Both halves are evaluated and reported: ``hypothesis_held`` records the
+    pointwise side, with its first largest excess ``hypothesis_worst`` as
+    ``(point, radius, ratio)``; ``passed`` the global pairwise side, with
+    the worst violating pair, its violation and its ratio.
+    """
+    if space.coords is None or space.ambient_dim != 1:
+        raise ls.ShapeError("upgrade check expects a 1-d coordinate sample")
+    if alpha < 0:
+        raise ls.ParameterError("alpha must be nonnegative")
+    order = np.argsort(space.coords[:, 0])
+    gaps = np.diff(space.coords[order, 0])
+    if gaps.size == 0:
+        raise ls.PreconditionError("grid needs at least two points")
+    max_gap = float(gaps.max())
+    if not max_gap < r0:
+        raise ls.PreconditionError(f"grid spacing {max_gap} must be below the base radius {r0}")
+    values_matrix = ls.as_table(values, space)
+    n = len(space)
+
+    # sampled radii: dyadic from r0 plus every realized adjacent gap, so the
+    # pointwise hypothesis covers each chain step exactly
+    min_gap = float(gaps.min())
+    radii_set = {float(g) for g in gaps}
+    r = float(r0)
+    while r >= min_gap:
+        radii_set.add(r)
+        r /= 2.0
+    radii = np.array(sorted(radii_set, reverse=True))
+    ratios = np.empty((n, radii.size))
+    worst_violation = -np.inf
+    worst_pair = (0, 0)
+    worst_ratio = 0.0
+    buffer = np.empty((min(BLOCK_ROWS, n), n))
+    # blocks of BLOCK_ROWS base points, each row read once and not kept
+    for start in range(0, n, BLOCK_ROWS):
+        rows = np.arange(start, min(start + BLOCK_ROWS, n))
+        dist = space._block(rows, buffer[: len(rows)])
+        dev = np.linalg.norm(values_matrix - values_matrix[rows, None], axis=-1)
+        # the base is among the points; its deviation 0 changes no ratio
+        ratios[rows] = _ball_ratios(dist, dev, radii)[0]
+        violation = dev - (alpha + tol) * dist
+        violation[rows - start, rows] = -np.inf
+        # the first largest violation in row order
+        i, j = np.unravel_index(np.argmax(violation), violation.shape)
+        if violation[i, j] > worst_violation:
+            worst_violation = float(violation[i, j])
+            worst_pair = (start + int(i), int(j))
+            worst_ratio = float(dev[i, j] / dist[i, j])
+    # the first largest excess in point-then-radius order is the witness
+    i, j = np.unravel_index(np.argmax(ratios - alpha), ratios.shape)
+    return SimpleNamespace(
+        passed=bool(worst_violation <= 1e-12),
+        worst_pair=worst_pair,
+        worst_violation=worst_violation,
+        worst_ratio=worst_ratio,
+        hypothesis_held=not bool(np.any(ratios > alpha + tol + 1e-12)),
+        hypothesis_worst=(int(i), float(radii[j]), float(ratios[i, j])),
+    )

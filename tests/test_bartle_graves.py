@@ -1,5 +1,4 @@
 import itertools
-import inspect
 import tracemalloc
 import warnings
 
@@ -9,7 +8,7 @@ import pytest
 import lipselect as ls
 from lipselect.errors import ConfigurationError, IdentifierError, ParameterError, PreconditionError
 
-from conftest import sphere_table
+from conftest import ray_estimates, sphere_table, worst_record
 
 
 def sigma_min_oracle(matrix):
@@ -222,27 +221,29 @@ def reference_right_inverse_rows(ri, scales):
     return identity, homogeneity, off
 
 
-def report_rows(report):
-    """The report's columns laid out as the reference's rows, each identity
-    and off-sample row without its pass flag."""
-    ks, scales = report.directions.tolist(), report.scales.tolist()
-    identity = [(k, s, r) for k, row in zip(ks, report.residuals.tolist()) for s, r in zip(scales, row)]
-    homogeneity = [
-        (k, s, exact, diff, exact_coords)
-        for k, exact_row, diff_row, exact_coords in zip(
-            ks, report.homogeneity_exact.tolist(), report.homogeneity_diffs.tolist(), report.exact_coords.tolist()
-        )
-        for s, exact, diff in zip(scales[1:], exact_row, diff_row)
-    ]
-    off = list(
-        zip(
-            map(tuple, report.off_sample_directions.tolist()),
-            report.off_sample_nearest.tolist(),
-            report.off_sample_semantic.tolist(),
-            report.off_sample_identity.tolist(),
-        )
-    )
-    return identity, homogeneity, off
+def reference_body(ri, scales):
+    """The report body reduced from the reference rows: each check's first
+    largest value in row order with its witness, the pass flags (the
+    power-of-two rule read off the mantissa loop) and the off-sample
+    records.  The ray and covering checks are left out."""
+    identity, homogeneity, off = reference_right_inverse_rows(ri, scales)
+    judged = [exact_coords or mantissa_power_of_two(s) for _, s, _, _, exact_coords in homogeneity]
+    return {
+        "checks": {
+            "right_inverse_identity": {
+                "passed": all(row[-1] for row in identity + off),
+                **worst_record("worst_residual", identity, 2),
+            },
+            "positive_homogeneity": {
+                "passed": all(row[2] or not j for row, j in zip(homogeneity, judged)),
+                **worst_record("worst_diff", homogeneity, 3),
+            },
+        },
+        "off_sample_identity_residuals": [
+            {"direction": list(u), "nearest_index": k, "identity_residual": identity, "semantic_residual": semantic}
+            for u, k, semantic, identity, _ in off
+        ],
+    }
 
 
 def mantissa_power_of_two(scale):
@@ -271,32 +272,46 @@ class TestVerifyRightInverse:
         T = ls.LinearSurjection(rng.normal(size=shape))
         ri = ls.build_right_inverse(T, beta=1.0 / T.sigma_min + 0.5, sphere_count=count, rounds=3)
         report = ls.verify_right_inverse(ri, scales=scales)
-        identity, homogeneity, off = reference_right_inverse_rows(ri, scales)
-        got_identity, got_homogeneity, got_off = report_rows(report)
-        assert repr(got_identity) == repr([row[:-1] for row in identity])
-        assert repr(got_homogeneity) == repr(homogeneity)
-        assert repr(got_off) == repr([row[:-1] for row in off])
-        assert report.identity_passed is all(row[-1] for row in identity + off)
-        assert (not off) == (count == 2)
+        reference = reference_body(ri, scales)
+        for name in ("right_inverse_identity", "positive_homogeneity"):
+            assert repr(report["checks"][name]) == repr(reference["checks"][name])
+        assert repr(report["off_sample_identity_residuals"]) == repr(reference["off_sample_identity_residuals"])
+        assert (not reference["off_sample_identity_residuals"]) == (count == 2)
 
     @pytest.mark.parametrize("scale", [2.0**-30, 0.1, 0.5, 1.0, 2.0, 3.0, 10.0, 1e300])
-    def test_power_of_two_rule_matches_the_mantissa_loop(self, scale):
-        def passed(exact, exact_coords):
-            cls = ls.bartle_graves.RightInverseReport
-            report = cls(
-                **{
-                    **dict.fromkeys(inspect.signature(cls).parameters, None),
-                    "directions": np.array([0]),
-                    "scales": np.array([1.0, scale]),
-                    "homogeneity_exact": np.array([[exact]]),
-                    "exact_coords": np.array([exact_coords]),
-                }
-            )
-            return report.homogeneity_passed
+    def test_power_of_two_rule_matches_the_mantissa_loop(self, scale, monkeypatch):
+        """On the identity matrix, tau(z) = z is exactly homogeneous at every
+        scale; one ulp on the scaled point ``scale * d`` fails the check
+        unless it is not judged: a direction with inexact coordinates at a
+        scale that is not a power of two."""
+        ri = self._identity_ri()
+        coords = ri.table.directions
+        exact = [k for k in ri.dense_set if np.all(coords[k] == np.round(coords[k]))]
+        inexact = [k for k in ri.dense_set if k not in exact]
+        assert exact and inexact
 
-        assert passed(exact=False, exact_coords=False) is not mantissa_power_of_two(scale)
-        assert passed(exact=False, exact_coords=True) is False
-        assert passed(exact=True, exact_coords=False) is True
+        def passed(k, nudge):
+            batches = []
+
+            def extension(table, z):
+                value = np.array(z, dtype=float)
+                if nudge and not batches:
+                    # the first call evaluates the trial points d_k, scale * d_k
+                    value[1, 0] = np.nextafter(value[1, 0], np.inf)
+                batches.append(len(value))
+                return value
+
+            monkeypatch.setattr(ls.bartle_graves, "homogeneous_extension", extension)
+            # at 1e300 the identity and ray checks overflow; only the
+            # homogeneity record is read
+            with np.errstate(over="ignore", invalid="ignore"):
+                report = ls.verify_right_inverse(ri, scales=(scale,), directions=[k])
+            assert batches[0] == 2
+            return report["checks"]["positive_homogeneity"]["passed"]
+
+        assert passed(inexact[0], nudge=True) is not mantissa_power_of_two(scale)
+        assert passed(exact[0], nudge=True) is False
+        assert passed(inexact[0], nudge=False) is True
 
     def _identity_ri(self):
         T = ls.LinearSurjection(np.eye(2))
@@ -305,40 +320,43 @@ class TestVerifyRightInverse:
     def test_identity_pipeline_report(self):
         ri = self._identity_ri()
         report = ls.verify_right_inverse(ri)
-        assert report.passed
-        assert report.identity_passed
-        assert report.homogeneity_passed
-        assert report.plip_report.passed
-        assert report.covering_passed
-        assert report.residuals.max() <= 1e-12
+        assert report["passed"] is True
+        assert all(check["passed"] is True for check in report["checks"].values())
+        assert report["checks"]["right_inverse_identity"]["worst_residual"] <= 1e-12
 
     def test_homogeneity_exact_for_dyadic_everywhere(self):
         ri = self._identity_ri()
         report = ls.verify_right_inverse(ri, scales=(0.5, 2.0))
-        assert report.homogeneity_exact.all()
+        assert report["checks"]["positive_homogeneity"]["worst_diff"] == 0.0
 
     def test_homogeneity_exact_for_all_scales_on_exact_directions(self):
         ri = self._identity_ri()
-        report = ls.verify_right_inverse(ri, scales=(0.5, 2.0, 10.0))
-        assert report.homogeneity_exact[report.exact_coords].all()
-        assert report.homogeneity_diffs[~report.exact_coords].max(initial=0.0) <= 1e-13
+        coords = ri.table.directions
+        exact = [k for k in ri.dense_set if np.all(coords[k] == np.round(coords[k]))]
+        inexact = [k for k in ri.dense_set if k not in exact]
+        homogeneity = {
+            name: ls.verify_right_inverse(ri, scales=(0.5, 2.0, 10.0), directions=ks)["checks"]["positive_homogeneity"]
+            for name, ks in (("exact", exact), ("inexact", inexact))
+        }
+        assert homogeneity["exact"]["worst_diff"] == 0.0
+        assert homogeneity["inexact"]["worst_diff"] <= 1e-13
 
     def test_off_sample_residuals_flagged(self):
         ri = self._identity_ri()
-        report = ls.verify_right_inverse(ri)
-        assert report.off_sample_nearest.size
-        assert np.all(report.off_sample_semantic <= 1e-8)  # semantic residual is tiny
+        off = ls.verify_right_inverse(ri)["off_sample_identity_residuals"]
+        assert off
+        assert all(row["semantic_residual"] <= 1e-8 for row in off)  # semantic residual is tiny
         # the raw identity residual reflects the direction snap
-        assert np.all(report.off_sample_identity > 1e-6)
+        assert all(row["identity_residual"] > 1e-6 for row in off)
 
     def test_fault_injection_identity_check(self):
         ri = self._identity_ri()
         k = ri.dense_set[0]
         ri.table.values[k] *= 1.1
         report = ls.verify_right_inverse(ri, scales=(1.0,), directions=[k])
-        assert not report.identity_passed
-        worst = report.residuals.max()
-        assert worst == pytest.approx(0.1, rel=1e-9)
+        identity = report["checks"]["right_inverse_identity"]
+        assert identity["passed"] is False
+        assert identity["worst_residual"] == pytest.approx(0.1, rel=1e-9)
 
     def test_directions_must_be_rows(self):
         ri = self._identity_ri()
@@ -353,13 +371,28 @@ class TestVerifyRightInverse:
         with pytest.raises(PreconditionError, match=f"trial direction {outside[0]} is not"):
             ls.verify_right_inverse(ri, directions=[ri.dense_set[0], outside[0], outside[1]])
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ri: ls.verify_right_inverse(ri, directions=[]),
+            lambda ri: ls.verify_right_inverse(ri, scales=()),
+            lambda ri: ls.verify_homogeneous_plip(ri.table, ri.beta, rays=[]),
+            lambda ri: ls.verify_homogeneous_plip(ri.table, ri.beta, rays=[(ri.dense_set[0], ())]),
+        ],
+        ids=["no_directions", "no_scales", "no_rays", "ray_without_scales"],
+    )
+    def test_an_empty_trial_set_is_a_parameter_error(self, call):
+        """A check over no trial point would pass having checked nothing."""
+        with pytest.raises(ParameterError, match="the trial set is empty"):
+            call(self._identity_ri())
+
     def test_dense_set_rays_plip_below_eta(self):
         rng = np.random.default_rng(2)
         T = ls.LinearSurjection(rng.normal(size=(2, 3)))
         ri = ls.build_right_inverse(T, beta=1.0 / T.sigma_min + 0.4, sphere_count=40, rounds=3)
-        report = ls.verify_right_inverse(ri)
-        assert report.plip_report.passed
-        assert np.all(report.plip_report.extension_estimate <= ri.eta + 1e-6)
+        plip = ls.verify_right_inverse(ri)["checks"]["ray_plip"]
+        assert plip["passed"] is True
+        assert plip["worst_estimate"] <= ri.eta + 1e-6
 
     def test_fault_injection_along_the_kernel_fails_the_ray_check(self):
         """Moving tau at the nearest neighbour of a dense direction along
@@ -375,14 +408,15 @@ class TestVerifyRightInverse:
         row[k] = np.inf
         kernel = np.linalg.svd(matrix)[2][-1]
         ri.table.values[int(np.argmin(row))] += 3.0 * kernel
-        report = ls.verify_right_inverse(ri, directions=[k])
-        assert report.identity_passed
-        assert not report.plip_report.passed
-        estimates = report.plip_report.extension_estimate
-        assert estimates.size == 3
-        assert np.all(estimates > report.plip_report.bound)
+        checks = ls.verify_right_inverse(ri, directions=[k])["checks"]
+        assert checks["right_inverse_identity"]["passed"] is True
+        plip = checks["ray_plip"]
+        assert plip["passed"] is False
+        estimates = ray_estimates(ri.table, ri.beta, [(k, (0.5, 2.0, 10.0))])
+        assert np.all(np.array(estimates) > plip["bound"])
         assert estimates == pytest.approx(np.full(3, 9.627), abs=1e-3)
-        assert report.plip_report.bound == pytest.approx(5.218, abs=1e-3)
+        assert plip["worst_estimate"] == max(estimates)
+        assert plip["bound"] == pytest.approx(5.218, abs=1e-3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
     def test_bad_scale_is_rejected_before_any_check(self, bad, monkeypatch):
@@ -410,5 +444,5 @@ def test_verifier_memory_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.passed
+    assert report["passed"] is True
     assert peak <= 1.5 * 2**20

@@ -505,6 +505,19 @@ class TestBartleGraves:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_report_body_is_the_verifier_record(self, tmp_path):
+        """The report is the run's own fields plus the body that
+        ``verify_right_inverse`` returns, and nothing else."""
+        matrix = [[1.0, 0.5, 0.0], [0.0, 1.0, -1.0]]
+        out = tmp_path / "bg.json"
+        args = ["--beta", "2.0", "--rounds", "3", "--sphere-count", "24", "--seed", "5", "--out", str(out)]
+        assert main(["bartle-graves", "--matrix", write_json(tmp_path / "T.json", {"matrix": matrix}), *args]) == 0
+        report = json.loads(out.read_text())
+        run_fields = ("command", "gamma", "alpha", "beta", "eta", "tail_bound", "pinv_gap", "dense_set")
+        body = {key: value for key, value in report.items() if key not in run_fields}
+        ri = ls.build_right_inverse(ls.LinearSurjection(matrix), beta=2.0, sphere_count=24, seed=5, rounds=3)
+        assert dumps_canonical(body) == dumps_canonical(ls.verify_right_inverse(ri))
+
 
 class TestConfigMerging:
     def test_config_file_with_override(self, tmp_path, line_doc):

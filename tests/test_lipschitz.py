@@ -15,7 +15,16 @@ from lipselect.errors import (
     ShapeError,
 )
 
-from conftest import grid_space, line_space, sphere_table
+from conftest import (
+    cantor_function,
+    cantor_plateaus,
+    global_lipschitz_upgrade_check,
+    grid_space,
+    line_space,
+    ray_estimates,
+    sphere_table,
+    worst_record,
+)
 from lipselect.metric import BLOCK_ROWS
 
 
@@ -486,8 +495,9 @@ def loop_ray_rows(table, beta, rays, tol=1e-9):
 )
 def test_column_pass_equals_the_ray_loop(table_seed, case, width, beta, scale_lists):
     """m = 1 to 3, the tied rings of the 8-point circle, and scale lists of
-    different lengths per ray (some empty): every column entry is bitwise
-    the per-ray loop's."""
+    different lengths per ray (some empty): the record is bitwise the one
+    reduced from the per-ray loop's rows, and no scale at all is an
+    error."""
     rng = np.random.default_rng(table_seed)
     if case == "line":
         directions = np.array([[-1.0], [1.0]])
@@ -499,16 +509,17 @@ def test_column_pass_equals_the_ray_loop(table_seed, case, width, beta, scale_li
     values = rng.normal(size=(len(directions), width)) * 10.0 ** rng.uniform(-2, 2, size=(len(directions), 1))
     table = sphere_table(directions, values)
     rays = [(int(rng.integers(len(directions))), scales) for scales in scale_lists]
-    report = ls.verify_homogeneous_plip(table, beta, rays)
     rows = loop_ray_rows(table, beta, rays)
-    columns = zip(
-        report.direction.tolist(),
-        report.scale.tolist(),
-        report.sphere_estimate.tolist(),
-        report.extension_estimate.tolist(),
-    )
-    assert repr(list(columns)) == repr([row[:4] for row in rows])
-    assert report.passed is all(row[4] for row in rows)
+    if not rows:
+        with pytest.raises(ParameterError, match="the trial set is empty"):
+            ls.verify_homogeneous_plip(table, beta, rays)
+        return
+    reference = {
+        "passed": all(row[4] for row in rows),
+        "bound": 2.0 * beta + table.sup_norm() + 1e-9,
+        **worst_record("worst_estimate", rows, 3),
+    }
+    assert repr(ls.verify_homogeneous_plip(table, beta, rays)) == repr(reference)
 
 
 class TestVerifyHomogeneousPlip:
@@ -528,21 +539,19 @@ class TestVerifyHomogeneousPlip:
         rays = [(k, (0.5, 1.0, 3.7, 10.0)) for k in range(0, len(directions), 3)]
         report = ls.verify_homogeneous_plip(table, 1.5, rays)
         reference = reference_ray_rows(table, 1.5, rays)
-        assert len(report.scale) == len(reference)
-        assert report.passed is all(row[-1] for row in reference)
-        columns = zip(
-            report.direction.tolist(),
-            report.scale.tolist(),
-            report.sphere_estimate.tolist(),
-            report.extension_estimate.tolist(),
-        )
-        for (k, scale, sphere_est, ext_est), (ref_k, ref_scale, ref_sphere, ref_ext, bound, passed) in zip(
-            columns, reference
-        ):
-            assert (k, scale, report.bound) == (ref_k, ref_scale, bound)
-            assert (sphere_est <= 1.5 + 1e-9 and ext_est <= report.bound) is passed
-            assert repr(sphere_est) == repr(ref_sphere)
-            assert ext_est == pytest.approx(ref_ext, rel=1e-15)
+        assert report["passed"] is all(row[-1] for row in reference)
+        assert report["bound"] == reference[0][4]
+        # each pair alone: its record against the reference row
+        pairs = [(k, (s,)) for k, scales in rays for s in scales]
+        assert len(pairs) == len(reference)
+        for (k, (s,)), (ref_k, ref_scale, _, ref_ext, bound, passed) in zip(pairs, reference):
+            record = ls.verify_homogeneous_plip(table, 1.5, [(k, (s,))])
+            assert (record["witness"], record["bound"]) == ({"direction": ref_k, "scale": ref_scale}, bound)
+            assert record["passed"] is passed
+            assert record["worst_estimate"] == pytest.approx(ref_ext, rel=1e-15)
+        expected = worst_record("worst_estimate", reference, 3)
+        assert report["witness"] == expected["witness"]
+        assert report["worst_estimate"] == pytest.approx(expected["worst_estimate"], rel=1e-15)
 
     def _grid_table(self, values_fn, count=16):
         angles = 2.0 * np.pi * np.arange(count) / count
@@ -554,34 +563,34 @@ class TestVerifyHomogeneousPlip:
     def test_constant_is_tight(self):
         c = np.array([0.7, -0.4, 1.1])
         table = self._grid_table(lambda u: c)
-        report = ls.verify_homogeneous_plip(
-            table, beta=0.0, rays=[(0, (0.5, 2.0, 10.0)), (5, (1.0, 3.0))]
-        )
-        assert report.passed
+        rays = [(0, (0.5, 2.0, 10.0)), (5, (1.0, 3.0))]
+        report = ls.verify_homogeneous_plip(table, beta=0.0, rays=rays)
+        assert report["passed"] is True
         norm_c = float(np.linalg.norm(c))
-        assert report.sup_norm == pytest.approx(norm_c, abs=1e-12)
-        assert report.extension_estimate == pytest.approx(np.full(5, norm_c), abs=1e-9)
-        assert report.bound == pytest.approx(norm_c + 1e-9, abs=1e-12)
+        assert table.sup_norm() == pytest.approx(norm_c, abs=1e-12)
+        assert ray_estimates(table, 0.0, rays) == pytest.approx(np.full(5, norm_c), abs=1e-9)
+        assert report["bound"] == pytest.approx(norm_c + 1e-9, abs=1e-12)
 
     def test_identity_within_slack_bound(self):
         table = self._grid_table(lambda u: u)
         report = ls.verify_homogeneous_plip(table, beta=1.0, rays=[(0, (1.0, 2.0))])
-        assert report.passed
-        assert report.extension_estimate == pytest.approx(np.ones(2), abs=1e-9)
-        assert report.bound == pytest.approx(3.0 + 1e-9, abs=1e-12)
+        assert report["passed"] is True
+        assert ray_estimates(table, 1.0, [(0, (1.0, 2.0))]) == pytest.approx(np.ones(2), abs=1e-9)
+        assert report["bound"] == pytest.approx(3.0 + 1e-9, abs=1e-12)
 
     def test_zero_map(self):
         table = self._grid_table(lambda u: np.zeros(2))
         report = ls.verify_homogeneous_plip(table, beta=0.0, rays=[(3, (1.0,))])
-        assert report.passed
-        assert report.extension_estimate.tolist() == [0.0]
-        assert report.sphere_estimate.tolist() == [0.0]
+        assert report["passed"] is True
+        assert report["worst_estimate"] == 0.0
+        # with no slack the sphere side passes only at estimate 0
+        assert ls.verify_homogeneous_plip(table, beta=0.0, rays=[(3, (1.0,))], tol=0.0)["passed"] is True
 
     def test_sphere_precondition_failure_reported(self):
         # a jumpy table is not pointwise 0-Lipschitz on the sphere sample
         table = self._grid_table(lambda u: np.array([np.sign(u[0])]))
         report = ls.verify_homogeneous_plip(table, beta=0.0, rays=[(4, (1.0,))])
-        assert not report.passed
+        assert report["passed"] is False
 
     def test_ray_point_whose_probes_round_onto_it(self):
         # at the smallest subnormal scale every probe distance underflows to 0
@@ -609,7 +618,8 @@ class TestVerifyHomogeneousPlip:
 )
 def test_ray_estimate_obeys_the_derivation(table_seed, m, n, width, scales):
     """Every ratio is at most ``sup + 2 sphere_estimate``: the derivation
-    of eta, which makes a table that passes the sphere side pass the rays."""
+    of eta, which makes a table that passes the sphere side pass the rays.
+    Each ray is checked alone at ``beta`` equal to its sphere estimate."""
     rng = np.random.default_rng(table_seed)
     if m == 1:
         directions = np.array([[-1.0], [1.0]])
@@ -618,60 +628,65 @@ def test_ray_estimate_obeys_the_derivation(table_seed, m, n, width, scales):
         directions /= np.linalg.norm(directions, axis=1)[:, None]
     values = rng.normal(size=(len(directions), width)) * 10.0 ** rng.uniform(-2, 2, size=(len(directions), 1))
     table = sphere_table(directions, values)
-    report = ls.verify_homogeneous_plip(table, 0.0, [(k, scales) for k in range(len(directions))])
-    assert np.all(report.extension_estimate <= (report.sup_norm + 2.0 * report.sphere_estimate) * (1.0 + 1e-12))
+    sup = table.sup_norm()
+    for k in range(len(directions)):
+        # beta at the ray's own sphere estimate, from the per-ray loop: the
+        # ray passes when no ratio exceeds sup + 2 beta
+        sphere_est = loop_ray_rows(table, 0.0, [(k, scales)])[0][2]
+        slack = (sup + 2.0 * sphere_est) * 1e-12
+        assert ls.verify_homogeneous_plip(table, sphere_est, [(k, scales)], tol=slack)["passed"] is True
 
 
 class TestCantorFunction:
     def test_endpoints(self):
-        assert ls.cantor_function(0.0) == 0.0
-        assert ls.cantor_function(1.0) == 1.0
+        assert cantor_function(0.0) == 0.0
+        assert cantor_function(1.0) == 1.0
 
     def test_third_maps_to_half(self):
-        assert ls.cantor_function(1.0 / 3.0, depth=2) == 0.5
-        assert ls.cantor_function(1.0 / 3.0, depth=40) == 0.5
+        assert cantor_function(1.0 / 3.0, depth=2) == 0.5
+        assert cantor_function(1.0 / 3.0, depth=40) == 0.5
 
     def test_plateau_value_at_half(self):
-        assert ls.cantor_function(0.5, depth=2) == 0.5
+        assert cantor_function(0.5, depth=2) == 0.5
 
     def test_power_of_three(self):
-        assert ls.cantor_function(3.0**-6) == pytest.approx(2.0**-6, abs=2.0**-40)
+        assert cantor_function(3.0**-6) == pytest.approx(2.0**-6, abs=2.0**-40)
 
     def test_plateau_constancy(self):
         for x in np.linspace(0.35, 0.64, 13):
-            assert ls.cantor_function(float(x)) == 0.5
+            assert cantor_function(float(x)) == 0.5
 
     def test_monotone(self):
         xs = np.arange(0, 244) / 243.0
-        vals = [ls.cantor_function(float(x)) for x in xs]
+        vals = [cantor_function(float(x)) for x in xs]
         assert all(v1 <= v2 for v1, v2 in zip(vals, vals[1:]))
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            ls.cantor_function(-0.1)
+            cantor_function(-0.1)
         with pytest.raises(ValueError):
-            ls.cantor_function(1.1)
+            cantor_function(1.1)
         with pytest.raises(ValueError):
-            ls.cantor_function(0.5, depth=0)
+            cantor_function(0.5, depth=0)
         with pytest.raises(ValueError):
-            ls.cantor_function(0.5, depth=41)
+            cantor_function(0.5, depth=41)
 
 
 class TestCantorPlateaus:
     def test_counts(self):
-        plats = ls.cantor_plateaus(6)
+        plats = cantor_plateaus(6)
         assert len(plats) == 63
         assert sum(1 for k, _, _ in plats if k == 4) == 8
 
     def test_first_plateau(self):
-        k, left, right = ls.cantor_plateaus(1)[0]
+        k, left, right = cantor_plateaus(1)[0]
         assert (k, left, right) == (1, pytest.approx(1 / 3), pytest.approx(2 / 3))
 
     def test_widths_and_constancy(self):
-        for k, left, right in ls.cantor_plateaus(5):
+        for k, left, right in cantor_plateaus(5):
             assert right - left == pytest.approx(3.0**-k, rel=1e-12)
             mid = 0.5 * (left + right)
-            assert ls.cantor_function(mid) == ls.cantor_function(mid + (right - left) / 8)
+            assert cantor_function(mid) == cantor_function(mid + (right - left) / 8)
 
 
 def reference_hypothesis(values, space, alpha, r0, tol=1e-9):
@@ -705,7 +720,7 @@ def reference_hypothesis(values, space, alpha, r0, tol=1e-9):
 
 def cantor_grid(n=3**6):
     space = ls.SampledMetricSpace("l2", coords=[[i / n] for i in range(n + 1)])
-    return space, np.array([[ls.cantor_function(i / n)] for i in range(n + 1)])
+    return space, np.array([[cantor_function(i / n)] for i in range(n + 1)])
 
 
 class TestGlobalLipschitzUpgrade:
@@ -723,7 +738,7 @@ class TestGlobalLipschitzUpgrade:
             rng = np.random.default_rng(10)
             space = ls.SampledMetricSpace("l2", coords=np.sort(rng.uniform(size=(80, 1)), axis=0))
             values, alpha, r0 = rng.normal(size=(80, 2)), 3.0, 0.2
-        report = ls.global_lipschitz_upgrade_check(values, space, alpha=alpha, r0=r0)
+        report = global_lipschitz_upgrade_check(values, space, alpha=alpha, r0=r0)
         held, worst = reference_hypothesis(values, space, alpha, r0)
         assert report.hypothesis_held is held
         assert repr(report.hypothesis_worst) == repr(worst)
@@ -731,14 +746,14 @@ class TestGlobalLipschitzUpgrade:
     def test_linear_passes(self):
         space = grid_space(101)
         table = space.coords.copy()
-        report = ls.global_lipschitz_upgrade_check(table, space, alpha=1.0, r0=0.05)
+        report = global_lipschitz_upgrade_check(table, space, alpha=1.0, r0=0.05)
         assert report.passed
         assert report.hypothesis_held
 
     def test_constant_passes_at_zero(self):
         space = grid_space(51)
         table = np.full((len(space), 1), 2.0)
-        report = ls.global_lipschitz_upgrade_check(table, space, alpha=0.0, r0=0.1)
+        report = global_lipschitz_upgrade_check(table, space, alpha=0.0, r0=0.1)
         assert report.passed
         assert report.hypothesis_held
 
@@ -746,13 +761,13 @@ class TestGlobalLipschitzUpgrade:
         # 0.8-Lipschitz sawtooth checked at alpha = 1
         space = grid_space(201)
         table = 0.8 * np.abs(space.coords - 0.5)
-        report = ls.global_lipschitz_upgrade_check(table, space, alpha=1.0, r0=0.05)
+        report = global_lipschitz_upgrade_check(table, space, alpha=1.0, r0=0.05)
         assert report.hypothesis_held
         assert report.passed
 
     def test_cantor_fails_at_ten(self):
         space, table = cantor_grid()
-        report = ls.global_lipschitz_upgrade_check(table, space, alpha=10.0, r0=0.01)
+        report = global_lipschitz_upgrade_check(table, space, alpha=10.0, r0=0.01)
         assert not report.passed
         assert not report.hypothesis_held
         # worst pair is an adjacent rise: ratio (3/2)^6 over scale 3^-6
@@ -766,7 +781,7 @@ class TestGlobalLipschitzUpgrade:
         space = grid_space(11)
         table = np.zeros((len(space), 1))
         with pytest.raises(PreconditionError):
-            ls.global_lipschitz_upgrade_check(table, space, alpha=1.0, r0=0.05)
+            global_lipschitz_upgrade_check(table, space, alpha=1.0, r0=0.05)
 
 
 class TestDefaultRadii:
@@ -810,6 +825,6 @@ def test_plip_profile_on_four_thousand_points_keeps_no_rows():
 @given(st.integers(min_value=0, max_value=3**8))
 def test_cantor_depth_truncation_error(k):
     x = k / 3.0**8
-    coarse = ls.cantor_function(x, depth=12)
-    fine = ls.cantor_function(x, depth=40)
+    coarse = cantor_function(x, depth=12)
+    fine = cantor_function(x, depth=40)
     assert abs(coarse - fine) <= 2.0**-12
