@@ -10,10 +10,10 @@ pairs, each flag exactly ``--config`` or an option key of the verb with
 ``-`` for ``_`` (no abbreviations, no ``--flag=value``); the last of a
 repeated flag wins, and ``-h`` or ``--help`` anywhere prints the usage.
 
-Exit status: 0 all requested checks pass, 1 a check failed, 2 usage error
-or input document/schema problem, 3 numeric precondition violation
-(including non-finite numbers), 4 internal convergence or degeneracy
-failure.
+Exit status: 0 all requested checks pass, 1 a check failed, 2 a usage
+error, an unreadable or unwritable path or a :class:`SchemaError`, 3 a
+:class:`PreconditionError` (including non-finite numbers), 4 any other
+:class:`LipselectError` or a failed linear-algebra call.
 """
 
 from __future__ import annotations
@@ -28,19 +28,7 @@ import numpy as np
 
 from . import bartle_graves as bg
 from .correspondence import Correspondence, LinearSurjection
-from .errors import (
-    ConfigurationError,
-    ConvergenceError,
-    DegenerateRadiusError,
-    IdentifierError,
-    InvariantViolationError,
-    LipselectError,
-    ParameterError,
-    PreconditionError,
-    ResolutionError,
-    SchemaError,
-    ShapeError,
-)
+from .errors import IdentifierError, LipselectError, ParameterError, PreconditionError, SchemaError
 from .formats import (
     dumps_canonical,
     hierarchy_to_dict,
@@ -67,17 +55,15 @@ EXIT_SCHEMA = 2
 EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
 
-# an unreadable input or unwritable output path counts as a document problem
-_SCHEMA_ERRORS = (
-    SchemaError, IdentifierError, ShapeError, ConfigurationError,
-    json.JSONDecodeError, UnicodeDecodeError, OSError,
-)
-_INTERNAL_ERRORS = (ConvergenceError, DegenerateRadiusError, ResolutionError, InvariantViolationError)
-
 
 def _load_json(path: str):
+    """The document at ``path``; a decode failure (not UTF-8, not JSON, too
+    deep, an integer too long) is a :class:`SchemaError` with its message."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise SchemaError(str(exc)) from None
 
 
 # -- option converters: a flag's text or a --config value to its type -------
@@ -334,17 +320,15 @@ def main(argv=None) -> int:
         if missing:
             raise SchemaError(f"{verb} requires {_flag(missing[0])}")
         return handler(opts)
-    except _SCHEMA_ERRORS as exc:
+    # an unreadable input or unwritable output path is a document problem
+    except (SchemaError, OSError) as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except PreconditionError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (*_INTERNAL_ERRORS, np.linalg.LinAlgError) as exc:
+    except (LipselectError, np.linalg.LinAlgError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except LipselectError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     finally:
         if collecting:

@@ -1,9 +1,11 @@
 """Exception types shared across the package, and the finite-number check
 every constructor of outside input calls.
 
-The CLI maps these onto its exit-status contract: document/schema problems,
-numeric precondition violations, and internal convergence or degeneracy
-failures are distinguishable by type.
+The base class of an error is its exit status on the command line: a
+:class:`SchemaError` (a document, identifier, shape or configuration
+problem) exits 2, a :class:`PreconditionError` (a numeric precondition)
+exits 3, and any other :class:`LipselectError` (convergence or degeneracy)
+exits 4.
 """
 
 from itertools import chain
@@ -19,16 +21,16 @@ class SchemaError(LipselectError):
     """An input document does not match its expected JSON schema."""
 
 
-class IdentifierError(LipselectError):
+class IdentifierError(SchemaError):
     """A point identifier is unknown to the space it was used with."""
 
 
-class ConfigurationError(LipselectError):
+class ConfigurationError(SchemaError):
     """An object is structurally unusable (e.g. explicit metric without a
     distance matrix, or an empty sphere table)."""
 
 
-class ShapeError(LipselectError):
+class ShapeError(SchemaError):
     """Dimension mismatch between vectors, bodies, or operators."""
 
 

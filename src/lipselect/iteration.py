@@ -96,7 +96,9 @@ class IterationConfig:
 
     def __init__(self, alpha: float, beta: float, epsilon: Optional[float] = None, rounds: int = 4,
                  delta_min: float = 1e-9, tol: float = 1e-9):
-        cap = (beta - alpha) / 3.0
+        # alpha and beta first: an integer beyond the doubles has no cap
+        as_finite_array([alpha, beta], "iteration parameters")
+        cap = (beta - alpha) / 3
         self.alpha = alpha
         self.beta = beta
         self.epsilon = cap if epsilon is None else epsilon

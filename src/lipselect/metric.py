@@ -20,6 +20,7 @@ radius.  A sampled map on a space is its table, one row per point, which
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import Iterable
 
@@ -386,7 +387,7 @@ def build_separation_hierarchy(space: SampledMetricSpace, n_rounds: int) -> np.n
     :class:`PreconditionError`."""
     if n_rounds < 1:
         raise PreconditionError("hierarchy needs at least one round")
-    if not 2.0 ** (-(n_rounds - 1)) > 0.0:
+    if not math.ldexp(1.0, -(n_rounds - 1)) > 0.0:
         raise PreconditionError(f"the radius 2^-{n_rounds - 1} of round {n_rounds} underflows to 0")
     entry = np.zeros(len(space), dtype=np.intp)
     min_dist = np.full(len(space), np.inf)

@@ -15,6 +15,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import lipselect as ls
+from lipselect import errors
 from lipselect.cli import VERBS, main
 from lipselect.formats import (
     dumps_canonical,
@@ -605,6 +606,97 @@ class TestArgvReader:
         # loaded on first use, inside the bartle-graves solve
         probe = "import sys, lipselect.cli; print(sorted({'dataclasses', 'numpy.random'} & set(sys.modules)))"
         assert fresh("-c", probe).stdout == "[]\n"
+
+
+# the exit of every class of lipselect.errors, fixed by its base class
+ERROR_EXITS = {
+    "SchemaError": 2, "IdentifierError": 2, "ConfigurationError": 2, "ShapeError": 2,
+    "PreconditionError": 3, "ParameterError": 3, "RankDeficiencyError": 3, "RateError": 3,
+    "LipselectError": 4, "ConvergenceError": 4, "DegenerateRadiusError": 4, "ResolutionError": 4,
+    "InvariantViolationError": 4,
+}
+ERROR_PREFIXES = {2: "schema error:", 3: "parameter error:", 4: "internal error:"}
+# the arguments after the message of the classes that carry evidence
+ERROR_ARGS = {"ConvergenceError": (0.5,), "RateError": (1, 0.5)}
+
+
+def raises(exc):
+    def handler(opts):
+        raise exc
+
+    return handler
+
+
+def read_space(opts):
+    return ls.cli._load_json(opts["space"])
+
+
+def decoder_message(data: bytes) -> str:
+    """What reading ``data`` as UTF-8 JSON raises, as its message."""
+    try:
+        json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        return str(exc)
+    raise AssertionError("the document decodes")
+
+
+ERROR_CLASSES = [cls for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, Exception)]
+FAILURES = [
+    *[pytest.param(raises(cls("boom", *ERROR_ARGS.get(cls.__name__, ()))), b"{}", ERROR_EXITS.get(cls.__name__), "boom",
+                   id=cls.__name__) for cls in ERROR_CLASSES],
+    pytest.param(raises(OSError("boom")), b"{}", 2, "boom", id="OSError"),
+    pytest.param(raises(np.linalg.LinAlgError("boom")), b"{}", 4, "boom", id="LinAlgError"),
+    # each raised in _load_json, and read with the decoder's message
+    *[pytest.param(read_space, data, 2, decoder_message(data), id=name) for name, data in (
+        ("JSONDecodeError", b'{"metric": '), ("UnicodeDecodeError", b'{"metric": "\xff"}'),
+        ("RecursionError", b"[" * 100_000 + b"]" * 100_000), ("ValueError-digits", b"[" + b"1" * 5000 + b"]"),
+    )],
+]
+
+
+class TestExitContract:
+    """A failure's exit status and error line follow its base class."""
+
+    def test_every_error_class_has_its_exit(self):
+        assert {cls.__name__ for cls in ERROR_CLASSES} == ERROR_EXITS.keys()
+
+    @pytest.mark.parametrize("handler, data, code, message", FAILURES)
+    def test_each_failure_exits_by_its_base_class(self, tmp_path, monkeypatch, capsys, handler, data, code, message):
+        monkeypatch.setitem(VERBS, "separate", (handler, *VERBS["separate"][1:]))
+        (tmp_path / "doc.json").write_bytes(data)
+        assert main(["separate", "--space", str(tmp_path / "doc.json")]) == code
+        out, err = capsys.readouterr()
+        assert err == f"{ERROR_PREFIXES[code]} {message}\n" and not out
+
+    def test_probe_documents_exit_without_a_traceback(self, tmp_path):
+        """Five documents that once ended in a traceback and exit 1, each
+        in a fresh interpreter."""
+        space = write_json(tmp_path / "space.json", FOUR_POINT_LINE)
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        table = tmp_path / "table.json"
+        table.write_text('{"values": {"0": [' + "1" * 5000 + '], "1": [0], "2": [0], "3": [0]}}', encoding="utf-8")
+        corr, it = segment_correspondence_docs(tmp_path, n_points=9)
+        assert main(["select", "--correspondence", corr, "--iteration", it, "--out", str(tmp_path / "run.json")]) == 0
+        sequence = json.loads((tmp_path / "run.json").read_text())["sequence"]
+        big = 10**400
+        sequence["config"]["alpha"] = big
+        probes = [
+            (["separate", "--space", str(deep), "--r", "0.5"], 2, "schema error: maximum recursion depth exceeded"),
+            (["plip", "--space", space, "--table", str(table)], 2, "schema error: Exceeds the limit (4300 digits)"),
+            (["select", "--correspondence", corr, "--iteration",
+              write_json(tmp_path / "alpha.json", {"alpha": big, "beta": 1.0})],
+             3, "parameter error: iteration parameters must be finite"),
+            (["verify", "--correspondence", corr, "--sequence", write_json(tmp_path / "seq.json", sequence)],
+             3, "parameter error: iteration parameters must be finite"),
+            (["select", "--correspondence", corr, "--iteration",
+              write_json(tmp_path / "rounds.json", {"alpha": 0.5, "beta": 1.0, "rounds": big})],
+             3, f"parameter error: the radius 2^-{big - 1} of round {big} underflows to 0"),
+        ]
+        for argv, code, line in probes:
+            result = fresh("-m", "lipselect", *argv, timeout=60)
+            assert (result.returncode, result.stderr.count("\n")) == (code, 1), result.stderr
+            assert result.stderr.startswith(line) and "Traceback" not in result.stderr
 
 
 def old_write_report(path, obj):

@@ -290,6 +290,17 @@ class TestIterationConfig:
         with pytest.raises(ParameterError):
             ls.IterationConfig(alpha=0.0, beta=0.3, epsilon=0.2)
 
+    @pytest.mark.parametrize("alpha, beta, message", [
+        (10**400, 1.0, "iteration parameters must be finite"),
+        (0.0, 10**400, "iteration parameters must be finite"),
+        # each a double, their difference not
+        (-(10**308), 10**308, "alpha must be nonnegative"),
+    ])
+    def test_parameters_are_checked_before_the_cap(self, alpha, beta, message):
+        # the cap of an integer beyond the doubles would overflow
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            ls.IterationConfig(alpha=alpha, beta=beta)
+
     def test_locality_radii_rejected(self):
         # the locality radius of round n is its 2^-(n+1), set by the
         # schedule: no r_b knob

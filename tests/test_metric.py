@@ -214,6 +214,9 @@ class TestHierarchy:
         assert entry.tolist() == [1, 3, 3, 1]
         with pytest.raises(PreconditionError, match="underflows"):
             ls.build_separation_hierarchy(four_point_line, 1076)
+        # a round count beyond the doubles underflows too, without overflowing
+        with pytest.raises(PreconditionError, match="underflows"):
+            ls.build_separation_hierarchy(four_point_line, 10**400)
 
 
 class TestCoveringRadius:

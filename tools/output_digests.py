@@ -18,12 +18,15 @@ the hierarchy is compared as each of its renderers writes it.  Each tiny
 ``iteration.json`` with only ``rounds`` rewritten: rounds in which no point
 joins the hierarchy, and runs ``verify`` on a forged copy of its sequence,
 in its ``forged/`` directory, so that the report of a failing audit is
-compared too.  It also runs ``verify`` on eleven malformed copies of its
+compared too.  It also runs ``verify`` on twelve malformed copies of its
 sequence, each with one field broken (bad entries in the last selection,
-bad ids in the last round's ``new``, an object where ``B`` belongs), in
-``malformed/<case>``, and keeps each exit, report and error line, so that
-a change in how a document is rejected shows.  It imports the ``src/`` and
-``bench/`` of the checkout it lives in and changes nothing there.
+bad ids in the last round's ``new``, an object where ``B`` belongs, a
+stored ``alpha`` beyond the doubles), in ``malformed/<case>``, and keeps
+each exit, report and error line, so that a change in how a document is
+rejected shows; an exception the command does not catch counts as exit 1,
+the interpreter's, with its class and message as the error line.  It
+imports the ``src/`` and ``bench/`` of the checkout it lives in and changes
+nothing there.
 
     python tools/output_digests.py --out digests.json
 
@@ -63,7 +66,7 @@ from lipselect.cli import main as cli_main  # noqa: E402
 
 DEEP_ROUNDS = 40
 # the first word of each error line the command line prints
-_ERROR_PREFIXES = ("schema error:", "parameter error:", "internal error:", "error:")
+_ERROR_PREFIXES = ("schema error:", "parameter error:", "internal error:", "uncaught ")
 
 
 def _run(argv) -> int:
@@ -127,7 +130,7 @@ def _malformed_cases(sequence: dict) -> dict:
     NaN or 2**70, or that row one entry longer; in the last round's ``new``
     one id 2**70 or ``"5"``, or the whole list the string ``"5"``; the last
     round's ``B`` or the last hierarchy level's ``B`` an object keyed by
-    its ids."""
+    its ids; the config's ``alpha`` the integer 10**400."""
     row = ("selections", -1, "values", "0")
     edits = {f"entry_{name}": (row + (0,), value) for name, value in (
         ("bool", True), ("string", "0.5"), ("null", None), ("nan", float("nan")), ("2_70", 2**70))}
@@ -139,6 +142,7 @@ def _malformed_cases(sequence: dict) -> dict:
         "round_B_object": (("rounds", -1, "B"), dict.fromkeys(map(str, sequence["rounds"][-1]["B"]), 1)),
         "hierarchy_B_object": (
             ("hierarchy", "rounds", -1, "B"), dict.fromkeys(map(str, sequence["hierarchy"]["rounds"][-1]["B"]), 1)),
+        "config_alpha_10_400": (("config", "alpha"), 10**400),
     })
     cases = {}
     for name, (path, value) in edits.items():
@@ -166,8 +170,12 @@ def _malformed_exits(inst, malformed: Path) -> dict:
         (case / "sequence.json").write_text(json.dumps(doc), encoding="utf-8")
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            exits[name] = [cli_main(["verify", "--correspondence", str(inst.workdir / "correspondence.json"),
-                                     "--sequence", str(case / "sequence.json"), "--out", str(case / "verify.json")])]
+            try:
+                exits[name] = [cli_main(["verify", "--correspondence", str(inst.workdir / "correspondence.json"),
+                                         "--sequence", str(case / "sequence.json"), "--out", str(case / "verify.json")])]
+            except Exception as exc:
+                exits[name] = [1]
+                print(f"uncaught {type(exc).__name__}: {exc}", file=err)
         # numpy's warnings name source lines; the command's own line is kept
         lines = [line for line in err.getvalue().splitlines() if line.startswith(_ERROR_PREFIXES)]
         (case / "error.txt").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
