@@ -156,7 +156,7 @@ def _emit(out, report: dict) -> None:
 def _cmd_separate(opts) -> int:
     space = SampledMetricSpace.from_json_dict(_load_json(opts["space"]))
     report: dict = {"command": "separate"}
-    if opts.get("rounds"):
+    if "rounds" in opts:
         entry = build_separation_hierarchy(space, opts["rounds"])
         report["hierarchy"] = hierarchy_to_dict(entry, opts["rounds"])
         report["covering_radii"] = [

@@ -11,14 +11,13 @@ which converges to the metric projection because the intersection is
 nonempty.  The projection map is single valued, idempotent, and
 nonexpansive, which is what the selection machinery builds on.
 
-Each kind projects a whole stack of bodies of that kind in one call
-(``project_stack``, ``distance_stack``), one query row per body.  Polytopes
-run Dykstra in lockstep: every body whose query is infeasible sweeps
-together, and each retires at the sweep where its own residual reaches
-``DYKSTRA_TOL``, so its iterates are those of a lone run.  Validation works
-on stacks too (``stack``, and :func:`stacks_from_json` for documents).  A
-body is a stack of one: ``project`` and ``distance_to`` run the same
-kernels on it.
+A body is a row of its kind's stack, and each kind projects a whole
+stack in one call (``project``, ``distance_to``), one query row per body;
+a single body is a stack of one.  Polytopes run Dykstra in lockstep: every
+body whose query is infeasible sweeps together, and each retires at the
+sweep where its own residual reaches ``DYKSTRA_TOL``, so its iterates are
+those of a lone run.  Validation works on stacks too (``stack``, and
+:func:`stacks_from_json` for documents, the one parser of body documents).
 """
 
 from __future__ import annotations
@@ -42,13 +41,6 @@ DYKSTRA_MAX_SWEEPS = 10_000
 WITNESS_TOL = 1e-9
 
 
-def _as_vector(x, dim: int, what: str) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1 or v.shape[0] != dim:
-        raise ShapeError(f"{what} must be a vector of dimension {dim}, got shape {v.shape}")
-    return v
-
-
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, bitwise equal to ``np.linalg.norm`` of
     the row alone (a sum of squares along the axis is not)."""
@@ -61,52 +53,23 @@ def _matvec(mats: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return (mats @ rows[..., None])[..., 0]
 
 
-def _one(value):
-    """``value`` as a stack of one: a leading axis of length 1."""
-    return value[None] if isinstance(value, np.ndarray) else [value]
-
-
 class ConvexBody:
-    """Common surface of the three body variants.
+    """Common surface of the three body kinds.
 
     A kind keeps its bodies as stacks, a tuple of arrays with a leading
-    body axis.  ``stack(*values)`` builds and validates one from a list of
-    values per field, and ``project_stack(stack, ys)`` projects row ``i`` of
-    ``ys`` onto body ``i``; kinds with a closed-form distance also override
-    ``distance_stack``.  A body is a stack of one: the constructor validates
-    it and keeps it as ``parts``, contiguous, and each field attribute
-    (``center``, ``basis``, ``normals``, ...) is row 0 of its part.
+    body axis; a body is a row of its kind's stack.  ``stack(*values)``
+    builds and validates one from a list of values per field, and
+    ``stack_docs`` from body documents.  ``project(stack, ys)`` projects row
+    ``i`` of ``ys`` onto body ``i``, and ``distance_to(stack, ys)`` measures
+    the distances; kinds with a closed-form distance override it.
     """
 
     KIND: str
-    # the per-body arrays, in the order of a stack's parts; the document
-    # fields a stack is built from, and those whose lengths set its shape;
-    # the part of the canonical points
-    _FIELDS: tuple
+    # the document fields a stack is built from, those whose lengths set
+    # its shape, and the part of the canonical points
     _DOC_FIELDS: tuple
     _SHAPE_FIELDS: tuple
     _CANONICAL = 0
-
-    def __init_subclass__(cls):
-        # each field reads row 0 of its part
-        for i, name in enumerate(cls._FIELDS):
-            setattr(cls, name, property(lambda self, i=i: self.parts[i][0]))
-
-    def __init__(self, *fields):
-        # contiguous like a parsed or concatenated stack: the kernels' last
-        # bits depend on the memory layout
-        self.parts = tuple(map(np.ascontiguousarray, self.stack(*map(_one, fields))))
-
-    @classmethod
-    def _of(cls, parts) -> "ConvexBody":
-        """The body whose stack of one is ``parts``, not validated again."""
-        body = cls.__new__(cls)
-        body.parts = parts
-        return body
-
-    @property
-    def dim(self) -> int:
-        return self.parts[0].shape[-1]
 
     @classmethod
     def stack_docs(cls, docs) -> tuple:
@@ -114,46 +77,13 @@ class ConvexBody:
         return cls.stack(*([doc[name] for doc in docs] for name in cls._DOC_FIELDS))
 
     @staticmethod
-    def project_stack(stack, ys) -> np.ndarray:
+    def project(stack, ys) -> np.ndarray:
         raise NotImplementedError
 
     @classmethod
-    def distance_stack(cls, stack, ys) -> np.ndarray:
+    def distance_to(cls, stack, ys) -> np.ndarray:
         """Row-wise ``||y_i - P_i(y_i)||``."""
-        return _row_norms(ys - cls.project_stack(stack, ys))
-
-    def _single(self, kernel, y) -> np.ndarray:
-        """``kernel`` on the stack of this body alone."""
-        y = _as_vector(y, self.dim, "query point")
-        return kernel(self.parts, y[None])[0]
-
-    def project(self, y) -> np.ndarray:
-        """The nearest point of the body to ``y``."""
-        raise NotImplementedError
-
-    def distance_to(self, y) -> float:
-        """Euclidean distance ``||y - project(y)||``."""
-        return float(self._single(self.distance_stack, y))
-
-    def contains(self, x, tol: float = 0.0) -> bool:
-        """True iff the distance from ``x`` to the body is at most ``tol``."""
-        if tol < 0:
-            raise PreconditionError("containment tolerance must be nonnegative")
-        return self.distance_to(x) <= tol
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.KIND, **{name: getattr(self, name).tolist() for name in self._DOC_FIELDS}}
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "ConvexBody":
-        ((_, kind, stack),) = stacks_from_json([doc])
-        return kind._of(stack)
-
-
-# Each kind defines ``project`` (flats and balls also ``distance_to``) as
-# the same one-line call of ``_single`` instead of inheriting it, because
-# the benchmark's tracer (``bench/tracing.py``) wraps these methods on
-# each class.
+        return _row_norms(ys - cls.project(stack, ys))
 
 
 class AffineFlat(ConvexBody):
@@ -163,10 +93,7 @@ class AffineFlat(ConvexBody):
     """
 
     KIND = "flat"
-    _FIELDS = _DOC_FIELDS = _SHAPE_FIELDS = ("base", "basis")
-
-    def __init__(self, base, basis=()):
-        super().__init__(base, basis)
+    _DOC_FIELDS = _SHAPE_FIELDS = ("base", "basis")
 
     @staticmethod
     def stack(bases, bases_of_spans) -> tuple:
@@ -195,32 +122,23 @@ class AffineFlat(ConvexBody):
         return _matvec(np.swapaxes(basis, 1, 2), _matvec(basis, rel))
 
     @staticmethod
-    def project_stack(stack, ys) -> np.ndarray:
+    def project(stack, ys) -> np.ndarray:
         bases, basis = stack
         return bases + AffineFlat._along(basis, ys - bases)
 
     @staticmethod
-    def distance_stack(stack, ys) -> np.ndarray:
+    def distance_to(stack, ys) -> np.ndarray:
         bases, basis = stack
         rel = ys - bases
         return _row_norms(rel - AffineFlat._along(basis, rel))
-
-    def project(self, y) -> np.ndarray:
-        return self._single(self.project_stack, y)
-
-    def distance_to(self, y) -> float:
-        return float(self._single(self.distance_stack, y))
 
 
 class Ball(ConvexBody):
     """Closed Euclidean ball with positive radius."""
 
     KIND = "ball"
-    _FIELDS = _DOC_FIELDS = ("center", "radius")
+    _DOC_FIELDS = ("center", "radius")
     _SHAPE_FIELDS = ("center",)
-
-    def __init__(self, center, radius):
-        super().__init__(center, radius)
 
     @staticmethod
     def stack(centers, radii) -> tuple:
@@ -235,7 +153,7 @@ class Ball(ConvexBody):
         return centers, radii
 
     @staticmethod
-    def project_stack(stack, ys) -> np.ndarray:
+    def project(stack, ys) -> np.ndarray:
         centers, radii = stack
         rel = ys - centers
         nrm = _row_norms(rel)
@@ -245,15 +163,9 @@ class Ball(ConvexBody):
         return out
 
     @staticmethod
-    def distance_stack(stack, ys) -> np.ndarray:
+    def distance_to(stack, ys) -> np.ndarray:
         centers, radii = stack
         return np.maximum(0.0, _row_norms(ys - centers) - radii)
-
-    def project(self, y) -> np.ndarray:
-        return self._single(self.project_stack, y)
-
-    def distance_to(self, y) -> float:
-        return float(self._single(self.distance_stack, y))
 
 
 class Polytope(ConvexBody):
@@ -264,12 +176,9 @@ class Polytope(ConvexBody):
     """
 
     KIND = "polytope"
-    _FIELDS = ("normals", "offsets", "_sq_norms", "_row_norms", "witness")
-    _DOC_FIELDS = _SHAPE_FIELDS = ("halfspaces", "witness")
+    _SHAPE_FIELDS = ("halfspaces", "witness")
+    # a stack: normals, offsets, squared and plain normal norms, witnesses
     _CANONICAL = 4
-
-    def __init__(self, normals, offsets, witness):
-        super().__init__(normals, offsets, witness)
 
     @staticmethod
     def stack(normals, offsets, witnesses) -> tuple:
@@ -304,7 +213,7 @@ class Polytope(ConvexBody):
         )
 
     @staticmethod
-    def project_stack(stack, ys) -> np.ndarray:
+    def project(stack, ys) -> np.ndarray:
         """Dykstra's method over the halfspaces, every infeasible row at
         once; a row is final at the first sweep whose residual (change of
         its correction increments, or its violation) is within
@@ -350,17 +259,6 @@ class Polytope(ConvexBody):
             touched = np.flatnonzero(np.any(increments[j] != 0.0, axis=1))
             out[row] = _certified_projection(normals[j], offsets[j], row_norms[j], out[row], touched, residual)
         return out
-
-    def project(self, y) -> np.ndarray:
-        return self._single(self.project_stack, y)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "polytope",
-            "halfspaces": [
-                {"normal": n, "offset": b} for n, b in zip(self.normals.tolist(), self.offsets.tolist())],
-            "witness": self.witness.tolist(),
-        }
 
 
 def _certified_projection(normals, offsets, row_norms, y, touched, residual):

@@ -1,17 +1,19 @@
 """Convex-valued correspondences over sampled metric spaces.
 
 A :class:`Correspondence` materializes a set-valued map as a table: one
-:class:`~lipselect.convex.ConvexBody` per row of the space, all in a common
-ambient dimension.  The quantitative hypothesis the selection engine relies
-on is the lower pointwise Lipschitz property: for an anchor ``b`` and a
-member ``y`` of its value, every other value must meet the closed ball of
-radius ``rate * d(b, a)`` around ``y``.  When it holds, projecting the
-anchor value onto each body yields a selection that is anchored at ``y``
-and strongly pointwise Lipschitz at ``b`` -- the constructive substitute
-for an abstract selection theorem, exact for the supported body classes.
+convex body per row of the space, all in a common ambient dimension, each
+body a row of its kind's stack.  The quantitative hypothesis the selection
+engine relies on is the lower pointwise Lipschitz property: for an anchor
+``b`` and a member ``y`` of its value, every other value must meet the
+closed ball of radius ``rate * d(b, a)`` around ``y``.  When it holds,
+projecting the anchor value onto each body yields a selection that is
+anchored at ``y`` and strongly pointwise Lipschitz at ``b`` -- the
+constructive substitute for an abstract selection theorem, exact for the
+supported body classes.
 
 Bodies are stacked once per kind and shape when the correspondence is
-built (a document is parsed straight into the stacks), so
+built (a document is parsed straight into the stacks by
+:func:`~lipselect.convex.stacks_from_json`), so
 :meth:`Correspondence.project` and :meth:`Correspondence.distances` take
 one query per ``(point, query)`` pair, and :meth:`Correspondence.distances_to`
 measures a whole table against the values, in one kernel call per stack.
@@ -25,11 +27,10 @@ this structure with parallel affine flats.
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence
 
 import numpy as np
 
-from .convex import AffineFlat, ConvexBody, _matvec, stacks_from_json
+from .convex import AffineFlat, _matvec, stacks_from_json
 from .errors import (
     PreconditionError,
     RankDeficiencyError,
@@ -95,32 +96,17 @@ class LinearSurjection:
             raise SchemaError("surjection document must carry a 'matrix'")
         return cls(doc["matrix"])
 
-    def to_json_dict(self) -> dict:
-        return {"matrix": [[float(x) for x in row] for row in self.matrix]}
-
 
 class Correspondence:
     """Table-valued correspondence: the value at row ``i`` of the space is a
     convex body, all in the ambient dimension the bodies share.  The bodies
-    are kept as stacks, one per kind and shape; :meth:`body` builds a body
-    object, a stack of one, where one is asked for."""
+    are kept as stacks, one per kind and shape, and each is a row of its
+    stack."""
 
-    def __init__(self, space: SampledMetricSpace, bodies: Sequence[ConvexBody] = (), stacks=None):
-        """One body per point, or the ``stacks``: ``(rows, kind, stack)``
-        triples whose rows partition the rows of ``space``."""
-        if stacks is None:
-            bodies = list(bodies)
-            if len(bodies) != len(space):
-                raise PreconditionError(f"{len(space)} points need one body each, got {len(bodies)}")
-            # bodies of one kind and part shapes stack together, in order
-            # of first row
-            groups: Dict[tuple, list] = {}
-            for i, body in enumerate(bodies):
-                groups.setdefault((type(body),) + tuple(p.shape for p in body.parts), []).append(i)
-            stacks = [
-                (np.array(rows), key[0], tuple(map(np.concatenate, zip(*(bodies[i].parts for i in rows)))))
-                for key, rows in groups.items()
-            ]
+    def __init__(self, space: SampledMetricSpace, stacks):
+        """``stacks``: ``(rows, kind, stack)`` triples whose rows partition
+        the rows of ``space``, as :func:`~lipselect.convex.stacks_from_json`
+        returns them."""
         dims = {stack[0].shape[-1] for _, _, stack in stacks}
         if len(dims) != 1:
             raise ShapeError("bodies do not share one ambient dimension")
@@ -134,18 +120,6 @@ class Correspondence:
         for s, (rows, _, _) in enumerate(stacks):
             self._stack_of[rows] = s
             self._place[rows] = np.arange(len(rows))
-
-    def _row(self, a) -> tuple:
-        """``(kind, parts)``: the body at point ``a`` as the slices of its
-        stack's row, a stack of one."""
-        a = self.space.index(a)
-        _, kind, stack = self._stacks[self._stack_of[a]]
-        i = self._place[a]
-        return kind, tuple(p[i : i + 1] for p in stack)
-
-    def body(self, a) -> ConvexBody:
-        kind, parts = self._row(a)
-        return kind._of(parts)
 
     def canonical_selection(self) -> np.ndarray:
         """The ``(N, d)`` table of each body's canonical point: the default
@@ -162,7 +136,7 @@ class Correspondence:
         ys = np.asarray(ys, dtype=float)
         if ys.shape != (len(rows), self.ambient_dim):
             raise ShapeError(f"expected {len(rows)} queries of dimension {self.ambient_dim}, got shape {ys.shape}")
-        out = np.empty(ys.shape if kernel == "project_stack" else len(rows))
+        out = np.empty(ys.shape if kernel == "project" else len(rows))
         stack_of = self._stack_of[rows]
         for s, (_, kind, stack) in enumerate(self._stacks):
             at = np.flatnonzero(stack_of == s)
@@ -173,22 +147,16 @@ class Correspondence:
 
     def project(self, rows, ys) -> np.ndarray:
         """Projection of ``ys[i]`` onto the body at point ``rows[i]``."""
-        return self._kernel("project_stack", rows, ys)
+        return self._kernel("project", rows, ys)
 
     def distances(self, rows, ys) -> np.ndarray:
         """Distance from ``ys[i]`` to the body at point ``rows[i]``."""
-        return self._kernel("distance_stack", rows, ys)
+        return self._kernel("distance_to", rows, ys)
 
     def distances_to(self, table) -> np.ndarray:
         """Distance from row ``i`` of the ``(N, d)`` table to the body at
         point ``i``."""
         return self.distances(np.arange(len(self.space)), table)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "space": self.space.to_json_dict(),
-            "bodies": {str(a): self.body(a).to_json_dict() for a in range(len(self.space))},
-        }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Correspondence":
@@ -196,7 +164,7 @@ class Correspondence:
             raise SchemaError("correspondence document needs 'space' and 'bodies'")
         space = SampledMetricSpace.from_json_dict(doc["space"])
         entries = space.keyed_entries(doc["bodies"], "bodies table")
-        return cls(space, stacks=stacks_from_json(entries))
+        return cls(space, stacks_from_json(entries))
 
 
 def inverse_image_correspondence(T: LinearSurjection, sample: SampledMetricSpace) -> Correspondence:
@@ -215,7 +183,7 @@ def inverse_image_correspondence(T: LinearSurjection, sample: SampledMetricSpace
     # bitwise T.minimum_norm_solution(y) for each sampled y
     bases = _matvec(np.broadcast_to(T._pinv, (n,) + T._pinv.shape), sample.coords)
     stack = AffineFlat.stack(bases, T.kernel_basis()[None])
-    return Correspondence(sample, stacks=[(np.arange(n), AffineFlat, stack)])
+    return Correspondence(sample, [(np.arange(n), AffineFlat, stack)])
 
 
 class AnchoredPairs:

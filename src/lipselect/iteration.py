@@ -196,9 +196,17 @@ def compute_delta(
     that is with ``2 delta`` at most the distance of the nearest pair over
     the threshold; the pairs must cover the open ``2^-(n+1)``-balls.  Radii
     below ``delta_min`` abort: the sample is too coarse or ``g_b`` strayed
-    too far from ``f_prev``.
+    too far from ``f_prev``.  A ``2^-n * epsilon`` below the margin leaves
+    a threshold below 0, which each anchor's own pair exceeds, so a round
+    with anchors raises a :class:`ParameterError`.
     """
-    threshold = 2.0 ** (-n) * epsilon - STRICTNESS_MARGIN
+    bound = 2.0 ** (-n) * epsilon
+    if bound < STRICTNESS_MARGIN and len(anchored.anchors):
+        raise ParameterError(
+            f"round {n}: 2^-{n} epsilon = {bound!r} is below the strictness margin "
+            f"{STRICTNESS_MARGIN!r}, so no radius is admissible"
+        )
+    threshold = bound - STRICTNESS_MARGIN
     diffs = np.linalg.norm(f_prev[anchored.rows] - anchored.values, axis=1)
     far = diffs > threshold
     reach = np.full(len(anchored.anchors), math.inf)

@@ -272,17 +272,6 @@ class SampledMetricSpace:
         pts = doc["points"]
         return cls(kind, coords=pts)
 
-    def to_json_dict(self) -> dict:
-        if self.metric_kind == "explicit":
-            return {
-                "metric": "explicit",
-                "distances": [[float(x) for x in row] for row in self._matrix],
-            }
-        return {
-            "metric": self.metric_kind,
-            "points": [[float(x) for x in row] for row in self._coords],
-        }
-
 
 def _fold(columns: np.ndarray, points: np.ndarray, kind: str = "l2", out=None) -> np.ndarray:
     """The distance kernel: the ``(P, N)`` block whose entry ``(p, i)`` is

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 import lipselect as ls
+from lipselect.convex import stacks_from_json
 from lipselect.lipschitz import _ball_ratios
 from lipselect.metric import BLOCK_ROWS
 
@@ -45,6 +46,46 @@ def four_point_line():
     return line_space([0, 0.3, 0.6, 1.0])
 
 
+def _floats(values) -> list:
+    return np.asarray(values, dtype=float).tolist()
+
+
+def ball_doc(center, radius):
+    return {"kind": "ball", "center": _floats(center), "radius": float(radius)}
+
+
+def flat_doc(base, basis=()):
+    return {"kind": "flat", "base": _floats(base), "basis": _floats(basis)}
+
+
+def polytope_doc(normals, offsets, witness):
+    halfspaces = [{"normal": n, "offset": b} for n, b in zip(_floats(normals), _floats(offsets))]
+    return {"kind": "polytope", "halfspaces": halfspaces, "witness": _floats(witness)}
+
+
+def stack_of(docs):
+    """``(kind, stack)`` of body documents of one kind and shape."""
+    ((_, kind, stack),) = stacks_from_json(docs)
+    return kind, stack
+
+
+def project_one(doc, y) -> np.ndarray:
+    """The projection of ``y`` onto the body of ``doc``, a stack of one."""
+    kind, stack = stack_of([doc])
+    return kind.project(stack, np.asarray(y, dtype=float)[None])[0]
+
+
+def distance_one(doc, y) -> float:
+    """The distance from ``y`` to the body of ``doc``, a stack of one."""
+    kind, stack = stack_of([doc])
+    return float(kind.distance_to(stack, np.asarray(y, dtype=float)[None])[0])
+
+
+def correspondence(space, docs):
+    """The correspondence of one body document per point of ``space``."""
+    return ls.Correspondence(space, stacks_from_json(docs))
+
+
 def segment_instance(n_points=201, rounds=4):
     """Inverse-image correspondence of [1 1] over a segment of codomain
     values, with the least-norm selection as the f0 table."""
@@ -57,9 +98,20 @@ def segment_instance(n_points=201, rounds=4):
     return T, phi, f0, config
 
 
+def segment_document(n_points=41):
+    """The correspondence document of :func:`segment_instance`: each flat
+    through its least-norm solution along the kernel of [1 1]."""
+    T = ls.LinearSurjection([[1.0, 1.0]])
+    half = (n_points - 1) // 2
+    points = [[(i - half) / half] for i in range(n_points)]
+    bodies = {str(i): flat_doc(T.minimum_norm_solution(y), T.kernel_basis()) for i, y in enumerate(points)}
+    return {"space": {"metric": "l2", "points": points}, "bodies": bodies}
+
+
 def moving_ball_instance(seed, n_points=257, rounds=4, dim=2):
-    """Ball-valued correspondence over a 1-d segment: centers and radii move
-    linearly with Lipschitz budget 0.15 + 0.10 <= alpha = 0.25."""
+    """Ball-valued correspondence over a 1-d segment, built from its body
+    documents: centers and radii move linearly with Lipschitz budget
+    0.15 + 0.10 <= alpha = 0.25."""
     rng = np.random.default_rng(seed)
     space = ls.SampledMetricSpace("l2", coords=[[i / (n_points - 1)] for i in range(n_points)])
     c0 = rng.normal(size=dim)
@@ -67,14 +119,10 @@ def moving_ball_instance(seed, n_points=257, rounds=4, dim=2):
     v *= 0.15 / np.linalg.norm(v)
     rho0 = float(rng.uniform(0.3, 0.5))
     w = float(rng.uniform(-0.1, 0.1))
-    bodies = [
-        ls.Ball(c0 + v * (i / (n_points - 1)), rho0 + w * (i / (n_points - 1)))
-        for i in range(n_points)
-    ]
-    phi = ls.Correspondence(space, bodies)
-    f0 = np.array([body.center for body in bodies])
+    centers = [c0 + v * (i / (n_points - 1)) for i in range(n_points)]
+    docs = [ball_doc(c, rho0 + w * (i / (n_points - 1))) for i, c in enumerate(centers)]
     config = ls.IterationConfig(alpha=0.25, beta=1.25, rounds=rounds)
-    return phi, f0, config
+    return correspondence(space, docs), np.array(centers), config
 
 
 COORD = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -82,23 +130,23 @@ COORD = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
 @st.composite
 def mixed_bodies(draw, dim, normal=COORD):
-    """A ball, a flat of rank 0..dim, or a bounded polytope with 2 to 4
-    halfspaces in ``R^dim`` whose normals have ``normal`` coordinates; the
-    bodies of a list rarely share a shape."""
+    """The document of a ball, a flat of rank 0..dim, or a bounded polytope
+    with 2 to 4 halfspaces in ``R^dim`` whose normals have ``normal``
+    coordinates; the bodies of a list rarely share a shape."""
     vector = st.lists(COORD, min_size=dim, max_size=dim).map(np.array)
     kind = draw(st.sampled_from(["ball", "flat", "polytope"]))
     if kind == "ball":
-        return ls.Ball(draw(vector), draw(st.floats(0.1, 2.0)))
+        return ball_doc(draw(vector), draw(st.floats(0.1, 2.0)))
     if kind == "flat":
         rank = draw(st.integers(0, dim))
         q, _ = np.linalg.qr(draw(st.lists(vector, min_size=dim, max_size=dim).map(np.array)) + 3.0 * np.eye(dim))
-        return ls.AffineFlat(draw(vector), q.T[:rank])
+        return flat_doc(draw(vector), q.T[:rank])
     witness = draw(vector)
     normals = np.array(draw(st.lists(st.lists(normal, min_size=dim, max_size=dim), min_size=2, max_size=4)))
     normals = normals[np.linalg.norm(normals, axis=1) > 0.1]
     normals = np.vstack([normals, np.eye(dim)[:1]]) if len(normals) else np.eye(dim)[:1]
     offsets = normals @ witness + draw(st.lists(st.floats(0.0, 1.0), min_size=len(normals), max_size=len(normals)))
-    return ls.Polytope(normals, offsets, witness)
+    return polytope_doc(normals, offsets, witness)
 
 
 # -- Cantor corpus and the global-upgrade check (acceptance criterion 7) -------

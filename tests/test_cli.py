@@ -29,7 +29,8 @@ from lipselect.formats import (
 
 # the root conftest.py puts bench/ on the path
 import workloads
-from test_convex import three_sided_corner
+from conftest import segment_document
+from test_convex import narrow_wedge, three_sided_corner
 
 FOUR_POINT_LINE = {"metric": "l2", "points": [[0.0], [0.3], [0.6], [1.0]]}
 
@@ -45,11 +46,7 @@ def line_doc(tmp_path):
 
 
 def segment_correspondence_docs(tmp_path, n_points=41):
-    T = ls.LinearSurjection([[1.0, 1.0]])
-    half = (n_points - 1) // 2
-    space = ls.SampledMetricSpace("l2", coords=[[(i - half) / half] for i in range(n_points)])
-    phi = ls.inverse_image_correspondence(T, space)
-    corr_path = write_json(tmp_path / "corr.json", phi.to_json_dict())
+    corr_path = write_json(tmp_path / "corr.json", segment_document(n_points))
     iter_path = write_json(
         tmp_path / "iter.json",
         {"alpha": 2.0**-0.5, "beta": 1.0, "rounds": 3},
@@ -94,6 +91,12 @@ class TestSeparate:
             c < rd["r"]
             for c, rd in zip(report["covering_radii"], report["hierarchy"]["rounds"])
         )
+
+    @pytest.mark.parametrize("extra", [[], ["--r", "0.5"]], ids=["alone", "with_r"])
+    def test_zero_rounds_is_a_parameter_error(self, line_doc, capsys, extra):
+        # --rounds 0 asks for a hierarchy, whether or not --r is given
+        assert main(["separate", "--space", line_doc, "--rounds", "0", *extra]) == 3
+        assert "hierarchy needs at least one round" in capsys.readouterr().err
 
     def test_missing_space_is_schema_error(self, tmp_path):
         assert main(["separate", "--r", "0.5"]) == 2
@@ -363,6 +366,15 @@ class TestSelectAndVerify:
         corr_path, iter_path = segment_correspondence_docs(tmp_path)
         code = main(["select", "--correspondence", corr_path, "--iteration", iter_path])
         assert code == 0
+
+    @pytest.mark.parametrize("epsilon, n", [(5e-324, 1), (3e-12, 2)])
+    def test_an_epsilon_below_the_strictness_margin_is_a_parameter_error(self, tmp_path, capsys, epsilon, n):
+        # 2^-n epsilon under the margin leaves a threshold below 0, which
+        # each anchor's own pair exceeds: no radius is admissible in round n
+        corr_path, _ = segment_correspondence_docs(tmp_path, n_points=9)
+        iter_path = write_json(tmp_path / "it.json", {"alpha": 2.0**-0.5, "beta": 1.0, "epsilon": epsilon, "rounds": 3})
+        assert main(["select", "--correspondence", corr_path, "--iteration", iter_path]) == 3
+        assert f"parameter error: round {n}: 2^-{n} epsilon = " in capsys.readouterr().err
 
     def test_bad_iteration_config_is_precondition_error(self, tmp_path):
         corr_path, _ = segment_correspondence_docs(tmp_path)
@@ -751,7 +763,7 @@ class TestCollectorAndOutputBytes:
         monkeypatch.setattr(ls.convex, "DYKSTRA_MAX_SWEEPS", 1)
         far_ball = {"kind": "ball", "center": [3.0, 3.0], "radius": 0.1}
         space = {"metric": "l2", "points": [[0.0], [0.1]]}
-        doc = {"space": space, "bodies": {"0": far_ball, "1": three_sided_corner().to_json_dict()}}
+        doc = {"space": space, "bodies": {"0": far_ball, "1": three_sided_corner()}}
         it = write_json(tmp_path / "it.json", {"alpha": 10.0, "beta": 20.0, "rounds": 1})
         runs.append(("uncertified", run(["select", "--correspondence", write_json(tmp_path / "corner.json", doc), "--iteration", it])))
         assert [result for _, result in runs] == [(0, 0)] * 5 + [(1, 0), (2, 0), (3, 0), (4, 0)]
@@ -1225,19 +1237,6 @@ def test_any_sequence_document_ends_in_a_documented_exit_code(stored_sequences, 
     assert code in (0, 1, 2, 3, 4)
 
 
-def narrow_wedge(half_angle):
-    """The wedge ``{x : |x_2| <= -x_1 tan(half_angle)}`` with its apex at
-    the origin, as a polytope body document.  Dykstra's method zigzags
-    between its two faces toward the apex, the projection of any point of
-    the polar cone such as (1, 0.5)."""
-    s, c = np.sin(half_angle), np.cos(half_angle)
-    return {
-        "kind": "polytope",
-        "halfspaces": [{"normal": [s, c], "offset": 0.0}, {"normal": [s, -c], "offset": 0.0}],
-        "witness": [-1.0, 0.0],
-    }
-
-
 class TestCorrespondenceDocument:
     BALL = {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}
     SPACE = {"metric": "l2", "points": [[0.0], [1.0]]}
@@ -1314,7 +1313,7 @@ class TestCorrespondenceDocument:
         # one sweep from (3, 3) touches only x1 <= 1, which does not hold
         # alone at the projection (1, 2): no certificate
         monkeypatch.setattr(ls.convex, "DYKSTRA_MAX_SWEEPS", 1)
-        assert self._anchor_onto(tmp_path, three_sided_corner().to_json_dict(), [3.0, 3.0]) == 4
+        assert self._anchor_onto(tmp_path, three_sided_corner(), [3.0, 3.0]) == 4
         # the message of the ConvergenceError
         assert "polytope projection did not reach" in capsys.readouterr().err
 

@@ -9,6 +9,8 @@ import lipselect as ls
 from lipselect.convex import DYKSTRA_MAX_SWEEPS, DYKSTRA_TOL
 from lipselect.errors import ConvergenceError, PreconditionError, ShapeError
 
+from conftest import ball_doc, correspondence, distance_one, flat_doc, polytope_doc, project_one, stack_of
+
 SQRT_HALF = 2.0**-0.5
 
 
@@ -44,46 +46,50 @@ def face_enumeration_projection(normals, offsets, y, feas_tol=1e-9):
     return best
 
 
+def halfspaces(poly):
+    """The normal matrix and offset vector of a polytope document."""
+    return (np.array([h["normal"] for h in poly["halfspaces"]]),
+            np.array([h["offset"] for h in poly["halfspaces"]]))
+
+
 def scalar_dykstra(poly, y):
     """Dykstra's method on one body, halfspace by halfspace: the reference
     whose iterates the lockstep kernel must reproduce bit for bit."""
-    if np.all(poly.normals @ y <= poly.offsets):
+    normals, offsets = halfspaces(poly)
+    if np.all(normals @ y <= offsets):
         return y.copy()
-    sq_norms = np.einsum("ij,ij->i", poly.normals, poly.normals)
+    sq_norms = np.einsum("ij,ij->i", normals, normals)
     x = y.copy()
-    increments = np.zeros(poly.normals.shape)
+    increments = np.zeros(normals.shape)
     for _ in range(DYKSTRA_MAX_SWEEPS):
         previous = increments.copy()
-        for i in range(len(poly.offsets)):
+        for i in range(len(offsets)):
             v = x + increments[i]
-            excess = float(poly.normals[i] @ v - poly.offsets[i])
-            x = v - (excess / sq_norms[i]) * poly.normals[i] if excess > 0.0 else v
+            excess = float(normals[i] @ v - offsets[i])
+            x = v - (excess / sq_norms[i]) * normals[i] if excess > 0.0 else v
             increments[i] = v - x
-        violation = max(0.0, float(((poly.normals @ x - poly.offsets) / np.sqrt(sq_norms)).max()))
+        violation = max(0.0, float(((normals @ x - offsets) / np.sqrt(sq_norms)).max()))
         if max(float(np.sqrt(np.sum((increments - previous) ** 2))), violation) <= DYKSTRA_TOL:
             return x
     raise AssertionError("reference loop did not converge")
 
 
 def narrow_wedge(half_angle):
-    """``{x : |x_2| <= -x_1 tan(half_angle)}``: (1, 0.5) projects onto the
-    apex, which Dykstra's method approaches by a slow zigzag."""
+    """The document of ``{x : |x_2| <= -x_1 tan(half_angle)}``: (1, 0.5)
+    projects onto the apex, which Dykstra's method approaches by a slow
+    zigzag."""
     s, c = np.sin(half_angle), np.cos(half_angle)
-    return ls.Polytope([[s, c], [s, -c]], [0.0, 0.0], witness=[-1.0, 0.0])
+    return polytope_doc([[s, c], [s, -c]], [0.0, 0.0], [-1.0, 0.0])
 
 
 def three_sided_corner():
-    """``-2 x1 + x2 <= 0``, ``x1 <= 1``, ``x1 - 2 x2 <= 1``: (3, 3)
-    projects onto the corner (1, 2) of the first two."""
-    return ls.Polytope([[-2.0, 1.0], [1.0, 0.0], [1.0, -2.0]], [0.0, 1.0, 1.0], witness=[0.0, 0.0])
+    """The document of ``-2 x1 + x2 <= 0``, ``x1 <= 1``, ``x1 - 2 x2 <=
+    1``: (3, 3) projects onto the corner (1, 2) of the first two."""
+    return polytope_doc([[-2.0, 1.0], [1.0, 0.0], [1.0, -2.0]], [0.0, 1.0, 1.0], [0.0, 0.0])
 
 
 def unit_square():
-    return ls.Polytope(
-        [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
-        [1.0, 0.0, 1.0, 0.0],
-        witness=[0.5, 0.5],
-    )
+    return polytope_doc([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0, 0.0, 1.0, 0.0], [0.5, 0.5])
 
 
 def random_bounded_polytope(rng, dim=3):
@@ -103,97 +109,91 @@ def random_bounded_polytope(rng, dim=3):
         n = rng.normal(size=dim)
         normals.append(n)
         offsets.append(float(n @ w) + rng.uniform(0.1, 1.0))
-    return ls.Polytope(normals, offsets, witness=w), np.asarray(normals), np.asarray(offsets)
-
-
-def stack_of(bodies):
-    """The stack of bodies of one kind and shape: their stacks of one,
-    concatenated."""
-    return tuple(map(np.concatenate, zip(*(body.parts for body in bodies))))
+    return polytope_doc(normals, offsets, w), np.asarray(normals), np.asarray(offsets)
 
 
 class TestAffineFlat:
     def test_projection_by_symmetry(self):
-        flat = ls.AffineFlat([0.5, 0.5], [[SQRT_HALF, -SQRT_HALF]])
-        np.testing.assert_allclose(flat.project([0.0, 0.0]), [0.5, 0.5], atol=1e-15)
+        flat = flat_doc([0.5, 0.5], [[SQRT_HALF, -SQRT_HALF]])
+        np.testing.assert_allclose(project_one(flat, [0.0, 0.0]), [0.5, 0.5], atol=1e-15)
 
     def test_distance_point_to_hyperplane(self):
-        flat = ls.AffineFlat([0.5, 0.5], [[SQRT_HALF, -SQRT_HALF]])
+        flat = flat_doc([0.5, 0.5], [[SQRT_HALF, -SQRT_HALF]])
         # |0 + 0 - 1| / sqrt(2)
-        assert flat.distance_to([0.0, 0.0]) == pytest.approx(SQRT_HALF, abs=1e-15)
+        assert distance_one(flat, [0.0, 0.0]) == pytest.approx(SQRT_HALF, abs=1e-15)
 
     def test_contains_on_flat(self):
-        flat = ls.AffineFlat([0.5, 0.5], [[SQRT_HALF, -SQRT_HALF]])
-        assert flat.contains([0.25, 0.75], tol=1e-12)
-        assert not flat.contains([0.0, 0.0], tol=1e-12)
+        flat = flat_doc([0.5, 0.5], [[SQRT_HALF, -SQRT_HALF]])
+        assert distance_one(flat, [0.25, 0.75]) <= 1e-12
+        assert not distance_one(flat, [0.0, 0.0]) <= 1e-12
 
     def test_degenerate_point(self):
-        flat = ls.AffineFlat([1.0, 2.0])
-        np.testing.assert_array_equal(flat.project([5.0, 5.0]), [1.0, 2.0])
+        flat = flat_doc([1.0, 2.0])
+        np.testing.assert_array_equal(project_one(flat, [5.0, 5.0]), [1.0, 2.0])
 
     def test_non_orthonormal_rejected(self):
         with pytest.raises(PreconditionError):
-            ls.AffineFlat([0.0, 0.0], [[1.0, 1.0]])
+            stack_of([flat_doc([0.0, 0.0], [[1.0, 1.0]])])
         with pytest.raises(PreconditionError):
-            ls.AffineFlat([0.0, 0.0, 0.0], [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+            stack_of([flat_doc([0.0, 0.0, 0.0], [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])])
 
     def test_dimension_mismatch(self):
-        flat = ls.AffineFlat([0.0, 0.0])
+        phi = correspondence(ls.SampledMetricSpace("l2", coords=[[0.0]]), [flat_doc([0.0, 0.0])])
         with pytest.raises(ShapeError):
-            flat.project([1.0, 2.0, 3.0])
+            phi.project([0], [[1.0, 2.0, 3.0]])
 
 
 class TestBall:
     def test_radial_projection(self):
-        ball = ls.Ball([0.0, 0.0], 1.0)
-        np.testing.assert_allclose(ball.project([2.0, 0.0]), [1.0, 0.0], atol=1e-15)
+        ball = ball_doc([0.0, 0.0], 1.0)
+        np.testing.assert_allclose(project_one(ball, [2.0, 0.0]), [1.0, 0.0], atol=1e-15)
 
     def test_interior_fixed(self):
-        ball = ls.Ball([0.0, 0.0], 1.0)
-        np.testing.assert_array_equal(ball.project([0.25, -0.25]), [0.25, -0.25])
+        ball = ball_doc([0.0, 0.0], 1.0)
+        np.testing.assert_array_equal(project_one(ball, [0.25, -0.25]), [0.25, -0.25])
 
     def test_center_fixed(self):
-        ball = ls.Ball([1.0, 1.0], 0.5)
-        np.testing.assert_array_equal(ball.project([1.0, 1.0]), [1.0, 1.0])
+        ball = ball_doc([1.0, 1.0], 0.5)
+        np.testing.assert_array_equal(project_one(ball, [1.0, 1.0]), [1.0, 1.0])
 
     def test_distances(self):
-        ball = ls.Ball([0.0, 0.0], 1.0)
-        assert ball.distance_to([1.0, 0.0]) == 0.0
-        assert ball.distance_to([2.0, 0.0]) == 1.0
-        assert not ball.contains([2.0, 0.0], tol=1e-12)
+        ball = ball_doc([0.0, 0.0], 1.0)
+        assert distance_one(ball, [1.0, 0.0]) == 0.0
+        assert distance_one(ball, [2.0, 0.0]) == 1.0
+        assert not distance_one(ball, [2.0, 0.0]) <= 1e-12
 
     def test_radius_positive(self):
         with pytest.raises(PreconditionError):
-            ls.Ball([0.0], 0.0)
+            stack_of([ball_doc([0.0], 0.0)])
 
 
 class TestPolytope:
     def test_corner_projection_vs_oracle(self):
         square = unit_square()
-        got = square.project([2.0, 2.0])
-        expected = face_enumeration_projection(square.normals, square.offsets, [2.0, 2.0])
+        got = project_one(square, [2.0, 2.0])
+        expected = face_enumeration_projection(*halfspaces(square), [2.0, 2.0])
         np.testing.assert_allclose(got, expected, atol=1e-8)
         np.testing.assert_allclose(got, [1.0, 1.0], atol=1e-8)
 
     def test_interior_point_exact(self):
         square = unit_square()
-        assert square.contains([0.5, 0.5], tol=0.0)
-        np.testing.assert_array_equal(square.project([0.5, 0.5]), [0.5, 0.5])
+        assert distance_one(square, [0.5, 0.5]) <= 0.0
+        np.testing.assert_array_equal(project_one(square, [0.5, 0.5]), [0.5, 0.5])
 
     def test_infeasible_witness_rejected(self):
         with pytest.raises(PreconditionError):
-            ls.Polytope([[1.0, 0.0]], [1.0], witness=[2.0, 0.0])
+            stack_of([polytope_doc([[1.0, 0.0]], [1.0], [2.0, 0.0])])
 
     def test_zero_normal_rejected(self):
         with pytest.raises(PreconditionError):
-            ls.Polytope([[0.0, 0.0]], [1.0], witness=[0.0, 0.0])
+            stack_of([polytope_doc([[0.0, 0.0]], [1.0], [0.0, 0.0])])
 
     def test_oracle_agreement_random(self):
         rng = np.random.default_rng(42)
         for _ in range(25):
             poly, normals, offsets = random_bounded_polytope(rng)
             y = rng.normal(scale=2.0, size=3)
-            got = poly.project(y)
+            got = project_one(poly, y)
             expected = face_enumeration_projection(normals, offsets, y)
             np.testing.assert_allclose(got, expected, atol=1e-7)
 
@@ -202,15 +202,15 @@ class TestPolytope:
         # query; bodies retire at different sweeps
         rng = np.random.default_rng(3)
         polys = [random_bounded_polytope(rng)[0] for _ in range(30)]
-        for m in {len(p.offsets) for p in polys}:
-            group = [p for p in polys if len(p.offsets) == m]
+        for m in {len(p["halfspaces"]) for p in polys}:
+            group = [p for p in polys if len(p["halfspaces"]) == m]
             ys = rng.normal(scale=2.0, size=(len(group), 3))
-            ys[0] = group[0].witness  # one row already inside
-            got = ls.Polytope.project_stack(stack_of(group), ys)
+            ys[0] = group[0]["witness"]  # one row already inside
+            got = ls.Polytope.project(stack_of(group)[1], ys)
             for poly, y, row in zip(group, ys, got):
                 want = scalar_dykstra(poly, y)
                 assert row.tobytes() == want.tobytes()
-                assert poly.project(y).tobytes() == want.tobytes()
+                assert project_one(poly, y).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("half_angle", [0.01, 0.003])
     def test_narrow_wedge_projection_is_certified(self, half_angle):
@@ -220,11 +220,11 @@ class TestPolytope:
         retires early."""
         wedge = narrow_wedge(half_angle)
         y = np.array([1.0, 0.5])
-        lone = wedge.project(y)
-        oracle = face_enumeration_projection(wedge.normals, wedge.offsets, y)
+        lone = project_one(wedge, y)
+        oracle = face_enumeration_projection(*halfspaces(wedge), y)
         np.testing.assert_allclose(lone, oracle, rtol=0.0, atol=DYKSTRA_TOL)
-        quick = ls.Polytope([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], witness=[0.0, 0.0])
-        stacked = ls.Polytope.project_stack(stack_of([quick, wedge]), np.array([[1.0, 1.0], [1.0, 0.5]]))
+        quick = polytope_doc([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], [0.0, 0.0])
+        stacked = ls.Polytope.project(stack_of([quick, wedge])[1], np.array([[1.0, 1.0], [1.0, 0.5]]))
         assert stacked[0].tolist() == [0.0, 0.0]
         assert stacked[1].tobytes() == lone.tobytes()
 
@@ -236,10 +236,10 @@ class TestPolytope:
         corner = three_sided_corner()
         monkeypatch.setattr(ls.convex, "DYKSTRA_MAX_SWEEPS", 1)
         with pytest.raises(ConvergenceError) as err:
-            corner.project([3.0, 3.0])
+            project_one(corner, [3.0, 3.0])
         assert err.value.residual > DYKSTRA_TOL
         monkeypatch.setattr(ls.convex, "DYKSTRA_MAX_SWEEPS", DYKSTRA_MAX_SWEEPS)
-        np.testing.assert_allclose(corner.project([3.0, 3.0]), [1.0, 2.0], rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(project_one(corner, [3.0, 3.0]), [1.0, 2.0], rtol=0.0, atol=1e-9)
 
     def test_degenerate_polytope_projects_onto_its_corner(self):
         """Normals at multiples of 45 degrees, and a feasible set that is
@@ -251,41 +251,42 @@ class TestPolytope:
         normals = [[0.0, -1.0], [0.0, -1.0], [-1.0, 0.0], [1.0, -1.0], [1.0, 0.0]]
         offsets = [-1.0806, -0.5228, 0.385, -1.4657, -0.385]
         with pytest.raises(PreconditionError):
-            ls.Polytope(normals, offsets, witness=[-0.385, 1.0806])
-        poly = ls.Polytope(normals, offsets, witness=[-0.385, 1.0807])
+            stack_of([polytope_doc(normals, offsets, [-0.385, 1.0806])])
+        poly = polytope_doc(normals, offsets, [-0.385, 1.0807])
         y = [-1.2e-7, -0.6289]
         oracle = face_enumeration_projection(normals, offsets, y)
-        np.testing.assert_allclose(poly.project(y), oracle, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(project_one(poly, y), oracle, rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(oracle, [-0.385, 1.0807], rtol=0.0, atol=1e-12)
 
     def test_slow_wedge_converges_to_the_apex(self):
-        np.testing.assert_allclose(narrow_wedge(0.3).project([1.0, 0.5]), [0.0, 0.0], atol=1e-9)
+        np.testing.assert_allclose(project_one(narrow_wedge(0.3), [1.0, 0.5]), [0.0, 0.0], atol=1e-9)
 
     def test_json_round_trip(self):
+        # a document's fields travel intact into its stack of one
         square = unit_square()
-        doc = square.to_json_dict()
-        back = ls.ConvexBody.from_json_dict(doc)
-        assert isinstance(back, ls.Polytope)
-        np.testing.assert_array_equal(back.normals, square.normals)
-        np.testing.assert_array_equal(back.witness, square.witness)
+        kind, (normals, offsets, _, _, witnesses) = stack_of([square])
+        assert kind is ls.Polytope
+        np.testing.assert_array_equal(normals[0], halfspaces(square)[0])
+        np.testing.assert_array_equal(offsets[0], halfspaces(square)[1])
+        np.testing.assert_array_equal(witnesses[0], square["witness"])
 
 
 class TestBodyJson:
     def test_flat_round_trip(self):
-        flat = ls.AffineFlat([0.5, 0.5], [[SQRT_HALF, -SQRT_HALF]])
-        back = ls.ConvexBody.from_json_dict(flat.to_json_dict())
-        assert isinstance(back, ls.AffineFlat)
-        np.testing.assert_array_equal(back.base, flat.base)
+        flat = flat_doc([0.5, 0.5], [[SQRT_HALF, -SQRT_HALF]])
+        kind, (bases, basis) = stack_of([flat])
+        assert kind is ls.AffineFlat
+        assert bases[0].tolist() == flat["base"] and basis[0].tolist() == flat["basis"]
 
     def test_ball_round_trip(self):
-        ball = ls.Ball([1.0, -1.0, 0.0], 2.5)
-        back = ls.ConvexBody.from_json_dict(ball.to_json_dict())
-        assert isinstance(back, ls.Ball)
-        assert back.radius == 2.5
+        ball = ball_doc([1.0, -1.0, 0.0], 2.5)
+        kind, (centers, radii) = stack_of([ball])
+        assert kind is ls.Ball
+        assert centers[0].tolist() == ball["center"] and radii[0] == 2.5
 
     def test_unknown_kind(self):
         with pytest.raises(ls.SchemaError):
-            ls.ConvexBody.from_json_dict({"kind": "simplex"})
+            stack_of([{"kind": "simplex"}])
 
     @pytest.mark.parametrize(
         "doc",
@@ -300,19 +301,21 @@ class TestBodyJson:
     )
     def test_malformed_fields_are_schema_errors(self, doc):
         with pytest.raises((ls.SchemaError, ShapeError)):
-            ls.ConvexBody.from_json_dict(doc)
+            stack_of([doc])
 
 
 def closed_form_projection(body, y):
     """The one-vector closed forms the stacked kernels must reproduce bit
     for bit: ``base + B^T (B rel)`` and the radial ball formula."""
-    if isinstance(body, ls.AffineFlat):
-        rel = y - body.base
-        return body.base + body.basis.T @ (body.basis @ rel), float(np.linalg.norm(rel - body.basis.T @ (body.basis @ rel)))
-    rel = y - body.center
+    if body["kind"] == "flat":
+        base, basis = np.array(body["base"]), np.array(body["basis"])
+        rel = y - base
+        return base + basis.T @ (basis @ rel), float(np.linalg.norm(rel - basis.T @ (basis @ rel)))
+    center, radius = np.array(body["center"]), body["radius"]
+    rel = y - center
     nrm = float(np.linalg.norm(rel))
-    projected = y.copy() if nrm <= body.radius else body.center + (body.radius / nrm) * rel
-    return projected, max(0.0, nrm - body.radius)
+    projected = y.copy() if nrm <= radius else center + (radius / nrm) * rel
+    return projected, max(0.0, nrm - radius)
 
 
 class TestStacks:
@@ -320,19 +323,19 @@ class TestStacks:
         rng = np.random.default_rng(8)
         kernel_basis = np.linalg.qr(rng.normal(size=(3, 3)))[0][:2]
         groups = [
-            [ls.Ball(rng.normal(size=3), r) for r in (0.5, 1.0, 2.0)],
-            [ls.AffineFlat(rng.normal(size=3), kernel_basis) for _ in range(3)],
-            [ls.AffineFlat(rng.normal(size=3), np.linalg.qr(rng.normal(size=(3, 3)))[0][:1]) for _ in range(3)],
+            [ball_doc(rng.normal(size=3), r) for r in (0.5, 1.0, 2.0)],
+            [flat_doc(rng.normal(size=3), kernel_basis) for _ in range(3)],
+            [flat_doc(rng.normal(size=3), np.linalg.qr(rng.normal(size=(3, 3)))[0][:1]) for _ in range(3)],
         ]
         for group in groups:
-            kind, stack = type(group[0]), stack_of(group)
+            kind, stack = stack_of(group)
             ys = rng.normal(scale=2.0, size=(3, 3))
-            ys[0] = kind.project_stack(stack, ys)[0]  # a row inside its body
-            projected = kind.project_stack(stack, ys)
-            distances = kind.distance_stack(stack, ys)
+            ys[0] = kind.project(stack, ys)[0]  # a row inside its body
+            projected = kind.project(stack, ys)
+            distances = kind.distance_to(stack, ys)
             for i, body in enumerate(group):
-                assert projected[i].tobytes() == body.project(ys[i]).tobytes()
-                assert distances[i] == body.distance_to(ys[i])
+                assert projected[i].tobytes() == project_one(body, ys[i]).tobytes()
+                assert distances[i] == distance_one(body, ys[i])
                 want_projection, want_distance = closed_form_projection(body, ys[i])
                 assert projected[i].tobytes() == want_projection.tobytes()
                 assert distances[i] == want_distance
@@ -355,17 +358,17 @@ class TestStacks:
 )
 def test_projection_properties(y, z):
     bodies = [
-        ls.AffineFlat([0.5, 0.5], [[SQRT_HALF, -SQRT_HALF]]),
-        ls.Ball([0.25, -0.5], 0.75),
+        flat_doc([0.5, 0.5], [[SQRT_HALF, -SQRT_HALF]]),
+        ball_doc([0.25, -0.5], 0.75),
         unit_square(),
     ]
     y = np.asarray(y)
     z = np.asarray(z)
     for body in bodies:
-        py, pz = body.project(y), body.project(z)
+        py, pz = project_one(body, y), project_one(body, z)
         # idempotence
-        assert np.linalg.norm(body.project(py) - py) <= 1e-9
+        assert np.linalg.norm(project_one(body, py) - py) <= 1e-9
         # nonexpansiveness
         assert np.linalg.norm(py - pz) <= np.linalg.norm(y - z) + 1e-9
         # membership
-        assert body.contains(py, tol=1e-8)
+        assert distance_one(body, py) <= 1e-8

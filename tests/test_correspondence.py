@@ -1,3 +1,4 @@
+import collections
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import lipselect as ls
+from lipselect.cli import main
 from lipselect.errors import (
     PreconditionError,
     RankDeficiencyError,
@@ -14,7 +16,21 @@ from lipselect.errors import (
     ShapeError,
 )
 
-from conftest import COORD, line_space, mixed_bodies, moving_ball_instance, segment_instance
+# the root conftest.py puts bench/ on the path
+import workloads
+from conftest import (
+    COORD,
+    ball_doc,
+    correspondence,
+    distance_one,
+    flat_doc,
+    line_space,
+    mixed_bodies,
+    polytope_doc,
+    project_one,
+    segment_document,
+    stack_of,
+)
 
 SQRT_HALF = 2.0**-0.5
 
@@ -66,18 +82,18 @@ class TestLinearSurjection:
             ls.LinearSurjection([[1.0], [2.0]])
 
     def test_json_round_trip(self, T_sum):
-        back = ls.LinearSurjection.from_json_dict(T_sum.to_json_dict())
+        back = ls.LinearSurjection.from_json_dict({"matrix": T_sum.matrix.tolist()})
         np.testing.assert_array_equal(back.matrix, T_sum.matrix)
 
 
 class TestInverseImage:
     def test_sum_map(self, T_sum, two_point_codomain):
         phi = ls.inverse_image_correspondence(T_sum, two_point_codomain)
-        body = phi.body(1)
-        assert isinstance(body, ls.AffineFlat)
-        np.testing.assert_allclose(body.base, [0.5, 0.5], atol=1e-15)
+        ((_, kind, (bases, basis)),) = phi._stacks
+        assert kind is ls.AffineFlat
+        np.testing.assert_allclose(bases[1], [0.5, 0.5], atol=1e-15)
         # kernel direction is +-(1, -1)/sqrt(2)
-        direction = body.basis[0]
+        direction = basis[1][0]
         np.testing.assert_allclose(np.abs(direction), [SQRT_HALF, SQRT_HALF], atol=1e-12)
         assert direction[0] * direction[1] == pytest.approx(-0.5, abs=1e-12)
 
@@ -85,14 +101,15 @@ class TestInverseImage:
         T = ls.LinearSurjection(np.eye(2))
         space = ls.SampledMetricSpace("l2", coords=[[0.0, 1.0]])
         phi = ls.inverse_image_correspondence(T, space)
-        body = phi.body(0)
-        assert body.basis.shape == (0, 2)
-        np.testing.assert_allclose(body.base, [0.0, 1.0], atol=1e-15)
+        ((_, _, (bases, basis)),) = phi._stacks
+        assert basis[0].shape == (0, 2)
+        np.testing.assert_allclose(bases[0], [0.0, 1.0], atol=1e-15)
 
     def test_kernel_through_origin(self, T_sum):
         space = ls.SampledMetricSpace("l2", coords=[[0.0]])
         phi = ls.inverse_image_correspondence(T_sum, space)
-        np.testing.assert_allclose(phi.body(0).base, [0.0, 0.0], atol=1e-15)
+        ((_, _, (bases, _)),) = phi._stacks
+        np.testing.assert_allclose(bases[0], [0.0, 0.0], atol=1e-15)
 
     def test_one_stack_with_the_least_norm_bases(self):
         T = ls.LinearSurjection(np.random.default_rng(4).normal(size=(3, 6)))
@@ -128,8 +145,8 @@ class TestLowerPtlip:
 
     def test_constant_correspondence_rate_zero(self):
         space = line_space([0, 1.0])
-        ball = ls.Ball([0.0, 0.0], 1.0)
-        phi = ls.Correspondence(space, [ball, ball])
+        ball = ball_doc([0.0, 0.0], 1.0)
+        phi = correspondence(space, [ball, ball])
         g = ls.local_strong_selection(phi, 0, [0.5, 0.0], 0.0)
         np.testing.assert_array_equal(g, [[0.5, 0.0], [0.5, 0.0]])
 
@@ -156,7 +173,7 @@ class TestLowerPtlip:
         b = 3
         y = T.minimum_norm_solution(space.coordinate(b))
         row = space.distance_row(b)
-        realized = max(phi.body(a).distance_to(y) / row[a] for a in range(len(space)) if a != b)
+        realized = max(phi.distances([a], y[None])[0] / row[a] for a in range(len(space)) if a != b)
         assert realized <= 1.0 / T.sigma_min + 1e-12
         ls.local_strong_selection(phi, b, y, realized, tol=1e-12)
         with pytest.raises(RateError):
@@ -175,8 +192,8 @@ class TestLocalStrongSelection:
 
     def test_constant_correspondence_identity(self):
         space = line_space([0, 0.5, 1.0])
-        ball = ls.Ball([0.0, 0.0], 1.0)
-        phi = ls.Correspondence(space, [ball] * len(space))
+        ball = ball_doc([0.0, 0.0], 1.0)
+        phi = correspondence(space, [ball] * len(space))
         y = np.array([0.25, 0.25])
         g = ls.local_strong_selection(phi, 0, y, rate=0.0)
         for row in g:
@@ -184,8 +201,7 @@ class TestLocalStrongSelection:
 
     def test_anchor_inside_moving_balls(self):
         space = line_space([-1, -0.5, 0, 0.5, 1])
-        bodies = [ls.Ball([x, 0.0], 1.0) for x in space.coords[:, 0]]
-        phi = ls.Correspondence(space, bodies)
+        phi = correspondence(space, [ball_doc([x, 0.0], 1.0) for x in space.coords[:, 0]])
         g = ls.local_strong_selection(phi, 2, [0.0, 0.0], rate=1.0)
         for row in g:
             np.testing.assert_array_equal(row, [0.0, 0.0])
@@ -198,7 +214,7 @@ class TestLocalStrongSelection:
         anchor = g[2]
         assert float(np.linalg.norm(anchor - y)) <= 1e-12
         for a, row in enumerate(g):
-            assert phi.body(a).contains(row, tol=1e-8)
+            assert phi.distances([a], row[None])[0] <= 1e-8
             bound = SQRT_HALF * space.distance(2, a) + 1e-9
             assert np.linalg.norm(row - anchor) <= bound
 
@@ -206,7 +222,7 @@ class TestLocalStrongSelection:
         # y sits 1e-12 outside the ball at 0, within tol: its projection
         # moves it, the anchor row does not
         space = line_space([0, 1.0])
-        phi = ls.Correspondence(space, [ls.Ball([0.0, 0.0], 1.0), ls.Ball([1.0, 0.0], 1.0)])
+        phi = correspondence(space, [ball_doc([0.0, 0.0], 1.0), ball_doc([1.0, 0.0], 1.0)])
         y = np.array([-(1.0 + 1e-12), 0.0])
         assert not np.array_equal(phi.project([0], y[None])[0], y)
         g = ls.local_strong_selection(phi, 0, y, rate=3.0)
@@ -217,16 +233,16 @@ class TestLocalStrongSelection:
         # apex, which Dykstra's method approaches by a slow zigzag and the
         # certified projection reaches
         s, c = np.sin(0.003), np.cos(0.003)
-        wedge = ls.Polytope([[s, c], [s, -c]], [0.0, 0.0], witness=[-1.0, 0.0])
+        wedge = polytope_doc([[s, c], [s, -c]], [0.0, 0.0], [-1.0, 0.0])
         space = line_space([0, 1.0])
-        phi = ls.Correspondence(space, [wedge, ls.Ball([1.0, 0.5], 0.1)])
+        phi = correspondence(space, [wedge, ball_doc([1.0, 0.5], 0.1)])
         g = ls.local_strong_selection(phi, 1, [1.0, 0.5], rate=10.0)
         np.testing.assert_allclose(g[0], [0.0, 0.0], rtol=0.0, atol=ls.convex.DYKSTRA_TOL)
         assert g[1].tolist() == [1.0, 0.5]
 
     def test_rate_error_with_witness(self):
         space = line_space([0, 1.0])
-        phi = ls.Correspondence(space, [ls.Ball([0.0, 0.0], 0.5), ls.Ball([5.0, 0.0], 0.5)])
+        phi = correspondence(space, [ball_doc([0.0, 0.0], 0.5), ball_doc([5.0, 0.0], 0.5)])
         with pytest.raises(RateError) as err:
             ls.local_strong_selection(phi, 0, [0.0, 0.0], rate=1.0)
         assert err.value.witness == 1
@@ -236,7 +252,7 @@ class TestLocalStrongSelection:
     def test_rate_error_names_the_worst_point(self):
         # both far balls break rate 1; the farther one by more
         space = line_space([0, 1.0, 2.0])
-        phi = ls.Correspondence(space, [ls.Ball([x, 0.0], 0.5) for x in (0.0, 2.0, 5.0)])
+        phi = correspondence(space, [ball_doc([x, 0.0], 0.5) for x in (0.0, 2.0, 5.0)])
         with pytest.raises(RateError) as err:
             ls.local_strong_selection(phi, 0, [0.0, 0.0], rate=1.0)
         assert err.value.witness == 2
@@ -244,24 +260,28 @@ class TestLocalStrongSelection:
 
 
 class TestCorrespondenceJson:
+    SPACE = {"metric": "l2", "points": [[-1.0], [1.0]]}
+
     def test_round_trip(self, T_sum, two_point_codomain):
         phi = ls.inverse_image_correspondence(T_sum, two_point_codomain)
-        doc = phi.to_json_dict()
-        back = ls.Correspondence.from_json_dict(doc)
+        ((_, _, (bases, basis)),) = phi._stacks
+        doc = {"space": self.SPACE, "bodies": {str(a): flat_doc(bases[a], basis[a]) for a in range(2)}}
+        back = ls.Correspondence.from_json_dict(json.loads(json.dumps(doc)))
         # bodies travel intact
         assert back.ambient_dim == 2
-        np.testing.assert_allclose(back.body(0).base, phi.body(0).base, atol=1e-15)
+        ((_, kind, (back_bases, back_basis)),) = back._stacks
+        assert kind is ls.AffineFlat
+        assert back_bases.tobytes() == bases.tobytes() and back_basis.tobytes() == basis.tobytes()
 
     def test_unknown_body_key_rejected(self, two_point_codomain):
-        ball = ls.Ball([0.0], 1.0).to_json_dict()
-        doc = {"space": {"metric": "l2", "points": [[0.0], [1.0]]}, "bodies": {"0": ball, "1": ball, "7": ball}}
+        ball = ball_doc([0.0], 1.0)
+        doc = {"space": self.SPACE, "bodies": {"0": ball, "1": ball, "7": ball}}
         with pytest.raises(SchemaError, match="unknown points"):
             ls.Correspondence.from_json_dict(doc)
 
     def test_missing_body_rejected(self, two_point_codomain):
-        ball = ls.Ball([0.0], 1.0)
-        with pytest.raises(PreconditionError):
-            ls.Correspondence(two_point_codomain, [ball])
+        with pytest.raises(SchemaError):
+            ls.Correspondence.from_json_dict({"space": self.SPACE, "bodies": {"0": ball_doc([0.0], 1.0)}})
 
 
 # -- batched projection ------------------------------------------------------
@@ -274,19 +294,19 @@ def test_batched_kernels_equal_the_per_body_methods(data):
     n = data.draw(st.integers(1, 8))
     bodies = data.draw(st.lists(mixed_bodies(dim), min_size=n, max_size=n))
     space = ls.SampledMetricSpace("l2", coords=[[float(i)] for i in range(n)])
-    phi = ls.Correspondence(space, bodies)
+    phi = correspondence(space, bodies)
     # pairs in any order, a point repeated or left out, one query each
     points = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
     ys = np.array(data.draw(st.lists(st.lists(COORD, min_size=dim, max_size=dim), min_size=len(points), max_size=len(points)))).reshape(-1, dim)
     projected, distances = phi.project(points, ys), phi.distances(points, ys)
     for a, y, row, dist in zip(points, ys, projected, distances):
-        assert row.tobytes() == bodies[a].project(y).tobytes()
-        assert _bits(dist) == _bits(bodies[a].distance_to(y))
+        assert row.tobytes() == project_one(bodies[a], y).tobytes()
+        assert _bits(dist) == _bits(distance_one(bodies[a], y))
     # queries outside, on and inside every body: projections are members
     table = np.array(data.draw(st.lists(st.lists(COORD, min_size=dim, max_size=dim), min_size=n, max_size=n)))
     for rows in (table, phi.project(range(n), table), phi.canonical_selection()):
         got = phi.distances_to(rows)
-        want = np.array([body.distance_to(row) for body, row in zip(bodies, rows)])
+        want = np.array([distance_one(body, row) for body, row in zip(bodies, rows)])
         assert got.tobytes() == want.tobytes()
 
 
@@ -297,62 +317,98 @@ def _bits(x) -> bytes:
 @seed(7)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_parsed_stacks_equal_the_stacks_of_the_bodies(data):
-    """Documents parse straight into the stacks of the caller's bodies:
-    same rows, kinds and bits.  The caller's bodies, the bodies parsed from
-    their documents, the correspondence's bodies and its rows project and
-    measure every query to the same bits, queries on the coordinate axes
-    included."""
+def test_a_list_parsed_together_equals_each_document_parsed_alone(data):
+    """Body documents parsed as one list, into one stack per kind and
+    shape, equal each document parsed alone, a stack of one, bit for bit:
+    every row of a stack holds its own document's kind and fields, and
+    projects and measures every query to the same bits, queries on the
+    coordinate axes included."""
     dim = data.draw(st.integers(1, 3))
     n = data.draw(st.integers(1, 8))
-    bodies = data.draw(st.lists(mixed_bodies(dim), min_size=n, max_size=n))
-    space = ls.SampledMetricSpace("l2", coords=[[float(i)] for i in range(n)])
-    direct = ls.Correspondence(space, bodies)
-    parsed = ls.Correspondence.from_json_dict(json.loads(json.dumps(direct.to_json_dict())))
-    assert len(parsed._stacks) == len(direct._stacks)
-    for (rows, kind, stack), (want_rows, want_kind, want_stack) in zip(parsed._stacks, direct._stacks):
-        assert rows.tolist() == want_rows.tolist() and kind is want_kind
-        assert [(p.shape, p.tobytes()) for p in stack] == [(p.shape, p.tobytes()) for p in want_stack]
-    documents = [ls.ConvexBody.from_json_dict(json.loads(json.dumps(body.to_json_dict()))) for body in bodies]
-    for a, (body, document) in enumerate(zip(bodies, documents)):
-        view = parsed.body(a)
-        assert type(view) is type(document) is type(body)
-        assert [p.tobytes() for p in view.parts] == [p.tobytes() for p in document.parts] == [p.tobytes() for p in body.parts]
+    docs = data.draw(st.lists(mixed_bodies(dim), min_size=n, max_size=n))
+    doc = {"space": {"metric": "l2", "points": [[float(i)] for i in range(n)]},
+           "bodies": {str(a): body for a, body in enumerate(docs)}}
+    phi = ls.Correspondence.from_json_dict(json.loads(json.dumps(doc)))
+    assert sorted(a for rows, _, _ in phi._stacks for a in rows.tolist()) == list(range(n))
+    for rows, kind, stack in phi._stacks:
+        for i, a in enumerate(rows):
+            alone_kind, alone = stack_of([docs[a]])
+            assert kind is alone_kind
+            assert [(p[i : i + 1].shape, p[i : i + 1].tobytes()) for p in stack] == [(p.shape, p.tobytes()) for p in alone]
     y = np.array(data.draw(st.lists(COORD, min_size=dim, max_size=dim)))
     for y in (y, np.eye(dim)[0], np.eye(dim)[-1]):
-        for phi in (parsed, direct):
-            projected = phi.project(range(n), np.broadcast_to(y, (n, dim)))
-            distances = phi.distances_to(np.broadcast_to(y, (n, dim)))
-            for a, owners in enumerate(zip(bodies, documents)):
-                for body in (*owners, phi.body(a)):
-                    assert _bits(body.project(y)) == _bits(projected[a])
-                    assert _bits(body.distance_to(y)) == _bits(phi.distances([a], y[None])) == _bits(distances[a])
+        projected = phi.project(range(n), np.broadcast_to(y, (n, dim)))
+        distances = phi.distances_to(np.broadcast_to(y, (n, dim)))
+        for a, body in enumerate(docs):
+            assert _bits(project_one(body, y)) == _bits(projected[a])
+            assert _bits(distance_one(body, y)) == _bits(phi.distances([a], y[None])) == _bits(distances[a])
 
 
-@pytest.mark.parametrize("instance", ["balls", "flats"])
-def test_the_engine_builds_no_body_objects(monkeypatch, instance):
-    """Selection and its audit read every body from the stacks; per-point
-    body objects are built only where a caller asks for one."""
-    if instance == "balls":
-        phi, f0, config = moving_ball_instance(3, n_points=65)
-        phi = ls.Correspondence.from_json_dict(phi.to_json_dict())
+def _counted_kernels(monkeypatch) -> collections.Counter:
+    """Counters on each kind's own ``project`` and ``distance_to``, patched
+    as the benchmark's tracer patches them: a classmethod stays one and
+    counts under the kind it runs for, any other kernel is replaced by a
+    plain function."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def kernel(*args):
+            calls[name] += 1
+            return fn(*args)
+        return kernel
+
+    def counted_for_kind(attr, fn):
+        def kernel(cls, *args):
+            calls[f"{cls.__name__}.{attr}"] += 1
+            return fn(cls, *args)
+        return classmethod(kernel)
+
+    for kind in (ls.ConvexBody, ls.AffineFlat, ls.Ball, ls.Polytope):
+        for attr in ("project", "distance_to"):
+            raw = kind.__dict__.get(attr)
+            if isinstance(raw, classmethod):
+                monkeypatch.setattr(kind, attr, counted_for_kind(attr, raw.__func__))
+            elif raw is not None:
+                monkeypatch.setattr(kind, attr, counted(f"{kind.__name__}.{attr}", raw))
+    return calls
+
+
+@pytest.mark.parametrize("instance, kind", [("balls", "Ball"), ("polytopes", "Polytope"), ("flats", "AffineFlat")])
+def test_the_verbs_run_each_kinds_kernels(tmp_path, monkeypatch, capsys, instance, kind):
+    """``select`` projects and measures, and ``verify`` measures, through
+    the kernels of the kind of their bodies, the names the tracer wraps (a
+    polytope measures through the inherited ``ConvexBody.distance_to``,
+    which projects)."""
+    calls = _counted_kernels(monkeypatch)
+    if instance == "flats":
+        corr = tmp_path / "correspondence.json"
+        corr.write_text(json.dumps(segment_document(9)))
+        it = tmp_path / "iteration.json"
+        it.write_text(json.dumps({"alpha": 2.0**-0.5, "beta": 1.0, "rounds": 3}))
+        solve = ["select", "--correspondence", str(corr), "--iteration", str(it), "--out", str(tmp_path / "select.json")]
+        read = workloads._verify_read_path
     else:
-        _, phi, f0, config = segment_instance(n_points=65)
-    monkeypatch.setattr(ls.ConvexBody, "_of", classmethod(lambda cls, parts: pytest.fail("built a body")))
-    assert ls.verify_sequence(ls.run_iteration(phi, f0, config))["passed"]
+        inst = workloads.build(instance, 0, tmp_path, "tiny")
+        solve, read = inst.solve_argv, lambda _, report: inst.read_argv(report)
+    assert main(solve) == 0
+    assert calls[f"{kind}.project"] and calls[f"{kind}.distance_to"]
+    calls.clear()
+    assert main(read(tmp_path, json.loads((tmp_path / "select.json").read_text()))) == 0
+    assert calls[f"{kind}.distance_to"]
+    assert sum(calls.values()) == calls[f"{kind}.project"] + calls[f"{kind}.distance_to"]
 
 
 def test_project_groups_by_kind_and_shape():
     space = ls.SampledMetricSpace("l2", coords=[[float(i)] for i in range(5)])
-    square = ls.Polytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0, 0.0, 1.0, 0.0], [0.5, 0.5])
+    square = polytope_doc([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0, 0.0, 1.0, 0.0], [0.5, 0.5])
     bodies = [
-        ls.AffineFlat([0.0, 0.0], [[1.0, 0.0]]),
+        flat_doc([0.0, 0.0], [[1.0, 0.0]]),
         square,
-        ls.AffineFlat([1.0, 1.0]),
-        ls.Polytope([[1.0, 1.0]], [0.0], [0.0, 0.0]),
-        ls.AffineFlat([0.0, 3.0], [[0.0, 1.0]]),
+        flat_doc([1.0, 1.0]),
+        polytope_doc([[1.0, 1.0]], [0.0], [0.0, 0.0]),
+        flat_doc([0.0, 3.0], [[0.0, 1.0]]),
     ]
-    phi = ls.Correspondence(space, bodies)
+    phi = correspondence(space, bodies)
     assert [rows.tolist() for rows, _, _ in phi._stacks] == [[0, 4], [1], [2], [3]]
     np.testing.assert_allclose(
         phi.project(range(5), np.full((5, 2), 2.0)), [[2.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [0.0, 2.0]], atol=1e-9

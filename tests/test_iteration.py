@@ -21,14 +21,20 @@ from lipselect.iteration import BOUND_SLACK, MEMBERSHIP_TOL, _round_checks, chan
 
 # the root conftest.py puts bench/ on the path
 import workloads
-from conftest import grid_space, line_space, mixed_bodies, moving_ball_instance, segment_instance
+from conftest import (
+    ball_doc,
+    correspondence,
+    line_space,
+    mixed_bodies,
+    moving_ball_instance,
+    segment_instance,
+)
 
 
 def constant_ball_run(rounds=3):
     space = line_space([0, 0.4, 0.8])
-    ball = ls.Ball([1.0, 1.0], 0.5)
-    phi = ls.Correspondence(space, [ball] * len(space))
-    f0 = np.tile(ball.center, (len(space), 1))
+    phi = correspondence(space, [ball_doc([1.0, 1.0], 0.5)] * len(space))
+    f0 = np.tile([1.0, 1.0], (len(space), 1))
     config = ls.IterationConfig(alpha=0.0, beta=0.3, rounds=rounds)
     return phi, f0, config
 
@@ -172,7 +178,7 @@ def per_anchor_run(phi, f0, config):
         f = tables[-1]
         table, deltas = f.copy(), {}
         for b in (b for b in members if b not in prev):
-            g = np.array([phi.body(a).project(f[b]) for a in range(len(space))])
+            g = np.array([phi.project([a], f[b][None])[0] for a in range(len(space))])
             g[b] = f[b]
             diffs = np.linalg.norm(f - g, axis=1)
             row = space.distance_row(b)
@@ -207,7 +213,7 @@ def mixed_instances(draw):
         space = ls.SampledMetricSpace("l2", coords=coords)
     dim = draw(st.integers(1, 2))
     bodies = mixed_bodies(dim, normal=st.sampled_from([-1.0, 0.0, 1.0]))
-    phi = ls.Correspondence(space, draw(st.lists(bodies, min_size=len(values), max_size=len(values))))
+    phi = correspondence(space, draw(st.lists(bodies, min_size=len(values), max_size=len(values))))
     epsilon = draw(st.sampled_from([1e-3, 0.5, 4.0, 100.0]))
     config = ls.IterationConfig(alpha=1e4, beta=1e4 + 4.0 * epsilon, epsilon=epsilon, rounds=3)
     return phi, phi.canonical_selection(), config
@@ -254,10 +260,10 @@ class TestLocality:
 
     # the center of the first ball is 4.5 from the second, which its anchor
     # reads 1 apart (outside the 2^-2-ball) or 0.1 apart (inside)
-    BALLS = [ls.Ball([0.0, 0.0], 0.5), ls.Ball([5.0, 0.0], 0.5)]
+    BALLS = [ball_doc([0.0, 0.0], 0.5), ball_doc([5.0, 0.0], 0.5)]
 
     def test_failure_outside_every_ball_does_not_raise(self):
-        phi = ls.Correspondence(line_space([0, 1.0]), self.BALLS)
+        phi = correspondence(line_space([0, 1.0]), self.BALLS)
         f0 = phi.canonical_selection()
         config = ls.IterationConfig(alpha=1.0, beta=2.0, rounds=1)
         seq = ls.run_iteration(phi, f0, config)
@@ -269,7 +275,7 @@ class TestLocality:
         assert err.value.witness == 1
 
     def test_failure_inside_a_ball_names_round_and_anchor(self):
-        phi = ls.Correspondence(line_space([0, 0.1]), self.BALLS)
+        phi = correspondence(line_space([0, 0.1]), self.BALLS)
         config = ls.IterationConfig(alpha=1.0, beta=2.0, rounds=1)
         with pytest.raises(RateError, match=r"^round 1, anchor 0: .* fails at 1 by 4\.400e\+00") as err:
             ls.run_iteration(phi, phi.canonical_selection(), config)
@@ -321,7 +327,7 @@ class TestRunIteration:
 
     def test_two_point_space_single_round(self):
         space = line_space([0, 1.0])
-        phi = ls.Correspondence(space, [ls.Ball([x, 0.0], 2.0) for x in space.coords[:, 0]])
+        phi = correspondence(space, [ball_doc([x, 0.0], 2.0) for x in space.coords[:, 0]])
         f0 = np.array([[x, 0.0] for x in space.coords[:, 0]])
         config = ls.IterationConfig(alpha=1.0, beta=2.0, rounds=1)
         seq = ls.run_iteration(phi, f0, config)
@@ -408,8 +414,7 @@ class TestVerifyRoundProperties:
         # anchors 0 and 2 of a constant correspondence, each with its point
         # 1/64 away pushed by the same vector: equal excesses
         space = line_space([0, 1 / 64, 1, 1 + 1 / 64])
-        ball = ls.Ball([0.0, 0.0], 1.0)
-        phi = ls.Correspondence(space, [ball] * 4)
+        phi = correspondence(space, [ball_doc([0.0, 0.0], 1.0)] * 4)
         seq = ls.run_iteration(phi, np.zeros((4, 2)), ls.IterationConfig(alpha=0.0, beta=1.0, rounds=1))
         assert list(seq.rounds[0].deltas) == [0, 2]
         seq.tables[1][[1, 3]] += [0.25, 0.0]
@@ -664,13 +669,13 @@ def test_a_row_moved_out_in_round_2_and_back_in_round_4(tmp_path, name, rounds):
 
 def test_the_audit_calls_the_body_kernel_once(tmp_path, monkeypatch):
     seq = instance_run("polytopes", 6, tmp_path)
-    calls, kernel = [], ls.Polytope.project_stack
+    calls, kernel = [], ls.Polytope.project
 
     def counted(stack, ys):
         calls.append(len(ys))
         return kernel(stack, ys)
 
-    monkeypatch.setattr(ls.Polytope, "project_stack", staticmethod(counted))
+    monkeypatch.setattr(ls.Polytope, "project", staticmethod(counted))
     # a round alone measures its whole table
     ls.verify_round_properties(seq, 6)
     assert calls == [len(seq.space)]
