@@ -3,7 +3,6 @@ sampled metric spaces, and positively homogeneous right inverses of linear
 surjections built from them."""
 
 from .bartle_graves import (
-    RightInverse,
     build_right_inverse,
     sphere_sample,
     verify_right_inverse,
@@ -44,7 +43,6 @@ from .iteration import (
 )
 from .lipschitz import (
     PlipProfiles,
-    SphereTable,
     default_radii,
     homogeneous_extension,
     plip_profile,

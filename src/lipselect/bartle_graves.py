@@ -3,25 +3,26 @@
 For a full-row-rank ``T`` the pipeline is: take the openness constant
 ``gamma`` (the smallest singular value, so that ``gamma``-balls of the
 codomain are covered by images of unit balls), sample the codomain unit
-sphere, form the inverse-image correspondence over the sample, run the
+sphere, form the inverse-image correspondence over the sample, and run the
 selection iteration at rate ``alpha = 1 / gamma`` starting from the
-least-norm selection, and extend the resulting sphere table positively
-homogeneously.  The result satisfies ``T(tau(y)) = y`` on sampled rays, is
-exactly homogeneous along rays, and carries the pointwise rate
+least-norm selection.  The run is the right inverse: its space is the
+sphere sample, its last table tau on the sample, and tau extends
+positively homogeneously (:func:`~lipselect.lipschitz.homogeneous_extension`).
+The result satisfies ``T(tau(y)) = y`` on sampled rays, is exactly
+homogeneous along rays, and carries the pointwise rate
 ``eta = 2 beta + sup ||tau||`` on rays of the final separation set, which
 verification probes against the table on the neighbouring sampled rays.
 
 Off-sample directions are evaluated through the nearest sampled direction;
 the right-inverse identity there holds only against that semantics, and
 verification reports those residuals separately instead of hiding them.
-Verification returns the verb's report body as plain records: one per
-check, each with its pass flag and its worst value and witness, reduced
-from arrays over the trial directions and scales that stay local to it.
+Verification reads the run and returns the verb's whole report body as
+plain records: the run's own fields, then one record per check, each with
+its pass flag and its worst value and witness, reduced from arrays over the
+trial directions and scales that stay local to it.
 """
 
 from __future__ import annotations
-
-from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,13 +31,11 @@ from .correspondence import (
     LinearSurjection,
     inverse_image_correspondence,
 )
-from .errors import ConfigurationError, ParameterError, PreconditionError
+from .errors import ConfigurationError, ParameterError
 from .iteration import IterationConfig, SelectionSequence, run_iteration
 from .lipschitz import (
-    SphereTable,
     homogeneous_extension,
     nearest_direction_index,
-    ray_scales,
     verify_homogeneous_plip,
 )
 from .metric import BLOCK_ROWS, SampledMetricSpace, covering_radius, round_members
@@ -45,6 +44,8 @@ COORD_SNAP = 1e-12
 # T tau(y) = y must hold to this residual; the ray rate to this slack
 IDENTITY_TOL = 1e-8
 PLIP_TOL = 1e-6
+# the positive scalings of each dense-set direction that the checks try
+RAY_SCALES = (0.5, 2.0, 10.0)
 
 
 def sphere_sample(m: int, count: int, seed: int = 0, dedup_tol: float = 1e-6) -> SampledMetricSpace:
@@ -134,74 +135,27 @@ def _joining(kept: np.ndarray, batch: np.ndarray, tol: float) -> np.ndarray:
     return keep[n0:]
 
 
-class RightInverse:
-    """A positively homogeneous right inverse, sampled on sphere directions.
-
-    The sphere sample is ``table.space``.  ``dense_set`` holds the final
-    separation members (indices into the sphere sample); together with all
-    their positive scalings it is the set on which the pointwise rate
-    ``eta`` is certified.  Structurally it is a countable union of
-    separated sets (recorded here as metadata, not tested numerically).
-    """
-
-    def __init__(self, T: LinearSurjection, table: SphereTable, gamma: float, alpha: float, beta: float, eta: float,
-                 dense_set: Tuple[int, ...], tail_bound: float, pinv_gap: float, sequence: SelectionSequence):
-        self.T = T
-        self.table = table
-        self.gamma = gamma
-        self.alpha = alpha
-        self.beta = beta
-        self.eta = eta
-        self.dense_set = dense_set
-        self.tail_bound = tail_bound
-        self.pinv_gap = pinv_gap
-        self.sequence = sequence
-
-    def __call__(self, y) -> np.ndarray:
-        """Positively homogeneous extension of the sphere table at ``y``
-        (zero at the origin, nearest sampled direction off-sample)."""
-        return homogeneous_extension(self.table, y)
-
-
 def build_right_inverse(
     T: LinearSurjection,
     beta: float,
     sphere_count: int = 64,
     seed: int = 0,
     rounds: int = 4,
-) -> RightInverse:
-    """Run the whole pipeline.  ``beta`` must exceed ``1 / gamma``; the
-    iteration keeps the default ``epsilon``, ``delta_min`` and ``tol``."""
-    gamma = T.sigma_min
-    alpha = 1.0 / gamma
+) -> SelectionSequence:
+    """Run the whole pipeline: the selection iteration over the inverse
+    images of a sphere sample, at rate ``alpha = 1 / gamma`` from the
+    least-norm selection.  The returned run is the right inverse: its space
+    is the sphere sample, ``tables[-1]`` is tau on it and ``tables[0]`` the
+    least-norm start.  ``beta`` must exceed ``1 / gamma``; the iteration
+    keeps the default ``epsilon``, ``delta_min`` and ``tol``."""
+    alpha = 1.0 / T.sigma_min
     if not beta > alpha:
         raise ParameterError(
             f"beta must exceed 1/gamma = {alpha}; got beta = {beta}"
         )
-    sphere = sphere_sample(T.codomain_dim, sphere_count, seed=seed)
-    phi = inverse_image_correspondence(T, sphere)
+    phi = inverse_image_correspondence(T, sphere_sample(T.codomain_dim, sphere_count, seed=seed))
     # the flats' bases are the least-norm solutions
-    f0 = phi.canonical_selection()
-    config = IterationConfig(
-        alpha=alpha,
-        beta=beta,
-        rounds=rounds,
-    )
-    seq = run_iteration(phi, f0, config)
-    table = SphereTable(sphere, seq.tables[-1])
-    eta = 2.0 * beta + table.sup_norm()
-    return RightInverse(
-        T=T,
-        table=table,
-        gamma=gamma,
-        alpha=alpha,
-        beta=beta,
-        eta=eta,
-        dense_set=tuple(round_members(seq.entry, rounds).tolist()),
-        tail_bound=seq.tail_bound,
-        pinv_gap=float(np.linalg.norm(table.values - f0, axis=1).max()),
-        sequence=seq,
-    )
+    return run_iteration(phi, phi.canonical_selection(), IterationConfig(alpha=alpha, beta=beta, rounds=rounds))
 
 
 def _worst(name: str, values, directions, scales) -> dict:
@@ -211,49 +165,39 @@ def _worst(name: str, values, directions, scales) -> dict:
     return {name: float(values[at]), "witness": {"direction": int(directions[at[0]]), "scale": float(scales[at[-1]])}}
 
 
-def verify_right_inverse(
-    ri: RightInverse,
-    scales: Sequence[float] = (0.5, 2.0, 10.0),
-    directions: Optional[Sequence[int]] = None,
-) -> dict:
-    """Four checks over trial rays of the certified dense set.
+def verify_right_inverse(T: LinearSurjection, seq: SelectionSequence) -> dict:
+    """The ``bartle-graves`` report body of the run ``seq`` of
+    :func:`build_right_inverse`: the run's own fields, then four checks over
+    the rays of the certified dense set, the final separation members, at
+    the scales ``RAY_SCALES``.
 
-    (i) ``T(tau(y)) = y`` at sampled directions and their scalings, plus
+    The fields are ``gamma``, ``alpha``, ``beta``, ``eta = 2 beta + sup
+    ||tau||``, ``tail_bound``, ``pinv_gap`` (the largest move of tau away
+    from the least-norm start) and ``dense_set``.  The checks are (i)
+    ``T(tau(y)) = y`` at sampled directions and their scalings, plus
     off-sample midpoint directions checked against the nearest-direction
-    semantics; (ii) positive homogeneity ``tau(scale * y) = scale * tau(y)``
-    compared bitwise; (iii) the pointwise rate ``eta`` on dense-set rays,
-    probed on neighbouring sampled rays;
-    (iv) the covering radius of the dense set against its separation
-    radius.  Every scale must be positive and finite, and neither the
-    directions nor the scales may be empty.
-
-    Returns the ``bartle-graves`` report body: ``checks`` (one record per
-    check), ``off_sample_identity_residuals`` (reported, not judged) and
-    ``passed``.
+    semantics; (ii) positive homogeneity ``tau(scale * y) = scale *
+    tau(y)`` compared bitwise; (iii) the pointwise rate ``eta`` on
+    dense-set rays, probed on neighbouring sampled rays; (iv) the covering
+    radius of the dense set against its separation radius.  Then come
+    ``checks`` (one record per check), ``off_sample_identity_residuals``
+    (reported, not judged) and ``passed``.
     """
-    if directions is None:
-        directions = ri.dense_set
-    if not len(directions):
-        raise ParameterError("the trial set is empty: no trial direction to check")
-    certified = np.isin(np.asarray(directions), ri.dense_set)
-    if not certified.all():
-        raise PreconditionError(
-            f"trial direction {directions[int(np.argmin(certified))]} is not in the certified dense set"
-        )
-    ks = np.array([ri.table.space.index(k) for k in directions], dtype=int)
-    scales = np.concatenate([[1.0], ray_scales(scales)])
-    coords = ri.table.directions
+    space, values, beta = seq.space, seq.tables[-1], seq.config.beta
+    dense_set = round_members(seq.entry, seq.config.rounds)
+    scales = np.concatenate([[1.0], RAY_SCALES])
+    coords = space.coords
     # tau on every (direction, scale) point in one call, in kernel blocks;
     # column c is y = scales[c] d_k, the homogeneity columns are c >= 1
-    ys = scales[:, None] * coords[ks, None]
-    values = ri(ys.reshape(-1, ys.shape[-1])).reshape(ys.shape[:2] + ri.table.values.shape[1:])
-    residuals = _row_norms(_matvec(ri.T.matrix, values) - ys)
-    rhs = scales[1:, None] * values[:, :1]
+    ys = scales[:, None] * coords[dense_set, None]
+    taus = homogeneous_extension(values, space, ys.reshape(-1, ys.shape[-1])).reshape(ys.shape[:2] + values.shape[1:])
+    residuals = _row_norms(_matvec(T.matrix, taus) - ys)
+    rhs = scales[1:, None] * taus[:, :1]
     # scaling by powers of two is exact for every direction; other scales
     # are exact whenever the scaled coordinates are themselves exactly
     # representable, which the exact-coordinate directions guarantee.
     # Remaining entries stay within a few ulps and are reported in worst_diff.
-    judged = (np.frexp(scales[1:])[0] == 0.5) | np.all(coords[ks] == np.round(coords[ks]), axis=1)[:, None]
+    judged = (np.frexp(scales[1:])[0] == 0.5) | np.all(coords[dense_set] == np.round(coords[dense_set]), axis=1)[:, None]
 
     i = np.arange(min(8, len(coords)))
     # asymmetric blend: decisively nearest to coords[i], no ties; in one
@@ -262,8 +206,8 @@ def verify_right_inverse(
     nrm = _row_norms(blend)
     u = blend[nrm >= 1e-12] / nrm[nrm >= 1e-12, None]
     u = u[~np.any(np.all(coords == u[:, None], axis=2), axis=1)]
-    nearest = nearest_direction_index(ri.table, u)
-    tu = _matvec(ri.T.matrix, ri(u))
+    nearest = nearest_direction_index(space, u)
+    tu = _matvec(T.matrix, homogeneous_extension(values, space, u))
     # the extension returns ||u|| * table[k], so T maps it to
     # ||u|| * (nearest sampled direction), not to u itself
     semantic = _row_norms(tu - _row_norms(u)[:, None] * coords[nearest])
@@ -271,20 +215,27 @@ def verify_right_inverse(
     checks = {
         "right_inverse_identity": {
             "passed": bool(np.all(residuals <= IDENTITY_TOL) and np.all(semantic <= IDENTITY_TOL)),
-            **_worst("worst_residual", residuals, ks, scales),
+            **_worst("worst_residual", residuals, dense_set, scales),
         },
         "positive_homogeneity": {
-            "passed": bool(np.all(np.all(values[:, 1:] == rhs, axis=2) | ~judged)),
-            **_worst("worst_diff", np.max(np.abs(values[:, 1:] - rhs), axis=2), ks, scales[1:]),
+            "passed": bool(np.all(np.all(taus[:, 1:] == rhs, axis=2) | ~judged)),
+            **_worst("worst_diff", np.max(np.abs(taus[:, 1:] - rhs), axis=2), dense_set, scales[1:]),
         },
         "ray_plip": verify_homogeneous_plip(
-            ri.table, ri.beta, rays=[(k, scales[1:]) for k in directions], tol=PLIP_TOL
+            values, space, beta, rays=[(k, scales[1:]) for k in dense_set.tolist()], tol=PLIP_TOL
         ),
     }
-    cover = covering_radius(ri.table.space, ri.dense_set)
-    bound = 2.0 ** (-(ri.sequence.rounds[-1].n - 1))
+    cover = covering_radius(space, dense_set)
+    bound = 2.0 ** (-(seq.rounds[-1].n - 1))
     checks["dense_covering"] = {"passed": cover < bound, "covering_radius": cover, "bound": bound}
     return {
+        "gamma": T.sigma_min,
+        "alpha": seq.config.alpha,
+        "beta": beta,
+        "eta": 2.0 * beta + float(np.linalg.norm(values, axis=1).max()),
+        "tail_bound": seq.tail_bound,
+        "pinv_gap": float(np.linalg.norm(values - seq.tables[0], axis=1).max()),
+        "dense_set": dense_set.tolist(),
         "checks": checks,
         "off_sample_identity_residuals": [
             {"direction": d, "nearest_index": k, "identity_residual": r, "semantic_residual": s}

@@ -227,21 +227,11 @@ def _cmd_plip(opts) -> int:
 def _cmd_bartle_graves(opts) -> int:
     T = LinearSurjection.from_json_dict(_load_json(opts["matrix"]))
     given = {key: opts[key] for key in ("sphere_count", "seed", "rounds") if key in opts}
-    ri = bg.build_right_inverse(T, beta=opts["beta"], **given)
-    report = {
-        "command": "bartle-graves",
-        "gamma": ri.gamma,
-        "alpha": ri.alpha,
-        "beta": ri.beta,
-        "eta": ri.eta,
-        "tail_bound": ri.tail_bound,
-        "pinv_gap": ri.pinv_gap,
-        "dense_set": list(ri.dense_set),
-        **bg.verify_right_inverse(ri),
-    }
+    seq = bg.build_right_inverse(T, beta=opts["beta"], **given)
+    report = {"command": "bartle-graves", **bg.verify_right_inverse(T, seq)}
     _emit(opts.get("out"), report)
     if opts.get("tau_csv"):
-        Path(opts["tau_csv"]).write_bytes(selection_csv_texts(ri.table.values[None])[0].encode("ascii"))
+        Path(opts["tau_csv"]).write_bytes(selection_csv_texts(seq.tables[-1:])[0].encode("ascii"))
         print(f"sphere table written to {opts['tau_csv']}")
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 

@@ -70,7 +70,7 @@ class DegenerateRadiusError(LipselectError):
     """The halving search for an adjustment radius fell below its floor."""
 
 
-class ResolutionError(LipselectError):
+class ResolutionError(PreconditionError):
     """No ball in the requested radius schedule contains a point other than
     its center; the sample is too coarse for the requested estimate."""
 

@@ -196,15 +196,22 @@ def compute_delta(
     that is with ``2 delta`` at most the distance of the nearest pair over
     the threshold; the pairs must cover the open ``2^-(n+1)``-balls.  Radii
     below ``delta_min`` abort: the sample is too coarse or ``g_b`` strayed
-    too far from ``f_prev``.  A ``2^-n * epsilon`` below the margin leaves
-    a threshold below 0, which each anchor's own pair exceeds, so a round
-    with anchors raises a :class:`ParameterError`.
+    too far from ``f_prev``.  Two inputs leave no radius to search, so a
+    round with anchors raises a :class:`ParameterError` for them: a
+    ``2^-n * epsilon`` below the margin, whose threshold below 0 each
+    anchor's own pair exceeds, and a first radius ``2^-(n+2)`` below
+    ``delta_min``.
     """
     bound = 2.0 ** (-n) * epsilon
     if bound < STRICTNESS_MARGIN and len(anchored.anchors):
         raise ParameterError(
             f"round {n}: 2^-{n} epsilon = {bound!r} is below the strictness margin "
             f"{STRICTNESS_MARGIN!r}, so no radius is admissible"
+        )
+    delta = 2.0 ** (-(n + 2))
+    if delta < delta_min and len(anchored.anchors):
+        raise ParameterError(
+            f"round {n}: the first radius 2^-{n + 2} is below delta_min = {delta_min!r}, so no radius is admissible"
         )
     threshold = bound - STRICTNESS_MARGIN
     diffs = np.linalg.norm(f_prev[anchored.rows] - anchored.values, axis=1)
@@ -213,7 +220,6 @@ def compute_delta(
     np.minimum.at(reach, anchored.owner[far], anchored.dist[far])
     # 0 marks an anchor that has not accepted a radius yet
     deltas = np.zeros(len(reach))
-    delta = 2.0 ** (-(n + 2))
     while delta >= delta_min and not deltas.all():
         deltas[(deltas == 0.0) & (2.0 * delta <= reach)] = delta
         delta /= 2.0

@@ -12,12 +12,13 @@ guarantees hold for all radii below a known threshold, which is what the
 schedules target.
 
 The module also houses the positively homogeneous extension of a function
-sampled on a unit sphere (off-sample, the nearest sampled direction by the
-sample's distance kernel; value norms are row dot products), which takes
-one vector or a ``(P, m)`` batch mapped row by row, and its pointwise-rate
-verification on rays (probes on neighbouring sampled rays, read off the
-table, for all ``(ray, scale)`` pairs in one array pass that reports its
-worst estimate and witness as one plain record).
+sampled on a unit sphere, a table of values on the unit directions of a
+chord (``l2``) space, taken as arrays in ``plip_profile``'s order (off-sample,
+the nearest sampled direction by the sample's distance kernel; value norms
+are row dot products), which maps a ``(P, m)`` batch row by row, and its
+pointwise-rate verification on rays (probes on neighbouring sampled rays,
+read off the table, for all ``(ray, scale)`` pairs in one array pass that
+reports its worst estimate and witness as one plain record).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .errors import (
     ParameterError,
     PreconditionError,
     ResolutionError,
-    ShapeError,
 )
 from .metric import BLOCK_ROWS, SampledMetricSpace, _fold, as_table
 
@@ -145,68 +145,37 @@ def default_radii(space: SampledMetricSpace) -> Tuple[float, ...]:
 # -- positively homogeneous extension ---------------------------------------
 
 
-class SphereTable:
-    """A function sampled on unit directions: the points of ``space``, a
-    coordinate sample under the chord (``l2``) metric, are the sampled unit
-    vectors, and row ``k`` of ``values`` is the image of direction ``k``."""
-
-    def __init__(self, space: SampledMetricSpace, values: np.ndarray):
-        if space.metric_kind != "l2":
-            raise PreconditionError("sphere directions need the chord (l2) metric")
-        if np.max(np.abs(np.linalg.norm(space.coords, axis=1) - 1.0)) > 1e-9:
-            raise PreconditionError("sphere directions must be unit vectors")
-        self.space = space
-        self.values = as_table(values, space)
-
-    @property
-    def directions(self) -> np.ndarray:
-        return self.space.coords
-
-    def sup_norm(self) -> float:
-        """Largest value norm over the sample (uniform norm of the table)."""
-        return float(np.linalg.norm(self.values, axis=1).max())
-
-
-def _vectors(table: SphereTable, z) -> np.ndarray:
-    """``z`` as one vector or a ``(P, m)`` batch in the table's dimension."""
-    z = np.asarray(z, dtype=float)
-    m = table.directions.shape[1]
-    if z.ndim not in (1, 2) or z.shape[-1] != m:
-        raise ShapeError(f"argument must be a vector or a (P, {m}) batch, got shape {z.shape}")
-    return z
-
-
-def nearest_direction_index(table: SphereTable, u):
-    """Index of the sampled direction closest (chord distance) to ``u``, one
-    per row for a ``(P, m)`` batch read off kernel blocks of ``BLOCK_ROWS``
-    rows; ties resolve to the first index, keeping evaluation deterministic.
-    Each bitwise-distinct row is searched once (rows sorted by their bits)."""
-    u = _vectors(table, u)
-    bits = np.ascontiguousarray(np.atleast_2d(u)).view(np.uint64)
+def nearest_direction_index(space: SampledMetricSpace, u: np.ndarray) -> np.ndarray:
+    """Index of the sampled direction of ``space`` closest (chord distance)
+    to each row of the ``(P, m)`` batch ``u``, read off kernel blocks of
+    ``BLOCK_ROWS`` rows; ties resolve to the first index, keeping evaluation
+    deterministic.  Each bitwise-distinct row is searched once (rows sorted
+    by their bits)."""
+    bits = np.ascontiguousarray(u).view(np.uint64)
     order = np.lexsort(bits.T)
     first = np.ones(len(order), dtype=bool)
     first[1:] = (bits[order[1:]] != bits[order[:-1]]).any(axis=1)
     rows = bits[order[first]].view(float)
     k = np.empty(len(rows), dtype=np.intp)
-    block = np.empty((min(BLOCK_ROWS, len(rows)), len(table.space)))
+    block = np.empty((min(BLOCK_ROWS, len(rows)), len(space)))
     for i in range(0, len(rows), BLOCK_ROWS):
         chunk = rows[i : i + BLOCK_ROWS]
-        np.argmin(table.space.distances_from(chunk, block[: len(chunk)]), axis=1, out=k[i : i + len(chunk)])
+        np.argmin(space.distances_from(chunk, block[: len(chunk)]), axis=1, out=k[i : i + len(chunk)])
     nearest = np.empty(len(order), dtype=np.intp)
     nearest[order] = k[np.cumsum(first) - 1]
-    return int(nearest[0]) if u.ndim == 1 else nearest
+    return nearest
 
 
-def homogeneous_extension(table: SphereTable, z) -> np.ndarray:
-    """``||z|| * f(z / ||z||)`` with ``f`` read off the nearest sampled
-    direction, and 0 at the origin; a ``(P, m)`` batch maps row by row.
+def homogeneous_extension(values: np.ndarray, space: SampledMetricSpace, z: np.ndarray) -> np.ndarray:
+    """``||z|| * f(z / ||z||)`` at each row of the ``(P, m)`` batch ``z``,
+    with ``f`` the table ``values`` on the unit directions of ``space`` read
+    off the nearest sampled direction, and 0 at the origin.
 
     Norms are row dot products, bitwise equal to ``np.linalg.norm`` of each
     row alone (a sum of squares along the axis is not)."""
-    z = _vectors(table, z)
     nrm = np.sqrt(np.vecdot(z, z))[..., None]
-    k = nearest_direction_index(table, z / np.where(nrm > 0.0, nrm, 1.0))
-    return np.where(nrm > 0.0, nrm * table.values[k], 0.0)
+    k = nearest_direction_index(space, z / np.where(nrm > 0.0, nrm, 1.0))
+    return np.where(nrm > 0.0, nrm * values[k], 0.0)
 
 
 def ray_scales(scales) -> np.ndarray:
@@ -222,16 +191,19 @@ def ray_scales(scales) -> np.ndarray:
 
 
 def verify_homogeneous_plip(
-    table: SphereTable,
+    values: np.ndarray,
+    space: SampledMetricSpace,
     beta: float,
     rays: Sequence[Tuple[int, Sequence[float]]],
     tol: float = 1e-9,
 ) -> dict:
-    """Check the extension's pointwise rate along rays of sampled directions.
+    """Check the pointwise rate of the extension of ``values``, a table on
+    the unit directions of ``space``, along rays of sampled directions.
 
     For each ray ``(k, scales)`` the sphere-side estimate at direction ``k``
     must not exceed ``beta + tol``, and at every ray point ``z = s d_k`` the
-    extension's estimate must stay within ``eta = 2 beta + sup_norm + tol``.
+    extension's estimate must stay within ``eta = 2 beta + sup + tol``,
+    ``sup`` the largest row norm of ``values``.
     The rings of ``k`` are its at most ``INFORMATIVE_COUNT`` smallest
     distinct chord distances, the directions on them its neighbours; the
     sphere-side estimate is the closed-ball ratio profile over the rings.
@@ -259,15 +231,15 @@ def verify_homogeneous_plip(
     ks = np.array([int(k) for k, _ in rays], dtype=int)
     scale = ray_scales([s for _, scales in rays for s in scales])
     ray = np.repeat(np.arange(len(ks)), [len(scales) for _, scales in rays])
-    sup = table.sup_norm()
+    sup = float(np.linalg.norm(values, axis=1).max())
     bound = 2.0 * beta + sup + tol
-    directions, values = table.directions, table.values
-    gap = float(table.space.nearest_distances().min())
+    directions = space.coords
+    gap = float(space.nearest_distances().min())
     rho = min(0.125, gap / 4.0)
 
     # rings: each ray's at most INFORMATIVE_COUNT smallest positive
     # distances, inf where there are fewer; neighbours: within the largest
-    block = table.space.rows(ks)
+    block = space.rows(ks)
     rings = np.where(block > 0, block, np.inf)
     rings.partition(range(min(INFORMATIVE_COUNT, block.shape[1])), axis=1)
     rings = rings[:, :INFORMATIVE_COUNT].copy()

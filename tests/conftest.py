@@ -22,15 +22,24 @@ def grid_space(n, lo=0.0, hi=1.0):
 
 
 def sphere_table(directions, values):
-    """The sphere table of ``values`` on the chord space of ``directions``."""
-    return ls.SphereTable(ls.SampledMetricSpace("l2", coords=directions), values)
+    """``(values, space)``: the table ``values`` on the chord (``l2``) space
+    of the unit ``directions``, in the order the sphere functions take."""
+    return np.asarray(values, dtype=float), ls.SampledMetricSpace("l2", coords=directions)
 
 
-def ray_estimates(table, beta, rays):
+def extend_one(values, space, z) -> np.ndarray:
+    """The homogeneous extension at the one vector ``z``, a batch of one."""
+    return ls.homogeneous_extension(values, space, np.asarray(z, dtype=float)[None])[0]
+
+
+def ray_estimates(values, space, beta, rays):
     """The extension estimate at each ``(ray, scale)`` pair, rays in order
     and each ray's scales in the given order, each the worst estimate of a
     ray check on that pair alone."""
-    return [ls.verify_homogeneous_plip(table, beta, [(k, (s,))])["worst_estimate"] for k, scales in rays for s in scales]
+    return [
+        ls.verify_homogeneous_plip(values, space, beta, [(k, (s,))])["worst_estimate"]
+        for k, scales in rays for s in scales
+    ]
 
 
 def worst_record(name, rows, column):

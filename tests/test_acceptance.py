@@ -18,6 +18,7 @@ from lipselect.formats import dumps_canonical
 from conftest import (
     cantor_function,
     cantor_plateaus,
+    extend_one,
     global_lipschitz_upgrade_check,
     moving_ball_instance,
     project_one,
@@ -67,8 +68,8 @@ def pipeline_runs():
     for name, matrix, count in cases:
         T = ls.LinearSurjection(matrix)
         beta = 1.0 / T.sigma_min + 0.5
-        ri = ls.build_right_inverse(T, beta=beta, sphere_count=count, seed=0, rounds=4)
-        out.append((name, T, ri))
+        seq = ls.build_right_inverse(T, beta=beta, sphere_count=count, seed=0, rounds=4)
+        out.append((name, T, seq))
     return out
 
 
@@ -186,12 +187,12 @@ def test_criterion_5_homogeneous_extension_tightness():
     c = np.array([0.7, -0.4, 1.1])
     const_table = sphere_table(directions, np.tile(c, (16, 1)))
     const_rays = [(0, (0.5, 2.0, 10.0)), (5, (1.0, 4.0))]
-    const_report = ls.verify_homogeneous_plip(const_table, beta=0.0, rays=const_rays)
+    const_report = ls.verify_homogeneous_plip(*const_table, beta=0.0, rays=const_rays)
     norm_c = float(np.linalg.norm(c))
-    tight = all(abs(e - norm_c) <= 1e-9 for e in ray_estimates(const_table, 0.0, const_rays))
+    tight = all(abs(e - norm_c) <= 1e-9 for e in ray_estimates(*const_table, 0.0, const_rays))
 
     ident_table = sphere_table(directions, directions.copy())
-    ident_report = ls.verify_homogeneous_plip(ident_table, beta=1.0, rays=[(3, (1.0, 2.0))])
+    ident_report = ls.verify_homogeneous_plip(*ident_table, beta=1.0, rays=[(3, (1.0, 2.0))])
     ident_ok = ident_report["passed"] and ident_report["worst_estimate"] <= 3.0
     announce(
         5,
@@ -206,17 +207,19 @@ def test_criterion_6_right_inverse_suite(pipeline_runs):
     lambda in {0.5, 2, 10}, ray estimates <= eta + 1e-6, and the openness
     constant against an independent singular-value oracle at 1e-10."""
     failures = []
-    for name, T, ri in pipeline_runs:
+    for name, T, seq in pipeline_runs:
+        tau = seq.tables[-1]
         mat = np.asarray(T.matrix, dtype=float)
         oracle = float(np.sqrt(np.linalg.eigvalsh(mat @ mat.T)[0]))
-        if abs(ri.gamma - oracle) > 1e-10:
+        report = ls.verify_right_inverse(T, seq)
+        if abs(report["gamma"] - oracle) > 1e-10:
             failures.append((name, "gamma"))
-        checks = ls.verify_right_inverse(ri, scales=(0.5, 2.0, 10.0))["checks"]
-        for a in range(len(ri.table.space)):
-            y = ri.table.space.coordinate(a)
+        checks = report["checks"]
+        for a in range(len(seq.space)):
+            y = seq.space.coordinate(a)
             for lam in (0.5, 2.0, 10.0):
                 resid = float(
-                    np.linalg.norm(T.matrix @ ri(lam * y) - lam * y)
+                    np.linalg.norm(T.matrix @ extend_one(tau, seq.space, lam * y) - lam * y)
                 )
                 if resid > 1e-8:
                     failures.append((name, "identity", a, lam))
@@ -228,10 +231,10 @@ def test_criterion_6_right_inverse_suite(pipeline_runs):
         if not checks["positive_homogeneity"]["passed"]:
             failures.append((name, "homogeneity"))
         exact_directions = 0
-        for k in ri.dense_set:
-            d = ri.table.space.coordinate(k)
-            base = ri(d)
-            exact = {lam: bool(np.all(ri(lam * d) == lam * base)) for lam in (0.5, 2.0, 10.0)}
+        for k in report["dense_set"]:
+            d = seq.space.coordinate(k)
+            base = extend_one(tau, seq.space, d)
+            exact = {lam: bool(np.all(extend_one(tau, seq.space, lam * d) == lam * base)) for lam in (0.5, 2.0, 10.0)}
             if not (exact[0.5] and exact[2.0]):
                 failures.append((name, "homogeneity_dyadic", k))
             if np.all(d == np.round(d)):
@@ -243,7 +246,7 @@ def test_criterion_6_right_inverse_suite(pipeline_runs):
         plip = checks["ray_plip"]
         if not plip["passed"]:
             failures.append((name, "plip"))
-        if not plip["worst_estimate"] <= ri.eta + 1e-6:
+        if not plip["worst_estimate"] <= report["eta"] + 1e-6:
             failures.append((name, "eta", plip["witness"]["direction"]))
         if not checks["dense_covering"]["passed"]:
             failures.append((name, "covering"))

@@ -1,14 +1,13 @@
 import itertools
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
 
 import lipselect as ls
-from lipselect.errors import ConfigurationError, IdentifierError, ParameterError, PreconditionError
+from lipselect.errors import ConfigurationError, ParameterError
 
-from conftest import ray_estimates, sphere_table, worst_record
+from conftest import extend_one, ray_estimates, sphere_table, worst_record
 
 
 def sigma_min_oracle(matrix):
@@ -122,43 +121,46 @@ class TestSphereSample:
 class TestBuildRightInverse:
     def test_identity_pipeline(self):
         T = ls.LinearSurjection(np.eye(2))
-        ri = ls.build_right_inverse(T, beta=1.5, sphere_count=32, rounds=3)
+        seq = ls.build_right_inverse(T, beta=1.5, sphere_count=32, rounds=3)
+        tau = seq.tables[-1]
         # singleton inverse images: the sphere table is the sample itself
-        np.testing.assert_array_equal(ri.table.values, ri.table.directions)
-        assert ri.eta == pytest.approx(2.0 * 1.5 + 1.0, abs=1e-12)
-        assert ri.pinv_gap == 0.0
+        np.testing.assert_array_equal(tau, seq.space.coords)
+        report = ls.verify_right_inverse(T, seq)
+        assert report["eta"] == pytest.approx(2.0 * 1.5 + 1.0, abs=1e-12)
+        assert report["pinv_gap"] == 0.0
         # on sampled rays the extension reproduces the identity
-        for k in (0, 5, 17):
-            y = 10.0 * ri.table.space.coordinate(k)
-            np.testing.assert_allclose(ri(y), y, atol=1e-12)
+        y = 10.0 * seq.space.coords[[0, 5, 17]]
+        np.testing.assert_allclose(ls.homogeneous_extension(tau, seq.space, y), y, atol=1e-12)
 
     def test_identity_on_pythagorean_direction(self):
         # a sphere table holding the direction (0.6, 0.8) reproduces y = (6, 8)
         T = ls.LinearSurjection(np.eye(2))
         directions = np.array([[0.6, 0.8], [-0.6, 0.8], [0.0, -1.0]])
         directions /= np.linalg.norm(directions, axis=1)[:, None]
-        table = sphere_table(directions, directions.copy())
-        out = ls.homogeneous_extension(table, np.array([6.0, 8.0]))
+        values, space = sphere_table(directions, directions.copy())
+        out = extend_one(values, space, np.array([6.0, 8.0]))
         np.testing.assert_allclose(out, [6.0, 8.0], atol=1e-12)
         np.testing.assert_allclose(T.matrix @ out, [6.0, 8.0], atol=1e-12)
 
     def test_sum_matrix_two_point_sphere(self):
         T = ls.LinearSurjection([[1.0, 1.0]])
-        ri = ls.build_right_inverse(T, beta=1.0, sphere_count=2, rounds=4)
+        seq = ls.build_right_inverse(T, beta=1.0, sphere_count=2, rounds=4)
+        tau = seq.tables[-1]
         # least-norm values survive the iteration untouched
-        np.testing.assert_allclose(ri.table.values[0], [-0.5, -0.5], atol=1e-15)
-        np.testing.assert_allclose(ri.table.values[1], [0.5, 0.5], atol=1e-15)
-        assert ri.pinv_gap == 0.0
+        np.testing.assert_allclose(tau[0], [-0.5, -0.5], atol=1e-15)
+        np.testing.assert_allclose(tau[1], [0.5, 0.5], atol=1e-15)
+        report = ls.verify_right_inverse(T, seq)
+        assert report["pinv_gap"] == 0.0
         np.testing.assert_allclose(
-            ri(np.array([2.0])), [1.0, 1.0], atol=1e-15
+            extend_one(tau, seq.space, np.array([2.0])), [1.0, 1.0], atol=1e-15
         )
-        assert ri.eta == pytest.approx(2.0 + np.sqrt(0.5), abs=1e-12)
+        assert report["eta"] == pytest.approx(2.0 + np.sqrt(0.5), abs=1e-12)
 
     def test_origin_maps_to_zero(self):
         T = ls.LinearSurjection(np.eye(2))
-        ri = ls.build_right_inverse(T, beta=1.5, sphere_count=8, rounds=2)
+        seq = ls.build_right_inverse(T, beta=1.5, sphere_count=8, rounds=2)
         np.testing.assert_array_equal(
-            ri(np.zeros(2)), np.zeros(2)
+            extend_one(seq.tables[-1], seq.space, np.zeros(2)), np.zeros(2)
         )
 
     def test_beta_gate(self):
@@ -169,41 +171,52 @@ class TestBuildRightInverse:
 
     def test_wide_matrix_round_properties(self):
         T = ls.LinearSurjection([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        ri = ls.build_right_inverse(T, beta=1.5, sphere_count=64, rounds=4)
-        for record in ri.sequence.rounds:
-            checks = ls.verify_round_properties(ri.sequence, record.n)
+        seq = ls.build_right_inverse(T, beta=1.5, sphere_count=64, rounds=4)
+        for record in seq.rounds:
+            checks = ls.verify_round_properties(seq, record.n)
             assert all(c["passed"] for c in checks.values())
 
     def test_right_inverse_identity_on_sample(self):
         rng = np.random.default_rng(11)
         T = ls.LinearSurjection(rng.normal(size=(2, 4)))
-        ri = ls.build_right_inverse(T, beta=1.0 / T.sigma_min + 0.5, sphere_count=48, rounds=3)
-        for a in range(len(ri.table.space)):
-            y = ri.table.space.coordinate(a)
-            residual = np.linalg.norm(T.matrix @ ri.table.values[a] - y)
+        seq = ls.build_right_inverse(T, beta=1.0 / T.sigma_min + 0.5, sphere_count=48, rounds=3)
+        for a in range(len(seq.space)):
+            y = seq.space.coordinate(a)
+            residual = np.linalg.norm(T.matrix @ seq.tables[-1][a] - y)
             assert residual <= 1e-8
 
 
-def reference_right_inverse_rows(ri, scales):
+def dense_set(seq):
+    """The final separation members of the run ``seq``."""
+    return ls.round_members(seq.entry, seq.config.rounds)
+
+
+def trial_directions(monkeypatch, directions):
+    """Make ``directions`` the verifier's dense set, its trial directions."""
+    monkeypatch.setattr(ls.bartle_graves, "round_members", lambda entry, n: np.array(directions, dtype=np.intp))
+
+
+def reference_right_inverse_rows(T, seq, scales):
     """Identity, homogeneity and off-sample rows one vector at a time, as
-    tuples: ``ri(y)`` per scaled point, a second ``ri`` per scale for
-    homogeneity, and one off-sample midpoint per loop turn.  Identity and
-    off-sample rows end in their pass flag."""
+    tuples: tau per scaled point, a second tau per scale for homogeneity,
+    and one off-sample midpoint per loop turn.  Identity and off-sample
+    rows end in their pass flag."""
+    tau, space = seq.tables[-1], seq.space
     identity, homogeneity, off = [], [], []
-    for k in ri.dense_set:
-        d = ri.table.space.coordinate(k)
-        base = ri(d)
+    for k in dense_set(seq):
+        d = space.coordinate(k)
+        base = extend_one(tau, space, d)
         exact_coords = bool(np.all(d == np.round(d)))
         for scale in (1.0, *scales):
             y = scale * d
-            residual = float(np.linalg.norm(ri.T.matrix @ ri(y) - y))
+            residual = float(np.linalg.norm(T.matrix @ extend_one(tau, space, y) - y))
             identity.append((int(k), float(scale), residual, residual <= 1e-8))
         for scale in scales:
-            lhs, rhs = ri(scale * d), scale * base
+            lhs, rhs = extend_one(tau, space, scale * d), scale * base
             homogeneity.append(
                 (int(k), float(scale), bool(np.all(lhs == rhs)), float(np.max(np.abs(lhs - rhs))), exact_coords)
             )
-    coords = ri.table.directions
+    coords = space.coords
     for i in range(min(8, len(coords))):
         blend = 0.75 * coords[i] + 0.25 * coords[(i + 1) % len(coords)]
         nrm = float(np.linalg.norm(blend))
@@ -212,21 +225,21 @@ def reference_right_inverse_rows(ri, scales):
         u = blend / nrm
         if np.any(np.all(coords == u, axis=1)):
             continue
-        k = ls.lipschitz.nearest_direction_index(ri.table, u)
-        value = ri(u)
+        k = int(ls.lipschitz.nearest_direction_index(space, u[None])[0])
+        value = extend_one(tau, space, u)
         u_norm = float(np.linalg.norm(u))
-        semantic = float(np.linalg.norm(ri.T.matrix @ value - u_norm * ri.table.space.coordinate(k)))
-        identity_residual = float(np.linalg.norm(ri.T.matrix @ value - u))
+        semantic = float(np.linalg.norm(T.matrix @ value - u_norm * space.coordinate(k)))
+        identity_residual = float(np.linalg.norm(T.matrix @ value - u))
         off.append((tuple(float(x) for x in u), k, semantic, identity_residual, semantic <= 1e-8))
     return identity, homogeneity, off
 
 
-def reference_body(ri, scales):
+def reference_body(T, seq, scales):
     """The report body reduced from the reference rows: each check's first
     largest value in row order with its witness, the pass flags (the
     power-of-two rule read off the mantissa loop) and the off-sample
     records.  The ray and covering checks are left out."""
-    identity, homogeneity, off = reference_right_inverse_rows(ri, scales)
+    identity, homogeneity, off = reference_right_inverse_rows(T, seq, scales)
     judged = [exact_coords or mantissa_power_of_two(s) for _, s, _, _, exact_coords in homogeneity]
     return {
         "checks": {
@@ -267,12 +280,13 @@ class TestVerifyRightInverse:
             ((3, 5), 40, (0.1, 3.0, 1e3)),
         ],
     )
-    def test_rows_equal_the_vector_at_a_time_reference(self, shape, count, scales):
+    def test_rows_equal_the_vector_at_a_time_reference(self, shape, count, scales, monkeypatch):
         rng = np.random.default_rng(11)
         T = ls.LinearSurjection(rng.normal(size=shape))
-        ri = ls.build_right_inverse(T, beta=1.0 / T.sigma_min + 0.5, sphere_count=count, rounds=3)
-        report = ls.verify_right_inverse(ri, scales=scales)
-        reference = reference_body(ri, scales)
+        seq = ls.build_right_inverse(T, beta=1.0 / T.sigma_min + 0.5, sphere_count=count, rounds=3)
+        monkeypatch.setattr(ls.bartle_graves, "RAY_SCALES", scales)
+        report = ls.verify_right_inverse(T, seq)
+        reference = reference_body(T, seq, scales)
         for name in ("right_inverse_identity", "positive_homogeneity"):
             assert repr(report["checks"][name]) == repr(reference["checks"][name])
         assert repr(report["off_sample_identity_residuals"]) == repr(reference["off_sample_identity_residuals"])
@@ -284,16 +298,17 @@ class TestVerifyRightInverse:
         scale; one ulp on the scaled point ``scale * d`` fails the check
         unless it is not judged: a direction with inexact coordinates at a
         scale that is not a power of two."""
-        ri = self._identity_ri()
-        coords = ri.table.directions
-        exact = [k for k in ri.dense_set if np.all(coords[k] == np.round(coords[k]))]
-        inexact = [k for k in ri.dense_set if k not in exact]
+        T, seq = self._identity_run()
+        coords = seq.space.coords
+        exact = [k for k in dense_set(seq) if np.all(coords[k] == np.round(coords[k]))]
+        inexact = [k for k in dense_set(seq) if k not in exact]
         assert exact and inexact
+        monkeypatch.setattr(ls.bartle_graves, "RAY_SCALES", (scale,))
 
         def passed(k, nudge):
             batches = []
 
-            def extension(table, z):
+            def extension(values, space, z):
                 value = np.array(z, dtype=float)
                 if nudge and not batches:
                     # the first call evaluates the trial points d_k, scale * d_k
@@ -301,11 +316,12 @@ class TestVerifyRightInverse:
                 batches.append(len(value))
                 return value
 
+            trial_directions(monkeypatch, [k])
             monkeypatch.setattr(ls.bartle_graves, "homogeneous_extension", extension)
             # at 1e300 the identity and ray checks overflow; only the
             # homogeneity record is read
             with np.errstate(over="ignore", invalid="ignore"):
-                report = ls.verify_right_inverse(ri, scales=(scale,), directions=[k])
+                report = ls.verify_right_inverse(T, seq)
             assert batches[0] == 2
             return report["checks"]["positive_homogeneity"]["passed"]
 
@@ -313,88 +329,71 @@ class TestVerifyRightInverse:
         assert passed(exact[0], nudge=True) is False
         assert passed(inexact[0], nudge=False) is True
 
-    def _identity_ri(self):
+    def _identity_run(self):
         T = ls.LinearSurjection(np.eye(2))
-        return ls.build_right_inverse(T, beta=1.5, sphere_count=32, rounds=3)
+        return T, ls.build_right_inverse(T, beta=1.5, sphere_count=32, rounds=3)
 
     def test_identity_pipeline_report(self):
-        ri = self._identity_ri()
-        report = ls.verify_right_inverse(ri)
+        report = ls.verify_right_inverse(*self._identity_run())
         assert report["passed"] is True
         assert all(check["passed"] is True for check in report["checks"].values())
         assert report["checks"]["right_inverse_identity"]["worst_residual"] <= 1e-12
 
-    def test_homogeneity_exact_for_dyadic_everywhere(self):
-        ri = self._identity_ri()
-        report = ls.verify_right_inverse(ri, scales=(0.5, 2.0))
+    def test_homogeneity_exact_for_dyadic_everywhere(self, monkeypatch):
+        monkeypatch.setattr(ls.bartle_graves, "RAY_SCALES", (0.5, 2.0))
+        report = ls.verify_right_inverse(*self._identity_run())
         assert report["checks"]["positive_homogeneity"]["worst_diff"] == 0.0
 
-    def test_homogeneity_exact_for_all_scales_on_exact_directions(self):
-        ri = self._identity_ri()
-        coords = ri.table.directions
-        exact = [k for k in ri.dense_set if np.all(coords[k] == np.round(coords[k]))]
-        inexact = [k for k in ri.dense_set if k not in exact]
-        homogeneity = {
-            name: ls.verify_right_inverse(ri, scales=(0.5, 2.0, 10.0), directions=ks)["checks"]["positive_homogeneity"]
-            for name, ks in (("exact", exact), ("inexact", inexact))
-        }
+    def test_homogeneity_exact_for_all_scales_on_exact_directions(self, monkeypatch):
+        T, seq = self._identity_run()
+        coords = seq.space.coords
+        exact = [k for k in dense_set(seq) if np.all(coords[k] == np.round(coords[k]))]
+        inexact = [k for k in dense_set(seq) if k not in exact]
+        homogeneity = {}
+        for name, ks in (("exact", exact), ("inexact", inexact)):
+            trial_directions(monkeypatch, ks)
+            homogeneity[name] = ls.verify_right_inverse(T, seq)["checks"]["positive_homogeneity"]
         assert homogeneity["exact"]["worst_diff"] == 0.0
         assert homogeneity["inexact"]["worst_diff"] <= 1e-13
 
     def test_off_sample_residuals_flagged(self):
-        ri = self._identity_ri()
-        off = ls.verify_right_inverse(ri)["off_sample_identity_residuals"]
+        off = ls.verify_right_inverse(*self._identity_run())["off_sample_identity_residuals"]
         assert off
         assert all(row["semantic_residual"] <= 1e-8 for row in off)  # semantic residual is tiny
         # the raw identity residual reflects the direction snap
         assert all(row["identity_residual"] > 1e-6 for row in off)
 
-    def test_fault_injection_identity_check(self):
-        ri = self._identity_ri()
-        k = ri.dense_set[0]
-        ri.table.values[k] *= 1.1
-        report = ls.verify_right_inverse(ri, scales=(1.0,), directions=[k])
-        identity = report["checks"]["right_inverse_identity"]
+    def test_fault_injection_identity_check(self, monkeypatch):
+        T, seq = self._identity_run()
+        k = int(dense_set(seq)[0])
+        seq.tables[-1][k] *= 1.1
+        monkeypatch.setattr(ls.bartle_graves, "RAY_SCALES", (1.0,))
+        trial_directions(monkeypatch, [k])
+        identity = ls.verify_right_inverse(T, seq)["checks"]["right_inverse_identity"]
         assert identity["passed"] is False
         assert identity["worst_residual"] == pytest.approx(0.1, rel=1e-9)
 
-    def test_directions_must_be_rows(self):
-        ri = self._identity_ri()
-        k = ri.dense_set[0]
-        with pytest.raises(IdentifierError):
-            ls.verify_right_inverse(ri, directions=[float(k)])
-
-    def test_directions_must_be_certified(self):
-        ri = self._identity_ri()
-        outside = [a for a in range(len(ri.table.space)) if a not in ri.dense_set]
-        assert outside
-        with pytest.raises(PreconditionError, match=f"trial direction {outside[0]} is not"):
-            ls.verify_right_inverse(ri, directions=[ri.dense_set[0], outside[0], outside[1]])
-
     @pytest.mark.parametrize(
-        "call",
-        [
-            lambda ri: ls.verify_right_inverse(ri, directions=[]),
-            lambda ri: ls.verify_right_inverse(ri, scales=()),
-            lambda ri: ls.verify_homogeneous_plip(ri.table, ri.beta, rays=[]),
-            lambda ri: ls.verify_homogeneous_plip(ri.table, ri.beta, rays=[(ri.dense_set[0], ())]),
-        ],
-        ids=["no_directions", "no_scales", "no_rays", "ray_without_scales"],
+        "rays",
+        [lambda k: [], lambda k: [(k, ())]],
+        ids=["no_rays", "ray_without_scales"],
     )
-    def test_an_empty_trial_set_is_a_parameter_error(self, call):
+    def test_an_empty_trial_set_is_a_parameter_error(self, rays):
         """A check over no trial point would pass having checked nothing."""
+        T, seq = self._identity_run()
         with pytest.raises(ParameterError, match="the trial set is empty"):
-            call(self._identity_ri())
+            ls.verify_homogeneous_plip(seq.tables[-1], seq.space, seq.config.beta, rays=rays(int(dense_set(seq)[0])))
 
     def test_dense_set_rays_plip_below_eta(self):
         rng = np.random.default_rng(2)
         T = ls.LinearSurjection(rng.normal(size=(2, 3)))
-        ri = ls.build_right_inverse(T, beta=1.0 / T.sigma_min + 0.4, sphere_count=40, rounds=3)
-        plip = ls.verify_right_inverse(ri)["checks"]["ray_plip"]
+        seq = ls.build_right_inverse(T, beta=1.0 / T.sigma_min + 0.4, sphere_count=40, rounds=3)
+        report = ls.verify_right_inverse(T, seq)
+        plip = report["checks"]["ray_plip"]
         assert plip["passed"] is True
-        assert plip["worst_estimate"] <= ri.eta + 1e-6
+        assert plip["worst_estimate"] <= report["eta"] + 1e-6
 
-    def test_fault_injection_along_the_kernel_fails_the_ray_check(self):
+    def test_fault_injection_along_the_kernel_fails_the_ray_check(self, monkeypatch):
         """Moving tau at the nearest neighbour of a dense direction along
         ``ker T`` keeps ``T tau(y) = y`` everywhere: only the ray rate can
         see it, and the neighbouring probes do (9.627 against 5.218).
@@ -402,34 +401,22 @@ class TestVerifyRightInverse:
         0.685 here, and pass."""
         matrix = np.random.default_rng(3).normal(size=(3, 6))
         T = ls.LinearSurjection(matrix)
-        ri = ls.build_right_inverse(T, beta=1.5 / T.sigma_min, sphere_count=64, rounds=3)
-        k = ri.dense_set[0]
-        row = ri.table.space.distance_row(k).copy()
+        seq = ls.build_right_inverse(T, beta=1.5 / T.sigma_min, sphere_count=64, rounds=3)
+        k = int(dense_set(seq)[0])
+        row = seq.space.distance_row(k).copy()
         row[k] = np.inf
         kernel = np.linalg.svd(matrix)[2][-1]
-        ri.table.values[int(np.argmin(row))] += 3.0 * kernel
-        checks = ls.verify_right_inverse(ri, directions=[k])["checks"]
+        seq.tables[-1][int(np.argmin(row))] += 3.0 * kernel
+        trial_directions(monkeypatch, [k])
+        checks = ls.verify_right_inverse(T, seq)["checks"]
         assert checks["right_inverse_identity"]["passed"] is True
         plip = checks["ray_plip"]
         assert plip["passed"] is False
-        estimates = ray_estimates(ri.table, ri.beta, [(k, (0.5, 2.0, 10.0))])
+        estimates = ray_estimates(seq.tables[-1], seq.space, seq.config.beta, [(k, (0.5, 2.0, 10.0))])
         assert np.all(np.array(estimates) > plip["bound"])
         assert estimates == pytest.approx(np.full(3, 9.627), abs=1e-3)
         assert plip["worst_estimate"] == max(estimates)
         assert plip["bound"] == pytest.approx(5.218, abs=1e-3)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
-    def test_bad_scale_is_rejected_before_any_check(self, bad, monkeypatch):
-        ri = self._identity_ri()
-
-        def unreachable(table, z):
-            raise AssertionError("tau evaluated before the scales were checked")
-
-        monkeypatch.setattr(ls.bartle_graves, "homogeneous_extension", unreachable)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ParameterError, match="positive and finite"):
-                ls.verify_right_inverse(ri, scales=(0.5, bad))
 
 
 def test_verifier_memory_stays_small():
@@ -437,10 +424,10 @@ def test_verifier_memory_stays_small():
     temporaries small: tau is evaluated in 64-row blocks and the ray pass
     holds one block of its rows."""
     T = ls.LinearSurjection(np.random.default_rng(0).normal(size=(3, 6)))
-    ri = ls.build_right_inverse(T, beta=1.0 / T.sigma_min + 0.5, sphere_count=256, rounds=4)
+    seq = ls.build_right_inverse(T, beta=1.0 / T.sigma_min + 0.5, sphere_count=256, rounds=4)
     tracemalloc.start()
     try:
-        report = ls.verify_right_inverse(ri)
+        report = ls.verify_right_inverse(T, seq)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

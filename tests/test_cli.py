@@ -376,6 +376,19 @@ class TestSelectAndVerify:
         assert main(["select", "--correspondence", corr_path, "--iteration", iter_path]) == 3
         assert f"parameter error: round {n}: 2^-{n} epsilon = " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("delta_min, n", [(0.2, 1), (0.05, 3)])
+    def test_a_delta_min_above_a_first_radius_is_a_parameter_error(self, tmp_path, capsys, delta_min, n):
+        # the halving search of round n starts at 2^-(n+2), already below
+        # delta_min: no radius is admissible
+        corr_path, _ = segment_correspondence_docs(tmp_path, n_points=9)
+        iter_path = write_json(
+            tmp_path / "it.json", {"alpha": 2.0**-0.5, "beta": 1.0, "delta_min": delta_min, "rounds": 3}
+        )
+        assert main(["select", "--correspondence", corr_path, "--iteration", iter_path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"parameter error: round {n}: the first radius 2^-{n + 2} is below delta_min")
+        assert err.count("\n") == 1
+
     def test_bad_iteration_config_is_precondition_error(self, tmp_path):
         corr_path, _ = segment_correspondence_docs(tmp_path)
         iter_path = write_json(tmp_path / "it.json", {"alpha": 1.0, "beta": 0.5})
@@ -444,6 +457,21 @@ class TestPlip:
             assert main(["plip", "--space", space_path, "--table", table_path]) == 3
         err = capsys.readouterr().err
         assert "the ratios at 0 overflow" in err and "Traceback" not in err
+
+
+    @pytest.mark.parametrize(
+        "points, argv, message",
+        [
+            ([[0.0], [1.0]], ["--radii", "0.5"], "no ball around 0 in the radius schedule contains another point"),
+            ([[0.0]], [], "radius schedule needs at least two points"),
+        ],
+        ids=["radius_below_the_gap", "one_point"],
+    )
+    def test_a_sample_too_coarse_for_the_radii_is_a_parameter_error(self, tmp_path, capsys, points, argv, message):
+        space_path = write_json(tmp_path / "s.json", {"metric": "l2", "points": points})
+        table_path = write_json(tmp_path / "t.json", {"values": {str(i): [float(i)] for i in range(len(points))}})
+        assert main(["plip", "--space", space_path, "--table", table_path, *argv]) == 3
+        assert capsys.readouterr().err == f"parameter error: {message}\n"
 
 
 class TestBartleGraves:
@@ -518,18 +546,32 @@ class TestBartleGraves:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_report_body_is_the_verifier_record(self, tmp_path):
-        """The report is the run's own fields plus the body that
-        ``verify_right_inverse`` returns, and nothing else."""
-        matrix = [[1.0, 0.5, 0.0], [0.0, 1.0, -1.0]]
-        out = tmp_path / "bg.json"
-        args = ["--beta", "2.0", "--rounds", "3", "--sphere-count", "24", "--seed", "5", "--out", str(out)]
-        assert main(["bartle-graves", "--matrix", write_json(tmp_path / "T.json", {"matrix": matrix}), *args]) == 0
+    def test_every_run_field_is_recomputed_independently(self, tmp_path):
+        """The run's own fields of the report, each from its definition:
+        the openness constant from an SVD, tau read back from ``--tau-csv``,
+        the least-norm start from ``pinv(T)``, and the dense set from
+        ``separate --rounds`` on the sphere sample."""
+        matrix = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, -1.0]])
+        beta, rounds = 2.0, 3
+        out, tau_path = tmp_path / "bg.json", tmp_path / "tau.csv"
+        args = ["--beta", repr(beta), "--rounds", str(rounds), "--sphere-count", "24", "--seed", "5"]
+        matrix_path = write_json(tmp_path / "T.json", {"matrix": matrix.tolist()})
+        assert main(["bartle-graves", "--matrix", matrix_path, *args, "--tau-csv", str(tau_path), "--out", str(out)]) == 0
         report = json.loads(out.read_text())
-        run_fields = ("command", "gamma", "alpha", "beta", "eta", "tail_bound", "pinv_gap", "dense_set")
-        body = {key: value for key, value in report.items() if key not in run_fields}
-        ri = ls.build_right_inverse(ls.LinearSurjection(matrix), beta=2.0, sphere_count=24, seed=5, rounds=3)
-        assert dumps_canonical(body) == dumps_canonical(ls.verify_right_inverse(ri))
+        tau = workloads.read_tau_csv(tau_path)
+        sphere = ls.sphere_sample(2, 24, seed=5).coords
+        gamma = float(np.linalg.svd(matrix, compute_uv=False)[-1])
+        alpha = 1.0 / gamma
+        assert report["gamma"] == pytest.approx(gamma, rel=1e-12)
+        assert report["alpha"] == 1.0 / report["gamma"] and report["beta"] == beta
+        assert report["eta"] == 2.0 * beta + np.linalg.norm(tau, axis=1).max()
+        least_norm = sphere @ np.linalg.pinv(matrix).T
+        assert report["pinv_gap"] == pytest.approx(np.linalg.norm(tau - least_norm, axis=1).max(), abs=1e-12)
+        assert report["tail_bound"] == pytest.approx(2.0**-rounds * (beta - alpha) / 3.0, rel=1e-12)
+        space = write_json(tmp_path / "sphere.json", {"metric": "l2", "points": sphere.tolist()})
+        hierarchy = tmp_path / "separate.json"
+        assert main(["separate", "--space", space, "--rounds", str(rounds), "--out", str(hierarchy)]) == 0
+        assert report["dense_set"] == json.loads(hierarchy.read_text())["hierarchy"]["rounds"][-1]["B"]
 
 
 class TestConfigMerging:
@@ -624,7 +666,7 @@ class TestArgvReader:
 ERROR_EXITS = {
     "SchemaError": 2, "IdentifierError": 2, "ConfigurationError": 2, "ShapeError": 2,
     "PreconditionError": 3, "ParameterError": 3, "RankDeficiencyError": 3, "RateError": 3,
-    "LipselectError": 4, "ConvergenceError": 4, "DegenerateRadiusError": 4, "ResolutionError": 4,
+    "ResolutionError": 3, "LipselectError": 4, "ConvergenceError": 4, "DegenerateRadiusError": 4,
     "InvariantViolationError": 4,
 }
 ERROR_PREFIXES = {2: "schema error:", 3: "parameter error:", 4: "internal error:"}

@@ -12,12 +12,12 @@ from lipselect.errors import (
     ParameterError,
     PreconditionError,
     ResolutionError,
-    ShapeError,
 )
 
 from conftest import (
     cantor_function,
     cantor_plateaus,
+    extend_one,
     global_lipschitz_upgrade_check,
     grid_space,
     line_space,
@@ -275,77 +275,68 @@ class TestHomogeneousExtension:
 
     def test_identity_extension(self):
         directions = self._table()
-        table = sphere_table(directions, directions.copy())
-        out = ls.homogeneous_extension(table, [3.0, 4.0])
+        values, space = sphere_table(directions, directions.copy())
+        out = extend_one(values, space, [3.0, 4.0])
         np.testing.assert_allclose(out, [3.0, 4.0], atol=1e-12)
 
     def test_constant_extension(self):
         directions = self._table()
         c = np.array([1.5, -2.0, 0.25])
-        table = sphere_table(directions, np.tile(c, (3, 1)))
-        out = ls.homogeneous_extension(table, [0.0, 2.0])
+        values, space = sphere_table(directions, np.tile(c, (3, 1)))
+        out = extend_one(values, space, [0.0, 2.0])
         np.testing.assert_allclose(out, 2.0 * c, atol=1e-12)
 
     def test_origin(self):
         directions = self._table()
-        table = sphere_table(directions, np.ones((3, 2)))
+        values, space = sphere_table(directions, np.ones((3, 2)))
         np.testing.assert_array_equal(
-            ls.homogeneous_extension(table, [0.0, 0.0]), [0.0, 0.0]
+            extend_one(values, space, [0.0, 0.0]), [0.0, 0.0]
         )
 
     def test_empty_table(self):
         with pytest.raises(PreconditionError):
             sphere_table(np.zeros((0, 2)), np.zeros((0, 2)))
 
-    def test_malformed_tables_are_rejected(self):
-        directions = self._table()
-        with pytest.raises(PreconditionError, match="unit vectors"):
-            sphere_table(2.0 * directions, np.ones((3, 2)))
-        with pytest.raises(PreconditionError, match="chord"):
-            ls.SphereTable(ls.SampledMetricSpace("l1", coords=directions), np.ones((3, 2)))
-        with pytest.raises(ShapeError):
-            sphere_table(directions, np.ones((2, 2)))
-
-    def test_dimension_guard(self):
-        table = sphere_table(self._table(), np.ones((3, 2)))
-        with pytest.raises(ShapeError):
-            ls.homogeneous_extension(table, [1.0, 0.0, 0.0])
-
     def test_homogeneity_exact_dyadic_scales(self):
         rng = np.random.default_rng(4)
         directions = rng.normal(size=(8, 3))
         directions /= np.linalg.norm(directions, axis=1)[:, None]
-        table = sphere_table(directions, rng.normal(size=(8, 2)))
+        values, space = sphere_table(directions, rng.normal(size=(8, 2)))
         z = rng.normal(size=3)
-        base = ls.homogeneous_extension(table, z)
+        base = extend_one(values, space, z)
         for lam in (0.5, 2.0, 4.0, 0.25):
             np.testing.assert_array_equal(
-                ls.homogeneous_extension(table, lam * z), lam * base
+                extend_one(values, space, lam * z), lam * base
             )
 
     def test_homogeneity_exact_axis_direction_any_scale(self):
         directions = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-        table = sphere_table(directions, np.arange(8.0).reshape(4, 2))
+        values, space = sphere_table(directions, np.arange(8.0).reshape(4, 2))
         z = np.array([1.0, 0.0])
-        base = ls.homogeneous_extension(table, z)
+        base = extend_one(values, space, z)
         for lam in (0.5, 2.0, 10.0, 3.7):
             np.testing.assert_array_equal(
-                ls.homogeneous_extension(table, lam * z), lam * base
+                extend_one(values, space, lam * z), lam * base
             )
 
     def test_nearest_direction_tie_breaks_low_index(self):
         directions = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        table = sphere_table(directions, np.array([[1.0], [2.0]]))
+        _, space = sphere_table(directions, np.array([[1.0], [2.0]]))
         # (0, 1) is equidistant from both samples
-        assert ls.lipschitz.nearest_direction_index(table, [0.0, 1.0]) == 0
+        assert ls.lipschitz.nearest_direction_index(space, np.array([[0.0, 1.0]])).tolist() == [0]
 
 
-def extension_at(table, z):
+def extension_at(values, space, z):
     """One vector through the extension's defining formula."""
     nrm = float(np.linalg.norm(z))
     if nrm == 0.0:
-        return np.zeros(table.values.shape[1])
-    return nrm * table.values[int(np.argmin(np.linalg.norm(table.directions - z / nrm, axis=1)))]
+        return np.zeros(values.shape[1])
+    return nrm * values[int(np.argmin(np.linalg.norm(space.coords - z / nrm, axis=1)))]
+
+
+def nearest_one(space, z) -> int:
+    """The nearest sampled direction of the one vector ``z``, a batch of one."""
+    return int(ls.lipschitz.nearest_direction_index(space, np.asarray(z, dtype=float)[None])[0])
 
 
 class TestBatchedExtension:
@@ -358,15 +349,15 @@ class TestBatchedExtension:
 
     def test_batch_equals_row_by_row(self):
         rng = np.random.default_rng(7)
-        for table, tie in self._tables():
-            m = table.directions.shape[1]
+        for (values, space), tie in self._tables():
+            m = space.coords.shape[1]
             z = np.vstack([rng.normal(size=(20, m)) * 10.0 ** rng.uniform(-3, 3, size=(20, 1)), np.zeros(m), tie])
-            out = ls.homogeneous_extension(table, z)
-            assert out.tobytes() == np.array([extension_at(table, row) for row in z]).tobytes()
-            rows = np.array([ls.homogeneous_extension(table, row) for row in z])
+            out = ls.homogeneous_extension(values, space, z)
+            assert out.tobytes() == np.array([extension_at(values, space, row) for row in z]).tobytes()
+            rows = np.array([extend_one(values, space, row) for row in z])
             assert out.tobytes() == rows.tobytes()
-            k = ls.lipschitz.nearest_direction_index(table, z)
-            assert k.tolist() == [ls.lipschitz.nearest_direction_index(table, row) for row in z]
+            k = ls.lipschitz.nearest_direction_index(space, z)
+            assert k.tolist() == [nearest_one(space, row) for row in z]
             assert k[-1] == 0  # the tie resolves to the first index
             assert np.all(out[-2] == 0.0) and not np.signbit(out[-2]).any()
 
@@ -374,64 +365,55 @@ class TestBatchedExtension:
         rng = np.random.default_rng(8)
         directions = rng.normal(size=(40, 3))
         directions /= np.linalg.norm(directions, axis=1)[:, None]
-        table = sphere_table(directions, rng.normal(size=(40, 2)))
+        values, space = sphere_table(directions, rng.normal(size=(40, 2)))
         z = rng.normal(size=(150, 3)) * 10.0 ** rng.uniform(-3, 3, size=(150, 1))
         z[::37] = 0.0
         z[5::11] = 2.5 * directions[:14]
-        k = ls.lipschitz.nearest_direction_index(table, z)
+        k = ls.lipschitz.nearest_direction_index(space, z)
         brute = [int(np.argmin(np.linalg.norm(directions - row, axis=1))) for row in z]
-        assert k.tolist() == brute == [ls.lipschitz.nearest_direction_index(table, row) for row in z]
-        out = ls.homogeneous_extension(table, z)
-        assert out.tobytes() == np.array([extension_at(table, row) for row in z]).tobytes()
-        assert out.tobytes() == np.array([ls.homogeneous_extension(table, row) for row in z]).tobytes()
+        assert k.tolist() == brute == [nearest_one(space, row) for row in z]
+        out = ls.homogeneous_extension(values, space, z)
+        assert out.tobytes() == np.array([extension_at(values, space, row) for row in z]).tobytes()
+        assert out.tobytes() == np.array([extend_one(values, space, row) for row in z]).tobytes()
 
     def test_repeated_rows_are_searched_once(self, monkeypatch):
         rng = np.random.default_rng(9)
         directions = rng.normal(size=(30, 3))
         directions /= np.linalg.norm(directions, axis=1)[:, None]
-        table = sphere_table(directions, rng.normal(size=(30, 2)))
+        values, space = sphere_table(directions, rng.normal(size=(30, 2)))
         distinct = np.vstack([rng.normal(size=(5, 3)), [0.0, 0.6, 0.8], [-0.0, 0.6, 0.8], np.eye(3)[1]])
         z = distinct[rng.integers(len(distinct), size=80)]
         z[:len(distinct)] = distinct  # every row at least once, the -0.0 twin apart from its 0.0
         searched = []
-        kernel = table.space.distances_from
-        monkeypatch.setattr(table.space, "distances_from", lambda x, out: searched.append(len(x)) or kernel(x, out))
-        k = ls.lipschitz.nearest_direction_index(table, z)
+        kernel = space.distances_from
+        monkeypatch.setattr(space, "distances_from", lambda x, out: searched.append(len(x)) or kernel(x, out))
+        k = ls.lipschitz.nearest_direction_index(space, z)
         assert sum(searched) == len(distinct)
-        ones = [ls.lipschitz.nearest_direction_index(table, row) for row in z]
+        ones = [nearest_one(space, row) for row in z]
         assert k.tobytes() == np.array(ones, dtype=np.intp).tobytes()
-        out = ls.homogeneous_extension(table, z)
-        assert out.tobytes() == np.array([ls.homogeneous_extension(table, row) for row in z]).tobytes()
-        assert ls.lipschitz.nearest_direction_index(table, z[:0]).shape == (0,)
-
-    def test_shape_guard(self):
-        for table, _ in self._tables():
-            m = table.directions.shape[1]
-            for bad in (np.ones((2, m + 1)), np.ones((2, 2, m)), np.ones(m - 1)):
-                with pytest.raises(ShapeError):
-                    ls.homogeneous_extension(table, bad)
-                with pytest.raises(ShapeError):
-                    ls.lipschitz.nearest_direction_index(table, bad)
+        out = ls.homogeneous_extension(values, space, z)
+        assert out.tobytes() == np.array([extend_one(values, space, row) for row in z]).tobytes()
+        assert ls.lipschitz.nearest_direction_index(space, z[:0]).shape == (0,)
 
 
-def reference_ray_rows(table, beta, rays, tol=1e-9):
+def reference_ray_rows(values, space, beta, rays, tol=1e-9):
     """The neighbour-ray construction point by point: the sphere side is
     ``plip_profile`` over the rings; each probe ``s' d_j`` is evaluated
     through ``homogeneous_extension`` and put in its ring, and each ring's
     largest probe distance gives one closed ball, scanned probe by probe."""
-    d = table.directions
+    d = space.coords
     gap = min(float(np.linalg.norm(d[i + 1 :] - d[i], axis=1).min()) for i in range(len(d) - 1))
     rho = min(0.125, gap / 4.0)
     sphere_space = ls.SampledMetricSpace("l2", coords=d)
-    bound = 2.0 * beta + table.sup_norm() + tol
+    bound = 2.0 * beta + float(np.linalg.norm(values, axis=1).max()) + tol
     rows = []
     for k, scales in rays:
         dist_row = sphere_space.distance_row(k)
         rings = sorted({float(r) for r in np.sort(dist_row[dist_row > 0])[:3]})
-        sphere_est = float(ls.plip_profile(table.values, sphere_space, [k], rings[::-1]).estimates[0])
+        sphere_est = float(ls.plip_profile(values, sphere_space, [k], rings[::-1]).estimates[0])
         for scale in scales:
             z = scale * d[k]
-            tau_z = ls.homogeneous_extension(table, z)
+            tau_z = extend_one(values, space, z)
             probes = []  # (ring, distance, deviation)
             for j in range(len(d)):
                 if j != k and float(dist_row[j]) not in rings:
@@ -441,7 +423,7 @@ def reference_ray_rows(table, beta, rays, tol=1e-9):
                     if j == k and s == scale:
                         continue
                     p = s * d[j]
-                    dev = float(np.linalg.norm(ls.homogeneous_extension(table, p) - tau_z))
+                    dev = float(np.linalg.norm(extend_one(values, space, p) - tau_z))
                     probes.append((ring, float(np.linalg.norm(p - z)), dev))
             radii = {max(dist for ring, dist, _ in probes if ring == i) for i in range(len(rings) + 1)}
             ratios = [max([dev for _, dist, dev in probes if dist <= r], default=0.0) / r for r in radii if r > 0]
@@ -450,20 +432,20 @@ def reference_ray_rows(table, beta, rays, tol=1e-9):
     return rows
 
 
-def loop_ray_rows(table, beta, rays, tol=1e-9):
+def loop_ray_rows(values, space, beta, rays, tol=1e-9):
     """The per-ray loop that the column pass replaced, one ray and one scale
     at a time, with the ratio kernel written out per radius, as
     ``(direction, scale, sphere estimate, extension estimate, passed)``
     rows: the column pass must match it bitwise."""
-    sup = table.sup_norm()
+    sup = float(np.linalg.norm(values, axis=1).max())
     bound = 2.0 * beta + sup + tol
-    directions, values = table.directions, table.values
-    gap = float(table.space.nearest_distances().min())
+    directions = space.coords
+    gap = float(space.nearest_distances().min())
     rho = min(0.125, gap / 4.0)
     factors = np.array([1.0 - rho, 1.0, 1.0 + rho])[:, None, None]
     rows = []
     for k, scales in rays:
-        row = table.space.distance_row(k)
+        row = space.distance_row(k)
         rings = sorted({float(r) for r in np.sort(row[row > 0])[:3]})
         near = np.flatnonzero((row > 0) & (row <= max(rings, default=0.0)))
         sphere_dev = np.linalg.norm(values[near] - values[k], axis=1)
@@ -507,19 +489,19 @@ def test_column_pass_equals_the_ray_loop(table_seed, case, width, beta, scale_li
         directions = rng.normal(size=(int(rng.integers(3, 30)), 2 if case == "circle" else 3))
         directions /= np.linalg.norm(directions, axis=1)[:, None]
     values = rng.normal(size=(len(directions), width)) * 10.0 ** rng.uniform(-2, 2, size=(len(directions), 1))
-    table = sphere_table(directions, values)
+    _, space = sphere_table(directions, values)
     rays = [(int(rng.integers(len(directions))), scales) for scales in scale_lists]
-    rows = loop_ray_rows(table, beta, rays)
+    rows = loop_ray_rows(values, space, beta, rays)
     if not rows:
         with pytest.raises(ParameterError, match="the trial set is empty"):
-            ls.verify_homogeneous_plip(table, beta, rays)
+            ls.verify_homogeneous_plip(values, space, beta, rays)
         return
     reference = {
         "passed": all(row[4] for row in rows),
-        "bound": 2.0 * beta + table.sup_norm() + 1e-9,
+        "bound": 2.0 * beta + float(np.linalg.norm(values, axis=1).max()) + 1e-9,
         **worst_record("worst_estimate", rows, 3),
     }
-    assert repr(ls.verify_homogeneous_plip(table, beta, rays)) == repr(reference)
+    assert repr(ls.verify_homogeneous_plip(values, space, beta, rays)) == repr(reference)
 
 
 class TestVerifyHomogeneousPlip:
@@ -535,17 +517,17 @@ class TestVerifyHomogeneousPlip:
         else:
             directions = ls.sphere_sample(3, 40, seed=2).coords
             values = rng.normal(size=(40, 4))
-        table = sphere_table(directions, values)
+        _, space = sphere_table(directions, values)
         rays = [(k, (0.5, 1.0, 3.7, 10.0)) for k in range(0, len(directions), 3)]
-        report = ls.verify_homogeneous_plip(table, 1.5, rays)
-        reference = reference_ray_rows(table, 1.5, rays)
+        report = ls.verify_homogeneous_plip(values, space, 1.5, rays)
+        reference = reference_ray_rows(values, space, 1.5, rays)
         assert report["passed"] is all(row[-1] for row in reference)
         assert report["bound"] == reference[0][4]
         # each pair alone: its record against the reference row
         pairs = [(k, (s,)) for k, scales in rays for s in scales]
         assert len(pairs) == len(reference)
         for (k, (s,)), (ref_k, ref_scale, _, ref_ext, bound, passed) in zip(pairs, reference):
-            record = ls.verify_homogeneous_plip(table, 1.5, [(k, (s,))])
+            record = ls.verify_homogeneous_plip(values, space, 1.5, [(k, (s,))])
             assert (record["witness"], record["bound"]) == ({"direction": ref_k, "scale": ref_scale}, bound)
             assert record["passed"] is passed
             assert record["worst_estimate"] == pytest.approx(ref_ext, rel=1e-15)
@@ -562,49 +544,49 @@ class TestVerifyHomogeneousPlip:
 
     def test_constant_is_tight(self):
         c = np.array([0.7, -0.4, 1.1])
-        table = self._grid_table(lambda u: c)
+        values, space = self._grid_table(lambda u: c)
         rays = [(0, (0.5, 2.0, 10.0)), (5, (1.0, 3.0))]
-        report = ls.verify_homogeneous_plip(table, beta=0.0, rays=rays)
+        report = ls.verify_homogeneous_plip(values, space, beta=0.0, rays=rays)
         assert report["passed"] is True
         norm_c = float(np.linalg.norm(c))
-        assert table.sup_norm() == pytest.approx(norm_c, abs=1e-12)
-        assert ray_estimates(table, 0.0, rays) == pytest.approx(np.full(5, norm_c), abs=1e-9)
+        assert float(np.linalg.norm(values, axis=1).max()) == pytest.approx(norm_c, abs=1e-12)
+        assert ray_estimates(values, space, 0.0, rays) == pytest.approx(np.full(5, norm_c), abs=1e-9)
         assert report["bound"] == pytest.approx(norm_c + 1e-9, abs=1e-12)
 
     def test_identity_within_slack_bound(self):
-        table = self._grid_table(lambda u: u)
-        report = ls.verify_homogeneous_plip(table, beta=1.0, rays=[(0, (1.0, 2.0))])
+        values, space = self._grid_table(lambda u: u)
+        report = ls.verify_homogeneous_plip(values, space, beta=1.0, rays=[(0, (1.0, 2.0))])
         assert report["passed"] is True
-        assert ray_estimates(table, 1.0, [(0, (1.0, 2.0))]) == pytest.approx(np.ones(2), abs=1e-9)
+        assert ray_estimates(values, space, 1.0, [(0, (1.0, 2.0))]) == pytest.approx(np.ones(2), abs=1e-9)
         assert report["bound"] == pytest.approx(3.0 + 1e-9, abs=1e-12)
 
     def test_zero_map(self):
-        table = self._grid_table(lambda u: np.zeros(2))
-        report = ls.verify_homogeneous_plip(table, beta=0.0, rays=[(3, (1.0,))])
+        values, space = self._grid_table(lambda u: np.zeros(2))
+        report = ls.verify_homogeneous_plip(values, space, beta=0.0, rays=[(3, (1.0,))])
         assert report["passed"] is True
         assert report["worst_estimate"] == 0.0
         # with no slack the sphere side passes only at estimate 0
-        assert ls.verify_homogeneous_plip(table, beta=0.0, rays=[(3, (1.0,))], tol=0.0)["passed"] is True
+        assert ls.verify_homogeneous_plip(values, space, beta=0.0, rays=[(3, (1.0,))], tol=0.0)["passed"] is True
 
     def test_sphere_precondition_failure_reported(self):
         # a jumpy table is not pointwise 0-Lipschitz on the sphere sample
-        table = self._grid_table(lambda u: np.array([np.sign(u[0])]))
-        report = ls.verify_homogeneous_plip(table, beta=0.0, rays=[(4, (1.0,))])
+        values, space = self._grid_table(lambda u: np.array([np.sign(u[0])]))
+        report = ls.verify_homogeneous_plip(values, space, beta=0.0, rays=[(4, (1.0,))])
         assert report["passed"] is False
 
     def test_ray_point_whose_probes_round_onto_it(self):
         # at the smallest subnormal scale every probe distance underflows to 0
-        table = self._grid_table(lambda u: u)
+        values, space = self._grid_table(lambda u: u)
         with pytest.raises(ResolutionError, match=r"ray point 5e-324 \* direction 3 rounds"):
-            ls.verify_homogeneous_plip(table, beta=1.0, rays=[(0, (1.0,)), (3, (2.0, 5e-324))])
+            ls.verify_homogeneous_plip(values, space, beta=1.0, rays=[(0, (1.0,)), (3, (2.0, 5e-324))])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
     def test_bad_scale_is_rejected(self, bad):
-        table = self._grid_table(lambda u: u)
+        values, space = self._grid_table(lambda u: u)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ParameterError, match="positive and finite"):
-                ls.verify_homogeneous_plip(table, beta=1.0, rays=[(0, (1.0, 2.0)), (3, (0.5, bad))])
+                ls.verify_homogeneous_plip(values, space, beta=1.0, rays=[(0, (1.0, 2.0)), (3, (0.5, bad))])
 
 
 @seed(29)
@@ -627,14 +609,14 @@ def test_ray_estimate_obeys_the_derivation(table_seed, m, n, width, scales):
         directions = rng.normal(size=(n, m))
         directions /= np.linalg.norm(directions, axis=1)[:, None]
     values = rng.normal(size=(len(directions), width)) * 10.0 ** rng.uniform(-2, 2, size=(len(directions), 1))
-    table = sphere_table(directions, values)
-    sup = table.sup_norm()
+    _, space = sphere_table(directions, values)
+    sup = float(np.linalg.norm(values, axis=1).max())
     for k in range(len(directions)):
         # beta at the ray's own sphere estimate, from the per-ray loop: the
         # ray passes when no ratio exceeds sup + 2 beta
-        sphere_est = loop_ray_rows(table, 0.0, [(k, scales)])[0][2]
+        sphere_est = loop_ray_rows(values, space, 0.0, [(k, scales)])[0][2]
         slack = (sup + 2.0 * sphere_est) * 1e-12
-        assert ls.verify_homogeneous_plip(table, sphere_est, [(k, scales)], tol=slack)["passed"] is True
+        assert ls.verify_homogeneous_plip(values, space, sphere_est, [(k, scales)], tol=slack)["passed"] is True
 
 
 class TestCantorFunction:

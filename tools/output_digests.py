@@ -24,8 +24,12 @@ bad ids in the last round's ``new``, an object where ``B`` belongs, a
 stored ``alpha`` beyond the doubles), in ``malformed/<case>``, and keeps
 each exit, report and error line, so that a change in how a document is
 rejected shows; an exception the command does not catch counts as exit 1,
-the interpreter's, with its class and message as the error line.  It
-imports the ``src/`` and ``bench/`` of the checkout it lives in and changes
+the interpreter's, with its class and message as the error line.  Each
+tiny ``balls`` and ``bartle-graves`` instance also runs one parameter
+fault in its ``fault/`` directory, keeping its exit and error line the
+same way: ``select`` with ``delta_min`` above round 1's first radius, and
+``plip`` on the sphere table at a radius whose balls hold only their base.
+It imports the ``src/`` and ``bench/`` of the checkout it lives in and changes
 nothing there.
 
     python tools/output_digests.py --out digests.json
@@ -61,6 +65,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from lipselect.cli import main as cli_main  # noqa: E402
 
@@ -153,6 +158,23 @@ def _malformed_cases(sequence: dict) -> dict:
     return cases
 
 
+def _case_exit(argv, case: Path) -> int:
+    """The exit of ``argv``, with the error line the command printed kept
+    in ``case/error.txt``; an exception the command does not catch counts as
+    exit 1, the interpreter's, with its class and message as the line."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except Exception as exc:
+            code = 1
+            print(f"uncaught {type(exc).__name__}: {exc}", file=err)
+    # numpy's warnings name source lines; the command's own line is kept
+    lines = [line for line in err.getvalue().splitlines() if line.startswith(_ERROR_PREFIXES)]
+    (case / "error.txt").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return code
+
+
 def _malformed_exits(inst, malformed: Path) -> dict:
     """``{case: [read]}``, the exit of ``verify`` on each of
     :func:`_malformed_cases` of the solve's sequence, each case's files in
@@ -168,18 +190,31 @@ def _malformed_exits(inst, malformed: Path) -> dict:
         case = malformed / name
         case.mkdir(parents=True)
         (case / "sequence.json").write_text(json.dumps(doc), encoding="utf-8")
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            try:
-                exits[name] = [cli_main(["verify", "--correspondence", str(inst.workdir / "correspondence.json"),
-                                         "--sequence", str(case / "sequence.json"), "--out", str(case / "verify.json")])]
-            except Exception as exc:
-                exits[name] = [1]
-                print(f"uncaught {type(exc).__name__}: {exc}", file=err)
-        # numpy's warnings name source lines; the command's own line is kept
-        lines = [line for line in err.getvalue().splitlines() if line.startswith(_ERROR_PREFIXES)]
-        (case / "error.txt").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        exits[name] = [_case_exit(["verify", "--correspondence", str(inst.workdir / "correspondence.json"),
+                                   "--sequence", str(case / "sequence.json"), "--out", str(case / "verify.json")], case)]
     return exits
+
+
+def _fault_exits(inst, fault: Path) -> list:
+    """``[solve]``, the exit of a parameter fault of the tiny ``balls`` or
+    ``bartle-graves`` instance ``inst``, its documents and its error line in
+    ``fault``: on ``bartle-graves``, ``plip`` on the stored sphere table at
+    one radius, half the sphere's least nearest-neighbour distance, so that
+    no ball holds a point besides its base; on ``balls``, ``select`` with
+    ``delta_min`` 0.2, above round 1's first radius 2^-3."""
+    fault.mkdir()
+    if inst.name == "bartle-graves":
+        points = np.array(json.loads((inst.workdir / "sphere.json").read_text(encoding="utf-8"))["points"])
+        chords = np.linalg.norm(points[:, None] - points[None], axis=2)
+        np.fill_diagonal(chords, np.inf)
+        argv = ["plip", "--space", str(inst.workdir / "sphere.json"), "--table", str(inst.workdir / "tau.json"),
+                "--radii", repr(float(chords.min()) / 2.0), "--out", str(fault / "plip.json")]
+    else:
+        iteration = json.loads((inst.workdir / "iteration.json").read_text(encoding="utf-8"))
+        (fault / "iteration.json").write_text(json.dumps({**iteration, "delta_min": 0.2}), encoding="utf-8")
+        argv = ["select", "--correspondence", str(inst.workdir / "correspondence.json"),
+                "--iteration", str(fault / "iteration.json"), "--out", str(fault / "select.json")]
+    return [_case_exit(argv, fault)]
 
 
 def digests(seeds, workdir: Path) -> dict:
@@ -187,8 +222,9 @@ def digests(seeds, workdir: Path) -> dict:
     paths relative to ``workdir`` as ``workload/size/seed/file``; a read
     exit is null when the solve failed.  A deep run's exits are
     ``[solve, read]`` under ``workload/tiny/seed/deep``, a forged one's
-    ``[read]`` under ``workload/tiny/seed/forged``, and a malformed case's
-    ``[read]`` under ``workload/tiny/seed/malformed/case``."""
+    ``[read]`` under ``workload/tiny/seed/forged``, a malformed case's
+    ``[read]`` under ``workload/tiny/seed/malformed/case``, and a fault's
+    ``[solve]`` under ``workload/tiny/seed/fault``."""
     files, exits = {}, {}
     for name in workloads.WORKLOADS:
         for size in ("full", "tiny"):
@@ -210,6 +246,8 @@ def digests(seeds, workdir: Path) -> dict:
                     "--out", str(workdir / tag / "separate.json"),
                 ])
                 exits[tag] = [solve, read, separate]
+                if size == "tiny" and name != "polytopes":
+                    exits[f"{tag}/fault"] = _fault_exits(inst, workdir / tag / "fault")
                 if size == "tiny" and name != "bartle-graves":
                     exits[f"{tag}/deep"] = _deep_exits(inst, workdir / tag / "deep")
                     exits[f"{tag}/forged"] = _forged_exits(inst, workdir / tag / "forged")
