@@ -36,7 +36,7 @@ from .formats import (
     selection_csv_texts,
     sequence_from_dict,
     sequence_to_dict,
-    table_from_dict,
+    tables_from_dicts,
     write_report,
 )
 from .iteration import IterationConfig, run_iteration, verify_sequence
@@ -177,7 +177,7 @@ def _cmd_select(opts) -> int:
     phi = Correspondence.from_json_dict(_load_json(opts["correspondence"]))
     config = IterationConfig.from_json_dict(_load_json(opts["iteration"]))
     if opts.get("f0"):
-        f0 = table_from_dict(_load_json(opts["f0"]), phi.space, phi.ambient_dim)
+        f0 = tables_from_dicts([_load_json(opts["f0"])], phi.space, phi.ambient_dim)[0]
     else:
         f0 = phi.canonical_selection()
     seq = run_iteration(phi, f0, config)
@@ -204,7 +204,7 @@ def _cmd_select(opts) -> int:
 
 def _cmd_plip(opts) -> int:
     space = SampledMetricSpace.from_json_dict(_load_json(opts["space"]))
-    values = table_from_dict(_load_json(opts["table"]), space)
+    values = tables_from_dicts([_load_json(opts["table"])], space)[0]
     radii = opts.get("radii") or list(default_radii(space))
     keys = opts.get("points") or []
     points = [space.key_row(p) for p in keys] or range(len(space))

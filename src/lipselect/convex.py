@@ -43,8 +43,16 @@ WITNESS_TOL = 1e-9
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, bitwise equal to ``np.linalg.norm`` of
-    the row alone (a sum of squares along the axis is not)."""
-    return np.sqrt(np.vecdot(rows, rows))
+    the row alone (a sum of squares along the axis is not); a finite row
+    whose sum of squares overflows is measured scaled by its largest entry."""
+    with np.errstate(over="ignore"):
+        nrm = np.sqrt(np.vecdot(rows, rows))
+    over = np.isinf(nrm)
+    if over.any():
+        over &= np.isfinite(rows).all(axis=-1)
+        top = np.abs(rows[over]).max(axis=-1, keepdims=True)
+        nrm[over] = top[:, 0] * _row_norms(rows[over] / top)
+    return nrm
 
 
 def _matvec(mats: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -15,8 +15,8 @@ Bodies are stacked once per kind and shape when the correspondence is
 built (a document is parsed straight into the stacks by
 :func:`~lipselect.convex.stacks_from_json`), so
 :meth:`Correspondence.project` and :meth:`Correspondence.distances` take
-one query per ``(point, query)`` pair, and :meth:`Correspondence.distances_to`
-measures a whole table against the values, in one kernel call per stack.
+one query per ``(point, query)`` pair, in one kernel call per stack; a
+whole table is measured against the values as the pairs ``(i, row i)``.
 :func:`anchored_selection` projects the values of all of a round's anchors
 onto the points of their balls in one such call.
 
@@ -77,15 +77,6 @@ class LinearSurjection:
     @property
     def codomain_dim(self) -> int:
         return self.matrix.shape[0]
-
-    def minimum_norm_solution(self, y) -> np.ndarray:
-        """The least-norm ``x`` with ``matrix @ x = y`` (pseudoinverse)."""
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.codomain_dim,):
-            raise ShapeError(
-                f"right-hand side must live in dimension {self.codomain_dim}"
-            )
-        return self._pinv @ y
 
     def kernel_basis(self) -> np.ndarray:
         return self._kernel_basis
@@ -153,11 +144,6 @@ class Correspondence:
         """Distance from ``ys[i]`` to the body at point ``rows[i]``."""
         return self._kernel("distance_to", rows, ys)
 
-    def distances_to(self, table) -> np.ndarray:
-        """Distance from row ``i`` of the ``(N, d)`` table to the body at
-        point ``i``."""
-        return self.distances(np.arange(len(self.space)), table)
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Correspondence":
         if not isinstance(doc, dict) or "space" not in doc or "bodies" not in doc:
@@ -180,7 +166,7 @@ def inverse_image_correspondence(T: LinearSurjection, sample: SampledMetricSpace
             f"{T.codomain_dim}"
         )
     n = len(sample)
-    # bitwise T.minimum_norm_solution(y) for each sampled y
+    # the least-norm solution of each sampled y, bitwise T._pinv @ y
     bases = _matvec(np.broadcast_to(T._pinv, (n,) + T._pinv.shape), sample.coords)
     stack = AffineFlat.stack(bases, T.kernel_basis()[None])
     return Correspondence(sample, [(np.arange(n), AffineFlat, stack)])

@@ -133,17 +133,10 @@ def selection_csv_texts(tables: np.ndarray) -> list:
     return ["\n".join([header] + rows) + "\n" for rows in _rendered_rows(tables, range(tables.shape[1]), "{},{}")]
 
 
-def table_from_dict(doc, space: SampledMetricSpace, dim: Optional[int] = None) -> np.ndarray:
-    """Parse a selection-table document ``{"values": {"<id>": [x1, ...]}}``
-    (as written by ``select --f0``, ``plip --table`` and stored sequences)
-    into the ``(N, d)`` table of ``space``; ``dim``, when given, is the
-    required row width."""
-    return tables_from_dicts([doc], space, dim)[0]
-
-
 def tables_from_dicts(docs: list, space: SampledMetricSpace, dim: Optional[int] = None) -> np.ndarray:
-    """The ``(T, N, d)`` stack of the tables of the documents ``docs``, as
-    :func:`table_from_dict` reads each, read as one block."""
+    """The ``(T, N, d)`` stack of the table documents ``docs``, each
+    ``{"values": {"<id>": [x1, ...]}}``, read as one block; ``dim``, when
+    given, is the required row width."""
     if not all(isinstance(doc, dict) and isinstance(doc.get("values"), dict) for doc in docs):
         raise SchemaError("table document must carry a 'values' object")
     return as_table([space.keyed_entries(doc["values"], "table") for doc in docs], space, dim, stacked=True)

@@ -272,7 +272,7 @@ def run_iteration(
     """
     space = phi.space
     f0 = as_table(f0, space, phi.ambient_dim)
-    outside = np.flatnonzero(~(phi.distances_to(f0) <= max(config.tol, 1e-9)))
+    outside = np.flatnonzero(~(phi.distances(np.arange(len(space)), f0) <= max(config.tol, 1e-9)))
     if outside.size:
         raise PreconditionError(
             f"f0 is not a selection of the correspondence at {int(outside[0])!r}"
@@ -319,7 +319,7 @@ def verify_round_properties(seq: SelectionSequence, n: int) -> Dict[str, dict]:
     if not 1 <= n <= len(seq.rounds):
         raise PreconditionError(f"round {n} was never executed")
     member = np.zeros(seq.tables.shape[:2])
-    member[n] = seq.correspondence.distances_to(seq.tables[n])
+    member[n] = seq.correspondence.distances(np.arange(len(seq.space)), seq.tables[n])
     return _round_checks(seq, member, changed_rows(seq.tables))[0][n - 1]
 
 

@@ -14,8 +14,8 @@ schedules target.
 The module also houses the positively homogeneous extension of a function
 sampled on a unit sphere, a table of values on the unit directions of a
 chord (``l2``) space, taken as arrays in ``plip_profile``'s order (off-sample,
-the nearest sampled direction by the sample's distance kernel; value norms
-are row dot products), which maps a ``(P, m)`` batch row by row, and its
+the nearest sampled direction by the sample's distance kernel; norms from
+``convex._row_norms``), which maps a ``(P, m)`` batch row by row, and its
 pointwise-rate verification on rays (probes on neighbouring sampled rays,
 read off the table, for all ``(ray, scale)`` pairs in one array pass that
 reports its worst estimate and witness as one plain record).
@@ -169,11 +169,9 @@ def nearest_direction_index(space: SampledMetricSpace, u: np.ndarray) -> np.ndar
 def homogeneous_extension(values: np.ndarray, space: SampledMetricSpace, z: np.ndarray) -> np.ndarray:
     """``||z|| * f(z / ||z||)`` at each row of the ``(P, m)`` batch ``z``,
     with ``f`` the table ``values`` on the unit directions of ``space`` read
-    off the nearest sampled direction, and 0 at the origin.
-
-    Norms are row dot products, bitwise equal to ``np.linalg.norm`` of each
-    row alone (a sum of squares along the axis is not)."""
-    nrm = np.sqrt(np.vecdot(z, z))[..., None]
+    off the nearest sampled direction, and 0 at the origin.  Norms come
+    from :func:`~lipselect.convex._row_norms`, finite for every finite row."""
+    nrm = _row_norms(z)[..., None]
     k = nearest_direction_index(space, z / np.where(nrm > 0.0, nrm, 1.0))
     return np.where(nrm > 0.0, nrm * values[k], 0.0)
 

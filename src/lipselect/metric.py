@@ -152,11 +152,6 @@ class SampledMetricSpace:
         missing = [k for k in keys if k not in doc]
         raise SchemaError(f"{what} names unknown points {unknown[:3]} or lacks points {missing[:3]}")
 
-    def coordinate(self, a) -> np.ndarray:
-        if self._coords is None:
-            raise ConfigurationError("explicit-metric spaces carry no coordinates")
-        return self._coords[self.index(a)]
-
     def distances_from(self, points, out=None) -> np.ndarray:
         """The ``(P, N)`` block of distances from ``P`` points, in ambient
         coordinates, to every sample point (:func:`_fold`), written into
@@ -164,12 +159,6 @@ class SampledMetricSpace:
         if self._columns is None:
             raise ConfigurationError("explicit-metric spaces carry no coordinates")
         return _fold(self._columns, np.asarray(points, dtype=float), self.metric_kind, out)
-
-    def distance_row(self, a) -> np.ndarray:
-        """Distances from ``a`` to every point, read-only: a row of the
-        explicit matrix, or the kernel's row, kept from its first read
-        (``d(a, a)`` is ``x - x = 0`` exactly)."""
-        return self._kept([self.index(a)])[0]
 
     def _kept(self, rows: list) -> list:
         """The read-only rows of ``rows``, in their order; a coordinate
@@ -212,9 +201,6 @@ class SampledMetricSpace:
         if self._matrix is not None:
             return self._matrix[np.ix_(rows, rows)]
         return _fold(self._columns[:, rows], self._coords[rows], self.metric_kind)
-
-    def distance(self, a, b) -> float:
-        return float(self.distance_row(a)[self.index(b)])
 
     def nearest_distances(self) -> np.ndarray:
         """Distance from each point to its nearest other point (inf for a
@@ -338,31 +324,14 @@ def _scan(space: SampledMetricSpace, min_dist: np.ndarray, r: float) -> list:
     return joined
 
 
-def greedy_maximal_separation(space: SampledMetricSpace, r: float, seed: Iterable = ()) -> tuple:
-    """Maximal ``r``-separation containing ``seed``, by greedy scan.
-
-    Points are visited in row order; a point joins when its distance to
-    every current member is >= r.  The result is returned as sorted rows,
-    is an r-separation, and is maximal: every point of the space lies
-    within distance < r of some member.
-    """
+def greedy_maximal_separation(space: SampledMetricSpace, r: float) -> tuple:
+    """Maximal ``r``-separation by greedy scan, as sorted rows: points join
+    in row order when their distance to every current member is >= r, so
+    the result is an r-separation and maximal, every point of the space
+    within distance < r of some member."""
     if not r > 0:
         raise PreconditionError("separation radius must be positive")
-    seed_rows = sorted(space.index(a) for a in set(seed))
-    if seed_rows:
-        block = space.rows(seed_rows)
-        close = np.triu(block[:, seed_rows] < r, 1)
-        if close.any():
-            i, j = np.argwhere(close)[0]
-            raise PreconditionError(
-                f"seed is not an {r}-separation: "
-                f"d({seed_rows[i]!r}, {seed_rows[j]!r}) < r"
-            )
-        # min distance from each point to the current members
-        min_dist = block.min(axis=0)
-    else:
-        min_dist = np.full(len(space), np.inf)
-    return tuple(sorted(seed_rows + _scan(space, min_dist, r)))
+    return tuple(_scan(space, np.full(len(space), np.inf), r))
 
 
 def build_separation_hierarchy(space: SampledMetricSpace, n_rounds: int) -> np.ndarray:

@@ -21,6 +21,30 @@ def grid_space(n, lo=0.0, hi=1.0):
     return ls.SampledMetricSpace("l2", coords=[[lo + i * step] for i in range(n)])
 
 
+def distance(space, a, b) -> float:
+    """``d(a, b)``, read off the distance row of ``a``."""
+    return float(space.rows([a])[0, space.index(b)])
+
+
+def seeded_separation(space, r, seed=()) -> tuple:
+    """The greedy maximal ``r``-separation containing the ``r``-separation
+    ``seed``, as sorted rows: after the seed, points join in row order when
+    they lie ``>= r`` from every member so far, one distance row at a time.
+    Seeded with ``B_(n-1)`` at ``r_n = 2^-(n-1)`` it gives ``B_n``."""
+    members = sorted(set(seed))
+    min_dist = space.rows(members).min(axis=0, initial=np.inf)
+    for a in range(len(space)):
+        if min_dist[a] >= r:
+            members.append(a)
+            np.minimum(min_dist, space.rows([a])[0], out=min_dist)
+    return tuple(sorted(members))
+
+
+def least_norm(T, y) -> np.ndarray:
+    """The least-norm ``x`` with ``T x = y``: the pseudoinverse product."""
+    return np.linalg.pinv(T.matrix) @ np.asarray(y, dtype=float)
+
+
 def sphere_table(directions, values):
     """``(values, space)``: the table ``values`` on the chord (``l2``) space
     of the unit ``directions``, in the order the sphere functions take."""
@@ -102,7 +126,8 @@ def segment_instance(n_points=201, rounds=4):
     half = (n_points - 1) // 2
     space = ls.SampledMetricSpace("l2", coords=[[(i - half) / half] for i in range(n_points)])
     phi = ls.inverse_image_correspondence(T, space)
-    f0 = np.array([T.minimum_norm_solution(y) for y in space.coords])
+    pinv = np.linalg.pinv(T.matrix)
+    f0 = np.array([pinv @ y for y in space.coords])
     config = ls.IterationConfig(alpha=2.0**-0.5, beta=1.0, rounds=rounds)
     return T, phi, f0, config
 
@@ -113,7 +138,7 @@ def segment_document(n_points=41):
     T = ls.LinearSurjection([[1.0, 1.0]])
     half = (n_points - 1) // 2
     points = [[(i - half) / half] for i in range(n_points)]
-    bodies = {str(i): flat_doc(T.minimum_norm_solution(y), T.kernel_basis()) for i, y in enumerate(points)}
+    bodies = {str(i): flat_doc(least_norm(T, y), T.kernel_basis()) for i, y in enumerate(points)}
     return {"space": {"metric": "l2", "points": points}, "bodies": bodies}
 
 

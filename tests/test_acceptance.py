@@ -18,6 +18,7 @@ from lipselect.formats import dumps_canonical
 from conftest import (
     cantor_function,
     cantor_plateaus,
+    distance,
     extend_one,
     global_lipschitz_upgrade_check,
     moving_ball_instance,
@@ -93,7 +94,7 @@ def test_criterion_1_separation_suite():
             if not prev <= set(members):
                 failures.append((seed, n, "nesting"))
             for a, b in itertools.combinations(members, 2):
-                if not space.distance(a, b) >= r:
+                if not distance(space, a, b) >= r:
                     failures.append((seed, n, "separation"))
                     break
             if not ls.covering_radius(space, members) < r:
@@ -216,7 +217,7 @@ def test_criterion_6_right_inverse_suite(pipeline_runs):
             failures.append((name, "gamma"))
         checks = report["checks"]
         for a in range(len(seq.space)):
-            y = seq.space.coordinate(a)
+            y = seq.space.coords[a]
             for lam in (0.5, 2.0, 10.0):
                 resid = float(
                     np.linalg.norm(T.matrix @ extend_one(tau, seq.space, lam * y) - lam * y)
@@ -232,7 +233,7 @@ def test_criterion_6_right_inverse_suite(pipeline_runs):
             failures.append((name, "homogeneity"))
         exact_directions = 0
         for k in report["dense_set"]:
-            d = seq.space.coordinate(k)
+            d = seq.space.coords[k]
             base = extend_one(tau, seq.space, d)
             exact = {lam: bool(np.all(extend_one(tau, seq.space, lam * d) == lam * base)) for lam in (0.5, 2.0, 10.0)}
             if not (exact[0.5] and exact[2.0]):
@@ -285,7 +286,7 @@ def test_criterion_7_cantor_corpus():
     values = np.array([[cantor_function(i / n, depth=40)] for i in range(n + 1)])
     report = global_lipschitz_upgrade_check(values, grid, alpha=10.0, r0=0.01)
     x, y = report.worst_pair
-    witness_scale = abs(grid.coordinate(x)[0] - grid.coordinate(y)[0])
+    witness_scale = abs(grid.coords[x, 0] - grid.coords[y, 0])
     global_ok = (
         not report.passed
         and not report.hypothesis_held

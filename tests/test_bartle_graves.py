@@ -181,7 +181,7 @@ class TestBuildRightInverse:
         T = ls.LinearSurjection(rng.normal(size=(2, 4)))
         seq = ls.build_right_inverse(T, beta=1.0 / T.sigma_min + 0.5, sphere_count=48, rounds=3)
         for a in range(len(seq.space)):
-            y = seq.space.coordinate(a)
+            y = seq.space.coords[a]
             residual = np.linalg.norm(T.matrix @ seq.tables[-1][a] - y)
             assert residual <= 1e-8
 
@@ -204,7 +204,7 @@ def reference_right_inverse_rows(T, seq, scales):
     tau, space = seq.tables[-1], seq.space
     identity, homogeneity, off = [], [], []
     for k in dense_set(seq):
-        d = space.coordinate(k)
+        d = space.coords[k]
         base = extend_one(tau, space, d)
         exact_coords = bool(np.all(d == np.round(d)))
         for scale in (1.0, *scales):
@@ -228,7 +228,7 @@ def reference_right_inverse_rows(T, seq, scales):
         k = int(ls.lipschitz.nearest_direction_index(space, u[None])[0])
         value = extend_one(tau, space, u)
         u_norm = float(np.linalg.norm(u))
-        semantic = float(np.linalg.norm(T.matrix @ value - u_norm * space.coordinate(k)))
+        semantic = float(np.linalg.norm(T.matrix @ value - u_norm * space.coords[k]))
         identity_residual = float(np.linalg.norm(T.matrix @ value - u))
         off.append((tuple(float(x) for x in u), k, semantic, identity_residual, semantic <= 1e-8))
     return identity, homogeneity, off
@@ -403,7 +403,7 @@ class TestVerifyRightInverse:
         T = ls.LinearSurjection(matrix)
         seq = ls.build_right_inverse(T, beta=1.5 / T.sigma_min, sphere_count=64, rounds=3)
         k = int(dense_set(seq)[0])
-        row = seq.space.distance_row(k).copy()
+        row = seq.space.rows([k])[0]
         row[k] = np.inf
         kernel = np.linalg.svd(matrix)[2][-1]
         seq.tables[-1][int(np.argmin(row))] += 3.0 * kernel

@@ -23,7 +23,7 @@ from lipselect.formats import (
     selection_csv_texts,
     sequence_from_dict,
     sequence_to_dict,
-    table_from_dict,
+    tables_from_dicts,
     write_report,
 )
 
@@ -1144,7 +1144,7 @@ def test_every_double_reads_back_from_a_rendered_table():
     table = np.array(SPECIAL_DOUBLES).reshape(-1, 2)
     space = ls.SampledMetricSpace("l2", coords=np.arange(len(table), dtype=float)[:, None])
     for text in (dumps_canonical(sequence_to_dict(stack_sequence(table[None]))), generic_sequence_text(table[None])):
-        back = table_from_dict(json.loads(text)["selections"][0], space)
+        back = tables_from_dicts([json.loads(text)["selections"][0]], space)[0]
         assert back.tobytes() == table.tobytes()
 
 

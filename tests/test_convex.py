@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import lipselect as ls
-from lipselect.convex import DYKSTRA_MAX_SWEEPS, DYKSTRA_TOL
+from lipselect.convex import DYKSTRA_MAX_SWEEPS, DYKSTRA_TOL, _row_norms
 from lipselect.errors import ConvergenceError, PreconditionError, ShapeError
 
 from conftest import ball_doc, correspondence, distance_one, flat_doc, polytope_doc, project_one, stack_of
@@ -372,3 +373,22 @@ def test_projection_properties(y, z):
         assert np.linalg.norm(py - pz) <= np.linalg.norm(y - z) + 1e-9
         # membership
         assert distance_one(body, py) <= 1e-8
+
+
+def test_row_norms_rescale_only_the_rows_whose_squares_overflow():
+    """Ordinary rows keep the bits of the sum of squares' root; a finite row
+    whose sum of squares overflows gets its norm from its scaled copy, with
+    no floating-point warning; a row holding inf or NaN keeps its norm."""
+    rng = np.random.default_rng(11)
+    ordinary = rng.normal(size=(40, 4)) * 10.0 ** rng.uniform(-100, 100, size=(40, 1))
+    huge = rng.normal(size=(6, 4)) * 10.0 ** rng.uniform(155, 307, size=(6, 1))
+    special = np.array([[np.inf, 1.0, 0.0, 0.0], [np.nan, 1e300, 0.0, 0.0], [1e300, 0.0, 0.0, 0.0], [0.0] * 4])
+    rows = np.vstack([ordinary[:20], huge, ordinary[20:], special])
+    with np.errstate(all="raise"):
+        got = _row_norms(rows)
+        stacked = _row_norms(rows.reshape(2, -1, 4))
+    assert got.tobytes() == stacked.tobytes()
+    plain = np.r_[0:20, 26:46]
+    assert got[plain].tobytes() == np.sqrt(np.vecdot(ordinary, ordinary)).tobytes()
+    np.testing.assert_allclose(got[20:26], [math.hypot(*row) for row in huge], rtol=1e-15)
+    assert got[-4] == np.inf and np.isnan(got[-3]) and got[-2] == 1e300 and got[-1] == 0.0

@@ -22,8 +22,10 @@ from conftest import (
     COORD,
     ball_doc,
     correspondence,
+    distance,
     distance_one,
     flat_doc,
+    least_norm,
     line_space,
     mixed_bodies,
     polytope_doc,
@@ -53,13 +55,17 @@ class TestLinearSurjection:
         assert T_sum.sigma_min == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
     def test_minimum_norm_solution(self, T_sum):
-        np.testing.assert_allclose(T_sum.minimum_norm_solution([1.0]), [0.5, 0.5], atol=1e-15)
+        # the inverse image of 1 is the flat through its least-norm solution
+        phi = ls.inverse_image_correspondence(T_sum, line_space([1.0]))
+        ((_, _, (bases, _)),) = phi._stacks
+        np.testing.assert_allclose(bases[0], [0.5, 0.5], atol=1e-15)
 
     def test_min_norm_is_least_norm(self):
         rng = np.random.default_rng(5)
         T = ls.LinearSurjection(rng.normal(size=(2, 4)))
         y = rng.normal(size=2)
-        x = T.minimum_norm_solution(y)
+        ((_, _, (bases, _)),) = ls.inverse_image_correspondence(T, ls.SampledMetricSpace("l2", coords=[y]))._stacks
+        x = bases[0]
         np.testing.assert_allclose(T.matrix @ x, y, atol=1e-12)
         for _ in range(20):
             z = rng.normal(size=2)
@@ -120,7 +126,7 @@ class TestInverseImage:
         # the kernel basis is shared, not copied per flat
         assert basis.strides[0] == 0 and np.array_equal(basis[0], T.kernel_basis())
         for y, base in zip(sphere.coords, bases):
-            assert base.tobytes() == T.minimum_norm_solution(y).tobytes()
+            assert base.tobytes() == least_norm(T, y).tobytes()
 
     def test_dimension_guard(self, T_sum):
         space = ls.SampledMetricSpace("l2", coords=[[0.0, 1.0]])
@@ -171,8 +177,8 @@ class TestLowerPtlip:
         space = ls.SampledMetricSpace("l2", coords=rng.normal(size=(7, 2)))
         phi = ls.inverse_image_correspondence(T, space)
         b = 3
-        y = T.minimum_norm_solution(space.coordinate(b))
-        row = space.distance_row(b)
+        y = least_norm(T, space.coords[b])
+        row = space.rows([b])[0]
         realized = max(phi.distances([a], y[None])[0] / row[a] for a in range(len(space)) if a != b)
         assert realized <= 1.0 / T.sigma_min + 1e-12
         ls.local_strong_selection(phi, b, y, realized, tol=1e-12)
@@ -209,13 +215,13 @@ class TestLocalStrongSelection:
     def test_strong_bound_invariants(self, T_sum):
         space = line_space([-1, -0.4, 0.2, 1])
         phi = ls.inverse_image_correspondence(T_sum, space)
-        y = np.asarray(T_sum.minimum_norm_solution([0.2]))
+        y = least_norm(T_sum, [0.2])
         g = ls.local_strong_selection(phi, 2, y, rate=SQRT_HALF)
         anchor = g[2]
         assert float(np.linalg.norm(anchor - y)) <= 1e-12
         for a, row in enumerate(g):
             assert phi.distances([a], row[None])[0] <= 1e-8
-            bound = SQRT_HALF * space.distance(2, a) + 1e-9
+            bound = SQRT_HALF * distance(space, 2, a) + 1e-9
             assert np.linalg.norm(row - anchor) <= bound
 
     def test_anchor_row_is_pinned_to_y(self):
@@ -305,7 +311,7 @@ def test_batched_kernels_equal_the_per_body_methods(data):
     # queries outside, on and inside every body: projections are members
     table = np.array(data.draw(st.lists(st.lists(COORD, min_size=dim, max_size=dim), min_size=n, max_size=n)))
     for rows in (table, phi.project(range(n), table), phi.canonical_selection()):
-        got = phi.distances_to(rows)
+        got = phi.distances(np.arange(n), rows)
         want = np.array([distance_one(body, row) for body, row in zip(bodies, rows)])
         assert got.tobytes() == want.tobytes()
 
@@ -338,7 +344,7 @@ def test_a_list_parsed_together_equals_each_document_parsed_alone(data):
     y = np.array(data.draw(st.lists(COORD, min_size=dim, max_size=dim)))
     for y in (y, np.eye(dim)[0], np.eye(dim)[-1]):
         projected = phi.project(range(n), np.broadcast_to(y, (n, dim)))
-        distances = phi.distances_to(np.broadcast_to(y, (n, dim)))
+        distances = phi.distances(np.arange(n), np.broadcast_to(y, (n, dim)))
         for a, body in enumerate(docs):
             assert _bits(project_one(body, y)) == _bits(projected[a])
             assert _bits(distance_one(body, y)) == _bits(phi.distances([a], y[None])) == _bits(distances[a])

@@ -16,7 +16,7 @@ from lipselect.errors import (
     RateError,
     SchemaError,
 )
-from lipselect.formats import dumps_canonical, sequence_from_dict, sequence_to_dict, table_from_dict
+from lipselect.formats import dumps_canonical, sequence_from_dict, sequence_to_dict, tables_from_dicts
 from lipselect.iteration import BOUND_SLACK, MEMBERSHIP_TOL, _round_checks, changed_rows
 
 # the root conftest.py puts bench/ on the path
@@ -24,9 +24,11 @@ import workloads
 from conftest import (
     ball_doc,
     correspondence,
+    distance,
     line_space,
     mixed_bodies,
     moving_ball_instance,
+    seeded_separation,
     segment_instance,
 )
 
@@ -174,14 +176,14 @@ def per_anchor_run(phi, f0, config):
     space = phi.space
     tables, radii, prev = [f0], [], ()
     for n in range(1, config.rounds + 1):
-        members = ls.greedy_maximal_separation(space, 2.0 ** (-(n - 1)), seed=prev)
+        members = seeded_separation(space, 2.0 ** (-(n - 1)), seed=prev)
         f = tables[-1]
         table, deltas = f.copy(), {}
         for b in (b for b in members if b not in prev):
             g = np.array([phi.project([a], f[b][None])[0] for a in range(len(space))])
             g[b] = f[b]
             diffs = np.linalg.norm(f - g, axis=1)
-            row = space.distance_row(b)
+            row = space.rows([b])[0]
             delta = 2.0 ** (-(n + 2))
             while diffs[row < 2.0 * delta].max() > 2.0 ** (-n) * config.epsilon - ls.iteration.STRICTNESS_MARGIN:
                 delta /= 2.0
@@ -337,7 +339,7 @@ class TestRunIteration:
         for b in record.deltas:
             g = ls.local_strong_selection(phi, b, f0[b], rate=1.0)
             for a in range(len(space)):
-                if space.distance(a, b) <= record.deltas[b]:
+                if distance(space, a, b) <= record.deltas[b]:
                     np.testing.assert_array_equal(f1[a], g[a])
 
     def test_segment_instance_round_properties(self):
@@ -386,7 +388,7 @@ class TestVerifyRoundProperties:
         anchor = int(ls.round_members(seq.entry, 1)[0])
         target = None
         for a in range(len(phi.space)):
-            if a != anchor and phi.space.distance(anchor, a) < 2.0**-2:
+            if a != anchor and distance(phi.space, anchor, a) < 2.0**-2:
                 target = a
                 break
         assert target is not None
@@ -403,7 +405,7 @@ class TestVerifyRoundProperties:
         # one of the second new anchor further
         table = seq.tables[2]
         for b, push in ((first, 1e-4), (second, 1e-3)):
-            a = next(a for a in range(len(phi.space)) if a != b and phi.space.distance(a, b) <= record.deltas[b])
+            a = next(a for a in range(len(phi.space)) if a != b and distance(phi.space, a, b) <= record.deltas[b])
             away = table[a] - table[b]
             table[a] += push * away / np.linalg.norm(away)
         check = ls.verify_round_properties(seq, 2)["anchored_strong_bound"]
@@ -466,7 +468,7 @@ class TestSequenceInvariants:
             for i, b in enumerate(pts):
                 assert record.deltas[b] < min(2.0 ** (-(record.n + 1)), math.inf)
                 for c in pts[i + 1 :]:
-                    assert phi.space.distance(b, c) >= 2.0 * (
+                    assert distance(phi.space, b, c) >= 2.0 * (
                         record.deltas[b] + record.deltas[c]
                     )
 
@@ -529,7 +531,7 @@ def instance_run(name, rounds, workdir):
     phi = ls.Correspondence.from_json_dict(json.loads((workdir / "correspondence.json").read_text()))
     f0 = phi.canonical_selection()
     if "--f0" in inst.solve_argv:
-        f0 = table_from_dict(json.loads((workdir / "f0.json").read_text()), phi.space)
+        f0 = tables_from_dicts([json.loads((workdir / "f0.json").read_text())], phi.space)[0]
     return ls.run_iteration(phi, f0, ls.IterationConfig(alpha=0.25, beta=1.25, rounds=rounds))
 
 
@@ -610,12 +612,13 @@ def test_telescoping_equals_the_oracle_on_forged_budgets(tmp_path, name):
 
 def assert_membership_per_table(seq):
     """The audit's membership, measured once per changed row, equals a
-    per-table ``distances_to``: each round's worst distance bit for bit and
+    per-table measure: each round's worst distance bit for bit and
     the point reported with it, every round check as
     :func:`ls.verify_round_properties` gives it from its table alone, and
     the closure over every table."""
     audit = ls.verify_sequence(seq)
-    per_table = [seq.correspondence.distances_to(table) for table in seq.tables]
+    rows = np.arange(len(seq.space))
+    per_table = [seq.correspondence.distances(rows, table) for table in seq.tables]
     for r in audit["rounds"]:
         member = per_table[r["n"]]
         i = int(np.argmax(member))
@@ -639,7 +642,7 @@ def pushed_off(seq, p, tables):
     """``seq`` with row ``p`` of the ``tables`` moved by 10 in every
     coordinate, off its body, each by the same vector."""
     seq.tables[tables, p] += 10.0
-    assert (seq.correspondence.distances_to(seq.tables[tables.start])[p]) > 1.0
+    assert seq.correspondence.distances([p], seq.tables[tables.start, [p]])[0] > 1.0
     return seq
 
 
@@ -753,7 +756,8 @@ def assert_whole_run_equals_per_round(seq):
     record, each ``passed`` with its type, each ``worst`` bit for bit and
     each detail, and so does the support margin; returns the records."""
     changed = changed_rows(seq.tables)
-    member = np.array([seq.correspondence.distances_to(table) for table in seq.tables])
+    rows = np.arange(len(seq.space))
+    member = np.array([seq.correspondence.distances(rows, table) for table in seq.tables])
     checks, margin = _round_checks(seq, member, changed)
 
     def bits(records):

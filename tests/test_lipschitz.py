@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -37,7 +38,7 @@ def reference_profile(values, space, b, radii, closed=True):
     out for the informative flag; the estimate is the max over the three
     smallest informative radii."""
     table = ls.as_table(values, space)
-    dist_row = space.distance_row(b)
+    dist_row = space.rows([b])[0]
     deviations = np.linalg.norm(table - table[b], axis=1)
     rows, informative = [], []
     for r in radii:
@@ -96,7 +97,7 @@ class TestPlipProfile:
         space = ls.SampledMetricSpace(metric, coords=rng.uniform(size=(60, 2)))
         values = rng.normal(size=(60, 3))
         for b in (0, 17, 59):
-            others = np.sort(np.delete(space.distance_row(b), b))
+            others = np.sort(np.delete(space.rows([b])[0], b))
             # one radius exactly on a sampled distance, the last below the
             # nearest neighbor: that ball holds only the base
             radii = [float(others[40]) * 1.5, float(others[12]), float(others[3]) * 0.9, float(others[0]) / 2]
@@ -135,7 +136,7 @@ class TestPlipProfile:
             assert repr(profile_row(profiles, p)) == repr(reference_profile(values, space, b, radii, closed))
 
         tail = radii[1:]
-        reach = [np.delete(space.distance_row(b), b).min() for b in points]
+        reach = [np.delete(space.rows([b])[0], b).min() for b in points]
         unresolved = [b for b, d in zip(points, reach) if not (d <= tail[0] if closed else d < tail[0])]
         if unresolved:
             with pytest.raises(ResolutionError, match=f"around {unresolved[0]} in"):
@@ -319,6 +320,23 @@ class TestHomogeneousExtension:
                 extend_one(values, space, lam * z), lam * base
             )
 
+    def test_points_whose_squared_norms_overflow_stay_finite(self):
+        # (1e300)^2 overflows; the norm of each ray point does not
+        rng = np.random.default_rng(10)
+        directions = rng.normal(size=(16, 3))
+        directions /= np.linalg.norm(directions, axis=1)[:, None]
+        values, space = sphere_table(directions, rng.normal(size=(16, 2)))
+        z = rng.normal(size=(20, 3))
+        far = 1e300 * z
+        with np.errstate(all="raise"):
+            out = ls.homogeneous_extension(values, space, far)
+        near = ls.homogeneous_extension(values, space, z)
+        np.testing.assert_allclose(out, 1e300 * near, rtol=1e-14)
+        # each value is the norm times the nearest direction's value
+        k = ls.lipschitz.nearest_direction_index(space, z)
+        norms = np.array([math.hypot(*row) for row in far])
+        np.testing.assert_allclose(out, norms[:, None] * values[k], rtol=1e-15)
+
     def test_nearest_direction_tie_breaks_low_index(self):
         directions = np.array([[1.0, 0.0], [-1.0, 0.0]])
         _, space = sphere_table(directions, np.array([[1.0], [2.0]]))
@@ -408,7 +426,7 @@ def reference_ray_rows(values, space, beta, rays, tol=1e-9):
     bound = 2.0 * beta + float(np.linalg.norm(values, axis=1).max()) + tol
     rows = []
     for k, scales in rays:
-        dist_row = sphere_space.distance_row(k)
+        dist_row = sphere_space.rows([k])[0]
         rings = sorted({float(r) for r in np.sort(dist_row[dist_row > 0])[:3]})
         sphere_est = float(ls.plip_profile(values, sphere_space, [k], rings[::-1]).estimates[0])
         for scale in scales:
@@ -445,7 +463,7 @@ def loop_ray_rows(values, space, beta, rays, tol=1e-9):
     factors = np.array([1.0 - rho, 1.0, 1.0 + rho])[:, None, None]
     rows = []
     for k, scales in rays:
-        row = space.distance_row(k)
+        row = space.rows([k])[0]
         rings = sorted({float(r) for r in np.sort(row[row > 0])[:3]})
         near = np.flatnonzero((row > 0) & (row <= max(rings, default=0.0)))
         sphere_dev = np.linalg.norm(values[near] - values[k], axis=1)
@@ -755,7 +773,7 @@ class TestGlobalLipschitzUpgrade:
         # worst pair is an adjacent rise: ratio (3/2)^6 over scale 3^-6
         assert report.worst_ratio == pytest.approx(1.5**6, rel=1e-9)
         x, y = report.worst_pair
-        assert abs(space.coordinate(x)[0] - space.coordinate(y)[0]) == pytest.approx(
+        assert abs(space.coords[x, 0] - space.coords[y, 0]) == pytest.approx(
             3.0**-6, rel=1e-12
         )
 

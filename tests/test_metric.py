@@ -15,7 +15,7 @@ from lipselect.errors import (
     SchemaError,
 )
 
-from conftest import line_space, segment_instance
+from conftest import distance, line_space, seeded_separation, segment_instance
 from lipselect import metric
 from lipselect.formats import hierarchy_to_dict
 from lipselect.metric import BLOCK_ROWS
@@ -25,12 +25,12 @@ def brute_force_is_maximal_separation(space, members, r):
     """Oracle: pairwise >= r, and no point of the space can be added."""
     members = set(members)
     for a, b in itertools.combinations(members, 2):
-        if space.distance(a, b) < r:
+        if distance(space, a, b) < r:
             return False
     for a in range(len(space)):
         if a in members:
             continue
-        if all(space.distance(a, b) >= r for b in members):
+        if all(distance(space, a, b) >= r for b in members):
             return False
     return True
 
@@ -38,24 +38,24 @@ def brute_force_is_maximal_separation(space, members, r):
 class TestDistance:
     def test_l2_pythagorean(self):
         space = ls.SampledMetricSpace("l2", coords=[[0, 0], [3, 4]])
-        assert space.distance(0, 1) == 5.0
+        assert space.rows([0])[0, 1] == 5.0
 
     def test_identity(self, four_point_line):
-        assert four_point_line.distance(2, 2) == 0.0
+        assert four_point_line.rows([2])[0, 2] == 0.0
 
     def test_l1(self):
         space = ls.SampledMetricSpace("l1", coords=[[0, 0], [3, 4]])
-        assert space.distance(0, 1) == 7.0
+        assert space.rows([0])[0, 1] == 7.0
 
     def test_linf(self):
         space = ls.SampledMetricSpace("linf", coords=[[0, 0], [3, 4]])
-        assert space.distance(0, 1) == 4.0
+        assert space.rows([0])[0, 1] == 4.0
 
     def test_unknown_id(self, four_point_line):
         # a negative row must not wrap around to the end
         for bad in ("nope", -1, 4):
             with pytest.raises(IdentifierError):
-                four_point_line.distance(0, bad)
+                four_point_line.rows([bad])
 
     def test_explicit_requires_matrix(self):
         with pytest.raises(ConfigurationError):
@@ -64,7 +64,7 @@ class TestDistance:
     def test_explicit_lookup(self):
         mat = [[0.0, 2.0], [2.0, 0.0]]
         space = ls.SampledMetricSpace("explicit", explicit_distances=mat)
-        assert space.distance(0, 1) == 2.0
+        assert space.rows([0])[0, 1] == 2.0
 
     def test_explicit_asymmetric_rejected(self):
         with pytest.raises(PreconditionError):
@@ -139,7 +139,7 @@ class TestBallPoints:
 
     def test_radius_beyond_diameter(self, four_point_line):
         # by the triangle inequality no distance exceeds twice the largest from 0
-        r = 2.0 * four_point_line.distance_row(0).max() + 1.0
+        r = 2.0 * four_point_line.rows([0])[0].max() + 1.0
         assert ball(four_point_line, 2, r, closed=True) == {0, 1, 2, 3}
 
 
@@ -150,7 +150,7 @@ class TestGreedySeparation:
         assert brute_force_is_maximal_separation(four_point_line, members, 0.5)
 
     def test_seeded(self, four_point_line):
-        members = ls.greedy_maximal_separation(four_point_line, 0.5, seed=[3])
+        members = seeded_separation(four_point_line, 0.5, seed=[3])
         assert set(members) == {3, 0}
         assert brute_force_is_maximal_separation(four_point_line, members, 0.5)
 
@@ -158,18 +158,14 @@ class TestGreedySeparation:
         members = ls.greedy_maximal_separation(four_point_line, 2.0)
         assert members == (0,)
 
-    def test_bad_seed(self, four_point_line):
-        with pytest.raises(PreconditionError):
-            ls.greedy_maximal_separation(four_point_line, 0.5, seed=[0, 1])
-
     def test_brute_force_all_radii(self, four_point_line):
         for r in (0.2, 0.25, 0.3, 0.35, 0.5, 0.7, 1.0):
             members = ls.greedy_maximal_separation(four_point_line, r)
             assert brute_force_is_maximal_separation(four_point_line, members, r)
 
     def test_determinism(self, four_point_line):
-        a = ls.greedy_maximal_separation(four_point_line, 0.5, seed=[3])
-        b = ls.greedy_maximal_separation(four_point_line, 0.5, seed=[3])
+        a = ls.greedy_maximal_separation(four_point_line, 0.5)
+        b = ls.greedy_maximal_separation(four_point_line, 0.5)
         assert a == b
 
 
@@ -197,7 +193,7 @@ class TestHierarchy:
             r, members = 2.0 ** (-(n - 1)), ls.round_members(entry, n).tolist()
             assert prev <= set(members)
             for a, b in itertools.combinations(members, 2):
-                assert four_point_line.distance(a, b) >= r
+                assert distance(four_point_line, a, b) >= r
             cover = ls.covering_radius(four_point_line, members)
             assert cover < r
             assert cover <= prev_cover
@@ -237,7 +233,7 @@ class TestCoveringRadius:
     def test_brute_force(self, four_point_line):
         members = [1, 3]
         expected = max(
-            min(four_point_line.distance(a, b) for b in members)
+            min(distance(four_point_line, a, b) for b in members)
             for a in range(len(four_point_line))
         )
         assert ls.covering_radius(four_point_line, members) == expected
@@ -261,7 +257,7 @@ def test_greedy_separation_properties(points, r):
     space = ls.SampledMetricSpace("l2", coords=[list(p) for p in points])
     members = ls.greedy_maximal_separation(space, r)
     for a, b in itertools.combinations(members, 2):
-        assert space.distance(a, b) >= r
+        assert distance(space, a, b) >= r
     assert ls.covering_radius(space, members) < r
 
 
@@ -339,7 +335,7 @@ def test_entry_column_equals_the_chain_of_seeded_separations(metric):
         assert entry.shape == (len(space),) and entry.dtype.kind == "i"
         chain, prev = np.zeros(len(space), dtype=int), ()
         for n in range(1, 7):
-            members = ls.greedy_maximal_separation(space, 2.0 ** (-(n - 1)), seed=prev)
+            members = seeded_separation(space, 2.0 ** (-(n - 1)), seed=prev)
             assert ls.round_members(entry, n).tolist() == list(members)
             chain[[b for b in members if b not in prev]] = n
             prev = members
@@ -387,8 +383,8 @@ def test_blocked_scan_equals_the_oracle_across_blocks(name):
         r = 2.0 ** (-(n - 1))
         members = greedy_over_matrix(mat, r, prev)
         assert ls.round_members(entry, n).tolist() == list(members)
-        assert ls.greedy_maximal_separation(make(), r, seed=prev) == members
-        assert ls.greedy_maximal_separation(make(), r) == greedy_over_matrix(mat, r)
+        assert seeded_separation(make(), r, seed=prev) == members
+        assert ls.greedy_maximal_separation(make(), r) == seeded_separation(make(), r) == greedy_over_matrix(mat, r)
         prev = members
 
 
@@ -436,11 +432,11 @@ class TestDistanceRows:
         rnd.shuffle(order)
         # first touch in random order, then again from the cache
         for a in order + order:
-            assert space.distance_row(a).tobytes() == ref[a].tobytes()
+            assert space.rows([a])[0].tobytes() == ref[a].tobytes()
         assert space.rows(order).tobytes() == ref[order].tobytes()
         assert space.distance_matrix().tobytes() == ref.tobytes()
         for a, b in itertools.combinations(range(n), 2):
-            assert space.distance(a, b) == space.distance(b, a)
+            assert distance(space, a, b) == distance(space, b, a)
         off = np.min(ref, axis=1, where=~np.eye(n, dtype=bool), initial=np.inf)
         assert space.nearest_distances().tobytes() == off.tobytes()
 
@@ -485,13 +481,15 @@ class TestDistanceRows:
         assert mat.flags.writeable
 
     def test_cached_rows_cannot_be_written(self, four_point_line):
-        row = four_point_line.distance_row(1)
+        (row,) = four_point_line._kept([1])
         with pytest.raises(ValueError):
             row[0] = 5.0
-        assert four_point_line.distance_row(1) is row
+        assert four_point_line._kept([1])[0] is row
+        # a block of rows is a new array
+        assert four_point_line.rows([1]).flags.writeable
         explicit = ls.SampledMetricSpace("explicit", explicit_distances=[[0.0, 2.0], [2.0, 0.0]])
         with pytest.raises(ValueError):
-            explicit.distance_row(0)[1] = 5.0
+            explicit._kept([0])[0][1] = 5.0
 
     @pytest.mark.parametrize(
         "members, first",
@@ -536,20 +534,10 @@ def test_greedy_net_equals_the_scan_over_the_full_matrix(points, metric, r, pick
     coords = np.array(points)
     space = ls.SampledMetricSpace(metric, coords=coords)
     mat = matrix_row_by_row(coords, metric)
-    assert ls.greedy_maximal_separation(space, r) == greedy_over_matrix(mat, r)
+    assert ls.greedy_maximal_separation(space, r) == seeded_separation(space, r) == greedy_over_matrix(mat, r)
     seed_rows = sorted({p % len(space) for p in picks})
     if all(mat[a, b] >= r for a, b in itertools.combinations(seed_rows, 2)):
-        members = ls.greedy_maximal_separation(space, r, seed=seed_rows)
-        assert members == greedy_over_matrix(mat, r, seed_rows)
-    else:
-        with pytest.raises(PreconditionError):
-            ls.greedy_maximal_separation(space, r, seed=seed_rows)
-
-
-def test_a_non_separated_seed_names_its_first_close_pair(four_point_line):
-    # d(0, 2) = 0.6 and d(0, 3) = 1.0 pass at r = 0.5; d(2, 3) = 0.4 does not
-    with pytest.raises(PreconditionError, match=r"d\(2, 3\) < r"):
-        ls.greedy_maximal_separation(four_point_line, 0.5, seed=[3, 0, 2])
+        assert seeded_separation(space, r, seed=seed_rows) == greedy_over_matrix(mat, r, seed_rows)
 
 
 def test_twenty_thousand_points_need_no_distance_matrix():

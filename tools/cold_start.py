@@ -13,6 +13,15 @@ the call imported.  It prints the medians, and the modules that the first
 call imported in most interpreters.
 
     python tools/cold_start.py --runs 9 --seed 0
+
+With ``--against DIR`` each verb runs ``--runs`` times from this
+checkout's ``src/`` and as often from ``DIR``'s, the two alternating which
+starts first, on the same documents.  For each verb it prints both medians
+of the first call's wall time and minor faults, and the pairs in which
+each side's first call was faster: a quick A/B of two checkouts before the
+benchmark's own pairs.
+
+    python tools/cold_start.py --runs 15 --against ../parent
 """
 
 from __future__ import annotations
@@ -54,14 +63,21 @@ print(json.dumps(calls))
 """
 
 
-def cold_calls(argv, src: Path, runs: int) -> list:
-    """``[[first, second]]``, the records of each fresh interpreter."""
-    env = {**child_env(), "PYTHONPATH": str(src)}
-    out = []
-    for _ in range(runs):
-        proc = subprocess.run([sys.executable, "-B", "-c", CHILD, json.dumps(argv)],
-                              env=env, cwd=ROOT, capture_output=True, text=True, check=True)
-        out.append(json.loads(proc.stdout.splitlines()[-1]))
+def cold_call(argv, src: Path) -> list:
+    """``[first, second]``, the records of one fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-B", "-c", CHILD, json.dumps(argv)],
+                          env={**child_env(), "PYTHONPATH": str(src)}, cwd=ROOT,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def paired_calls(argv, srcs: list, runs: int) -> list:
+    """Per source tree, the records of ``runs`` fresh interpreters; the
+    trees take turns in order, and every other round in reverse."""
+    out = [[] for _ in srcs]
+    for i in range(runs):
+        for side in range(len(srcs))[:: -1 if i % 2 else 1]:
+            out[side].append(cold_call(argv, srcs[side]))
     return out
 
 
@@ -77,22 +93,41 @@ def summary(calls: list) -> str:
     return "\n".join(lines)
 
 
+def comparison(here: list, there: list) -> str:
+    """Both medians of the first call's wall time and minor faults, and
+    the pairs whose first call each side ran faster."""
+    med = {key: [statistics.median(c[0][key] for c in calls) for calls in (here, there)] for key in ("wall_ms", "minflt")}
+    walls = [(a[0]["wall_ms"], b[0]["wall_ms"]) for a, b in zip(here, there)]
+    won = [sum(a < b for a, b in walls), sum(b < a for a, b in walls)]
+    exits = sorted({c[0]["exit"] for c in here + there})
+    return (f"  first call wall {med['wall_ms'][0]:.2f} ms here, {med['wall_ms'][1]:.2f} ms against; "
+            f"{med['minflt'][0]:.0f} and {med['minflt'][1]:.0f} minor faults; "
+            f"faster in {won[0]} and {won[1]} of {len(walls)} pairs, exit {exits}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--runs", type=int, default=9, help="fresh interpreters per verb")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workload", choices=workloads.WORKLOADS, nargs="+", default=list(workloads.WORKLOADS))
+    parser.add_argument("--against", type=Path, help="a checkout whose src/ each verb is compared with")
     args = parser.parse_args(argv)
+    trees = [ROOT] + ([args.against] if args.against else [])
+    if args.against and not (args.against / "src" / "lipselect").is_dir():
+        parser.error(f"{args.against} holds no src/lipselect")
     with tempfile.TemporaryDirectory() as tmp:
-        src = Path(tmp) / "src"
-        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        srcs = [Path(tmp) / f"src{i}" for i in range(len(trees))]
+        for tree, src in zip(trees, srcs):
+            shutil.copytree(tree / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         for name in args.workload:
             inst = workloads.build(name, args.seed, Path(tmp) / name)
             solve = inst.solve_argv
-            print(f"{name} seed {args.seed}, {solve[0]}:\n{summary(cold_calls(solve, src, args.runs))}")
+            solved = paired_calls(solve, srcs, args.runs)
             report = json.loads(Path(solve[solve.index("--out") + 1]).read_text(encoding="utf-8"))
             read = inst.read_argv(report)
-            print(f"{name} seed {args.seed}, {read[0]}:\n{summary(cold_calls(read, src, args.runs))}")
+            for verb, calls in ((solve[0], solved), (read[0], paired_calls(read, srcs, args.runs))):
+                shown = comparison(*calls) if args.against else summary(calls[0])
+                print(f"{name} seed {args.seed}, {verb}:\n{shown}")
     return 0
 
 
