@@ -126,8 +126,7 @@ def segment_instance(n_points=201, rounds=4):
     half = (n_points - 1) // 2
     space = ls.SampledMetricSpace("l2", coords=[[(i - half) / half] for i in range(n_points)])
     phi = ls.inverse_image_correspondence(T, space)
-    pinv = np.linalg.pinv(T.matrix)
-    f0 = np.array([pinv @ y for y in space.coords])
+    f0 = np.array([least_norm(T, y) for y in space.coords])
     config = ls.IterationConfig(alpha=2.0**-0.5, beta=1.0, rounds=rounds)
     return T, phi, f0, config
 

@@ -163,6 +163,13 @@ class TestBall:
         assert distance_one(ball, [2.0, 0.0]) == 1.0
         assert not distance_one(ball, [2.0, 0.0]) <= 1e-12
 
+    def test_a_far_ball_keeps_finite_distances(self):
+        # (1e200)^2 overflows; the distance to the ball and the projection do not
+        ball = ball_doc([1e200, 0.0], 1.0)
+        with np.errstate(all="raise"):
+            assert distance_one(ball, [0.0, 0.0]) == 1e200
+            np.testing.assert_array_equal(project_one(ball, [0.0, 0.0]), [1e200, 0.0])
+
     def test_radius_positive(self):
         with pytest.raises(PreconditionError):
             stack_of([ball_doc([0.0], 0.0)])
