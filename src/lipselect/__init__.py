@@ -17,19 +17,11 @@ from .correspondence import (
     local_strong_selection,
 )
 from .errors import (
-    ConfigurationError,
     ConvergenceError,
-    DegenerateRadiusError,
-    IdentifierError,
-    InvariantViolationError,
     LipselectError,
-    ParameterError,
     PreconditionError,
-    RankDeficiencyError,
     RateError,
-    ResolutionError,
     SchemaError,
-    ShapeError,
 )
 from .iteration import (
     IterationConfig,

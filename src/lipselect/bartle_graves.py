@@ -31,7 +31,7 @@ from .correspondence import (
     LinearSurjection,
     inverse_image_correspondence,
 )
-from .errors import ConfigurationError, ParameterError
+from .errors import PreconditionError, SchemaError
 from .iteration import IterationConfig, SelectionSequence, run_iteration
 from .lipschitz import (
     homogeneous_extension,
@@ -57,28 +57,34 @@ def sphere_sample(m: int, count: int, seed: int = 0, dedup_tol: float = 1e-6) ->
     skipped when an earlier kept direction lies within ``dedup_tol`` of it
     (:func:`_joining`).  Draws come in batches of the missing rows; a
     sample still short after ``100 * count`` draws is a
-    :class:`ConfigurationError`.
+    :class:`SchemaError`.  A ``count`` whose first array cannot be
+    allocated is a :class:`PreconditionError` naming ``count`` and ``m``.
     """
     if m < 1:
-        raise ParameterError("sphere dimension must be at least 1")
+        raise PreconditionError("sphere dimension must be at least 1")
     if count < 2:
-        raise ParameterError("sphere sample needs at least two points")
+        raise PreconditionError("sphere sample needs at least two points")
     if m == 1:
-        coords = np.array([[-1.0], [1.0]])
-    elif m == 2:
-        angles = 2.0 * np.pi * np.arange(count) / count
+        return SampledMetricSpace("l2", coords=np.array([[-1.0], [1.0]]))
+    try:
+        # the sample's first array; numpy fails at once on one larger than any address space
+        first = np.arange(count) if m == 2 else np.empty((count, m))
+    except (MemoryError, ValueError):
+        raise PreconditionError(f"a sphere sample of count = {count} points at m = {m} does not fit in memory") from None
+    if m == 2:
+        angles = 2.0 * np.pi * first / count
         coords = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         coords[np.abs(coords) < COORD_SNAP] = 0.0
         coords /= np.linalg.norm(coords, axis=1)[:, None]
     else:
         rng = np.random.default_rng(seed)
-        coords = np.empty((count, m))
+        coords = first
         drawn = attempts = 0
         while drawn < count:
             # the missing rows in one draw, the same stream as one at a time
             k = min(count - drawn, 100 * count - attempts)
             if k == 0:
-                raise ConfigurationError(
+                raise SchemaError(
                     "could not draw enough distinct sphere directions"
                 )
             attempts += k
@@ -150,7 +156,7 @@ def build_right_inverse(
     keeps the default ``epsilon``, ``delta_min`` and ``tol``."""
     alpha = 1.0 / T.sigma_min
     if not beta > alpha:
-        raise ParameterError(
+        raise PreconditionError(
             f"beta must exceed 1/gamma = {alpha}; got beta = {beta}"
         )
     phi = inverse_image_correspondence(T, sphere_sample(T.codomain_dim, sphere_count, seed=seed))
@@ -181,9 +187,14 @@ def verify_right_inverse(T: LinearSurjection, seq: SelectionSequence) -> dict:
     dense-set rays, probed on neighbouring sampled rays; (iv) the covering
     radius of the dense set against its separation radius.  Then come
     ``checks`` (one record per check), ``off_sample_identity_residuals``
-    (reported, not judged) and ``passed``.
+    (reported, not judged) and ``passed``.  A ``beta`` so large that
+    ``eta`` overflows is a :class:`PreconditionError`, raised before any
+    check runs.
     """
     space, values, beta = seq.space, seq.tables[-1], seq.config.beta
+    eta = 2.0 * beta + float(np.linalg.norm(values, axis=1).max())
+    if not np.isfinite(eta):
+        raise PreconditionError(f"beta = {beta} makes eta = 2 beta + sup ||tau|| overflow to {eta}")
     dense_set = round_members(seq.entry, seq.config.rounds)
     scales = np.concatenate([[1.0], RAY_SCALES])
     coords = space.coords
@@ -232,7 +243,7 @@ def verify_right_inverse(T: LinearSurjection, seq: SelectionSequence) -> dict:
         "gamma": T.sigma_min,
         "alpha": seq.config.alpha,
         "beta": beta,
-        "eta": 2.0 * beta + float(np.linalg.norm(values, axis=1).max()),
+        "eta": eta,
         "tail_bound": seq.tail_bound,
         "pinv_gap": float(np.linalg.norm(values - seq.tables[0], axis=1).max()),
         "dense_set": dense_set.tolist(),

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import bartle_graves as bg
 from .correspondence import Correspondence, LinearSurjection
-from .errors import IdentifierError, LipselectError, ParameterError, PreconditionError, SchemaError
+from .errors import LipselectError, PreconditionError, SchemaError
 from .formats import (
     dumps_canonical,
     hierarchy_to_dict,
@@ -87,7 +87,7 @@ def _real(key, value) -> float:
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise ParameterError(f"option {key!r} must be finite, got {value!r}")
+        raise PreconditionError(f"option {key!r} must be finite, got {value!r}")
     return number
 
 
@@ -96,7 +96,7 @@ def _count(key, value) -> int:
     if number != int(number):
         raise SchemaError(f"option {key!r} must be an integer, got {value!r}")
     if number < 0:
-        raise ParameterError(f"option {key!r} must be nonnegative, got {value!r}")
+        raise PreconditionError(f"option {key!r} must be nonnegative, got {value!r}")
     return int(number)
 
 
@@ -164,7 +164,7 @@ def _cmd_separate(opts) -> int:
         ]
     else:
         if "r" not in opts:
-            raise ParameterError("separate needs --r or --rounds")
+            raise PreconditionError("separate needs --r or --rounds")
         members = greedy_maximal_separation(space, opts["r"])
         report["r"] = opts["r"]
         report["B"] = list(members)
@@ -210,7 +210,7 @@ def _cmd_plip(opts) -> int:
     points = [space.key_row(p) for p in keys] or range(len(space))
     unknown = [p for p, row in zip(keys, points) if row is None]
     if unknown:
-        raise IdentifierError(f"unknown point id(s) {unknown!r}")
+        raise SchemaError(f"unknown point id(s) {unknown!r}")
     profiles = plip_profile(values, space, points, radii)
     report = {
         "command": "plip",

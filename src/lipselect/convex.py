@@ -30,7 +30,6 @@ from .errors import (
     ConvergenceError,
     PreconditionError,
     SchemaError,
-    ShapeError,
     as_finite_array,
 )
 
@@ -110,13 +109,13 @@ class AffineFlat(ConvexBody):
         once and shared by every flat."""
         bases = as_finite_array(bases, "flat base")
         if bases.ndim != 2:
-            raise ShapeError("flat base must be a vector")
+            raise SchemaError("flat base must be a vector")
         n, dim = bases.shape
         spans = as_finite_array(bases_of_spans, "flat basis")
         if spans.ndim == 2 and not spans.shape[1]:
             spans = np.zeros((len(spans), 0, dim))
         if spans.ndim != 3 or spans.shape[0] not in (1, n) or spans.shape[2] != dim:
-            raise ShapeError("basis vectors must match the base dimension")
+            raise SchemaError("basis vectors must match the base dimension")
         rank = spans.shape[1]
         if rank:
             gram = spans @ np.swapaxes(spans, 1, 2)
@@ -152,10 +151,10 @@ class Ball(ConvexBody):
     def stack(centers, radii) -> tuple:
         centers = as_finite_array(centers, "ball center")
         if centers.ndim != 2:
-            raise ShapeError("ball center must be a vector")
+            raise SchemaError("ball center must be a vector")
         radii = as_finite_array(radii, "ball radius")
         if radii.shape != centers.shape[:1]:
-            raise ShapeError("ball radius must be a number")
+            raise SchemaError("ball radius must be a number")
         if not np.all(radii > 0):
             raise PreconditionError("ball radius must be positive")
         return centers, radii
@@ -193,9 +192,9 @@ class Polytope(ConvexBody):
         normals = as_finite_array(normals, "polytope normals")
         offsets = as_finite_array(offsets, "polytope offsets")
         if normals.ndim != 3 or offsets.ndim != 2:
-            raise ShapeError("polytope needs a normal matrix and an offset vector")
+            raise SchemaError("polytope needs a normal matrix and an offset vector")
         if normals.shape[:2] != offsets.shape:
-            raise ShapeError("normal and offset counts differ")
+            raise SchemaError("normal and offset counts differ")
         if normals.shape[1] == 0:
             raise PreconditionError("polytope needs at least one halfspace")
         sq_norms = np.einsum("...ij,...ij->...i", normals, normals)
@@ -205,7 +204,7 @@ class Polytope(ConvexBody):
         witnesses = as_finite_array(witnesses, "witness")
         dim = normals.shape[2]
         if witnesses.shape != (len(normals), dim):
-            raise ShapeError(f"witness must be a vector of dimension {dim}")
+            raise SchemaError(f"witness must be a vector of dimension {dim}")
         slack = _matvec(normals, witnesses) - offsets
         if np.any(slack > WITNESS_TOL * np.maximum(1.0, row_norms)):
             raise PreconditionError("witness point is not feasible for the polytope")

@@ -33,10 +33,8 @@ import numpy as np
 from .convex import AffineFlat, _matvec, stacks_from_json
 from .errors import (
     PreconditionError,
-    RankDeficiencyError,
     RateError,
     SchemaError,
-    ShapeError,
     as_finite_array,
 )
 from .metric import SampledMetricSpace
@@ -58,28 +56,25 @@ class LinearSurjection:
     def __init__(self, matrix):
         self.matrix = as_finite_array(matrix, "matrix")
         if self.matrix.ndim != 2:
-            raise ShapeError("a linear surjection is given by a 2-d matrix")
+            raise SchemaError("a linear surjection is given by a 2-d matrix")
         m, n = self.matrix.shape
         if m > n:
-            raise ShapeError(
+            raise SchemaError(
                 f"matrix has more rows ({m}) than columns ({n}); cannot be surjective"
             )
         u, s, vt = np.linalg.svd(self.matrix)
         self.sigma_min = float(s[-1])
         if not self.sigma_min > RANK_TOLERANCE:
-            raise RankDeficiencyError(
+            raise PreconditionError(
                 f"smallest singular value {self.sigma_min:.3e} is below {RANK_TOLERANCE:.0e}"
             )
         self._pinv = np.linalg.pinv(self.matrix)
         # rows m..n-1 of V^T span the kernel and are orthonormal
-        self._kernel_basis = vt[m:].copy()
+        self.kernel_basis = vt[m:].copy()
 
     @property
     def codomain_dim(self) -> int:
         return self.matrix.shape[0]
-
-    def kernel_basis(self) -> np.ndarray:
-        return self._kernel_basis
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "LinearSurjection":
@@ -100,7 +95,7 @@ class Correspondence:
         returns them."""
         dims = {stack[0].shape[-1] for _, _, stack in stacks}
         if len(dims) != 1:
-            raise ShapeError("bodies do not share one ambient dimension")
+            raise SchemaError("bodies do not share one ambient dimension")
         self.space = space
         self.ambient_dim = dims.pop()
         # (row indices, kind, stack) per kind and shape, in order of first
@@ -126,7 +121,7 @@ class Correspondence:
         rows = np.asarray(rows, dtype=np.intp)
         ys = np.asarray(ys, dtype=float)
         if ys.shape != (len(rows), self.ambient_dim):
-            raise ShapeError(f"expected {len(rows)} queries of dimension {self.ambient_dim}, got shape {ys.shape}")
+            raise SchemaError(f"expected {len(rows)} queries of dimension {self.ambient_dim}, got shape {ys.shape}")
         out = np.empty(ys.shape if kernel == "project" else len(rows))
         stack_of = self._stack_of[rows]
         for s, (_, kind, stack) in enumerate(self._stacks):
@@ -159,16 +154,16 @@ def inverse_image_correspondence(T: LinearSurjection, sample: SampledMetricSpace
     with the kernel of ``T`` as direction subspace, built as one stack that
     shares the kernel basis."""
     if sample.coords is None:
-        raise ShapeError("inverse images need a coordinate sample of the codomain")
+        raise SchemaError("inverse images need a coordinate sample of the codomain")
     if sample.ambient_dim != T.codomain_dim:
-        raise ShapeError(
+        raise SchemaError(
             f"sample lives in dimension {sample.ambient_dim}, codomain is "
             f"{T.codomain_dim}"
         )
     n = len(sample)
     # the least-norm solution of each sampled y, bitwise T._pinv @ y
     bases = _matvec(np.broadcast_to(T._pinv, (n,) + T._pinv.shape), sample.coords)
-    stack = AffineFlat.stack(bases, T.kernel_basis()[None])
+    stack = AffineFlat.stack(bases, T.kernel_basis[None])
     return Correspondence(sample, [(np.arange(n), AffineFlat, stack)])
 
 

@@ -1,11 +1,13 @@
 """Exception types shared across the package, and the finite-number check
 every constructor of outside input calls.
 
-The base class of an error is its exit status on the command line: a
+The class of an error is its exit status on the command line: a
 :class:`SchemaError` (a document, identifier, shape or configuration
-problem) exits 2, a :class:`PreconditionError` (a numeric precondition)
-exits 3, and any other :class:`LipselectError` (convergence or degeneracy)
-exits 4.
+problem) exits 2; a :class:`PreconditionError` (a numeric precondition)
+exits 3, and so does its subclass :class:`RateError`, which carries its
+evidence; a :class:`ConvergenceError`, which carries its residual, and any
+other :class:`LipselectError` (a degenerate radius search, a broken
+invariant) exit 4.
 """
 
 from itertools import chain
@@ -14,37 +16,17 @@ import numpy as np
 
 
 class LipselectError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; raised itself where a
+    construction cannot go on, such as a radius search below its floor."""
 
 
 class SchemaError(LipselectError):
-    """An input document does not match its expected JSON schema."""
-
-
-class IdentifierError(SchemaError):
-    """A point identifier is unknown to the space it was used with."""
-
-
-class ConfigurationError(SchemaError):
-    """An object is structurally unusable (e.g. explicit metric without a
-    distance matrix, or an empty sphere table)."""
-
-
-class ShapeError(SchemaError):
-    """Dimension mismatch between vectors, bodies, or operators."""
+    """An input document, point identifier, shape or configuration does not
+    match what its reader expects."""
 
 
 class PreconditionError(LipselectError):
     """A documented operation precondition was violated by the caller."""
-
-
-class ParameterError(PreconditionError):
-    """A numeric parameter is outside its admissible range."""
-
-
-class RankDeficiencyError(PreconditionError):
-    """A matrix expected to have full row rank is (numerically) rank
-    deficient."""
 
 
 class ConvergenceError(LipselectError):
@@ -64,20 +46,6 @@ class RateError(PreconditionError):
         super().__init__(message)
         self.witness = witness
         self.excess = float(excess)
-
-
-class DegenerateRadiusError(LipselectError):
-    """The halving search for an adjustment radius fell below its floor."""
-
-
-class ResolutionError(PreconditionError):
-    """No ball in the requested radius schedule contains a point other than
-    its center; the sample is too coarse for the requested estimate."""
-
-
-class InvariantViolationError(LipselectError):
-    """A structural invariant that the construction should guarantee was
-    found violated (e.g. overlapping adjustment supports)."""
 
 
 def as_finite_array(values, what: str) -> np.ndarray:

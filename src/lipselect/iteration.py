@@ -45,9 +45,7 @@ import numpy as np
 
 from .correspondence import AnchoredPairs, Correspondence, anchored_selection
 from .errors import (
-    DegenerateRadiusError,
-    InvariantViolationError,
-    ParameterError,
+    LipselectError,
     PreconditionError,
     RateError,
     SchemaError,
@@ -110,19 +108,19 @@ class IterationConfig:
             "iteration parameters",
         )
         if self.alpha < 0:
-            raise ParameterError("alpha must be nonnegative")
+            raise PreconditionError("alpha must be nonnegative")
         if not self.beta > self.alpha:
-            raise ParameterError("beta must exceed alpha")
+            raise PreconditionError("beta must exceed alpha")
         if not 0.0 < self.epsilon <= cap:
-            raise ParameterError(
+            raise PreconditionError(
                 f"epsilon must lie in (0, (beta - alpha)/3 = {cap}]"
             )
         if self.rounds < 1:
-            raise ParameterError("rounds must be at least 1")
+            raise PreconditionError("rounds must be at least 1")
         if not self.delta_min > 0:
-            raise ParameterError("delta_min must be positive")
+            raise PreconditionError("delta_min must be positive")
         if self.tol < 0:
-            raise ParameterError("tol must be nonnegative")
+            raise PreconditionError("tol must be nonnegative")
 
     @classmethod
     def from_json_dict(cls, doc, complete: bool = False) -> "IterationConfig":
@@ -197,20 +195,20 @@ def compute_delta(
     the threshold; the pairs must cover the open ``2^-(n+1)``-balls.  Radii
     below ``delta_min`` abort: the sample is too coarse or ``g_b`` strayed
     too far from ``f_prev``.  Two inputs leave no radius to search, so a
-    round with anchors raises a :class:`ParameterError` for them: a
+    round with anchors raises a :class:`PreconditionError` for them: a
     ``2^-n * epsilon`` below the margin, whose threshold below 0 each
     anchor's own pair exceeds, and a first radius ``2^-(n+2)`` below
     ``delta_min``.
     """
     bound = 2.0 ** (-n) * epsilon
     if bound < STRICTNESS_MARGIN and len(anchored.anchors):
-        raise ParameterError(
+        raise PreconditionError(
             f"round {n}: 2^-{n} epsilon = {bound!r} is below the strictness margin "
             f"{STRICTNESS_MARGIN!r}, so no radius is admissible"
         )
     delta = 2.0 ** (-(n + 2))
     if delta < delta_min and len(anchored.anchors):
-        raise ParameterError(
+        raise PreconditionError(
             f"round {n}: the first radius 2^-{n + 2} is below delta_min = {delta_min!r}, so no radius is admissible"
         )
     threshold = bound - STRICTNESS_MARGIN
@@ -225,7 +223,7 @@ def compute_delta(
         delta /= 2.0
     if not deltas.all():
         b = int(anchored.anchors[np.argmin(deltas)])
-        raise DegenerateRadiusError(f"round {n}, anchor {b!r}: no admissible radius above {delta_min}")
+        raise LipselectError(f"round {n}, anchor {b!r}: no admissible radius above {delta_min}")
     return deltas
 
 
@@ -246,7 +244,7 @@ def blend_round(f_prev: np.ndarray, anchored: AnchoredPairs, deltas: np.ndarray)
     if covered.max() > 1:
         i = int(np.argmax(covered > 1))
         owners = anchored.anchors[anchored.owner[support][rows == i]].tolist()
-        raise InvariantViolationError(f"adjustment supports overlap at {i!r}: anchors {owners!r}")
+        raise LipselectError(f"adjustment supports overlap at {i!r}: anchors {owners!r}")
     w = _trapezoid(delta[support], anchored.dist[support])[:, None]
     f, g = f_prev[rows], anchored.values[support]
     # mixing equal endpoints is the identity; keep the previous row

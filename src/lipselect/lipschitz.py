@@ -28,11 +28,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .convex import _row_norms
-from .errors import (
-    ParameterError,
-    PreconditionError,
-    ResolutionError,
-)
+from .errors import PreconditionError
 from .metric import BLOCK_ROWS, SampledMetricSpace, _fold, as_table
 
 # the estimate is the max ratio over this many smallest informative radii
@@ -93,7 +89,7 @@ def plip_profile(
     default (open with ``closed=False``); a ball holding only its base
     yields ratio 0 and is not informative.  A base point with no
     informative radius at all cannot be resolved by the sample: the first
-    such point, in the order given, raises a :class:`ResolutionError`.
+    such point, in the order given, raises a :class:`PreconditionError`.
     The first base point whose ratios overflow to ``inf`` (values so far
     apart that a squared deviation, or its ratio, does) raises a
     :class:`PreconditionError`.
@@ -125,7 +121,7 @@ def plip_profile(
     resolved = informative.any(axis=1)
     if not resolved.all():
         a = int(points[np.argmin(resolved)])
-        raise ResolutionError(f"no ball around {a!r} in the radius schedule contains another point")
+        raise PreconditionError(f"no ball around {a!r} in the radius schedule contains another point")
     # the INFORMATIVE_COUNT smallest informative radii of each row
     smallest = informative & (np.cumsum(informative[:, ::-1], axis=1)[:, ::-1] <= INFORMATIVE_COUNT)
     estimates = np.max(ratios, axis=1, where=smallest, initial=0.0)
@@ -137,7 +133,7 @@ def default_radii(space: SampledMetricSpace) -> Tuple[float, ...]:
     anchored at the sample's fill distance, the largest nearest-neighbor
     gap."""
     if len(space) < 2:
-        raise ResolutionError("radius schedule needs at least two points")
+        raise PreconditionError("radius schedule needs at least two points")
     fill = float(space.nearest_distances().max())
     return tuple(fill * 2.0**k for k in reversed(range(RADIUS_LEVELS)))
 
@@ -182,9 +178,9 @@ def ray_scales(scales) -> np.ndarray:
     having checked nothing."""
     scales = np.array(scales, dtype=float)
     if not np.all(np.isfinite(scales) & (scales > 0)):
-        raise ParameterError("ray scales must be positive and finite")
+        raise PreconditionError("ray scales must be positive and finite")
     if not scales.size:
-        raise ParameterError("the trial set is empty: no ray scale to check")
+        raise PreconditionError("the trial set is empty: no ray scale to check")
     return scales
 
 
@@ -222,10 +218,10 @@ def verify_homogeneous_plip(
     ``bound`` is ``eta`` plus ``tol``, and the witness is the direction and
     scale of the first largest extension estimate, rays in order and each
     ray's scales in the given order.  No ray point at all is a
-    :class:`ParameterError`.
+    :class:`PreconditionError`.
     """
     if beta < 0:
-        raise ParameterError("beta must be nonnegative")
+        raise PreconditionError("beta must be nonnegative")
     ks = np.array([int(k) for k, _ in rays], dtype=int)
     scale = ray_scales([s for _, scales in rays for s in scales])
     ray = np.repeat(np.arange(len(ks)), [len(scales) for _, scales in rays])
@@ -269,7 +265,7 @@ def verify_homogeneous_plip(
     ball = radii > 0
     if not ball.any(axis=1).all():
         p = int(np.argmin(ball.any(axis=1)))
-        raise ResolutionError(f"every probe of ray point {scale[p]} * direction {ks[ray[p]]} rounds onto it")
+        raise PreconditionError(f"every probe of ray point {scale[p]} * direction {ks[ray[p]]} rounds onto it")
     probes = (len(ray), 3 * cols.shape[1])
     ratios = _ball_ratios(dist.reshape(probes), dev.reshape(probes), np.where(ball, radii, np.inf))[0]
     ext_est = np.max(ratios, axis=1, where=ball, initial=0.0)

@@ -27,11 +27,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import (
-    ConfigurationError,
-    IdentifierError,
     PreconditionError,
     SchemaError,
-    ShapeError,
     as_finite_array,
 )
 
@@ -65,7 +62,7 @@ class SampledMetricSpace:
             raise SchemaError(f"unknown metric kind {metric_kind!r}")
         if given is None:
             needs = "a distance matrix" if explicit else "point coordinates"
-            raise ConfigurationError(f"metric kind {metric_kind!r} requires {needs}")
+            raise SchemaError(f"metric kind {metric_kind!r} requires {needs}")
 
         self.metric_kind = metric_kind
         self._n = n = len(given)
@@ -123,10 +120,10 @@ class SampledMetricSpace:
 
     def index(self, a) -> int:
         """``a`` as a row: an integer in ``0..N-1``, so that a negative row
-        never wraps around; anything else is an :class:`IdentifierError`."""
+        never wraps around; anything else is a :class:`SchemaError`."""
         if isinstance(a, (int, np.integer)) and not isinstance(a, bool) and 0 <= a < self._n:
             return int(a)
-        raise IdentifierError(f"unknown point id {a!r}")
+        raise SchemaError(f"unknown point id {a!r}")
 
     def key_row(self, key):
         """The row a document key names, or None: ``str(key)`` must be
@@ -157,7 +154,7 @@ class SampledMetricSpace:
         coordinates, to every sample point (:func:`_fold`), written into
         ``out`` when it is given, else into a new array."""
         if self._columns is None:
-            raise ConfigurationError("explicit-metric spaces carry no coordinates")
+            raise SchemaError("explicit-metric spaces carry no coordinates")
         return _fold(self._columns, np.asarray(points, dtype=float), self.metric_kind, out)
 
     def _kept(self, rows: list) -> list:
@@ -285,16 +282,16 @@ def as_table(values, space: SampledMetricSpace, dim=None, stacked: bool = False)
     per point, or, ``stacked``, the ``(T, N, d)`` stack of a list of such
     tables, read as one block.  Scalar values count as 1-vectors; every
     entry must be finite.  When ``dim`` is given, rows of any other width
-    are a :class:`ShapeError`."""
+    are a :class:`SchemaError`."""
     table = as_finite_array(values, "selection table")
     if table.ndim == 1 + stacked:
         table = table[..., None]
     if table.ndim != 2 + stacked or table.shape[stacked] != len(space):
-        raise ShapeError(
+        raise SchemaError(
             f"a table needs one row per point ({len(space)}), got shape {table.shape[stacked:]}"
         )
     if dim is not None and table.shape[-1] != dim:
-        raise ShapeError(f"table rows have width {table.shape[-1]}, expected {dim}")
+        raise SchemaError(f"table rows have width {table.shape[-1]}, expected {dim}")
     return table
 
 

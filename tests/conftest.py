@@ -137,7 +137,7 @@ def segment_document(n_points=41):
     T = ls.LinearSurjection([[1.0, 1.0]])
     half = (n_points - 1) // 2
     points = [[(i - half) / half] for i in range(n_points)]
-    bodies = {str(i): flat_doc(least_norm(T, y), T.kernel_basis()) for i, y in enumerate(points)}
+    bodies = {str(i): flat_doc(least_norm(T, y), T.kernel_basis) for i, y in enumerate(points)}
     return {"space": {"metric": "l2", "points": points}, "bodies": bodies}
 
 
@@ -221,7 +221,7 @@ def cantor_plateaus(max_depth):
     where ``a`` ranges over sums of digits 0/2 at places ``1..k-1``.
     """
     if max_depth < 1:
-        raise ls.ParameterError("max_depth must be at least 1")
+        raise ls.PreconditionError("max_depth must be at least 1")
     out = []
     for k in range(1, max_depth + 1):
         lefts = [0.0]
@@ -244,9 +244,9 @@ def global_lipschitz_upgrade_check(values, space, alpha, r0, tol=1e-9):
     the worst violating pair, its violation and its ratio.
     """
     if space.coords is None or space.ambient_dim != 1:
-        raise ls.ShapeError("upgrade check expects a 1-d coordinate sample")
+        raise ls.SchemaError("upgrade check expects a 1-d coordinate sample")
     if alpha < 0:
-        raise ls.ParameterError("alpha must be nonnegative")
+        raise ls.PreconditionError("alpha must be nonnegative")
     order = np.argsort(space.coords[:, 0])
     gaps = np.diff(space.coords[order, 0])
     if gaps.size == 0:

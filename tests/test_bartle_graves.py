@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import lipselect as ls
-from lipselect.errors import ConfigurationError, ParameterError
+from lipselect.errors import PreconditionError, SchemaError
 
 from conftest import extend_one, ray_estimates, sphere_table, worst_record
 
@@ -71,12 +71,12 @@ class TestSphereSample:
             assert row.min() >= 1e-6
 
     def test_count_validation(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(PreconditionError, match="sphere sample needs at least two points"):
             ls.sphere_sample(2, 1)
 
     def test_draw_budget(self):
         # 100 directions of R^5 pairwise 0.9 apart are not found in 100 * 100 draws
-        with pytest.raises(ConfigurationError, match="distinct sphere directions"):
+        with pytest.raises(SchemaError, match="could not draw enough distinct sphere directions"):
             ls.sphere_sample(5, 100, seed=3, dedup_tol=0.9)
 
     @staticmethod
@@ -165,9 +165,8 @@ class TestBuildRightInverse:
 
     def test_beta_gate(self):
         T = ls.LinearSurjection([[1.0, 1.0]])
-        with pytest.raises(ParameterError) as err:
+        with pytest.raises(PreconditionError, match=r"beta must exceed 1/gamma = 0\.7071\d*; got beta = 0\.5$"):
             ls.build_right_inverse(T, beta=0.5)
-        assert "beta" in str(err.value)
 
     def test_wide_matrix_round_properties(self):
         T = ls.LinearSurjection([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -381,7 +380,7 @@ class TestVerifyRightInverse:
     def test_an_empty_trial_set_is_a_parameter_error(self, rays):
         """A check over no trial point would pass having checked nothing."""
         T, seq = self._identity_run()
-        with pytest.raises(ParameterError, match="the trial set is empty"):
+        with pytest.raises(PreconditionError, match="the trial set is empty: no ray scale to check"):
             ls.verify_homogeneous_plip(seq.tables[-1], seq.space, seq.config.beta, rays=rays(int(dense_set(seq)[0])))
 
     def test_dense_set_rays_plip_below_eta(self):

@@ -33,6 +33,8 @@ from conftest import segment_document
 from test_convex import narrow_wedge, three_sided_corner
 
 FOUR_POINT_LINE = {"metric": "l2", "points": [[0.0], [0.3], [0.6], [1.0]]}
+# full-row-rank m x (m + 1) matrices, by codomain dimension m
+FULL_RANK = {2: [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], 3: [[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]]}
 
 
 def write_json(path, doc):
@@ -511,6 +513,33 @@ class TestBartleGraves:
         assert code == 3
         assert "beta" in capsys.readouterr().err
 
+    def test_a_beta_whose_eta_overflows_is_a_parameter_error(self, tmp_path, capsys):
+        """``eta = 2 beta + sup ||tau||`` overflows: exit 3 before any check
+        runs, not a report that cannot be written (exit 2)."""
+        matrix_path = write_json(tmp_path / "T.json", {"matrix": FULL_RANK[3]})
+        out = tmp_path / "bg.json"
+        assert main(["bartle-graves", "--matrix", matrix_path, "--beta", "1e308", "--sphere-count", "16",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "parameter error: beta = 1e+308 makes eta = 2 beta + sup ||tau|| overflow to inf\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", ["1e17", "1e18", "1e19", "1e30"])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_a_sphere_count_too_large_to_allocate_is_a_parameter_error(self, tmp_path, capsys, m, count):
+        """The sample's first array is larger than any address space, so its
+        allocation fails at once, with a MemoryError or a ValueError by
+        size: exit 3 naming the count and ``m``, not a numpy traceback."""
+        matrix_path = write_json(tmp_path / "T.json", {"matrix": FULL_RANK[m]})
+        out = tmp_path / "bg.json"
+        assert main(["bartle-graves", "--matrix", matrix_path, "--beta", "2", "--sphere-count", count,
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"parameter error: a sphere sample of count = {int(float(count))} points at m = {m} does not fit in memory\n"
+        )
+        assert not out.exists()
+
     def test_rank_deficient_exit_code(self, tmp_path):
         matrix_path = write_json(
             tmp_path / "T.json", {"matrix": [[1.0, 1.0], [1.0, 1.0]]}
@@ -663,12 +692,7 @@ class TestArgvReader:
 
 
 # the exit of every class of lipselect.errors, fixed by its base class
-ERROR_EXITS = {
-    "SchemaError": 2, "IdentifierError": 2, "ConfigurationError": 2, "ShapeError": 2,
-    "PreconditionError": 3, "ParameterError": 3, "RankDeficiencyError": 3, "RateError": 3,
-    "ResolutionError": 3, "LipselectError": 4, "ConvergenceError": 4, "DegenerateRadiusError": 4,
-    "InvariantViolationError": 4,
-}
+ERROR_EXITS = {"SchemaError": 2, "PreconditionError": 3, "RateError": 3, "LipselectError": 4, "ConvergenceError": 4}
 ERROR_PREFIXES = {2: "schema error:", 3: "parameter error:", 4: "internal error:"}
 # the arguments after the message of the classes that carry evidence
 ERROR_ARGS = {"ConvergenceError": (0.5,), "RateError": (1, 0.5)}

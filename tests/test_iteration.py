@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 import lipselect as ls
 from lipselect.errors import (
     ConvergenceError,
-    DegenerateRadiusError,
-    InvariantViolationError,
-    ParameterError,
+    LipselectError,
     PreconditionError,
     RateError,
     SchemaError,
@@ -129,8 +127,10 @@ class TestComputeDelta:
         f = np.zeros((13, 1))
         g = np.ones((13, 1))
         g[0] = g[12] = 0.0
-        with pytest.raises(DegenerateRadiusError, match="round 1, anchor 0:"):
+        with pytest.raises(LipselectError, match="round 1, anchor 0: no admissible radius above 1e-09$") as err:
             ls.compute_delta(f, full_pairs(space, {12: g, 0: g}), 1, 0.3, delta_min=1e-9)
+        # neither a schema nor a precondition error: it exits 4
+        assert err.type is LipselectError
 
 
 class TestBlendRound:
@@ -162,8 +162,9 @@ class TestBlendRound:
     def test_overlapping_supports_detected(self):
         space = line_space([0, 0.1, 0.2])
         g = np.ones((3, 1))
-        with pytest.raises(InvariantViolationError, match=r"overlap at 1: anchors \[0, 2\]"):
+        with pytest.raises(LipselectError, match=r"adjustment supports overlap at 1: anchors \[0, 2\]$") as err:
             self._blend(np.zeros((3, 1)), space, {0: g, 2: g}, [0.1, 0.1])
+        assert err.type is LipselectError
 
 
 def per_anchor_run(phi, f0, config):
@@ -291,11 +292,11 @@ class TestIterationConfig:
         assert config.epsilon == pytest.approx(0.5, abs=1e-15)
 
     def test_beta_must_exceed_alpha(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(PreconditionError, match="beta must exceed alpha$"):
             ls.IterationConfig(alpha=1.0, beta=1.0)
 
     def test_epsilon_cap(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(PreconditionError, match=r"epsilon must lie in \(0, \(beta - alpha\)/3 = 0\.0999+\]$"):
             ls.IterationConfig(alpha=0.0, beta=0.3, epsilon=0.2)
 
     @pytest.mark.parametrize("alpha, beta, message", [

@@ -8,12 +8,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import lipselect as ls
-from lipselect.errors import (
-    IdentifierError,
-    ParameterError,
-    PreconditionError,
-    ResolutionError,
-)
+from lipselect.errors import PreconditionError, SchemaError
 
 from conftest import (
     cantor_function,
@@ -139,7 +134,8 @@ class TestPlipProfile:
         reach = [np.delete(space.rows([b])[0], b).min() for b in points]
         unresolved = [b for b, d in zip(points, reach) if not (d <= tail[0] if closed else d < tail[0])]
         if unresolved:
-            with pytest.raises(ResolutionError, match=f"around {unresolved[0]} in"):
+            message = f"no ball around {unresolved[0]} in the radius schedule contains another point$"
+            with pytest.raises(PreconditionError, match=message):
                 ls.plip_profile(values, space, points, tail, closed=closed)
         else:
             ls.plip_profile(values, space, points, tail, closed=closed)
@@ -165,7 +161,7 @@ class TestPlipProfile:
         # the second block
         space = line_space([0.0, 0.1, 5.0, 10.0])
         points = [0, 1] * 35 + [3, 1, 2]
-        with pytest.raises(ResolutionError, match="around 3 in"):
+        with pytest.raises(PreconditionError, match="no ball around 3 in the radius schedule contains another point$"):
             ls.plip_profile(quadratic_table(space), space, points, [0.4, 0.2])
 
     def test_no_points_and_unknown_points(self):
@@ -174,7 +170,7 @@ class TestPlipProfile:
         profiles = ls.plip_profile(values, space, [], [0.4, 0.2, 0.1])
         assert profiles.ratios.shape == profiles.informative.shape == (0, 3)
         assert profiles.estimates.shape == (0,)
-        with pytest.raises(IdentifierError):
+        with pytest.raises(SchemaError, match="unknown point id 30$"):
             ls.plip_profile(values, space, [0, 30], [0.4, 0.2])
 
     def test_square_at_zero(self):
@@ -207,7 +203,7 @@ class TestPlipProfile:
     def test_resolution_error(self):
         space = line_space([0, 1.0])
         table = np.array([[0.0], [5.0]])
-        with pytest.raises(ResolutionError):
+        with pytest.raises(PreconditionError, match="no ball around 0 in the radius schedule contains another point$"):
             ls.plip_profile(table, space, [0], [0.5, 0.25])
 
     def test_radii_must_decrease(self):
@@ -511,7 +507,7 @@ def test_column_pass_equals_the_ray_loop(table_seed, case, width, beta, scale_li
     rays = [(int(rng.integers(len(directions))), scales) for scales in scale_lists]
     rows = loop_ray_rows(values, space, beta, rays)
     if not rows:
-        with pytest.raises(ParameterError, match="the trial set is empty"):
+        with pytest.raises(PreconditionError, match="the trial set is empty: no ray scale to check$"):
             ls.verify_homogeneous_plip(values, space, beta, rays)
         return
     reference = {
@@ -595,7 +591,7 @@ class TestVerifyHomogeneousPlip:
     def test_ray_point_whose_probes_round_onto_it(self):
         # at the smallest subnormal scale every probe distance underflows to 0
         values, space = self._grid_table(lambda u: u)
-        with pytest.raises(ResolutionError, match=r"ray point 5e-324 \* direction 3 rounds"):
+        with pytest.raises(PreconditionError, match=r"every probe of ray point 5e-324 \* direction 3 rounds onto it$"):
             ls.verify_homogeneous_plip(values, space, beta=1.0, rays=[(0, (1.0,)), (3, (2.0, 5e-324))])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
@@ -603,7 +599,7 @@ class TestVerifyHomogeneousPlip:
         values, space = self._grid_table(lambda u: u)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ParameterError, match="positive and finite"):
+            with pytest.raises(PreconditionError, match="ray scales must be positive and finite$"):
                 ls.verify_homogeneous_plip(values, space, beta=1.0, rays=[(0, (1.0, 2.0)), (3, (0.5, bad))])
 
 

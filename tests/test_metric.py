@@ -8,12 +8,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import lipselect as ls
-from lipselect.errors import (
-    ConfigurationError,
-    IdentifierError,
-    PreconditionError,
-    SchemaError,
-)
+from lipselect.errors import PreconditionError, SchemaError
 
 from conftest import distance, line_space, seeded_separation, segment_instance
 from lipselect import metric
@@ -54,11 +49,11 @@ class TestDistance:
     def test_unknown_id(self, four_point_line):
         # a negative row must not wrap around to the end
         for bad in ("nope", -1, 4):
-            with pytest.raises(IdentifierError):
+            with pytest.raises(SchemaError, match=rf"unknown point id {re.escape(repr(bad))}$"):
                 four_point_line.rows([bad])
 
     def test_explicit_requires_matrix(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(SchemaError, match="metric kind 'explicit' requires a distance matrix$"):
             ls.SampledMetricSpace("explicit")
 
     def test_explicit_lookup(self):
@@ -474,7 +469,7 @@ class TestDistanceRows:
         space = ls.SampledMetricSpace("explicit", explicit_distances=mat)
         np.testing.assert_array_equal(space.rows([2, 0]), mat[[2, 0]])
         np.testing.assert_array_equal(space.nearest_distances(), [2.0, 1.5, 1.5])
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(SchemaError, match="explicit-metric spaces carry no coordinates$"):
             space.distances_from([[0.0]])
         # the space's rows are read-only; the caller's matrix is not frozen
         mat[0, 1] = 9.0
@@ -508,7 +503,7 @@ class TestDistanceRows:
     def test_a_bad_member_is_named_first(self, four_point_line, members, first):
         # negative, out of range, bool or float: one array test finds it,
         # and the error names the first such member
-        with pytest.raises(IdentifierError, match=rf"unknown point id {re.escape(first)}$"):
+        with pytest.raises(SchemaError, match=rf"unknown point id {re.escape(first)}$"):
             four_point_line.rows(members)
 
     def test_rows_take_lists_ranges_and_integer_arrays(self, four_point_line):

@@ -29,6 +29,10 @@ tiny ``balls`` and ``bartle-graves`` instance also runs one parameter
 fault in its ``fault/`` directory, keeping its exit and error line the
 same way: ``select`` with ``delta_min`` above round 1's first radius, and
 ``plip`` on the sphere table at a radius whose balls hold only their base.
+Each tiny ``bartle-graves`` instance also runs its solve with one option
+out of range, in ``fault-beta/`` a ``--beta`` of 1e308, at which ``eta = 2
+beta + sup ||tau||`` overflows, and in ``fault-count/`` a ``--sphere-count``
+of 1e17, whose sample no address space holds.
 It imports the ``src/`` and ``bench/`` of the checkout it lives in and changes
 nothing there.
 
@@ -217,6 +221,16 @@ def _fault_exits(inst, fault: Path) -> list:
     return [_case_exit(argv, fault)]
 
 
+def _option_fault_exits(inst, fault: Path, flag: str, value: str) -> list:
+    """``[solve]``, the exit of the ``bartle-graves`` solve of ``inst`` with
+    ``flag`` set to ``value``, its outputs and its error line in ``fault``."""
+    fault.mkdir()
+    argv = list(inst.solve_argv)
+    for key, text in ((flag, value), ("--tau-csv", str(fault / "tau.csv")), ("--out", str(fault / "bartle_graves.json"))):
+        argv[argv.index(key) + 1] = text
+    return [_case_exit(argv, fault)]
+
+
 def digests(seeds, workdir: Path) -> dict:
     """``{"files": {path: sha256}, "exits": {instance: [solve, read, separate]}}``,
     paths relative to ``workdir`` as ``workload/size/seed/file``; a read
@@ -224,7 +238,8 @@ def digests(seeds, workdir: Path) -> dict:
     ``[solve, read]`` under ``workload/tiny/seed/deep``, a forged one's
     ``[read]`` under ``workload/tiny/seed/forged``, a malformed case's
     ``[read]`` under ``workload/tiny/seed/malformed/case``, and a fault's
-    ``[solve]`` under ``workload/tiny/seed/fault``."""
+    ``[solve]`` under ``workload/tiny/seed/fault``, or ``fault-beta`` and
+    ``fault-count`` for the option faults of ``bartle-graves``."""
     files, exits = {}, {}
     for name in workloads.WORKLOADS:
         for size in ("full", "tiny"):
@@ -248,6 +263,9 @@ def digests(seeds, workdir: Path) -> dict:
                 exits[tag] = [solve, read, separate]
                 if size == "tiny" and name != "polytopes":
                     exits[f"{tag}/fault"] = _fault_exits(inst, workdir / tag / "fault")
+                if size == "tiny" and name == "bartle-graves":
+                    for case, flag, value in (("beta", "--beta", "1e308"), ("count", "--sphere-count", "1e17")):
+                        exits[f"{tag}/fault-{case}"] = _option_fault_exits(inst, workdir / tag / f"fault-{case}", flag, value)
                 if size == "tiny" and name != "bartle-graves":
                     exits[f"{tag}/deep"] = _deep_exits(inst, workdir / tag / "deep")
                     exits[f"{tag}/forged"] = _forged_exits(inst, workdir / tag / "forged")
